@@ -4,23 +4,27 @@ For a fixed sign vector ``alpha`` of the enumerated player, the best response
 is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 ``max_alpha sum_y |(Phi^T alpha)_y|``.  We always enumerate the smaller side
 (transposing the game if needed) and keep everything exact by clearing the
-common denominator of Phi and working in integers: sign patterns are expanded
-from bit patterns in blocks and multiplied through the scaled integer matrix
-with int64 matmuls, which are exact at these magnitudes (an object-dtype
-fallback covers enormous denominators).
+common denominator of Phi and working in integers (int64, with an
+object-dtype fallback for enormous denominators).
 
-Ties matter for face geometry.  Wherever ``(Phi^T alpha)_y = 0`` both signs of
-``beta_y`` are optimal, and `optimal_vertices` branches over *all* such
-completions: dropping tied responses would under-measure the dimension of the
-optimal face.  Block results are merged deterministically (max value, then
-lowest bit pattern, where bit j = 0 encodes +1), so output is bit-identical
-regardless of the worker-thread count (capped by ``TIGHTBELL_THREADS``).
+Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  One pass
+covers all 2^m patterns with a split table: for k about m/2, ``low =
+signs(k) P[:k]`` and ``high = signs(m - k) P[k:]`` are built once, and
+pattern ``h 2^k + l`` has column sums ``low[l] + high[h]``.  Chunks of high
+patterns are scanned in ascending order, so the pass yields the optimum, the
+number of optimal patterns, and the optimal patterns in ascending order with
+their column sums; every caller reads this one pass.
+
+Ties are broken deterministically: the witness of `classical_bias` is the
+lowest optimal pattern with tied responses set to +1.  Ties also matter for
+face geometry.  Wherever ``(Phi^T alpha)_y = 0`` both signs of ``beta_y`` are
+optimal, and `optimal_vertices` branches over *all* such completions, in
+pattern order: dropping tied responses would under-measure the dimension of
+the optimal face.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -32,7 +36,7 @@ from .game import DeterministicStrategy, XorGame, game_matrix, transpose_game
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
 DEFAULT_VERTEX_CAP = 10**6  # stored optimal vertices
-_BLOCK = 1 << 14
+_CHUNK = 1 << 16  # column-sum entries per scan step
 _INT64_SAFE = 1 << 62
 
 
@@ -52,15 +56,17 @@ class ClassicalBiasResult:
 
 @dataclass(frozen=True)
 class OptimalVertexSet:
-    """All deterministic strategies achieving the classical optimum.
+    """All deterministic strategies achieving the classical optimum ``xi_c``.
 
     When ``truncated`` is False the list is complete, including every sign
     choice on tied (zero) coordinates and both (alpha, beta) and its negation.
+    ``xi_c`` is None only for sets built by hand.
     """
 
     vertices: tuple[DeterministicStrategy, ...]
     truncated: bool
     cap: int
+    xi_c: Fraction | None = None
 
 
 @dataclass(frozen=True)
@@ -69,20 +75,26 @@ class FRelationReport:
     all_pass: bool
 
 
-def _workers() -> int:
-    env = os.environ.get("TIGHTBELL_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return min(4, os.cpu_count() or 1)
+@dataclass(frozen=True)
+class _Optima:
+    """What the enumeration pass found on the enumerated side.
+
+    ``count`` counts the optimal sign vectors; ``alphas`` holds the first of
+    them in pattern order and ``rows`` their scaled column sums ``Phi^T alpha``.
+    """
+
+    xi_c: Fraction
+    count: int
+    alphas: list[list[int]]
+    rows: list[list[int]]
+    swapped: bool
 
 
-def _scaled_int_phi(g: XorGame) -> tuple[np.ndarray, int, bool]:
+def _scaled_int_phi(g: XorGame) -> tuple[np.ndarray, int]:
     """Phi cleared of denominators, as an integer array.
 
-    Returns (matrix, denominator L, object_dtype) with matrix = L * Phi.
+    Returns (matrix, denominator L) with matrix = L * Phi, of object dtype
+    when int64 could overflow.
     """
     phi = game_matrix(g).phi
     L = 1
@@ -92,17 +104,12 @@ def _scaled_int_phi(g: XorGame) -> tuple[np.ndarray, int, bool]:
     ints = [[int(v * L) for v in row] for row in phi]
     # worst-case |alpha . column| * m_b must stay clear of int64 overflow
     bound = g.m_a * g.m_b * max(max(abs(v) for v in row) for row in ints)
-    if bound < _INT64_SAFE:
-        return np.array(ints, dtype=np.int64), L, False
-    return np.array(ints, dtype=object), L, True
+    return np.array(ints, dtype=np.int64 if bound < _INT64_SAFE else object), L
 
 
-def _sign_block(lo: int, hi: int, m: int, obj: bool) -> np.ndarray:
-    """Rows of +-1 signs for bit patterns lo..hi-1 (bit j = 0 means +1)."""
-    pats = np.arange(lo, hi, dtype=np.int64)
-    bits = (pats[:, None] >> np.arange(m, dtype=np.int64)) & 1
-    signs = 1 - 2 * bits
-    return signs.astype(object) if obj else signs
+def _signs(pats: np.ndarray, m: int) -> np.ndarray:
+    """Rows of +-1 signs for the given bit patterns (bit j = 0 means +1)."""
+    return 1 - 2 * ((pats[:, None] >> np.arange(m, dtype=np.int64)) & 1)
 
 
 def _orient(g: XorGame) -> tuple[XorGame, bool]:
@@ -112,41 +119,38 @@ def _orient(g: XorGame) -> tuple[XorGame, bool]:
     return transpose_game(g), True
 
 
-def _enumerate_best(g: XorGame, enum_cap: int):
-    """(best scaled value, count, first pattern, P, L, obj, swapped)."""
+def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
+    """The one pass over all sign patterns, keeping the first ``keep`` optima."""
     gg, swapped = _orient(g)
-    m = gg.m_a
-    total = 1 << m
-    if total > enum_cap:
+    m, mb = gg.m_a, gg.m_b
+    if 1 << m > enum_cap:
         raise TooLarge(
             f"enumeration side has {m} inputs (2^{m} patterns > cap {enum_cap})"
         )
-    P, L, obj = _scaled_int_phi(gg)
-
-    def scan(span):
-        lo, hi = span
-        S = _sign_block(lo, hi, m, obj)
-        vals = np.abs(S.dot(P)).sum(axis=1)  # .dot: exact for int64 and object
-        best = vals.max()
-        where = np.nonzero(vals == best)[0]
-        return int(best), len(where), lo + int(where[0])
-
-    spans = [(lo, min(lo + _BLOCK, total)) for lo in range(0, total, _BLOCK)]
-    nw = _workers()
-    if nw > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=nw) as pool:
-            parts = list(pool.map(scan, spans))
-    else:
-        parts = [scan(s) for s in spans]
-
-    best = max(p[0] for p in parts)
-    count = sum(p[1] for p in parts if p[0] == best)
-    first = min(p[2] for p in parts if p[0] == best)
-    return best, count, first, P, L, obj, swapped, gg
-
-
-def _pattern_signs(pattern: int, m: int) -> tuple[int, ...]:
-    return tuple(1 - 2 * ((pattern >> j) & 1) for j in range(m))
+    P, L = _scaled_int_phi(gg)
+    k = (m + 1) // 2
+    # .dot: exact for int64 and object
+    low = _signs(np.arange(1 << k), k).astype(P.dtype).dot(P[:k])
+    high = _signs(np.arange(1 << (m - k)), m - k).astype(P.dtype).dot(P[k:])
+    step = max(1, _CHUNK // low.size)
+    best, count, kept, pats, rows = -1, 0, 0, [], []
+    for h in range(0, len(high), step):
+        # row i holds the column sums of pattern (h << k) + i
+        cols = (low[None, :, :] + high[h : h + step, None, :]).reshape(-1, mb)
+        vals = np.abs(cols).sum(axis=1)
+        top = int(vals.max())
+        if top < best:
+            continue
+        if top > best:
+            best, count, kept, pats, rows = top, 0, 0, [], []
+        hits = np.flatnonzero(vals == top)
+        count += len(hits)
+        hits = hits[: max(0, keep - kept)]
+        kept += len(hits)
+        pats.append((h << k) + hits)
+        rows += cols[hits].tolist()
+    alphas = _signs(np.concatenate(pats), m).tolist()
+    return _Optima(Fraction(best, L), count, alphas, rows, swapped)
 
 
 def _strategy(alpha, beta, swapped: bool) -> DeterministicStrategy:
@@ -161,15 +165,13 @@ def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBia
     The witness takes ``beta_y = sign((Phi^T alpha)_y)`` with ties broken
     to +1 and the lexicographically first optimal alpha (all-ones first).
     """
-    best, count, first, P, L, _obj, swapped, gg = _enumerate_best(g, enum_cap)
-    alpha = _pattern_signs(first, gg.m_a)
-    col = [sum(a * int(P[x][y]) for x, a in enumerate(alpha)) for y in range(gg.m_b)]
-    beta = tuple(1 if v >= 0 else -1 for v in col)
+    opt = _enumerate(g, enum_cap, keep=1)
+    beta = [1 if v >= 0 else -1 for v in opt.rows[0]]
     return ClassicalBiasResult(
-        xi_c=Fraction(int(best), L),
-        witness=_strategy(alpha, beta, swapped),
-        num_alpha_optimal=count,
-        swapped=swapped,
+        xi_c=opt.xi_c,
+        witness=_strategy(opt.alphas[0], beta, opt.swapped),
+        num_alpha_optimal=opt.count,
+        swapped=opt.swapped,
     )
 
 
@@ -181,37 +183,22 @@ def optimal_vertices(
     """Enumerate every optimal deterministic strategy pair.
 
     Branches over all sign completions on zero coordinates of ``Phi^T alpha``;
-    stops and marks the set truncated once ``cap`` vertices are stored.
+    stops and marks the set truncated once ``cap`` vertices are stored.  Each
+    optimal alpha yields at least one vertex, so the pass keeps ``cap`` alphas.
     """
-    best, _count, _first, P, L, obj, swapped, gg = _enumerate_best(g, enum_cap)
-    m, mb = gg.m_a, gg.m_b
-    total = 1 << m
+    opt = _enumerate(g, enum_cap, keep=cap)
     vertices: list[DeterministicStrategy] = []
-    truncated = False
-
-    for lo in range(0, total, _BLOCK):
-        hi = min(lo + _BLOCK, total)
-        S = _sign_block(lo, hi, m, obj)
-        T = S.dot(P)
-        vals = np.abs(T).sum(axis=1)
-        for idx in np.nonzero(vals == best)[0]:
-            alpha = _pattern_signs(lo + int(idx), m)
-            row = [int(v) for v in T[idx]]
-            zeros = [y for y in range(mb) if row[y] == 0]
-            base = [1 if v >= 0 else -1 for v in row]
-            for fill in range(1 << len(zeros)):
-                if len(vertices) >= cap:
-                    truncated = True
-                    break
-                beta = list(base)
-                for j, y in enumerate(zeros):
-                    beta[y] = 1 - 2 * ((fill >> j) & 1)
-                vertices.append(_strategy(alpha, beta, swapped))
-            if truncated:
-                break
-        if truncated:
-            break
-    return OptimalVertexSet(vertices=tuple(vertices), truncated=truncated, cap=cap)
+    for alpha, row in zip(opt.alphas, opt.rows):
+        zeros = [y for y, v in enumerate(row) if v == 0]
+        base = [1 if v >= 0 else -1 for v in row]
+        for fill in range(1 << len(zeros)):
+            if len(vertices) >= cap:
+                return OptimalVertexSet(tuple(vertices), True, cap, opt.xi_c)
+            beta = list(base)
+            for j, y in enumerate(zeros):
+                beta[y] = 1 - 2 * ((fill >> j) & 1)
+            vertices.append(_strategy(alpha, beta, opt.swapped))
+    return OptimalVertexSet(tuple(vertices), opt.count > len(opt.alphas), cap, opt.xi_c)
 
 
 def verify_F_relation(

@@ -1,11 +1,11 @@
 """Command-line surface: reproducible analyses, machine-readable JSON reports.
 
 Exit codes: 0 success, 1 invalid input, 2 resource cap exceeded,
-3 certification failure.  Reports are deterministic for fixed inputs and seed
-except for the ``timestamp`` field.  Exact rational values are serialized as
-strings ("1/2"), certified numeric values as JSON numbers; the ``provenance``
-block says which is which so consumers never compare across kinds without the
-declared tolerance.
+3 certification or verification failure.  Reports are deterministic for fixed
+inputs and seed except for the ``timestamp`` field.  Exact rational values are
+serialized as strings ("1/2"), certified numeric values as JSON numbers; the
+``provenance`` block says which is which so consumers never compare across
+kinds without the declared tolerance.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,10 +22,10 @@ from .errors import (
     DualInfeasible,
     GameFormatError,
     InvalidParameter,
-    NotConverged,
     TightBellError,
     TooLarge,
     Truncated,
+    VerificationFailed,
 )
 
 EXIT_OK = 0
@@ -45,7 +45,6 @@ class RunConfig:
     gap_tol: float = 1e-7
     feas_tol: float = 1e-8
     adv_tol: float = 1e-6
-    slack_tol: float = 1e-6
     change_tol: float = 1e-13
     enum_cap: int = classical.DEFAULT_ENUM_CAP
     vertex_cap: int = classical.DEFAULT_VERTEX_CAP
@@ -53,7 +52,7 @@ class RunConfig:
     output_path: str | None = None
 
     def __post_init__(self) -> None:
-        tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.slack_tol, self.change_tol)
+        tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.change_tol)
         if any(t <= 0 for t in tols):
             raise InvalidParameter("tolerances must be positive")
         if self.enum_cap <= 0 or self.vertex_cap <= 0 or self.restarts <= 0:
@@ -271,14 +270,13 @@ def cmd_nlc(args) -> int:
         a = nlc.hadamard_spectrum(spec)
         g = nlc.build_nlc(spec)
         bound = nlc.nlc_bias_bound(a, g)
-        xi_c = classical.classical_bias(g).xi_c
         _emit(
             {
                 "command": "nlc bound",
                 "timestamp": _timestamp(),
                 "n": spec.n,
                 "xi_star": str(bound.xi_star),
-                "xi_c": str(xi_c),
+                "xi_c": str(bound.xi_c),
                 "matches_classical": bound.matches_classical,
                 "provenance": {"xi_star": "exact-rational", "xi_c": "exact-rational"},
             },
@@ -308,15 +306,7 @@ def cmd_nlc(args) -> int:
         return EXIT_OK
     # corollary
     ns = range(args.n, (args.n_max or args.n) + 1)
-    points = [
-        {
-            "n": n,
-            "dim_bound": nlc.corollary_bound(n).dim_bound,
-            "codim_bound_full": nlc.corollary_bound(n).codim_bound_full,
-            "codim_bound_corr": nlc.corollary_bound(n).codim_bound_corr,
-        }
-        for n in ns
-    ]
+    points = [{"n": n, **asdict(nlc.corollary_bound(n))} for n in ns]
     report = {"command": "nlc corollary", "timestamp": _timestamp()}
     if args.n_max:
         report["points"] = points
@@ -366,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("nlc", help="shared-input game analyses")
     nsub = p.add_subparsers(dest="nlc_command", required=True)
-    for name, needs_file in (("spectrum", True), ("bound", True)):
+    for name in ("spectrum", "bound"):
         np_ = nsub.add_parser(name)
         np_.add_argument("file", help="game or shared-input spec JSON")
         _add_common(np_)
@@ -388,7 +378,7 @@ def main(argv=None) -> int:
     except (TooLarge, Truncated) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPPED
-    except (NotConverged, DualInfeasible) as exc:
+    except (DualInfeasible, VerificationFailed) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNCERTIFIED
     except (TightBellError, OSError, json.JSONDecodeError) as exc:

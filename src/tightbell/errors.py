@@ -60,8 +60,8 @@ class Truncated(TightBellError):
     """A universally quantified claim was requested on a truncated vertex set."""
 
 
-class NotConverged(TightBellError):
-    """The solver could not certify its value within the configured budget."""
+class VerificationFailed(TightBellError):
+    """An exact or theoretical check on a computed result failed: a bug, not masked."""
 
 
 class DualInfeasible(TightBellError):

@@ -30,6 +30,7 @@ from .errors import (
     NotApplicable,
     ShapeMismatch,
     TooLarge,
+    VerificationFailed,
 )
 from .game import (
     DeterministicStrategy,
@@ -270,9 +271,8 @@ def face_report(
     lower bounds and suppresses facet verdicts.
     """
     reduced, rmap = reduce_exhaustive(g)
-    cb = classical.classical_bias(reduced, enum_cap=enum_cap)
     vs = classical.optimal_vertices(reduced, cap=vertex_cap, enum_cap=enum_cap)
-    qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=cb.xi_c)
+    qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=vs.xi_c)
 
     M_a, M_b = rmap.original_dims
     D = M_a * M_b + M_a + M_b
@@ -323,7 +323,7 @@ def face_report(
         m_b=M_b,
         reduced_m_a=reduced.m_a,
         reduced_m_b=reduced.m_b,
-        xi_c=cb.xi_c,
+        xi_c=vs.xi_c,
         xi_q=qres.xi_q,
         classification=qres.classification,
         num_vertices=num_vertices,
@@ -390,7 +390,10 @@ def quantum_face_probe(
         dim_lb = int(np.count_nonzero(sv > rank_tol))
     else:
         dim_lb = 0
-    assert dim_lb <= thm3, "probe exceeded the theoretical bound: implementation bug"
+    if dim_lb > thm3:
+        raise VerificationFailed(
+            f"probe found {dim_lb} directions, above the theoretical bound {thm3}"
+        )
     return ProbeReport(
         dim_lower_bound=dim_lb,
         thm3_bound=thm3,

@@ -32,7 +32,14 @@ from pathlib import Path
 from typing import Sequence
 
 from . import classical
-from .errors import GameFormatError, InvalidDims, InvalidParameter, InvalidSpec, TooLarge
+from .errors import (
+    GameFormatError,
+    InvalidDims,
+    InvalidParameter,
+    InvalidSpec,
+    TooLarge,
+    VerificationFailed,
+)
 from .facegeom import affine_dimension_exact
 from .game import XorGame, as_rational, build_game
 
@@ -71,6 +78,7 @@ class NlcAnalysis:
 @dataclass(frozen=True)
 class NlcBiasBound:
     xi_star: Fraction
+    xi_c: Fraction
     matches_classical: bool
 
 
@@ -161,8 +169,8 @@ def hadamard_spectrum(spec: NlcSpec, verify: bool | None = None) -> NlcAnalysis:
     """Exact eigenvalues of the q~-normalized game matrix.
 
     With ``verify`` enabled (auto for n <= 5), conjugates the circulant by the
-    +-1 Hadamard matrix in rational arithmetic and asserts the off-diagonal
-    vanishes EXACTLY — a theorem check, not a tolerance check.
+    +-1 Hadamard matrix in rational arithmetic and checks that the
+    off-diagonal vanishes EXACTLY — a theorem check, not a tolerance check.
     """
     validate_spec(spec)
     size = 1 << spec.n
@@ -186,7 +194,10 @@ def hadamard_spectrum(spec: NlcSpec, verify: bool | None = None) -> NlcAnalysis:
 
 
 def _verify_diagonalization(signed, spectrum, n: int) -> None:
-    """Assert H M H == 2^n diag(spectrum) in exact rationals (H the +-1 Hadamard)."""
+    """Check H M H == 2^n diag(spectrum) in exact rationals (H the +-1 Hadamard).
+
+    Raises VerificationFailed on any mismatch.
+    """
     size = 1 << n
     M = [[signed[x ^ y] for y in range(size)] for x in range(size)]
     # conjugation as two passes of the transform: columns, then rows
@@ -195,7 +206,8 @@ def _verify_diagonalization(signed, spectrum, n: int) -> None:
         row = _walsh_transform([half[y][u] for y in range(size)])
         for v in range(size):
             expected = size * spectrum[u] if u == v else Fraction(0)
-            assert row[v] == expected, "Hadamard diagonalization is not exact"
+            if row[v] != expected:
+                raise VerificationFailed("Hadamard diagonalization is not exact")
 
 
 def nlc_bias_bound(a: NlcAnalysis, g: XorGame) -> NlcBiasBound:
@@ -205,7 +217,7 @@ def nlc_bias_bound(a: NlcAnalysis, g: XorGame) -> NlcBiasBound:
     the classical bias is an exact rational comparison.
     """
     xi_c = classical.classical_bias(g).xi_c
-    return NlcBiasBound(xi_star=a.xi_star, matches_classical=xi_c == a.xi_star)
+    return NlcBiasBound(xi_star=a.xi_star, xi_c=xi_c, matches_classical=xi_c == a.xi_star)
 
 
 def kl_dimension_bound(k: int, l: int) -> int:

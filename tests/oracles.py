@@ -3,6 +3,8 @@
 Deliberately written from the definitions, by different algorithms than the
 library uses: the classical oracle enumerates BOTH players' sign vectors in a
 full double loop (the library enumerates one side and derives the other), the
+block-matmul reference expands every sign pattern and multiplies it through
+the game matrix (the library adds split low-bit and high-bit tables), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses fraction-free integer elimination), and the no-signalling
 oracle reconstructs the full conditional table from first principles.
@@ -13,6 +15,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import lcm
+
+import numpy as np
+
+_REFERENCE_BLOCK = 1 << 14
 
 
 def _scaled_phi(g) -> tuple[list[list[int]], int]:
@@ -46,6 +52,75 @@ def oracle_bias(g, collect_pairs: bool = False):
             elif val == best and collect_pairs:
                 pairs.append((alpha, beta))
     return Fraction(best, den), (pairs if collect_pairs else None)
+
+
+def _reference_rows(g):
+    """Every optimal sign pattern of the smaller side, by block matmul.
+
+    Bit patterns are expanded block by block into rows S of +-1 signs (bit j
+    = 0 means +1) and S.P gives their column sums, in int64 while that cannot
+    overflow and in Python integers otherwise.  Returns (best scaled value,
+    denominator, swapped, m, [(pattern, column sums)] in ascending pattern
+    order).
+    """
+    P, den = _scaled_phi(g)
+    swapped = g.m_a > g.m_b
+    if swapped:
+        P = [list(col) for col in zip(*P)]
+    m, mb = len(P), len(P[0])
+    big = m * mb * max(abs(v) for row in P for v in row) >= 1 << 62
+    Pm = np.array(P, dtype=object if big else np.int64)
+    best, rows = -1, []
+    for lo in range(0, 1 << m, _REFERENCE_BLOCK):
+        pats = np.arange(lo, min(lo + _REFERENCE_BLOCK, 1 << m), dtype=np.int64)
+        S = 1 - 2 * ((pats[:, None] >> np.arange(m, dtype=np.int64)) & 1)
+        T = (S.astype(object) if big else S).dot(Pm)
+        vals = np.abs(T).sum(axis=1)
+        top = int(vals.max())
+        if top > best:
+            best, rows = top, []
+        if top == best:
+            rows += [(lo + int(i), [int(v) for v in T[i]]) for i in np.flatnonzero(vals == top)]
+    return best, den, swapped, m, rows
+
+
+def _pattern_signs(pattern: int, m: int) -> tuple[int, ...]:
+    return tuple(1 - 2 * ((pattern >> j) & 1) for j in range(m))
+
+
+def reference_bias(g):
+    """(xi_c, (alpha, beta), num_alpha_optimal, swapped) from the block scan.
+
+    The witness is the first optimal pattern with tied responses set to +1.
+    """
+    best, den, swapped, m, rows = _reference_rows(g)
+    pattern, col = rows[0]
+    alpha = _pattern_signs(pattern, m)
+    beta = tuple(1 if v >= 0 else -1 for v in col)
+    pair = (beta, alpha) if swapped else (alpha, beta)
+    return Fraction(best, den), pair, len(rows), swapped
+
+
+def reference_vertices(g, cap: int):
+    """(xi_c, [(alpha, beta)], truncated) from the block scan.
+
+    Optimal patterns in ascending order, each followed by every sign choice
+    on its tied responses (fill bit j = 0 means +1); stops once ``cap``
+    vertices are stored and another is due.
+    """
+    best, den, swapped, m, rows = _reference_rows(g)
+    out = []
+    for pattern, col in rows:
+        alpha = _pattern_signs(pattern, m)
+        zeros = [y for y, v in enumerate(col) if v == 0]
+        for fill in range(1 << len(zeros)):
+            if len(out) >= cap:
+                return Fraction(best, den), out, True
+            beta = [1 if v >= 0 else -1 for v in col]
+            for j, y in enumerate(zeros):
+                beta[y] = 1 - 2 * ((fill >> j) & 1)
+            out.append((tuple(beta), alpha) if swapped else (alpha, tuple(beta)))
+    return Fraction(best, den), out, False
 
 
 def oracle_affine_dim(points) -> int:

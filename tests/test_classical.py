@@ -12,12 +12,12 @@ from tightbell import (
     optimal_vertices,
     verify_F_relation,
 )
-from tightbell.classical import OptimalVertexSet
+from tightbell.classical import DEFAULT_VERTEX_CAP, OptimalVertexSet
 from tightbell.errors import TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, build_game
 
 from .generators import random_game, random_strategy
-from .oracles import oracle_bias
+from .oracles import oracle_bias, reference_bias, reference_vertices
 
 Q = Fraction(1, 4)
 
@@ -194,22 +194,42 @@ def test_f_relation_refuses_truncated_sets():
         verify_F_relation(vs, np.eye(2))
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    # both sides >= 15 so the 2^15 patterns span multiple enumeration blocks
-    rng = np.random.default_rng(59)
-    g = random_game(rng, min_a=15, max_a=15, min_b=15, max_b=16)
-    baseline = classical_bias(g)
-    base_vs = optimal_vertices(g)
-    for workers in ("1", "3", "8"):
-        monkeypatch.setenv("TIGHTBELL_THREADS", workers)
-        res = classical_bias(g)
-        assert res == baseline
-        assert optimal_vertices(g) == base_vs
-
-
-def test_object_dtype_fallback_for_huge_denominators():
+def huge_denominator_game():
     # denominator large enough to force the exact big-integer path
     big = 2**70
     q = [[Fraction(1, big), Fraction(big - 1, big)], [Fraction(0), Fraction(0)]]
-    g = build_game(q, [[0, 1], [0, 0]])
+    return build_game(q, [[0, 1], [0, 0]])
+
+
+def test_object_dtype_fallback_for_huge_denominators():
+    g = huge_denominator_game()
     assert classical_bias(g).xi_c == oracle_bias(g)[0]
+
+
+def reference_games():
+    rng = np.random.default_rng(59)
+    yield pytest.param(random_game(rng, min_a=15, max_a=15, min_b=15, max_b=16), id="random15x16")
+    yield pytest.param(random_game(rng, min_a=17, max_a=17, min_b=15, max_b=15), id="random17x15")
+    for name, ns in (("identity", (1, 2, 3)), ("appendix_d", (2, 3)), ("nlc_and", (2, 3))):
+        for n in ns:
+            yield pytest.param(make_named(name, n), id=f"{name}{n}")
+    yield pytest.param(huge_denominator_game(), id="denominator2^70")
+
+
+@pytest.mark.parametrize("g", list(reference_games()))
+def test_enumeration_matches_block_reference(g):
+    res = classical_bias(g)
+    got = (res.xi_c, (res.witness.alpha, res.witness.beta), res.num_alpha_optimal, res.swapped)
+    assert got == reference_bias(g)
+    for cap in (0, 1, 3, 7, DEFAULT_VERTEX_CAP):
+        vs = optimal_vertices(g, cap=cap)
+        got = (vs.xi_c, [(v.alpha, v.beta) for v in vs.vertices], vs.truncated)
+        assert got == reference_vertices(g, cap)
+        assert vs.cap == cap
+
+
+def test_each_function_enumerates_once(enumerations):
+    g = make_named("chsh")
+    classical_bias(g)
+    optimal_vertices(g)
+    assert len(enumerations) == 2

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from tightbell import load_game, make_named, save_game
+from tightbell import load_game, make_named, nlc, save_game
 from tightbell.cli import main
+from tightbell.errors import VerificationFailed
 from tightbell.nlc import save_nlc_spec
 
 from .generators import random_nlc_spec
@@ -249,6 +250,23 @@ def test_nlc_bound(capsys, and2_file):
     assert payload["matches_classical"] is True
 
 
+def test_nlc_bound_enumerates_once(capsys, and2_file, enumerations):
+    code, payload, _ = run_json(capsys, "nlc", "bound", and2_file)
+    assert code == 0
+    assert payload["xi_c"] == "1/2"
+    assert len(enumerations) == 1
+
+
+def test_verification_failure_exit(capsys, and2_file, monkeypatch):
+    def fail(*_args):
+        raise VerificationFailed("Hadamard diagonalization is not exact")
+
+    monkeypatch.setattr(nlc, "_verify_diagonalization", fail)
+    code, out, err = run(capsys, "nlc", "spectrum", and2_file)
+    assert code == 3
+    assert out == "" and "not exact" in err
+
+
 def test_nlc_g0(capsys):
     code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2")
     assert code == 0
@@ -291,7 +309,7 @@ def test_run_config_validation():
     assert cfg.solver().gap_tol == 1e-9 and cfg.solver().seed == 9
     for bad in (
         dict(gap_tol=0.0),
-        dict(slack_tol=-1e-6),
+        dict(feas_tol=-1e-6),
         dict(enum_cap=0),
         dict(restarts=0),
         dict(seed=-1),

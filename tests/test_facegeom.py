@@ -303,3 +303,9 @@ def test_probe_single_entry_is_rigid():
 def test_probe_not_applicable_for_advantage_games():
     with pytest.raises(NotApplicable):
         quantum_face_probe(make_named("chsh"))
+
+
+def test_face_report_enumerates_once(enumerations):
+    rep = face_report(make_named("appendix_d", 2))
+    assert len(enumerations) == 1
+    assert rep.xi_c == Fraction(1, 2)

@@ -1,5 +1,8 @@
 """Shared-input games: construction, exact spectra, bounds, dimension formulas."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -152,6 +155,26 @@ def test_diagonalization_independent_check():
     for u in range(size):
         for v in range(size):
             assert HMH[u][v] == (size * a.spectrum[u] if u == v else 0)
+
+
+def test_wrong_spectrum_fails_verification_under_optimize():
+    # a raised error, not an assert: python -O must not strip the check
+    code = (
+        "from fractions import Fraction\n"
+        "from tightbell.errors import VerificationFailed\n"
+        "from tightbell.nlc import _verify_diagonalization\n"
+        "signed = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)]\n"
+        "try:\n"
+        "    _verify_diagonalization(signed, [Fraction(1)] * 4, 2)\n"
+        "except VerificationFailed:\n"
+        "    print('raised')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 # ---------------------------------------------------------------------------
