@@ -3,11 +3,16 @@
 The optimal deterministic strategies of a game span a face of the polytope of
 local behaviours; its dimension decides whether the game's inequality is
 tight (a facet).  Facet verdicts are Boolean claims, so dimensions on the
-classical side are computed by exact integer linear algebra: vertices embed as
-``(alpha, beta, vec(alpha beta^T))`` with entries +-1, differences of such
-points are integer vectors, and the affine dimension is their rank over the
-rationals via fraction-free (Bareiss) elimination.  No floating point, no
-tolerance.
+classical side are exact: vertices embed, all at once, as the rows
+``(alpha, beta, vec(alpha beta^T))`` of one +-1 matrix, and the affine
+dimension is the rank over the rationals of the differences to the first row.
+That rank is a certified modular rank: the rank of the Gram matrix modulo the
+prime 2^31 - 1 is a lower bound, and an integer certificate (the lifted
+echelon form, checked against the differences exactly) proves the matching
+upper bound.  Floating point is used only where every sum is an integer below
+2^53, which is checked first.  When a bound fails, the prime is unlucky or
+the certificate cannot be lifted, fraction-free (Bareiss) elimination on
+Python integers gives the rank instead.  No tolerance either way.
 
 The quantum-side face dimension is inherently numerical and is reported only
 as a lower bound from sampled optima, with an explicit singular-value
@@ -19,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -36,13 +42,17 @@ from .game import (
     DeterministicStrategy,
     ReductionMap,
     XorGame,
-    lift_strategy,
     reduce_exhaustive,
 )
 
 MEASURED = "measured"
 LOWER_BOUND = "lower bound (truncated vertex set)"
 THM2_BOUND = "bound via Theorem 2"
+
+_PRIME = (1 << 31) - 1
+_RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
+_FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
+_DIFF_LIMIT = 1 << 62  # int64 entries below this have int64 differences
 
 
 @dataclass(frozen=True)
@@ -116,13 +126,21 @@ class FaceReport:
         return self.m_a * self.m_b + self.m_a + self.m_b
 
 
+def _embedded(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
+    """Rows ``[alpha | beta | row-major alpha beta^T]``, one per sign-row pair."""
+    tail = (alphas[:, :, None] * betas[:, None, :]).reshape(len(alphas), -1)
+    return np.hstack([alphas, betas, tail])
+
+
 def embed_vertex(v: DeterministicStrategy) -> EmbeddedVertex:
-    tail = tuple(a * b for a in v.alpha for b in v.beta)
+    m_a, m_b = len(v.alpha), len(v.beta)
+    row = _embedded(np.array([v.alpha]), np.array([v.beta]))[0]
+    coords = tuple(int(x) for x in row)
     return EmbeddedVertex(
-        coords=tuple(v.alpha) + tuple(v.beta) + tail,
-        correlation_coords=tail,
-        m_a=len(v.alpha),
-        m_b=len(v.beta),
+        coords=coords,
+        correlation_coords=coords[m_a + m_b :],
+        m_a=m_a,
+        m_b=m_b,
     )
 
 
@@ -160,20 +178,122 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def affine_dimension_exact(points: Sequence[Sequence[int]]) -> int:
+def _rref_mod_p(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of a residue matrix modulo ``_PRIME``.
+
+    Entries stay in ``[0, p)``, so every product fits in int64.
+    """
+    A = A.copy()
+    pivots: list[int] = []
+    for c in range(A.shape[1]):
+        r = len(pivots)
+        if r == A.shape[0]:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        A[r, c:] = A[r, c:] * pow(int(A[r, c]), _PRIME - 2, _PRIME) % _PRIME
+        col = A[:, c].copy()
+        col[r] = 0
+        A[:, c:] = (A[:, c:] - np.outer(col, A[r, c:]) % _PRIME) % _PRIME
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+def _rational(u: int) -> tuple[int, int] | None:
+    """``a / b`` with ``a = b u (mod p)``, ``|a|, b <= _RECON_BOUND``, or None."""
+    r0, r1, t0, t1 = _PRIME, u, 0, 1
+    while r1 > _RECON_BOUND:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > _RECON_BOUND or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _certified_rank(M: np.ndarray) -> int | None:
+    """Rank over Q of a nonzero int64 matrix, or None where no certificate is found.
+
+    With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
+    is formed in float64, exact because ``max|M|^2 * rows < 2^53``.  The
+    rank ``r`` of ``G`` mod p is at most rank_Q(G) = rank_Q(M).  Below full
+    column rank, the reduced echelon form of ``G`` is lifted to rationals
+    with common denominator ``delta`` as an integer matrix ``N``, and
+    ``delta * M == M[:, pivots] @ N`` is checked exactly (float64 again,
+    bounds checked first): every column of ``M`` then lies in the span of
+    ``r`` of its columns, so rank_Q(M) <= r as well.
+    """
+    if M.shape[0] < M.shape[1]:
+        M = M.T
+    rows, cols = M.shape
+    big = int(np.abs(M).max())
+    if big * big * rows >= _FLOAT_EXACT:
+        return None
+    F = M.astype(np.float64)
+    G = (F.T @ F).astype(np.int64) % _PRIME
+    R, pivots = _rref_mod_p(G)
+    r = len(pivots)
+    if r == cols:
+        return r
+    if r == 0:
+        return None  # M is nonzero, so the prime divides all of G
+    residues, where = np.unique(R, return_inverse=True)
+    fractions = [_rational(int(u)) for u in residues]
+    if None in fractions:
+        return None
+    delta = lcm(*(b for _, b in fractions))
+    coeffs = [a * (delta // b) for a, b in fractions]
+    n_big = max(abs(c) for c in coeffs)
+    if delta * big >= _FLOAT_EXACT or r * big * n_big >= _FLOAT_EXACT:
+        return None
+    N = np.array(coeffs, dtype=np.float64)[where.reshape(R.shape)]
+    return r if np.array_equal(F * delta, F[:, pivots] @ N) else None
+
+
+def _int64_differences(points) -> np.ndarray | None:
+    """Differences to the first point as an int64 array; None beyond int64.
+
+    numpy stores integers past int64 as objects or floats, so only an
+    integer dtype with every entry below 2^62 is taken.
+    """
+    P = np.asarray(points)
+    if P.dtype.kind not in "biu":
+        return None
+    if P.size and not (-_DIFF_LIMIT < P.min() and P.max() < _DIFF_LIMIT):
+        return None
+    P = P.astype(np.int64)
+    return P[1:] - P[0]
+
+
+def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact affine dimension of a set of integer vectors.
 
     Rank of the differences to the first point; invariant under permuting the
-    input and under the choice of base point.
+    input and under the choice of base point.  ``points`` may be a 2-D
+    integer array.  The certified modular rank answers whenever its bounds
+    and certificate hold; Bareiss elimination on Python integers answers
+    otherwise, so the result is exact either way.
     """
-    pts = [list(p) for p in points]
-    if not pts:
+    if len(points) == 0:
         raise EmptyInput("affine dimension of an empty point set is undefined")
-    length = len(pts[0])
-    if any(len(p) != length for p in pts):
+    if not isinstance(points, np.ndarray) and len({len(p) for p in points}) != 1:
         raise ShapeMismatch("all points must have the same length")
-    base = pts[0]
-    rows = [[a - b for a, b in zip(p, base)] for p in pts[1:]]
+    M = _int64_differences(points)
+    if M is not None:
+        if not M.any():
+            return 0
+        rank = _certified_rank(M)
+        if rank is not None:
+            return rank
+        rows = M.tolist()
+    else:
+        pts = points.tolist() if isinstance(points, np.ndarray) else points
+        rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
     return _bareiss_rank(rows)
 
 
@@ -234,25 +354,38 @@ def trivial_facet_check(
     return TrivialFacetReport(dim=dim, is_facet=dim == m_a * m_b - 1)
 
 
-def _lifted_vertices(
-    vertices: Sequence[DeterministicStrategy],
+def _lifted_points(
+    alphas: np.ndarray,
+    betas: np.ndarray,
     rmap: ReductionMap,
     cap: int,
-) -> tuple[list[DeterministicStrategy], bool]:
-    """All completions of reduced optimal vertices on dropped coordinates."""
+) -> tuple[np.ndarray, bool]:
+    """Embedded completions of reduced optimal vertices on dropped coordinates.
+
+    One row per completion, vertex-major, the dropped signs in
+    ``itertools.product`` order (Alice's before Bob's) and placed as
+    ``lift_strategy`` places them.  When anything is dropped, at most ``cap``
+    rows are kept and the flag says whether more exist.
+    """
     M_a, M_b = rmap.original_dims
-    d_a = M_a - len(rmap.kept_rows)
-    d_b = M_b - len(rmap.kept_cols)
-    if d_a == 0 and d_b == 0:
-        return list(vertices), False
-    out: list[DeterministicStrategy] = []
-    for v in vertices:
-        for fill_a in itertools.product((1, -1), repeat=d_a):
-            for fill_b in itertools.product((1, -1), repeat=d_b):
-                if len(out) >= cap:
-                    return out, True
-                out.append(lift_strategy(v, rmap, fill_a, fill_b))
-    return out, False
+    drop_a = [x for x in range(M_a) if x not in rmap.kept_rows]
+    drop_b = [y for y in range(M_b) if y not in rmap.kept_cols]
+    d = len(drop_a) + len(drop_b)
+    if d == 0:
+        return _embedded(alphas, betas), False
+    fills = np.array(
+        list(itertools.islice(itertools.product((1, -1), repeat=d), cap)), dtype=np.int8
+    ).reshape(-1, d)
+    nv = min(len(alphas), -(-cap // max(len(fills), 1)))
+    A = np.empty((nv, len(fills), M_a), dtype=np.int8)
+    A[:, :, list(rmap.kept_rows)] = alphas[:nv, None]
+    A[:, :, drop_a] = fills[:, : len(drop_a)]
+    B = np.empty((nv, len(fills), M_b), dtype=np.int8)
+    B[:, :, list(rmap.kept_cols)] = betas[:nv, None]
+    B[:, :, drop_b] = fills[:, len(drop_a) :]
+    n = nv * len(fills)
+    points = _embedded(A.reshape(n, M_a)[:cap], B.reshape(n, M_b)[:cap])
+    return points, len(alphas) << d > cap
 
 
 def face_report(
@@ -283,14 +416,16 @@ def face_report(
     thm2 = theorem2_codim_bound(M_a, M_b, reduced.m_a, reduced.m_b)
     bound1 = theorem1_dim_bound(reduced.m_a, reduced.m_b)
 
+    alphas = np.array([v.alpha for v in vs.vertices], dtype=np.int8).reshape(-1, reduced.m_a)
+    betas = np.array([v.beta for v in vs.vertices], dtype=np.int8).reshape(-1, reduced.m_b)
     use_thm2_formula = not vs.truncated and lift_total > vertex_cap
     if use_thm2_formula:
         # measure on the reduced game only; the codimension formula bounds
         # the original dimensions, but it is a theorem about no-advantage
         # games, so for anything else only the measured lower bound is honest
-        emb = [embed_vertex(v) for v in vs.vertices]
-        red_full = affine_dimension_exact([e.coords for e in emb])
-        red_corr = affine_dimension_exact([e.correlation_coords for e in emb])
+        points = _embedded(alphas, betas)
+        red_full = affine_dimension_exact(points)
+        red_corr = affine_dimension_exact(points[:, reduced.m_a + reduced.m_b :])
         truncated = False
         num_vertices = len(vs.vertices)
         if qres.classification == qsdp.NO_ADVANTAGE:
@@ -307,16 +442,15 @@ def face_report(
             is_facet_full = None
             is_facet_corr = None
     else:
-        lifted, lift_truncated = _lifted_vertices(vs.vertices, rmap, vertex_cap)
+        points, lift_truncated = _lifted_points(alphas, betas, rmap, vertex_cap)
         truncated = vs.truncated or lift_truncated
-        emb = [embed_vertex(v) for v in lifted]
-        dim_full = affine_dimension_exact([e.coords for e in emb])
-        dim_corr = affine_dimension_exact([e.correlation_coords for e in emb])
+        dim_full = affine_dimension_exact(points)
+        dim_corr = affine_dimension_exact(points[:, M_a + M_b :])
         label = LOWER_BOUND if truncated else MEASURED
         provenance = {"dim_full": label, "dim_corr": label}
         is_facet_full = None if truncated else dim_full == D - 1
         is_facet_corr = None if truncated else dim_corr == M_a * M_b - 1
-        num_vertices = len(lifted)
+        num_vertices = len(points)
 
     return FaceReport(
         m_a=M_a,

@@ -31,6 +31,8 @@ from math import comb
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import classical
 from .errors import (
     GameFormatError,
@@ -45,7 +47,7 @@ from .game import XorGame, as_rational, build_game
 
 NLC_FORMAT = "tightbell-nlc-v1"
 
-G0_ENUM_CAP = 4096  # balanced sign vectors; C(16, 8) already exceeds this
+G0_ENUM_CAP = 12870  # balanced sign vectors: C(16, 8), so n = 4 is verified
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,7 @@ def g0_dimension(n: int, cap: int = G0_ENUM_CAP) -> G0Dimension:
 
     ``formula_value = 2^(n-1) (2^n - 3)``; ``verified_value`` is the exact
     affine dimension of the Gram points of balanced sign vectors, measured by
-    integer elimination.  The two must agree.
+    the exact rank of ``facegeom``.  The two must agree.
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")
@@ -240,12 +242,10 @@ def g0_dimension(n: int, cap: int = G0_ENUM_CAP) -> G0Dimension:
     count = comb(size, size // 2)
     if count > cap:
         raise TooLarge(f"{count} balanced vectors exceed the cap {cap}")
-    points = []
-    for pos in itertools.combinations(range(size), size // 2):
-        alpha = [-1] * size
-        for i in pos:
-            alpha[i] = 1
-        points.append([a * b for a in alpha for b in alpha])
+    alphas = np.full((count, size), -1, dtype=np.int8)
+    for k, pos in enumerate(itertools.combinations(range(size), size // 2)):
+        alphas[k, list(pos)] = 1
+    points = (alphas[:, :, None] * alphas[:, None, :]).reshape(count, size * size)
     verified = affine_dimension_exact(points)
     return G0Dimension(formula_value=(size // 2) * (size - 3), verified_value=verified)
 

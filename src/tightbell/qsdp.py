@@ -85,16 +85,8 @@ class GramSolution:
     m_b: int
 
     @property
-    def R(self) -> np.ndarray:
-        return self.gram[: self.m_a, : self.m_a]
-
-    @property
     def C(self) -> np.ndarray:
         return self.gram[: self.m_a, self.m_a :]
-
-    @property
-    def S(self) -> np.ndarray:
-        return self.gram[self.m_a :, self.m_a :]
 
     @property
     def alice_vectors(self) -> np.ndarray:

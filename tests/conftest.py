@@ -2,7 +2,7 @@
 
 import pytest
 
-from tightbell import classical
+from tightbell import classical, facegeom
 
 
 @pytest.fixture
@@ -16,4 +16,18 @@ def enumerations(monkeypatch):
         return enumerate_(*args, **kwargs)
 
     monkeypatch.setattr(classical, "_enumerate", counted)
+    return calls
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """Row counts of every call to the Bareiss fallback of the exact rank."""
+    calls = []
+    bareiss = facegeom._bareiss_rank
+
+    def counted(rows):
+        calls.append(len(rows))
+        return bareiss(rows)
+
+    monkeypatch.setattr(facegeom, "_bareiss_rank", counted)
     return calls

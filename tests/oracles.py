@@ -6,7 +6,8 @@ full double loop (the library enumerates one side and derives the other), the
 block-matmul reference expands every sign pattern and multiplies it through
 the game matrix (the library adds split low-bit and high-bit tables), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
-(the library uses fraction-free integer elimination), and the no-signalling
+(the library uses a certified rank modulo a prime, falling back to
+fraction-free integer elimination), and the no-signalling
 oracle reconstructs the full conditional table from first principles.
 """
 

@@ -274,12 +274,13 @@ def test_nlc_g0(capsys):
 
 
 def test_nlc_g0_sweep_points(capsys):
-    code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2", "--n-max", "4")
+    code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2", "--n-max", "5")
     assert code == 0
     pts = payload["points"]
-    assert [p["n"] for p in pts] == [2, 3, 4]
+    assert [p["n"] for p in pts] == [2, 3, 4, 5]
     assert pts[1]["verified"] == 20
-    assert pts[2]["verified"] is None  # beyond the exact-enumeration cap
+    assert pts[2]["verified"] == 104 == pts[2]["formula"]
+    assert pts[3]["verified"] is None  # beyond the exact-enumeration cap
 
 
 def test_nlc_corollary_sweep(capsys):

@@ -80,16 +80,49 @@ def test_affine_dim_identity1_face():
     n_pts=st.integers(2, 7),
     dim=st.integers(1, 6),
     seed=st.integers(0, 2**31),
+    scale=st.sampled_from([1, 2**30]),  # 2^30 breaks the float bound: Bareiss path
 )
-def test_affine_dim_invariances_and_oracle(n_pts, dim, seed):
+def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
     rng = np.random.default_rng(seed)
-    pts = [tuple(int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(n_pts)]
+    pts = [
+        tuple(scale * int(v) for v in rng.integers(-3, 4, size=dim)) for _ in range(n_pts)
+    ]
     d = affine_dimension_exact(pts)
     assert d == oracle_affine_dim(pts)
     perm = [pts[i] for i in rng.permutation(n_pts)]
     assert affine_dimension_exact(perm) == d  # permutation invariance
     rolled = pts[1:] + pts[:1]
     assert affine_dimension_exact(rolled) == d  # base-point invariance
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        # the echelon coefficient 40009/40013 has a denominator above sqrt(p/2)
+        [(0, 0), (40013, 40009), (80026, 80018)],
+        # det = 46341^2 - 2 * 2317 = 2^31 - 1: full rank over Q, singular mod p
+        [(0, 0), (46341, 2), (2317, 46341)],
+        # det = 2^31 - 1 again, but the echelon form 1/32767 lifts: only the
+        # exact identity check refutes the rank-1 certificate
+        [(0, 0), (1, -65538), (32768, -65537)],
+        # max|M|^2 * rows reaches 2^53: the Gram matrix is not exact in float64
+        [(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)],
+        # beyond int64
+        [(0, 1), (2**70, 1), (2**71, 2)],
+    ],
+    ids=["reconstruction", "unlucky-prime", "lifted-unlucky-prime", "float-bound", "beyond-int64"],
+)
+def test_affine_dim_fallback_matches_oracle(pts, bareiss_calls):
+    assert affine_dimension_exact(pts) == oracle_affine_dim(pts)
+    assert len(bareiss_calls) == 1
+
+
+def test_affine_dim_certificate_without_fallback(bareiss_calls):
+    # rank-deficient with a non-integer echelon form: the lifted certificate
+    # (denominator 5) proves the rank, Bareiss never runs
+    pts = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
+    assert affine_dimension_exact(pts) == oracle_affine_dim(pts.tolist()) == 2
+    assert bareiss_calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +336,63 @@ def test_probe_single_entry_is_rigid():
 def test_probe_not_applicable_for_advantage_games():
     with pytest.raises(NotApplicable):
         quantum_face_probe(make_named("chsh"))
+
+
+@pytest.mark.parametrize(
+    "name,n",
+    [("chsh", None), ("identity", 1), ("identity", 2), ("identity", 3),
+     ("appendix_d", 2), ("appendix_d", 3), ("padded", None)],
+)
+def test_face_report_takes_the_modular_path(name, n, bareiss_calls):
+    if name == "padded":  # identity(2) with a never-asked question on each side
+        h = Fraction(1, 4)
+        q = [[h, 0, 0, 0, 0], [0, h, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, h, 0], [0, 0, 0, 0, h]]
+        g = build_game(q, [[0] * 5 for _ in range(5)])
+    else:
+        g = make_named(name) if n is None else make_named(name, n)
+    rep = face_report(g)
+    assert rep.provenance["dim_full"] == MEASURED
+    if name == "padded":
+        assert (rep.m_a, rep.reduced_m_a, rep.num_vertices) == (5, 4, 16 * 4)
+    assert bareiss_calls == []
+
+
+def test_face_report_appendix_d4_exact():
+    from tightbell import g0_dimension
+
+    rep = face_report(make_named("appendix_d", 4))
+    assert rep.num_vertices == 12872
+    assert rep.provenance == {"dim_full": MEASURED, "dim_corr": MEASURED}
+    assert rep.dim_full == 121
+    assert rep.dim_corr == 105 == 1 + g0_dimension(4).formula_value
+    assert rep.is_facet_full is False
+
+
+@pytest.mark.parametrize("cap", [1, 5, 8, 63, 64, 1000])
+def test_lifted_points_match_lift_strategy(cap):
+    # the array lift against the per-vertex reference: lift_strategy on every
+    # fill of the dropped signs, vertex-major, embedded one by one, cut at cap
+    import itertools
+
+    from tightbell.facegeom import _lifted_points
+    from tightbell.game import lift_strategy, reduce_exhaustive
+
+    q = [[Q, 0, Q, 0], [0, 0, 0, 0], [Q, 0, Q, 0]]
+    f = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
+    reduced, rmap = reduce_exhaustive(build_game(q, f))
+    vs = optimal_vertices(reduced)
+    fills = list(itertools.product((1, -1), repeat=3))  # one row and two columns dropped
+    ref = [
+        list(embed_vertex(lift_strategy(v, rmap, fill[:1], fill[1:])).coords)
+        for v in vs.vertices
+        for fill in fills
+    ]
+    alphas = np.array([v.alpha for v in vs.vertices])
+    betas = np.array([v.beta for v in vs.vertices])
+    points, truncated = _lifted_points(alphas, betas, rmap, cap)
+    assert len(ref) == 64
+    assert points.tolist() == ref[:cap]
+    assert truncated == (len(ref) > cap)
 
 
 def test_face_report_enumerates_once(enumerations):

@@ -262,8 +262,10 @@ def test_g0_dimension_small():
     assert (d2.formula_value, d2.verified_value) == (2, 2)
     d3 = g0_dimension(3)
     assert (d3.formula_value, d3.verified_value) == (20, 20)
+    d4 = g0_dimension(4)
+    assert (d4.formula_value, d4.verified_value) == (104, 104)
     with pytest.raises(TooLarge):
-        g0_dimension(4)
+        g0_dimension(5)
     with pytest.raises(InvalidParameter):
         g0_dimension(1)
 
