@@ -53,6 +53,7 @@ _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
 _FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
 _DIFF_LIMIT = 1 << 62  # int64 entries below this have int64 differences
+_BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificate
 
 
 @dataclass(frozen=True)
@@ -216,27 +217,37 @@ def _rational(u: int) -> tuple[int, int] | None:
     return r1, t1
 
 
+def _float_blocks(M: np.ndarray):
+    """Row blocks of ``M`` as float64 copies of about ``_BLOCK_ENTRIES`` entries."""
+    step = max(1, _BLOCK_ENTRIES // M.shape[1])
+    for lo in range(0, M.shape[0], step):
+        yield M[lo : lo + step].astype(np.float64)
+
+
 def _certified_rank(M: np.ndarray) -> int | None:
     """Rank over Q of a nonzero int64 matrix, or None where no certificate is found.
 
     With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
-    is formed in float64, exact because ``max|M|^2 * rows < 2^53``.  The
-    rank ``r`` of ``G`` mod p is at most rank_Q(G) = rank_Q(M).  Below full
-    column rank, the reduced echelon form of ``G`` is lifted to rationals
-    with common denominator ``delta`` as an integer matrix ``N``, and
-    ``delta * M == M[:, pivots] @ N`` is checked exactly (float64 again,
-    bounds checked first): every column of ``M`` then lies in the span of
-    ``r`` of its columns, so rank_Q(M) <= r as well.
+    is summed in float64 over row blocks, exact because every partial sum is
+    an integer of size at most ``max|M|^2 * rows < 2^53``.  The rank ``r`` of
+    ``G`` mod p is at most rank_Q(G) = rank_Q(M).  Below full column rank,
+    the reduced echelon form of ``G`` is lifted to rationals with common
+    denominator ``delta`` as an integer matrix ``N``, and
+    ``delta * M == M[:, pivots] @ N`` is checked exactly, block by block
+    (float64 again, bounds checked first): every column of ``M`` then lies
+    in the span of ``r`` of its columns, so rank_Q(M) <= r as well.  Only
+    one float block is held at a time, never a float copy of ``M``.
     """
     if M.shape[0] < M.shape[1]:
         M = M.T
     rows, cols = M.shape
-    big = int(np.abs(M).max())
+    big = max(int(M.max()), -int(M.min()))
     if big * big * rows >= _FLOAT_EXACT:
         return None
-    F = M.astype(np.float64)
-    G = (F.T @ F).astype(np.int64) % _PRIME
-    R, pivots = _rref_mod_p(G)
+    G = np.zeros((cols, cols))
+    for F in _float_blocks(M):
+        G += F.T @ F
+    R, pivots = _rref_mod_p(G.astype(np.int64) % _PRIME)
     r = len(pivots)
     if r == cols:
         return r
@@ -252,7 +263,10 @@ def _certified_rank(M: np.ndarray) -> int | None:
     if delta * big >= _FLOAT_EXACT or r * big * n_big >= _FLOAT_EXACT:
         return None
     N = np.array(coeffs, dtype=np.float64)[where.reshape(R.shape)]
-    return r if np.array_equal(F * delta, F[:, pivots] @ N) else None
+    for F in _float_blocks(M):
+        if not np.array_equal(F * delta, F[:, pivots] @ N):
+            return None
+    return r
 
 
 def _int64_differences(points) -> np.ndarray | None:
@@ -266,8 +280,9 @@ def _int64_differences(points) -> np.ndarray | None:
         return None
     if P.size and not (-_DIFF_LIMIT < P.min() and P.max() < _DIFF_LIMIT):
         return None
-    P = P.astype(np.int64)
-    return P[1:] - P[0]
+    D = P[1:].astype(np.int64)
+    D -= P[0].astype(np.int64)
+    return D
 
 
 def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:

@@ -4,10 +4,15 @@ The quantum bias of an XOR game is the optimum of ``tr(Q Phi~)`` over
 positive-semidefinite matrices ``Q`` with unit diagonal, where ``Phi~`` is the
 symmetric block embedding ``[[0, Phi/2], [Phi^T/2, 0]]``.  We solve the primal
 by block-coordinate ascent on the unit-vector (Gram) factorization ``Q = U U^T``
-at full rank r = m_a + m_b: each row update ``u_i <- w_i / |w_i|`` with
+at full rank r = m_a + m_b: the row update ``u_i <- w_i / |w_i|`` with
 ``w_i = sum_j Phi~_ij u_j`` is the exact maximizer given the other rows, so
 the objective is monotone, and at full rank the factorization has no spurious
-local optima for this problem class.
+local optima for this problem class.  Because ``Phi~`` has zero diagonal
+blocks, no row of Alice's block reads another row of it, and the same holds
+for Bob: a Gauss-Seidel sweep over the rows is two block updates,
+``U_A <- rownorm(Phi/2 U_B)`` and then ``U_B <- rownorm(Phi^T/2 U_A)``, one
+matrix product each (the Mixing method of Wang, Chang and Kolter specialised
+to a bipartite cost).
 
 Nothing is trusted without a certificate.  The stationarity candidate
 ``t_i = |w_i|`` is a dual vector; the solve is *certified* when the duality
@@ -37,6 +42,7 @@ from .errors import (
     ShapeMismatch,
     SingularLambda,
     TooLarge,
+    VerificationFailed,
 )
 from .game import DeterministicStrategy, XorGame, game_matrix
 
@@ -59,7 +65,7 @@ class SolveConfig:
     feas_tol: float = 1e-8
     adv_tol: float = 1e-6
     change_tol: float = 1e-13  # fixed-point stop: max row movement per sweep
-    debug: bool = False  # assert weak duality / monotone ascent each sweep
+    debug: bool = False  # check weak duality / monotone ascent each sweep
 
 
 @dataclass(frozen=True)
@@ -134,56 +140,94 @@ class SlacknessReport:
     passed: bool
 
 
+def _phi_float(g: XorGame) -> np.ndarray:
+    """The game matrix as one float array, each entry ``float(Fraction)``."""
+    return np.array(game_matrix(g).phi, dtype=float)
+
+
 def build_phi_tilde(g: XorGame) -> PhiTilde:
     """Assemble ``[[0, Phi/2], [Phi^T/2, 0]]``; symmetry is exact by mirroring."""
-    phi = game_matrix(g).phi
+    half = _phi_float(g) / 2.0
     m = g.m_a + g.m_b
     pt = np.zeros((m, m))
-    for x in range(g.m_a):
-        for y in range(g.m_b):
-            v = float(phi[x][y]) / 2.0
-            pt[x, g.m_a + y] = v
-            pt[g.m_a + y, x] = v
+    pt[: g.m_a, g.m_a :] = half
+    pt[g.m_a :, : g.m_a] = half.T
     pt.setflags(write=False)
     return PhiTilde(matrix=pt, m_a=g.m_a, m_b=g.m_b)
 
 
-def _coordinate_ascent(
-    pt: np.ndarray, U: np.ndarray, cfg: SolveConfig
-) -> tuple[np.ndarray, int, bool]:
-    """Sweep row updates until the iterate is a numerical fixed point.
+def _block_update(P: np.ndarray, V: np.ndarray, X: np.ndarray) -> float:
+    """Set the rows of ``X`` to ``rownorm(P @ V)``; return the largest move.
 
+    A row whose update direction is zero keeps its value (a stall) and does
+    not count as a move.
+    """
+    W = P @ V
+    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
+    if norms.all():
+        W /= norms[:, None]
+        d = float(np.abs(W - X).max())
+        X[...] = W
+        return d
+    live = norms > 0.0
+    if not live.any():
+        return 0.0
+    W = W[live] / norms[live, None]
+    d = float(np.abs(W - X[live]).max())
+    X[live] = W
+    return d
+
+
+def _coordinate_ascent(
+    pt: np.ndarray,
+    blocks: tuple[np.ndarray, np.ndarray],
+    U: np.ndarray,
+    cfg: SolveConfig,
+) -> tuple[np.ndarray, int, bool]:
+    """Sweep the two block updates until the iterate is a numerical fixed point.
+
+    ``blocks`` are ``Phi/2`` and ``Phi^T/2`` as contiguous arrays.  One sweep
+    sets Alice's rows from Bob's, then Bob's from Alice's new rows: the
+    Gauss-Seidel sweep over single rows, since ``Phi~`` has zero diagonal
+    blocks and no row of a block reads another row of the same block.
     Returns (U, sweeps, converged).  Rows with a zero update direction are
     left unchanged (stalls; they surface as t_i = 0 in the certificate).
     """
-    m = pt.shape[0]
+    half, half_t = blocks
+    m_a = half.shape[0]
+    U_A, U_B = U[:m_a], U[m_a:]
     prev_obj = -np.inf
     for sweep in range(1, cfg.max_iters + 1):
-        changed = 0.0
-        for i in range(m):
-            w = pt[i] @ U
-            nw = float(np.linalg.norm(w))
-            if nw > 0.0:
-                nu = w / nw
-                d = float(np.abs(nu - U[i]).max())
-                if d > changed:
-                    changed = d
-                U[i] = nu
+        changed = max(_block_update(half, U_B, U_A), _block_update(half_t, U_A, U_B))
         if cfg.debug:
-            W = pt @ U
-            obj = float(np.sum(U * W))
-            dual = float(np.linalg.norm(W, axis=1).sum())
-            assert obj >= prev_obj - 1e-12, "ascent must be monotone"
-            assert obj <= dual + cfg.feas_tol, "weak duality violated"
-            norms = np.linalg.norm(U, axis=1)
-            assert np.abs(norms - 1.0).max() <= 1e-12, "rows drifted off the sphere"
-            prev_obj = obj
+            prev_obj = _check_sweep(pt, U, cfg, prev_obj, sweep)
         if changed <= cfg.change_tol:
             return U, sweep, True
     return U, cfg.max_iters, False
 
 
-def _evaluate(pt: np.ndarray, U: np.ndarray, m_a: int, m_b: int):
+def _check_sweep(
+    pt: np.ndarray, U: np.ndarray, cfg: SolveConfig, prev_obj: float, sweep: int
+) -> float:
+    """Monotone ascent, weak duality and unit rows after a sweep; returns the objective."""
+    W = pt @ U
+    obj = float(np.sum(U * W))
+    dual = float(np.linalg.norm(W, axis=1).sum())
+    if obj < prev_obj - 1e-12:
+        raise VerificationFailed(
+            f"ascent must be monotone: objective {obj!r} after {prev_obj!r} at sweep {sweep}"
+        )
+    if obj > dual + cfg.feas_tol:
+        raise VerificationFailed(
+            f"weak duality violated: objective {obj!r} above dual {dual!r} at sweep {sweep}"
+        )
+    drift = float(np.abs(np.linalg.norm(U, axis=1) - 1.0).max())
+    if drift > 1e-12:
+        raise VerificationFailed(f"rows drifted {drift:.3e} off the sphere at sweep {sweep}")
+    return obj
+
+
+def _evaluate(pt: np.ndarray, U: np.ndarray):
     W = pt @ U
     t = np.linalg.norm(W, axis=1)
     xi_q = float(np.sum(U * W))
@@ -235,6 +279,10 @@ def solve_quantum_bias(
             xi_c = None
     r = cfg.rank or m
     pt = build_phi_tilde(g).matrix
+    blocks = (
+        np.ascontiguousarray(pt[: g.m_a, g.m_a :]),
+        np.ascontiguousarray(pt[g.m_a :, : g.m_a]),
+    )
 
     best = None  # (gap, restart_idx, payload)
     for restart in range(max(1, cfg.restarts)):
@@ -249,8 +297,8 @@ def solve_quantum_bias(
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
             U = rng.normal(size=(m, r))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
-        U, sweeps, converged = _coordinate_ascent(pt, U, cfg)
-        t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(pt, U, g.m_a, g.m_b)
+        U, sweeps, converged = _coordinate_ascent(pt, blocks, U, cfg)
+        t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(pt, U)
         certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
         if gap <= cfg.gap_tol and min_eig < -cfg.feas_tol:
             raise DualInfeasible(
@@ -314,8 +362,7 @@ def extract_F(cert: DualCertificate, g: XorGame, feas_tol: float = 1e-8) -> np.n
             "some Bob-side dual entries are numerically zero; "
             "game is not exhaustive or the certificate is invalid"
         )
-    phi = np.array([[float(v) for v in row] for row in game_matrix(g).phi])
-    return phi.T / cert.lambda_diag[:, None]
+    return _phi_float(g).T / cert.lambda_diag[:, None]
 
 
 def slackness_residual_classical(

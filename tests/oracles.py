@@ -5,6 +5,8 @@ library uses: the classical oracle enumerates BOTH players' sign vectors in a
 full double loop (the library enumerates one side and derives the other), the
 block-matmul reference expands every sign pattern and multiplies it through
 the game matrix (the library adds split low-bit and high-bit tables), the
+solver reference updates one row of the Gram factor at a time against the
+full embedded matrix (the library updates each player's rows as one block), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses a certified rank modulo a prime, falling back to
 fraction-free integer elimination), and the no-signalling
@@ -122,6 +124,29 @@ def reference_vertices(g, cap: int):
                 beta[y] = 1 - 2 * ((fill >> j) & 1)
             out.append((tuple(beta), alpha) if swapped else (alpha, tuple(beta)))
     return Fraction(best, den), out, False
+
+
+def reference_coordinate_ascent(pt, blocks, U, cfg):
+    """The solver's sweep as one row update at a time, over the full ``Phi~``.
+
+    Same signature as ``qsdp._coordinate_ascent``; ``blocks`` is ignored.
+    Row ``i`` becomes ``w / |w|`` with ``w = Phi~_i U``, in order, and keeps
+    its value when ``w = 0``; sweeps stop when no row moved by more than
+    ``cfg.change_tol``.  Returns (U, sweeps, converged).
+    """
+    m = pt.shape[0]
+    for sweep in range(1, cfg.max_iters + 1):
+        changed = 0.0
+        for i in range(m):
+            w = pt[i] @ U
+            nw = float(np.linalg.norm(w))
+            if nw > 0.0:
+                nu = w / nw
+                changed = max(changed, float(np.abs(nu - U[i]).max()))
+                U[i] = nu
+        if changed <= cfg.change_tol:
+            return U, sweep, True
+    return U, cfg.max_iters, False
 
 
 def oracle_affine_dim(points) -> int:

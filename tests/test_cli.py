@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -327,6 +328,7 @@ def test_console_script_entry_point(tmp_path):
         [sys.executable, "-m", "tightbell.cli", "bias", "classical", str(path)],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["xi_c"] == "1/2"

@@ -12,6 +12,7 @@ from tightbell import (
     embed_vertex,
     face_report,
     face_report_to_dict,
+    facegeom,
     make_named,
     optimal_vertices,
     quantum_face_probe,
@@ -355,6 +356,22 @@ def test_face_report_takes_the_modular_path(name, n, bareiss_calls):
     if name == "padded":
         assert (rep.m_a, rep.reduced_m_a, rep.num_vertices) == (5, 4, 16 * 4)
     assert bareiss_calls == []
+
+
+def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
+    # blocks of one or a few rows: Gram sums and identity checks span blocks
+    games = [make_named("identity", 3), make_named("appendix_d", 3), make_named("chsh")]
+    dims = [(r.dim_full, r.dim_corr) for r in map(face_report, games)]
+    certified = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
+    # rank 1 mod p with the lifted relation col1 = 32767 col2, which the first
+    # difference satisfies: only the identity check on later rows refutes it
+    refuted = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
+    for entries in (1, 5, 64):
+        monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
+        assert [(r.dim_full, r.dim_corr) for r in map(face_report, games)] == dims
+        assert affine_dimension_exact(certified) == 2
+        assert affine_dimension_exact(refuted) == oracle_affine_dim(refuted) == 2
+    assert bareiss_calls == [3, 3, 3]  # the refuted certificate, once per block size
 
 
 def test_face_report_appendix_d4_exact():

@@ -1,6 +1,9 @@
 """Certified SDP solves: values, duals, slackness, determinism."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,10 +19,12 @@ from tightbell import (
     solve_quantum_bias,
 )
 from tightbell.errors import NotApplicable, ShapeMismatch, SingularLambda, TooLarge
-from tightbell.game import DeterministicStrategy, build_game
+from tightbell import qsdp
+from tightbell.game import DeterministicStrategy, build_game, transpose_game
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
 
 from .generators import random_game
+from .oracles import reference_coordinate_ascent
 
 
 def test_phi_tilde_single_entry():
@@ -179,6 +184,66 @@ def test_debug_mode_asserts_hold():
     g = random_game(rng, max_a=5, max_b=5)
     res = solve_quantum_bias(g, SolveConfig(debug=True, restarts=2))
     assert res.gap <= 1e-7
+
+
+def test_debug_check_survives_optimize():
+    # a raised error, not an assert: python -O must not strip the check.
+    # The blocks have the wrong sign, so each sweep descends the objective.
+    code = (
+        "import numpy as np\n"
+        "from tightbell import make_named\n"
+        "from tightbell.errors import VerificationFailed\n"
+        "from tightbell.qsdp import SolveConfig, _coordinate_ascent, build_phi_tilde\n"
+        "pt = build_phi_tilde(make_named('nlc_and', 3)).matrix\n"
+        "blocks = (-pt[:8, 8:], -pt[8:, :8])\n"
+        "U = np.random.default_rng(0).normal(size=(16, 16))\n"
+        "U /= np.linalg.norm(U, axis=1, keepdims=True)\n"
+        "try:\n"
+        "    _coordinate_ascent(pt, blocks, U, SolveConfig(debug=True))\n"
+        "except VerificationFailed as e:\n"
+        "    print('raised', 'monotone' in str(e))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised True\n"
+
+
+def _solve_both(monkeypatch, g, **kwargs):
+    lib = qsdp.solve_quantum_bias(g, **kwargs)
+    with monkeypatch.context() as mp:
+        mp.setattr(qsdp, "_coordinate_ascent", reference_coordinate_ascent)
+        ref = qsdp.solve_quantum_bias(g, **kwargs)
+    return lib, ref
+
+
+def test_block_sweep_matches_row_reference(monkeypatch):
+    games = [make_named("chsh"), make_named("appendix_d", 3)]
+    games += [make_named("identity", n) for n in (1, 2, 3)]
+    games += [make_named("nlc_and", n) for n in (2, 3)]
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        g = random_game(rng)
+        games += [g, transpose_game(g)]
+    games.append(build_game([["1/2", 0], ["1/2", 0]], [[0, 0], [1, 0]]))
+    runs = [_solve_both(monkeypatch, g) for g in games]
+    g = make_named("appendix_d", 3)
+    base = solve_quantum_bias(g).gram.vectors
+    start = base + 0.1 * np.random.default_rng(5).normal(size=base.shape)
+    runs.append(_solve_both(monkeypatch, g, cfg=SolveConfig(restarts=1), initial=start))
+    assert runs[-2][0].stalled_rows == (3,)
+    for lib, ref in runs:
+        assert (lib.sweeps, lib.converged, lib.restarts_used) == (
+            ref.sweeps, ref.converged, ref.restarts_used
+        )
+        assert lib.classification == ref.classification
+        assert lib.stalled_rows == ref.stalled_rows
+        assert abs(lib.xi_q - ref.xi_q) <= 1e-12
+        assert abs(lib.dual_value - ref.dual_value) <= 1e-12
+        assert abs(lib.gap - ref.gap) <= 1e-12
+        assert np.abs(lib.cert.t - ref.cert.t).max() <= 1e-12
 
 
 def test_determinism_bitwise():
