@@ -16,7 +16,6 @@ from .classical import (
 )
 from .errors import TightBellError
 from .facegeom import (
-    EmbeddedVertex,
     FaceReport,
     ProbeReport,
     TrivialFacetReport,

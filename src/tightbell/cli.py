@@ -6,6 +6,10 @@ inputs and seed except for the ``timestamp`` field.  Exact rational values are
 serialized as strings ("1/2"), certified numeric values as JSON numbers; the
 ``provenance`` block says which is which so consumers never compare across
 kinds without the declared tolerance.
+
+The solver flags are the fields of ``qsdp.SolveConfig``, which supplies their
+defaults and rejects out-of-range values (exit 1); the command line adds only
+the enumeration caps, which must be positive.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -33,42 +37,7 @@ EXIT_INVALID = 1
 EXIT_CAPPED = 2
 EXIT_UNCERTIFIED = 3
 
-ENUM_BITS_WARN = 24  # matches the default pattern cap of 2^24
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation configuration shared by the analysis commands."""
-
-    seed: int = 0
-    restarts: int = 8
-    gap_tol: float = 1e-7
-    feas_tol: float = 1e-8
-    adv_tol: float = 1e-6
-    change_tol: float = 1e-13
-    enum_cap: int = classical.DEFAULT_ENUM_CAP
-    vertex_cap: int = classical.DEFAULT_VERTEX_CAP
-    space: str = "full"
-    output_path: str | None = None
-
-    def __post_init__(self) -> None:
-        tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.change_tol)
-        if any(t <= 0 for t in tols):
-            raise InvalidParameter("tolerances must be positive")
-        if self.enum_cap <= 0 or self.vertex_cap <= 0 or self.restarts <= 0:
-            raise InvalidParameter("caps and restart count must be positive")
-        if not 0 <= self.seed < 2**64:
-            raise InvalidParameter("seed must fit in 64 unsigned bits")
-
-    def solver(self) -> qsdp.SolveConfig:
-        return qsdp.SolveConfig(
-            restarts=self.restarts,
-            seed=self.seed,
-            gap_tol=self.gap_tol,
-            feas_tol=self.feas_tol,
-            adv_tol=self.adv_tol,
-            change_tol=self.change_tol,
-        )
+_TOLERANCES = ("gap_tol", "feas_tol", "adv_tol", "change_tol")
 
 
 def _timestamp() -> str:
@@ -84,19 +53,12 @@ def _emit(report: dict, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _run_config(args) -> RunConfig:
-    return RunConfig(
-        seed=args.seed,
-        restarts=args.restarts,
-        gap_tol=args.gap_tol,
-        feas_tol=args.feas_tol,
-        adv_tol=args.adv_tol,
-        change_tol=args.change_tol,
-        enum_cap=getattr(args, "enum_cap", classical.DEFAULT_ENUM_CAP),
-        vertex_cap=getattr(args, "vertex_cap", classical.DEFAULT_VERTEX_CAP),
-        space=getattr(args, "space", "full"),
-        output_path=args.output,
-    )
+def _solve_config(args) -> qsdp.SolveConfig:
+    """The run's validated solver settings, after checking the enumeration caps."""
+    if args.enum_cap <= 0 or args.vertex_cap <= 0:
+        raise InvalidParameter("caps must be positive")
+    tols = {name: getattr(args, name) for name in _TOLERANCES}
+    return qsdp.SolveConfig(seed=args.seed, restarts=args.restarts, **tols)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -104,12 +66,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="64-bit solver seed")
-    p.add_argument("--restarts", type=int, default=8)
-    p.add_argument("--gap-tol", type=float, default=1e-7, dest="gap_tol")
-    p.add_argument("--feas-tol", type=float, default=1e-8, dest="feas_tol")
-    p.add_argument("--adv-tol", type=float, default=1e-6, dest="adv_tol")
-    p.add_argument("--change-tol", type=float, default=1e-13, dest="change_tol")
+    p.add_argument("--seed", type=int, default=qsdp.SolveConfig.seed, help="64-bit solver seed")
+    p.add_argument("--restarts", type=int, default=qsdp.SolveConfig.restarts)
+    for name in _TOLERANCES:
+        p.add_argument("--" + name.replace("_", "-"), type=float, dest=name,
+                       default=getattr(qsdp.SolveConfig, name))
 
 
 def _add_caps(p: argparse.ArgumentParser) -> None:
@@ -131,10 +92,10 @@ MAKE_NAMES = {
 def cmd_make(args) -> int:
     canonical, needs_n = MAKE_NAMES[args.name]
     g = game.make_named(canonical, args.n if needs_n else None)
-    if min(g.m_a, g.m_b) > ENUM_BITS_WARN:
+    if 1 << min(g.m_a, g.m_b) > classical.DEFAULT_ENUM_CAP:
         sys.stderr.write(
             f"warning: enumeration side has {min(g.m_a, g.m_b)} inputs, "
-            f"beyond the default 2^{ENUM_BITS_WARN} pattern cap\n"
+            f"beyond the default cap of {classical.DEFAULT_ENUM_CAP} patterns\n"
         )
     if args.output:
         game.save_game(g, args.output)
@@ -144,10 +105,10 @@ def cmd_make(args) -> int:
 
 
 def cmd_bias(args) -> int:
-    cfg = _run_config(args)
+    cfg = _solve_config(args)
     g = game.load_game(args.game)
     if args.kind == "classical":
-        res = classical.classical_bias(g, enum_cap=cfg.enum_cap)
+        res = classical.classical_bias(g, enum_cap=args.enum_cap)
         report = {
             "command": "bias classical",
             "timestamp": _timestamp(),
@@ -161,9 +122,9 @@ def cmd_bias(args) -> int:
             "enumerated_side": "bob" if res.swapped else "alice",
             "provenance": {"xi_c": "exact-rational"},
         }
-        _emit(report, cfg.output_path)
+        _emit(report, args.output)
         return EXIT_OK
-    res = qsdp.solve_quantum_bias(g, cfg.solver())
+    res = qsdp.solve_quantum_bias(g, cfg)
     report = {
         "command": "bias quantum",
         "timestamp": _timestamp(),
@@ -175,24 +136,21 @@ def cmd_bias(args) -> int:
         **qsdp.certificate_to_dict(res),
         "provenance": {"xi_c": "exact-rational", "xi_q": "certified-numeric"},
     }
-    _emit(report, cfg.output_path)
+    _emit(report, args.output)
     if res.classification == qsdp.UNDECIDED:
         return EXIT_UNCERTIFIED
     return EXIT_OK
 
 
 def cmd_face(args) -> int:
-    cfg = _run_config(args)
+    cfg = _solve_config(args)
     g = game.load_game(args.game)
     report = facegeom.face_report(
-        g,
-        enum_cap=cfg.enum_cap,
-        vertex_cap=cfg.vertex_cap,
-        solve_cfg=cfg.solver(),
+        g, enum_cap=args.enum_cap, vertex_cap=args.vertex_cap, solve_cfg=cfg
     )
     payload = facegeom.face_report_to_dict(report)
-    payload["space"] = cfg.space
-    if cfg.space == "correlation":
+    payload["space"] = args.space
+    if args.space == "correlation":
         payload["dim"] = payload["dim_corr"]
         payload["is_facet"] = payload["is_facet_corr"]
     else:
@@ -204,7 +162,7 @@ def cmd_face(args) -> int:
         "xi_q": "certified-numeric",
         **payload["provenance"],
     }
-    _emit(out, cfg.output_path)
+    _emit(out, args.output)
     if report.truncated:
         return EXIT_CAPPED
     if report.classification == qsdp.UNDECIDED:

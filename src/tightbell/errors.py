@@ -49,7 +49,7 @@ class EmptyInput(TightBellError, ValueError):
 
 
 class GameFormatError(TightBellError, ValueError):
-    """A game/behaviour/spec file does not follow its documented format."""
+    """A game or spec file does not follow its documented format."""
 
 
 class TooLarge(TightBellError):
@@ -65,7 +65,7 @@ class VerificationFailed(TightBellError):
 
 
 class DualInfeasible(TightBellError):
-    """A converged-looking solve produced an infeasible dual: solver bug, not masked."""
+    """A converged restart met gap_tol with an infeasible dual: solver bug, not masked."""
 
 
 class SingularLambda(TightBellError):

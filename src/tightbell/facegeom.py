@@ -57,20 +57,6 @@ _BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificat
 
 
 @dataclass(frozen=True)
-class EmbeddedVertex:
-    """Integer coordinates of a deterministic behaviour.
-
-    ``coords`` is (alpha, beta, row-major alpha beta^T), length
-    D = m_a m_b + m_a + m_b; ``correlation_coords`` is the tail alone.
-    """
-
-    coords: tuple[int, ...]
-    correlation_coords: tuple[int, ...]
-    m_a: int
-    m_b: int
-
-
-@dataclass(frozen=True)
 class Theorem2Bounds:
     delta_full: int
     delta_corr: int
@@ -133,16 +119,14 @@ def _embedded(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
     return np.hstack([alphas, betas, tail])
 
 
-def embed_vertex(v: DeterministicStrategy) -> EmbeddedVertex:
-    m_a, m_b = len(v.alpha), len(v.beta)
+def embed_vertex(v: DeterministicStrategy) -> tuple[int, ...]:
+    """Integer coordinates (alpha, beta, row-major alpha beta^T) of a vertex.
+
+    The length is D = m_a m_b + m_a + m_b; the correlation coordinates are
+    the tail ``coords[m_a + m_b:]``.
+    """
     row = _embedded(np.array([v.alpha]), np.array([v.beta]))[0]
-    coords = tuple(int(x) for x in row)
-    return EmbeddedVertex(
-        coords=coords,
-        correlation_coords=coords[m_a + m_b :],
-        m_a=m_a,
-        m_b=m_b,
-    )
+    return tuple(int(x) for x in row)
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -335,37 +319,26 @@ def theorem2_codim_bound(M_a: int, M_b: int, m_a: int, m_b: int) -> Theorem2Boun
     return Theorem2Bounds(delta_full=delta_full, delta_corr=delta_corr)
 
 
-def trivial_facet_check(
-    m_a: int,
-    m_b: int,
-    x0: int,
-    y0: int,
-    sign: int,
-    max_bits: int = 24,
-) -> TrivialFacetReport:
+def trivial_facet_check(m_a: int, m_b: int, x0: int, y0: int, sign: int) -> TrivialFacetReport:
     """Exact dimension of the correlation face ``{c : c_{x0,y0} = sign}``.
 
     Enumerates every deterministic strategy with ``alpha_x0 beta_y0 = sign``
     and measures the affine span of their correlators; the face is a facet
-    exactly when that span has dimension m_a m_b - 1.
+    exactly when that span has dimension m_a m_b - 1.  The strategies number
+    2^(m_a + m_b - 1), at most the default enumeration cap.
     """
     if m_a < 1 or m_b < 1 or not (0 <= x0 < m_a) or not (0 <= y0 < m_b):
         raise InvalidDims(f"bad dimensions or indices {(m_a, m_b, x0, y0)}")
     if sign not in (-1, 1):
         raise InvalidDims("sign must be +1 or -1")
-    if m_a + m_b - 1 > max_bits:
+    if 1 << (m_a + m_b - 1) > classical.DEFAULT_ENUM_CAP:
         raise TooLarge(f"2^{m_a + m_b - 1} strategies exceed the enumeration cap")
-    points = []
-    seen = set()
-    for alpha in itertools.product((1, -1), repeat=m_a):
-        for beta in itertools.product((1, -1), repeat=m_b):
-            if alpha[x0] * beta[y0] != sign:
-                continue
-            corr = tuple(a * b for a in alpha for b in beta)
-            if corr not in seen:  # (alpha,beta) and its negation share correlators
-                seen.add(corr)
-                points.append(corr)
-    dim = affine_dimension_exact(points)
+    # (alpha, beta) and (-alpha, -beta) share correlators, and distinct pairs
+    # otherwise differ in them; alpha_x0 = +1 keeps one strategy of each pair
+    alphas = np.insert(classical._signs(np.arange(1 << (m_a - 1)), m_a - 1), x0, 1, axis=1)
+    betas = np.insert(classical._signs(np.arange(1 << (m_b - 1)), m_b - 1), y0, sign, axis=1)
+    corr = alphas.astype(np.int8)[:, None, :, None] * betas.astype(np.int8)[None, :, None, :]
+    dim = affine_dimension_exact(corr.reshape(-1, m_a * m_b))
     return TrivialFacetReport(dim=dim, is_facet=dim == m_a * m_b - 1)
 
 
@@ -438,9 +411,6 @@ def face_report(
         # measure on the reduced game only; the codimension formula bounds
         # the original dimensions, but it is a theorem about no-advantage
         # games, so for anything else only the measured lower bound is honest
-        points = _embedded(alphas, betas)
-        red_full = affine_dimension_exact(points)
-        red_corr = affine_dimension_exact(points[:, reduced.m_a + reduced.m_b :])
         truncated = False
         num_vertices = len(vs.vertices)
         if qres.classification == qsdp.NO_ADVANTAGE:
@@ -452,8 +422,9 @@ def face_report(
         else:
             label = "lower bound (measured on the reduced game)"
             provenance = {"dim_full": label, "dim_corr": label}
-            dim_full = red_full
-            dim_corr = red_corr
+            points = _embedded(alphas, betas)
+            dim_full = affine_dimension_exact(points)
+            dim_corr = affine_dimension_exact(points[:, reduced.m_a + reduced.m_b :])
             is_facet_full = None
             is_facet_corr = None
     else:
@@ -523,15 +494,14 @@ def quantum_face_probe(
     one_shot = replace(cfg, restarts=1)
     for k in range(samples):
         if k % 2 == 0:
-            sample_cfg = replace(cfg, seed=cfg.seed + 1 + k, restarts=2)
+            sample_cfg = replace(cfg, seed=(cfg.seed + 1 + k) % 2**64, restarts=2)
             res = qsdp.solve_quantum_bias(g, sample_cfg, xi_c=base.xi_c)
         else:
             U0 = base.gram.vectors + perturb_scale * rng.normal(
                 size=base.gram.vectors.shape
             )
             res = qsdp.solve_quantum_bias(g, one_shot, xi_c=base.xi_c, initial=U0)
-        certified = res.gap <= cfg.gap_tol and res.cert.min_eig >= -cfg.feas_tol
-        if certified and abs(res.xi_q - base.xi_q) <= cfg.gap_tol:
+        if res.certified and abs(res.xi_q - base.xi_q) <= cfg.gap_tol:
             diffs.append((res.gram.C - C_base).ravel())
             used += 1
     if diffs:

@@ -32,7 +32,6 @@ from .errors import (
 )
 
 GAME_FORMAT = "tightbell-game-v1"
-BEHAVIOUR_FORMAT = "tightbell-behaviour-v1"
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 BitMatrix = tuple[tuple[int, ...], ...]
@@ -384,24 +383,3 @@ def load_game(path) -> XorGame:
     except json.JSONDecodeError as exc:
         raise GameFormatError(f"not valid JSON: {path}") from exc
     return game_from_dict(data)
-
-
-def behaviour_to_dict(b: Behaviour) -> dict:
-    return {
-        "format": BEHAVIOUR_FORMAT,
-        "alpha": [float(v) for v in b.alpha],
-        "beta": [float(v) for v in b.beta],
-        "c": [[float(v) for v in row] for row in b.c],
-    }
-
-
-def behaviour_from_dict(data: dict) -> Behaviour:
-    if not isinstance(data, dict) or data.get("format") != BEHAVIOUR_FORMAT:
-        raise GameFormatError(f"expected format {BEHAVIOUR_FORMAT!r}")
-    try:
-        alpha = tuple(float(v) for v in data["alpha"])
-        beta = tuple(float(v) for v in data["beta"])
-        c = tuple(tuple(float(v) for v in row) for row in data["c"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameFormatError("malformed behaviour fields") from exc
-    return Behaviour(alpha=alpha, beta=beta, c=c)

@@ -25,7 +25,9 @@ primal value.  With the fixed-point rule the dual typically lands within a few
 ulps of exact, which the slackness checks downstream rely on.
 
 Restarts are attempted in seed order and the first certified one is returned;
-identical (game, seed) always reproduces bit-identical results.
+identical (game, seed) always reproduces bit-identical results.  Every solver
+setting is a field of :class:`SolveConfig`, which defines its default and
+rejects values out of range; the command line takes both from there.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import numpy as np
 from . import classical
 from .errors import (
     DualInfeasible,
+    InvalidParameter,
     NotApplicable,
     ShapeMismatch,
     SingularLambda,
@@ -55,9 +58,12 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Solver knobs; defaults certify every desk-scale game in milliseconds."""
+    """Solver settings; defaults certify every desk-scale game in milliseconds.
 
-    rank: int | None = None  # None -> full rank m_a + m_b
+    Raises InvalidParameter for a non-positive tolerance, fewer than one
+    restart or sweep, or a seed outside ``[0, 2^64)``.
+    """
+
     restarts: int = 8
     seed: int = 0
     max_iters: int = 50_000  # coordinate sweeps per restart
@@ -66,6 +72,15 @@ class SolveConfig:
     adv_tol: float = 1e-6
     change_tol: float = 1e-13  # fixed-point stop: max row movement per sweep
     debug: bool = False  # check weak duality / monotone ascent each sweep
+
+    def __post_init__(self) -> None:
+        tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.change_tol)
+        if any(t <= 0 for t in tols):
+            raise InvalidParameter("tolerances must be positive")
+        if self.restarts < 1 or self.max_iters < 1:
+            raise InvalidParameter("restarts and max_iters must be positive")
+        if not 0 <= self.seed < 2**64:
+            raise InvalidParameter("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -121,11 +136,14 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class QuantumBiasResult:
+    """The returned restart; ``certified`` is gap <= gap_tol and min_eig >= -feas_tol."""
+
     xi_q: float
     dual_value: float
     gap: float
     gram: GramSolution
     cert: DualCertificate
+    certified: bool
     classification: str
     xi_c: Fraction | None
     restarts_used: int
@@ -238,13 +256,19 @@ def _evaluate(pt: np.ndarray, U: np.ndarray):
     return t, xi_q, dual_value, gap, min_eig, stalled
 
 
-def _classify(xi_q: float, gap: float, xi_c, cfg: SolveConfig) -> str:
+def _classify(xi_q: float, certified: bool, xi_c, cfg: SolveConfig) -> str:
+    """Compare ``xi_q`` with ``xi_c``.
+
+    The primal value is a lower bound on the optimum even without a
+    certificate, so it alone can show an advantage; no advantage needs the
+    certified upper bound as well.
+    """
     if xi_c is None:
         return UNDECIDED
-    ref = float(xi_c)
-    if xi_q - ref > cfg.adv_tol:
+    diff = xi_q - float(xi_c)
+    if diff > cfg.adv_tol:
         return ADVANTAGE
-    if gap <= cfg.gap_tol and abs(xi_q - ref) <= cfg.adv_tol:
+    if certified and abs(diff) <= cfg.adv_tol:
         return NO_ADVANTAGE
     return UNDECIDED
 
@@ -264,9 +288,11 @@ def solve_quantum_bias(
 
     A restart is certified when gap <= gap_tol and min_eig >= -feas_tol; the
     first certified restart wins.  If none certifies, the smallest-gap attempt
-    is returned with classification "undecided" — never a fabricated verdict.
-    A converged-looking gap paired with an infeasible dual raises
-    DualInfeasible, because that combination means a solver bug.
+    is returned uncertified: "advantage" if its primal value alone clears
+    ``xi_c`` by more than adv_tol, otherwise "undecided" — never a fabricated
+    verdict.  A restart that stopped before its fixed point is simply not
+    certified; a converged restart with gap <= gap_tol but an infeasible dual
+    raises DualInfeasible, because that combination means a solver bug.
     """
     cfg = cfg or SolveConfig()
     m = g.m_a + g.m_b
@@ -277,41 +303,42 @@ def solve_quantum_bias(
             xi_c = classical.classical_bias(g).xi_c
         except TooLarge:
             xi_c = None
-    r = cfg.rank or m
     pt = build_phi_tilde(g).matrix
     blocks = (
         np.ascontiguousarray(pt[: g.m_a, g.m_a :]),
         np.ascontiguousarray(pt[g.m_a :, : g.m_a]),
     )
 
-    best = None  # (gap, restart_idx, payload)
-    for restart in range(max(1, cfg.restarts)):
+    best = None  # values of the restart to return
+    for restart in range(cfg.restarts):
         if initial is not None and restart == 0:
-            if initial.shape != (m, r):
-                raise ShapeMismatch(f"initial must be {(m, r)}, got {initial.shape}")
+            if initial.shape != (m, m):
+                raise ShapeMismatch(f"initial must be {(m, m)}, got {initial.shape}")
             U = np.array(initial, dtype=float)
             norms = np.linalg.norm(U, axis=1, keepdims=True)
             norms[norms == 0.0] = 1.0
             U = U / norms
         else:
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
-            U = rng.normal(size=(m, r))
+            U = rng.normal(size=(m, m))
             U /= np.linalg.norm(U, axis=1, keepdims=True)
         U, sweeps, converged = _coordinate_ascent(pt, blocks, U, cfg)
         t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(pt, U)
-        certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
-        if gap <= cfg.gap_tol and min_eig < -cfg.feas_tol:
+        if converged and gap <= cfg.gap_tol and min_eig < -cfg.feas_tol:
             raise DualInfeasible(
-                f"gap {gap:.3e} <= gap_tol but min_eig {min_eig:.3e} < -feas_tol"
+                f"converged restart: gap {gap:.3e} <= gap_tol, min_eig {min_eig:.3e} < -feas_tol"
             )
-        payload = (U, t, xi_q, dual_value, gap, min_eig, stalled, sweeps, converged, restart)
+        certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
+        payload = (
+            U, t, xi_q, dual_value, gap, min_eig, stalled, sweeps, converged, certified, restart
+        )
         if certified:
             best = payload
             break
         if best is None or gap < best[4]:
             best = payload
 
-    U, t, xi_q, dual_value, gap, min_eig, stalled, sweeps, converged, restart = best
+    U, t, xi_q, dual_value, gap, min_eig, stalled, sweeps, converged, certified, restart = best
     U = U.copy()
     U.setflags(write=False)
     gram_m = U @ U.T
@@ -326,19 +353,14 @@ def solve_quantum_bias(
     cert = DualCertificate(
         t=t, sigma=sigma, lambda_diag=lam, min_eig=min_eig, dual_value=dual_value
     )
-    certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
-    classification = (
-        _classify(xi_q, gap, xi_c, cfg) if certified or xi_c is not None else UNDECIDED
-    )
-    if not certified and classification == NO_ADVANTAGE:
-        classification = UNDECIDED
     return QuantumBiasResult(
         xi_q=xi_q,
         dual_value=dual_value,
         gap=gap,
         gram=gram,
         cert=cert,
-        classification=classification,
+        certified=certified,
+        classification=_classify(xi_q, certified, xi_c, cfg),
         xi_c=xi_c,
         restarts_used=restart + 1,
         sweeps=sweeps,
@@ -347,7 +369,9 @@ def solve_quantum_bias(
     )
 
 
-def extract_F(cert: DualCertificate, g: XorGame, feas_tol: float = 1e-8) -> np.ndarray:
+def extract_F(
+    cert: DualCertificate, g: XorGame, feas_tol: float = SolveConfig.feas_tol
+) -> np.ndarray:
     """Coupling matrix ``F = Lambda^{-1} Phi^T`` from the dual diagonal.
 
     At a no-advantage optimum this maps Alice's optimal signs to Bob's forced

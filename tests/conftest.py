@@ -2,7 +2,7 @@
 
 import pytest
 
-from tightbell import classical, facegeom
+from tightbell import classical, facegeom, qsdp
 
 
 @pytest.fixture
@@ -31,3 +31,15 @@ def bareiss_calls(monkeypatch):
 
     monkeypatch.setattr(facegeom, "_bareiss_rank", counted)
     return calls
+
+
+@pytest.fixture
+def infeasible_dual(monkeypatch):
+    """Make every solver restart report ``min_eig = -1``, its dual infeasible."""
+    evaluate = qsdp._evaluate
+
+    def infeasible(pt, U):
+        t, xi_q, dual_value, gap, _, stalled = evaluate(pt, U)
+        return t, xi_q, dual_value, gap, -1.0, stalled
+
+    monkeypatch.setattr(qsdp, "_evaluate", infeasible)

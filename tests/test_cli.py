@@ -9,9 +9,10 @@ import sys
 import pytest
 
 from tightbell import load_game, make_named, nlc, save_game
-from tightbell.cli import main
-from tightbell.errors import VerificationFailed
+from tightbell.cli import _solve_config, build_parser, main
+from tightbell.errors import InvalidParameter, VerificationFailed
 from tightbell.nlc import save_nlc_spec
+from tightbell.qsdp import SolveConfig
 
 from .generators import random_nlc_spec
 
@@ -303,22 +304,30 @@ def test_output_file_flag(tmp_path, capsys, chsh_file):
     assert json.loads(out.read_text())["xi_c"] == "1/2"
 
 
-def test_run_config_validation():
-    from tightbell.cli import RunConfig
-    from tightbell.errors import InvalidParameter
-
-    cfg = RunConfig(seed=9, gap_tol=1e-9)
-    assert cfg.solver().gap_tol == 1e-9 and cfg.solver().seed == 9
+def test_run_config_validation(capsys, chsh_file):
+    args = build_parser().parse_args(
+        ["bias", "quantum", chsh_file, "--seed", "9", "--gap-tol", "1e-9"]
+    )
+    cfg = _solve_config(args)
+    assert cfg.seed == 9 and cfg.gap_tol == 1e-9
     for bad in (
         dict(gap_tol=0.0),
         dict(feas_tol=-1e-6),
-        dict(enum_cap=0),
         dict(restarts=0),
+        dict(max_iters=0),
         dict(seed=-1),
         dict(seed=2**64),
     ):
         with pytest.raises(InvalidParameter):
-            RunConfig(**bad)
+            SolveConfig(**bad)
+    code, out, _ = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "0")
+    assert (code, out) == (1, "")
+
+
+def test_dual_infeasible_exit(infeasible_dual, capsys, chsh_file):
+    code, out, err = run(capsys, "bias", "quantum", chsh_file)
+    assert (code, out) == (3, "")
+    assert "min_eig" in err
 
 
 def test_console_script_entry_point(tmp_path):

@@ -23,6 +23,7 @@ from tightbell import (
 from tightbell.errors import EmptyInput, InvalidDims, NotApplicable, ShapeMismatch, TooLarge
 from tightbell.facegeom import MEASURED, THM2_BOUND
 from tightbell.game import DeterministicStrategy, build_game
+from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
 from .oracles import oracle_affine_dim
@@ -37,21 +38,21 @@ Q = Fraction(1, 4)
 
 def test_embed_all_ones():
     e = embed_vertex(DeterministicStrategy(alpha=(1, 1), beta=(1, 1)))
-    assert e.coords == (1, 1, 1, 1, 1, 1, 1, 1)
-    assert len(e.coords) == 8  # D = 2*2 + 2 + 2
+    assert e == (1, 1, 1, 1, 1, 1, 1, 1)
+    assert len(e) == 8  # D = 2*2 + 2 + 2
 
 
 def test_embed_row_major_tail():
     e = embed_vertex(DeterministicStrategy(alpha=(1, -1), beta=(1, 1)))
-    assert e.correlation_coords == (1, 1, -1, -1)
-    assert e.coords[:2] == (1, -1) and e.coords[2:4] == (1, 1)
+    assert e[4:] == (1, 1, -1, -1)
+    assert e[:2] == (1, -1) and e[2:4] == (1, 1)
 
 
 def test_embed_roundtrip():
     v = DeterministicStrategy(alpha=(1, -1, 1), beta=(-1, 1))
     e = embed_vertex(v)
-    assert e.coords[:3] == v.alpha
-    assert e.coords[3:5] == v.beta
+    assert e[:3] == v.alpha
+    assert e[3:5] == v.beta
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +70,7 @@ def test_affine_dim_basics():
 
 
 def test_affine_dim_identity1_face():
-    pts = [
-        embed_vertex(v).coords
-        for v in optimal_vertices(make_named("identity", 1)).vertices
-    ]
+    pts = [embed_vertex(v) for v in optimal_vertices(make_named("identity", 1)).vertices]
     assert affine_dimension_exact(pts) == 3  # m + m(m-1)/2 at m = 2
 
 
@@ -226,13 +224,17 @@ def test_face_report_padded_game_lifts_vertices():
     assert rep.provenance["dim_full"] == MEASURED
 
 
-def test_face_report_thm2_fallback_no_advantage():
+def test_face_report_thm2_fallback_no_advantage(monkeypatch):
     # padded identity(1): lifting 4 vertices over two dropped signs blows a
     # tiny cap, and the codimension formula takes over (no-advantage game)
+    # without measuring any exact rank
     h = Fraction(1, 2)
     q = [[h, 0, 0], [0, h, 0], [0, 0, 0]]
     f = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+    ranks = []
+    monkeypatch.setattr(facegeom, "affine_dimension_exact", ranks.append)
     rep = face_report(build_game(q, f), vertex_cap=10)
+    assert ranks == []
     assert rep.provenance["dim_full"] == THM2_BOUND
     assert not rep.truncated
     assert rep.dim_full == 15 - 5  # D - delta from the reduction formula
@@ -332,6 +334,9 @@ def test_probe_single_entry_is_rigid():
     rep = quantum_face_probe(make_named("single_entry"))
     assert rep.thm3_bound == 0
     assert rep.dim_lower_bound == 0
+    # the sample seeds past the base seed wrap around 2^64
+    rep = quantum_face_probe(make_named("single_entry"), solve_cfg=SolveConfig(seed=2**64 - 1))
+    assert rep.dim_lower_bound == 0 and rep.samples_used > 0
 
 
 def test_probe_not_applicable_for_advantage_games():
@@ -400,7 +405,7 @@ def test_lifted_points_match_lift_strategy(cap):
     vs = optimal_vertices(reduced)
     fills = list(itertools.product((1, -1), repeat=3))  # one row and two columns dropped
     ref = [
-        list(embed_vertex(lift_strategy(v, rmap, fill[:1], fill[1:])).coords)
+        list(embed_vertex(lift_strategy(v, rmap, fill[:1], fill[1:])))
         for v in vs.vertices
         for fill in fills
     ]

@@ -315,17 +315,3 @@ def test_serialization_roundtrip_random(rows, cols, seed):
     rng = np.random.default_rng(seed)
     g = random_game(rng, max_a=rows, max_b=cols, min_a=rows, min_b=cols)
     assert game_from_dict(game_to_dict(g)) == g
-
-
-def test_behaviour_serialization_roundtrip():
-    from tightbell.game import behaviour_from_dict, behaviour_to_dict
-
-    beh = ns_perfect_behaviour(chsh())
-    d = behaviour_to_dict(beh)
-    assert d["format"] == "tightbell-behaviour-v1"
-    assert d["c"] == [[1.0, 1.0], [1.0, -1.0]]
-    back = behaviour_from_dict(d)
-    assert back.alpha == (0.0, 0.0)
-    assert back.c == ((1.0, 1.0), (1.0, -1.0))
-    with pytest.raises(GameFormatError):
-        behaviour_from_dict({"alpha": [0], "beta": [0], "c": [[1]]})

@@ -18,7 +18,13 @@ from tightbell import (
     slackness_residual_classical,
     solve_quantum_bias,
 )
-from tightbell.errors import NotApplicable, ShapeMismatch, SingularLambda, TooLarge
+from tightbell.errors import (
+    DualInfeasible,
+    NotApplicable,
+    ShapeMismatch,
+    SingularLambda,
+    TooLarge,
+)
 from tightbell import qsdp
 from tightbell.game import DeterministicStrategy, build_game, transpose_game
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
@@ -50,6 +56,7 @@ def test_chsh_certified_value_and_dual():
     assert abs(res.xi_q - math.sqrt(2) / 2) <= 1e-6
     assert res.gap <= 1e-7
     assert res.cert.min_eig >= -1e-8
+    assert res.certified
     assert res.classification == ADVANTAGE
     assert np.abs(res.cert.t - math.sqrt(2) / 8).max() <= 1e-6
     assert abs(res.dual_value - math.sqrt(2) / 2) <= 1e-6
@@ -244,6 +251,25 @@ def test_block_sweep_matches_row_reference(monkeypatch):
         assert abs(lib.dual_value - ref.dual_value) <= 1e-12
         assert abs(lib.gap - ref.gap) <= 1e-12
         assert np.abs(lib.cert.t - ref.cert.t).max() <= 1e-12
+
+
+def test_unconverged_restart_is_not_certified():
+    # stopped by max_iters with a small gap but an infeasible dual: not
+    # certified and not a solver bug; the primal value alone shows advantage
+    rng = np.random.default_rng(3)
+    for _ in range(4):
+        g = random_game(rng, max_a=12, max_b=12, max_weight=10**6)
+    res = solve_quantum_bias(g, SolveConfig(restarts=1, max_iters=50))
+    assert (g.m_a, g.m_b) == (7, 12)
+    assert not res.converged and not res.certified
+    assert res.gap <= 1e-7 and res.cert.min_eig < -1e-8
+    assert res.classification == ADVANTAGE
+    assert res.xi_q - float(res.xi_c) > 0.04
+
+
+def test_converged_infeasible_dual_raises(infeasible_dual):
+    with pytest.raises(DualInfeasible):
+        solve_quantum_bias(make_named("chsh"))
 
 
 def test_determinism_bitwise():
