@@ -19,11 +19,9 @@ import json
 import sys
 from dataclasses import asdict
 from datetime import datetime, timezone
-from pathlib import Path
 
 from . import classical, facegeom, game, nlc, qsdp
 from .errors import (
-    DualInfeasible,
     GameFormatError,
     InvalidParameter,
     TightBellError,
@@ -194,10 +192,7 @@ def cmd_trivial_facet(args) -> int:
 
 
 def _load_spec(path) -> nlc.NlcSpec:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"not valid JSON: {path}") from exc
+    data = game.read_json(path)
     if isinstance(data, dict) and data.get("format") == nlc.NLC_FORMAT:
         return nlc.nlc_spec_from_dict(data)
     return nlc.spec_from_game(game.game_from_dict(data))
@@ -246,11 +241,10 @@ def cmd_nlc(args) -> int:
         points = []
         for n in ns:
             try:
-                d = nlc.g0_dimension(n)
-                points.append({"n": n, "formula": d.formula_value, "verified": d.verified_value})
+                verified = nlc.g0_dimension(n).verified_value
             except TooLarge:
-                size = 1 << n
-                points.append({"n": n, "formula": (size // 2) * (size - 3), "verified": None})
+                verified = None
+            points.append({"n": n, "formula": nlc.g0_formula(n), "verified": verified})
         report = {
             "command": "nlc g0",
             "timestamp": _timestamp(),
@@ -336,10 +330,10 @@ def main(argv=None) -> int:
     except (TooLarge, Truncated) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CAPPED
-    except (DualInfeasible, VerificationFailed) as exc:
+    except VerificationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_UNCERTIFIED
-    except (TightBellError, OSError, json.JSONDecodeError) as exc:
+    except (TightBellError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

@@ -3,6 +3,9 @@
 Every error the library raises deliberately derives from :class:`TightBellError`,
 so callers can catch one base class.  Validation errors double as ``ValueError``
 for interoperability with generic input-checking code.
+
+A solve that does not certify is a result, not an error: ``solve_quantum_bias``
+returns it uncertified.  A failed exact check raises :class:`VerificationFailed`.
 """
 
 from __future__ import annotations
@@ -62,10 +65,6 @@ class Truncated(TightBellError):
 
 class VerificationFailed(TightBellError):
     """An exact or theoretical check on a computed result failed: a bug, not masked."""
-
-
-class DualInfeasible(TightBellError):
-    """A converged restart met gap_tol with an infeasible dual: solver bug, not masked."""
 
 
 class SingularLambda(TightBellError):

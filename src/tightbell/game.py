@@ -16,6 +16,7 @@ enter at the semidefinite-solver boundary (`tightbell.qsdp`).
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -58,6 +59,16 @@ def as_rational(value) -> Fraction:
         f"exact rational required, got {type(value).__name__}; "
         "use strings like '1/4' or '0.25'"
     )
+
+
+def as_int(value) -> int:
+    """Coerce an exact integer (a bit or a dimension) to int.
+
+    Bools, floats and strings are rejected, as binary floats are for priors.
+    """
+    if not isinstance(value, bool) and hasattr(type(value), "__index__"):
+        return operator.index(value)
+    raise GameFormatError(f"integer required, got {value!r}")
 
 
 def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -139,11 +150,12 @@ class ReductionMap:
 def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
     """Validate and freeze an XOR game.
 
-    Raises ShapeMismatch, NegativePrior, or NotNormalized.  Normalization is
-    never applied silently: the caller must supply a prior summing to 1.
+    Raises ShapeMismatch, NegativePrior, NotNormalized, or GameFormatError.
+    Normalization is never applied silently: the caller must supply a prior
+    summing to 1.
     """
     qm = _rational_matrix(q)
-    fm = tuple(tuple(int(v) for v in row) for row in f)
+    fm = tuple(tuple(as_int(v) for v in row) for row in f)
     if len(fm) != len(qm) or any(len(fr) != len(qr) for fr, qr in zip(fm, qm)):
         raise ShapeMismatch("q and f must have identical shapes")
     if any(bit not in (0, 1) for row in fm for bit in row):
@@ -367,10 +379,22 @@ def game_from_dict(data: dict) -> XorGame:
     for field in ("m_a", "m_b", "q", "f"):
         if field not in data:
             raise GameFormatError(f"missing field {field!r}")
+    for field in ("q", "f"):  # a string or object would iterate as a row
+        rows = data[field]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise GameFormatError(f"{field!r} must be a list of rows")
     g = build_game(data["q"], data["f"])
-    if (g.m_a, g.m_b) != (int(data["m_a"]), int(data["m_b"])):
+    if (g.m_a, g.m_b) != (as_int(data["m_a"]), as_int(data["m_b"])):
         raise GameFormatError("declared dimensions do not match matrix shape")
     return g
+
+
+def read_json(path):
+    """Parse a UTF-8 JSON file; undecodable content raises GameFormatError."""
+    try:
+        return json.loads(Path(path).read_text("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise GameFormatError(f"not valid UTF-8 JSON: {path}") from exc
 
 
 def save_game(g: XorGame, path) -> None:
@@ -378,8 +402,4 @@ def save_game(g: XorGame, path) -> None:
 
 
 def load_game(path) -> XorGame:
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"not valid JSON: {path}") from exc
-    return game_from_dict(data)
+    return game_from_dict(read_json(path))

@@ -43,7 +43,7 @@ from .errors import (
     VerificationFailed,
 )
 from .facegeom import affine_dimension_exact
-from .game import XorGame, as_rational, build_game
+from .game import XorGame, as_int, as_rational, build_game, read_json
 
 NLC_FORMAT = "tightbell-nlc-v1"
 
@@ -232,22 +232,31 @@ def kl_dimension_bound(k: int, l: int) -> int:
 def g0_dimension(n: int, cap: int = G0_ENUM_CAP) -> G0Dimension:
     """Dimension of unit-diagonal symmetric matrices with zero row sums.
 
-    ``formula_value = 2^(n-1) (2^n - 3)``; ``verified_value`` is the exact
+    ``formula_value`` is :func:`g0_formula`; ``verified_value`` is the exact
     affine dimension of the Gram points of balanced sign vectors, measured by
     the exact rank of ``facegeom``.  The two must agree.
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")
     size = 1 << n
-    count = comb(size, size // 2)
+    half = size // 2
+    # C(2k, k) >= 2^k, so a k beyond the cap's bit length is over the cap;
+    # deciding that first skips a binomial of millions of digits at n = 22
+    count = cap + 1 if half > cap.bit_length() else comb(size, half)
     if count > cap:
-        raise TooLarge(f"{count} balanced vectors exceed the cap {cap}")
+        raise TooLarge(f"C({size}, {half}) balanced vectors exceed the cap {cap}")
     alphas = np.full((count, size), -1, dtype=np.int8)
-    for k, pos in enumerate(itertools.combinations(range(size), size // 2)):
+    for k, pos in enumerate(itertools.combinations(range(size), half)):
         alphas[k, list(pos)] = 1
     points = (alphas[:, :, None] * alphas[:, None, :]).reshape(count, size * size)
     verified = affine_dimension_exact(points)
-    return G0Dimension(formula_value=(size // 2) * (size - 3), verified_value=verified)
+    return G0Dimension(formula_value=g0_formula(n), verified_value=verified)
+
+
+def g0_formula(n: int) -> int:
+    """The dimension ``2^(n-1) (2^n - 3)`` that :func:`g0_dimension` verifies."""
+    size = 1 << n
+    return (size // 2) * (size - 3)
 
 
 def corollary_bound(n: int) -> CorollaryBound:
@@ -280,14 +289,13 @@ def nlc_spec_to_dict(spec: NlcSpec) -> dict:
 def nlc_spec_from_dict(data: dict) -> NlcSpec:
     if not isinstance(data, dict) or data.get("format") != NLC_FORMAT:
         raise GameFormatError(f"expected format {NLC_FORMAT!r}")
-    try:
-        spec = NlcSpec(
-            n=int(data["n"]),
-            q_tilde=tuple(as_rational(v) for v in data["q_tilde"]),
-            f_z=tuple(int(b) for b in data["f_z"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GameFormatError("malformed shared-input spec fields") from exc
+    if "n" not in data or not all(isinstance(data.get(k), list) for k in ("q_tilde", "f_z")):
+        raise GameFormatError("a spec needs n and the lists q_tilde and f_z")
+    spec = NlcSpec(
+        n=as_int(data["n"]),
+        q_tilde=tuple(as_rational(v) for v in data["q_tilde"]),
+        f_z=tuple(as_int(b) for b in data["f_z"]),
+    )
     validate_spec(spec)
     return spec
 
@@ -297,8 +305,4 @@ def save_nlc_spec(spec: NlcSpec, path) -> None:
 
 
 def load_nlc_spec(path) -> NlcSpec:
-    try:
-        data = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise GameFormatError(f"not valid JSON: {path}") from exc
-    return nlc_spec_from_dict(data)
+    return nlc_spec_from_dict(read_json(path))

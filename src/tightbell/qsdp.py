@@ -24,8 +24,10 @@ on the gap alone would leave ``t`` orders of magnitude less accurate than the
 primal value.  With the fixed-point rule the dual typically lands within a few
 ulps of exact, which the slackness checks downstream rely on.
 
-Restarts are attempted in seed order and the first certified one is returned;
-identical (game, seed) always reproduces bit-identical results.  Every solver
+Restarts are attempted in seed order and the first certified one is returned.
+On one numpy/BLAS build, identical (game, seed) reproduces bit-identical
+results; across builds the sweep count can move by one and the certificate
+floats by a few ulps, because the fixed-point stop meets rounding.  Every solver
 setting is a field of :class:`SolveConfig`, which defines its default and
 rejects values out of range; the command line takes both from there.
 """
@@ -39,7 +41,6 @@ import numpy as np
 
 from . import classical
 from .errors import (
-    DualInfeasible,
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
@@ -60,8 +61,9 @@ UNDECIDED = "undecided"
 class SolveConfig:
     """Solver settings; defaults certify every desk-scale game in milliseconds.
 
-    Raises InvalidParameter for a non-positive tolerance, fewer than one
-    restart or sweep, or a seed outside ``[0, 2^64)``.
+    Raises InvalidParameter for a tolerance that is not positive (NaN
+    included), fewer than one restart or sweep, or a seed outside
+    ``[0, 2^64)``.
     """
 
     restarts: int = 8
@@ -75,7 +77,7 @@ class SolveConfig:
 
     def __post_init__(self) -> None:
         tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.change_tol)
-        if any(t <= 0 for t in tols):
+        if not all(t > 0 for t in tols):  # also refuses NaN
             raise InvalidParameter("tolerances must be positive")
         if self.restarts < 1 or self.max_iters < 1:
             raise InvalidParameter("restarts and max_iters must be positive")
@@ -88,8 +90,6 @@ class PhiTilde:
     """Symmetric embedding of the game matrix; zero diagonal blocks."""
 
     matrix: np.ndarray
-    m_a: int
-    m_b: int
 
 
 @dataclass(frozen=True)
@@ -103,40 +103,32 @@ class GramSolution:
     vectors: np.ndarray
     gram: np.ndarray
     m_a: int
-    m_b: int
 
     @property
     def C(self) -> np.ndarray:
         return self.gram[: self.m_a, self.m_a :]
-
-    @property
-    def alice_vectors(self) -> np.ndarray:
-        return self.vectors[: self.m_a]
-
-    @property
-    def bob_vectors(self) -> np.ndarray:
-        return self.vectors[self.m_a :]
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     """Dual diagonal with feasibility evidence.
 
-    ``sigma`` and ``lambda_diag`` are the per-party diagonal blocks (twice the
-    corresponding ``t`` entries); ``min_eig`` is the smallest eigenvalue of
-    ``diag(t) - Phi~`` and must be >= -feas_tol for the certificate to hold.
+    ``t`` holds Alice's entries first, then Bob's; ``min_eig`` is the smallest
+    eigenvalue of ``diag(t) - Phi~`` and must be >= -feas_tol for the
+    certificate to hold.  The dual value is ``QuantumBiasResult.dual_value``.
     """
 
     t: np.ndarray
-    sigma: np.ndarray
-    lambda_diag: np.ndarray
     min_eig: float
-    dual_value: float
 
 
 @dataclass(frozen=True)
 class QuantumBiasResult:
-    """The returned restart; ``certified`` is gap <= gap_tol and min_eig >= -feas_tol."""
+    """One solver restart, frozen; its arrays are read-only.
+
+    ``certified`` is gap <= gap_tol and min_eig >= -feas_tol; ``restarts_used``
+    is this restart's position in seed order, counting from 1.
+    """
 
     xi_q: float
     dual_value: float
@@ -171,7 +163,7 @@ def build_phi_tilde(g: XorGame) -> PhiTilde:
     pt[: g.m_a, g.m_a :] = half
     pt[g.m_a :, : g.m_a] = half.T
     pt.setflags(write=False)
-    return PhiTilde(matrix=pt, m_a=g.m_a, m_b=g.m_b)
+    return PhiTilde(matrix=pt)
 
 
 def _block_update(P: np.ndarray, V: np.ndarray, X: np.ndarray) -> float:
@@ -286,13 +278,14 @@ def solve_quantum_bias(
     unit vectors) replaces the random initialization of the first restart,
     which the face probe uses to re-optimize perturbed optima.
 
-    A restart is certified when gap <= gap_tol and min_eig >= -feas_tol; the
-    first certified restart wins.  If none certifies, the smallest-gap attempt
-    is returned uncertified: "advantage" if its primal value alone clears
+    Each restart yields one result; the first certified one is returned.  If
+    none certifies, the one with the smallest gap (the earliest on a tie) is
+    returned uncertified: "advantage" if its primal value alone clears
     ``xi_c`` by more than adv_tol, otherwise "undecided" — never a fabricated
-    verdict.  A restart that stopped before its fixed point is simply not
-    certified; a converged restart with gap <= gap_tol but an infeasible dual
-    raises DualInfeasible, because that combination means a solver bug.
+    verdict.  A restart whose dual is infeasible is not certified, converged
+    or not: a loose ``change_tol`` can stop the ascent with the second-order
+    gap below ``gap_tol`` while the first-order error in ``t`` still leaves
+    ``diag(t) - Phi~`` indefinite.
     """
     cfg = cfg or SolveConfig()
     m = g.m_a + g.m_b
@@ -309,7 +302,7 @@ def solve_quantum_bias(
         np.ascontiguousarray(pt[g.m_a :, : g.m_a]),
     )
 
-    best = None  # values of the restart to return
+    best = None  # smallest-gap uncertified restart so far
     for restart in range(cfg.restarts):
         if initial is not None and restart == 0:
             if initial.shape != (m, m):
@@ -324,49 +317,29 @@ def solve_quantum_bias(
             U /= np.linalg.norm(U, axis=1, keepdims=True)
         U, sweeps, converged = _coordinate_ascent(pt, blocks, U, cfg)
         t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(pt, U)
-        if converged and gap <= cfg.gap_tol and min_eig < -cfg.feas_tol:
-            raise DualInfeasible(
-                f"converged restart: gap {gap:.3e} <= gap_tol, min_eig {min_eig:.3e} < -feas_tol"
-            )
         certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
-        payload = (
-            U, t, xi_q, dual_value, gap, min_eig, stalled, sweeps, converged, certified, restart
+        gram = U @ U.T
+        for arr in (U, gram, t):
+            arr.setflags(write=False)
+        res = QuantumBiasResult(
+            xi_q=xi_q,
+            dual_value=dual_value,
+            gap=gap,
+            gram=GramSolution(vectors=U, gram=gram, m_a=g.m_a),
+            cert=DualCertificate(t=t, min_eig=min_eig),
+            certified=certified,
+            classification=_classify(xi_q, certified, xi_c, cfg),
+            xi_c=xi_c,
+            restarts_used=restart + 1,
+            sweeps=sweeps,
+            converged=converged,
+            stalled_rows=stalled,
         )
         if certified:
-            best = payload
-            break
-        if best is None or gap < best[4]:
-            best = payload
-
-    U, t, xi_q, dual_value, gap, min_eig, stalled, sweeps, converged, certified, restart = best
-    U = U.copy()
-    U.setflags(write=False)
-    gram_m = U @ U.T
-    gram_m.setflags(write=False)
-    t = t.copy()
-    t.setflags(write=False)
-    sigma = 2.0 * t[: g.m_a]
-    lam = 2.0 * t[g.m_a :]
-    sigma.setflags(write=False)
-    lam.setflags(write=False)
-    gram = GramSolution(vectors=U, gram=gram_m, m_a=g.m_a, m_b=g.m_b)
-    cert = DualCertificate(
-        t=t, sigma=sigma, lambda_diag=lam, min_eig=min_eig, dual_value=dual_value
-    )
-    return QuantumBiasResult(
-        xi_q=xi_q,
-        dual_value=dual_value,
-        gap=gap,
-        gram=gram,
-        cert=cert,
-        certified=certified,
-        classification=_classify(xi_q, certified, xi_c, cfg),
-        xi_c=xi_c,
-        restarts_used=restart + 1,
-        sweeps=sweeps,
-        converged=converged,
-        stalled_rows=stalled,
-    )
+            return res
+        if best is None or gap < best.gap:
+            best = res
+    return best
 
 
 def extract_F(
@@ -386,7 +359,7 @@ def extract_F(
             "some Bob-side dual entries are numerically zero; "
             "game is not exhaustive or the certificate is invalid"
         )
-    return _phi_float(g).T / cert.lambda_diag[:, None]
+    return _phi_float(g).T / (2.0 * t_bob)[:, None]
 
 
 def slackness_residual_classical(
@@ -419,8 +392,8 @@ def quantum_slackness_check(
             f"got {res.classification!r}"
         )
     Fm = np.asarray(F, dtype=float)
-    A = res.gram.alice_vectors
-    B = res.gram.bob_vectors
+    A = res.gram.vectors[: res.gram.m_a]
+    B = res.gram.vectors[res.gram.m_a :]
     if Fm.shape != (B.shape[0], A.shape[0]):
         raise ShapeMismatch(f"F must be {(B.shape[0], A.shape[0])}, got {Fm.shape}")
     residual = float(np.linalg.norm(B - Fm @ A, axis=1).max())

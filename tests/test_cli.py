@@ -1,6 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 from tightbell import load_game, make_named, nlc, save_game
 from tightbell.cli import _solve_config, build_parser, main
 from tightbell.errors import InvalidParameter, VerificationFailed
+from tightbell.game import game_to_dict
 from tightbell.nlc import save_nlc_spec
 from tightbell.qsdp import SolveConfig
 
@@ -125,6 +127,41 @@ def test_bias_bad_file(tmp_path, capsys):
     assert code == 1
 
 
+_ONE = game_to_dict(make_named("single_entry"))
+_HALVES = {**_ONE, "m_b": 2, "q": [["1/2", "1/2"]]}
+_SPEC = {"format": nlc.NLC_FORMAT, "n": 1, "q_tilde": ["1/2", "1/2"]}
+
+
+@pytest.mark.parametrize(
+    "command,content",
+    [
+        ("bias classical", b"\xff\xfe{}"),
+        ("nlc spectrum", b"\xff\xfe{}"),
+        ("bias classical", {**_ONE, "m_a": "x"}),
+        ("bias classical", {**_ONE, "m_a": 1.9}),
+        ("bias classical", {**_ONE, "f": [["a"]]}),
+        ("bias classical", {**_ONE, "f": [[True]]}),
+        ("bias classical", {**_HALVES, "f": [[0.7, True]]}),
+        ("bias classical", {**_ONE, "q": "1"}),
+        ("nlc spectrum", {**_SPEC, "f_z": [0.9, 1]}),
+        ("nlc spectrum", {**_SPEC, "f_z": "01"}),
+    ],
+    ids=[
+        "game-not-utf8", "spec-not-utf8", "m_a-string", "m_a-float", "f-string",
+        "f-bool", "f-float", "q-string", "f_z-float", "f_z-string",
+    ],
+)
+def test_malformed_input_files(tmp_path, capsys, command, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(json.dumps(content))
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 def test_bias_cap_exceeded(capsys, chsh_file):
     code, _, err = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "2")
     assert code == 2
@@ -214,6 +251,16 @@ def test_trivial_facet_cli(capsys):
     }
 
 
+@pytest.mark.parametrize("ma,mb", [(11, 11), (12, 13)])
+def test_trivial_facet_over_memory_budget(capsys, ma, mb):
+    code, out, err = run(
+        capsys, "trivial-facet", "--ma", str(ma), "--mb", str(mb), "--x0", str(ma - 1),
+        "--y0", str(mb - 1), "--sign", "-",
+    )
+    assert (code, out) == (2, "")
+    assert "budget" in err
+
+
 def test_trivial_facet_bad_sign(capsys):
     code, _, _ = run(
         capsys, "trivial-facet", "--ma", "2", "--mb", "2", "--x0", "0", "--y0", "0",
@@ -285,6 +332,15 @@ def test_nlc_g0_sweep_points(capsys):
     assert pts[3]["verified"] is None  # beyond the exact-enumeration cap
 
 
+@pytest.mark.parametrize("n", [14, 40])
+def test_nlc_g0_beyond_the_cap(capsys, n):
+    # the cap is decided before the binomial C(2^n, 2^(n-1)) is formed
+    code, payload, _ = run_json(capsys, "nlc", "g0", "--n", str(n))
+    assert code == 0
+    assert payload["formula"] == 2 ** (n - 1) * (2**n - 3)
+    assert payload["verified"] is None
+
+
 def test_nlc_corollary_sweep(capsys):
     code, payload, _ = run_json(capsys, "nlc", "corollary", "--n", "1", "--n-max", "3")
     assert code == 0
@@ -317,17 +373,23 @@ def test_run_config_validation(capsys, chsh_file):
         dict(max_iters=0),
         dict(seed=-1),
         dict(seed=2**64),
+        dict(gap_tol=math.nan),
+        dict(change_tol=math.nan),
     ):
         with pytest.raises(InvalidParameter):
             SolveConfig(**bad)
     code, out, _ = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "0")
     assert (code, out) == (1, "")
+    code, out, _ = run(capsys, "bias", "quantum", chsh_file, "--gap-tol", "nan")
+    assert (code, out) == (1, "")
 
 
-def test_dual_infeasible_exit(infeasible_dual, capsys, chsh_file):
-    code, out, err = run(capsys, "bias", "quantum", chsh_file)
-    assert (code, out) == (3, "")
-    assert "min_eig" in err
+def test_dual_infeasible_exit(infeasible_dual, capsys, and2_file):
+    # no restart certifies a no-advantage game: the report still prints
+    code, payload, _ = run_json(capsys, "bias", "quantum", and2_file)
+    assert code == 3
+    assert payload["classification"] == "undecided"
+    assert payload["min_eig"] == -1.0
 
 
 def test_console_script_entry_point(tmp_path):

@@ -19,7 +19,6 @@ from tightbell import (
     solve_quantum_bias,
 )
 from tightbell.errors import (
-    DualInfeasible,
     NotApplicable,
     ShapeMismatch,
     SingularLambda,
@@ -267,9 +266,38 @@ def test_unconverged_restart_is_not_certified():
     assert res.xi_q - float(res.xi_c) > 0.04
 
 
-def test_converged_infeasible_dual_raises(infeasible_dual):
-    with pytest.raises(DualInfeasible):
-        solve_quantum_bias(make_named("chsh"))
+def test_converged_infeasible_dual_is_not_certified(infeasible_dual):
+    # an infeasible dual is an uncertified restart, not an error; the primal
+    # value alone still shows the advantage
+    res = solve_quantum_bias(make_named("chsh"))
+    assert res.converged and not res.certified
+    assert res.cert.min_eig == -1.0
+    assert res.classification == ADVANTAGE
+
+
+def test_loose_change_tol_certifies_a_later_restart():
+    # restart 1 stops with gap <= gap_tol but an indefinite diag(t) - Phi~;
+    # restart 2 certifies
+    res = solve_quantum_bias(make_named("appendix_d", 2), SolveConfig(change_tol=1e-6, seed=2))
+    assert res.certified and res.restarts_used == 2
+    assert res.classification == NO_ADVANTAGE
+
+
+@pytest.mark.parametrize("name,n", [("appendix_d", 2), ("appendix_d", 3), ("nlc_and", 3)])
+def test_uncertified_returns_smallest_gap(monkeypatch, name, n):
+    gaps = []
+    evaluate = qsdp._evaluate
+
+    def recorded(pt, U):
+        out = evaluate(pt, U)
+        gaps.append(out[3])
+        return out
+
+    monkeypatch.setattr(qsdp, "_evaluate", recorded)
+    res = solve_quantum_bias(make_named(name, n), SolveConfig(restarts=5, change_tol=1.0))
+    assert len(gaps) == 5 and not res.certified
+    assert res.gap == min(gaps)
+    assert res.restarts_used == gaps.index(min(gaps)) + 1
 
 
 def test_determinism_bitwise():
