@@ -78,18 +78,12 @@ def _add_caps(p: argparse.ArgumentParser) -> None:
                    dest="vertex_cap", help="max optimal vertices to store")
 
 
-MAKE_NAMES = {
-    "chsh": ("chsh", False),
-    "identity": ("identity", True),
-    "nlc-and": ("nlc_and", True),
-    "appendixd": ("appendix_d", True),
-    "single-entry": ("single_entry", False),
-}
+# the CLI's spellings that make_named does not take itself ("-" for "_" it does)
+MAKE_NAMES = {"appendixd": "appendix_d"}
 
 
 def cmd_make(args) -> int:
-    canonical, needs_n = MAKE_NAMES[args.name]
-    g = game.make_named(canonical, args.n if needs_n else None)
+    g = game.make_named(MAKE_NAMES.get(args.name, args.name), args.n)
     if 1 << min(g.m_a, g.m_b) > classical.DEFAULT_ENUM_CAP:
         sys.stderr.write(
             f"warning: enumeration side has {min(g.m_a, g.m_b)} inputs, "
@@ -198,6 +192,24 @@ def _load_spec(path) -> nlc.NlcSpec:
     return nlc.spec_from_game(game.game_from_dict(data))
 
 
+def _sweep(args, largest) -> range:
+    """The n of an ``nlc g0`` or ``nlc corollary`` run: ``--n`` up to ``--n-max``.
+
+    ``largest(n)`` is the run's largest value at n; from n = 2 on it rises
+    with n and is at least 4^(n-1) (below 2 the sweep's own checks refuse or
+    the values are tiny).  An empty range raises InvalidParameter, and a value
+    past Python's limit on integer-to-string conversion raises TooLarge before
+    the sweep starts: beyond n = 2 * limit that needs no value at all.
+    """
+    n_max = args.n if args.n_max is None else args.n_max
+    if n_max < args.n:
+        raise InvalidParameter(f"--n-max {n_max} is below --n {args.n}")
+    limit = sys.get_int_max_str_digits()
+    if limit and n_max > 1 and (n_max > 2 * limit or largest(n_max) >= 10**limit):
+        raise TooLarge(f"values at n = {n_max} pass {limit} decimal digits")
+    return range(args.n, n_max + 1)
+
+
 def cmd_nlc(args) -> int:
     if args.nlc_command == "spectrum":
         spec = _load_spec(args.file)
@@ -237,7 +249,7 @@ def cmd_nlc(args) -> int:
         )
         return EXIT_OK
     if args.nlc_command == "g0":
-        ns = range(args.n, (args.n_max or args.n) + 1)
+        ns = _sweep(args, nlc.g0_formula)
         points = []
         for n in ns:
             try:
@@ -250,17 +262,17 @@ def cmd_nlc(args) -> int:
             "timestamp": _timestamp(),
             "provenance": {"verified": "exact-integer-rank"},
         }
-        if args.n_max:
+        if args.n_max is not None:
             report["points"] = points
         else:
             report.update(points[0])
         _emit(report, args.output)
         return EXIT_OK
     # corollary
-    ns = range(args.n, (args.n_max or args.n) + 1)
+    ns = _sweep(args, lambda n: nlc.corollary_bound(n).codim_bound_full)
     points = [{"n": n, **asdict(nlc.corollary_bound(n))} for n in ns]
     report = {"command": "nlc corollary", "timestamp": _timestamp()}
-    if args.n_max:
+    if args.n_max is not None:
         report["points"] = points
     else:
         report.update(points[0])
@@ -276,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("make", help="write a named game file")
-    p.add_argument("name", choices=sorted(MAKE_NAMES))
+    names = [n.replace("_", "-") for n in game.NAMED_GAMES if n not in MAKE_NAMES.values()]
+    p.add_argument("name", choices=sorted([*names, *MAKE_NAMES]))
     p.add_argument("--n", type=int, default=None, help="family size parameter")
     _add_common(p)
     p.set_defaults(func=cmd_make)

@@ -14,6 +14,11 @@ upper bound.  Floating point is used only where every sum is an integer below
 the certificate cannot be lifted, fraction-free (Bareiss) elimination on
 Python integers gives the rank instead.  No tolerance either way.
 
+Questions that are never asked are dropped before enumeration.  The face of
+the original game is the reduced face times a cube of free signs, and its
+dimensions follow from a few ranks of the reduced vertices by a closed
+formula, so no lifted vertex is ever built.
+
 The quantum-side face dimension is inherently numerical and is reported only
 as a lower bound from sampled optima, with an explicit singular-value
 threshold.
@@ -21,7 +26,6 @@ threshold.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -38,16 +42,10 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .game import (
-    DeterministicStrategy,
-    ReductionMap,
-    XorGame,
-    reduce_exhaustive,
-)
+from .game import DeterministicStrategy, XorGame, reduce_exhaustive
 
 MEASURED = "measured"
 LOWER_BOUND = "lower bound (truncated vertex set)"
-THM2_BOUND = "bound via Theorem 2"
 
 _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
@@ -83,10 +81,11 @@ class FaceReport:
     """Everything measured and bounded about one game's optimal face.
 
     Dimensions refer to the ORIGINAL index set (M_a, M_b) even when the game
-    had never-asked questions; ``provenance`` records per entry whether the
-    number was measured exactly, is a lower bound from a truncated vertex
-    set, or comes from the reduction codimension formula.  Facet verdicts are
-    None when suppressed (truncated enumeration).
+    had never-asked questions, and ``num_vertices`` counts the optimal
+    vertices of the original game.  ``provenance`` records per entry whether
+    the number was measured exactly or is a lower bound from a truncated
+    vertex set.  Facet verdicts are None when suppressed (truncated
+    enumeration).
     """
 
     m_a: int
@@ -346,38 +345,45 @@ def trivial_facet_check(m_a: int, m_b: int, x0: int, y0: int, sign: int) -> Triv
     return TrivialFacetReport(dim=dim, is_facet=dim == m_a * m_b - 1)
 
 
-def _lifted_points(
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    rmap: ReductionMap,
-    cap: int,
-) -> tuple[np.ndarray, bool]:
-    """Embedded completions of reduced optimal vertices on dropped coordinates.
+def _padded_dimensions(
+    alphas: np.ndarray, betas: np.ndarray, d_a: int, d_b: int
+) -> tuple[int, int]:
+    """Exact (dim_full, dim_corr) of the face lifted over never-asked questions.
 
-    One row per completion, vertex-major, the dropped signs in
-    ``itertools.product`` order (Alice's before Bob's) and placed as
-    ``lift_strategy`` places them.  When anything is dropped, at most ``cap``
-    rows are kept and the flag says whether more exist.
+    The optimal vertices of a game with ``d_a`` never-asked rows and ``d_b``
+    never-asked columns are ``V x {+-1}^d_a x {+-1}^d_b``: reduced vertices
+    ``(a, b)``, the rows of ``alphas``/``betas``, with free signs ``s`` and
+    ``t`` on the dropped questions.  Every lifted coordinate is a function of
+    the vertex times one character of the sign cube, 1, ``s_i``, ``t_j`` or
+    ``s_i t_j``, and distinct characters are orthogonal over the cube, so
+    the span of the lifted points (with the constant) splits into one block
+    per character:
+
+    - 1 holds the reduced coordinates ``(a, b, a b^T)``;
+    - each ``s_i`` holds ``s_i`` and ``s_i b_y``, of rank ``rank[1 | b]``
+      = 1 + aff{b} in the full space and ``rank{b}`` in the correlation space;
+    - each ``t_j`` is the same with ``a``;
+    - each ``s_i t_j`` holds only ``s_i t_j`` itself, rank 1.
+
+    Hence, with ``aff`` the affine dimension of the rows and ``rank`` their
+    linear rank (the affine dimension with the origin added):
+
+        dim_full = aff{(a, b, a b^T)} + d_a (1 + aff{b}) + d_b (1 + aff{a}) + d_a d_b
+        dim_corr = aff{a b^T} + d_a rank{b} + d_b rank{a} + d_a d_b
+
+    Every term can only grow with the vertex set, so on a truncated set the
+    result is a lower bound on the true dimensions.
     """
-    M_a, M_b = rmap.original_dims
-    drop_a = [x for x in range(M_a) if x not in rmap.kept_rows]
-    drop_b = [y for y in range(M_b) if y not in rmap.kept_cols]
-    d = len(drop_a) + len(drop_b)
-    if d == 0:
-        return _embedded(alphas, betas), False
-    fills = np.array(
-        list(itertools.islice(itertools.product((1, -1), repeat=d), cap)), dtype=np.int8
-    ).reshape(-1, d)
-    nv = min(len(alphas), -(-cap // max(len(fills), 1)))
-    A = np.empty((nv, len(fills), M_a), dtype=np.int8)
-    A[:, :, list(rmap.kept_rows)] = alphas[:nv, None]
-    A[:, :, drop_a] = fills[:, : len(drop_a)]
-    B = np.empty((nv, len(fills), M_b), dtype=np.int8)
-    B[:, :, list(rmap.kept_cols)] = betas[:nv, None]
-    B[:, :, drop_b] = fills[:, len(drop_a) :]
-    n = nv * len(fills)
-    points = _embedded(A.reshape(n, M_a)[:cap], B.reshape(n, M_b)[:cap])
-    return points, len(alphas) << d > cap
+    m = alphas.shape[1] + betas.shape[1]
+    points = _embedded(alphas, betas)
+    dim_full = affine_dimension_exact(points) + d_a * d_b
+    dim_corr = affine_dimension_exact(points[:, m:]) + d_a * d_b
+    for d, rows in ((d_a, betas), (d_b, alphas)):
+        if d:
+            with_origin = np.vstack([np.zeros_like(rows[:1]), rows])
+            dim_full += d * (1 + affine_dimension_exact(rows))
+            dim_corr += d * affine_dimension_exact(with_origin)
+    return dim_full, dim_corr
 
 
 def face_report(
@@ -387,13 +393,14 @@ def face_report(
     vertex_cap: int = classical.DEFAULT_VERTEX_CAP,
     solve_cfg: qsdp.SolveConfig | None = None,
 ) -> FaceReport:
-    """Full pipeline: reduce, enumerate, lift, embed, measure, bound, verdict.
+    """Full pipeline: reduce, enumerate, embed, measure, bound, verdict.
 
-    Dimensions are measured in the original index set.  If lifting the reduced
-    vertices over dropped coordinates would blow past ``vertex_cap``, the
-    dimensions are instead bounded through the reduction codimension formula
-    and labeled as such.  A truncated enumeration downgrades dimensions to
-    lower bounds and suppresses facet verdicts.
+    Dimensions refer to the original index set.  Never-asked questions are
+    dropped before enumeration, and the dimensions of the original face follow
+    exactly from the reduced vertices (:func:`_padded_dimensions`), so
+    ``vertex_cap`` bounds only the reduced enumeration.  A truncated reduced
+    vertex set downgrades dimensions to lower bounds and suppresses facet
+    verdicts.
     """
     reduced, rmap = reduce_exhaustive(g)
     vs = classical.optimal_vertices(reduced, cap=vertex_cap, enum_cap=enum_cap)
@@ -403,44 +410,13 @@ def face_report(
     D = M_a * M_b + M_a + M_b
     d_a = M_a - reduced.m_a
     d_b = M_b - reduced.m_b
-    lift_total = len(vs.vertices) << (d_a + d_b)
-
     thm2 = theorem2_codim_bound(M_a, M_b, reduced.m_a, reduced.m_b)
-    bound1 = theorem1_dim_bound(reduced.m_a, reduced.m_b)
 
     alphas = np.array([v.alpha for v in vs.vertices], dtype=np.int8).reshape(-1, reduced.m_a)
     betas = np.array([v.beta for v in vs.vertices], dtype=np.int8).reshape(-1, reduced.m_b)
-    use_thm2_formula = not vs.truncated and lift_total > vertex_cap
-    if use_thm2_formula:
-        # measure on the reduced game only; the codimension formula bounds
-        # the original dimensions, but it is a theorem about no-advantage
-        # games, so for anything else only the measured lower bound is honest
-        truncated = False
-        num_vertices = len(vs.vertices)
-        if qres.classification == qsdp.NO_ADVANTAGE:
-            provenance = {"dim_full": THM2_BOUND, "dim_corr": THM2_BOUND}
-            dim_full = D - thm2.delta_full
-            dim_corr = M_a * M_b - thm2.delta_corr
-            is_facet_full = False
-            is_facet_corr = False if (reduced.m_a, reduced.m_b) != (1, 1) else None
-        else:
-            label = "lower bound (measured on the reduced game)"
-            provenance = {"dim_full": label, "dim_corr": label}
-            points = _embedded(alphas, betas)
-            dim_full = affine_dimension_exact(points)
-            dim_corr = affine_dimension_exact(points[:, reduced.m_a + reduced.m_b :])
-            is_facet_full = None
-            is_facet_corr = None
-    else:
-        points, lift_truncated = _lifted_points(alphas, betas, rmap, vertex_cap)
-        truncated = vs.truncated or lift_truncated
-        dim_full = affine_dimension_exact(points)
-        dim_corr = affine_dimension_exact(points[:, M_a + M_b :])
-        label = LOWER_BOUND if truncated else MEASURED
-        provenance = {"dim_full": label, "dim_corr": label}
-        is_facet_full = None if truncated else dim_full == D - 1
-        is_facet_corr = None if truncated else dim_corr == M_a * M_b - 1
-        num_vertices = len(points)
+    dim_full, dim_corr = _padded_dimensions(alphas, betas, d_a, d_b)
+    truncated = vs.truncated
+    label = LOWER_BOUND if truncated else MEASURED
 
     return FaceReport(
         m_a=M_a,
@@ -450,18 +426,18 @@ def face_report(
         xi_c=vs.xi_c,
         xi_q=qres.xi_q,
         classification=qres.classification,
-        num_vertices=num_vertices,
+        num_vertices=len(vs.vertices) << (d_a + d_b),
         dim_full=dim_full,
         dim_corr=dim_corr,
         codim_full=D - dim_full,
         codim_corr=M_a * M_b - dim_corr,
-        bound_thm1_dim=bound1,
+        bound_thm1_dim=theorem1_dim_bound(reduced.m_a, reduced.m_b),
         bound_thm2_codim=thm2.delta_full,
         bound_thm2_codim_corr=thm2.delta_corr,
-        is_facet_full=is_facet_full,
-        is_facet_corr=is_facet_corr,
+        is_facet_full=None if truncated else dim_full == D - 1,
+        is_facet_corr=None if truncated else dim_corr == M_a * M_b - 1,
         truncated=truncated,
-        provenance=provenance,
+        provenance={"dim_full": label, "dim_corr": label},
         quantum=qres,
     )
 

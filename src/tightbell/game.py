@@ -311,8 +311,8 @@ def make_named(name: str, n: int | None = None) -> XorGame:
     """
     key = name.replace("-", "_").lower()
     if key in ("chsh", "single_entry"):
-        if n is not None and key == "chsh":
-            raise InvalidParameter("chsh takes no size parameter")
+        if n is not None:
+            raise InvalidParameter(f"{key} takes no size parameter")
     elif key in ("identity", "nlc_and", "appendix_d"):
         if n is None or n < 1:
             raise InvalidParameter(f"{key} requires n >= 1")

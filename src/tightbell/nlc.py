@@ -167,12 +167,12 @@ def _walsh_transform(values: Sequence[Fraction]) -> list[Fraction]:
     return out
 
 
-def hadamard_spectrum(spec: NlcSpec, verify: bool | None = None) -> NlcAnalysis:
+def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
     """Exact eigenvalues of the q~-normalized game matrix.
 
-    With ``verify`` enabled (auto for n <= 5), conjugates the circulant by the
-    +-1 Hadamard matrix in rational arithmetic and checks that the
-    off-diagonal vanishes EXACTLY — a theorem check, not a tolerance check.
+    For n <= 5, also conjugates the circulant by the +-1 Hadamard matrix in
+    rational arithmetic and checks that the off-diagonal vanishes EXACTLY — a
+    theorem check, not a tolerance check.
     """
     validate_spec(spec)
     size = 1 << spec.n
@@ -181,9 +181,7 @@ def hadamard_spectrum(spec: NlcSpec, verify: bool | None = None) -> NlcAnalysis:
     lam = max(abs(v) for v in spectrum)  # > 0: q_tilde sums to 1 and WHT is injective
     k = sum(1 for v in spectrum if v == lam)
     l = sum(1 for v in spectrum if v == -lam)
-    if verify is None:
-        verify = spec.n <= 5
-    if verify:
+    if spec.n <= 5:
         _verify_diagonalization(signed, spectrum, spec.n)
     return NlcAnalysis(
         spectrum=spectrum,
@@ -229,12 +227,13 @@ def kl_dimension_bound(k: int, l: int) -> int:
     return k + l + k * (k + 1) // 2 + l * (l + 1) // 2 - 1
 
 
-def g0_dimension(n: int, cap: int = G0_ENUM_CAP) -> G0Dimension:
+def g0_dimension(n: int) -> G0Dimension:
     """Dimension of unit-diagonal symmetric matrices with zero row sums.
 
     ``formula_value`` is :func:`g0_formula`; ``verified_value`` is the exact
     affine dimension of the Gram points of balanced sign vectors, measured by
-    the exact rank of ``facegeom``.  The two must agree.
+    the exact rank of ``facegeom``.  The two must agree.  Beyond
+    ``G0_ENUM_CAP`` balanced vectors (n >= 5) TooLarge is raised.
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")
@@ -242,9 +241,9 @@ def g0_dimension(n: int, cap: int = G0_ENUM_CAP) -> G0Dimension:
     half = size // 2
     # C(2k, k) >= 2^k, so a k beyond the cap's bit length is over the cap;
     # deciding that first skips a binomial of millions of digits at n = 22
-    count = cap + 1 if half > cap.bit_length() else comb(size, half)
-    if count > cap:
-        raise TooLarge(f"C({size}, {half}) balanced vectors exceed the cap {cap}")
+    count = G0_ENUM_CAP + 1 if half > G0_ENUM_CAP.bit_length() else comb(size, half)
+    if count > G0_ENUM_CAP:
+        raise TooLarge(f"C({size}, {half}) balanced vectors exceed the cap {G0_ENUM_CAP}")
     alphas = np.full((count, size), -1, dtype=np.int8)
     for k, pos in enumerate(itertools.combinations(range(size), half)):
         alphas[k, list(pos)] = 1

@@ -342,9 +342,7 @@ def solve_quantum_bias(
     return best
 
 
-def extract_F(
-    cert: DualCertificate, g: XorGame, feas_tol: float = SolveConfig.feas_tol
-) -> np.ndarray:
+def extract_F(cert: DualCertificate, g: XorGame) -> np.ndarray:
     """Coupling matrix ``F = Lambda^{-1} Phi^T`` from the dual diagonal.
 
     At a no-advantage optimum this maps Alice's optimal signs to Bob's forced
@@ -354,7 +352,7 @@ def extract_F(
     t_bob = cert.t[g.m_a :]
     if len(t_bob) != g.m_b:
         raise ShapeMismatch("certificate does not match game dimensions")
-    if np.any(t_bob <= feas_tol):
+    if np.any(t_bob <= SolveConfig.feas_tol):
         raise SingularLambda(
             "some Bob-side dual entries are numerically zero; "
             "game is not exhaustive or the certificate is invalid"

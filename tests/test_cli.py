@@ -62,9 +62,10 @@ def test_make_nlc_and_stdout(capsys):
 
 
 def test_make_invalid_n(capsys):
-    code, _, err = run(capsys, "make", "appendixd", "--n", "1")
-    assert code == 1
-    assert "error" in err
+    for name, n in (("appendixd", "1"), ("chsh", "3"), ("single-entry", "3")):
+        code, out, err = run(capsys, "make", name, "--n", n)
+        assert code == 1
+        assert out == "" and "error" in err
 
 
 def test_make_warns_beyond_enumeration_cap(tmp_path, capsys):
@@ -339,6 +340,31 @@ def test_nlc_g0_beyond_the_cap(capsys, n):
     assert code == 0
     assert payload["formula"] == 2 ** (n - 1) * (2**n - 3)
     assert payload["verified"] is None
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # 7200 passes Python's 4,300-digit integer-to-string limit; 7000 does not
+        (["g0", "--n", "7200"], 2),
+        (["g0", "--n", "2", "--n-max", "7200"], 2),
+        (["corollary", "--n", "7200"], 2),
+        (["corollary", "--n", "2", "--n-max", "7200"], 2),
+        (["g0", "--n", "5", "--n-max", "3"], 1),
+        (["corollary", "--n", "5", "--n-max", "3"], 1),
+        (["g0", "--n", "2", "--n-max", "0"], 1),
+        (["g0", "--n", "7000"], 0),
+        (["corollary", "--n", "7000"], 0),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else f"exit{v}",
+)
+def test_nlc_sweep_range(capsys, argv, code):
+    got, out, err = run(capsys, "nlc", *argv)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert json.loads(out)["n"] == 7000
 
 
 def test_nlc_corollary_sweep(capsys):

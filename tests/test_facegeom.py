@@ -1,5 +1,6 @@
 """Exact face dimensions, bounds, verdicts, and the quantum face probe."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +22,8 @@ from tightbell import (
     trivial_facet_check,
 )
 from tightbell.errors import EmptyInput, InvalidDims, NotApplicable, ShapeMismatch, TooLarge
-from tightbell.facegeom import MEASURED, THM2_BOUND
-from tightbell.game import DeterministicStrategy, build_game
+from tightbell.facegeom import MEASURED
+from tightbell.game import DeterministicStrategy, build_game, lift_strategy, reduce_exhaustive
 from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
@@ -224,34 +225,110 @@ def test_face_report_padded_game_lifts_vertices():
     assert rep.provenance["dim_full"] == MEASURED
 
 
-def test_face_report_thm2_fallback_no_advantage(monkeypatch):
-    # padded identity(1): lifting 4 vertices over two dropped signs blows a
-    # tiny cap, and the codimension formula takes over (no-advantage game)
-    # without measuring any exact rank
+def test_face_report_thm2_fallback_no_advantage():
+    # padded identity(1): 16 lifted vertices pass a cap of 10, but the cap
+    # bounds only the 4 reduced ones, and the dimensions stay exact
     h = Fraction(1, 2)
-    q = [[h, 0, 0], [0, h, 0], [0, 0, 0]]
-    f = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
-    ranks = []
-    monkeypatch.setattr(facegeom, "affine_dimension_exact", ranks.append)
-    rep = face_report(build_game(q, f), vertex_cap=10)
-    assert ranks == []
-    assert rep.provenance["dim_full"] == THM2_BOUND
+    g = build_game([[h, 0, 0], [0, h, 0], [0, 0, 0]], [[0] * 3 for _ in range(3)])
+    rep = face_report(g, vertex_cap=10)
+    assert rep.provenance == {"dim_full": MEASURED, "dim_corr": MEASURED}
     assert not rep.truncated
-    assert rep.dim_full == 15 - 5  # D - delta from the reduction formula
-    assert rep.dim_corr == 9 - 3
+    assert rep.num_vertices == 16
+    assert (rep.dim_full, rep.dim_corr) == (10, 6)
     assert rep.is_facet_full is False and rep.is_facet_corr is False
+    emb, corr = _lifted_embeddings(g)
+    assert len(emb) == 16
+    assert (rep.dim_full, rep.dim_corr) == (oracle_affine_dim(emb), oracle_affine_dim(corr))
 
 
 def test_face_report_thm2_fallback_advantage_reports_reduced_dims():
-    q = [[Q, Q, 0], [Q, Q, 0], [0, 0, 0]]
-    f = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
-    rep = face_report(build_game(q, f), vertex_cap=10)
+    # padded CHSH at the same cap: a facet, measured exactly
+    g = build_game([[Q, Q, 0], [Q, Q, 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]])
+    rep = face_report(g, vertex_cap=10)
+    assert rep.provenance["dim_full"] == MEASURED and not rep.truncated
+    assert rep.dim_full == 14 == rep.D - 1
+    assert rep.is_facet_full is True
+    emb, _ = _lifted_embeddings(g)
+    assert rep.dim_full == oracle_affine_dim(emb)
+
+
+def _lifted_embeddings(g):
+    """Embeddings (full, correlation) of every optimal vertex of ``g``, built from
+    the reduced ones by ``lift_strategy`` on every fill of the dropped signs."""
+    reduced, rmap = reduce_exhaustive(g)
+    d_a, d_b = g.m_a - reduced.m_a, g.m_b - reduced.m_b
+    fills = list(itertools.product((1, -1), repeat=d_a + d_b))
+    emb = [
+        embed_vertex(lift_strategy(v, rmap, fill[:d_a], fill[d_a:]))
+        for v in optimal_vertices(reduced).vertices
+        for fill in fills
+    ]
+    return emb, [e[g.m_a + g.m_b :] for e in emb]
+
+
+def _pad(core, rows, cols):
+    """``core`` with never-asked questions inserted at the given original indices."""
+    m_a, m_b = core.m_a + len(rows), core.m_b + len(cols)
+    kept_r = [x for x in range(m_a) if x not in rows]
+    kept_c = [y for y in range(m_b) if y not in cols]
+    q = [[Fraction(0)] * m_b for _ in range(m_a)]
+    f = [[0] * m_b for _ in range(m_a)]
+    for i, x in enumerate(kept_r):
+        for j, y in enumerate(kept_c):
+            q[x][y], f[x][y] = core.q[i][j], core.f[i][j]
+    return build_game(q, f)
+
+
+@st.composite
+def padded_games(draw):
+    """Cores up to 3 x 3 with small weights (zero allowed, so ties and
+    no-advantage games are common), padded with 0-3 never-asked questions a side."""
+    m_a, m_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    w = draw(st.lists(st.sampled_from([1, 2, 3, 0]), min_size=m_a * m_b, max_size=m_a * m_b))
+    if not any(w):
+        w[0] = 1
+    bits = draw(st.integers(0, (1 << m_a * m_b) - 1))
+    total = sum(w)
+    core = build_game(
+        [[Fraction(w[x * m_b + y], total) for y in range(m_b)] for x in range(m_a)],
+        [[bits >> (x * m_b + y) & 1 for y in range(m_b)] for x in range(m_a)],
+    )
+    d_a, d_b = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    rows = draw(st.sets(st.integers(0, m_a + d_a - 1), min_size=d_a, max_size=d_a))
+    cols = draw(st.sets(st.integers(0, m_b + d_b - 1), min_size=d_b, max_size=d_b))
+    return _pad(core, rows, cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=padded_games())
+def test_face_report_matches_the_lift_and_theorem2(g):
+    rep = face_report(g)
+    emb, corr = _lifted_embeddings(g)
     assert not rep.truncated
-    # advantage game: the codimension formula does not apply; the reduced
-    # measurement is an honest lower bound and the verdict is withheld
-    assert rep.provenance["dim_full"].startswith("lower bound")
-    assert rep.dim_full == 7
-    assert rep.is_facet_full is None
+    assert rep.num_vertices == len(emb)
+    assert rep.dim_full == oracle_affine_dim(emb)
+    assert rep.dim_corr == oracle_affine_dim(corr)
+    if rep.classification == "no_advantage":  # the paper's Theorem 2
+        assert rep.codim_full >= rep.bound_thm2_codim
+        assert rep.codim_corr >= rep.bound_thm2_codim_corr
+
+
+@pytest.mark.parametrize(
+    "core",
+    [make_named("chsh"), make_named("identity", 1), make_named("identity", 2),
+     make_named("appendix_d", 2), make_named("single_entry")]
+    + [random_game(np.random.default_rng(19 + k), max_a=3, max_b=3) for k in range(3)],
+    ids=["chsh", "identity1", "identity2", "appendix_d2", "single_entry", "r0", "r1", "r2"],
+)
+@pytest.mark.parametrize("rows,cols", [({0}, set()), (set(), {1, 2}), ({1}, {0, 2})])
+def test_face_report_does_not_depend_on_the_cap(core, rows, cols):
+    # a complete reduced vertex set gives the same report at any cap it fits
+    g = _pad(core, rows, cols)
+    full = face_report(g)
+    n_reduced = full.num_vertices >> len(rows) + len(cols)
+    assert not full.truncated
+    capped = face_report(g, vertex_cap=n_reduced)
+    assert face_report_to_dict(capped) == face_report_to_dict(full)
 
 
 def test_face_report_supporting_hyperplane_property():
@@ -275,25 +352,17 @@ def test_face_report_supporting_hyperplane_property():
 def test_face_report_non_exhaustive_matches_oracle_and_direct_path():
     # the double-loop oracle on a padded game enumerates every completion of
     # the never-asked signs by itself, so it independently validates the
-    # whole reduce -> enumerate -> lift -> embed pipeline; direct enumeration
-    # of the padded game is a third route and must agree exactly
+    # whole reduce -> enumerate -> padded-dimension pipeline; direct
+    # enumeration of the padded game is a third route and must agree exactly
     from tightbell import optimal_vertices as direct_vertices
-    from .oracles import oracle_bias, oracle_affine_dim
+    from .oracles import oracle_bias
 
     rng = np.random.default_rng(83)
     for _ in range(6):
         core = random_game(rng, max_a=3, max_b=3, min_a=2, min_b=2)
         row_at = int(rng.integers(0, core.m_a + 1))
         col_at = int(rng.integers(0, core.m_b + 1))
-        q = [list(map(str, r)) for r in core.q]
-        f = [list(r) for r in core.f]
-        for r in q:
-            r.insert(col_at, "0")
-        for r in f:
-            r.insert(col_at, 0)
-        q.insert(row_at, ["0"] * (core.m_b + 1))
-        f.insert(row_at, [0] * (core.m_b + 1))
-        padded = build_game(q, f)
+        padded = _pad(core, {row_at}, {col_at})
 
         _, pairs = oracle_bias(padded, collect_pairs=True)
         direct = {(v.alpha, v.beta) for v in direct_vertices(padded).vertices}
@@ -388,33 +457,6 @@ def test_face_report_appendix_d4_exact():
     assert rep.dim_full == 121
     assert rep.dim_corr == 105 == 1 + g0_dimension(4).formula_value
     assert rep.is_facet_full is False
-
-
-@pytest.mark.parametrize("cap", [1, 5, 8, 63, 64, 1000])
-def test_lifted_points_match_lift_strategy(cap):
-    # the array lift against the per-vertex reference: lift_strategy on every
-    # fill of the dropped signs, vertex-major, embedded one by one, cut at cap
-    import itertools
-
-    from tightbell.facegeom import _lifted_points
-    from tightbell.game import lift_strategy, reduce_exhaustive
-
-    q = [[Q, 0, Q, 0], [0, 0, 0, 0], [Q, 0, Q, 0]]
-    f = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]]
-    reduced, rmap = reduce_exhaustive(build_game(q, f))
-    vs = optimal_vertices(reduced)
-    fills = list(itertools.product((1, -1), repeat=3))  # one row and two columns dropped
-    ref = [
-        list(embed_vertex(lift_strategy(v, rmap, fill[:1], fill[1:])))
-        for v in vs.vertices
-        for fill in fills
-    ]
-    alphas = np.array([v.alpha for v in vs.vertices])
-    betas = np.array([v.beta for v in vs.vertices])
-    points, truncated = _lifted_points(alphas, betas, rmap, cap)
-    assert len(ref) == 64
-    assert points.tolist() == ref[:cap]
-    assert truncated == (len(ref) > cap)
 
 
 def test_face_report_enumerates_once(enumerations):

@@ -130,7 +130,7 @@ def test_diagonalization_is_exact_for_random_specs():
     rng = np.random.default_rng(61)
     for n in (1, 2, 3, 4):
         for _ in range(4):
-            hadamard_spectrum(random_nlc_spec(rng, n), verify=True)
+            hadamard_spectrum(random_nlc_spec(rng, n))
 
 
 def test_diagonalization_independent_check():
