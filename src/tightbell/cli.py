@@ -1,6 +1,6 @@
 """Command-line surface: reproducible analyses, machine-readable JSON reports.
 
-Exit codes: 0 success, 1 invalid input, 2 resource cap exceeded,
+Exit codes: 0 success, 1 invalid input or usage, 2 resource cap exceeded,
 3 certification or verification failure.  Reports are deterministic for fixed
 inputs and seed except for the ``timestamp`` field.  Exact rational values are
 serialized as strings ("1/2"), certified numeric values as JSON numbers; the
@@ -9,7 +9,9 @@ kinds without the declared tolerance.
 
 The solver flags are the fields of ``qsdp.SolveConfig``, which supplies their
 defaults and rejects out-of-range values (exit 1); the command line adds only
-the enumeration caps, which must be positive.
+the enumeration caps, which must be positive.  A command takes only the flags
+it reads: ``bias classical`` the pattern cap, ``bias quantum`` the solver
+flags, ``face`` both and the vertex cap.
 """
 
 from __future__ import annotations
@@ -52,9 +54,7 @@ def _emit(report: dict, output: str | None) -> None:
 
 
 def _solve_config(args) -> qsdp.SolveConfig:
-    """The run's validated solver settings, after checking the enumeration caps."""
-    if args.enum_cap <= 0 or args.vertex_cap <= 0:
-        raise InvalidParameter("caps must be positive")
+    """The run's validated solver settings."""
     tols = {name: getattr(args, name) for name in _TOLERANCES}
     return qsdp.SolveConfig(seed=args.seed, restarts=args.restarts, **tols)
 
@@ -71,11 +71,17 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                        default=getattr(qsdp.SolveConfig, name))
 
 
-def _add_caps(p: argparse.ArgumentParser) -> None:
+def _caps(args, *names: str) -> dict:
+    """The named enumeration caps of the run, each checked positive."""
+    caps = {name: getattr(args, name) for name in names}
+    if min(caps.values()) <= 0:
+        raise InvalidParameter("caps must be positive")
+    return caps
+
+
+def _add_enum_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--enum-cap", type=int, default=classical.DEFAULT_ENUM_CAP,
                    dest="enum_cap", help="max strategy patterns to enumerate")
-    p.add_argument("--vertex-cap", type=int, default=classical.DEFAULT_VERTEX_CAP,
-                   dest="vertex_cap", help="max optimal vertices to store")
 
 
 # the CLI's spellings that make_named does not take itself ("-" for "_" it does)
@@ -96,26 +102,30 @@ def cmd_make(args) -> int:
     return EXIT_OK
 
 
-def cmd_bias(args) -> int:
+def cmd_bias_classical(args) -> int:
+    caps = _caps(args, "enum_cap")
+    g = game.load_game(args.game)
+    res = classical.classical_bias(g, **caps)
+    report = {
+        "command": "bias classical",
+        "timestamp": _timestamp(),
+        "m_a": g.m_a,
+        "m_b": g.m_b,
+        "xi_c": str(res.xi_c),
+        "winning_probability": str((1 + res.xi_c) / 2),
+        "witness_alpha": list(res.witness.alpha),
+        "witness_beta": list(res.witness.beta),
+        "num_alpha_optimal": res.num_alpha_optimal,
+        "enumerated_side": "bob" if res.swapped else "alice",
+        "provenance": {"xi_c": "exact-rational"},
+    }
+    _emit(report, args.output)
+    return EXIT_OK
+
+
+def cmd_bias_quantum(args) -> int:
     cfg = _solve_config(args)
     g = game.load_game(args.game)
-    if args.kind == "classical":
-        res = classical.classical_bias(g, enum_cap=args.enum_cap)
-        report = {
-            "command": "bias classical",
-            "timestamp": _timestamp(),
-            "m_a": g.m_a,
-            "m_b": g.m_b,
-            "xi_c": str(res.xi_c),
-            "winning_probability": str((1 + res.xi_c) / 2),
-            "witness_alpha": list(res.witness.alpha),
-            "witness_beta": list(res.witness.beta),
-            "num_alpha_optimal": res.num_alpha_optimal,
-            "enumerated_side": "bob" if res.swapped else "alice",
-            "provenance": {"xi_c": "exact-rational"},
-        }
-        _emit(report, args.output)
-        return EXIT_OK
     res = qsdp.solve_quantum_bias(g, cfg)
     report = {
         "command": "bias quantum",
@@ -135,11 +145,10 @@ def cmd_bias(args) -> int:
 
 
 def cmd_face(args) -> int:
+    caps = _caps(args, "enum_cap", "vertex_cap")
     cfg = _solve_config(args)
     g = game.load_game(args.game)
-    report = facegeom.face_report(
-        g, enum_cap=args.enum_cap, vertex_cap=args.vertex_cap, solve_cfg=cfg
-    )
+    report = facegeom.face_report(g, **caps, solve_cfg=cfg)
     payload = facegeom.face_report_to_dict(report)
     payload["space"] = args.space
     if args.space == "correlation":
@@ -295,18 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_make)
 
     p = sub.add_parser("bias", help="classical (exact) or quantum (certified) bias")
-    p.add_argument("kind", choices=["classical", "quantum"])
+    bsub = p.add_subparsers(dest="kind", required=True)
+    p = bsub.add_parser("classical", help="exact classical bias by enumeration")
+    p.add_argument("game")
+    _add_enum_cap(p)
+    _add_common(p)
+    p.set_defaults(func=cmd_bias_classical)
+    p = bsub.add_parser("quantum", help="certified quantum bias")
     p.add_argument("game")
     _add_solver_flags(p)
-    _add_caps(p)
     _add_common(p)
-    p.set_defaults(func=cmd_bias)
+    p.set_defaults(func=cmd_bias_quantum)
 
     p = sub.add_parser("face", help="face dimensions, bounds, and facet verdicts")
     p.add_argument("game")
     p.add_argument("--space", choices=["full", "correlation"], default="full")
     _add_solver_flags(p)
-    _add_caps(p)
+    _add_enum_cap(p)
+    p.add_argument("--vertex-cap", type=int, default=classical.DEFAULT_VERTEX_CAP,
+                   dest="vertex_cap", help="max optimal vertices to store")
     _add_common(p)
     p.set_defaults(func=cmd_face)
 
@@ -337,7 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+        return EXIT_INVALID if exc.code else EXIT_OK
     try:
         return args.func(args)
     except (TooLarge, Truncated) as exc:

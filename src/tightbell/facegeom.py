@@ -3,13 +3,15 @@
 The optimal deterministic strategies of a game span a face of the polytope of
 local behaviours; its dimension decides whether the game's inequality is
 tight (a facet).  Facet verdicts are Boolean claims, so dimensions on the
-classical side are exact: vertices embed, all at once, as the rows
-``(alpha, beta, vec(alpha beta^T))`` of one +-1 matrix, and the affine
-dimension is the rank over the rationals of the differences to the first row.
-That rank is a certified modular rank: the rank of the Gram matrix modulo the
-prime 2^31 - 1 is a lower bound, and an integer certificate (the lifted
-echelon form, checked against the differences exactly) proves the matching
-upper bound.  Floating point is used only where every sum is an integer below
+classical side are exact.  Only the correlation rows ``vec(alpha beta^T)``
+and the sign rows ``[alpha | beta]`` of the vertices are ranked: flipping
+every answer keeps the bias, so the dimension in the full space of
+``(alpha, beta, vec(alpha beta^T))`` follows from those two.  An affine
+dimension is the rank over the rationals of the differences to the first
+row, a certified modular rank: the rank of the Gram matrix modulo the prime
+2^31 - 1 is a lower bound, and an integer certificate (the lifted echelon
+form, checked against the differences exactly) proves the matching upper
+bound.  Floating point is used only where every sum is an integer below
 2^53, which is checked first.  When a bound fails, the prime is unlucky or
 the certificate cannot be lifted, fraction-free (Bareiss) elimination on
 Python integers gives the rank instead.  No tolerance either way.
@@ -37,6 +39,7 @@ from . import classical, qsdp
 from .errors import (
     EmptyInput,
     InvalidDims,
+    InvalidParameter,
     NotApplicable,
     ShapeMismatch,
     TooLarge,
@@ -114,20 +117,13 @@ class FaceReport:
         return self.m_a * self.m_b + self.m_a + self.m_b
 
 
-def _embedded(alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """Rows ``[alpha | beta | row-major alpha beta^T]``, one per sign-row pair."""
-    tail = (alphas[:, :, None] * betas[:, None, :]).reshape(len(alphas), -1)
-    return np.hstack([alphas, betas, tail])
-
-
 def embed_vertex(v: DeterministicStrategy) -> tuple[int, ...]:
     """Integer coordinates (alpha, beta, row-major alpha beta^T) of a vertex.
 
     The length is D = m_a m_b + m_a + m_b; the correlation coordinates are
     the tail ``coords[m_a + m_b:]``.
     """
-    row = _embedded(np.array([v.alpha]), np.array([v.beta]))[0]
-    return tuple(int(x) for x in row)
+    return (*v.alpha, *v.beta, *(a * b for a in v.alpha for b in v.beta))
 
 
 def _bareiss_rank(rows: list[list[int]]) -> int:
@@ -277,7 +273,8 @@ def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
     input and under the choice of base point.  ``points`` may be a 2-D
     integer array.  The certified modular rank answers whenever its bounds
     and certificate hold; Bareiss elimination on Python integers answers
-    otherwise, so the result is exact either way.
+    otherwise, so the result is exact either way.  An entry that is not an
+    integer (a float, even ``2.0``, or a Fraction) raises InvalidParameter.
     """
     if len(points) == 0:
         raise EmptyInput("affine dimension of an empty point set is undefined")
@@ -293,6 +290,8 @@ def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
         rows = M.tolist()
     else:
         pts = points.tolist() if isinstance(points, np.ndarray) else points
+        if not all(hasattr(type(x), "__index__") for p in pts for x in p):
+            raise InvalidParameter("points must have integer entries")
         rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
     return _bareiss_rank(rows)
 
@@ -345,45 +344,40 @@ def trivial_facet_check(m_a: int, m_b: int, x0: int, y0: int, sign: int) -> Triv
     return TrivialFacetReport(dim=dim, is_facet=dim == m_a * m_b - 1)
 
 
-def _padded_dimensions(
-    alphas: np.ndarray, betas: np.ndarray, d_a: int, d_b: int
-) -> tuple[int, int]:
+def _face_dimensions(signs: np.ndarray, m_a: int, d_a: int, d_b: int) -> tuple[int, int]:
     """Exact (dim_full, dim_corr) of the face lifted over never-asked questions.
 
     The optimal vertices of a game with ``d_a`` never-asked rows and ``d_b``
     never-asked columns are ``V x {+-1}^d_a x {+-1}^d_b``: reduced vertices
-    ``(a, b)``, the rows of ``alphas``/``betas``, with free signs ``s`` and
-    ``t`` on the dropped questions.  Every lifted coordinate is a function of
-    the vertex times one character of the sign cube, 1, ``s_i``, ``t_j`` or
-    ``s_i t_j``, and distinct characters are orthogonal over the cube, so
-    the span of the lifted points (with the constant) splits into one block
-    per character:
+    ``(a, b)``, the rows ``[a | b]`` of ``signs``, with free signs ``s`` and
+    ``t`` on the dropped questions.  Every lifted correlator is a reduced
+    function times one character of the sign cube, 1, ``s_i``, ``t_j`` or
+    ``s_i t_j``; distinct characters are orthogonal over the cube, so with
+    ``aff`` the affine dimension of the rows and ``rank`` their linear rank:
 
-    - 1 holds the reduced coordinates ``(a, b, a b^T)``;
-    - each ``s_i`` holds ``s_i`` and ``s_i b_y``, of rank ``rank[1 | b]``
-      = 1 + aff{b} in the full space and ``rank{b}`` in the correlation space;
-    - each ``t_j`` is the same with ``a``;
-    - each ``s_i t_j`` holds only ``s_i t_j`` itself, rank 1.
-
-    Hence, with ``aff`` the affine dimension of the rows and ``rank`` their
-    linear rank (the affine dimension with the origin added):
-
-        dim_full = aff{(a, b, a b^T)} + d_a (1 + aff{b}) + d_b (1 + aff{a}) + d_a d_b
         dim_corr = aff{a b^T} + d_a rank{b} + d_b rank{a} + d_a d_b
 
-    Every term can only grow with the vertex set, so on a truncated set the
-    result is a lower bound on the true dimensions.
+    Flipping every answer keeps the bias, so a complete V is closed under
+    ``v -> -v``.  With ``p_v = (a, b, a b^T)``, each ``p_v - p_-v = (2a, 2b, 0)``
+    lies in the span S of the differences, so every ``p_v - p_w`` splits into
+    ``(a_v - a_w, b_v - b_w, 0)`` and ``(0, 0, c_v - c_w)``, both in S.  The
+    parts sit in disjoint coordinate blocks, so aff{p} = rank[a | b] +
+    aff{a b^T}, affine dimension equalling linear rank on a flip-closed set;
+    each free sign adds one more direction:
+
+        dim_full = dim_corr + rank[a | b] + d_a + d_b
+
+    Every term can only grow with V, so on a truncated set both are lower
+    bounds on the true dimensions.
     """
-    m = alphas.shape[1] + betas.shape[1]
-    points = _embedded(alphas, betas)
-    dim_full = affine_dimension_exact(points) + d_a * d_b
-    dim_corr = affine_dimension_exact(points[:, m:]) + d_a * d_b
-    for d, rows in ((d_a, betas), (d_b, alphas)):
-        if d:
-            with_origin = np.vstack([np.zeros_like(rows[:1]), rows])
-            dim_full += d * (1 + affine_dimension_exact(rows))
-            dim_corr += d * affine_dimension_exact(with_origin)
-    return dim_full, dim_corr
+    corr = (signs[:, :m_a, None] * signs[:, None, m_a:]).reshape(len(signs), -1)
+    dim_corr = affine_dimension_exact(corr) + d_a * d_b
+    signs = np.vstack([np.zeros_like(signs[:1]), signs])  # with the origin, aff = rank
+    if d_a:
+        dim_corr += d_a * affine_dimension_exact(signs[:, m_a:])
+    if d_b:
+        dim_corr += d_b * affine_dimension_exact(signs[:, :m_a])
+    return dim_corr + affine_dimension_exact(signs) + d_a + d_b, dim_corr
 
 
 def face_report(
@@ -397,7 +391,7 @@ def face_report(
 
     Dimensions refer to the original index set.  Never-asked questions are
     dropped before enumeration, and the dimensions of the original face follow
-    exactly from the reduced vertices (:func:`_padded_dimensions`), so
+    exactly from the reduced vertices (:func:`_face_dimensions`), so
     ``vertex_cap`` bounds only the reduced enumeration.  A truncated reduced
     vertex set downgrades dimensions to lower bounds and suppresses facet
     verdicts.
@@ -412,9 +406,8 @@ def face_report(
     d_b = M_b - reduced.m_b
     thm2 = theorem2_codim_bound(M_a, M_b, reduced.m_a, reduced.m_b)
 
-    alphas = np.array([v.alpha for v in vs.vertices], dtype=np.int8).reshape(-1, reduced.m_a)
-    betas = np.array([v.beta for v in vs.vertices], dtype=np.int8).reshape(-1, reduced.m_b)
-    dim_full, dim_corr = _padded_dimensions(alphas, betas, d_a, d_b)
+    signs = np.array([v.alpha + v.beta for v in vs.vertices], dtype=np.int8)
+    dim_full, dim_corr = _face_dimensions(signs, reduced.m_a, d_a, d_b)
     truncated = vs.truncated
     label = LOWER_BOUND if truncated else MEASURED
 

@@ -168,6 +168,18 @@ def test_bias_cap_exceeded(capsys, chsh_file):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "kind,flag",
+    [("quantum", ["--enum-cap", "1"]), ("classical", ["--seed", "3"]),
+     ("classical", ["--vertex-cap", "5"])],
+    ids=["quantum-enum-cap", "classical-seed", "classical-vertex-cap"],
+)
+def test_bias_refuses_flags_its_kind_does_not_read(capsys, chsh_file, kind, flag):
+    code, out, err = run(capsys, "bias", kind, chsh_file, *flag)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
 def test_bias_quantum_uncertified_exit(capsys, tmp_path):
     path = tmp_path / "ad2.json"
     save_game(make_named("appendix_d", 2), path)
@@ -376,6 +388,23 @@ def test_nlc_corollary_sweep(capsys):
         "codim_bound_full": 14,
         "codim_bound_corr": 10,
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["face"], ["bias", "quantum", "GAME", "--seed", "abc"],
+     ["nlc", "g0", "--n", "2", "--n-max", "x"], ["frobnicate"]],
+    ids=lambda v: " ".join(v),
+)
+def test_usage_errors_exit_invalid(capsys, chsh_file, argv):
+    code, out, err = run(capsys, *(chsh_file if a == "GAME" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert "error:" in err
+
+
+def test_help_exits_ok(capsys):
+    code, out, _ = run(capsys, "bias", "quantum", "--help")
+    assert code == 0 and "--gap-tol" in out and "--enum-cap" not in out
 
 
 def test_output_file_flag(tmp_path, capsys, chsh_file):

@@ -21,8 +21,15 @@ from tightbell import (
     theorem2_codim_bound,
     trivial_facet_check,
 )
-from tightbell.errors import EmptyInput, InvalidDims, NotApplicable, ShapeMismatch, TooLarge
-from tightbell.facegeom import MEASURED
+from tightbell.errors import (
+    EmptyInput,
+    InvalidDims,
+    InvalidParameter,
+    NotApplicable,
+    ShapeMismatch,
+    TooLarge,
+)
+from tightbell.facegeom import LOWER_BOUND, MEASURED
 from tightbell.game import DeterministicStrategy, build_game, lift_strategy, reduce_exhaustive
 from tightbell.qsdp import SolveConfig
 
@@ -123,6 +130,26 @@ def test_affine_dim_certificate_without_fallback(bareiss_calls):
     pts = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
     assert affine_dimension_exact(pts) == oracle_affine_dim(pts.tolist()) == 2
     assert bareiss_calls == []
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        [[0.5, 0], [0, 0.5], [0, 0]],
+        [[2.0, 0], [0, 1], [0, 0]],  # integral, but a float
+        [[Fraction(1, 2), 0], [0, Fraction(1, 3)], [0, 0]],
+        np.array([[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]),
+    ],
+    ids=["floats", "integral-float", "fractions", "float-array"],
+)
+def test_affine_dim_rejects_non_integers(pts):
+    with pytest.raises(InvalidParameter):
+        affine_dimension_exact(pts)
+
+
+def test_affine_dim_takes_integer_objects_beyond_int64():
+    pts = [(2**70, 0, 1), (0, 2**65 + 1, 1), (0, 0, 1), (2**70, 2**65 + 1, 1)]
+    assert affine_dimension_exact(np.array(pts, dtype=object)) == oracle_affine_dim(pts) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +356,46 @@ def test_face_report_does_not_depend_on_the_cap(core, rows, cols):
     assert not full.truncated
     capped = face_report(g, vertex_cap=n_reduced)
     assert face_report_to_dict(capped) == face_report_to_dict(full)
+
+
+_TRUNCATION_GAMES = (
+    [make_named("chsh"), make_named("identity", 1), make_named("identity", 2),
+     make_named("appendix_d", 2), make_named("nlc_and", 2), make_named("single_entry")]
+    + [random_game(np.random.default_rng(61 + k), max_a=4, max_b=4) for k in range(4)]
+    + [random_game(np.random.default_rng(71 + k), max_a=4, max_b=4, max_weight=2)
+       for k in range(6)]
+)
+
+
+@pytest.mark.parametrize("core", _TRUNCATION_GAMES)
+@pytest.mark.parametrize("rows,cols", [(set(), set()), ({0}, {1})])
+def test_truncated_dimensions_are_lower_bounds(core, rows, cols):
+    # a complete vertex set is closed under flipping every answer, which the
+    # full-space dimension formula relies on; a truncated one bounds it below
+    vertices = {(v.alpha, v.beta) for v in optimal_vertices(core).vertices}
+    assert {(tuple(-a for a in al), tuple(-b for b in be)) for al, be in vertices} == vertices
+    g = _pad(core, rows, cols)
+    full = face_report(g)
+    assert not full.truncated
+    for cap in range(1, 6):
+        capped = face_report(g, vertex_cap=cap)
+        if not capped.truncated:
+            continue
+        assert capped.dim_full <= full.dim_full and capped.dim_corr <= full.dim_corr
+        assert capped.provenance == {"dim_full": LOWER_BOUND, "dim_corr": LOWER_BOUND}
+        assert capped.is_facet_full is None and capped.is_facet_corr is None
+
+
+def test_truncated_full_dimension_uses_linear_sign_ranks():
+    # padded CHSH, one never-asked row and column, 3 of 8 reduced vertices:
+    # the sign-row ranks with the origin give (12, 7); affine ranks would
+    # give (10, 5) and the complete face is (14, 8)
+    g = _pad(make_named("chsh"), {2}, {2})
+    capped = face_report(g, vertex_cap=3)
+    assert capped.truncated
+    assert (capped.dim_full, capped.dim_corr) == (12, 7)
+    full = face_report(g)
+    assert (full.dim_full, full.dim_corr) == (14, 8)
 
 
 def test_face_report_supporting_hyperplane_property():
