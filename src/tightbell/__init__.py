@@ -32,7 +32,6 @@ from .game import (
     Behaviour,
     DeterministicStrategy,
     GameMatrix,
-    ReductionMap,
     XorGame,
     behaviour_of_strategy,
     bias_of_behaviour,

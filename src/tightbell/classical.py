@@ -31,7 +31,7 @@ from math import lcm
 
 import numpy as np
 
-from .errors import ShapeMismatch, TooLarge, Truncated
+from .errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
 from .game import DeterministicStrategy, XorGame, game_matrix, transpose_game
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
@@ -121,6 +121,8 @@ def _orient(g: XorGame) -> tuple[XorGame, bool]:
 
 def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     """The one pass over all sign patterns, keeping the first ``keep`` optima."""
+    if enum_cap < 1:
+        raise InvalidParameter(f"enum_cap must be positive, got {enum_cap}")
     gg, swapped = _orient(g)
     m, mb = gg.m_a, gg.m_b
     if 1 << m > enum_cap:
@@ -164,6 +166,7 @@ def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBia
 
     The witness takes ``beta_y = sign((Phi^T alpha)_y)`` with ties broken
     to +1 and the lexicographically first optimal alpha (all-ones first).
+    An ``enum_cap`` below 1 raises InvalidParameter.
     """
     opt = _enumerate(g, enum_cap, keep=1)
     beta = [1 if v >= 0 else -1 for v in opt.rows[0]]

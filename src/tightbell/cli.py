@@ -9,9 +9,9 @@ kinds without the declared tolerance.
 
 The solver flags are the fields of ``qsdp.SolveConfig``, which supplies their
 defaults and rejects out-of-range values (exit 1); the command line adds only
-the enumeration caps, which must be positive.  A command takes only the flags
-it reads: ``bias classical`` the pattern cap, ``bias quantum`` the solver
-flags, ``face`` both and the vertex cap.
+the enumeration caps, which the library refuses below 1 (exit 1).  A command
+takes only the flags it reads: ``bias classical`` the pattern cap, ``bias
+quantum`` the solver flags, ``face`` both and the vertex cap.
 """
 
 from __future__ import annotations
@@ -71,14 +71,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                        default=getattr(qsdp.SolveConfig, name))
 
 
-def _caps(args, *names: str) -> dict:
-    """The named enumeration caps of the run, each checked positive."""
-    caps = {name: getattr(args, name) for name in names}
-    if min(caps.values()) <= 0:
-        raise InvalidParameter("caps must be positive")
-    return caps
-
-
 def _add_enum_cap(p: argparse.ArgumentParser) -> None:
     p.add_argument("--enum-cap", type=int, default=classical.DEFAULT_ENUM_CAP,
                    dest="enum_cap", help="max strategy patterns to enumerate")
@@ -103,9 +95,8 @@ def cmd_make(args) -> int:
 
 
 def cmd_bias_classical(args) -> int:
-    caps = _caps(args, "enum_cap")
     g = game.load_game(args.game)
-    res = classical.classical_bias(g, **caps)
+    res = classical.classical_bias(g, enum_cap=args.enum_cap)
     report = {
         "command": "bias classical",
         "timestamp": _timestamp(),
@@ -145,10 +136,11 @@ def cmd_bias_quantum(args) -> int:
 
 
 def cmd_face(args) -> int:
-    caps = _caps(args, "enum_cap", "vertex_cap")
     cfg = _solve_config(args)
     g = game.load_game(args.game)
-    report = facegeom.face_report(g, **caps, solve_cfg=cfg)
+    report = facegeom.face_report(
+        g, enum_cap=args.enum_cap, vertex_cap=args.vertex_cap, solve_cfg=cfg
+    )
     payload = facegeom.face_report_to_dict(report)
     payload["space"] = args.space
     if args.space == "correlation":

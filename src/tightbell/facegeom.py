@@ -55,6 +55,8 @@ _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted r
 _FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
 _DIFF_LIMIT = 1 << 62  # int64 entries below this have int64 differences
 _BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificate
+_PROBE_SAMPLES = 24  # certified re-solves per quantum face probe
+_PROBE_RANK_TOL = 1e-6  # singular values above this count as face directions
 # 2^27 strategy-coordinate entries: 10 x 11 (115 M) peaks at 558 MiB in 2.4 s
 _TRIVIAL_FACET_BITS = 27
 
@@ -394,16 +396,17 @@ def face_report(
     exactly from the reduced vertices (:func:`_face_dimensions`), so
     ``vertex_cap`` bounds only the reduced enumeration.  A truncated reduced
     vertex set downgrades dimensions to lower bounds and suppresses facet
-    verdicts.
+    verdicts.  A ``vertex_cap`` below 1 raises InvalidParameter.
     """
-    reduced, rmap = reduce_exhaustive(g)
+    if vertex_cap < 1:
+        raise InvalidParameter(f"vertex_cap must be positive, got {vertex_cap}")
+    reduced = reduce_exhaustive(g)
     vs = classical.optimal_vertices(reduced, cap=vertex_cap, enum_cap=enum_cap)
     qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=vs.xi_c)
 
-    M_a, M_b = rmap.original_dims
+    M_a, M_b = g.m_a, g.m_b
     D = M_a * M_b + M_a + M_b
-    d_a = M_a - reduced.m_a
-    d_b = M_b - reduced.m_b
+    d_a, d_b = M_a - reduced.m_a, M_b - reduced.m_b
     thm2 = theorem2_codim_bound(M_a, M_b, reduced.m_a, reduced.m_b)
 
     signs = np.array([v.alpha + v.beta for v in vs.vertices], dtype=np.int8)
@@ -435,22 +438,16 @@ def face_report(
     )
 
 
-def quantum_face_probe(
-    g: XorGame,
-    *,
-    samples: int = 24,
-    perturb_scale: float = 0.05,
-    rank_tol: float = 1e-6,
-    solve_cfg: qsdp.SolveConfig | None = None,
-) -> ProbeReport:
+def quantum_face_probe(g: XorGame, *, solve_cfg: qsdp.SolveConfig | None = None) -> ProbeReport:
     """Lower-bound the dimension of the optimal quantum correlator face.
 
-    Collects correlator blocks from many certified optima (fresh restarts
-    alternating with tangent perturbations of the base optimum re-optimized to
-    the same certified value) and counts singular values of the differences
-    above ``rank_tol``.  Only a LOWER bound: sampling cannot certify that more
-    directions do not exist.  The reported comparison bound is
-    ``m (m - 1) / 2`` with m the smaller input count.
+    Solves the game once at ``solve_cfg`` for the base optimum, then 24 more
+    times: sample ``k`` is a fresh two-restart solve at seed ``seed + 1 + k``
+    (mod 2^64).  The correlator blocks of the samples certified at the base
+    value are differenced against the base, and the singular values of the
+    differences above 1e-6 are counted.  Only a LOWER bound: sampling cannot
+    certify that more directions do not exist.  The reported comparison bound
+    is ``m (m - 1) / 2`` with m the smaller input count.
     """
     cfg = solve_cfg or qsdp.SolveConfig()
     base = qsdp.solve_quantum_bias(g, cfg)
@@ -462,24 +459,14 @@ def quantum_face_probe(
     thm3 = m * (m - 1) // 2
     C_base = base.gram.C
     diffs = []
-    used = 0
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 0xFACE)))
-    one_shot = replace(cfg, restarts=1)
-    for k in range(samples):
-        if k % 2 == 0:
-            sample_cfg = replace(cfg, seed=(cfg.seed + 1 + k) % 2**64, restarts=2)
-            res = qsdp.solve_quantum_bias(g, sample_cfg, xi_c=base.xi_c)
-        else:
-            U0 = base.gram.vectors + perturb_scale * rng.normal(
-                size=base.gram.vectors.shape
-            )
-            res = qsdp.solve_quantum_bias(g, one_shot, xi_c=base.xi_c, initial=U0)
+    for k in range(_PROBE_SAMPLES):
+        sample_cfg = replace(cfg, seed=(cfg.seed + 1 + k) % 2**64, restarts=2)
+        res = qsdp.solve_quantum_bias(g, sample_cfg, xi_c=base.xi_c)
         if res.certified and abs(res.xi_q - base.xi_q) <= cfg.gap_tol:
             diffs.append((res.gram.C - C_base).ravel())
-            used += 1
     if diffs:
         sv = np.linalg.svd(np.vstack(diffs), compute_uv=False)
-        dim_lb = int(np.count_nonzero(sv > rank_tol))
+        dim_lb = int(np.count_nonzero(sv > _PROBE_RANK_TOL))
     else:
         dim_lb = 0
     if dim_lb > thm3:
@@ -489,7 +476,7 @@ def quantum_face_probe(
     return ProbeReport(
         dim_lower_bound=dim_lb,
         thm3_bound=thm3,
-        samples_used=used,
+        samples_used=len(diffs),
         base_xi_q=base.xi_q,
     )
 

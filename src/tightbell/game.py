@@ -38,6 +38,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 BitMatrix = tuple[tuple[int, ...], ...]
 
 NAMED_GAMES = ("chsh", "identity", "nlc_and", "appendix_d", "single_entry")
+_SIGNS = frozenset((-1, 1))
 
 
 def as_rational(value) -> Fraction:
@@ -114,10 +115,12 @@ class DeterministicStrategy:
     beta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(a not in (-1, 1) for a in self.alpha) or any(
-            b not in (-1, 1) for b in self.beta
+        # integers only, as in as_int: 1.0 or True would make biases inexact
+        entries = (*self.alpha, *self.beta)
+        if not _SIGNS.issuperset(entries) or any(
+            t is bool or not hasattr(t, "__index__") for t in set(map(type, entries))
         ):
-            raise ShapeMismatch("strategy entries must be exactly +1 or -1")
+            raise ShapeMismatch("strategy entries must be the integers +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -132,19 +135,6 @@ class Behaviour:
     alpha: tuple
     beta: tuple
     c: tuple
-
-
-@dataclass(frozen=True)
-class ReductionMap:
-    """Bookkeeping for dropping never-asked questions.
-
-    ``kept_rows``/``kept_cols`` are the original indices with positive marginal
-    prior, in increasing order; ``original_dims`` is the unreduced shape.
-    """
-
-    kept_rows: tuple[int, ...]
-    kept_cols: tuple[int, ...]
-    original_dims: tuple[int, int]
 
 
 def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
@@ -184,55 +174,23 @@ def transpose_game(g: XorGame) -> XorGame:
     return XorGame(m_a=g.m_b, m_b=g.m_a, q=q, f=f)
 
 
-def reduce_exhaustive(g: XorGame) -> tuple[XorGame, ReductionMap]:
+def reduce_exhaustive(g: XorGame) -> XorGame:
     """Drop questions that are never asked (zero marginal prior).
 
-    The reduced game has no all-zero prior row or column.  Any strategy for
-    the reduced game lifts to the original by choosing the dropped signs
-    freely, with identical bias.
+    Returns the game itself when every question is asked.  The reduced game
+    has no all-zero prior row or column and keeps the order of the remaining
+    questions; any strategy for it extends to ``g`` by choosing the dropped
+    signs freely, with identical bias.
     """
     row_pos = [x for x in range(g.m_a) if any(v > 0 for v in g.q[x])]
     col_pos = [y for y in range(g.m_b) if any(g.q[x][y] > 0 for x in range(g.m_a))]
     if not row_pos or not col_pos:
         raise EmptyGame("all prior entries are zero")
-    rmap = ReductionMap(
-        kept_rows=tuple(row_pos),
-        kept_cols=tuple(col_pos),
-        original_dims=(g.m_a, g.m_b),
-    )
     if len(row_pos) == g.m_a and len(col_pos) == g.m_b:
-        return g, rmap
+        return g
     q = tuple(tuple(g.q[x][y] for y in col_pos) for x in row_pos)
     f = tuple(tuple(g.f[x][y] for y in col_pos) for x in row_pos)
-    return XorGame(m_a=len(row_pos), m_b=len(col_pos), q=q, f=f), rmap
-
-
-def lift_strategy(
-    s: DeterministicStrategy,
-    rmap: ReductionMap,
-    alpha_fill: Sequence[int] = (),
-    beta_fill: Sequence[int] = (),
-) -> DeterministicStrategy:
-    """Re-insert dropped coordinates, taking their signs from the fill vectors."""
-    M_a, M_b = rmap.original_dims
-
-    def rebuild(kept: tuple[int, ...], vals: tuple[int, ...], fill, size: int):
-        dropped = [i for i in range(size) if i not in set(kept)]
-        if len(fill) != len(dropped):
-            raise ShapeMismatch(
-                f"fill has {len(fill)} entries, need {len(dropped)}"
-            )
-        out = [0] * size
-        for idx, v in zip(kept, vals):
-            out[idx] = v
-        for idx, v in zip(dropped, fill):
-            out[idx] = v
-        return tuple(out)
-
-    return DeterministicStrategy(
-        alpha=rebuild(rmap.kept_rows, s.alpha, tuple(alpha_fill), M_a),
-        beta=rebuild(rmap.kept_cols, s.beta, tuple(beta_fill), M_b),
-    )
+    return XorGame(m_a=len(row_pos), m_b=len(col_pos), q=q, f=f)
 
 
 def bias_of_behaviour(g: XorGame, b: Behaviour):

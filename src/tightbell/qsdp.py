@@ -269,14 +269,13 @@ def solve_quantum_bias(
     g: XorGame,
     cfg: SolveConfig | None = None,
     xi_c: Fraction | None = None,
-    initial: np.ndarray | None = None,
 ) -> QuantumBiasResult:
     """Solve the unit-diagonal SDP and certify the value with its dual.
 
     ``xi_c`` is used only for the advantage classification; when omitted it is
-    computed by exact enumeration if feasible.  ``initial`` (a row matrix of
-    unit vectors) replaces the random initialization of the first restart,
-    which the face probe uses to re-optimize perturbed optima.
+    computed by exact enumeration if feasible.  Restart ``k`` starts from
+    random unit rows drawn from ``SeedSequence((cfg.seed, k))``, so a
+    (game, seed) pair fixes every starting point.
 
     Each restart yields one result; the first certified one is returned.  If
     none certifies, the one with the smallest gap (the earliest on a tie) is
@@ -304,17 +303,9 @@ def solve_quantum_bias(
 
     best = None  # smallest-gap uncertified restart so far
     for restart in range(cfg.restarts):
-        if initial is not None and restart == 0:
-            if initial.shape != (m, m):
-                raise ShapeMismatch(f"initial must be {(m, m)}, got {initial.shape}")
-            U = np.array(initial, dtype=float)
-            norms = np.linalg.norm(U, axis=1, keepdims=True)
-            norms[norms == 0.0] = 1.0
-            U = U / norms
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
-            U = rng.normal(size=(m, m))
-            U /= np.linalg.norm(U, axis=1, keepdims=True)
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, restart)))
+        U = rng.normal(size=(m, m))
+        U /= np.linalg.norm(U, axis=1, keepdims=True)
         U, sweeps, converged = _coordinate_ascent(pt, blocks, U, cfg)
         t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(pt, U)
         certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol

@@ -13,7 +13,7 @@ from tightbell import (
     verify_F_relation,
 )
 from tightbell.classical import DEFAULT_VERTEX_CAP, OptimalVertexSet
-from tightbell.errors import TooLarge, Truncated
+from tightbell.errors import InvalidParameter, TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, build_game
 
 from .generators import random_game, random_strategy
@@ -87,6 +87,15 @@ def test_too_large():
     g = make_named("identity", 3)
     with pytest.raises(TooLarge):
         classical_bias(g, enum_cap=4)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_enum_cap_below_one_is_invalid(cap):
+    # a cap below 1 is a bad argument, not a cap the game exceeds
+    with pytest.raises(InvalidParameter):
+        classical_bias(make_named("chsh"), enum_cap=cap)
+    with pytest.raises(InvalidParameter):
+        optimal_vertices(make_named("chsh"), enum_cap=cap)
 
 
 # ---------------------------------------------------------------------------

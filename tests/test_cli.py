@@ -246,6 +246,19 @@ def test_face_truncated_exit(capsys, tmp_path):
     assert payload["is_facet_full"] is None
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["face", "GAME", "--enum-cap", "0"], ["face", "GAME", "--vertex-cap", "0"]],
+    ids=lambda v: " ".join(v),
+)
+def test_face_caps_below_one_exit_invalid(capsys, chsh_file, argv):
+    # a cap below 1 is invalid input (exit 1), not an exceeded cap (exit 2);
+    # bias classical is covered by test_run_config_validation
+    code, out, err = run(capsys, *(chsh_file if a == "GAME" else a for a in argv))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # trivial-facet and nlc subcommands
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Exact face dimensions, bounds, verdicts, and the quantum face probe."""
 
-import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -30,11 +29,11 @@ from tightbell.errors import (
     TooLarge,
 )
 from tightbell.facegeom import LOWER_BOUND, MEASURED
-from tightbell.game import DeterministicStrategy, build_game, lift_strategy, reduce_exhaustive
+from tightbell.game import DeterministicStrategy, build_game
 from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
-from .oracles import oracle_affine_dim
+from .oracles import oracle_affine_dim, oracle_bias
 
 Q = Fraction(1, 4)
 
@@ -280,17 +279,12 @@ def test_face_report_thm2_fallback_advantage_reports_reduced_dims():
 
 
 def _lifted_embeddings(g):
-    """Embeddings (full, correlation) of every optimal vertex of ``g``, built from
-    the reduced ones by ``lift_strategy`` on every fill of the dropped signs."""
-    reduced, rmap = reduce_exhaustive(g)
-    d_a, d_b = g.m_a - reduced.m_a, g.m_b - reduced.m_b
-    fills = list(itertools.product((1, -1), repeat=d_a + d_b))
-    emb = [
-        embed_vertex(lift_strategy(v, rmap, fill[:d_a], fill[d_a:]))
-        for v in optimal_vertices(reduced).vertices
-        for fill in fills
-    ]
-    return emb, [e[g.m_a + g.m_b :] for e in emb]
+    """Embeddings (full, correlation) of every optimal vertex of ``g``, from the
+    double-loop oracle on the unreduced game: it shares no code with the
+    reduction, and enumerates every sign of the never-asked questions itself."""
+    _, pairs = oracle_bias(g, collect_pairs=True)
+    corr = [tuple(x * y for x in a for y in b) for a, b in pairs]
+    return [a + b + c for (a, b), c in zip(pairs, corr)], corr
 
 
 def _pad(core, rows, cols):
@@ -398,6 +392,17 @@ def test_truncated_full_dimension_uses_linear_sign_ranks():
     assert (full.dim_full, full.dim_corr) == (14, 8)
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_face_report_refuses_caps_below_one(cap, enumerations):
+    # the vertex cap is refused before the enumeration starts, not with an
+    # IndexError once it has stored no vertex
+    with pytest.raises(InvalidParameter):
+        face_report(make_named("chsh"), vertex_cap=cap)
+    assert enumerations == []
+    with pytest.raises(InvalidParameter):
+        face_report(make_named("chsh"), enum_cap=cap)
+
+
 def test_face_report_supporting_hyperplane_property():
     rng = np.random.default_rng(53)
     for _ in range(8):
@@ -422,7 +427,6 @@ def test_face_report_non_exhaustive_matches_oracle_and_direct_path():
     # whole reduce -> enumerate -> padded-dimension pipeline; direct
     # enumeration of the padded game is a third route and must agree exactly
     from tightbell import optimal_vertices as direct_vertices
-    from .oracles import oracle_bias
 
     rng = np.random.default_rng(83)
     for _ in range(6):
@@ -473,6 +477,17 @@ def test_probe_single_entry_is_rigid():
     # the sample seeds past the base seed wrap around 2^64
     rep = quantum_face_probe(make_named("single_entry"), solve_cfg=SolveConfig(seed=2**64 - 1))
     assert rep.dim_lower_bound == 0 and rep.samples_used > 0
+
+
+@pytest.mark.parametrize(
+    "name,n,dim",
+    [("identity", 2, 6), ("identity", 3, 24), ("appendix_d", 3, 21), ("nlc_and", 3, 0)],
+)
+def test_probe_pinned_values(name, n, dim):
+    # identity(3) is capped by its 24 samples, below the bound 28
+    rep = quantum_face_probe(make_named(name, n))
+    assert (rep.dim_lower_bound, rep.samples_used) == (dim, 24)
+    assert rep.dim_lower_bound <= rep.thm3_bound
 
 
 def test_probe_not_applicable_for_advantage_games():

@@ -33,7 +33,6 @@ from tightbell.game import (
     DeterministicStrategy,
     game_from_dict,
     game_to_dict,
-    lift_strategy,
     load_game,
     save_game,
 )
@@ -111,24 +110,29 @@ def test_abs_phi_sums_to_one_on_random_games():
 
 
 # ---------------------------------------------------------------------------
-# reduce_exhaustive / lifting
+# reduce_exhaustive
 # ---------------------------------------------------------------------------
 
 
 def test_reduce_identity_on_exhaustive():
     g = chsh()
-    red, rmap = reduce_exhaustive(g)
-    assert red == g
-    assert rmap.kept_rows == (0, 1) and rmap.kept_cols == (0, 1)
-    assert rmap.original_dims == (2, 2)
+    assert reduce_exhaustive(g) is g
 
 
 def test_reduce_drops_zero_row():
     g = build_game([[H, 0], [H, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]])
-    red, rmap = reduce_exhaustive(g)
+    red = reduce_exhaustive(g)
     assert (red.m_a, red.m_b) == (2, 1)
-    assert rmap.kept_rows == (0, 1)
-    assert rmap.kept_cols == (0,)
+    assert red.q == ((H,), (H,))
+    assert red.f == ((0,), (1,))
+    # never-asked questions first and in between; the rest keep their order
+    g = build_game(
+        [[0, 0, 0], [Q, 0, Q], [0, 0, 0], [Q, 0, Q]],
+        [[1, 1, 1], [0, 1, 1], [1, 0, 1], [1, 0, 0]],
+    )
+    red = reduce_exhaustive(g)
+    assert red.q == ((Q, Q), (Q, Q))
+    assert red.f == ((0, 1), (1, 0))
 
 
 def test_reduce_rejects_all_zero():
@@ -140,20 +144,19 @@ def test_reduce_rejects_all_zero():
 
 
 def test_padded_chsh_roundtrip_and_bias_lift():
+    # a strategy of the padded game has the bias of its restriction to the
+    # asked questions, whatever it answers to the never-asked ones
     base = chsh()
     q = [[Q, Q, 0], [Q, Q, 0], [0, 0, 0]]
     f = [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
     padded = build_game(q, f)
-    red, rmap = reduce_exhaustive(padded)
+    red = reduce_exhaustive(padded)
     assert red == base
-    assert rmap.original_dims == (3, 3)
     rng = np.random.default_rng(5)
     for _ in range(20):
-        s = random_strategy(rng, red.m_a, red.m_b)
-        for fa in ((1,), (-1,)):
-            for fb in ((1,), (-1,)):
-                lifted = lift_strategy(s, rmap, fa, fb)
-                assert bias_of_strategy(padded, lifted) == bias_of_strategy(red, s)
+        s = random_strategy(rng, padded.m_a, padded.m_b)
+        kept = DeterministicStrategy(alpha=s.alpha[:2], beta=s.beta[:2])
+        assert bias_of_strategy(padded, s) == bias_of_strategy(red, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +178,25 @@ def test_bias_shape_mismatch():
     g = chsh()
     with pytest.raises(ShapeMismatch):
         bias_of_behaviour(g, Behaviour(alpha=(0,), beta=(0, 0), c=((0, 0),)))
+
+
+@pytest.mark.parametrize(
+    "entry", [1.0, True, Fraction(1), np.float64(1), 0, 2, -1.0, np.True_],
+    ids=["float", "bool", "fraction", "np_float64", "zero", "two", "minus_float", "np_bool"],
+)
+def test_strategy_refuses_non_integer_or_non_sign_entries(entry):
+    # 1.0 or True would make the bias a float, breaking its exactness
+    with pytest.raises(ShapeMismatch):
+        DeterministicStrategy(alpha=(entry, 1), beta=(-1, 1))
+    with pytest.raises(ShapeMismatch):
+        DeterministicStrategy(alpha=(1, 1), beta=(-1, entry))
+
+
+def test_strategy_keeps_integer_signs_exact():
+    # numpy integers are integers, as in as_int
+    s = DeterministicStrategy(alpha=(1, np.int64(-1)), beta=(-1, 1))
+    bias = bias_of_strategy(chsh(), s)
+    assert type(bias) is Fraction and bias == Fraction(1, 2)
 
 
 def test_behaviour_of_strategy_outer_product():

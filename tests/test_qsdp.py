@@ -20,7 +20,6 @@ from tightbell import (
 )
 from tightbell.errors import (
     NotApplicable,
-    ShapeMismatch,
     SingularLambda,
     TooLarge,
 )
@@ -235,11 +234,7 @@ def test_block_sweep_matches_row_reference(monkeypatch):
         games += [g, transpose_game(g)]
     games.append(build_game([["1/2", 0], ["1/2", 0]], [[0, 0], [1, 0]]))
     runs = [_solve_both(monkeypatch, g) for g in games]
-    g = make_named("appendix_d", 3)
-    base = solve_quantum_bias(g).gram.vectors
-    start = base + 0.1 * np.random.default_rng(5).normal(size=base.shape)
-    runs.append(_solve_both(monkeypatch, g, cfg=SolveConfig(restarts=1), initial=start))
-    assert runs[-2][0].stalled_rows == (3,)
+    assert runs[-1][0].stalled_rows == (3,)
     for lib, ref in runs:
         assert (lib.sweeps, lib.converged, lib.restarts_used) == (
             ref.sweeps, ref.converged, ref.restarts_used
@@ -311,17 +306,6 @@ def test_determinism_bitwise():
     assert np.array_equal(a.gram.vectors, b.gram.vectors)
     c = solve_quantum_bias(g, SolveConfig(seed=124))
     assert abs(c.xi_q - a.xi_q) <= 2e-7  # same value, different path
-
-
-def test_initial_point_refinement():
-    g = make_named("identity", 1)
-    base = solve_quantum_bias(g)
-    res = solve_quantum_bias(
-        g, SolveConfig(restarts=1), initial=np.asarray(base.gram.vectors)
-    )
-    assert abs(res.xi_q - 1.0) <= 1e-9
-    with pytest.raises(ShapeMismatch):
-        solve_quantum_bias(g, SolveConfig(restarts=1), initial=np.ones((3, 3)))
 
 
 def test_certificate_dict_shape():
