@@ -44,7 +44,6 @@ from .game import (
     probability_table,
     reduce_exhaustive,
     save_game,
-    transpose_game,
 )
 from .nlc import (
     CorollaryBound,

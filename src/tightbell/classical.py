@@ -3,9 +3,9 @@
 For a fixed sign vector ``alpha`` of the enumerated player, the best response
 is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 ``max_alpha sum_y |(Phi^T alpha)_y|``.  We always enumerate the smaller side
-(transposing the game if needed) and keep everything exact by clearing the
-common denominator of Phi and working in integers (int64, with an
-object-dtype fallback for enormous denominators).
+(transposing the integer matrix if Bob has fewer inputs) and keep everything
+exact by working on the integers ``L * Phi`` of `tightbell.game.game_matrix`
+(int64, with an object-dtype fallback for enormous denominators).
 
 Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  One pass
 covers all 2^m patterns with a split table: for k about m/2, ``low =
@@ -27,12 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
-from .game import DeterministicStrategy, XorGame, game_matrix, transpose_game
+from .game import DeterministicStrategy, XorGame, game_matrix
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
 DEFAULT_VERTEX_CAP = 10**6  # stored optimal vertices
@@ -90,46 +89,27 @@ class _Optima:
     swapped: bool
 
 
-def _scaled_int_phi(g: XorGame) -> tuple[np.ndarray, int]:
-    """Phi cleared of denominators, as an integer array.
-
-    Returns (matrix, denominator L) with matrix = L * Phi, of object dtype
-    when int64 could overflow.
-    """
-    phi = game_matrix(g).phi
-    L = 1
-    for row in phi:
-        for v in row:
-            L = lcm(L, v.denominator)
-    ints = [[int(v * L) for v in row] for row in phi]
-    # worst-case |alpha . column| * m_b must stay clear of int64 overflow
-    bound = g.m_a * g.m_b * max(max(abs(v) for v in row) for row in ints)
-    return np.array(ints, dtype=np.int64 if bound < _INT64_SAFE else object), L
-
-
 def _signs(pats: np.ndarray, m: int) -> np.ndarray:
     """Rows of +-1 signs for the given bit patterns (bit j = 0 means +1)."""
     return 1 - 2 * ((pats[:, None] >> np.arange(m, dtype=np.int64)) & 1)
-
-
-def _orient(g: XorGame) -> tuple[XorGame, bool]:
-    """Make Alice the smaller side, so she is the enumerated player."""
-    if g.m_a <= g.m_b:
-        return g, False
-    return transpose_game(g), True
 
 
 def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     """The one pass over all sign patterns, keeping the first ``keep`` optima."""
     if enum_cap < 1:
         raise InvalidParameter(f"enum_cap must be positive, got {enum_cap}")
-    gg, swapped = _orient(g)
-    m, mb = gg.m_a, gg.m_b
+    swapped = g.m_a > g.m_b
+    m, mb = sorted((g.m_a, g.m_b))
     if 1 << m > enum_cap:
         raise TooLarge(
             f"enumeration side has {m} inputs (2^{m} patterns > cap {enum_cap})"
         )
-    P, L = _scaled_int_phi(gg)
+    gm = game_matrix(g)
+    # worst-case |alpha . column| * m_b must stay clear of int64 overflow
+    bound = m * mb * max(abs(v) for row in gm.ints for v in row)
+    P = np.array(gm.ints, dtype=np.int64 if bound < _INT64_SAFE else object)
+    if swapped:
+        P = P.T
     k = (m + 1) // 2
     # .dot: exact for int64 and object
     low = _signs(np.arange(1 << k), k).astype(P.dtype).dot(P[:k])
@@ -152,7 +132,7 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
         pats.append((h << k) + hits)
         rows += cols[hits].tolist()
     alphas = _signs(np.concatenate(pats), m).tolist()
-    return _Optima(Fraction(best, L), count, alphas, rows, swapped)
+    return _Optima(Fraction(best, gm.denominator), count, alphas, rows, swapped)
 
 
 def _strategy(alpha, beta, swapped: bool) -> DeterministicStrategy:
@@ -188,7 +168,10 @@ def optimal_vertices(
     Branches over all sign completions on zero coordinates of ``Phi^T alpha``;
     stops and marks the set truncated once ``cap`` vertices are stored.  Each
     optimal alpha yields at least one vertex, so the pass keeps ``cap`` alphas.
+    A ``cap`` below 0 raises InvalidParameter; 0 gives an empty truncated set.
     """
+    if cap < 0:
+        raise InvalidParameter(f"cap must be >= 0, got {cap}")
     opt = _enumerate(g, enum_cap, keep=cap)
     vertices: list[DeterministicStrategy] = []
     for alpha, row in zip(opt.alphas, opt.rows):

@@ -7,10 +7,10 @@ is the game matrix ``Phi`` with entries ``(-1)^f(x,y) * q(x,y)``: the bias of
 a behaviour with correlators ``c`` is ``sum_xy Phi_xy * c_xy`` and the winning
 probability is ``(1 + bias) / 2``.
 
-All classical-side data is exact: priors are `fractions.Fraction`, matrices
-are immutable nested tuples, and normalization of the prior is *checked*, not
-silently applied, because rescaling would change the bias scale.  Floats only
-enter at the semidefinite-solver boundary (`tightbell.qsdp`).
+All classical-side data is exact: priors are `fractions.Fraction`,
+`signed_matrix` alone scales signed data to integers, and normalization of
+the prior is *checked*, not silently applied, because rescaling would change
+the bias scale.  Floats only enter at the solver boundary (`tightbell.qsdp`).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 from typing import Sequence
 
@@ -94,17 +95,15 @@ class XorGame:
 
 @dataclass(frozen=True)
 class GameMatrix:
-    """The signed prior ``Phi_xy = (-1)^f(x,y) q(x,y)``; sum of |entries| is 1."""
+    """Phi = (-1)^f q as the integers ``ints = L Phi``; L is the ``denominator``."""
 
-    phi: Matrix
-
-    @property
-    def m_a(self) -> int:
-        return len(self.phi)
+    ints: tuple[tuple[int, ...], ...]
+    denominator: int
 
     @property
-    def m_b(self) -> int:
-        return len(self.phi[0])
+    def phi(self) -> Matrix:
+        """Phi in Fractions (|entries| sum to 1), built on each access."""
+        return tuple(tuple(Fraction(v, self.denominator) for v in row) for row in self.ints)
 
 
 @dataclass(frozen=True)
@@ -158,20 +157,22 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
     return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm)
 
 
-def game_matrix(g: XorGame) -> GameMatrix:
-    """Signed game matrix; exact in rationals."""
-    phi = tuple(
-        tuple(-qv if fv else qv for qv, fv in zip(qrow, frow))
-        for qrow, frow in zip(g.q, g.f)
+def signed_matrix(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> GameMatrix:
+    """``(-1)^f q`` over the lcm of the denominators of the exact rationals ``q``.
+
+    Reads numerators and denominators only; no Fraction arithmetic is done.
+    """
+    L = lcm(*(v.denominator for row in q for v in row))
+    ints = tuple(
+        tuple((1 - 2 * b) * v.numerator * (L // v.denominator) for v, b in zip(qr, fr))
+        for qr, fr in zip(q, f)
     )
-    return GameMatrix(phi=phi)
+    return GameMatrix(ints=ints, denominator=L)
 
 
-def transpose_game(g: XorGame) -> XorGame:
-    """Swap the two players' roles."""
-    q = tuple(tuple(g.q[x][y] for x in range(g.m_a)) for y in range(g.m_b))
-    f = tuple(tuple(g.f[x][y] for x in range(g.m_a)) for y in range(g.m_b))
-    return XorGame(m_a=g.m_b, m_b=g.m_a, q=q, f=f)
+def game_matrix(g: XorGame) -> GameMatrix:
+    """Signed game matrix of ``g``, exact: :func:`signed_matrix` of its data."""
+    return signed_matrix(g.q, g.f)
 
 
 def reduce_exhaustive(g: XorGame) -> XorGame:

@@ -8,7 +8,7 @@ basis with eigenvalues given by the Walsh spectrum
 
     g^(u) = sum_z (-1)^(u.z) (-1)^f(z) q~(z),
 
-computed here exactly over rationals by the in-place butterfly transform.
+computed here exactly by the in-place butterfly transform on integers.
 
 Normalization note: two conventions for "the" game matrix of these games
 circulate, differing by the 2^-n prior factor.  All bias statements in this
@@ -43,7 +43,7 @@ from .errors import (
     VerificationFailed,
 )
 from .facegeom import affine_dimension_exact
-from .game import XorGame, as_int, as_rational, build_game, read_json
+from .game import XorGame, as_int, as_rational, build_game, read_json, signed_matrix
 
 NLC_FORMAT = "tightbell-nlc-v1"
 
@@ -154,8 +154,8 @@ def spec_from_game(g: XorGame) -> NlcSpec:
     return spec
 
 
-def _walsh_transform(values: Sequence[Fraction]) -> list[Fraction]:
-    """In-place butterfly Walsh-Hadamard transform, exact over rationals."""
+def _walsh_transform(values: Sequence) -> list:
+    """In-place butterfly Walsh-Hadamard transform, exact on exact inputs."""
     out = list(values)
     h = 1
     while h < len(out):
@@ -170,21 +170,22 @@ def _walsh_transform(values: Sequence[Fraction]) -> list[Fraction]:
 def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
     """Exact eigenvalues of the q~-normalized game matrix.
 
-    For n <= 5, also conjugates the circulant by the +-1 Hadamard matrix in
-    rational arithmetic and checks that the off-diagonal vanishes EXACTLY — a
-    theorem check, not a tolerance check.
+    The transform runs on the integers ``L (-1)^f q~`` of `signed_matrix`.
+    For n <= 5, also conjugates their circulant by the +-1 Hadamard matrix
+    and checks that the off-diagonal vanishes EXACTLY — a theorem check, not
+    a tolerance check.
     """
     validate_spec(spec)
-    size = 1 << spec.n
-    signed = [(-spec.q_tilde[z] if spec.f_z[z] else spec.q_tilde[z]) for z in range(size)]
-    spectrum = tuple(_walsh_transform(signed))
-    lam = max(abs(v) for v in spectrum)  # > 0: q_tilde sums to 1 and WHT is injective
-    k = sum(1 for v in spectrum if v == lam)
-    l = sum(1 for v in spectrum if v == -lam)
+    gm = signed_matrix((spec.q_tilde,), (spec.f_z,))
+    signed, L = gm.ints[0], gm.denominator
+    walsh = _walsh_transform(signed)
     if spec.n <= 5:
-        _verify_diagonalization(signed, spectrum, spec.n)
+        _verify_diagonalization(signed, walsh, spec.n)
+    top = max(map(abs, walsh))  # > 0: q_tilde sums to 1 and WHT is injective
+    k, l = walsh.count(top), walsh.count(-top)
+    lam = Fraction(top, L)
     return NlcAnalysis(
-        spectrum=spectrum,
+        spectrum=tuple(Fraction(v, L) for v in walsh),
         lambda_norm=lam,
         k=k,
         l=l,
@@ -194,18 +195,17 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
 
 
 def _verify_diagonalization(signed, spectrum, n: int) -> None:
-    """Check H M H == 2^n diag(spectrum) in exact rationals (H the +-1 Hadamard).
+    """Check H M H == 2^n diag(spectrum) exactly (H the +-1 Hadamard).
 
     Raises VerificationFailed on any mismatch.
     """
     size = 1 << n
-    M = [[signed[x ^ y] for y in range(size)] for x in range(size)]
-    # conjugation as two passes of the transform: columns, then rows
-    half = [_walsh_transform([M[x][y] for x in range(size)]) for y in range(size)]
+    # conjugation of M_xy = signed[x ^ y] as two passes of the transform: columns, then rows
+    half = [_walsh_transform([signed[x ^ y] for x in range(size)]) for y in range(size)]
     for u in range(size):
         row = _walsh_transform([half[y][u] for y in range(size)])
         for v in range(size):
-            expected = size * spectrum[u] if u == v else Fraction(0)
+            expected = size * spectrum[u] if u == v else 0
             if row[v] != expected:
                 raise VerificationFailed("Hadamard diagonalization is not exact")
 

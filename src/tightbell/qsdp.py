@@ -151,8 +151,9 @@ class SlacknessReport:
 
 
 def _phi_float(g: XorGame) -> np.ndarray:
-    """The game matrix as one float array, each entry ``float(Fraction)``."""
-    return np.array(game_matrix(g).phi, dtype=float)
+    """Phi in floats: int true division rounds once, as ``float(Fraction)`` does."""
+    gm = game_matrix(g)
+    return np.array([[v / gm.denominator for v in row] for row in gm.ints])
 
 
 def build_phi_tilde(g: XorGame) -> PhiTilde:

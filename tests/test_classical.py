@@ -103,6 +103,13 @@ def test_enum_cap_below_one_is_invalid(cap):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("cap", [-1, -5])
+def test_negative_vertex_cap_is_invalid(cap):
+    # cap 0 is a valid, exceeded cap; a negative one is a bad argument
+    with pytest.raises(InvalidParameter):
+        optimal_vertices(make_named("chsh"), cap=cap)
+
+
 def test_chsh_vertices_complete_with_zero_branching():
     vs = optimal_vertices(chsh())
     assert not vs.truncated
@@ -223,6 +230,12 @@ def reference_games():
         for n in ns:
             yield pytest.param(make_named(name, n), id=f"{name}{n}")
     yield pytest.param(huge_denominator_game(), id="denominator2^70")
+    # 3x2 with denominator 2^70: enumerates a transposed object-dtype matrix
+    big = 2**70
+    w = [[1, 2**68], [3, 2**67], [2**66 + 5]]
+    w[2].append(big - sum(map(sum, w)))
+    q = [[Fraction(v, big) for v in row] for row in w]
+    yield pytest.param(build_game(q, [[0, 1], [1, 0], [0, 0]]), id="denominator2^70x3x2")
 
 
 @pytest.mark.parametrize("g", list(reference_games()))

@@ -17,7 +17,6 @@ from tightbell import (
     ns_perfect_behaviour,
     probability_table,
     reduce_exhaustive,
-    transpose_game,
 )
 from tightbell.errors import (
     EmptyGame,
@@ -297,13 +296,6 @@ def test_named_errors():
         make_named("appendix_d", 1)
     with pytest.raises(InvalidParameter):
         make_named("identity")
-
-
-def test_transpose_game():
-    g = build_game([[H, Q, Q]], [[0, 1, 0]])
-    gt = transpose_game(g)
-    assert (gt.m_a, gt.m_b) == (3, 1)
-    assert game_matrix(gt).phi == tuple(zip(*game_matrix(g).phi))
 
 
 # ---------------------------------------------------------------------------

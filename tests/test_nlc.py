@@ -133,11 +133,19 @@ def test_diagonalization_is_exact_for_random_specs():
             hadamard_spectrum(random_nlc_spec(rng, n))
 
 
-def test_diagonalization_independent_check():
+def mixed_denominator_spec():
+    # n = 3 with eight different denominators past 2^64
+    head = [Fraction(2**64 * (z + 1) + 3, 64 * (2**64 + 2 * z + 1)) for z in range(7)]
+    return NlcSpec(n=3, q_tilde=(*head, 1 - sum(head)), f_z=(0, 1, 1, 0, 1, 0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "spec", [and_spec(), mixed_denominator_spec()], ids=["and2", "mixed_denominators3"]
+)
+def test_diagonalization_independent_check(spec):
     # conjugate by the explicit +-1 Hadamard matrix, no transform shortcuts
-    spec = and_spec()
     a = hadamard_spectrum(spec)
-    size = 4
+    size = 1 << spec.n
     signed = [(-spec.q_tilde[z] if spec.f_z[z] else spec.q_tilde[z]) for z in range(size)]
     Hmat = [
         [-1 if bin(u & x).count("1") % 2 else 1 for x in range(size)]

@@ -2,8 +2,10 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from tightbell.errors import (
     TooLarge,
 )
 from tightbell import qsdp
-from tightbell.game import DeterministicStrategy, build_game, transpose_game
+from tightbell.game import DeterministicStrategy, build_game
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
 
 from .generators import random_game
@@ -41,6 +43,23 @@ def test_phi_tilde_chsh_block():
     assert np.array_equal(pt[:2, 2:], np.array([[1, 1], [1, -1]]) / 8.0)
     assert np.array_equal(pt, pt.T)
     assert np.all(pt[:2, :2] == 0.0) and np.all(pt[2:, 2:] == 0.0)
+
+
+@pytest.mark.parametrize("bits", [56, 62, 66, 80])
+def test_phi_tilde_entries_are_correctly_rounded(bits):
+    # denominators in [2^55, 2^62] and past 2^64: each entry must be
+    # float(Fraction), which one float64 division of float64 copies misses
+    rnd = random.Random(bits)
+    T = rnd.randrange(2 ** (bits - 1), 2**bits)
+    cuts = sorted(rnd.randrange(1, T) for _ in range(34))
+    w = [b - a for a, b in zip([0, *cuts], [*cuts, T])]
+    q = [[Fraction(v, T) for v in w[7 * x : 7 * x + 7]] for x in range(5)]
+    f = [[rnd.randrange(2) for _ in range(7)] for _ in range(5)]
+    half = [[float((-v if b else v) / 2) for v, b in zip(qr, fr)] for qr, fr in zip(q, f)]
+    want = np.zeros((12, 12))
+    want[:5, 5:] = half
+    want[5:, :5] = np.transpose(half)
+    assert build_phi_tilde(build_game(q, f)).matrix.tobytes() == want.tobytes()
 
 
 def test_phi_tilde_identity1_eigenvalues():
@@ -231,7 +250,7 @@ def test_block_sweep_matches_row_reference(monkeypatch):
     rng = np.random.default_rng(7)
     for _ in range(40):
         g = random_game(rng)
-        games += [g, transpose_game(g)]
+        games += [g, build_game(list(zip(*g.q)), list(zip(*g.f)))]
     games.append(build_game([["1/2", 0], ["1/2", 0]], [[0, 0], [1, 0]]))
     runs = [_solve_both(monkeypatch, g) for g in games]
     assert runs[-1][0].stalled_rows == (3,)

@@ -44,3 +44,44 @@ def test_no_unused_imports():
     ]
     assert len(SOURCES) > 1
     assert found == []
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level private functions, classes and constants, with their lines."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node.lineno))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [
+                (n.id, node.lineno)
+                for t in targets
+                for n in ast.walk(t)
+                if isinstance(n, ast.Name)
+            ]
+    return [
+        (name, line)
+        for name, line in found
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+    ]
+
+
+def test_no_unread_private_definitions():
+    # helpers that a deletion leaves behind; private names are read only in the package
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    defined = [
+        (module, name, line)
+        for module, tree in trees.items()
+        for name, line in _private_definitions(tree)
+    ]
+    found = [f"{module}: {name} (line {line})" for module, name, line in defined if name not in read]
+    assert len(defined) > 10
+    assert found == []
