@@ -7,6 +7,10 @@ serialized as strings ("1/2"), certified numeric values as JSON numbers; the
 ``provenance`` block says which is which so consumers never compare across
 kinds without the declared tolerance.
 
+Each subcommand handler returns ``(report, exit code)``.  ``main`` alone puts
+``command`` and ``timestamp`` first (in every report but the game file of
+``make``) and writes the report, to stdout or ``-o``.
+
 The solver flags are the fields of ``qsdp.SolveConfig``, which supplies their
 defaults and rejects out-of-range values (exit 1); the command line adds only
 the enumeration caps, which the library refuses below 1 (exit 1).  A command
@@ -40,10 +44,6 @@ EXIT_UNCERTIFIED = 3
 _TOLERANCES = ("gap_tol", "feas_tol", "adv_tol", "change_tol")
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
-
-
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
     if output:
@@ -59,8 +59,10 @@ def _solve_config(args) -> qsdp.SolveConfig:
     return qsdp.SolveConfig(seed=args.seed, restarts=args.restarts, **tols)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_output(p: argparse.ArgumentParser, func, report_command: str | None) -> None:
+    """Add ``-o`` and the handler; ``main`` stamps its report unless ``report_command`` is None."""
     p.add_argument("-o", "--output", help="write the JSON report here instead of stdout")
+    p.set_defaults(func=func, report_command=report_command)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -80,26 +82,20 @@ def _add_enum_cap(p: argparse.ArgumentParser) -> None:
 MAKE_NAMES = {"appendixd": "appendix_d"}
 
 
-def cmd_make(args) -> int:
+def cmd_make(args) -> tuple[dict, int]:
     g = game.make_named(MAKE_NAMES.get(args.name, args.name), args.n)
     if 1 << min(g.m_a, g.m_b) > classical.DEFAULT_ENUM_CAP:
         sys.stderr.write(
             f"warning: enumeration side has {min(g.m_a, g.m_b)} inputs, "
             f"beyond the default cap of {classical.DEFAULT_ENUM_CAP} patterns\n"
         )
-    if args.output:
-        game.save_game(g, args.output)
-    else:
-        _emit(game.game_to_dict(g), None)
-    return EXIT_OK
+    return game.game_to_dict(g), EXIT_OK
 
 
-def cmd_bias_classical(args) -> int:
+def cmd_bias_classical(args) -> tuple[dict, int]:
     g = game.load_game(args.game)
     res = classical.classical_bias(g, enum_cap=args.enum_cap)
-    report = {
-        "command": "bias classical",
-        "timestamp": _timestamp(),
+    return {
         "m_a": g.m_a,
         "m_b": g.m_b,
         "xi_c": str(res.xi_c),
@@ -109,18 +105,14 @@ def cmd_bias_classical(args) -> int:
         "num_alpha_optimal": res.num_alpha_optimal,
         "enumerated_side": "bob" if res.swapped else "alice",
         "provenance": {"xi_c": "exact-rational"},
-    }
-    _emit(report, args.output)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_bias_quantum(args) -> int:
+def cmd_bias_quantum(args) -> tuple[dict, int]:
     cfg = _solve_config(args)
     g = game.load_game(args.game)
     res = qsdp.solve_quantum_bias(g, cfg)
     report = {
-        "command": "bias quantum",
-        "timestamp": _timestamp(),
         "m_a": g.m_a,
         "m_b": g.m_b,
         "seed": cfg.seed,
@@ -129,61 +121,49 @@ def cmd_bias_quantum(args) -> int:
         **qsdp.certificate_to_dict(res),
         "provenance": {"xi_c": "exact-rational", "xi_q": "certified-numeric"},
     }
-    _emit(report, args.output)
-    if res.classification == qsdp.UNDECIDED:
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+    if res.classification != qsdp.UNDECIDED:
+        return report, EXIT_OK
+    # certified with no xi_c: the enumeration cap, not the solve, left it undecided
+    return report, EXIT_CAPPED if res.certified and res.xi_c is None else EXIT_UNCERTIFIED
 
 
-def cmd_face(args) -> int:
+def cmd_face(args) -> tuple[dict, int]:
     cfg = _solve_config(args)
     g = game.load_game(args.game)
     report = facegeom.face_report(
         g, enum_cap=args.enum_cap, vertex_cap=args.vertex_cap, solve_cfg=cfg
     )
     payload = facegeom.face_report_to_dict(report)
-    payload["space"] = args.space
-    if args.space == "correlation":
-        payload["dim"] = payload["dim_corr"]
-        payload["is_facet"] = payload["is_facet_corr"]
-    else:
-        payload["dim"] = payload["dim_full"]
-        payload["is_facet"] = payload["is_facet_full"]
-    out = {"command": "face", "timestamp": _timestamp(), "seed": cfg.seed, **payload}
-    out["provenance"] = {
-        "xi_c": "exact-rational",
-        "xi_q": "certified-numeric",
-        **payload["provenance"],
+    suffix = "_corr" if args.space == "correlation" else "_full"
+    out = {
+        "seed": cfg.seed,
+        **payload,
+        "space": args.space,
+        "dim": payload["dim" + suffix],
+        "is_facet": payload["is_facet" + suffix],
     }
-    _emit(out, args.output)
+    out["provenance"] = {"xi_c": "exact-rational", "xi_q": "certified-numeric",
+                         **payload["provenance"]}
     if report.truncated:
-        return EXIT_CAPPED
-    if report.classification == qsdp.UNDECIDED:
-        return EXIT_UNCERTIFIED
-    return EXIT_OK
+        return out, EXIT_CAPPED
+    return out, EXIT_UNCERTIFIED if report.classification == qsdp.UNDECIDED else EXIT_OK
 
 
-def cmd_trivial_facet(args) -> int:
+def cmd_trivial_facet(args) -> tuple[dict, int]:
     sign = {"+": 1, "+1": 1, "-": -1, "-1": -1}.get(args.sign)
     if sign is None:
         raise GameFormatError(f"sign must be + or -, got {args.sign!r}")
     rep = facegeom.trivial_facet_check(args.ma, args.mb, args.x0, args.y0, sign)
-    _emit(
-        {
-            "command": "trivial-facet",
-            "timestamp": _timestamp(),
-            "m_a": args.ma,
-            "m_b": args.mb,
-            "x0": args.x0,
-            "y0": args.y0,
-            "sign": sign,
-            "dim": rep.dim,
-            "is_facet": rep.is_facet,
-            "provenance": {"dim": "exact-integer-rank"},
-        },
-        args.output,
-    )
-    return EXIT_OK
+    return {
+        "m_a": args.ma,
+        "m_b": args.mb,
+        "x0": args.x0,
+        "y0": args.y0,
+        "sign": sign,
+        "dim": rep.dim,
+        "is_facet": rep.is_facet,
+        "provenance": {"dim": "exact-integer-rank"},
+    }, EXIT_OK
 
 
 def _load_spec(path) -> nlc.NlcSpec:
@@ -193,14 +173,44 @@ def _load_spec(path) -> nlc.NlcSpec:
     return nlc.spec_from_game(game.game_from_dict(data))
 
 
-def _sweep(args, largest) -> range:
-    """The n of an ``nlc g0`` or ``nlc corollary`` run: ``--n`` up to ``--n-max``.
+def cmd_nlc_spectrum(args) -> tuple[dict, int]:
+    spec = _load_spec(args.file)
+    a = nlc.hadamard_spectrum(spec)
+    return {
+        "n": spec.n,
+        "spectrum": [str(v) for v in a.spectrum],
+        "lambda_norm": str(a.lambda_norm),
+        "k": a.k,
+        "l": a.l,
+        "xi_star": str(a.xi_star),
+        "kl_dim_bound": a.kl_dim_bound,
+        "provenance": {"spectrum": "exact-rational"},
+    }, EXIT_OK
 
-    ``largest(n)`` is the run's largest value at n; from n = 2 on it rises
-    with n and is at least 4^(n-1) (below 2 the sweep's own checks refuse or
-    the values are tiny).  An empty range raises InvalidParameter, and a value
-    past Python's limit on integer-to-string conversion raises TooLarge before
-    the sweep starts: beyond n = 2 * limit that needs no value at all.
+
+def cmd_nlc_bound(args) -> tuple[dict, int]:
+    spec = _load_spec(args.file)
+    g = nlc.build_nlc(spec)  # first: it refuses a large n before the spectrum is taken
+    bound = nlc.nlc_bias_bound(nlc.hadamard_spectrum(spec), g)
+    return {
+        "n": spec.n,
+        "xi_star": str(bound.xi_star),
+        "xi_c": str(bound.xi_c),
+        "matches_classical": bound.matches_classical,
+        "provenance": {"xi_star": "exact-rational", "xi_c": "exact-rational"},
+    }, EXIT_OK
+
+
+def _sweep(args, largest, point) -> dict:
+    """The ``point(n)`` fields of an ``nlc g0`` or ``nlc corollary`` run.
+
+    ``--n`` alone gives its one point; with ``--n-max`` the points of
+    ``--n``..``--n-max`` come as a ``points`` list.  ``largest(n)`` is the
+    run's largest value at n; from n = 2 on it rises with n and is at least
+    4^(n-1) (below 2 the sweep's own checks refuse or the values are tiny).
+    An empty range raises InvalidParameter, and a value past Python's limit
+    on integer-to-string conversion raises TooLarge before any point is
+    computed: beyond n = 2 * limit that needs no value at all.
     """
     n_max = args.n if args.n_max is None else args.n_max
     if n_max < args.n:
@@ -208,77 +218,30 @@ def _sweep(args, largest) -> range:
     limit = sys.get_int_max_str_digits()
     if limit and n_max > 1 and (n_max > 2 * limit or largest(n_max) >= 10**limit):
         raise TooLarge(f"values at n = {n_max} pass {limit} decimal digits")
-    return range(args.n, n_max + 1)
+    points = [{"n": n, **point(n)} for n in range(args.n, n_max + 1)]
+    return points[0] if args.n_max is None else {"points": points}
 
 
-def cmd_nlc(args) -> int:
-    if args.nlc_command == "spectrum":
-        spec = _load_spec(args.file)
-        a = nlc.hadamard_spectrum(spec)
-        _emit(
-            {
-                "command": "nlc spectrum",
-                "timestamp": _timestamp(),
-                "n": spec.n,
-                "spectrum": [str(v) for v in a.spectrum],
-                "lambda_norm": str(a.lambda_norm),
-                "k": a.k,
-                "l": a.l,
-                "xi_star": str(a.xi_star),
-                "kl_dim_bound": a.kl_dim_bound,
-                "provenance": {"spectrum": "exact-rational"},
-            },
-            args.output,
-        )
-        return EXIT_OK
-    if args.nlc_command == "bound":
-        spec = _load_spec(args.file)
-        a = nlc.hadamard_spectrum(spec)
-        g = nlc.build_nlc(spec)
-        bound = nlc.nlc_bias_bound(a, g)
-        _emit(
-            {
-                "command": "nlc bound",
-                "timestamp": _timestamp(),
-                "n": spec.n,
-                "xi_star": str(bound.xi_star),
-                "xi_c": str(bound.xi_c),
-                "matches_classical": bound.matches_classical,
-                "provenance": {"xi_star": "exact-rational", "xi_c": "exact-rational"},
-            },
-            args.output,
-        )
-        return EXIT_OK
-    if args.nlc_command == "g0":
-        ns = _sweep(args, nlc.g0_formula)
-        points = []
-        for n in ns:
-            try:
-                verified = nlc.g0_dimension(n).verified_value
-            except TooLarge:
-                verified = None
-            points.append({"n": n, "formula": nlc.g0_formula(n), "verified": verified})
-        report = {
-            "command": "nlc g0",
-            "timestamp": _timestamp(),
-            "provenance": {"verified": "exact-integer-rank"},
-        }
-        if args.n_max is not None:
-            report["points"] = points
-        else:
-            report.update(points[0])
-        _emit(report, args.output)
-        return EXIT_OK
-    # corollary
-    ns = _sweep(args, lambda n: nlc.corollary_bound(n).codim_bound_full)
-    points = [{"n": n, **asdict(nlc.corollary_bound(n))} for n in ns]
-    report = {"command": "nlc corollary", "timestamp": _timestamp()}
-    if args.n_max is not None:
-        report["points"] = points
-    else:
-        report.update(points[0])
-    _emit(report, args.output)
-    return EXIT_OK
+def _g0_point(n: int) -> dict:
+    try:
+        verified = nlc.g0_dimension(n).verified_value
+    except TooLarge:
+        verified = None
+    return {"formula": nlc.g0_formula(n), "verified": verified}
+
+
+def cmd_nlc_g0(args) -> tuple[dict, int]:
+    points = _sweep(args, nlc.g0_formula, _g0_point)
+    return {"provenance": {"verified": "exact-integer-rank"}, **points}, EXIT_OK
+
+
+def cmd_nlc_corollary(args) -> tuple[dict, int]:
+    report = _sweep(
+        args,
+        lambda n: nlc.corollary_bound(n).codim_bound_full,
+        lambda n: asdict(nlc.corollary_bound(n)),
+    )
+    return report, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,21 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
     names = [n.replace("_", "-") for n in game.NAMED_GAMES if n not in MAKE_NAMES.values()]
     p.add_argument("name", choices=sorted([*names, *MAKE_NAMES]))
     p.add_argument("--n", type=int, default=None, help="family size parameter")
-    _add_common(p)
-    p.set_defaults(func=cmd_make)
+    _add_output(p, cmd_make, None)
 
     p = sub.add_parser("bias", help="classical (exact) or quantum (certified) bias")
     bsub = p.add_subparsers(dest="kind", required=True)
     p = bsub.add_parser("classical", help="exact classical bias by enumeration")
     p.add_argument("game")
     _add_enum_cap(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_bias_classical)
+    _add_output(p, cmd_bias_classical, "bias classical")
     p = bsub.add_parser("quantum", help="certified quantum bias")
     p.add_argument("game")
     _add_solver_flags(p)
-    _add_common(p)
-    p.set_defaults(func=cmd_bias_quantum)
+    _add_output(p, cmd_bias_quantum, "bias quantum")
 
     p = sub.add_parser("face", help="face dimensions, bounds, and facet verdicts")
     p.add_argument("game")
@@ -315,8 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_enum_cap(p)
     p.add_argument("--vertex-cap", type=int, default=classical.DEFAULT_VERTEX_CAP,
                    dest="vertex_cap", help="max optimal vertices to store")
-    _add_common(p)
-    p.set_defaults(func=cmd_face)
+    _add_output(p, cmd_face, "face")
 
     p = sub.add_parser("trivial-facet", help="exact check of a |c_xy| <= 1 face")
     p.add_argument("--ma", type=int, required=True)
@@ -324,23 +283,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=int, required=True)
     p.add_argument("--y0", type=int, required=True)
     p.add_argument("--sign", required=True, help="+ or -")
-    _add_common(p)
-    p.set_defaults(func=cmd_trivial_facet)
+    _add_output(p, cmd_trivial_facet, "trivial-facet")
 
     p = sub.add_parser("nlc", help="shared-input game analyses")
     nsub = p.add_subparsers(dest="nlc_command", required=True)
-    for name in ("spectrum", "bound"):
-        np_ = nsub.add_parser(name)
-        np_.add_argument("file", help="game or shared-input spec JSON")
-        _add_common(np_)
-        np_.set_defaults(func=cmd_nlc)
-    for name in ("g0", "corollary"):
-        np_ = nsub.add_parser(name)
-        np_.add_argument("--n", type=int, required=True)
-        np_.add_argument("--n-max", type=int, default=None, dest="n_max",
-                         help="emit a points array for n..n-max")
-        _add_common(np_)
-        np_.set_defaults(func=cmd_nlc)
+    for name, func in (("spectrum", cmd_nlc_spectrum), ("bound", cmd_nlc_bound)):
+        p = nsub.add_parser(name)
+        p.add_argument("file", help="game or shared-input spec JSON")
+        _add_output(p, func, "nlc " + name)
+    for name, func in (("g0", cmd_nlc_g0), ("corollary", cmd_nlc_corollary)):
+        p = nsub.add_parser(name)
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--n-max", type=int, default=None, dest="n_max",
+                       help="emit a points array for n..n-max")
+        _add_output(p, func, "nlc " + name)
     return parser
 
 
@@ -350,16 +306,17 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
         return EXIT_INVALID if exc.code else EXIT_OK
     try:
-        return args.func(args)
-    except (TooLarge, Truncated) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_CAPPED
-    except VerificationFailed as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_UNCERTIFIED
+        report, code = args.func(args)
+        if args.report_command is not None:
+            stamp = datetime.now(timezone.utc).isoformat()
+            report = {"command": args.report_command, "timestamp": stamp, **report}
+        _emit(report, args.output)
+        return code
     except (TightBellError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+        if isinstance(exc, (TooLarge, Truncated)):
+            return EXIT_CAPPED
+        return EXIT_UNCERTIFIED if isinstance(exc, VerificationFailed) else EXIT_INVALID
 
 
 if __name__ == "__main__":

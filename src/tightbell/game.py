@@ -30,6 +30,7 @@ from .errors import (
     NegativePrior,
     NotNormalized,
     ShapeMismatch,
+    TooLarge,
     UnknownName,
 )
 
@@ -39,6 +40,9 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 BitMatrix = tuple[tuple[int, ...], ...]
 
 NAMED_GAMES = ("chsh", "identity", "nlc_and", "appendix_d", "single_entry")
+# largest n of a 2^n x 2^n family member: 2 * 2^11 is qsdp.MAX_SDP_SIDE, so no
+# analysis takes a larger one, and building it would take 4^n Fractions
+MAX_FAMILY_N = 11
 _SIGNS = frozenset((-1, 1))
 
 
@@ -206,9 +210,13 @@ def bias_of_behaviour(g: XorGame, b: Behaviour):
     )
 
 
-def bias_of_strategy(g: XorGame, s: DeterministicStrategy):
-    """Exact bias of a deterministic strategy pair."""
-    return bias_of_behaviour(g, behaviour_of_strategy(s))
+def bias_of_strategy(g: XorGame, s: DeterministicStrategy) -> Fraction:
+    """Exact bias ``sum_xy Phi_xy alpha_x beta_y``, summed on the integers ``L Phi``."""
+    if len(s.alpha) != g.m_a or len(s.beta) != g.m_b:
+        raise ShapeMismatch("strategy does not match game dimensions")
+    gm = game_matrix(g)
+    total = sum(a * sum(map(operator.mul, row, s.beta)) for a, row in zip(s.alpha, gm.ints))
+    return Fraction(total, gm.denominator)
 
 
 def behaviour_of_strategy(s: DeterministicStrategy) -> Behaviour:
@@ -267,6 +275,8 @@ def make_named(name: str, n: int | None = None) -> XorGame:
     appendix_d      2^n x 2^n (n >= 2): match outputs iff the questions match,
                     prior weights chosen so the bias bound is nontrivial.
     single_entry    the 1x1 game with q = 1, f = 0.
+
+    The three 2^n x 2^n families raise TooLarge past ``MAX_FAMILY_N``.
     """
     key = name.replace("-", "_").lower()
     if key in ("chsh", "single_entry"):
@@ -277,6 +287,8 @@ def make_named(name: str, n: int | None = None) -> XorGame:
             raise InvalidParameter(f"{key} requires n >= 1")
         if key == "appendix_d" and n < 2:
             raise InvalidParameter("appendix_d requires n >= 2 (n = 1 is trivial)")
+        if n > MAX_FAMILY_N:
+            raise TooLarge(f"{key} n = {n}: families stop at n = {MAX_FAMILY_N}")
     else:
         raise UnknownName(f"unknown game name {name!r}; known: {NAMED_GAMES}")
 

@@ -43,7 +43,7 @@ from .errors import (
     VerificationFailed,
 )
 from .facegeom import affine_dimension_exact
-from .game import XorGame, as_int, as_rational, build_game, read_json, signed_matrix
+from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, build_game, read_json, signed_matrix
 
 NLC_FORMAT = "tightbell-nlc-v1"
 
@@ -117,9 +117,12 @@ def build_nlc(spec: NlcSpec) -> XorGame:
     Every row and column of the prior is a permutation of ``2^-n q~``, so the
     game is exhaustive whenever q~ is not identically zero.  Spectra stay
     cheap for any n, but full downstream enumeration is practical only up to
-    n = 5; a warning flags larger constructions.
+    n = 5; a warning flags larger constructions, and past
+    ``game.MAX_FAMILY_N`` TooLarge is raised before anything is built.
     """
     validate_spec(spec)
+    if spec.n > MAX_FAMILY_N:
+        raise TooLarge(f"n = {spec.n}: shared-input games stop at n = {MAX_FAMILY_N}")
     if spec.n > 5:
         warnings.warn(
             f"n = {spec.n}: exhaustive downstream analyses cap at n = 5",

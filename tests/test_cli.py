@@ -4,16 +4,18 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from tightbell import load_game, make_named, nlc, save_game
+from tightbell import build_game, load_game, make_named, nlc, save_game
 from tightbell.cli import _solve_config, build_parser, main
 from tightbell.errors import InvalidParameter, VerificationFailed
 from tightbell.game import game_to_dict
-from tightbell.nlc import save_nlc_spec
+from tightbell.nlc import NlcSpec, save_nlc_spec
 from tightbell.qsdp import SolveConfig
 
 from .generators import random_nlc_spec
@@ -190,6 +192,24 @@ def test_bias_quantum_uncertified_exit(capsys, tmp_path):
     )
     assert code == 3
     assert payload["classification"] == "undecided"
+
+
+def test_bias_quantum_certified_past_the_enumeration_cap(tmp_path, capsys):
+    # 25 x 25 identity-like game: 2^25 patterns pass the default enumeration
+    # cap, so xi_c is unknown although the solve certifies; that is the cap
+    # (exit 2), as for bias classical and face, not a failed certificate
+    m = 25
+    q = [[Fraction(1, m) if x == y else 0 for y in range(m)] for x in range(m)]
+    path = tmp_path / "id25.json"
+    save_game(build_game(q, [[0] * m] * m), path)
+    code, payload, _ = run_json(capsys, "bias", "quantum", str(path))
+    assert code == 2
+    assert payload["xi_c"] is None and payload["classification"] == "undecided"
+    assert payload["gap"] <= SolveConfig.gap_tol
+    assert payload["min_eig"] >= -SolveConfig.feas_tol
+    for argv in (["bias", "classical"], ["face"]):
+        code, out, err = run(capsys, *argv, str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 def test_bias_quantum_deterministic_output(capsys, chsh_file):
@@ -403,6 +423,35 @@ def test_nlc_corollary_sweep(capsys):
     }
 
 
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["make", "identity", "--n", "40"], ["make", "appendixd", "--n", "12"],
+     ["make", "nlc-and", "--n", "12"], ["nlc", "bound", "SPEC16"]],
+    ids=lambda v: " ".join(v),
+)
+def test_families_past_n_11_exit_capped(tmp_path, argv):
+    # refused before any of the 4^n entries is built; in a child process with
+    # 1 GiB of address space, so a build that starts fails instead of growing
+    if "SPEC16" in argv:
+        spec = tmp_path / "spec16.json"
+        save_nlc_spec(NlcSpec(n=16, q_tilde=(Fraction(1, 2**16),) * 2**16, f_z=(0,) * 2**16), spec)
+        argv = [str(spec) if a == "SPEC16" else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "tightbell.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_memory,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and "n = 11" in proc.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [["face"], ["bias", "quantum", "GAME", "--seed", "abc"],
@@ -426,6 +475,39 @@ def test_output_file_flag(tmp_path, capsys, chsh_file):
     assert code == 0
     assert stdout == ""
     assert json.loads(out.read_text())["xi_c"] == "1/2"
+
+
+@pytest.mark.parametrize(
+    "command,args",
+    [
+        ("make", ["chsh"]),
+        ("make", ["identity", "--n", "5"]),  # its warning stays on stderr
+        ("bias classical", ["GAME"]),
+        ("bias quantum", ["GAME"]),
+        ("face", ["GAME"]),
+        ("face", ["GAME", "--space", "correlation"]),
+        ("trivial-facet", ["--ma", "2", "--mb", "3", "--x0", "1", "--y0", "2", "--sign", "-"]),
+        ("nlc spectrum", ["GAME"]),
+        ("nlc bound", ["GAME"]),
+        ("nlc g0", ["--n", "2"]),
+        ("nlc g0", ["--n", "2", "--n-max", "3"]),
+        ("nlc corollary", ["--n", "2"]),
+        ("nlc corollary", ["--n", "1", "--n-max", "3"]),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_every_command_writes_one_report(tmp_path, capsys, and2_file, command, args):
+    argv = [*command.split(), *(and2_file if a == "GAME" else a for a in args)]
+    code, out, err = run(capsys, *argv)
+    out_file = tmp_path / "report.json"
+    assert run(capsys, *argv, "-o", str(out_file)) == (code, "", err)
+    assert strip_timestamp(out_file.read_bytes().decode("utf-8")) == strip_timestamp(out)
+    keys = list(json.loads(out))
+    if command == "make":
+        assert "command" not in keys and "timestamp" not in keys
+    else:
+        assert keys[:2] == ["command", "timestamp"]
+        assert json.loads(out)["command"] == command
 
 
 def test_run_config_validation(capsys, chsh_file):

@@ -1,5 +1,6 @@
 """Game construction, named families, reductions, behaviours, file format."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +29,7 @@ from tightbell.errors import (
     UnknownName,
 )
 from tightbell.game import (
+    MAX_FAMILY_N,
     Behaviour,
     DeterministicStrategy,
     game_from_dict,
@@ -35,6 +37,8 @@ from tightbell.game import (
     load_game,
     save_game,
 )
+
+from tightbell.qsdp import MAX_SDP_SIDE
 
 from .generators import random_game, random_strategy
 from .oracles import oracle_is_no_signalling
@@ -191,6 +195,38 @@ def test_strategy_refuses_non_integer_or_non_sign_entries(entry):
         DeterministicStrategy(alpha=(1, 1), beta=(-1, entry))
 
 
+def _wide_denominator_game(rng: random.Random, m_a: int, m_b: int):
+    # weights up to 2^70, so the common denominator passes 2^64
+    w = [[rng.randrange(1, 2**70) for _ in range(m_b)] for _ in range(m_a)]
+    total = sum(map(sum, w))
+    f = [[rng.randrange(2) for _ in range(m_b)] for _ in range(m_a)]
+    return build_game([[Fraction(v, total) for v in row] for row in w], f)
+
+
+def test_bias_of_strategy_matches_bias_of_behaviour():
+    rng = np.random.default_rng(17)
+    games = [chsh(), make_named("single_entry")]
+    games += [make_named(name, n) for name in ("identity", "nlc_and") for n in (1, 2, 3)]
+    games += [make_named("appendix_d", n) for n in (2, 3)]
+    games += [random_game(rng, max_a=7, max_b=7) for _ in range(10)]
+    games += [random_game(rng, min_a=5, max_a=8, max_b=4) for _ in range(5)]  # m_a > m_b
+    wide = random.Random(3)
+    games += [_wide_denominator_game(wide, *shape) for shape in ((3, 2), (5, 4), (2, 6))]
+    assert game_matrix(games[-1]).denominator > 2**64
+    for g in games:
+        for _ in range(4):
+            s = random_strategy(rng, g.m_a, g.m_b)
+            bias = bias_of_strategy(g, s)
+            assert type(bias) is Fraction
+            assert bias == bias_of_behaviour(g, behaviour_of_strategy(s))
+
+
+def test_bias_of_strategy_shape_mismatch():
+    for alpha, beta in (((1,), (1, 1)), ((1, 1), (1,)), ((1, 1, 1), (1, 1))):
+        with pytest.raises(ShapeMismatch):
+            bias_of_strategy(chsh(), DeterministicStrategy(alpha=alpha, beta=beta))
+
+
 def test_strategy_keeps_integer_signs_exact():
     # numpy integers are integers, as in as_int
     s = DeterministicStrategy(alpha=(1, np.int64(-1)), beta=(-1, 1))
@@ -296,6 +332,11 @@ def test_named_errors():
         make_named("appendix_d", 1)
     with pytest.raises(InvalidParameter):
         make_named("identity")
+
+
+def test_family_limit_is_the_sdp_side():
+    # a 2^n x 2^n member past the limit is refused because no analysis takes it
+    assert 2 * 2**MAX_FAMILY_N == MAX_SDP_SIDE
 
 
 # ---------------------------------------------------------------------------
