@@ -15,18 +15,21 @@ patterns are scanned in ascending order, so the pass yields the optimum, the
 number of optimal patterns, and the optimal patterns in ascending order with
 their column sums; every caller reads this one pass.
 
-Ties are broken deterministically: the witness of `classical_bias` is the
-lowest optimal pattern with tied responses set to +1.  Ties also matter for
-face geometry.  Wherever ``(Phi^T alpha)_y = 0`` both signs of ``beta_y`` are
-optimal, and `optimal_vertices` branches over *all* such completions, in
-pattern order: dropping tied responses would under-measure the dimension of
-the optimal face.
+Wherever ``(Phi^T alpha)_y = 0`` both signs of ``beta_y`` are optimal, and
+`optimal_vertices` branches over *all* such completions: dropping tied
+responses would under-measure the dimension of the optimal face.  Vertices
+are rows ``[alpha | beta]`` of one int8 matrix in the game's orientation:
+optimal patterns in ascending order, each followed by its completions k = 0,
+1, ..., where bit j of k sets its j-th tied response as bits set patterns (0
+means +1).  The witness of `classical_bias` is row 0: the lowest optimal
+pattern with tied responses set to +1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -53,19 +56,26 @@ class ClassicalBiasResult:
     swapped: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OptimalVertexSet:
     """All deterministic strategies achieving the classical optimum ``xi_c``.
 
-    When ``truncated`` is False the list is complete, including every sign
-    choice on tied (zero) coordinates and both (alpha, beta) and its negation.
-    ``xi_c`` is None only for sets built by hand.
+    ``signs`` is a read-only int8 matrix with one row ``[alpha | beta]`` per
+    vertex; its first ``m_a`` columns are Alice's.  When ``truncated`` is
+    False the set is complete, including every sign choice on tied (zero)
+    coordinates and both (alpha, beta) and its negation.
     """
 
-    vertices: tuple[DeterministicStrategy, ...]
+    signs: np.ndarray
+    m_a: int
     truncated: bool
     cap: int
-    xi_c: Fraction | None = None
+    xi_c: Fraction
+
+    @cached_property
+    def vertices(self) -> tuple[DeterministicStrategy, ...]:
+        """The rows of ``signs`` as strategies, built and checked on first read."""
+        return _strategies(self.signs, self.m_a)
 
 
 @dataclass(frozen=True)
@@ -84,8 +94,8 @@ class _Optima:
 
     xi_c: Fraction
     count: int
-    alphas: list[list[int]]
-    rows: list[list[int]]
+    alphas: np.ndarray
+    rows: np.ndarray
     swapped: bool
 
 
@@ -94,16 +104,19 @@ def _signs(pats: np.ndarray, m: int) -> np.ndarray:
     return 1 - 2 * ((pats[:, None] >> np.arange(m, dtype=np.int64)) & 1)
 
 
+def require_enumerable(m: int, enum_cap: int) -> None:
+    """Raise TooLarge past ``enum_cap`` patterns; 2^m is never formed, so m may be huge."""
+    if m >= enum_cap.bit_length():  # 2^m > enum_cap
+        raise TooLarge(f"enumeration side has {m} inputs (2^{m} patterns > cap {enum_cap})")
+
+
 def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     """The one pass over all sign patterns, keeping the first ``keep`` optima."""
     if enum_cap < 1:
         raise InvalidParameter(f"enum_cap must be positive, got {enum_cap}")
     swapped = g.m_a > g.m_b
     m, mb = sorted((g.m_a, g.m_b))
-    if 1 << m > enum_cap:
-        raise TooLarge(
-            f"enumeration side has {m} inputs (2^{m} patterns > cap {enum_cap})"
-        )
+    require_enumerable(m, enum_cap)
     gm = game_matrix(g)
     # worst-case |alpha . column| * m_b must stay clear of int64 overflow
     bound = m * mb * max(abs(v) for row in gm.ints for v in row)
@@ -130,15 +143,35 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
         hits = hits[: max(0, keep - kept)]
         kept += len(hits)
         pats.append((h << k) + hits)
-        rows += cols[hits].tolist()
-    alphas = _signs(np.concatenate(pats), m).tolist()
-    return _Optima(Fraction(best, gm.denominator), count, alphas, rows, swapped)
+        rows.append(cols[hits])
+    alphas = _signs(np.concatenate(pats), m)
+    return _Optima(Fraction(best, gm.denominator), count, alphas, np.concatenate(rows), swapped)
 
 
-def _strategy(alpha, beta, swapped: bool) -> DeterministicStrategy:
-    if swapped:
-        alpha, beta = beta, alpha
-    return DeterministicStrategy(alpha=tuple(alpha), beta=tuple(beta))
+def _vertex_signs(opt: _Optima, cap: int) -> tuple[np.ndarray, bool]:
+    """The first ``cap`` vertex rows (read-only, module docstring order) and whether more exist."""
+    tied = opt.rows == 0
+    # 2^(ties) completions per pattern, clipped: one past the cap fills the set
+    # alone, and the clip keeps their sum in int64 (no larger set fits in memory)
+    limit = min(cap + 1, _INT64_SAFE // max(len(tied), 1))
+    per = np.minimum(np.left_shift(1, np.minimum(tied.sum(axis=1), 62)), limit)
+    ends, total = np.cumsum(per), int(per.sum())
+    vertex = np.arange(min(total, cap))
+    row = np.searchsorted(ends, vertex, side="right")
+    fill = vertex - (ends - per)[row]
+    # tie j takes bit j of the fill, other responses bit 63; fill < 2^62, so
+    # every bit from 62 on is 0 and shifts stop at 63
+    shift = np.where(tied, np.cumsum(tied, axis=1) - 1, 63).clip(max=63)
+    negative = (opt.rows < 0)[row] | (fill[:, None] >> shift[row]) & 1
+    beta, alpha = (1 - 2 * negative).astype(np.int8), opt.alphas[row].astype(np.int8)
+    signs = np.hstack([beta, alpha] if opt.swapped else [alpha, beta])
+    signs.flags.writeable = False
+    return signs, total > cap or opt.count > len(tied)
+
+
+def _strategies(signs: np.ndarray, m_a: int) -> tuple[DeterministicStrategy, ...]:
+    """Rows ``[alpha | beta]`` as checked strategies, Alice's first ``m_a`` signs."""
+    return tuple(DeterministicStrategy(tuple(r[:m_a]), tuple(r[m_a:])) for r in signs.tolist())
 
 
 def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBiasResult:
@@ -149,10 +182,10 @@ def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBia
     An ``enum_cap`` below 1 raises InvalidParameter.
     """
     opt = _enumerate(g, enum_cap, keep=1)
-    beta = [1 if v >= 0 else -1 for v in opt.rows[0]]
+    signs, _ = _vertex_signs(opt, 1)
     return ClassicalBiasResult(
         xi_c=opt.xi_c,
-        witness=_strategy(opt.alphas[0], beta, opt.swapped),
+        witness=_strategies(signs, g.m_a)[0],
         num_alpha_optimal=opt.count,
         swapped=opt.swapped,
     )
@@ -166,25 +199,16 @@ def optimal_vertices(
     """Enumerate every optimal deterministic strategy pair.
 
     Branches over all sign completions on zero coordinates of ``Phi^T alpha``;
-    stops and marks the set truncated once ``cap`` vertices are stored.  Each
-    optimal alpha yields at least one vertex, so the pass keeps ``cap`` alphas.
-    A ``cap`` below 0 raises InvalidParameter; 0 gives an empty truncated set.
+    keeps the first ``cap`` vertices and marks the set truncated when there
+    are more.  Each optimal alpha yields at least one vertex, so the pass
+    keeps ``cap`` alphas.  A ``cap`` below 0 raises InvalidParameter; 0 gives
+    an empty truncated set.
     """
     if cap < 0:
         raise InvalidParameter(f"cap must be >= 0, got {cap}")
     opt = _enumerate(g, enum_cap, keep=cap)
-    vertices: list[DeterministicStrategy] = []
-    for alpha, row in zip(opt.alphas, opt.rows):
-        zeros = [y for y, v in enumerate(row) if v == 0]
-        base = [1 if v >= 0 else -1 for v in row]
-        for fill in range(1 << len(zeros)):
-            if len(vertices) >= cap:
-                return OptimalVertexSet(tuple(vertices), True, cap, opt.xi_c)
-            beta = list(base)
-            for j, y in enumerate(zeros):
-                beta[y] = 1 - 2 * ((fill >> j) & 1)
-            vertices.append(_strategy(alpha, beta, opt.swapped))
-    return OptimalVertexSet(tuple(vertices), opt.count > len(opt.alphas), cap, opt.xi_c)
+    signs, truncated = _vertex_signs(opt, cap)
+    return OptimalVertexSet(signs, g.m_a, truncated, cap, opt.xi_c)
 
 
 def verify_F_relation(
@@ -197,16 +221,9 @@ def verify_F_relation(
     """
     if vs.truncated:
         raise Truncated("vertex set is truncated; relation cannot be certified")
-    if not vs.vertices:
-        return FRelationReport(max_residual=0.0, all_pass=True)
     Fm = np.asarray(F, dtype=float)
-    v0 = vs.vertices[0]
-    if Fm.shape != (len(v0.beta), len(v0.alpha)):
-        raise ShapeMismatch(
-            f"F must be {len(v0.beta)}x{len(v0.alpha)}, got {Fm.shape}"
-        )
-    worst = 0.0
-    for v in vs.vertices:
-        res = np.abs(np.array(v.beta, dtype=float) - Fm @ np.array(v.alpha, dtype=float)).max()
-        worst = max(worst, float(res))
+    alpha, beta = vs.signs[:, : vs.m_a], vs.signs[:, vs.m_a :]
+    if Fm.shape != (beta.shape[1], vs.m_a):
+        raise ShapeMismatch(f"F must be {beta.shape[1]}x{vs.m_a}, got {Fm.shape}")
+    worst = float(np.abs(beta - alpha @ Fm.T).max(initial=0.0))
     return FRelationReport(max_residual=worst, all_pass=worst <= tol)

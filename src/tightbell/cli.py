@@ -190,7 +190,10 @@ def cmd_nlc_spectrum(args) -> tuple[dict, int]:
 
 def cmd_nlc_bound(args) -> tuple[dict, int]:
     spec = _load_spec(args.file)
-    g = nlc.build_nlc(spec)  # first: it refuses a large n before the spectrum is taken
+    # 2^n inputs a side, refused before the game is built (past the family limit by build_nlc)
+    if spec.n <= game.MAX_FAMILY_N:
+        classical.require_enumerable(len(spec.q_tilde), classical.DEFAULT_ENUM_CAP)
+    g = nlc.build_nlc(spec)
     bound = nlc.nlc_bias_bound(nlc.hadamard_spectrum(spec), g)
     return {
         "n": spec.n,

@@ -42,7 +42,6 @@ from .errors import (
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
-    TooLarge,
     VerificationFailed,
 )
 from .game import DeterministicStrategy, XorGame, reduce_exhaustive
@@ -57,8 +56,6 @@ _DIFF_LIMIT = 1 << 62  # int64 entries below this have int64 differences
 _BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificate
 _PROBE_SAMPLES = 24  # certified re-solves per quantum face probe
 _PROBE_RANK_TOL = 1e-6  # singular values above this count as face directions
-# 2^27 strategy-coordinate entries: 10 x 11 (115 M) peaks at 558 MiB in 2.4 s
-_TRIVIAL_FACET_BITS = 27
 
 
 @dataclass(frozen=True)
@@ -324,25 +321,17 @@ def theorem2_codim_bound(M_a: int, M_b: int, m_a: int, m_b: int) -> Theorem2Boun
 def trivial_facet_check(m_a: int, m_b: int, x0: int, y0: int, sign: int) -> TrivialFacetReport:
     """Exact dimension of the correlation face ``{c : c_{x0,y0} = sign}``.
 
-    Enumerates every deterministic strategy with ``alpha_x0 beta_y0 = sign``
-    and measures the affine span of their correlators; the face is a facet
-    exactly when that span has dimension m_a m_b - 1.  The strategies number
-    2^(m_a + m_b - 1); beyond 2^27 correlator entries in all (10 x 11 is in,
-    11 x 11 is not) TooLarge is raised before anything is allocated.
+    It is the optimal face of the game asking only ``(x0, y0)``: two reduced
+    vertices ``+-(1, sign)`` and every other question never asked, measured
+    exactly at any size by :func:`_face_dimensions`.  A facet has dimension
+    m_a m_b - 1.
     """
     if m_a < 1 or m_b < 1 or not (0 <= x0 < m_a) or not (0 <= y0 < m_b):
         raise InvalidDims(f"bad dimensions or indices {(m_a, m_b, x0, y0)}")
     if sign not in (-1, 1):
         raise InvalidDims("sign must be +1 or -1")
-    bits = m_a + m_b - 1  # the first test spares a huge shift
-    if bits > _TRIVIAL_FACET_BITS or (m_a * m_b) << bits > 1 << _TRIVIAL_FACET_BITS:
-        raise TooLarge(f"2^{bits} strategies x {m_a * m_b} correlators exceed the budget")
-    # (alpha, beta) and (-alpha, -beta) share correlators, and distinct pairs
-    # otherwise differ in them; alpha_x0 = +1 keeps one strategy of each pair
-    alphas = np.insert(classical._signs(np.arange(1 << (m_a - 1)), m_a - 1), x0, 1, axis=1)
-    betas = np.insert(classical._signs(np.arange(1 << (m_b - 1)), m_b - 1), y0, sign, axis=1)
-    corr = alphas.astype(np.int8)[:, None, :, None] * betas.astype(np.int8)[None, :, None, :]
-    dim = affine_dimension_exact(corr.reshape(-1, m_a * m_b))
+    signs = np.array([[1, sign], [-1, -sign]], dtype=np.int8)
+    _, dim = _face_dimensions(signs, 1, m_a - 1, m_b - 1)
     return TrivialFacetReport(dim=dim, is_facet=dim == m_a * m_b - 1)
 
 
@@ -389,7 +378,7 @@ def face_report(
     vertex_cap: int = classical.DEFAULT_VERTEX_CAP,
     solve_cfg: qsdp.SolveConfig | None = None,
 ) -> FaceReport:
-    """Full pipeline: reduce, enumerate, embed, measure, bound, verdict.
+    """Full pipeline: reduce, enumerate, measure, bound, verdict.
 
     Dimensions refer to the original index set.  Never-asked questions are
     dropped before enumeration, and the dimensions of the original face follow
@@ -409,8 +398,7 @@ def face_report(
     d_a, d_b = M_a - reduced.m_a, M_b - reduced.m_b
     thm2 = theorem2_codim_bound(M_a, M_b, reduced.m_a, reduced.m_b)
 
-    signs = np.array([v.alpha + v.beta for v in vs.vertices], dtype=np.int8)
-    dim_full, dim_corr = _face_dimensions(signs, reduced.m_a, d_a, d_b)
+    dim_full, dim_corr = _face_dimensions(vs.signs, reduced.m_a, d_a, d_b)
     truncated = vs.truncated
     label = LOWER_BOUND if truncated else MEASURED
 
@@ -422,7 +410,7 @@ def face_report(
         xi_c=vs.xi_c,
         xi_q=qres.xi_q,
         classification=qres.classification,
-        num_vertices=len(vs.vertices) << (d_a + d_b),
+        num_vertices=len(vs.signs) << (d_a + d_b),
         dim_full=dim_full,
         dim_corr=dim_corr,
         codim_full=D - dim_full,

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -100,9 +99,9 @@ class CorollaryBound:
 def validate_spec(spec: NlcSpec) -> None:
     if spec.n < 1:
         raise InvalidSpec("n must be >= 1")
-    size = 1 << spec.n
-    if len(spec.q_tilde) != size or len(spec.f_z) != size:
-        raise InvalidSpec(f"q_tilde and f_z must have length 2^{spec.n} = {size}")
+    size = len(spec.q_tilde)  # 2^n has bit length n + 1, so a huge n is never shifted
+    if size.bit_length() != spec.n + 1 or size != 1 << spec.n or len(spec.f_z) != size:
+        raise InvalidSpec(f"q_tilde and f_z must have length 2^{spec.n}")
     if any(v < 0 for v in spec.q_tilde):
         raise InvalidSpec("q_tilde entries must be >= 0")
     if sum(spec.q_tilde) != 1:
@@ -115,19 +114,12 @@ def build_nlc(spec: NlcSpec) -> XorGame:
     """The 2^n x 2^n game with prior ``2^-n q~(x XOR y)`` and predicate ``f(x XOR y)``.
 
     Every row and column of the prior is a permutation of ``2^-n q~``, so the
-    game is exhaustive whenever q~ is not identically zero.  Spectra stay
-    cheap for any n, but full downstream enumeration is practical only up to
-    n = 5; a warning flags larger constructions, and past
+    game is exhaustive whenever q~ is not identically zero.  Past
     ``game.MAX_FAMILY_N`` TooLarge is raised before anything is built.
     """
     validate_spec(spec)
     if spec.n > MAX_FAMILY_N:
         raise TooLarge(f"n = {spec.n}: shared-input games stop at n = {MAX_FAMILY_N}")
-    if spec.n > 5:
-        warnings.warn(
-            f"n = {spec.n}: exhaustive downstream analyses cap at n = 5",
-            stacklevel=2,
-        )
     size = 1 << spec.n
     scale = Fraction(1, size)
     q = [[scale * spec.q_tilde[x ^ y] for y in range(size)] for x in range(size)]

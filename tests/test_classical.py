@@ -12,7 +12,7 @@ from tightbell import (
     optimal_vertices,
     verify_F_relation,
 )
-from tightbell.classical import DEFAULT_VERTEX_CAP, OptimalVertexSet
+from tightbell.classical import DEFAULT_VERTEX_CAP
 from tightbell.errors import InvalidParameter, TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, build_game
 
@@ -205,7 +205,8 @@ def test_f_relation_fails_for_chsh():
 
 
 def test_f_relation_refuses_truncated_sets():
-    vs = OptimalVertexSet(vertices=(), truncated=True, cap=1)
+    vs = optimal_vertices(chsh(), cap=1)
+    assert vs.truncated
     with pytest.raises(Truncated):
         verify_F_relation(vs, np.eye(2))
 
@@ -245,9 +246,13 @@ def test_enumeration_matches_block_reference(g):
     assert got == reference_bias(g)
     for cap in (0, 1, 3, 7, DEFAULT_VERTEX_CAP):
         vs = optimal_vertices(g, cap=cap)
-        got = (vs.xi_c, [(v.alpha, v.beta) for v in vs.vertices], vs.truncated)
-        assert got == reference_vertices(g, cap)
-        assert vs.cap == cap
+        xi_c, pairs, truncated = reference_vertices(g, cap)
+        assert vs.signs.dtype == np.int8 and not vs.signs.flags.writeable
+        assert vs.signs.shape == (len(pairs), g.m_a + g.m_b)
+        assert [tuple(row) for row in vs.signs.tolist()] == [a + b for a, b in pairs]
+        assert (vs.xi_c, vs.truncated, vs.cap) == (xi_c, truncated, cap)
+        assert [(v.alpha, v.beta) for v in vs.vertices] == pairs
+        assert vs.vertices is vs.vertices  # built once, on first read
 
 
 def test_each_function_enumerates_once(enumerations):

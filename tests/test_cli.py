@@ -77,6 +77,20 @@ def test_make_warns_beyond_enumeration_cap(tmp_path, capsys):
     assert "warning" in err
 
 
+def test_make_nlc_and_warns_once(tmp_path):
+    # the CLI's own warning line, and no library warning beside it
+    out = tmp_path / "and6.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "tightbell.cli", "make", "nlc-and", "--n", "6", "-o", str(out)],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert (proc.returncode, proc.stdout) == (0, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning:")
+
+
 # ---------------------------------------------------------------------------
 # bias
 # ---------------------------------------------------------------------------
@@ -298,13 +312,13 @@ def test_trivial_facet_cli(capsys):
 
 
 @pytest.mark.parametrize("ma,mb", [(11, 11), (12, 13)])
-def test_trivial_facet_over_memory_budget(capsys, ma, mb):
-    code, out, err = run(
+def test_trivial_facet_any_size(capsys, ma, mb):
+    code, payload, err = run_json(
         capsys, "trivial-facet", "--ma", str(ma), "--mb", str(mb), "--x0", str(ma - 1),
         "--y0", str(mb - 1), "--sign", "-",
     )
-    assert (code, out) == (2, "")
-    assert "budget" in err
+    assert (code, err) == (0, "")
+    assert (payload["dim"], payload["is_facet"]) == (ma * mb - 1, True)
 
 
 def test_trivial_facet_bad_sign(capsys):
@@ -343,6 +357,21 @@ def test_nlc_bound(capsys, and2_file):
     assert code == 0
     assert payload["xi_star"] == "1/2"
     assert payload["matches_classical"] is True
+
+
+def test_nlc_bound_refuses_from_n(tmp_path, capsys, monkeypatch):
+    # 2^9 inputs a side pass the enumeration cap: no game is built
+    def build(_spec):
+        raise AssertionError("build_nlc called")
+
+    monkeypatch.setattr(nlc, "build_nlc", build)
+    size = 1 << 9
+    spec = NlcSpec(n=9, q_tilde=(Fraction(1, size),) * size, f_z=(0,) * (size - 1) + (1,))
+    path = tmp_path / "and9.json"
+    save_nlc_spec(spec, path)
+    code, out, err = run(capsys, "nlc", "bound", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: enumeration side has 512 inputs")
 
 
 def test_nlc_bound_enumerates_once(capsys, and2_file, enumerations):
@@ -450,6 +479,26 @@ def test_families_past_n_11_exit_capped(tmp_path, argv):
     )
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "n = 11" in proc.stderr
+
+
+@pytest.mark.parametrize("n", [20000, 10**10])
+def test_spec_with_a_huge_n_is_invalid(tmp_path, n):
+    # 2^n is never formed: past 4,300 digits it cannot be printed, and at
+    # n = 10^10 it does not fit in the child's 1 GiB of address space
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"format": "tightbell-nlc-v1", "n": n, "q_tilde": ["1"], "f_z": [0]}))
+    for command in ("spectrum", "bound"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tightbell.cli", "nlc", command, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            preexec_fn=_limit_memory,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
 
 @pytest.mark.parametrize(

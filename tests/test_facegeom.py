@@ -26,7 +26,6 @@ from tightbell.errors import (
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
-    TooLarge,
 )
 from tightbell.facegeom import LOWER_BOUND, MEASURED
 from tightbell.game import DeterministicStrategy, build_game
@@ -181,7 +180,8 @@ def test_theorem2_bounds():
 
 @pytest.mark.parametrize(
     "args,dim",
-    [((2, 2, 0, 0, 1), 3), ((1, 1, 0, 0, -1), 0), ((2, 3, 1, 2, -1), 5)],
+    [((2, 2, 0, 0, 1), 3), ((1, 1, 0, 0, -1), 0), ((2, 3, 1, 2, -1), 5),
+     ((20, 20, 0, 0, 1), 399)],
 )
 def test_trivial_facet_examples(args, dim):
     rep = trivial_facet_check(*args)
@@ -194,8 +194,29 @@ def test_trivial_facet_errors():
         trivial_facet_check(2, 2, 2, 0, 1)
     with pytest.raises(InvalidDims):
         trivial_facet_check(2, 2, 0, 0, 2)
-    with pytest.raises(TooLarge):
-        trivial_facet_check(20, 20, 0, 0, 1)
+
+
+def test_trivial_facets_match_oracle_up_to_3x4():
+    # the correlators of every strategy with alpha_x0 beta_y0 = sign, ranked
+    # by the Fraction oracle, against the closed formula of the padded face
+    for m_a in range(1, 4):
+        for m_b in range(1, 5):
+            strategies = [
+                ([1 - 2 * (a >> i & 1) for i in range(m_a)], [1 - 2 * (b >> j & 1) for j in range(m_b)])
+                for a in range(1 << m_a)
+                for b in range(1 << m_b)
+            ]
+            for x0 in range(m_a):
+                for y0 in range(m_b):
+                    for sign in (1, -1):
+                        corr = [
+                            [x * y for x in alpha for y in beta]
+                            for alpha, beta in strategies
+                            if alpha[x0] * beta[y0] == sign
+                        ]
+                        dim = oracle_affine_dim(corr)
+                        rep = trivial_facet_check(m_a, m_b, x0, y0, sign)
+                        assert (rep.dim, rep.is_facet) == (dim, dim == m_a * m_b - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -85,16 +85,6 @@ def test_invalid_specs():
         build_nlc(NlcSpec(n=0, q_tilde=(Fraction(1),), f_z=(0,)))
 
 
-def test_build_warns_beyond_downstream_cap():
-    import warnings
-
-    rng = np.random.default_rng(97)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        build_nlc(random_nlc_spec(rng, 6))
-    assert len(caught) == 1 and "n = 6" in str(caught[0].message)
-
-
 def test_games_are_exhaustive_even_with_zero_support():
     spec = NlcSpec(n=2, q_tilde=(H, H, 0, 0), f_z=(0, 1, 0, 1))
     g = build_nlc(spec)

@@ -93,3 +93,21 @@ def test_no_unread_private_definitions():
     found = [f"{module}: {name} (line {line})" for module, name, line in defined if name not in read]
     assert len(defined) > 10
     assert found == []
+
+
+def test_no_warnings_or_prints():
+    # the CLI writes stdout and stderr itself: a library warning or print
+    # would add lines there in another format
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            names = []
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [node.func.id + "()"]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ("warnings", "print()")]
+    assert len(SOURCES) > 1
+    assert found == []
