@@ -7,13 +7,18 @@ is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 exact by working on the integers ``L * Phi`` of `tightbell.game.game_matrix`
 (int64, with an object-dtype fallback for enormous denominators).
 
-Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  One pass
-covers all 2^m patterns with a split table: for k about m/2, ``low =
-signs(k) P[:k]`` and ``high = signs(m - k) P[k:]`` are built once, and
-pattern ``h 2^k + l`` has column sums ``low[l] + high[h]``.  Chunks of high
-patterns are scanned in ascending order, so the pass yields the optimum, the
-number of optimal patterns, and the optimal patterns in ascending order with
-their column sums; every caller reads this one pass.
+Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  Its
+complement ``p ^ (2^m - 1)`` is ``-alpha``: same value, negated column sums.
+So one pass covers all 2^m patterns (``enum_cap`` counts them all) but scans
+only the 2^(m-1) with the top bit clear, with a split table: for ``k = m //
+2``, ``low = signs(k) P[:k]`` and ``high = signs(m - k) P[k:]``, over the
+2^(m-k-1) high patterns with the top bit clear, are built once, and pattern
+``h 2^k + l`` has column sums ``low[l] + high[h]``.  Chunks of high patterns
+are scanned in ascending order; the scanned optima are then followed by their
+complements in reverse order, which continues the ascending order.  So the
+pass yields the optimum, the number of optimal patterns, and the optimal
+patterns in ascending order with their column sums; every caller reads this
+one pass.
 
 Wherever ``(Phi^T alpha)_y = 0`` both signs of ``beta_y`` are optimal, and
 `optimal_vertices` branches over *all* such completions: dropping tied
@@ -123,10 +128,10 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     P = np.array(gm.ints, dtype=np.int64 if bound < _INT64_SAFE else object)
     if swapped:
         P = P.T
-    k = (m + 1) // 2
-    # .dot: exact for int64 and object
+    k = m // 2
+    # .dot: exact for int64 and object; high patterns keep the top bit clear
     low = _signs(np.arange(1 << k), k).astype(P.dtype).dot(P[:k])
-    high = _signs(np.arange(1 << (m - k)), m - k).astype(P.dtype).dot(P[k:])
+    high = _signs(np.arange(1 << (m - k - 1)), m - k).astype(P.dtype).dot(P[k:])
     step = max(1, _CHUNK // low.size)
     best, count, kept, pats, rows = -1, 0, 0, [], []
     for h in range(0, len(high), step):
@@ -144,8 +149,13 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
         kept += len(hits)
         pats.append((h << k) + hits)
         rows.append(cols[hits])
-    alphas = _signs(np.concatenate(pats), m)
-    return _Optima(Fraction(best, gm.denominator), count, alphas, np.concatenate(rows), swapped)
+    pats, rows = np.concatenate(pats), np.concatenate(rows)
+    # complement p ^ (2^m - 1) has p's value and negated sums; the complements
+    # follow the scanned half in descending order of p
+    extra = max(0, keep - count)  # slices stop at the count
+    pats = np.concatenate([pats, pats[::-1][:extra] ^ ((1 << m) - 1)])
+    rows = np.concatenate([rows, -rows[::-1][:extra]])
+    return _Optima(Fraction(best, gm.denominator), 2 * count, _signs(pats, m), rows, swapped)
 
 
 def _vertex_signs(opt: _Optima, cap: int) -> tuple[np.ndarray, bool]:

@@ -28,6 +28,17 @@ def random_game(
     return build_game(q, f)
 
 
+def tied_game(rng: np.random.Generator, m_a: int, m_b: int, max_weight: int = 3) -> XorGame:
+    """Random game with prior weights in 0..max_weight (never all zero), so ties are common."""
+    w = rng.integers(0, max_weight + 1, size=(m_a, m_b))
+    if w.sum() == 0:
+        w[int(rng.integers(0, m_a)), int(rng.integers(0, m_b))] = 1
+    total = int(w.sum())
+    q = [[Fraction(int(w[x, y]), total) for y in range(m_b)] for x in range(m_a)]
+    f = [[int(b) for b in row] for row in rng.integers(0, 2, size=(m_a, m_b))]
+    return build_game(q, f)
+
+
 def random_nlc_spec(rng: np.random.Generator, n: int, max_weight: int = 8) -> NlcSpec:
     """Random shared-input spec; zero weights allowed, support never empty."""
     size = 1 << n

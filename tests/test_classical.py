@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tightbell import (
     bias_of_strategy,
+    classical,
     classical_bias,
     make_named,
     optimal_vertices,
@@ -16,7 +19,7 @@ from tightbell.classical import DEFAULT_VERTEX_CAP
 from tightbell.errors import InvalidParameter, TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, build_game
 
-from .generators import random_game, random_strategy
+from .generators import random_game, random_strategy, tied_game
 from .oracles import oracle_bias, reference_bias, reference_vertices
 
 Q = Fraction(1, 4)
@@ -237,6 +240,23 @@ def reference_games():
     w[2].append(big - sum(map(sum, w)))
     q = [[Fraction(v, big) for v in row] for row in w]
     yield pytest.param(build_game(q, [[0, 1], [1, 0], [0, 0]]), id="denominator2^70x3x2")
+    # one-input enumerated side (k = 0: a low table of one zero row) both ways, then odd and even m
+    for m_a, m_b in ((1, 3), (3, 1), (5, 7), (6, 6)):
+        yield pytest.param(tied_game(rng, m_a, m_b), id=f"tied{m_a}x{m_b}")
+
+
+def complement_boundary_caps(g):
+    """Caps around half the optimal patterns and half the vertices, and the full counts.
+
+    The scan covers the patterns with the top bit clear and appends their
+    complements, so these caps cross from the scanned half into the complements.
+    """
+    patterns = reference_bias(g)[2]
+    vertices = len(reference_vertices(g, DEFAULT_VERTEX_CAP)[1])
+    caps = {patterns - 1, patterns, vertices - 1, vertices}
+    for half in (patterns // 2, vertices // 2):
+        caps |= {half - 1, half, half + 1}
+    return {c for c in caps if c >= 0}
 
 
 @pytest.mark.parametrize("g", list(reference_games()))
@@ -244,7 +264,7 @@ def test_enumeration_matches_block_reference(g):
     res = classical_bias(g)
     got = (res.xi_c, (res.witness.alpha, res.witness.beta), res.num_alpha_optimal, res.swapped)
     assert got == reference_bias(g)
-    for cap in (0, 1, 3, 7, DEFAULT_VERTEX_CAP):
+    for cap in sorted({0, 1, 3, 7, DEFAULT_VERTEX_CAP} | complement_boundary_caps(g)):
         vs = optimal_vertices(g, cap=cap)
         xi_c, pairs, truncated = reference_vertices(g, cap)
         assert vs.signs.dtype == np.int8 and not vs.signs.flags.writeable
@@ -253,6 +273,53 @@ def test_enumeration_matches_block_reference(g):
         assert (vs.xi_c, vs.truncated, vs.cap) == (xi_c, truncated, cap)
         assert [(v.alpha, v.beta) for v in vs.vertices] == pairs
         assert vs.vertices is vs.vertices  # built once, on first read
+
+
+@settings(max_examples=80, deadline=None)
+@given(m_a=st.integers(1, 6), m_b=st.integers(1, 6), seed=st.integers(0, 2**31), data=st.data())
+def test_enumeration_matches_reference_on_tied_games(m_a, m_b, seed, data):
+    g = tied_game(np.random.default_rng(seed), m_a, m_b)
+    res = classical_bias(g)
+    got = (res.xi_c, (res.witness.alpha, res.witness.beta), res.num_alpha_optimal, res.swapped)
+    assert got == reference_bias(g)
+    vertices = len(reference_vertices(g, DEFAULT_VERTEX_CAP)[1])
+    cap = data.draw(st.integers(0, 2 * vertices + 2), label="cap")
+    vs = optimal_vertices(g, cap=cap)
+    xi_c, pairs, truncated = reference_vertices(g, cap)
+    assert [tuple(row) for row in vs.signs.tolist()] == [a + b for a, b in pairs]
+    assert (vs.xi_c, vs.truncated) == (xi_c, truncated)
+
+
+@pytest.mark.parametrize("m_a,m_b", [(1, 2), (2, 3), (3, 3), (5, 4), (6, 7), (8, 9)])
+def test_scan_covers_half_the_patterns(monkeypatch, m_a, m_b):
+    # the low and high sign tables are the first two built; their row counts
+    # multiply to the number of patterns scanned, half of the 2^m covered
+    tables = []
+    signs = classical._signs
+
+    def recorded(pats, m):
+        tables.append(len(pats))
+        return signs(pats, m)
+
+    monkeypatch.setattr(classical, "_signs", recorded)
+    g = tied_game(np.random.default_rng(m_a * 10 + m_b), m_a, m_b)
+    res = classical_bias(g)
+    m = min(m_a, m_b)
+    assert tables[0] * tables[1] == 1 << (m - 1)
+    assert res.num_alpha_optimal == reference_bias(g)[2]
+
+
+@pytest.mark.parametrize("m_a,m_b", [(1, 3), (3, 1), (4, 6), (7, 5)])
+def test_enum_cap_counts_all_patterns(m_a, m_b):
+    # the cap counts the 2^m patterns covered, not the 2^(m-1) scanned
+    g = tied_game(np.random.default_rng(m_a + m_b), m_a, m_b)
+    m = min(m_a, m_b)
+    assert classical_bias(g, enum_cap=1 << m).xi_c == reference_bias(g)[0]
+    assert not optimal_vertices(g, enum_cap=1 << m).truncated
+    with pytest.raises(TooLarge):
+        classical_bias(g, enum_cap=(1 << m) - 1)
+    with pytest.raises(TooLarge):
+        optimal_vertices(g, enum_cap=(1 << m) - 1)
 
 
 def test_each_function_enumerates_once(enumerations):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tightbell import build_game, load_game, make_named, nlc, save_game
@@ -18,7 +19,7 @@ from tightbell.game import game_to_dict
 from tightbell.nlc import NlcSpec, save_nlc_spec
 from tightbell.qsdp import SolveConfig
 
-from .generators import random_nlc_spec
+from .generators import random_nlc_spec, tied_game
 
 
 def run(capsys, *argv):
@@ -182,6 +183,18 @@ def test_malformed_input_files(tmp_path, capsys, command, content):
 def test_bias_cap_exceeded(capsys, chsh_file):
     code, _, err = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("m_a,m_b", [(1, 3), (4, 6), (7, 5)])
+def test_bias_enum_cap_counts_all_patterns(tmp_path, capsys, m_a, m_b):
+    # 2^m patterns of the enumerated side, though only half of them are scanned
+    path = tmp_path / "g.json"
+    save_game(tied_game(np.random.default_rng(m_a + m_b), m_a, m_b), path)
+    patterns = 1 << min(m_a, m_b)
+    code, payload, _ = run_json(capsys, "bias", "classical", str(path), "--enum-cap", str(patterns))
+    assert code == 0 and payload["xi_c"] is not None
+    code, out, err = run(capsys, "bias", "classical", str(path), "--enum-cap", str(patterns - 1))
+    assert (code, out) == (2, "") and err.startswith("error: ")
 
 
 @pytest.mark.parametrize(
