@@ -9,7 +9,9 @@ kinds without the declared tolerance.
 
 Each subcommand handler returns ``(report, exit code)``.  ``main`` alone puts
 ``command`` and ``timestamp`` first (in every report but the game file of
-``make``) and writes the report, to stdout or ``-o``.
+``make``) and writes the report, to stdout or ``-o``.  The parser is built once
+per process, on first use; calls share no state, since each parse fills a fresh
+namespace and help and usage go to the ``sys.stdout``/``sys.stderr`` of the call.
 
 The solver flags are the fields of ``qsdp.SolveConfig``, which supplies their
 defaults and rejects out-of-range values (exit 1); the command line adds only
@@ -21,6 +23,7 @@ quantum`` the solver flags, ``face`` both and the vertex cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -247,6 +250,7 @@ def cmd_nlc_corollary(args) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tightbell",

@@ -9,8 +9,9 @@ probability is ``(1 + bias) / 2``.
 
 All classical-side data is exact: priors are `fractions.Fraction`,
 `signed_matrix` alone scales signed data to integers, and normalization of
-the prior is *checked*, not silently applied, because rescaling would change
-the bias scale.  Floats only enter at the solver boundary (`tightbell.qsdp`).
+the prior is *checked* (on integers over the lcm of the denominators), not
+silently applied, because rescaling would change the bias scale.  Floats only
+enter at the solver boundary (`tightbell.qsdp`).
 """
 
 from __future__ import annotations
@@ -78,7 +79,16 @@ def as_int(value) -> int:
 
 
 def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
-    out = tuple(tuple(as_rational(v) for v in row) for row in rows)
+    parsed: dict[str, Fraction] = {}  # family files repeat a few literals
+
+    def rational(v) -> Fraction:
+        if type(v) is not str:
+            return as_rational(v)
+        if v not in parsed:
+            parsed[v] = as_rational(v)
+        return parsed[v]
+
+    out = tuple(tuple(map(rational, row)) for row in rows)
     if not out or not out[0]:
         raise ShapeMismatch("matrix must be nonempty")
     width = len(out[0])
@@ -145,7 +155,8 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
 
     Raises ShapeMismatch, NegativePrior, NotNormalized, or GameFormatError.
     Normalization is never applied silently: the caller must supply a prior
-    summing to 1.
+    summing to 1.  The sum is checked on the integers of :func:`signed_matrix`,
+    over the lcm of the denominators.
     """
     qm = _rational_matrix(q)
     fm = tuple(tuple(as_int(v) for v in row) for row in f)
@@ -153,11 +164,12 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
         raise ShapeMismatch("q and f must have identical shapes")
     if any(bit not in (0, 1) for row in fm for bit in row):
         raise ShapeMismatch("predicate entries must be 0 or 1")
-    if any(v < 0 for row in qm for v in row):
+    if any(v.numerator < 0 for row in qm for v in row):
         raise NegativePrior("prior entries must be >= 0")
-    total = sum(v for row in qm for v in row)
-    if total != 1:
-        raise NotNormalized(f"prior sums to {total}, expected exactly 1")
+    gm = signed_matrix(qm, fm)  # its |entries| are L q, the prior now being >= 0
+    total = sum(abs(v) for row in gm.ints for v in row)
+    if total != gm.denominator:
+        raise NotNormalized(f"prior sums to {Fraction(total, gm.denominator)}, expected exactly 1")
     return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm)
 
 

@@ -122,7 +122,8 @@ def build_nlc(spec: NlcSpec) -> XorGame:
         raise TooLarge(f"n = {spec.n}: shared-input games stop at n = {MAX_FAMILY_N}")
     size = 1 << spec.n
     scale = Fraction(1, size)
-    q = [[scale * spec.q_tilde[x ^ y] for y in range(size)] for x in range(size)]
+    values = [scale * v for v in spec.q_tilde]  # formed once, shared by the 2^n cells of each
+    q = [[values[x ^ y] for y in range(size)] for x in range(size)]
     f = [[spec.f_z[x ^ y] for y in range(size)] for x in range(size)]
     return build_game(q, f)
 
@@ -142,7 +143,7 @@ def spec_from_game(g: XorGame) -> NlcSpec:
     for x in range(size):
         for y in range(size):
             z = x ^ y
-            if g.q[x][y] * size != q_tilde[z] or g.f[x][y] != f_z[z]:
+            if g.q[x][y] != g.q[0][z] or g.f[x][y] != f_z[z]:
                 raise InvalidSpec("game data does not factor through x XOR y")
     spec = NlcSpec(n=n, q_tilde=q_tilde, f_z=f_z)
     validate_spec(spec)

@@ -9,8 +9,10 @@ solver reference updates one row of the Gram factor at a time against the
 full embedded matrix (the library updates each player's rows as one block), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses a certified rank modulo a prime, falling back to
-fraction-free integer elimination), and the no-signalling
-oracle reconstructs the full conditional table from first principles.
+fraction-free integer elimination), the no-signalling oracle reconstructs the
+full conditional table from first principles, and the game validation
+reference sums the prior in Fractions (the library sums the integers that
+``signed_matrix`` scales over the lcm of the denominators).
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from fractions import Fraction
 from math import lcm
 
 import numpy as np
+
+from tightbell.errors import NegativePrior, NotNormalized, ShapeMismatch
+from tightbell.game import XorGame, as_int, as_rational
 
 _REFERENCE_BLOCK = 1 << 14
 
@@ -208,3 +213,28 @@ def oracle_is_no_signalling(beh) -> bool:
             if len(marginals) != 1:
                 return False
     return True
+
+
+def reference_build_game(q, f) -> XorGame:
+    """``build_game``'s checks in their order, with the prior summed in Fractions.
+
+    Each entry goes through the library's own ``as_rational`` and ``as_int``, so
+    the per-entry errors are the library's; the shape, sign and sum checks are
+    written out here.
+    """
+    qm = tuple(tuple(as_rational(v) for v in row) for row in q)
+    if not qm or not qm[0]:
+        raise ShapeMismatch("matrix must be nonempty")
+    if any(len(row) != len(qm[0]) for row in qm):
+        raise ShapeMismatch("matrix rows have unequal lengths")
+    fm = tuple(tuple(as_int(v) for v in row) for row in f)
+    if len(fm) != len(qm) or any(len(fr) != len(qr) for fr, qr in zip(fm, qm)):
+        raise ShapeMismatch("q and f must have identical shapes")
+    if any(bit not in (0, 1) for row in fm for bit in row):
+        raise ShapeMismatch("predicate entries must be 0 or 1")
+    if any(v < 0 for row in qm for v in row):
+        raise NegativePrior("prior entries must be >= 0")
+    total = sum(v for row in qm for v in row)
+    if total != 1:
+        raise NotNormalized(f"prior sums to {total}, expected exactly 1")
+    return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm)

@@ -1,5 +1,7 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -529,6 +531,32 @@ def test_usage_errors_exit_invalid(capsys, chsh_file, argv):
 def test_help_exits_ok(capsys):
     code, out, _ = run(capsys, "bias", "quantum", "--help")
     assert code == 0 and "--gap-tol" in out and "--enum-cap" not in out
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys, chsh_file):
+    assert build_parser() is build_parser()
+    # a flag given in one call does not carry over to the next
+    first, second = (run_json(capsys, "face", chsh_file, *extra)[1]
+                     for extra in (["--space", "correlation"], []))
+    assert (first["space"], second["space"]) == ("correlation", "full")
+    first, second = (run_json(capsys, "bias", "quantum", chsh_file, *extra)[1]
+                     for extra in (["--seed", "5"], []))
+    assert (first["seed"], second["seed"]) == (5, 0)
+    # a usage error and --help leave nothing behind for a valid call
+    argv = ("face", chsh_file)
+    code, out, err = run(capsys, *argv)
+    assert run(capsys, "face")[0] == 1
+    assert run(capsys, "--help")[0] == 0
+    again = run(capsys, *argv)
+    assert (again[0], strip_timestamp(again[1]), again[2]) == (code, strip_timestamp(out), err)
+    # -o in one call, stdout in the next
+    assert run(capsys, *argv, "-o", str(tmp_path / "report.json"))[1] == ""
+    assert strip_timestamp(run(capsys, *argv)[1]) == strip_timestamp(out)
+    # usage goes to the stderr of the call, not of the parser's first use
+    usage = io.StringIO()
+    with contextlib.redirect_stderr(usage):
+        assert main(["frobnicate"]) == 1
+    assert usage.getvalue().startswith("usage: tightbell")
 
 
 def test_output_file_flag(tmp_path, capsys, chsh_file):

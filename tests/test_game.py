@@ -1,6 +1,7 @@
 """Game construction, named families, reductions, behaviours, file format."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ from tightbell.game import (
 from tightbell.qsdp import MAX_SDP_SIDE
 
 from .generators import random_game, random_strategy
-from .oracles import oracle_is_no_signalling
+from .oracles import oracle_is_no_signalling, reference_build_game
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -88,6 +89,76 @@ def test_build_validation_errors():
     # appending zero rows keeps validity as long as the sum stays 1
     g = build_game([[H, H], [0, 0]], [[0, 0], [0, 0]])
     assert g.m_a == 2
+
+
+def test_build_error_texts_and_their_order():
+    with pytest.raises(NotNormalized) as info:
+        build_game([[H, Q]], [[0, 0]])
+    assert str(info.value) == "prior sums to 3/4, expected exactly 1"
+    # negative entries are refused before the sum is read, here 1/4
+    with pytest.raises(NegativePrior, match=r"^prior entries must be >= 0$"):
+        build_game([[H, -Q]], [[0, 0]])
+    # of a float and a bad literal, the entry that comes first is refused
+    with pytest.raises(GameFormatError, match=r"^exact rational required, got float"):
+        build_game([[0.5, "x"]], [[0, 0]])
+    with pytest.raises(GameFormatError, match=r"^not a rational literal: 'x'$"):
+        build_game([["x", 0.5]], [[0, 0]])
+
+
+# exact spellings of a prior value, and entries that are not one
+_LITERALS = ("1/3", "0.25", "2/6", "1/2", "0", "-1/4", "3/4", "1/0", "x")
+_OFF_ENTRIES = st.one_of(
+    st.integers(-2, 2),
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.sampled_from(_LITERALS),
+    st.sampled_from([0.5, 0.25, None]),
+)
+
+
+@st.composite
+def game_data(draw):
+    """Priors summing to 1 in mixed spellings, then some entries, bits or rows spoiled."""
+    m_a, m_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    weights = draw(st.lists(st.integers(0, 3), min_size=m_a * m_b, max_size=m_a * m_b))
+    total = sum(weights) or 1
+
+    def entry(w):
+        v = Fraction(w, total)
+        spellings = [v, str(v), f"{2 * v.numerator}/{2 * v.denominator}"]
+        if v.denominator == 1:
+            spellings.append(int(v))
+        if 10**4 % v.denominator == 0:
+            spellings.append(str(Decimal(v.numerator) / v.denominator))
+        return draw(st.sampled_from(spellings))
+
+    q = [[entry(weights[x * m_b + y]) for y in range(m_b)] for x in range(m_a)]
+    f = [[draw(st.integers(0, 1)) for _ in range(m_b)] for _ in range(m_a)]
+    cells = st.tuples(st.integers(0, m_a - 1), st.integers(0, m_b - 1))
+    # floats of the prior's own values too: a cache keyed by value would take them
+    as_floats = st.sampled_from([float(Fraction(w, total)) for w in weights])
+    for x, y in draw(st.lists(cells, max_size=2)):
+        q[x][y] = draw(_OFF_ENTRIES | as_floats)
+    spoil = st.sampled_from((None, None, None, None, "bit", "row"))
+    if (spoiled := draw(spoil)) == "bit":
+        x, y = draw(cells)
+        f[x][y] = draw(st.sampled_from([2, -1, 0.0, True]))
+    elif spoiled == "row":
+        del draw(st.sampled_from((q, f)))[draw(st.integers(0, m_a - 1))][-1]
+    return q, f
+
+
+def _outcome(build, q, f):
+    try:
+        return build(q, f)
+    except Exception as exc:  # the exception is part of the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=game_data())
+def test_build_game_matches_fraction_sum_reference(data):
+    q, f = data
+    assert _outcome(build_game, q, f) == _outcome(reference_build_game, q, f)
 
 
 def test_game_matrix_chsh():

@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tightbell import (
     affine_dimension_exact,
+    build_game,
     build_nlc,
     classical_bias,
     corollary_bound,
@@ -323,6 +326,42 @@ def test_spec_from_game_rejects_non_circulant():
         spec_from_game(make_named("chsh"))  # predicate is not a function of x^y
     with pytest.raises(InvalidSpec):
         spec_from_game(make_named("single_entry"))  # 2^0 size is fine, but...
+
+
+@st.composite
+def specs_with_int_zeros(draw):
+    """Specs on n <= 3 bits whose q~ holds plain int 0s beside Fractions."""
+    n = draw(st.integers(1, 3))
+    size = 1 << n
+    weights = draw(st.lists(st.integers(0, 4), min_size=size, max_size=size))
+    weights[draw(st.integers(0, size - 1))] += 1  # support never empty
+    total = sum(weights)
+    q_tilde = tuple(0 if w == 0 and draw(st.booleans()) else Fraction(w, total)
+                    for w in weights)
+    f_z = tuple(draw(st.lists(st.integers(0, 1), min_size=size, max_size=size)))
+    return NlcSpec(n=n, q_tilde=q_tilde, f_z=f_z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=specs_with_int_zeros())
+def test_build_nlc_prior_and_spec_recovery(spec):
+    g = build_nlc(spec)
+    size = 1 << spec.n
+    assert all(type(v) is Fraction for row in g.q for v in row)
+    assert all(g.q[x][y] == Fraction(spec.q_tilde[x ^ y]) / size
+               for x in range(size) for y in range(size))
+    assert spec_from_game(g) == spec
+
+
+def test_spec_from_game_rejects_a_prior_off_x_xor_y():
+    # f is f(x ^ y), and row 0 reads a valid q~ = (1/2, 1/2); row 1 does not
+    # follow it (q[1][0] = 1/8, not q[0][1] = 1/4), though the prior sums to 1
+    g = build_game(
+        [[Fraction(1, 4), Fraction(1, 4)], [Fraction(1, 8), Fraction(3, 8)]],
+        [[0, 1], [1, 0]],
+    )
+    with pytest.raises(InvalidSpec):
+        spec_from_game(g)
 
 
 def test_spec_file_roundtrip(tmp_path):
