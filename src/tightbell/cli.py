@@ -87,7 +87,9 @@ MAKE_NAMES = {"appendixd": "appendix_d"}
 
 def cmd_make(args) -> tuple[dict, int]:
     g = game.make_named(MAKE_NAMES.get(args.name, args.name), args.n)
-    if 1 << min(g.m_a, g.m_b) > classical.DEFAULT_ENUM_CAP:
+    try:
+        classical.require_enumerable(min(g.m_a, g.m_b), classical.DEFAULT_ENUM_CAP)
+    except TooLarge:
         sys.stderr.write(
             f"warning: enumeration side has {min(g.m_a, g.m_b)} inputs, "
             f"beyond the default cap of {classical.DEFAULT_ENUM_CAP} patterns\n"
@@ -169,15 +171,17 @@ def cmd_trivial_facet(args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def _load_spec(path) -> nlc.NlcSpec:
+def _load_spec(path) -> tuple[nlc.NlcSpec, game.XorGame | None]:
+    """The file's spec, and its game if the file held one rather than a spec."""
     data = game.read_json(path)
     if isinstance(data, dict) and data.get("format") == nlc.NLC_FORMAT:
-        return nlc.nlc_spec_from_dict(data)
-    return nlc.spec_from_game(game.game_from_dict(data))
+        return nlc.nlc_spec_from_dict(data), None
+    g = game.game_from_dict(data)
+    return nlc.spec_from_game(g), g
 
 
 def cmd_nlc_spectrum(args) -> tuple[dict, int]:
-    spec = _load_spec(args.file)
+    spec, _ = _load_spec(args.file)
     a = nlc.hadamard_spectrum(spec)
     return {
         "n": spec.n,
@@ -192,11 +196,13 @@ def cmd_nlc_spectrum(args) -> tuple[dict, int]:
 
 
 def cmd_nlc_bound(args) -> tuple[dict, int]:
-    spec = _load_spec(args.file)
-    # 2^n inputs a side, refused before the game is built (past the family limit by build_nlc)
+    spec, g = _load_spec(args.file)
+    # 2^n inputs a side, refused before a spec's game is built; past the family
+    # limit build_nlc refuses it, whichever kind of file held it
     if spec.n <= game.MAX_FAMILY_N:
         classical.require_enumerable(len(spec.q_tilde), classical.DEFAULT_ENUM_CAP)
-    g = nlc.build_nlc(spec)
+    if g is None or spec.n > game.MAX_FAMILY_N:
+        g = nlc.build_nlc(spec)
     bound = nlc.nlc_bias_bound(nlc.hadamard_spectrum(spec), g)
     return {
         "n": spec.n,

@@ -102,11 +102,15 @@ def validate_spec(spec: NlcSpec) -> None:
     size = len(spec.q_tilde)  # 2^n has bit length n + 1, so a huge n is never shifted
     if size.bit_length() != spec.n + 1 or size != 1 << spec.n or len(spec.f_z) != size:
         raise InvalidSpec(f"q_tilde and f_z must have length 2^{spec.n}")
+    # exact entries only, as build_game takes them: a float would reach the
+    # rational arithmetic downstream
+    if not all(isinstance(v, (int, Fraction)) for v in spec.q_tilde):
+        raise GameFormatError("q_tilde entries must be int or Fraction")
     if any(v < 0 for v in spec.q_tilde):
         raise InvalidSpec("q_tilde entries must be >= 0")
     if sum(spec.q_tilde) != 1:
         raise InvalidSpec("q_tilde must sum to exactly 1")
-    if any(b not in (0, 1) for b in spec.f_z):
+    if any(as_int(b) not in (0, 1) for b in spec.f_z):
         raise InvalidSpec("f_z entries must be 0 or 1")
 
 

@@ -131,15 +131,21 @@ def reference_vertices(g, cap: int):
     return Fraction(best, den), out, False
 
 
-def reference_coordinate_ascent(pt, blocks, U, cfg):
+def reference_coordinate_ascent(blocks, U, cfg):
     """The solver's sweep as one row update at a time, over the full ``Phi~``.
 
-    Same signature as ``qsdp._coordinate_ascent``; ``blocks`` is ignored.
-    Row ``i`` becomes ``w / |w|`` with ``w = Phi~_i U``, in order, and keeps
-    its value when ``w = 0``; sweeps stop when no row moved by more than
-    ``cfg.change_tol``.  Returns (U, sweeps, converged).
+    Same signature as ``qsdp._coordinate_ascent``; ``Phi~`` is rebuilt from
+    the two blocks ``Phi/2`` and ``Phi^T/2``.  Row ``i`` becomes ``w / |w|``
+    with ``w = Phi~_i U``, in order, and keeps its value when ``w = 0``;
+    sweeps stop when no row moved by more than ``cfg.change_tol``.  Returns
+    (U, sweeps, converged).
     """
-    m = pt.shape[0]
+    half, half_t = blocks
+    m_a, m_b = half.shape
+    m = m_a + m_b
+    pt = np.zeros((m, m))
+    pt[:m_a, m_a:] = half
+    pt[m_a:, :m_a] = half_t
     for sweep in range(1, cfg.max_iters + 1):
         changed = 0.0
         for i in range(m):

@@ -389,6 +389,16 @@ def test_nlc_bound_refuses_from_n(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: enumeration side has 512 inputs")
 
 
+def test_nlc_bound_on_a_game_file_builds_no_second_game(capsys, and2_file, monkeypatch):
+    def build(_spec):
+        raise AssertionError("build_nlc called")
+
+    monkeypatch.setattr(nlc, "build_nlc", build)
+    code, payload, _ = run_json(capsys, "nlc", "bound", and2_file)
+    assert code == 0
+    assert (payload["xi_star"], payload["xi_c"]) == ("1/2", "1/2")
+
+
 def test_nlc_bound_enumerates_once(capsys, and2_file, enumerations):
     code, payload, _ = run_json(capsys, "nlc", "bound", and2_file)
     assert code == 0

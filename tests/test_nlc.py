@@ -26,13 +26,14 @@ from tightbell import (
     solve_quantum_bias,
     spec_from_game,
 )
-from tightbell.errors import InvalidDims, InvalidParameter, InvalidSpec, TooLarge
+from tightbell.errors import GameFormatError, InvalidDims, InvalidParameter, InvalidSpec, TooLarge
 from tightbell.nlc import (
     NlcSpec,
     load_nlc_spec,
     nlc_spec_from_dict,
     nlc_spec_to_dict,
     save_nlc_spec,
+    validate_spec,
 )
 
 from .generators import random_nlc_spec
@@ -86,6 +87,20 @@ def test_invalid_specs():
         build_nlc(NlcSpec(n=1, q_tilde=(H, H), f_z=(0, 2)))
     with pytest.raises(InvalidSpec):
         build_nlc(NlcSpec(n=0, q_tilde=(Fraction(1),), f_z=(0,)))
+
+
+@pytest.mark.parametrize("spec", [
+    NlcSpec(n=1, q_tilde=(0.5, 0.5), f_z=(0, 1)),
+    NlcSpec(n=1, q_tilde=(H, "1/2"), f_z=(0, 1)),
+    NlcSpec(n=1, q_tilde=(H, H), f_z=(0, 1.0)),
+    NlcSpec(n=1, q_tilde=(H, H), f_z=(False, True)),
+])
+def test_inexact_spec_entries_are_format_errors(spec):
+    # the spectrum refuses them as the game builder does, not with a TypeError
+    # or an AttributeError from the rational arithmetic
+    for analyse in (validate_spec, hadamard_spectrum, build_nlc):
+        with pytest.raises(GameFormatError):
+            analyse(spec)
 
 
 def test_games_are_exhaustive_even_with_zero_support():
