@@ -11,14 +11,16 @@ Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  Its
 complement ``p ^ (2^m - 1)`` is ``-alpha``: same value, negated column sums.
 So one pass covers all 2^m patterns (``enum_cap`` counts them all) but scans
 only the 2^(m-1) with the top bit clear, with a split table: for ``k = m //
-2``, ``low = signs(k) P[:k]`` and ``high = signs(m - k) P[k:]``, over the
-2^(m-k-1) high patterns with the top bit clear, are built once, and pattern
-``h 2^k + l`` has column sums ``low[l] + high[h]``.  Chunks of high patterns
-are scanned in ascending order; the scanned optima are then followed by their
-complements in reverse order, which continues the ascending order.  So the
-pass yields the optimum, the number of optimal patterns, and the optimal
-patterns in ascending order with their column sums; every caller reads this
-one pass.
+2``, the column-major tables ``low = P[:k]^T signs(k)^T`` (m_b x 2^k) and
+``high = P[k:]^T signs(m - k)^T``, over the 2^(m-k-1) high patterns with the
+top bit clear, are built once, and pattern ``h 2^k + l`` has column sums
+``low[:, l] + high[:, h]``.  Chunks of high patterns are scanned in ascending
+order; with the sums of a chunk's patterns as columns, their values are m_b
+long vector adds rather than one short reduction per pattern.  The scanned
+optima are then followed by their complements in reverse order, which
+continues the ascending order.  So the pass yields the optimum, the number of
+optimal patterns, and the optimal patterns in ascending order with their
+column sums; every caller reads this one pass.
 
 Wherever ``(Phi^T alpha)_y = 0`` both signs of ``beta_y`` are optimal, and
 `optimal_vertices` branches over *all* such completions: dropping tied
@@ -123,21 +125,26 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     m, mb = sorted((g.m_a, g.m_b))
     require_enumerable(m, enum_cap)
     gm = game_matrix(g)
-    # worst-case |alpha . column| * m_b must stay clear of int64 overflow
-    bound = m * mb * max(abs(v) for row in gm.ints for v in row)
-    P = np.array(gm.ints, dtype=np.int64 if bound < _INT64_SAFE else object)
+    try:
+        P = np.array(gm.ints, dtype=np.int64)
+    except OverflowError:  # an entry past int64
+        P = np.array(gm.ints, dtype=object)
+    # worst-case |alpha . column| * m_b must stay clear of int64 overflow;
+    # int() first, since np.abs(-2^63) wraps to itself
+    if m * mb * max(int(P.max()), -int(P.min())) >= _INT64_SAFE:
+        P = P.astype(object)
     if swapped:
         P = P.T
     k = m // 2
     # .dot: exact for int64 and object; high patterns keep the top bit clear
-    low = _signs(np.arange(1 << k), k).astype(P.dtype).dot(P[:k])
-    high = _signs(np.arange(1 << (m - k - 1)), m - k).astype(P.dtype).dot(P[k:])
+    low = P[:k].T.dot(_signs(np.arange(1 << k), k).T.astype(P.dtype))
+    high = P[k:].T.dot(_signs(np.arange(1 << (m - k - 1)), m - k).T.astype(P.dtype))
     step = max(1, _CHUNK // low.size)
     best, count, kept, pats, rows = -1, 0, 0, [], []
-    for h in range(0, len(high), step):
-        # row i holds the column sums of pattern (h << k) + i
-        cols = (low[None, :, :] + high[h : h + step, None, :]).reshape(-1, mb)
-        vals = np.abs(cols).sum(axis=1)
+    for h in range(0, high.shape[1], step):
+        # column i holds the column sums of pattern (h << k) + i
+        cols = (low[:, None, :] + high[:, h : h + step, None]).reshape(mb, -1)
+        vals = np.abs(cols).sum(axis=0)
         top = int(vals.max())
         if top < best:
             continue
@@ -148,7 +155,7 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
         hits = hits[: max(0, keep - kept)]
         kept += len(hits)
         pats.append((h << k) + hits)
-        rows.append(cols[hits])
+        rows.append(cols[:, hits].T)
     pats, rows = np.concatenate(pats), np.concatenate(rows)
     # complement p ^ (2^m - 1) has p's value and negated sums; the complements
     # follow the scanned half in descending order of p

@@ -12,7 +12,10 @@ blocks, no row of Alice's block reads another row of it, and the same holds
 for Bob: a Gauss-Seidel sweep over the rows is two block updates,
 ``U_A <- rownorm(Phi/2 U_B)`` and then ``U_B <- rownorm(Phi^T/2 U_A)``, one
 matrix product each (the Mixing method of Wang, Chang and Kolter specialised
-to a bipartite cost).
+to a bipartite cost).  On these small arrays a numpy call costs more to start
+than to compute, so the sweeps of one ascent write into product, norm and
+previous-iterate buffers allocated once, and the largest row movement is
+measured once per sweep over both blocks.
 
 Nothing is trusted without a certificate.  The stationarity candidate
 ``t_i = |w_i|`` is a dual vector; the solve is *certified* when the duality
@@ -174,47 +177,43 @@ def build_phi_tilde(g: XorGame) -> PhiTilde:
     return PhiTilde(matrix=pt)
 
 
-def _block_update(P: np.ndarray, V: np.ndarray, X: np.ndarray) -> float:
-    """Set the rows of ``X`` to ``rownorm(P @ V)``; return the largest move.
-
-    A row whose update direction is zero keeps its value (a stall) and does
-    not count as a move.
-    """
-    W = P @ V
-    norms = np.sqrt(np.einsum("ij,ij->i", W, W))
-    if norms.all():
-        W /= norms[:, None]
-        d = float(np.abs(W - X).max())
-        X[...] = W
-        return d
-    live = norms > 0.0
-    if not live.any():
-        return 0.0
-    W = W[live] / norms[live, None]
-    d = float(np.abs(W - X[live]).max())
-    X[live] = W
-    return d
-
-
 def _coordinate_ascent(
     blocks: tuple[np.ndarray, np.ndarray], U: np.ndarray, cfg: SolveConfig
 ) -> tuple[np.ndarray, int, bool]:
     """Sweep the two block updates until the iterate is a numerical fixed point.
 
     ``blocks`` are ``Phi/2`` and ``Phi^T/2`` as contiguous arrays.  One sweep
-    sets Alice's rows from Bob's, then Bob's from Alice's new rows: the
-    Gauss-Seidel sweep over single rows, since ``Phi~`` has zero diagonal
-    blocks and no row of a block reads another row of the same block.  Each
-    sweep keeps the rows on the unit sphere and does not lower the objective.
+    sets Alice's rows to ``rownorm(Phi/2 U_B)``, then Bob's to
+    ``rownorm(Phi^T/2 U_A)`` from Alice's new rows: the Gauss-Seidel sweep over
+    single rows, since ``Phi~`` has zero diagonal blocks and no row of a block
+    reads another row of the same block.  Each sweep keeps the rows on the
+    unit sphere and does not lower the objective.  The product, norm and
+    previous-iterate buffers are allocated once per call and written in place;
+    the largest row movement is measured once per sweep, over both blocks.
     Returns (U, sweeps, converged).  Rows with a zero update direction are
-    left unchanged (stalls; they surface as t_i = 0 in the certificate).
+    left unchanged (stalls; they move by 0 and surface as t_i = 0 in the
+    certificate).
     """
     half, half_t = blocks
     m_a = half.shape[0]
-    U_A, U_B = U[:m_a], U[m_a:]
+    W, norms, prev = np.empty_like(U), np.empty(len(U)), np.empty_like(U)
+    # (block, rows it reads, product rows, norms, rows it sets)
+    steps = (
+        (half, U[m_a:], W[:m_a], norms[:m_a], U[:m_a]),
+        (half_t, U[:m_a], W[m_a:], norms[m_a:], U[m_a:]),
+    )
     for sweep in range(1, cfg.max_iters + 1):
-        changed = max(_block_update(half, U_B, U_A), _block_update(half_t, U_A, U_B))
-        if changed <= cfg.change_tol:
+        np.copyto(prev, U)
+        for P, V, W_x, n_x, X in steps:
+            np.matmul(P, V, out=W_x)
+            np.sqrt(np.einsum("ij,ij->i", W_x, W_x, out=n_x), out=n_x)
+            if np.count_nonzero(n_x) == len(n_x):
+                np.divide(W_x, n_x[:, None], out=X)
+            else:
+                live = n_x > 0.0
+                X[live] = W_x[live] / n_x[live, None]
+        np.abs(np.subtract(U, prev, out=prev), out=prev)
+        if np.maximum.reduce(prev, axis=None) <= cfg.change_tol:
             return U, sweep, True
     return U, cfg.max_iters, False
 

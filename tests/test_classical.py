@@ -221,9 +221,20 @@ def huge_denominator_game():
     return build_game(q, [[0, 1], [0, 0]])
 
 
+def int64_edge_games():
+    # L = 2^63 + 1 gives the entries 2^63 (past int64) and -2^63 (int64's
+    # minimum, which np.abs leaves negative), each on a 1x2 and a 2x1 game
+    big = 2**63 + 1
+    q = [Fraction(2**63, big), Fraction(1, big)]
+    for f in (0, 1):
+        yield build_game([q], [[f, 0]])
+        yield build_game([[v] for v in q], [[f], [0]])
+
+
 def test_object_dtype_fallback_for_huge_denominators():
-    g = huge_denominator_game()
-    assert classical_bias(g).xi_c == oracle_bias(g)[0]
+    for g in [huge_denominator_game(), *int64_edge_games()]:
+        assert classical_bias(g).xi_c == oracle_bias(g)[0]
+        assert_matches_block_reference(g)
 
 
 def reference_games():
@@ -259,8 +270,7 @@ def complement_boundary_caps(g):
     return {c for c in caps if c >= 0}
 
 
-@pytest.mark.parametrize("g", list(reference_games()))
-def test_enumeration_matches_block_reference(g):
+def assert_matches_block_reference(g):
     res = classical_bias(g)
     got = (res.xi_c, (res.witness.alpha, res.witness.beta), res.num_alpha_optimal, res.swapped)
     assert got == reference_bias(g)
@@ -273,6 +283,29 @@ def test_enumeration_matches_block_reference(g):
         assert (vs.xi_c, vs.truncated, vs.cap) == (xi_c, truncated, cap)
         assert [(v.alpha, v.beta) for v in vs.vertices] == pairs
         assert vs.vertices is vs.vertices  # built once, on first read
+
+
+@pytest.mark.parametrize("g", list(reference_games()))
+def test_enumeration_matches_block_reference(g):
+    assert_matches_block_reference(g)
+
+
+def chunked_games():
+    yield from reference_games()
+    rng = np.random.default_rng(61)
+    for m_a, m_b in ((7, 8), (8, 8), (8, 5)):
+        yield pytest.param(tied_game(rng, m_a, m_b), id=f"tied{m_a}x{m_b}")
+
+
+@pytest.mark.parametrize("high_rows", [1, 3])
+@pytest.mark.parametrize("g", list(chunked_games()))
+def test_enumeration_across_chunk_boundaries(monkeypatch, g, high_rows):
+    # chunks of 1 and 3 high patterns: the scan crosses many chunk
+    # boundaries, and with 3 the last chunk is short (the high table has
+    # 2^(m-k-1) rows); a chunk spans high_rows * m_b * 2^k column sums
+    m, mb = sorted((g.m_a, g.m_b))
+    monkeypatch.setattr(classical, "_CHUNK", high_rows * mb << (m // 2))
+    assert_matches_block_reference(g)
 
 
 @settings(max_examples=80, deadline=None)

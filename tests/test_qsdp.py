@@ -230,6 +230,25 @@ def test_each_sweep_ascends_on_the_sphere_below_the_dual(case):
     assert converged
 
 
+def test_sweeps_keep_no_state_between_calls():
+    # k calls of one sweep each give the iterate of one call of k sweeps
+    g = random_game(np.random.default_rng(45), min_a=6, max_a=6, min_b=9, max_b=9)
+    pt = build_phi_tilde(g).matrix
+    blocks = (np.ascontiguousarray(pt[:6, 6:]), np.ascontiguousarray(pt[6:, :6]))
+    U0 = np.random.default_rng(1).normal(size=(15, 15))
+    U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
+    _, sweeps, converged = qsdp._coordinate_ascent(blocks, U0.copy(), SolveConfig())
+    k = sweeps // 2
+    assert converged and k >= 2
+    stepped = U0.copy()
+    for _ in range(k):
+        stepped, _, converged = qsdp._coordinate_ascent(blocks, stepped, SolveConfig(max_iters=1))
+        assert not converged
+    once, done, converged = qsdp._coordinate_ascent(blocks, U0.copy(), SolveConfig(max_iters=k))
+    assert (done, converged) == (k, False)
+    assert np.array_equal(stepped, once)
+
+
 def _solve_both(monkeypatch, g, **kwargs):
     lib = qsdp.solve_quantum_bias(g, **kwargs)
     with monkeypatch.context() as mp:
@@ -247,8 +266,13 @@ def test_block_sweep_matches_row_reference(monkeypatch):
         g = random_game(rng)
         games += [g, build_game(list(zip(*g.q)), list(zip(*g.f)))]
     games.append(build_game([["1/2", 0], ["1/2", 0]], [[0, 0], [1, 0]]))
+    # a never-asked question on each side: both blocks keep a stalled row
+    games.append(build_game(
+        [["1/4", "1/4", 0], ["1/4", "1/4", 0], [0, 0, 0]], [[0, 0, 0], [0, 1, 0], [0, 0, 0]]
+    ))
     runs = [_solve_both(monkeypatch, g) for g in games]
-    assert runs[-1][0].stalled_rows == (3,)
+    assert runs[-2][0].stalled_rows == (3,)
+    assert runs[-1][0].stalled_rows == (2, 5)
     for lib, ref in runs:
         assert (lib.sweeps, lib.converged, lib.restarts_used) == (
             ref.sweeps, ref.converged, ref.restarts_used
