@@ -277,8 +277,10 @@ def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
     """
     if len(points) == 0:
         raise EmptyInput("affine dimension of an empty point set is undefined")
-    if not isinstance(points, np.ndarray) and len({len(p) for p in points}) != 1:
-        raise ShapeMismatch("all points must have the same length")
+    # object dtype: a list's shape is checked without numpy rounding its integers
+    P = points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)
+    if P.ndim != 2:
+        raise ShapeMismatch("points must be vectors of one common length")
     M = _int64_differences(points)
     if M is not None:
         if not M.any():

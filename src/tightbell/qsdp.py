@@ -12,10 +12,10 @@ blocks, no row of Alice's block reads another row of it, and the same holds
 for Bob: a Gauss-Seidel sweep over the rows is two block updates,
 ``U_A <- rownorm(Phi/2 U_B)`` and then ``U_B <- rownorm(Phi^T/2 U_A)``, one
 matrix product each (the Mixing method of Wang, Chang and Kolter specialised
-to a bipartite cost).  On these small arrays a numpy call costs more to start
-than to compute, so the sweeps of one ascent write into product, norm and
-previous-iterate buffers allocated once, and the largest row movement is
-measured once per sweep over both blocks.
+to a bipartite cost).  The solver reads the game only as ``Phi/2`` and
+``Phi^T/2``: ``Phi~ U`` is their two block products, and ``diag(t) - Phi~``
+is built once per restart, for its eigen-check.  ``Phi~`` itself is formed
+only by :func:`build_phi_tilde`, on request.
 
 Nothing is trusted without a certificate.  The stationarity candidate
 ``t_i = |w_i|`` is a dual vector; the solve is *certified* when the duality
@@ -160,19 +160,17 @@ class SlacknessReport:
     passed: bool
 
 
-def _phi_float(g: XorGame) -> np.ndarray:
-    """Phi in floats: int true division rounds once, as ``float(Fraction)`` does."""
+def _halves(g: XorGame) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``."""
     gm = game_matrix(g)
-    return np.array([[v / gm.denominator for v in row] for row in gm.ints])
+    half = np.array([[v / gm.denominator for v in row] for row in gm.ints]) / 2.0
+    return half, np.ascontiguousarray(half.T)
 
 
 def build_phi_tilde(g: XorGame) -> PhiTilde:
     """Assemble ``[[0, Phi/2], [Phi^T/2, 0]]``; symmetry is exact by mirroring."""
-    half = _phi_float(g) / 2.0
-    m = g.m_a + g.m_b
-    pt = np.zeros((m, m))
-    pt[: g.m_a, g.m_a :] = half
-    pt[g.m_a :, : g.m_a] = half.T
+    half, half_t = _halves(g)
+    pt = np.block([[np.zeros((g.m_a, g.m_a)), half], [half_t, np.zeros((g.m_b, g.m_b))]])
     pt.setflags(write=False)
     return PhiTilde(matrix=pt)
 
@@ -184,10 +182,9 @@ def _coordinate_ascent(
 
     ``blocks`` are ``Phi/2`` and ``Phi^T/2`` as contiguous arrays.  One sweep
     sets Alice's rows to ``rownorm(Phi/2 U_B)``, then Bob's to
-    ``rownorm(Phi^T/2 U_A)`` from Alice's new rows: the Gauss-Seidel sweep over
-    single rows, since ``Phi~`` has zero diagonal blocks and no row of a block
-    reads another row of the same block.  Each sweep keeps the rows on the
-    unit sphere and does not lower the objective.  The product, norm and
+    ``rownorm(Phi^T/2 U_A)`` from Alice's new rows.  Each sweep keeps the rows
+    on the unit sphere and does not lower the objective.  On small arrays a
+    numpy call costs more to start than to compute, so the product, norm and
     previous-iterate buffers are allocated once per call and written in place;
     the largest row movement is measured once per sweep, over both blocks.
     Returns (U, sweeps, converged).  Rows with a zero update direction are
@@ -218,13 +215,18 @@ def _coordinate_ascent(
     return U, cfg.max_iters, False
 
 
-def _evaluate(pt: np.ndarray, U: np.ndarray):
-    W = pt @ U
+def _evaluate(blocks: tuple[np.ndarray, np.ndarray], U: np.ndarray):
+    half, half_t = blocks
+    m_a = len(half)
+    W = np.concatenate((half @ U[m_a:], half_t @ U[:m_a]))  # Phi~ U
     t = np.linalg.norm(W, axis=1)
     xi_q = float(np.sum(U * W))
     dual_value = float(t.sum())
     gap = dual_value - xi_q
-    min_eig = float(np.linalg.eigvalsh(np.diag(t) - pt)[0])
+    S = np.diag(t)  # diag(t) - Phi~, built in place
+    S[:m_a, m_a:] -= half
+    S[m_a:, :m_a] -= half_t
+    min_eig = float(np.linalg.eigvalsh(S)[0])
     stalled = tuple(int(i) for i in np.nonzero(t == 0.0)[0])
     return t, xi_q, dual_value, gap, min_eig, stalled
 
@@ -276,11 +278,7 @@ def solve_quantum_bias(
             xi_c = classical.classical_bias(g).xi_c
         except TooLarge:
             xi_c = None
-    pt = build_phi_tilde(g).matrix
-    blocks = (
-        np.ascontiguousarray(pt[: g.m_a, g.m_a :]),
-        np.ascontiguousarray(pt[g.m_a :, : g.m_a]),
-    )
+    blocks = _halves(g)
 
     best = None  # smallest-gap uncertified restart so far
     for restart in range(cfg.restarts):
@@ -288,7 +286,7 @@ def solve_quantum_bias(
         U = rng.normal(size=(m, m))
         U /= np.linalg.norm(U, axis=1, keepdims=True)
         U, sweeps, converged = _coordinate_ascent(blocks, U, cfg)
-        t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(pt, U)
+        t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(blocks, U)
         certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
         for arr in (U, t):
             arr.setflags(write=False)
@@ -328,7 +326,7 @@ def extract_F(cert: DualCertificate, g: XorGame) -> np.ndarray:
             "some Bob-side dual entries are numerically zero; "
             "game is not exhaustive or the certificate is invalid"
         )
-    return _phi_float(g).T / (2.0 * t_bob)[:, None]
+    return _halves(g)[1] / t_bob[:, None]
 
 
 def slackness_residual_classical(
@@ -340,11 +338,13 @@ def slackness_residual_classical(
     quantum and classical biases coincide; bounded away from zero on games
     with a genuine quantum advantage.
     """
+    if len(cert.t) != g.m_a + g.m_b:
+        raise ShapeMismatch("certificate does not match game dimensions")
     if len(v.alpha) != g.m_a or len(v.beta) != g.m_b:
         raise ShapeMismatch("strategy does not match game dimensions")
-    pt = build_phi_tilde(g).matrix
+    half, half_t = _halves(g)
     s = np.array(list(v.alpha) + list(v.beta), dtype=float)
-    return float(np.abs((np.diag(cert.t) - pt) @ s).max())
+    return float(np.abs(cert.t * s - np.concatenate((half @ v.beta, half_t @ v.alpha))).max())
 
 
 def quantum_slackness_check(

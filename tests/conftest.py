@@ -38,8 +38,8 @@ def infeasible_dual(monkeypatch):
     """Make every solver restart report ``min_eig = -1``, its dual infeasible."""
     evaluate = qsdp._evaluate
 
-    def infeasible(pt, U):
-        t, xi_q, dual_value, gap, _, stalled = evaluate(pt, U)
+    def infeasible(blocks, U):
+        t, xi_q, dual_value, gap, _, stalled = evaluate(blocks, U)
         return t, xi_q, dual_value, gap, -1.0, stalled
 
     monkeypatch.setattr(qsdp, "_evaluate", infeasible)

@@ -406,6 +406,22 @@ def test_nlc_bound_enumerates_once(capsys, and2_file, enumerations):
     assert len(enumerations) == 1
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_nlc_bound_spec_file_matches_its_game_file(tmp_path, capsys, n):
+    # a spec file takes the build_nlc branch, a game file its own game
+    g = make_named("nlc_and", n)
+    spec_path, game_path = tmp_path / "spec.json", tmp_path / "game.json"
+    save_nlc_spec(nlc.spec_from_game(g), spec_path)
+    save_game(g, game_path)
+    outs = []
+    for path in (spec_path, game_path):
+        code, out, err = run(capsys, "nlc", "bound", str(path))
+        assert (code, err) == (0, "")
+        outs.append(strip_timestamp(out))
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["matches_classical"] is True
+
+
 def test_verification_failure_exit(capsys, and2_file, monkeypatch):
     def fail(*_args):
         raise VerificationFailed("Hadamard diagonalization is not exact")

@@ -71,8 +71,15 @@ def test_affine_dim_basics():
     assert affine_dimension_exact([(1, 1), (1, -1), (-1, 1)]) == 2
     with pytest.raises(EmptyInput):
         affine_dimension_exact([])
-    with pytest.raises(ShapeMismatch):
-        affine_dimension_exact([(1,), (1, 2)])
+    for bad in (
+        [(1,), (1, 2)],
+        [1, 2, 3],
+        [[[1, 2], [3, 4]], [[1, 2], [3, 5]]],
+        np.array([1, 2, 3]),
+        np.zeros((2, 2, 2), dtype=int),
+    ):
+        with pytest.raises(ShapeMismatch):
+            affine_dimension_exact(bad)
 
 
 def test_affine_dim_identity1_face():
@@ -114,8 +121,13 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
         [(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)],
         # beyond int64
         [(0, 1), (2**70, 1), (2**71, 2)],
+        # numpy reads these as float64, where both rows round to (2^63, 2^63)
+        [(0, 0), (2**63 + 1, 2**63), (2**63, 2**63 - 1)],
     ],
-    ids=["reconstruction", "unlucky-prime", "lifted-unlucky-prime", "float-bound", "beyond-int64"],
+    ids=[
+        "reconstruction", "unlucky-prime", "lifted-unlucky-prime", "float-bound",
+        "beyond-int64", "uint64-range",
+    ],
 )
 def test_affine_dim_fallback_matches_oracle(pts, bareiss_calls):
     assert affine_dimension_exact(pts) == oracle_affine_dim(pts)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from tightbell import (
 )
 from tightbell.errors import (
     NotApplicable,
+    ShapeMismatch,
     SingularLambda,
     TooLarge,
 )
@@ -160,6 +162,17 @@ def test_slackness_fails_on_chsh():
         assert slackness_residual_classical(res.cert, g, v) >= 0.05
 
 
+def test_certificate_of_another_game_is_a_shape_mismatch():
+    # the 8-entry dual of appendix_d(2) read against the 2x2 CHSH game
+    cert = solve_quantum_bias(make_named("appendix_d", 2)).cert
+    chsh = make_named("chsh")
+    v = optimal_vertices(chsh).vertices[0]
+    with pytest.raises(ShapeMismatch):
+        slackness_residual_classical(cert, chsh, v)
+    with pytest.raises(ShapeMismatch):
+        extract_F(cert, chsh)
+
+
 def test_quantum_slackness_identity2():
     g = make_named("identity", 2)
     res = solve_quantum_bias(g)
@@ -208,10 +221,7 @@ def test_each_sweep_ascends_on_the_sphere_below_the_dual(case):
     else:
         g = make_named("nlc_and", 3)
     pt = build_phi_tilde(g).matrix
-    blocks = (
-        np.ascontiguousarray(pt[: g.m_a, g.m_a :]),
-        np.ascontiguousarray(pt[g.m_a :, : g.m_a]),
-    )
+    blocks = qsdp._halves(g)
     m = g.m_a + g.m_b
     U = np.random.default_rng(0).normal(size=(m, m))
     U /= np.linalg.norm(U, axis=1, keepdims=True)
@@ -230,11 +240,24 @@ def test_each_sweep_ascends_on_the_sphere_below_the_dual(case):
     assert converged
 
 
+def test_solve_holds_fewer_than_four_square_arrays():
+    # U, Phi~ U and one more m x m array (the previous iterate while sweeping,
+    # diag(t) - Phi~ at the end); tracemalloc sees numpy's arrays but not the
+    # LAPACK workspace of eigvalsh, so that workspace is not counted here
+    g = random_game(np.random.default_rng(0), min_a=8, max_a=8, min_b=504, max_b=504)
+    tracemalloc.start()
+    try:
+        solve_quantum_bias(g, SolveConfig(restarts=1, max_iters=2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * 8 * 512**2
+
+
 def test_sweeps_keep_no_state_between_calls():
     # k calls of one sweep each give the iterate of one call of k sweeps
     g = random_game(np.random.default_rng(45), min_a=6, max_a=6, min_b=9, max_b=9)
-    pt = build_phi_tilde(g).matrix
-    blocks = (np.ascontiguousarray(pt[:6, 6:]), np.ascontiguousarray(pt[6:, :6]))
+    blocks = qsdp._halves(g)
     U0 = np.random.default_rng(1).normal(size=(15, 15))
     U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
     _, sweeps, converged = qsdp._coordinate_ascent(blocks, U0.copy(), SolveConfig())
@@ -321,8 +344,8 @@ def test_uncertified_returns_smallest_gap(monkeypatch, name, n):
     gaps = []
     evaluate = qsdp._evaluate
 
-    def recorded(pt, U):
-        out = evaluate(pt, U)
+    def recorded(blocks, U):
+        out = evaluate(blocks, U)
         gaps.append(out[3])
         return out
 
