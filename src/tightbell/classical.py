@@ -199,10 +199,14 @@ def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBia
     An ``enum_cap`` below 1 raises InvalidParameter.
     """
     opt = _enumerate(g, enum_cap, keep=1)
-    signs, _ = _vertex_signs(opt, 1)
+    # row 0 of the vertex order, built directly: ties respond +1
+    alpha = tuple(opt.alphas[0].tolist())
+    beta = tuple(-1 if v < 0 else 1 for v in opt.rows[0].tolist())
+    if opt.swapped:
+        alpha, beta = beta, alpha
     return ClassicalBiasResult(
         xi_c=opt.xi_c,
-        witness=_strategies(signs, g.m_a)[0],
+        witness=DeterministicStrategy(alpha, beta),
         num_alpha_optimal=opt.count,
         swapped=opt.swapped,
     )

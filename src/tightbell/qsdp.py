@@ -12,10 +12,14 @@ blocks, no row of Alice's block reads another row of it, and the same holds
 for Bob: a Gauss-Seidel sweep over the rows is two block updates,
 ``U_A <- rownorm(Phi/2 U_B)`` and then ``U_B <- rownorm(Phi^T/2 U_A)``, one
 matrix product each (the Mixing method of Wang, Chang and Kolter specialised
-to a bipartite cost).  The solver reads the game only as ``Phi/2`` and
-``Phi^T/2``: ``Phi~ U`` is their two block products, and ``diag(t) - Phi~``
-is built once per restart, for its eigen-check.  ``Phi~`` itself is formed
-only by :func:`build_phi_tilde`, on request.
+to a bipartite cost).  The sweeps converge linearly, so every fourth sweep
+(``_JUMP_PERIOD``) is followed by an Aitken-type jump along the last step,
+by the rest of the geometric series its shrink ratio predicts, unless that
+ratio is ``_JUMP_RHO_CAP`` = 0.99 or more; on the benchmark's certified
+games this cuts the sweeps to about a third.  The solver reads the game only
+as ``Phi/2`` and ``Phi^T/2``: ``Phi~ U`` is their two block products, and
+``diag(t) - Phi~`` is built once per restart, for its eigen-check.  ``Phi~``
+itself is formed only by :func:`build_phi_tilde`, on request.
 
 Nothing is trusted without a certificate.  The stationarity candidate
 ``t_i = |w_i|`` is a dual vector; the solve is *certified* when the duality
@@ -25,20 +29,24 @@ until no row moves by more than ``change_tol``: the gap is second-order in the
 distance to the optimal face while the dual error is first-order, so stopping
 on the gap alone would leave ``t`` orders of magnitude less accurate than the
 primal value.  With the fixed-point rule the dual typically lands within a few
-ulps of exact, which the slackness checks downstream rely on.
+ulps of exact, which the slackness checks downstream rely on.  The jump does
+not weaken this: the stop is tested on plain sweeps only, so a returned
+iterate is a Gauss-Seidel fixed point whether or not it was reached by jumps.
 
 Restarts are attempted in seed order and the first certified one is returned.
 A restart is kept as its Gram vectors ``U`` and its dual ``t`` alone; the
 m x m Gram matrix ``U U^T`` is formed only when read.  On one numpy/BLAS
 build, identical (game, seed) reproduces bit-identical results; across builds
-the sweep count can move by one and the certificate floats by a few ulps,
-because the fixed-point stop meets rounding.  Every solver setting is a field
+the sweep count can move by one and the certificate floats by about 1e-14,
+because the fixed-point stop meets rounding and a jump scales the rounding of
+its step by up to ``rho / (1 - rho)``.  Every solver setting is a field
 of :class:`SolveConfig`, which defines its default and rejects values out of
 range; the command line takes both from there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -55,6 +63,8 @@ from .errors import (
 from .game import DeterministicStrategy, XorGame, game_matrix
 
 MAX_SDP_SIDE = 4096
+_JUMP_PERIOD = 4  # sweeps per extrapolation step of _coordinate_ascent
+_JUMP_RHO_CAP = 0.99  # no jump when the step shrinks by a ratio at or above this
 
 ADVANTAGE = "advantage"
 NO_ADVANTAGE = "no_advantage"
@@ -185,22 +195,36 @@ def _coordinate_ascent(
     ``rownorm(Phi^T/2 U_A)`` from Alice's new rows.  Each sweep keeps the rows
     on the unit sphere and does not lower the objective.  On small arrays a
     numpy call costs more to start than to compute, so the product, norm and
-    previous-iterate buffers are allocated once per call and written in place;
-    the largest row movement is measured once per sweep, over both blocks.
-    Returns (U, sweeps, converged).  Rows with a zero update direction are
-    left unchanged (stalls; they move by 0 and surface as t_i = 0 in the
-    certificate).
+    step buffers are allocated once per call and written in place; the
+    largest row movement is measured once per sweep, over both blocks.
+
+    The sweeps converge linearly, so the step ``D = U - U_prev`` shrinks by a
+    nearly constant ratio.  Every ``_JUMP_PERIOD``-th sweep of a call reads
+    that ratio as ``rho = |D| / |D_prev|`` (Frobenius norms; ``|D_prev|`` is
+    taken one sweep earlier) and, when ``rho < _JUMP_RHO_CAP``, jumps by the
+    rest of the geometric series, ``U <- rownorm(U + rho / (1 - rho) D)``.
+    The jump is not proven to ascend; over 204 seeded games up to 14 x 20 it
+    lowered the objective on 55 of 4,051 jumps, each time by at most 2.2e-16
+    (rounding).  It does not touch the stop: the call returns on the first
+    plain sweep that moves no entry by more than ``change_tol``, checked
+    before any jump, so the result is a Gauss-Seidel fixed point and ``t`` is
+    as accurate as without jumps.  The norm kept between two sweeps is the
+    only state, and it lives within one call.
+
+    Returns (U, sweeps, converged); a jump is not a sweep.  Rows with a zero
+    update direction are left unchanged by a sweep and by a jump's step
+    (stalls; they surface as t_i = 0 in the certificate).
     """
     half, half_t = blocks
     m_a = half.shape[0]
-    W, norms, prev = np.empty_like(U), np.empty(len(U)), np.empty_like(U)
+    W, norms, step = np.empty_like(U), np.empty(len(U)), np.empty_like(U)
     # (block, rows it reads, product rows, norms, rows it sets)
     steps = (
         (half, U[m_a:], W[:m_a], norms[:m_a], U[:m_a]),
         (half_t, U[:m_a], W[m_a:], norms[m_a:], U[m_a:]),
     )
     for sweep in range(1, cfg.max_iters + 1):
-        np.copyto(prev, U)
+        np.copyto(step, U)
         for P, V, W_x, n_x, X in steps:
             np.matmul(P, V, out=W_x)
             np.sqrt(np.einsum("ij,ij->i", W_x, W_x, out=n_x), out=n_x)
@@ -209,9 +233,21 @@ def _coordinate_ascent(
             else:
                 live = n_x > 0.0
                 X[live] = W_x[live] / n_x[live, None]
-        np.abs(np.subtract(U, prev, out=prev), out=prev)
-        if np.maximum.reduce(prev, axis=None) <= cfg.change_tol:
+        np.subtract(U, step, out=step)  # D; W is free until the next sweep
+        if np.maximum.reduce(np.abs(step, out=W), axis=None) <= cfg.change_tol:
             return U, sweep, True
+        phase = sweep % _JUMP_PERIOD
+        if phase == _JUMP_PERIOD - 1:
+            last = np.vdot(step, step)
+        elif phase == 0:
+            # last > 0: a zero step would have stopped the previous sweep
+            rho = math.sqrt(np.vdot(step, step) / last)
+            if rho < _JUMP_RHO_CAP:
+                step *= rho / (1.0 - rho)
+                U += step  # |row| >= 1, so no row norm is zero
+                # row norms summed as np.linalg.norm sums them; W takes the squares
+                np.add.reduce(np.multiply(U, U, out=W), axis=1, out=norms)
+                U /= np.sqrt(norms, out=norms)[:, None]
     return U, cfg.max_iters, False
 
 

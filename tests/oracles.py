@@ -6,7 +6,8 @@ full double loop (the library enumerates one side and derives the other), the
 block-matmul reference expands every sign pattern and multiplies it through
 the game matrix (the library adds split low-bit and high-bit tables), the
 solver reference updates one row of the Gram factor at a time against the
-full embedded matrix (the library updates each player's rows as one block), the
+full embedded matrix and extrapolates row by row (the library updates each
+player's rows as one block and jumps the whole factor at once), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses a certified rank modulo a prime, falling back to
 fraction-free integer elimination), the no-signalling oracle reconstructs the
@@ -18,6 +19,7 @@ reference sums the prior in Fractions (the library sums the integers that
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -131,14 +133,19 @@ def reference_vertices(g, cap: int):
     return Fraction(best, den), out, False
 
 
-def reference_coordinate_ascent(blocks, U, cfg):
+def reference_coordinate_ascent(blocks, U, cfg, extrapolate=True):
     """The solver's sweep as one row update at a time, over the full ``Phi~``.
 
     Same signature as ``qsdp._coordinate_ascent``; ``Phi~`` is rebuilt from
     the two blocks ``Phi/2`` and ``Phi^T/2``.  Row ``i`` becomes ``w / |w|``
     with ``w = Phi~_i U``, in order, and keeps its value when ``w = 0``;
-    sweeps stop when no row moved by more than ``cfg.change_tol``.  Returns
-    (U, sweeps, converged).
+    sweeps stop when no row moved by more than ``cfg.change_tol``.  With
+    ``extrapolate``, sweep ``4j`` (counted within the call) is followed, when
+    it did not stop, by the jump: with ``d_k`` the sum over rows of each
+    row's squared move at sweep ``k``, ``rho = sqrt(d_4j / d_(4j-1))``, and
+    if ``rho < 0.99`` every row ``u_i`` becomes ``v / |v|`` with
+    ``v = u_i + rho / (1 - rho) (u_i - u_i_before)``, where ``u_i_before`` is
+    the row before sweep ``4j``.  Returns (U, sweeps, converged).
     """
     half, half_t = blocks
     m_a, m_b = half.shape
@@ -146,18 +153,31 @@ def reference_coordinate_ascent(blocks, U, cfg):
     pt = np.zeros((m, m))
     pt[:m_a, m_a:] = half
     pt[m_a:, :m_a] = half_t
+    moved = [0.0] * 4  # moved[k % 4]: sum of squared row moves at sweep k
     for sweep in range(1, cfg.max_iters + 1):
-        changed = 0.0
+        before = U.copy()
         for i in range(m):
             w = pt[i] @ U
-            nw = float(np.linalg.norm(w))
+            nw = math.sqrt(w @ w)
             if nw > 0.0:
-                nu = w / nw
-                changed = max(changed, float(np.abs(nu - U[i]).max()))
-                U[i] = nu
-        if changed <= cfg.change_tol:
+                U[i] = w / nw
+        D = U - before
+        if float(np.abs(D).max()) <= cfg.change_tol:
             return U, sweep, True
+        moved[sweep % 4] = sum(float(d @ d) for d in D)
+        if not extrapolate or sweep % 4:
+            continue
+        rho = math.sqrt(moved[0] / moved[3])
+        if rho < 0.99:
+            for i in range(m):
+                v = U[i] + rho / (1 - rho) * D[i]
+                U[i] = v / math.sqrt(v @ v)
     return U, cfg.max_iters, False
+
+
+def reference_plain_ascent(blocks, U, cfg):
+    """``reference_coordinate_ascent`` without the jump: Gauss-Seidel sweeps only."""
+    return reference_coordinate_ascent(blocks, U, cfg, extrapolate=False)
 
 
 def oracle_affine_dim(points) -> int:

@@ -323,6 +323,19 @@ def test_enumeration_matches_reference_on_tied_games(m_a, m_b, seed, data):
     assert (vs.xi_c, vs.truncated) == (xi_c, truncated)
 
 
+@pytest.mark.parametrize("m_a,m_b", [(1, 4), (4, 1), (3, 6), (6, 3), (5, 5), (7, 9), (9, 7)])
+def test_witness_is_row_0_of_the_vertex_order(m_a, m_b):
+    # classical_bias builds its witness without the vertex builder; it must be
+    # that builder's first row, tied responses +1, in both orientations
+    for seed in range(20):
+        g = tied_game(np.random.default_rng([m_a, m_b, seed]), m_a, m_b)
+        opt = classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=1)
+        (row,) = classical._vertex_signs(opt, 1)[0].tolist()
+        w = classical_bias(g).witness
+        assert (w.alpha, w.beta) == (tuple(row[:m_a]), tuple(row[m_a:]))
+        assert all(type(v) is int for v in w.alpha + w.beta)
+
+
 @pytest.mark.parametrize("m_a,m_b", [(1, 2), (2, 3), (3, 3), (5, 4), (6, 7), (8, 9)])
 def test_scan_covers_half_the_patterns(monkeypatch, m_a, m_b):
     # the low and high sign tables are the first two built; their row counts

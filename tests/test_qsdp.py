@@ -29,7 +29,7 @@ from tightbell.game import DeterministicStrategy, build_game
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
 
 from .generators import random_game
-from .oracles import reference_coordinate_ascent
+from .oracles import reference_coordinate_ascent, reference_plain_ascent
 
 
 def test_phi_tilde_single_entry():
@@ -215,7 +215,8 @@ def test_unit_rows_and_sandwich_on_random_games():
 
 @pytest.mark.parametrize("case", ["random_5x5", "nlc_and_3"])
 def test_each_sweep_ascends_on_the_sphere_below_the_dual(case):
-    # the per-sweep invariants, checked one sweep at a time from outside
+    # the per-sweep invariants, checked from outside one sweep at a time, and
+    # then for each jump, which follows the fourth sweep of a call
     if case == "random_5x5":
         g = random_game(np.random.default_rng(43), max_a=5, max_b=5)
     else:
@@ -223,21 +224,43 @@ def test_each_sweep_ascends_on_the_sphere_below_the_dual(case):
     pt = build_phi_tilde(g).matrix
     blocks = qsdp._halves(g)
     m = g.m_a + g.m_b
-    U = np.random.default_rng(0).normal(size=(m, m))
-    U /= np.linalg.norm(U, axis=1, keepdims=True)
-    one_sweep = SolveConfig(max_iters=1)
-    prev = -math.inf
-    for _ in range(5000):
-        U, _, converged = qsdp._coordinate_ascent(blocks, U, one_sweep)
+    U0 = np.random.default_rng(0).normal(size=(m, m))
+    U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
+
+    def objective(U):
         W = pt @ U
         obj = float(np.sum(U * W))
-        assert obj >= prev - 1e-12
-        assert obj <= float(np.linalg.norm(W, axis=1).sum()) + one_sweep.feas_tol
+        assert obj <= float(np.linalg.norm(W, axis=1).sum()) + SolveConfig.feas_tol
         assert np.abs(np.linalg.norm(U, axis=1) - 1.0).max() <= 1e-12
+        return obj
+
+    one, three, four = (SolveConfig(max_iters=k) for k in (1, 3, 4))
+    U, prev = U0.copy(), -math.inf
+    for _ in range(5000):
+        U, _, converged = qsdp._coordinate_ascent(blocks, U, one)
+        obj = objective(U)
+        assert obj >= prev - 1e-12
         prev = obj
         if converged:
             break
     assert converged
+    # sweeps 1-3 of a call, then sweep 4 alone: the iterate just before the jump
+    U, prev, jumps = U0.copy(), -math.inf, 0
+    for _ in range(5000):
+        V, _, converged = qsdp._coordinate_ascent(blocks, U.copy(), three)
+        if not converged:
+            V, _, converged = qsdp._coordinate_ascent(blocks, V, one)
+        before = objective(V)
+        assert before >= prev - 1e-12
+        U, _, converged_4 = qsdp._coordinate_ascent(blocks, U, four)
+        assert converged_4 == converged
+        prev = objective(U)
+        if converged:
+            assert np.array_equal(U, V)
+            break
+        jumps += not np.array_equal(U, V)
+        assert prev >= before - 1e-12
+    assert converged and jumps >= 2
 
 
 def test_solve_holds_fewer_than_four_square_arrays():
@@ -255,20 +278,21 @@ def test_solve_holds_fewer_than_four_square_arrays():
 
 
 def test_sweeps_keep_no_state_between_calls():
-    # k calls of one sweep each give the iterate of one call of k sweeps
+    # the jump reads a norm taken one sweep earlier in the same call, so k
+    # calls of four sweeps each give the iterate of one call of 4k sweeps
     g = random_game(np.random.default_rng(45), min_a=6, max_a=6, min_b=9, max_b=9)
     blocks = qsdp._halves(g)
     U0 = np.random.default_rng(1).normal(size=(15, 15))
     U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
     _, sweeps, converged = qsdp._coordinate_ascent(blocks, U0.copy(), SolveConfig())
-    k = sweeps // 2
+    k = sweeps // 8
     assert converged and k >= 2
     stepped = U0.copy()
     for _ in range(k):
-        stepped, _, converged = qsdp._coordinate_ascent(blocks, stepped, SolveConfig(max_iters=1))
+        stepped, _, converged = qsdp._coordinate_ascent(blocks, stepped, SolveConfig(max_iters=4))
         assert not converged
-    once, done, converged = qsdp._coordinate_ascent(blocks, U0.copy(), SolveConfig(max_iters=k))
-    assert (done, converged) == (k, False)
+    once, done, converged = qsdp._coordinate_ascent(blocks, U0.copy(), SolveConfig(max_iters=4 * k))
+    assert (done, converged) == (4 * k, False)
     assert np.array_equal(stepped, once)
 
 
@@ -308,6 +332,25 @@ def test_block_sweep_matches_row_reference(monkeypatch):
         assert np.abs(lib.cert.t - ref.cert.t).max() <= 1e-12
 
 
+def test_jumps_save_half_the_sweeps_of_plain_sweeping(monkeypatch):
+    # counted in sweeps, not seconds, so the bound holds on any host
+    rng = np.random.default_rng(11)
+    lib_sweeps = plain_sweeps = 0
+    for _ in range(40):
+        g = random_game(rng, 12, 28, 2, 2)
+        xi_c = classical_bias(g).xi_c
+        lib = qsdp.solve_quantum_bias(g, xi_c=xi_c)
+        with monkeypatch.context() as mp:
+            mp.setattr(qsdp, "_coordinate_ascent", reference_plain_ascent)
+            plain = qsdp.solve_quantum_bias(g, xi_c=xi_c)
+        lib_sweeps += lib.sweeps
+        plain_sweeps += plain.sweeps
+        assert (lib.certified, lib.classification) == (plain.certified, plain.classification)
+        assert abs(lib.xi_q - plain.xi_q) <= 1e-12
+        assert np.abs(lib.cert.t - plain.cert.t).max() <= 1e-12
+    assert lib_sweeps <= 0.5 * plain_sweeps
+
+
 def test_unconverged_restart_is_not_certified():
     # stopped by max_iters with a small gap but an infeasible dual: not
     # certified and not a solver bug; the primal value alone shows advantage
@@ -334,7 +377,11 @@ def test_converged_infeasible_dual_is_not_certified(infeasible_dual):
 def test_loose_change_tol_certifies_a_later_restart():
     # restart 1 stops with gap <= gap_tol but an indefinite diag(t) - Phi~;
     # restart 2 certifies
-    res = solve_quantum_bias(make_named("appendix_d", 2), SolveConfig(change_tol=1e-6, seed=2))
+    g, cfg = make_named("appendix_d", 2), SolveConfig(change_tol=1e-6, seed=9)
+    first = solve_quantum_bias(g, SolveConfig(change_tol=1e-6, seed=9, restarts=1))
+    assert first.converged and not first.certified
+    assert first.gap <= cfg.gap_tol and first.cert.min_eig < -cfg.feas_tol
+    res = solve_quantum_bias(g, cfg)
     assert res.certified and res.restarts_used == 2
     assert res.classification == NO_ADVANTAGE
 
