@@ -4,8 +4,11 @@ For a fixed sign vector ``alpha`` of the enumerated player, the best response
 is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 ``max_alpha sum_y |(Phi^T alpha)_y|``.  We always enumerate the smaller side
 (transposing the integer matrix if Bob has fewer inputs) and keep everything
-exact by working on the integers ``L * Phi`` of `tightbell.game.game_matrix`
-(int64, with an object-dtype fallback for enormous denominators).
+exact by working on the integers ``L * Phi`` of `tightbell.game.game_matrix`.
+No pattern's value exceeds ``m * m_b * max|L Phi|``, so the scan runs in the
+narrowest type that holds this bound: int32 below 2^31, int64 below 2^62, and
+Python integers (object dtype) for larger bounds, such as enormous
+denominators give.  One loop serves all three.
 
 Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  Its
 complement ``p ^ (2^m - 1)`` is ``-alpha``: same value, negated column sums.
@@ -16,11 +19,13 @@ only the 2^(m-1) with the top bit clear, with a split table: for ``k = m //
 top bit clear, are built once, and pattern ``h 2^k + l`` has column sums
 ``low[:, l] + high[:, h]``.  Chunks of high patterns are scanned in ascending
 order; with the sums of a chunk's patterns as columns, their values are m_b
-long vector adds rather than one short reduction per pattern.  The scanned
-optima are then followed by their complements in reverse order, which
-continues the ascending order.  So the pass yields the optimum, the number of
-optimal patterns, and the optimal patterns in ascending order with their
-column sums; every caller reads this one pass.
+long vector adds rather than one short reduction per pattern.  Each chunk is
+written into one buffer allocated per call, and its absolute values are taken
+in place, so the signed sums of the optima are rebuilt from the two tables
+afterwards.  The scanned optima are then followed by their complements in
+reverse order, which continues the ascending order.  So the pass yields the
+optimum, the number of optimal patterns, and the optimal patterns in
+ascending order with their column sums; every caller reads this one pass.
 
 Wherever ``(Phi^T alpha)_y = 0`` both signs of ``beta_y`` are optimal, and
 `optimal_vertices` branches over *all* such completions: dropping tied
@@ -41,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
-from .game import DeterministicStrategy, XorGame, game_matrix
+from .game import DeterministicStrategy, GameMatrix, XorGame, game_matrix
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
 DEFAULT_VERTEX_CAP = 10**6  # stored optimal vertices
@@ -117,46 +122,59 @@ def require_enumerable(m: int, enum_cap: int) -> None:
         raise TooLarge(f"enumeration side has {m} inputs (2^{m} patterns > cap {enum_cap})")
 
 
-def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
-    """The one pass over all sign patterns, keeping the first ``keep`` optima."""
+def _enumerate(g: XorGame, enum_cap: int, keep: int, gm: GameMatrix | None = None) -> _Optima:
+    """The one pass over all sign patterns, keeping the first ``keep`` optima.
+
+    ``gm`` is ``game_matrix(g)``, when the caller has built it already.
+    """
     if enum_cap < 1:
         raise InvalidParameter(f"enum_cap must be positive, got {enum_cap}")
     swapped = g.m_a > g.m_b
     m, mb = sorted((g.m_a, g.m_b))
     require_enumerable(m, enum_cap)
-    gm = game_matrix(g)
+    if gm is None:
+        gm = game_matrix(g)
     try:
         P = np.array(gm.ints, dtype=np.int64)
     except OverflowError:  # an entry past int64
         P = np.array(gm.ints, dtype=object)
-    # worst-case |alpha . column| * m_b must stay clear of int64 overflow;
-    # int() first, since np.abs(-2^63) wraps to itself
-    if m * mb * max(int(P.max()), -int(P.min())) >= _INT64_SAFE:
-        P = P.astype(object)
+    # every column sum and every pattern's value is at most m * m_b * max|P|,
+    # so the scan runs in the narrowest type that holds it; int() first, since
+    # np.abs(-2^63) wraps to itself
+    bound = m * mb * max(int(P.max()), -int(P.min()))
+    P = P.astype(np.int32 if bound < 1 << 31 else np.int64 if bound < _INT64_SAFE else object)
     if swapped:
         P = P.T
     k = m // 2
-    # .dot: exact for int64 and object; high patterns keep the top bit clear
+    # .dot: exact in all three types; high patterns keep the top bit clear
     low = P[:k].T.dot(_signs(np.arange(1 << k), k).T.astype(P.dtype))
     high = P[k:].T.dot(_signs(np.arange(1 << (m - k - 1)), m - k).T.astype(P.dtype))
-    step = max(1, _CHUNK // low.size)
-    best, count, kept, pats, rows = -1, 0, 0, [], []
-    for h in range(0, high.shape[1], step):
-        # column i holds the column sums of pattern (h << k) + i
-        cols = (low[:, None, :] + high[:, h : h + step, None]).reshape(mb, -1)
-        vals = np.abs(cols).sum(axis=0)
-        top = int(vals.max())
+    # a chunk's sums and values go to buffers allocated once, sized to the chunk
+    n_high = high.shape[1]
+    step = min(max(1, _CHUNK // low.size), n_high)
+    sums = np.empty((mb, step, low.shape[1]), dtype=P.dtype)
+    vals = np.empty((step, low.shape[1]), dtype=P.dtype)
+    best, count, kept, pats = -1, 0, 0, []
+    for h in range(0, n_high, step):
+        if h + step > n_high:  # only the last chunk is short
+            sums, vals = sums[:, : n_high - h], vals[: n_high - h]
+        # sums[:, i, l] are the column sums of pattern ((h + i) << k) + l; their
+        # absolute values are taken in place, so the type is never widened
+        np.add(low[:, None, :], high[:, h : h + step, None], out=sums)
+        np.add.reduce(np.abs(sums, out=sums), axis=0, out=vals)
+        top = int(np.maximum.reduce(vals, axis=None))
         if top < best:
             continue
         if top > best:
-            best, count, kept, pats, rows = top, 0, 0, [], []
+            best, count, kept, pats = top, 0, 0, []
         hits = np.flatnonzero(vals == top)
         count += len(hits)
         hits = hits[: max(0, keep - kept)]
         kept += len(hits)
         pats.append((h << k) + hits)
-        rows.append(cols[:, hits].T)
-    pats, rows = np.concatenate(pats), np.concatenate(rows)
+    pats = np.concatenate(pats)
+    # the signed column sums of the kept optima, rebuilt from the two tables
+    rows = (low.take(pats & ((1 << k) - 1), 1) + high.take(pats >> k, 1)).T
     # complement p ^ (2^m - 1) has p's value and negated sums; the complements
     # follow the scanned half in descending order of p
     extra = max(0, keep - count)  # slices stop at the count
@@ -191,14 +209,17 @@ def _strategies(signs: np.ndarray, m_a: int) -> tuple[DeterministicStrategy, ...
     return tuple(DeterministicStrategy(tuple(r[:m_a]), tuple(r[m_a:])) for r in signs.tolist())
 
 
-def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBiasResult:
+def classical_bias(
+    g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP, *, _gm: GameMatrix | None = None
+) -> ClassicalBiasResult:
     """Exact maximum bias over deterministic strategy pairs.
 
     The witness takes ``beta_y = sign((Phi^T alpha)_y)`` with ties broken
     to +1 and the lexicographically first optimal alpha (all-ones first).
-    An ``enum_cap`` below 1 raises InvalidParameter.
+    An ``enum_cap`` below 1 raises InvalidParameter.  ``_gm`` is
+    ``game_matrix(g)``, passed by a caller that has built it already.
     """
-    opt = _enumerate(g, enum_cap, keep=1)
+    opt = _enumerate(g, enum_cap, keep=1, gm=_gm)
     # row 0 of the vertex order, built directly: ties respond +1
     alpha = tuple(opt.alphas[0].tolist())
     beta = tuple(-1 if v < 0 else 1 for v in opt.rows[0].tolist())

@@ -60,7 +60,7 @@ from .errors import (
     SingularLambda,
     TooLarge,
 )
-from .game import DeterministicStrategy, XorGame, game_matrix
+from .game import DeterministicStrategy, GameMatrix, XorGame, game_matrix
 
 MAX_SDP_SIDE = 4096
 _JUMP_PERIOD = 4  # sweeps per extrapolation step of _coordinate_ascent
@@ -170,9 +170,13 @@ class SlacknessReport:
     passed: bool
 
 
-def _halves(g: XorGame) -> tuple[np.ndarray, np.ndarray]:
-    """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``."""
-    gm = game_matrix(g)
+def _halves(g: XorGame, gm: GameMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``.
+
+    ``gm`` is ``game_matrix(g)``, when the caller has built it already.
+    """
+    if gm is None:
+        gm = game_matrix(g)
     half = np.array([[v / gm.denominator for v in row] for row in gm.ints]) / 2.0
     return half, np.ascontiguousarray(half.T)
 
@@ -195,14 +199,22 @@ def _coordinate_ascent(
     ``rownorm(Phi^T/2 U_A)`` from Alice's new rows.  Each sweep keeps the rows
     on the unit sphere and does not lower the objective.  On small arrays a
     numpy call costs more to start than to compute, so the product, norm and
-    step buffers are allocated once per call and written in place; the
-    largest row movement is measured once per sweep, over both blocks.
+    step buffers are allocated once per call and written in place.
 
-    The sweeps converge linearly, so the step ``D = U - U_prev`` shrinks by a
-    nearly constant ratio.  Every ``_JUMP_PERIOD``-th sweep of a call reads
-    that ratio as ``rho = |D| / |D_prev|`` (Frobenius norms; ``|D_prev|`` is
-    taken one sweep earlier) and, when ``rho < _JUMP_RHO_CAP``, jumps by the
-    rest of the geometric series, ``U <- rownorm(U + rho / (1 - rho) D)``.
+    The stop is read from the step ``D = U - U_prev`` of each sweep, over both
+    blocks.  Its squared Frobenius norm ``|D|^2`` is taken once per sweep;
+    since ``max|D| <= change_tol`` implies ``|D|^2 <= D.size change_tol^2``,
+    the largest entry of ``|D|`` is looked up only when ``|D|^2`` is at most
+    twice that (the factor covers rounding).  A sweep skipped this way could
+    not have stopped, so the stop falls on the same sweep as with the lookup
+    on every sweep.
+
+    The sweeps converge linearly, so the step ``D`` shrinks by a nearly
+    constant ratio.  Every ``_JUMP_PERIOD``-th sweep of a call reads that
+    ratio as ``rho = |D| / |D_prev|`` from the same squared norms
+    (``|D_prev|`` is taken one sweep earlier) and, when
+    ``rho < _JUMP_RHO_CAP``, jumps by the rest of the geometric series,
+    ``U <- rownorm(U + rho / (1 - rho) D)``.
     The jump is not proven to ascend; over 204 seeded games up to 14 x 20 it
     lowered the objective on 55 of 4,051 jumps, each time by at most 2.2e-16
     (rounding).  It does not touch the stop: the call returns on the first
@@ -218,36 +230,41 @@ def _coordinate_ascent(
     half, half_t = blocks
     m_a = half.shape[0]
     W, norms, step = np.empty_like(U), np.empty(len(U)), np.empty_like(U)
-    # (block, rows it reads, product rows, norms, rows it sets)
+    column = norms[:, None]
+    # (block, rows it reads, product rows, norms, norms as a column, rows it sets)
     steps = (
-        (half, U[m_a:], W[:m_a], norms[:m_a], U[:m_a]),
-        (half_t, U[:m_a], W[m_a:], norms[m_a:], U[m_a:]),
+        (half, U[m_a:], W[:m_a], norms[:m_a], column[:m_a], U[:m_a]),
+        (half_t, U[:m_a], W[m_a:], norms[m_a:], column[m_a:], U[m_a:]),
     )
+    # a step with |D|^2 above this has an entry past change_tol (docstring)
+    near = 2.0 * U.size * (cfg.change_tol * cfg.change_tol)
     for sweep in range(1, cfg.max_iters + 1):
         np.copyto(step, U)
-        for P, V, W_x, n_x, X in steps:
+        for P, V, W_x, n_x, n_col, X in steps:
             np.matmul(P, V, out=W_x)
             np.sqrt(np.einsum("ij,ij->i", W_x, W_x, out=n_x), out=n_x)
             if np.count_nonzero(n_x) == len(n_x):
-                np.divide(W_x, n_x[:, None], out=X)
+                np.divide(W_x, n_col, out=X)
             else:
                 live = n_x > 0.0
                 X[live] = W_x[live] / n_x[live, None]
         np.subtract(U, step, out=step)  # D; W is free until the next sweep
-        if np.maximum.reduce(np.abs(step, out=W), axis=None) <= cfg.change_tol:
+        dd = np.vdot(step, step)
+        if dd <= near and np.maximum.reduce(np.abs(step, out=W), axis=None) <= cfg.change_tol:
             return U, sweep, True
         phase = sweep % _JUMP_PERIOD
         if phase == _JUMP_PERIOD - 1:
-            last = np.vdot(step, step)
+            last = dd
         elif phase == 0:
             # last > 0: a zero step would have stopped the previous sweep
-            rho = math.sqrt(np.vdot(step, step) / last)
+            rho = math.sqrt(dd / last)
             if rho < _JUMP_RHO_CAP:
                 step *= rho / (1.0 - rho)
                 U += step  # |row| >= 1, so no row norm is zero
                 # row norms summed as np.linalg.norm sums them; W takes the squares
                 np.add.reduce(np.multiply(U, U, out=W), axis=1, out=norms)
-                U /= np.sqrt(norms, out=norms)[:, None]
+                np.sqrt(norms, out=norms)
+                U /= column
     return U, cfg.max_iters, False
 
 
@@ -309,12 +326,13 @@ def solve_quantum_bias(
     m = g.m_a + g.m_b
     if m > MAX_SDP_SIDE:
         raise TooLarge(f"SDP side {m} exceeds dense budget {MAX_SDP_SIDE}")
+    gm = game_matrix(g)  # read by both the enumeration and the solver
     if xi_c is None:
         try:
-            xi_c = classical.classical_bias(g).xi_c
+            xi_c = classical.classical_bias(g, _gm=gm).xi_c
         except TooLarge:
             xi_c = None
-    blocks = _halves(g)
+    blocks = _halves(g, gm)
 
     best = None  # smallest-gap uncertified restart so far
     for restart in range(cfg.restarts):

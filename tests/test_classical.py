@@ -1,5 +1,6 @@
 """Exact classical bias and optimal-vertex enumeration against the double-loop oracle."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,10 +18,10 @@ from tightbell import (
 )
 from tightbell.classical import DEFAULT_VERTEX_CAP
 from tightbell.errors import InvalidParameter, TooLarge, Truncated
-from tightbell.game import DeterministicStrategy, build_game
+from tightbell.game import DeterministicStrategy, XorGame, build_game
 
 from .generators import random_game, random_strategy, tied_game
-from .oracles import oracle_bias, reference_bias, reference_vertices
+from .oracles import _reference_rows, oracle_bias, reference_bias, reference_vertices
 
 Q = Fraction(1, 4)
 
@@ -373,3 +374,88 @@ def test_each_function_enumerates_once(enumerations):
     classical_bias(g)
     optimal_vertices(g)
     assert len(enumerations) == 2
+
+
+def tier_games():
+    """Games whose bound ``m * m_b * max|L Phi|`` sits at an edge of the scan's types.
+
+    Every entry is +-M, Bob's column y negative when y is odd, so the entries
+    take both signs and the best pattern's value is the bound itself.  The
+    weights are integers that do not sum to 1, in an XorGame built directly
+    (the scan never reads the prior's sum): 2^31 - 1 is prime, so only a 1 x 1
+    game has that bound, and a normalized 1 x 1 game has bound 1.
+    """
+    cases = (
+        (2**31 - 1, 1, 1, np.int32),  # int32's maximum
+        (2**31 - 4, 2, 2, np.int32),
+        (2**31, 2, 2, np.int64),  # one past: the value would wrap in int32
+        (2**31, 4, 8, np.int64),
+        (2**62 - 1, 1, 3, np.int64),
+        (2**62, 2, 2, object),
+    )
+    for bound, m_a, m_b, dtype in cases:
+        weight = Fraction(bound // (m_a * m_b))
+        q = tuple((weight,) * m_b for _ in range(m_a))
+        f = tuple(tuple(y % 2 for y in range(m_b)) for _ in range(m_a))
+        for g in (XorGame(m_a, m_b, q, f), XorGame(m_b, m_a, tuple(zip(*q)), tuple(zip(*f)))):
+            yield pytest.param(g, bound, dtype, id=f"bound{bound}-{g.m_a}x{g.m_b}")
+
+
+@pytest.mark.parametrize("g,bound,dtype", list(tier_games()))
+def test_scan_type_follows_the_bound(g, bound, dtype):
+    # the narrowest exact type: int32 below 2^31, int64 below 2^62, else object
+    assert classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=1).rows.dtype == dtype
+    assert classical_bias(g).xi_c == oracle_bias(g)[0] == bound
+    assert_matches_block_reference(g)
+
+
+def inner_product_game(m_a, m_b):
+    """Uniform prior, ``f(x, y)`` the parity of ``x & y``: many optima, many ties."""
+    q = [[Fraction(1, m_a * m_b)] * m_b for _ in range(m_a)]
+    return build_game(q, [[bin(x & y).count("1") % 2 for y in range(m_b)] for x in range(m_a)])
+
+
+def spread_optima_games():
+    # tied games whose optima fill 3-4 chunks of one high pattern, with
+    # zero column sums among them
+    for m_a, m_b, seed in ((8, 8, 10), (9, 7, 5)):
+        g = tied_game(np.random.default_rng([m_a, m_b, seed]), m_a, m_b, max_weight=1)
+        yield pytest.param(g, id=f"tied{m_a}x{m_b}")
+    yield pytest.param(inner_product_game(6, 10), id="inner_product6x10")
+
+
+@pytest.mark.parametrize("g", list(spread_optima_games()))
+def test_int32_rows_rebuilt_across_chunks(monkeypatch, g):
+    # one high pattern per chunk: the optima fall in several chunks, and a
+    # keep that stops between two optima of one chunk cuts it
+    m, mb = sorted((g.m_a, g.m_b))
+    k = m // 2
+    monkeypatch.setattr(classical, "_CHUNK", mb << k)
+    best, den, swapped, _, ref = _reference_rows(g)
+    assert any(v == 0 for _, col in ref for v in col)
+    chunks = [p >> k for p, _ in ref if p < 1 << (m - 1)]
+    assert len(set(chunks)) >= 3
+    cuts = [i + 1 for i in range(len(chunks) - 1) if chunks[i] == chunks[i + 1]]
+    assert cuts
+    for keep in (cuts[0], cuts[-1], len(chunks), len(ref)):
+        opt = classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=keep)
+        assert opt.rows.dtype == np.int32
+        assert (opt.xi_c, opt.count, opt.swapped) == (Fraction(best, den), len(ref), swapped)
+        assert opt.rows.tolist() == [col for _, col in ref[:keep]]
+        assert opt.alphas.tolist() == [
+            [1 - 2 * ((p >> j) & 1) for j in range(m)] for p, _ in ref[:keep]
+        ]
+
+
+def test_scan_buffers_are_sized_to_the_chunk():
+    # 8 x 8 scans 8 high patterns of 16 low ones: its buffers hold 8 x 8 x 16
+    # sums, not the _CHUNK that a step could span
+    g = tied_game(np.random.default_rng(3), 8, 8)
+    classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=10)
+    tracemalloc.start()
+    try:
+        classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * classical._CHUNK // 2  # half a full int32 chunk

@@ -24,7 +24,7 @@ from tightbell.errors import (
     SingularLambda,
     TooLarge,
 )
-from tightbell import qsdp
+from tightbell import classical, qsdp
 from tightbell.game import DeterministicStrategy, build_game
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
 
@@ -330,6 +330,36 @@ def test_block_sweep_matches_row_reference(monkeypatch):
         assert abs(lib.dual_value - ref.dual_value) <= 1e-12
         assert abs(lib.gap - ref.gap) <= 1e-12
         assert np.abs(lib.cert.t - ref.cert.t).max() <= 1e-12
+
+
+@pytest.mark.parametrize("change_tol", [1e-6, 1e-9, 1e-13])
+def test_stop_read_from_the_step_norm_matches_row_reference(change_tol):
+    # the kernel tests max|D| only when |D|^2 is small enough for it to pass;
+    # at loose and tight tolerances alike it stops where the row-by-row
+    # reference, which tests max|D| on every sweep, stops
+    rng = np.random.default_rng(17)
+    for i in range(30):
+        g = random_game(rng)
+        blocks = qsdp._halves(g)
+        m = g.m_a + g.m_b
+        U0 = np.random.default_rng(i).normal(size=(m, m))
+        U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
+        cfg = SolveConfig(change_tol=change_tol)
+        _, sweeps, converged = qsdp._coordinate_ascent(blocks, U0.copy(), cfg)
+        _, ref_sweeps, ref_converged = reference_coordinate_ascent(blocks, U0.copy(), cfg)
+        assert converged and (sweeps, converged) == (ref_sweeps, ref_converged)
+
+
+def test_solve_builds_one_game_matrix(monkeypatch):
+    # the enumeration for xi_c and the solver's halves read the same one
+    calls = []
+    for module in (classical, qsdp):
+        build = module.game_matrix
+        monkeypatch.setattr(module, "game_matrix", lambda g, build=build: calls.append(g) or build(g))
+    g = make_named("appendix_d", 2)
+    res = solve_quantum_bias(g)
+    assert calls == [g]
+    assert res.xi_c == classical_bias(g).xi_c and res.certified
 
 
 def test_jumps_save_half_the_sweeps_of_plain_sweeping(monkeypatch):
