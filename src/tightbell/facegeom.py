@@ -8,7 +8,10 @@ and the sign rows ``[alpha | beta]`` of the vertices are ranked: flipping
 every answer keeps the bias, so the dimension in the full space of
 ``(alpha, beta, vec(alpha beta^T))`` follows from those two.  An affine
 dimension is the rank over the rationals of the differences to the first
-row, a certified modular rank: the rank of the Gram matrix modulo the prime
+row, a certified modular rank.  Zero columns and columns parallel to an
+earlier one cannot raise the rank; they are dropped first, read off the
+integer Gram matrix exactly by the equality case of Cauchy-Schwarz.  The
+rank of the Gram matrix of the remaining columns modulo the prime
 2^31 - 1 is a lower bound, and an integer certificate (the lifted echelon
 form, checked against the differences exactly) proves the matching upper
 bound.  Floating point is used only where every sum is an integer below
@@ -53,6 +56,7 @@ _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
 _FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
 _DIFF_LIMIT = 1 << 62  # int64 entries below this have int64 differences
+_SQUARE_LIMIT = 1 << 31  # int64 holds the square of an integer below this
 _BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificate
 _PROBE_SAMPLES = 24  # certified re-solves per quantum face probe
 _PROBE_RANK_TOL = 1e-6  # singular values above this count as face directions
@@ -162,7 +166,8 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
 def _rref_mod_p(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of a residue matrix modulo ``_PRIME``.
 
-    Entries stay in ``[0, p)``, so every product fits in int64.
+    Entries stay in ``[0, p)``, so an entry minus a product of two fits in
+    int64 and each pivot's update takes one remainder, in place.
     """
     A = A.copy()
     pivots: list[int] = []
@@ -170,16 +175,20 @@ def _rref_mod_p(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
         r = len(pivots)
         if r == A.shape[0]:
             break
-        nz = np.flatnonzero(A[r:, c])
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
+        if not A[r, c]:
+            nz = np.flatnonzero(A[r:, c])
+            if nz.size == 0:
+                continue
+            i = r + int(nz[0])
             A[[r, i]] = A[[i, r]]
-        A[r, c:] = A[r, c:] * pow(int(A[r, c]), _PRIME - 2, _PRIME) % _PRIME
-        col = A[:, c].copy()
+        T = A[:, c:]
+        row = T[r]
+        row *= pow(int(row[0]), -1, _PRIME)
+        row %= _PRIME
+        col = T[:, :1].copy()
         col[r] = 0
-        A[:, c:] = (A[:, c:] - np.outer(col, A[r, c:]) % _PRIME) % _PRIME
+        T -= col * row
+        T %= _PRIME
         pivots.append(c)
     return A[: len(pivots)], pivots
 
@@ -209,11 +218,23 @@ def _certified_rank(M: np.ndarray) -> int | None:
 
     With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
     is summed in float64 over row blocks, exact because every partial sum is
-    an integer of size at most ``max|M|^2 * rows < 2^53``.  The rank ``r`` of
-    ``G`` mod p is at most rank_Q(G) = rank_Q(M).  Below full column rank,
-    the reduced echelon form of ``G`` is lifted to rationals with common
-    denominator ``delta`` as an integer matrix ``N``, and
-    ``delta * M == M[:, pivots] @ N`` is checked exactly, block by block
+    an integer of size at most ``max|M|^2 * rows < 2^53``.
+
+    Columns that cannot raise the rank are dropped first, decided exactly on
+    ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
+    ``i`` when ``G_ij^2 = G_ii G_jj``, the equality case of Cauchy-Schwarz.
+    Zero columns go, and so does every column parallel to an earlier
+    nonzero one.  A zero column meets the equality with every column, so it
+    is never a witness.  The squares are exact in int64 while every
+    ``G_jj < 2^31``, since ``|G_ij|`` is at most the larger diagonal entry;
+    beyond that no column is dropped.  The kept columns ``K`` span the
+    column space of ``M``, so what follows runs on ``M[:, K]`` and
+    ``G[K][:, K]``.
+
+    The rank ``r`` of ``G`` mod p is at most rank_Q(G) = rank_Q(M).  Below
+    full column rank, the reduced echelon form of ``G`` is lifted to
+    rationals with common denominator ``delta`` as an integer matrix ``N``,
+    and ``delta * M == M[:, pivots] @ N`` is checked exactly, block by block
     (float64 again, bounds checked first): every column of ``M`` then lies
     in the span of ``r`` of its columns, so rank_Q(M) <= r as well.  Only
     one float block is held at a time, never a float copy of ``M``.
@@ -227,9 +248,18 @@ def _certified_rank(M: np.ndarray) -> int | None:
     G = np.zeros((cols, cols))
     for F in _float_blocks(M):
         G += F.T @ F
-    R, pivots = _rref_mod_p(G.astype(np.int64) % _PRIME)
+    G = G.astype(np.int64)
+    diag = G.diagonal()
+    keep = np.arange(cols)
+    if diag.max() < _SQUARE_LIMIT:
+        # witness[i, j]: column i is nonzero and parallel to column j.  A
+        # nonzero column witnesses itself and stays unless an earlier one
+        # witnesses it; a zero column's first witness is the first nonzero one.
+        witness = (G * G == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
+        keep = np.flatnonzero(witness.argmax(axis=0) == keep)
+    R, pivots = _rref_mod_p(G[keep[:, None], keep] % _PRIME)
     r = len(pivots)
-    if r == cols:
+    if r == len(keep):
         return r
     if r == 0:
         return None  # M is nonzero, so the prime divides all of G
@@ -243,8 +273,9 @@ def _certified_rank(M: np.ndarray) -> int | None:
     if delta * big >= _FLOAT_EXACT or r * big * n_big >= _FLOAT_EXACT:
         return None
     N = np.array(coeffs, dtype=np.float64)[where.reshape(R.shape)]
+    basis = keep[pivots]
     for F in _float_blocks(M):
-        if not np.array_equal(F * delta, F[:, pivots] @ N):
+        if not np.array_equal(F[:, keep] * delta, F[:, basis] @ N):
             return None
     return r
 

@@ -199,8 +199,8 @@ def reduce_exhaustive(g: XorGame) -> XorGame:
     questions; any strategy for it extends to ``g`` by choosing the dropped
     signs freely, with identical bias.
     """
-    row_pos = [x for x in range(g.m_a) if any(v > 0 for v in g.q[x])]
-    col_pos = [y for y in range(g.m_b) if any(g.q[x][y] > 0 for x in range(g.m_a))]
+    row_pos = [x for x in range(g.m_a) if any(g.q[x])]
+    col_pos = [y for y in range(g.m_b) if any(row[y] for row in g.q)]
     if not row_pos or not col_pos:
         raise EmptyGame("all prior entries are zero")
     if len(row_pos) == g.m_a and len(col_pos) == g.m_b:

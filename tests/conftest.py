@@ -34,6 +34,20 @@ def bareiss_calls(monkeypatch):
 
 
 @pytest.fixture
+def gram_sides(monkeypatch):
+    """Side of every Gram matrix the modular elimination of the exact rank receives."""
+    calls = []
+    rref = facegeom._rref_mod_p
+
+    def counted(A):
+        calls.append(len(A))
+        return rref(A)
+
+    monkeypatch.setattr(facegeom, "_rref_mod_p", counted)
+    return calls
+
+
+@pytest.fixture
 def infeasible_dual(monkeypatch):
     """Make every solver restart report ``min_eig = -1``, its dual infeasible."""
     evaluate = qsdp._evaluate

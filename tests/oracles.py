@@ -10,7 +10,9 @@ full embedded matrix and extrapolates row by row (the library updates each
 player's rows as one block and jumps the whole factor at once), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses a certified rank modulo a prime, falling back to
-fraction-free integer elimination), the no-signalling oracle reconstructs the
+fraction-free integer elimination), the modular echelon reference is
+Gauss-Jordan on lists of Python integers with Fermat inverses (the library
+updates whole int64 arrays per pivot), the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
 reference sums the prior in Fractions (the library sums the integers that
 ``signed_matrix`` scales over the lcm of the denominators).
@@ -196,6 +198,34 @@ def oracle_affine_dim(points) -> int:
         if any(v != 0 for v in row):
             pivots.append(row)
     return len(pivots)
+
+
+def reference_rref_mod_p(rows, p: int):
+    """(nonzero rows of the reduced echelon form, pivot columns) modulo ``p``.
+
+    Gauss-Jordan elimination on lists of Python integers: at each column the
+    first row at or below the next pivot row with a nonzero entry is swapped
+    up, scaled by its Fermat inverse ``a^(p-2)`` and subtracted from every
+    other row.
+    """
+    A = [[v % p for v in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        if r == len(A):
+            break
+        i = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [v * inv % p for v in A[r]]
+        for k in range(len(A)):
+            if k != r and A[k][c]:
+                f = A[k][c]
+                A[k] = [(a - f * b) % p for a, b in zip(A[k], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
 
 
 def oracle_probability_table(beh):

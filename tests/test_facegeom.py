@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tightbell import (
@@ -32,7 +32,7 @@ from tightbell.game import DeterministicStrategy, build_game
 from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
-from .oracles import oracle_affine_dim, oracle_bias
+from .oracles import oracle_affine_dim, oracle_bias, reference_rref_mod_p
 
 Q = Fraction(1, 4)
 
@@ -140,6 +140,95 @@ def test_affine_dim_certificate_without_fallback(bareiss_calls):
     pts = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
     assert affine_dimension_exact(pts) == oracle_affine_dim(pts.tolist()) == 2
     assert bareiss_calls == []
+
+
+def _planted_points(rng, n_pts, dim):
+    """Integer points whose differences to the first repeat columns and rows.
+
+    Planted columns: zero, constant, a copy, a negated and two scaled copies
+    of random columns.  Planted points: the base point again, a copy, the
+    reflection ``2 p0 - p`` and ``p0 + 3 (p - p0)``, whose differences are
+    zero, repeated, negated and scaled rows.
+    """
+    P = rng.integers(-3, 4, size=(n_pts, dim))
+    P[1, 0] = P[0, 0] + 1  # the differences are not all zero
+    src = P[:, rng.integers(0, dim, size=4)]
+    P = np.hstack([
+        P, np.zeros((n_pts, 1), dtype=P.dtype), np.full((n_pts, 1), 5),
+        src[:, :1], -src[:, 1:2], 3 * src[:, 2:3], -2 * src[:, 3:4],
+    ])
+    i, j, k = rng.integers(1, n_pts, size=3)
+    P = np.vstack([P, P[0], P[i], 2 * P[0] - P[j], P[0] + 3 * (P[k] - P[0])])
+    return P[:, rng.permutation(P.shape[1])]
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
+def test_deflation_keeps_the_rank(seed, wide, gram_sides):
+    rng = np.random.default_rng(seed)
+    if wide:  # fewer differences than columns: ranked as the transpose
+        n_pts, dim = int(rng.integers(2, 5)), int(rng.integers(6, 10))
+    else:
+        n_pts, dim = int(rng.integers(8, 14)), int(rng.integers(1, 4))
+    P = _planted_points(rng, n_pts, dim)
+    rows, cols = P.shape[0] - 1, P.shape[1]
+    assert (rows < cols) == wide
+    gram_sides.clear()
+    assert affine_dimension_exact(P) == oracle_affine_dim(P.tolist())
+    assert gram_sides[0] < min(rows, cols)  # planted columns were dropped
+
+
+def test_deflation_zero_column_is_no_witness(bareiss_calls):
+    from tightbell import g0_dimension
+
+    # columns [0, v, w]: a zero column meets G_ij^2 = G_ii G_jj with every
+    # column, so as a witness it would drop v and w
+    pts = [(0, 0, 0), (0, 1, 2), (0, 3, 1), (0, 2, 5)]
+    assert affine_dimension_exact(pts) == oracle_affine_dim(pts) == 2
+    # the 64 Gram columns of g0(3) shrink to 28 of rank 20, with a zero
+    # (diagonal) column first; the lifted certificate proves the rank
+    assert g0_dimension(3).verified_value == 20
+    assert bareiss_calls == []
+
+
+@pytest.mark.parametrize(
+    "n,rank,swap",
+    [
+        (1, 1, False), (4, 4, False), (7, 5, False), (28, 28, False), (28, 20, False),
+        (64, 64, False), (64, 45, False),
+        (2, 2, True), (7, 5, True), (28, 28, True), (64, 45, True),
+    ],
+)
+def test_rref_mod_p_matches_reference(n, rank, swap):
+    p = facegeom._PRIME
+    rng = np.random.default_rng(1000 * n + 10 * rank + swap)
+    A = rng.integers(0, p, size=(n, n))
+    if swap:  # the first rows lead with 0, so the first pivot row is swapped up
+        A[: rank // 2, 0] = 0
+    # rows from ``rank`` on are combinations of the first ``rank``
+    top = A[:rank].tolist()
+    for i in range(rank, n):
+        cs = rng.integers(0, p, size=rank).tolist()
+        A[i] = [sum(c * row[j] for c, row in zip(cs, top)) % p for j in range(n)]
+    R, pivots = facegeom._rref_mod_p(A)
+    R_ref, pivots_ref = reference_rref_mod_p(A.tolist(), p)
+    assert len(pivots) == rank
+    assert (A[0, 0] == 0) == swap and pivots[0] == 0
+    assert pivots == pivots_ref
+    assert R.tolist() == R_ref
+
+
+def test_rref_mod_p_rectangular_and_zero_columns():
+    p = facegeom._PRIME
+    rng = np.random.default_rng(7)
+    for shape in [(3, 8), (8, 3), (5, 5)]:
+        A = rng.integers(0, p, size=shape)
+        A[:, 1] = 0
+        R, pivots = facegeom._rref_mod_p(A)
+        assert (R.tolist(), pivots) == reference_rref_mod_p(A.tolist(), p)
+        assert 1 not in pivots
 
 
 @pytest.mark.parametrize(
@@ -528,23 +617,64 @@ def test_probe_not_applicable_for_advantage_games():
         quantum_face_probe(make_named("chsh"))
 
 
+def _identity_like(m, rows=0, cols=0):
+    """Uniform prior on the diagonal of an m x m block, then never-asked questions."""
+    w = Fraction(1, m)
+    q = [[w if x == y < m else 0 for y in range(m + cols)] for x in range(m + rows)]
+    return build_game(q, [[0] * (m + cols) for _ in range(m + rows)])
+
+
+def _padded_identity2():
+    """identity(2) with a never-asked question in the middle of each side."""
+    h = Fraction(1, 4)
+    q = [[h, 0, 0, 0, 0], [0, h, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, h, 0], [0, 0, 0, 0, h]]
+    return build_game(q, [[0] * 5 for _ in range(5)])
+
+
+_MODULAR_GAMES = {  # (name, n): (dim_full, dim_corr, num_vertices)
+    ("chsh", None): (7, 3, 8),
+    ("identity", 1): (3, 1, 4),
+    ("identity", 2): (10, 6, 16),
+    ("identity", 3): (36, 28, 256),
+    ("appendix_d", 2): (7, 3, 8),
+    ("appendix_d", 3): (29, 21, 72),
+    ("padded", None): (21, 15, 64),
+    ("identity_like", 6): (21, 15, 64),
+    ("identity_like", 7): (28, 21, 128),
+    ("identity_like", 8): (36, 28, 256),
+    ("padded_like", 6): (36, 28, 256),
+}
+
+
 @pytest.mark.parametrize(
-    "name,n",
-    [("chsh", None), ("identity", 1), ("identity", 2), ("identity", 3),
-     ("appendix_d", 2), ("appendix_d", 3), ("padded", None)],
+    "name,n", list(_MODULAR_GAMES), ids=[f"{name}-{n}" for name, n in _MODULAR_GAMES]
 )
 def test_face_report_takes_the_modular_path(name, n, bareiss_calls):
-    if name == "padded":  # identity(2) with a never-asked question on each side
-        h = Fraction(1, 4)
-        q = [[h, 0, 0, 0, 0], [0, h, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, h, 0], [0, 0, 0, 0, h]]
-        g = build_game(q, [[0] * 5 for _ in range(5)])
+    if name == "padded":
+        g = _padded_identity2()
+    elif name == "identity_like":
+        g = _identity_like(n)
+    elif name == "padded_like":  # a never-asked question on each side
+        g = _identity_like(n, 1, 1)
     else:
         g = make_named(name) if n is None else make_named(name, n)
     rep = face_report(g)
     assert rep.provenance["dim_full"] == MEASURED
+    assert (rep.dim_full, rep.dim_corr, rep.num_vertices) == _MODULAR_GAMES[name, n]
     if name == "padded":
-        assert (rep.m_a, rep.reduced_m_a, rep.num_vertices) == (5, 4, 16 * 4)
+        assert (rep.m_a, rep.reduced_m_a) == (5, 4)
     assert bareiss_calls == []
+
+
+def test_deflation_shrinks_the_gram_matrix(gram_sides):
+    # identity(3): of the 64 corr columns the 8 diagonal ones are zero and
+    # (x, y) repeats (y, x), leaving 28 at full rank; the 256 sign rows
+    # (16 columns) keep alpha, since beta = alpha
+    face_report(make_named("identity", 3))
+    assert gram_sides == [28, 8]
+    gram_sides.clear()
+    face_report(make_named("appendix_d", 3))
+    assert gram_sides[0] == 29
 
 
 def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
@@ -554,6 +684,8 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
     certified = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
     # rank 1 mod p with the lifted relation col1 = 32767 col2, which the first
     # difference satisfies: only the identity check on later rows refutes it
+    # (its Gram diagonal passes 2^31, so no column is dropped before the
+    # elimination)
     refuted = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
     for entries in (1, 5, 64):
         monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
