@@ -22,7 +22,6 @@ carrying an extra 2^(n-1) factor does not match that oracle for n >= 2.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -244,12 +243,23 @@ def g0_dimension(n: int) -> G0Dimension:
     count = G0_ENUM_CAP + 1 if half > G0_ENUM_CAP.bit_length() else comb(size, half)
     if count > G0_ENUM_CAP:
         raise TooLarge(f"C({size}, {half}) balanced vectors exceed the cap {G0_ENUM_CAP}")
-    alphas = np.full((count, size), -1, dtype=np.int8)
-    for k, pos in enumerate(itertools.combinations(range(size), half)):
-        alphas[k, list(pos)] = 1
+    alphas = _balanced_signs(size)
     points = (alphas[:, :, None] * alphas[:, None, :]).reshape(count, size * size)
     verified = affine_dimension_exact(points)
     return G0Dimension(formula_value=g0_formula(n), verified_value=verified)
+
+
+def _balanced_signs(size: int) -> np.ndarray:
+    """Every +-1 row of length ``size`` with ``size / 2`` entries +1, as int8.
+
+    The rows come in the order of ``itertools.combinations(range(size),
+    size // 2)`` over the +1 positions: the masks with that popcount in
+    descending order, with position 0 read as the most significant bit.
+    """
+    masks = np.arange((1 << size) - 1, -1, -1)
+    masks = masks[np.bitwise_count(masks) == size // 2]
+    bits = (masks[:, None] >> np.arange(size - 1, -1, -1)) & 1
+    return (2 * bits - 1).astype(np.int8)
 
 
 def g0_formula(n: int) -> int:

@@ -6,8 +6,10 @@ full double loop (the library enumerates one side and derives the other), the
 block-matmul reference expands every sign pattern and multiplies it through
 the game matrix (the library adds split low-bit and high-bit tables), the
 solver reference updates one row of the Gram factor at a time against the
-full embedded matrix and extrapolates row by row (the library updates each
-player's rows as one block and jumps the whole factor at once), the
+full embedded matrix, narrows it by Gram-Schmidt and extrapolates from the
+kept iterates through a bordered system, row by row (the library updates each
+player's rows as one block, narrows by a QR factorization and extrapolates
+the whole factor from its kept steps through ``(S S^T) y = 1``), the
 affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses a certified rank modulo a prime, falling back to
 fraction-free integer elimination), the modular echelon reference is
@@ -27,6 +29,7 @@ from math import lcm
 
 import numpy as np
 
+from tightbell import qsdp
 from tightbell.errors import NegativePrior, NotNormalized, ShapeMismatch
 from tightbell.game import XorGame, as_int, as_rational
 
@@ -135,51 +138,112 @@ def reference_vertices(g, cap: int):
     return Fraction(best, den), out, False
 
 
-def reference_coordinate_ascent(blocks, U, cfg, extrapolate=True):
-    """The solver's sweep as one row update at a time, over the full ``Phi~``.
+def _reference_basis(rows: np.ndarray, width: int) -> np.ndarray:
+    """Orthonormal rows spanning ``rows``, by modified Gram-Schmidt in row order.
+
+    A row that adds nothing new (left with norm below 1e-12 after the
+    projections) is skipped, and the basis is completed to ``len(rows)``
+    vectors with the unit coordinate vectors of ``R^width`` taken in order.
+    """
+    basis: list[np.ndarray] = []
+    eye = np.eye(width)
+    for v in [*rows, *eye]:
+        if len(basis) == len(rows):
+            break
+        v = v.copy()
+        for b in basis:
+            v -= (v @ b) * b
+        nv = math.sqrt(v @ v)
+        if nv > 1e-12:
+            basis.append(v / nv)
+    return np.array(basis)
+
+
+def reference_coordinate_ascent(blocks, U, cfg, depth=None):
+    """The solver's ascent one row update at a time, over the full ``Phi~``.
 
     Same signature as ``qsdp._coordinate_ascent``; ``Phi~`` is rebuilt from
     the two blocks ``Phi/2`` and ``Phi^T/2``.  Row ``i`` becomes ``w / |w|``
     with ``w = Phi~_i U``, in order, and keeps its value when ``w = 0``;
-    sweeps stop when no row moved by more than ``cfg.change_tol``.  With
-    ``extrapolate``, sweep ``4j`` (counted within the call) is followed, when
-    it did not stop, by the jump: with ``d_k`` the sum over rows of each
-    row's squared move at sweep ``k``, ``rho = sqrt(d_4j / d_(4j-1))``, and
-    if ``rho < 0.99`` every row ``u_i`` becomes ``v / |v|`` with
-    ``v = u_i + rho / (1 - rho) (u_i - u_i_before)``, where ``u_i_before`` is
-    the row before sweep ``4j``.  Returns (U, sweeps, converged).
+    sweeps stop when no entry of any row moved by more than
+    ``cfg.change_tol``.  After sweep 2 every row is replaced by its
+    coordinates in an orthonormal basis of the smaller side's rows (Alice's
+    on a tie), built by Gram-Schmidt, and rescaled to unit length; when those
+    rows are independent this basis is the library's up to the signs of its
+    vectors, which move no coordinate's size.  From then on, every
+    ``depth + 1`` sweeps (``qsdp._RRE_DEPTH`` when ``depth`` is None; no
+    extrapolation when it is 0) the cycle's iterates ``x_0 .. x_(depth+1)``
+    are extrapolated by :func:`reference_rre`, RRE in its textbook form; a
+    singular system skips the extrapolation.  The next cycle starts from the
+    extrapolated iterate.  Returns (U, sweeps, converged).
     """
+    depth = qsdp._RRE_DEPTH if depth is None else depth
     half, half_t = blocks
     m_a, m_b = half.shape
     m = m_a + m_b
     pt = np.zeros((m, m))
     pt[:m_a, m_a:] = half
     pt[m_a:, :m_a] = half_t
-    moved = [0.0] * 4  # moved[k % 4]: sum of squared row moves at sweep k
+    cycle: list[np.ndarray] = []
     for sweep in range(1, cfg.max_iters + 1):
+        if sweep == 3:
+            side = U[:m_a] if m_a <= m_b else U[m_a:]
+            basis = _reference_basis(side, U.shape[1])
+            U = np.array([basis @ u for u in U])
+            U = np.array([u / math.sqrt(u @ u) for u in U])
+            cycle = [U.copy()]
         before = U.copy()
         for i in range(m):
             w = pt[i] @ U
             nw = math.sqrt(w @ w)
             if nw > 0.0:
                 U[i] = w / nw
-        D = U - before
-        if float(np.abs(D).max()) <= cfg.change_tol:
+        if float(np.abs(U - before).max()) <= cfg.change_tol:
             return U, sweep, True
-        moved[sweep % 4] = sum(float(d @ d) for d in D)
-        if not extrapolate or sweep % 4:
+        if not depth or sweep < 3:
             continue
-        rho = math.sqrt(moved[0] / moved[3])
-        if rho < 0.99:
-            for i in range(m):
-                v = U[i] + rho / (1 - rho) * D[i]
-                U[i] = v / math.sqrt(v @ v)
+        cycle.append(U.copy())
+        if len(cycle) < depth + 2:
+            continue
+        extrapolated = reference_rre(cycle)
+        if extrapolated is not None:
+            U = extrapolated
+        cycle = [U.copy()]
     return U, cfg.max_iters, False
 
 
+def reference_rre(iterates):
+    """Reduced-rank extrapolation of ``x_0 .. x_(k)``, row by row, or None.
+
+    ``gamma`` minimises ``|sum_j gamma_j (x_(j+1) - x_j)|`` subject to
+    ``sum_j gamma_j = 1``, found from the bordered system
+    ``[[G, 1], [1^T, 0]] (gamma, lambda) = (0, 1)`` with ``G`` the steps'
+    inner products summed row by row; each row becomes ``v / |v|`` with
+    ``v = sum_j gamma_j x_(j+1)``.  None when the bordered system is singular.
+    """
+    steps = [b - a for a, b in zip(iterates, iterates[1:])]
+    k, rows = len(steps), len(iterates[0])
+    bordered = np.zeros((k + 1, k + 1))
+    for a in range(k):
+        for b in range(k):
+            bordered[a, b] = sum(float(steps[a][i] @ steps[b][i]) for i in range(rows))
+    bordered[:k, k] = bordered[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[k] = 1.0
+    try:
+        gamma = np.linalg.solve(bordered, rhs)[:k]
+    except np.linalg.LinAlgError:
+        return None
+    out = np.empty_like(iterates[0])
+    for i in range(rows):
+        v = sum(g * x[i] for g, x in zip(gamma, iterates[1:]))
+        out[i] = v / math.sqrt(v @ v)
+    return out
+
+
 def reference_plain_ascent(blocks, U, cfg):
-    """``reference_coordinate_ascent`` without the jump: Gauss-Seidel sweeps only."""
-    return reference_coordinate_ascent(blocks, U, cfg, extrapolate=False)
+    """``reference_coordinate_ascent`` without extrapolation: Gauss-Seidel sweeps only."""
+    return reference_coordinate_ascent(blocks, U, cfg, depth=0)
 
 
 def oracle_affine_dim(points) -> int:

@@ -26,6 +26,7 @@ from tightbell import (
     solve_quantum_bias,
     spec_from_game,
 )
+from tightbell import nlc
 from tightbell.errors import GameFormatError, InvalidDims, InvalidParameter, InvalidSpec, TooLarge
 from tightbell.nlc import (
     NlcSpec,
@@ -284,6 +285,22 @@ def test_g0_dimension_small():
         g0_dimension(5)
     with pytest.raises(InvalidParameter):
         g0_dimension(1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_balanced_signs_come_in_combinations_order(n):
+    # the masks with popcount 2^(n-1), in descending order, against the
+    # itertools loop they replace
+    import itertools
+    from math import comb
+
+    size = 1 << n
+    want = np.full((comb(size, size // 2), size), -1, dtype=np.int8)
+    for k, pos in enumerate(itertools.combinations(range(size), size // 2)):
+        want[k, list(pos)] = 1
+    got = nlc._balanced_signs(size)
+    assert got.dtype == np.int8
+    assert np.array_equal(got, want)
 
 
 def test_appendix_d_face_is_one_more_than_g0():
