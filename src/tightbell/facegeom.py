@@ -8,16 +8,18 @@ and the sign rows ``[alpha | beta]`` of the vertices are ranked: flipping
 every answer keeps the bias, so the dimension in the full space of
 ``(alpha, beta, vec(alpha beta^T))`` follows from those two.  An affine
 dimension is the rank over the rationals of the differences to the first
-row, a certified modular rank.  Zero columns and columns parallel to an
-earlier one cannot raise the rank; they are dropped first, read off the
-integer Gram matrix exactly by the equality case of Cauchy-Schwarz.  The
-rank of the Gram matrix of the remaining columns modulo the prime
-2^31 - 1 is a lower bound, and an integer certificate (the lifted echelon
-form, checked against the differences exactly) proves the matching upper
-bound.  Floating point is used only where every sum is an integer below
-2^53, which is checked first.  When a bound fails, the prime is unlucky or
-the certificate cannot be lifted, fraction-free (Bareiss) elimination on
-Python integers gives the rank instead.  No tolerance either way.
+row, a certified rank.  Zero columns and columns parallel to an earlier one
+cannot raise the rank; they are dropped first, read off the integer Gram
+matrix exactly by the equality case of Cauchy-Schwarz.  Full rank of the
+Gram matrix of the remaining columns is proved by a rounded inverse: one
+bound-checked integer product shows ``||I - N G / 2^s|| < 1``.  Otherwise
+its rank modulo the prime 2^31 - 1 is a lower bound, and an integer
+certificate (the lifted echelon form, checked against the differences
+exactly) proves the matching upper bound.  Floating point is used only
+where every sum is an integer below 2^53, which is checked first.  When a
+bound fails, the prime is unlucky or the certificate cannot be lifted,
+fraction-free (Bareiss) elimination on Python integers gives the rank
+instead.  No tolerance either way.
 
 Questions that are never asked are dropped before enumeration.  The face of
 the original game is the reduced face times a cube of free signs, and its
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import frexp, gcd, isqrt, lcm
 from typing import Sequence
 
 import numpy as np
@@ -213,6 +215,45 @@ def _float_blocks(M: np.ndarray):
         yield M[lo : lo + step].astype(np.float64)
 
 
+def _nonsingular(G: np.ndarray) -> bool:
+    """Whether a rounded inverse proves the int64 Gram matrix ``G`` nonsingular.
+
+    ``X`` approximates ``G^-1`` in float64, and ``N = rint(2^s X)`` is taken
+    with ``s`` as large as keeps ``n max|N| max|G| < 2^53``, checked on ``N``
+    itself: every sum of ``N G`` is then an integer below 2^53, exact in
+    float64, and ``E = N G - 2^s I`` is exact in int64.  If every row of
+    ``|E|`` sums below ``2^s``, then ``||I - N G / 2^s||_inf < 1``, so
+    ``N G``, and with it ``G``, is invertible.  ``False`` proves nothing: a
+    singular ``G`` usually fails the float Cholesky factorisation, the
+    cheapest way out, and an ill-conditioned one fails the check.
+    """
+    n = len(G)
+    F = G.astype(np.float64)
+    try:
+        np.linalg.cholesky(F)
+        X = np.linalg.inv(F)
+    except np.linalg.LinAlgError:
+        return False
+    # G, and nearly X, are positive definite: their largest entries are diagonal
+    g_max, x_max = int(G.diagonal().max()), float(X.diagonal().max())
+    if not x_max > 0:  # also NaN
+        return False
+    # frexp(x)[1] - 1 = floor(log2 x): one bit of room below 2^53, and n 2^s
+    # below 2^62 so that the row sums below cannot overflow int64
+    s = min(frexp(_FLOAT_EXACT / (n * g_max * x_max))[1] - 2, 62 - n.bit_length())
+    if s < 1:
+        return False
+    N = np.rint(np.ldexp(X, s))
+    n_max = np.abs(N).max()
+    if not n_max < _FLOAT_EXACT or n * int(n_max) * g_max >= _FLOAT_EXACT:
+        return False
+    E = (N @ F).astype(np.int64)
+    E.flat[:: n + 1] -= 1 << s
+    # a row sum below 2^s has no entry above it, so clipping decides the same
+    np.minimum(np.abs(E, out=E), 1 << s, out=E)
+    return int(E.sum(axis=1).max()) < 1 << s
+
+
 def _certified_rank(M: np.ndarray) -> int | None:
     """Rank over Q of a nonzero int64 matrix, or None where no certificate is found.
 
@@ -231,13 +272,16 @@ def _certified_rank(M: np.ndarray) -> int | None:
     column space of ``M``, so what follows runs on ``M[:, K]`` and
     ``G[K][:, K]``.
 
-    The rank ``r`` of ``G`` mod p is at most rank_Q(G) = rank_Q(M).  Below
-    full column rank, the reduced echelon form of ``G`` is lifted to
-    rationals with common denominator ``delta`` as an integer matrix ``N``,
-    and ``delta * M == M[:, pivots] @ N`` is checked exactly, block by block
-    (float64 again, bounds checked first): every column of ``M`` then lies
-    in the span of ``r`` of its columns, so rank_Q(M) <= r as well.  Only
-    one float block is held at a time, never a float copy of ``M``.
+    Full rank, the usual case for face matrices once deflated, is proved
+    first by :func:`_nonsingular`: a rounded inverse of ``G`` and one exact
+    product, with no elimination.  Otherwise the rank ``r`` of ``G`` mod p
+    is at most rank_Q(G) = rank_Q(M).  Below full column rank, the reduced
+    echelon form of ``G`` is lifted to rationals with common denominator
+    ``delta`` as an integer matrix ``N``, and ``delta * M == M[:, pivots] @
+    N`` is checked exactly, block by block (float64 again, bounds checked
+    first): every column of ``M`` then lies in the span of ``r`` of its
+    columns, so rank_Q(M) <= r as well.  Only one float block is held at a
+    time, never a float copy of ``M``.
     """
     if M.shape[0] < M.shape[1]:
         M = M.T
@@ -257,7 +301,10 @@ def _certified_rank(M: np.ndarray) -> int | None:
         # witnesses it; a zero column's first witness is the first nonzero one.
         witness = (G * G == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
         keep = np.flatnonzero(witness.argmax(axis=0) == keep)
-    R, pivots = _rref_mod_p(G[keep[:, None], keep] % _PRIME)
+    G = G[keep[:, None], keep]
+    if _nonsingular(G):
+        return len(keep)
+    R, pivots = _rref_mod_p(G % _PRIME)
     r = len(pivots)
     if r == len(keep):
         return r

@@ -196,17 +196,22 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
 def _verify_diagonalization(signed, spectrum, n: int) -> None:
     """Check H M H == 2^n diag(spectrum) exactly (H the +-1 Hadamard).
 
-    Raises VerificationFailed on any mismatch.
+    ``M_xy = signed[x ^ y]``.  Every sum of the two products is at most
+    ``4^n max|signed|`` in size, so integer entries under 2^63 by that bound
+    multiply in int64; any other entries (larger integers, Fractions)
+    multiply as Python objects.  Raises VerificationFailed on any mismatch.
     """
     size = 1 << n
-    # conjugation of M_xy = signed[x ^ y] as two passes of the transform: columns, then rows
-    half = [_walsh_transform([signed[x ^ y] for x in range(size)]) for y in range(size)]
-    for u in range(size):
-        row = _walsh_transform([half[y][u] for y in range(size)])
-        for v in range(size):
-            expected = size * spectrum[u] if u == v else 0
-            if row[v] != expected:
-                raise VerificationFailed("Hadamard diagonalization is not exact")
+    z = np.arange(size)
+    int64 = all(type(v) is int for v in signed) and size * size * max(map(abs, signed)) < 1 << 63
+    dtype = np.int64 if int64 else object
+    H = np.where(np.bitwise_count(z[:, None] & z) & 1, -1, 1).astype(dtype)  # (-1)^(u.x)
+    M = np.array(signed, dtype=dtype)[z[:, None] ^ z]
+    D = H @ M @ H
+    diagonal = D.diagonal().tolist()
+    np.fill_diagonal(D, 0)
+    if D.any() or diagonal != [size * v for v in spectrum]:
+        raise VerificationFailed("Hadamard diagonalization is not exact")
 
 
 def nlc_bias_bound(a: NlcAnalysis, g: XorGame) -> NlcBiasBound:

@@ -35,15 +35,15 @@ def bareiss_calls(monkeypatch):
 
 @pytest.fixture
 def gram_sides(monkeypatch):
-    """Side of every Gram matrix the modular elimination of the exact rank receives."""
+    """Side of every deflated Gram matrix the exact rank proves or eliminates."""
     calls = []
-    rref = facegeom._rref_mod_p
+    nonsingular = facegeom._nonsingular
 
-    def counted(A):
-        calls.append(len(A))
-        return rref(A)
+    def counted(G):
+        calls.append(len(G))
+        return nonsingular(G)
 
-    monkeypatch.setattr(facegeom, "_rref_mod_p", counted)
+    monkeypatch.setattr(facegeom, "_nonsingular", counted)
     return calls
 
 

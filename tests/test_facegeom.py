@@ -1,10 +1,11 @@
 """Exact face dimensions, bounds, verdicts, and the quantum face probe."""
 
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from tightbell import (
@@ -108,30 +109,35 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
 
 
 @pytest.mark.parametrize(
-    "pts",
+    "pts,bareiss",
     [
         # the echelon coefficient 40009/40013 has a denominator above sqrt(p/2)
-        [(0, 0), (40013, 40009), (80026, 80018)],
-        # det = 46341^2 - 2 * 2317 = 2^31 - 1: full rank over Q, singular mod p
-        [(0, 0), (46341, 2), (2317, 46341)],
-        # det = 2^31 - 1 again, but the echelon form 1/32767 lifts: only the
-        # exact identity check refutes the rank-1 certificate
-        [(0, 0), (1, -65538), (32768, -65537)],
+        ([(0, 0), (40013, 40009), (80026, 80018)], 1),
+        # det = 46341^2 - 2 * 2317 = 2^31 - 1: full rank over Q, singular mod
+        # p; the rounded inverse of its Gram matrix proves the full rank first
+        ([(0, 0), (46341, 2), (2317, 46341)], 0),
+        # det = 2^31 - 1 again, and the echelon form 1/32767 lifts: only the
+        # exact identity check would refute the rank-1 certificate, but the
+        # rounded inverse proves the full rank first
+        ([(0, 0), (1, -65538), (32768, -65537)], 0),
+        # det = 2^31 - 1 once more, with nearly parallel columns around 2^25:
+        # the Gram matrix, entries near 2^51, defeats the rounded inverse too
+        ([(0, 0), (33554433, 33554432), (33554368, 33554431)], 1),
         # max|M|^2 * rows reaches 2^53: the Gram matrix is not exact in float64
-        [(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)],
+        ([(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)], 1),
         # beyond int64
-        [(0, 1), (2**70, 1), (2**71, 2)],
+        ([(0, 1), (2**70, 1), (2**71, 2)], 1),
         # numpy reads these as float64, where both rows round to (2^63, 2^63)
-        [(0, 0), (2**63 + 1, 2**63), (2**63, 2**63 - 1)],
+        ([(0, 0), (2**63 + 1, 2**63), (2**63, 2**63 - 1)], 1),
     ],
     ids=[
-        "reconstruction", "unlucky-prime", "lifted-unlucky-prime", "float-bound",
-        "beyond-int64", "uint64-range",
+        "reconstruction", "unlucky-prime", "lifted-unlucky-prime", "certificate-and-prime",
+        "float-bound", "beyond-int64", "uint64-range",
     ],
 )
-def test_affine_dim_fallback_matches_oracle(pts, bareiss_calls):
+def test_affine_dim_fallback_matches_oracle(pts, bareiss, bareiss_calls):
     assert affine_dimension_exact(pts) == oracle_affine_dim(pts)
-    assert len(bareiss_calls) == 1
+    assert len(bareiss_calls) == bareiss
 
 
 def test_affine_dim_certificate_without_fallback(bareiss_calls):
@@ -191,6 +197,72 @@ def test_deflation_zero_column_is_no_witness(bareiss_calls):
     # (diagonal) column first; the lifted certificate proves the rank
     assert g0_dimension(3).verified_value == 20
     assert bareiss_calls == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    deficiency=st.integers(0, 3),
+    ill=st.booleans(),
+    scale=st.sampled_from([1, 2**10, 2**20, None]),  # None: entries at the 2^53 bound
+)
+def test_rounded_inverse_never_proves_a_singular_gram(seed, deficiency, ill, scale):
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(2, 11)), int(rng.integers(1, 9))
+    inner = max(1, min(rows, cols) - deficiency)  # rank at most ``inner``
+    M = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
+    if ill:  # nearly parallel columns: multiples of the first, unscaled offsets
+        offsets = rng.integers(-1, 2, size=M.shape) * (rng.random(M.shape) < 0.2)
+        M = M[:, :1] * rng.integers(1, 4, size=cols)
+    big = int(np.abs(M).max())
+    assume(big > 0)
+    if scale is None:  # rows * max|M|^2 just below 2^53, as the exact rank allows
+        scale = isqrt(((1 << 53) - 1) // rows) // big
+    M = M.astype(object) * scale
+    if ill:
+        M = M + offsets
+    G = M.T @ M  # Python integers, exact
+    points = [[0] * cols] + M.tolist()
+    rank = oracle_affine_dim(points)
+    if max(abs(v) for v in G.ravel()) < 1 << 53:
+        assert not facegeom._nonsingular(G.astype(np.int64)) or rank == cols
+    assert affine_dimension_exact(points) == rank
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+def test_rounded_inverse_rejects_any_inverse_of_a_singular_gram(seed, shift, monkeypatch):
+    # singular Grams rarely get past the float factorisation; handed an
+    # inverse of G + shift I instead, the exact residual check must refuse
+    rng = np.random.default_rng(seed)
+    rows, cols = int(rng.integers(2, 11)), int(rng.integers(2, 9))
+    inner = int(rng.integers(1, min(rows, cols)))  # rank below cols
+    M = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
+    assume(M.any())
+    inv = np.linalg.inv
+    with monkeypatch.context() as m:  # undone before the next example
+        m.setattr(np.linalg, "cholesky", lambda F: F)
+        m.setattr(np.linalg, "inv", lambda F: inv(F + shift * np.eye(len(F))))
+        assert not facegeom._nonsingular(M.T @ M)
+
+
+def test_full_rank_needs_no_modular_elimination(monkeypatch):
+    eliminated = []
+    rref = facegeom._rref_mod_p
+
+    def counted(A):
+        eliminated.append(len(A))
+        return rref(A)
+
+    monkeypatch.setattr(facegeom, "_rref_mod_p", counted)
+    # identity(3): the deflated 28 corr and 8 sign columns have full rank
+    face_report(make_named("identity", 3))
+    assert eliminated == []
+    # appendix_d(3): 29 corr columns of rank 21, a rank the inverse cannot prove
+    face_report(make_named("appendix_d", 3))
+    assert eliminated[0] == 29
 
 
 @pytest.mark.parametrize(
@@ -683,14 +755,18 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
     dims = [(r.dim_full, r.dim_corr) for r in map(face_report, games)]
     certified = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
     # rank 1 mod p with the lifted relation col1 = 32767 col2, which the first
-    # difference satisfies: only the identity check on later rows refutes it
-    # (its Gram diagonal passes 2^31, so no column is dropped before the
-    # elimination)
-    refuted = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
+    # difference satisfies; the rounded inverse proves its full rank first
+    proved = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
+    # rank 1 mod p with the lifted relation 32765 col1 = 32767 col2, which the
+    # first difference satisfies: with entries near 2^24 the rounded inverse
+    # fails, and only the identity check on later rows refutes the lift (its
+    # Gram diagonal passes 2^31, so no column is dropped before the elimination)
+    refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]
     for entries in (1, 5, 64):
         monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
         assert [(r.dim_full, r.dim_corr) for r in map(face_report, games)] == dims
         assert affine_dimension_exact(certified) == 2
+        assert affine_dimension_exact(proved) == oracle_affine_dim(proved) == 2
         assert affine_dimension_exact(refuted) == oracle_affine_dim(refuted) == 2
     assert bareiss_calls == [3, 3, 3]  # the refuted certificate, once per block size
 
