@@ -6,18 +6,19 @@ tight (a facet).  Facet verdicts are Boolean claims, so dimensions on the
 classical side are exact.  Only the correlation rows ``vec(alpha beta^T)``
 and the sign rows ``[alpha | beta]`` of the vertices are ranked: flipping
 every answer keeps the bias, so the dimension in the full space of
-``(alpha, beta, vec(alpha beta^T))`` follows from those two.  An affine
-dimension is the rank over the rationals of the differences to the first
-row, a certified rank.  Zero columns and columns parallel to an earlier one
-cannot raise the rank; they are dropped first, read off the integer Gram
-matrix exactly by the equality case of Cauchy-Schwarz.  Full rank of the
-Gram matrix of the remaining columns is proved by a rounded inverse: one
-bound-checked integer product shows ``||I - N G / 2^s|| < 1``.  Otherwise
-its rank modulo the prime 2^31 - 1 is a lower bound, and an integer
-certificate (the lifted echelon form, checked against the differences
-exactly) proves the matching upper bound.  Floating point is used only
-where every sum is an integer below 2^53, which is checked first.  When a
-bound fails, the prime is unlucky or the certificate cannot be lifted,
+``(alpha, beta, vec(alpha beta^T))`` follows from those two.  Every rank is
+one exact routine, the rank over the rationals of an integer matrix in its
+own dtype; an affine dimension is one less than the rank of the points with
+a nonzero constant column appended.  Zero columns and columns parallel to an
+earlier one cannot raise the rank; they are dropped first, read off the
+integer Gram matrix exactly by the equality case of Cauchy-Schwarz.  Full
+rank of the Gram matrix of the remaining columns is proved by a rounded
+inverse: one bound-checked integer product shows ``||I - N G / 2^s|| < 1``.
+Otherwise its rank modulo the prime 2^31 - 1 is a lower bound, and an
+integer certificate (the lifted echelon form, checked against the matrix
+exactly) proves the matching upper bound.  Floating point is used only where
+every sum is an integer below 2^53, which is checked first.  When a bound
+fails, the prime is unlucky or the certificate cannot be lifted,
 fraction-free (Bareiss) elimination on Python integers gives the rank
 instead.  No tolerance either way.
 
@@ -57,7 +58,6 @@ LOWER_BOUND = "lower bound (truncated vertex set)"
 _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
 _FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
-_DIFF_LIMIT = 1 << 62  # int64 entries below this have int64 differences
 _SQUARE_LIMIT = 1 << 31  # int64 holds the square of an integer below this
 _BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificate
 _PROBE_SAMPLES = 24  # certified re-solves per quantum face probe
@@ -224,13 +224,13 @@ def _nonsingular(G: np.ndarray) -> bool:
     float64, and ``E = N G - 2^s I`` is exact in int64.  If every row of
     ``|E|`` sums below ``2^s``, then ``||I - N G / 2^s||_inf < 1``, so
     ``N G``, and with it ``G``, is invertible.  ``False`` proves nothing: a
-    singular ``G`` usually fails the float Cholesky factorisation, the
-    cheapest way out, and an ill-conditioned one fails the check.
+    singular ``G`` usually fails the float inversion itself or gets an
+    inverse too large for any ``s``, before the product, and an
+    ill-conditioned one fails the check.
     """
     n = len(G)
     F = G.astype(np.float64)
     try:
-        np.linalg.cholesky(F)
         X = np.linalg.inv(F)
     except np.linalg.LinAlgError:
         return False
@@ -255,7 +255,7 @@ def _nonsingular(G: np.ndarray) -> bool:
 
 
 def _certified_rank(M: np.ndarray) -> int | None:
-    """Rank over Q of a nonzero int64 matrix, or None where no certificate is found.
+    """Rank over Q of a nonzero matrix of any integer dtype, or None without a certificate.
 
     With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
     is summed in float64 over row blocks, exact because every partial sum is
@@ -327,20 +327,12 @@ def _certified_rank(M: np.ndarray) -> int | None:
     return r
 
 
-def _int64_differences(points) -> np.ndarray | None:
-    """Differences to the first point as an int64 array; None beyond int64.
-
-    numpy stores integers past int64 as objects or floats, so only an
-    integer dtype with every entry below 2^62 is taken.
-    """
-    P = np.asarray(points)
-    if P.dtype.kind not in "biu":
-        return None
-    if P.size and not (-_DIFF_LIMIT < P.min() and P.max() < _DIFF_LIMIT):
-        return None
-    D = P[1:].astype(np.int64)
-    D -= P[0].astype(np.int64)
-    return D
+def _rank(M: np.ndarray) -> int:
+    """Exact rank over Q of a 2-D integer array: certified, else by Bareiss."""
+    if not M.any():
+        return 0
+    rank = _certified_rank(M)
+    return _bareiss_rank(M.tolist()) if rank is None else rank
 
 
 def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
@@ -352,6 +344,12 @@ def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
     and certificate hold; Bareiss elimination on Python integers answers
     otherwise, so the result is exact either way.  An entry that is not an
     integer (a float, even ``2.0``, or a Fraction) raises InvalidParameter.
+
+    For any ``c != 0`` the rows ``[p | c]`` have rank one more than this
+    dimension.  Integer arrays are ranked in their own dtype with ``c =
+    max(1, max p, -1 - min p)``: it fits the dtype and matches the data's
+    scale, where a column of ones next to large entries can defeat the
+    rounded inverse.
     """
     if len(points) == 0:
         raise EmptyInput("affine dimension of an empty point set is undefined")
@@ -359,20 +357,18 @@ def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
     P = points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)
     if P.ndim != 2:
         raise ShapeMismatch("points must be vectors of one common length")
-    M = _int64_differences(points)
-    if M is not None:
-        if not M.any():
-            return 0
-        rank = _certified_rank(M)
-        if rank is not None:
-            return rank
-        rows = M.tolist()
-    else:
+    if P is not points:
+        P = np.asarray(points)  # integers within int64 or uint64 get an integer dtype
+    if P.dtype.kind not in "biu":
         pts = points.tolist() if isinstance(points, np.ndarray) else points
         if not all(hasattr(type(x), "__index__") for p in pts for x in p):
             raise InvalidParameter("points must have integer entries")
-        rows = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-    return _bareiss_rank(rows)
+        return _bareiss_rank([[*p, 1] for p in pts]) - 1
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    if np.array_equal(lo, hi):
+        return 0  # coincident points, zero-width rows included
+    c = max(1, int(hi.max()), -1 - int(lo.min()))
+    return _rank(np.hstack([P, np.full((len(P), 1), c, dtype=P.dtype)])) - 1
 
 
 def theorem1_dim_bound(m_a: int, m_b: int) -> int:
@@ -443,12 +439,11 @@ def _face_dimensions(signs: np.ndarray, m_a: int, d_a: int, d_b: int) -> tuple[i
     """
     corr = (signs[:, :m_a, None] * signs[:, None, m_a:]).reshape(len(signs), -1)
     dim_corr = affine_dimension_exact(corr) + d_a * d_b
-    signs = np.vstack([np.zeros_like(signs[:1]), signs])  # with the origin, aff = rank
     if d_a:
-        dim_corr += d_a * affine_dimension_exact(signs[:, m_a:])
+        dim_corr += d_a * _rank(signs[:, m_a:])
     if d_b:
-        dim_corr += d_b * affine_dimension_exact(signs[:, :m_a])
-    return dim_corr + affine_dimension_exact(signs) + d_a + d_b, dim_corr
+        dim_corr += d_b * _rank(signs[:, :m_a])
+    return dim_corr + _rank(signs) + d_a + d_b, dim_corr
 
 
 def face_report(

@@ -40,7 +40,7 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .facegeom import affine_dimension_exact
+from .facegeom import _FLOAT_EXACT, affine_dimension_exact
 from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, build_game, read_json, signed_matrix
 
 NLC_FORMAT = "tightbell-nlc-v1"
@@ -196,15 +196,17 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
 def _verify_diagonalization(signed, spectrum, n: int) -> None:
     """Check H M H == 2^n diag(spectrum) exactly (H the +-1 Hadamard).
 
-    ``M_xy = signed[x ^ y]``.  Every sum of the two products is at most
-    ``4^n max|signed|`` in size, so integer entries under 2^63 by that bound
-    multiply in int64; any other entries (larger integers, Fractions)
-    multiply as Python objects.  Raises VerificationFailed on any mismatch.
+    ``M_xy = signed[x ^ y]``.  Every partial sum of the two products is an
+    integer of size at most ``4^n max|signed|``, so integer entries under
+    2^53 by that bound multiply exactly in float64, in any summation order;
+    any other entries (larger integers, Fractions) multiply as Python
+    objects.  Raises VerificationFailed on any mismatch.
     """
     size = 1 << n
     z = np.arange(size)
-    int64 = all(type(v) is int for v in signed) and size * size * max(map(abs, signed)) < 1 << 63
-    dtype = np.int64 if int64 else object
+    bound = size * size * max(map(abs, signed))
+    exact = all(type(v) is int for v in signed) and bound < _FLOAT_EXACT
+    dtype = np.float64 if exact else object
     H = np.where(np.bitwise_count(z[:, None] & z) & 1, -1, 1).astype(dtype)  # (-1)^(u.x)
     M = np.array(signed, dtype=dtype)[z[:, None] ^ z]
     D = H @ M @ H

@@ -1,5 +1,6 @@
 """Exact face dimensions, bounds, verdicts, and the quantum face probe."""
 
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -148,6 +149,51 @@ def test_affine_dim_certificate_without_fallback(bareiss_calls):
     assert bareiss_calls == []
 
 
+def test_affine_dim_lifted_certificate_past_the_float_bound(bareiss_calls):
+    # columns 32749 u, 32719 w and 5 u + 7 w: rank 2, and the lifted echelon
+    # coefficients times max|M| reach 2^53, so the exact identity check
+    # cannot run in float64 and Bareiss answers
+    u, w = np.array([300, -211, 157, 97]), np.array([-123, 250, 77, -199])
+    cols = np.column_stack([32749 * u, 32719 * w, 5 * u + 7 * w])
+    pts = np.vstack([np.zeros((1, 3), dtype=np.int64), cols])
+    assert affine_dimension_exact(pts) == oracle_affine_dim(pts.tolist()) == 2
+    assert len(bareiss_calls) == 1
+
+
+@pytest.mark.parametrize(
+    "pts",
+    [
+        np.array([(-128, 127), (127, -128), (0, 0), (-128, -128)], dtype=np.int8),
+        np.array([(-128, -128, 5), (-128, -128, 5)], dtype=np.int8),
+        np.array([(0, 255), (255, 0), (255, 255)], dtype=np.uint8),
+        np.array([(2**64 - 1, 0), (2**63, 1), (2**63 + 1, 2)], dtype=np.uint64),
+        np.array([(True, False), (False, True), (True, True), (False, False)]),
+        np.zeros((3, 0), dtype=np.int8),
+        np.array([(7, -3, 2)], dtype=np.int16),
+    ],
+    ids=["int8-extremes", "int8-coincident", "uint8", "uint64-high", "bool", "zero-width",
+         "single-point"],
+)
+def test_affine_dim_constant_column_fits_the_dtype(pts):
+    # the constant column max(1, max p, -1 - min p) is taken in the input's dtype
+    assert affine_dimension_exact(pts) == oracle_affine_dim(pts.tolist())
+
+
+def test_affine_dim_ranks_int8_points_without_widening():
+    # 20000 x 256 int8 correlation rows (4.9 MiB): an int64 copy alone is 39 MiB
+    rng = np.random.default_rng(2025)
+    a, b = (rng.choice(np.array([-1, 1], dtype=np.int8), size=(20000, 16)) for _ in range(2))
+    P = (a[:, :, None] * b[:, None, :]).reshape(20000, 256)
+    tracemalloc.start()
+    try:
+        dim = affine_dimension_exact(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dim == 256
+    assert peak < 30 << 20
+
+
 def _planted_points(rng, n_pts, dim):
     """Integer points whose differences to the first repeat columns and rows.
 
@@ -174,7 +220,7 @@ def _planted_points(rng, n_pts, dim):
 @given(seed=st.integers(0, 2**32 - 1), wide=st.booleans())
 def test_deflation_keeps_the_rank(seed, wide, gram_sides):
     rng = np.random.default_rng(seed)
-    if wide:  # fewer differences than columns: ranked as the transpose
+    if wide:  # fewer points than columns: ranked as the transpose
         n_pts, dim = int(rng.integers(2, 5)), int(rng.integers(6, 10))
     else:
         n_pts, dim = int(rng.integers(8, 14)), int(rng.integers(1, 4))
@@ -193,8 +239,9 @@ def test_deflation_zero_column_is_no_witness(bareiss_calls):
     # column, so as a witness it would drop v and w
     pts = [(0, 0, 0), (0, 1, 2), (0, 3, 1), (0, 2, 5)]
     assert affine_dimension_exact(pts) == oracle_affine_dim(pts) == 2
-    # the 64 Gram columns of g0(3) shrink to 28 of rank 20, with a zero
-    # (diagonal) column first; the lifted certificate proves the rank
+    # the 64 Gram columns of g0(3) and the constant one shrink to 29 of
+    # rank 21 (the 8 constant diagonal columns collapse into the constant);
+    # the lifted certificate proves the rank
     assert g0_dimension(3).verified_value == 20
     assert bareiss_calls == []
 
@@ -257,12 +304,12 @@ def test_full_rank_needs_no_modular_elimination(monkeypatch):
         return rref(A)
 
     monkeypatch.setattr(facegeom, "_rref_mod_p", counted)
-    # identity(3): the deflated 28 corr and 8 sign columns have full rank
+    # identity(3): the deflated 29 corr and 8 sign columns have full rank
     face_report(make_named("identity", 3))
     assert eliminated == []
-    # appendix_d(3): 29 corr columns of rank 21, a rank the inverse cannot prove
+    # appendix_d(3): 30 corr columns of rank 22, a rank the inverse cannot prove
     face_report(make_named("appendix_d", 3))
-    assert eliminated[0] == 29
+    assert eliminated[0] == 30
 
 
 @pytest.mark.parametrize(
@@ -739,14 +786,15 @@ def test_face_report_takes_the_modular_path(name, n, bareiss_calls):
 
 
 def test_deflation_shrinks_the_gram_matrix(gram_sides):
-    # identity(3): of the 64 corr columns the 8 diagonal ones are zero and
-    # (x, y) repeats (y, x), leaving 28 at full rank; the 256 sign rows
-    # (16 columns) keep alpha, since beta = alpha
+    # identity(3): of the 64 corr columns and the constant one, the 8
+    # constant diagonal columns collapse into the constant and (x, y) repeats
+    # (y, x), leaving 29 at full rank; the 256 sign rows (16 columns) keep
+    # alpha, since beta = alpha
     face_report(make_named("identity", 3))
-    assert gram_sides == [28, 8]
+    assert gram_sides == [29, 8]
     gram_sides.clear()
     face_report(make_named("appendix_d", 3))
-    assert gram_sides[0] == 29
+    assert gram_sides[0] == 30
 
 
 def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
@@ -754,13 +802,15 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
     games = [make_named("identity", 3), make_named("appendix_d", 3), make_named("chsh")]
     dims = [(r.dim_full, r.dim_corr) for r in map(face_report, games)]
     certified = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
-    # rank 1 mod p with the lifted relation col1 = 32767 col2, which the first
-    # difference satisfies; the rounded inverse proves its full rank first
+    # rank 2 of 3 mod p (the constant column adds one) with the lifted
+    # relation col1 = 32767 col2, which the first difference satisfies; the
+    # rounded inverse proves its full rank first
     proved = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
-    # rank 1 mod p with the lifted relation 32765 col1 = 32767 col2, which the
-    # first difference satisfies: with entries near 2^24 the rounded inverse
-    # fails, and only the identity check on later rows refutes the lift (its
-    # Gram diagonal passes 2^31, so no column is dropped before the elimination)
+    # rank 2 of 3 mod p with the lifted relation 32765 col1 = 32767 col2, which
+    # the first difference satisfies: with entries near 2^24 the rounded
+    # inverse fails, and only the identity check on later rows refutes the
+    # lift (its Gram diagonal passes 2^31, so no column is dropped before the
+    # elimination)
     refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]
     for entries in (1, 5, 64):
         monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
@@ -768,7 +818,7 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
         assert affine_dimension_exact(certified) == 2
         assert affine_dimension_exact(proved) == oracle_affine_dim(proved) == 2
         assert affine_dimension_exact(refuted) == oracle_affine_dim(refuted) == 2
-    assert bareiss_calls == [3, 3, 3]  # the refuted certificate, once per block size
+    assert bareiss_calls == [4, 4, 4]  # the refuted certificate, once per block size
 
 
 def test_face_report_appendix_d4_exact():
