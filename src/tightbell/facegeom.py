@@ -15,8 +15,8 @@ integer Gram matrix exactly by the equality case of Cauchy-Schwarz.  Full
 rank of the Gram matrix of the remaining columns is proved by a rounded
 inverse: one bound-checked integer product shows ``||I - N G / 2^s|| < 1``.
 Otherwise its rank modulo the prime 2^31 - 1 is a lower bound, and an
-integer certificate (the lifted echelon form, checked against the matrix
-exactly) proves the matching upper bound.  Floating point is used only where
+integer certificate (the lifted echelon form, checked exactly on the Gram
+matrix) proves the matching upper bound.  Floating point is used only where
 every sum is an integer below 2^53, which is checked first.  When a bound
 fails, the prime is unlucky or the certificate cannot be lifted,
 fraction-free (Bareiss) elimination on Python integers gives the rank
@@ -138,8 +138,6 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
     intermediate entries are minors of the input, so growth stays polynomial.
     """
     M = [list(r) for r in rows]
-    if not M:
-        return 0
     n, ncols = len(M), len(M[0])
     rank, prev = 0, 1
     for col in range(ncols):
@@ -259,7 +257,8 @@ def _certified_rank(M: np.ndarray) -> int | None:
 
     With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
     is summed in float64 over row blocks, exact because every partial sum is
-    an integer of size at most ``max|M|^2 * rows < 2^53``.
+    an integer of size at most ``max|M|^2 * rows < 2^53``.  That is the only
+    pass over ``M``: everything after it reads ``G``.
 
     Columns that cannot raise the rank are dropped first, decided exactly on
     ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
@@ -277,11 +276,11 @@ def _certified_rank(M: np.ndarray) -> int | None:
     product, with no elimination.  Otherwise the rank ``r`` of ``G`` mod p
     is at most rank_Q(G) = rank_Q(M).  Below full column rank, the reduced
     echelon form of ``G`` is lifted to rationals with common denominator
-    ``delta`` as an integer matrix ``N``, and ``delta * M == M[:, pivots] @
-    N`` is checked exactly, block by block (float64 again, bounds checked
-    first): every column of ``M`` then lies in the span of ``r`` of its
-    columns, so rank_Q(M) <= r as well.  Only one float block is held at a
-    time, never a float copy of ``M``.
+    ``delta`` as an integer matrix ``N``, and ``delta * G == G[:, pivots] @
+    N`` is checked exactly in float64, once ``delta max G`` and ``r max G
+    max|N|`` are below 2^53 (``max G`` is on the diagonal).  With ``D =
+    delta * M - M[:, pivots] @ N`` the identity says ``M^T D = 0``, so ``D^T
+    D = 0`` and ``D = 0``: rank_Q(M) <= r as well.
     """
     if M.shape[0] < M.shape[1]:
         M = M.T
@@ -317,14 +316,12 @@ def _certified_rank(M: np.ndarray) -> int | None:
     delta = lcm(*(b for _, b in fractions))
     coeffs = [a * (delta // b) for a, b in fractions]
     n_big = max(abs(c) for c in coeffs)
-    if delta * big >= _FLOAT_EXACT or r * big * n_big >= _FLOAT_EXACT:
+    g_max = int(G.diagonal().max())
+    if delta * g_max >= _FLOAT_EXACT or r * g_max * n_big >= _FLOAT_EXACT:
         return None
     N = np.array(coeffs, dtype=np.float64)[where.reshape(R.shape)]
-    basis = keep[pivots]
-    for F in _float_blocks(M):
-        if not np.array_equal(F[:, keep] * delta, F[:, basis] @ N):
-            return None
-    return r
+    F = G.astype(np.float64)
+    return r if np.array_equal(F * delta, F[:, pivots] @ N) else None
 
 
 def _rank(M: np.ndarray) -> int:

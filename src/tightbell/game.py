@@ -311,33 +311,23 @@ def make_named(name: str, n: int | None = None) -> XorGame:
         )
     if key == "single_entry":
         return build_game([[Fraction(1)]], [[0]])
+    m = 2**n
     if key == "identity":
-        m = 2**n
         w = Fraction(1, m)
         q = [[w if i == j else Fraction(0) for j in range(m)] for i in range(m)]
         f = [[0] * m for _ in range(m)]
         return build_game(q, f)
-    if key == "nlc_and":
-        from . import nlc  # deferred: nlc imports this module
-
-        m = 2**n
-        spec = nlc.NlcSpec(
-            n=n,
-            q_tilde=tuple(Fraction(1, m) for _ in range(m)),
-            f_z=tuple(1 if z == m - 1 else 0 for z in range(m)),
-        )
-        return nlc.build_nlc(spec)
+    if key == "nlc_and":  # shared-input: uniform q, win iff a XOR b = AND(x XOR y)
+        q = [[Fraction(1, m * m)] * m for _ in range(m)]
+        f = [[int(x ^ y == m - 1) for y in range(m)] for x in range(m)]
+        return build_game(q, f)
     # appendix_d: Phi = lam * (I - 2^{1-n} J); +lam on the complement of the
-    # all-ones vector, -lam on it.  |entries| sum to 1 fixes lam.
-    m = 2**n
-    lam = Fraction(1, 3 * 2**n - 4)
-    diag = lam * (1 - Fraction(2, m))
-    off = -lam * Fraction(2, m)
-    q = [[abs(diag) if i == j else abs(off) for j in range(m)] for i in range(m)]
-    f = [
-        [(1 if diag < 0 else 0) if i == j else (1 if off < 0 else 0) for j in range(m)]
-        for i in range(m)
-    ]
+    # all-ones vector, -lam on it.  |entries| sum to 1 fixes lam.  As m >= 4,
+    # Phi is positive on the diagonal and negative off it.
+    lam = Fraction(1, 3 * m - 4)
+    diag, off = lam * (1 - Fraction(2, m)), lam * Fraction(2, m)
+    q = [[diag if i == j else off for j in range(m)] for i in range(m)]
+    f = [[int(i != j) for j in range(m)] for i in range(m)]
     return build_game(q, f)
 
 

@@ -170,9 +170,9 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
     """Exact eigenvalues of the q~-normalized game matrix.
 
     The transform runs on the integers ``L (-1)^f q~`` of `signed_matrix`.
-    For n <= 5, also conjugates their circulant by the +-1 Hadamard matrix
-    and checks that the off-diagonal vanishes EXACTLY — a theorem check, not
-    a tolerance check.
+    For n <= 5, also multiplies their circulant by the +-1 Hadamard matrix
+    and checks that each column comes out as that column of H times its
+    eigenvalue EXACTLY — a theorem check, not a tolerance check.
     """
     validate_spec(spec)
     gm = signed_matrix((spec.q_tilde,), (spec.f_z,))
@@ -194,25 +194,24 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
 
 
 def _verify_diagonalization(signed, spectrum, n: int) -> None:
-    """Check H M H == 2^n diag(spectrum) exactly (H the +-1 Hadamard).
+    """Check M H == H diag(spectrum) exactly (H the +-1 Hadamard).
 
-    ``M_xy = signed[x ^ y]``.  Every partial sum of the two products is an
-    integer of size at most ``4^n max|signed|``, so integer entries under
-    2^53 by that bound multiply exactly in float64, in any summation order;
-    any other entries (larger integers, Fractions) multiply as Python
-    objects.  Raises VerificationFailed on any mismatch.
+    ``M_xy = signed[x ^ y]``, so ``(M H)_xu = H_xu g^(u)``; H being
+    invertible, this is H M H == 2^n diag(spectrum).  Every partial sum of
+    ``M H`` is an integer of size at most ``2^n max|signed|``, so when both
+    lists hold only ints and that bound and every ``|spectrum|`` are under
+    2^53 the check is exact in float64, in any summation order; otherwise
+    (larger integers, Fractions) it runs on Python objects.  Raises
+    VerificationFailed on any mismatch.
     """
     size = 1 << n
     z = np.arange(size)
-    bound = size * size * max(map(abs, signed))
-    exact = all(type(v) is int for v in signed) and bound < _FLOAT_EXACT
-    dtype = np.float64 if exact else object
+    ints = all(type(v) is int for v in (*signed, *spectrum))
+    bound = max(size * max(map(abs, signed)), *map(abs, spectrum))
+    dtype = np.float64 if ints and bound < _FLOAT_EXACT else object
     H = np.where(np.bitwise_count(z[:, None] & z) & 1, -1, 1).astype(dtype)  # (-1)^(u.x)
     M = np.array(signed, dtype=dtype)[z[:, None] ^ z]
-    D = H @ M @ H
-    diagonal = D.diagonal().tolist()
-    np.fill_diagonal(D, 0)
-    if D.any() or diagonal != [size * v for v in spectrum]:
+    if not np.array_equal(M @ H, H * np.array(spectrum, dtype=dtype)):
         raise VerificationFailed("Hadamard diagonalization is not exact")
 
 

@@ -151,7 +151,7 @@ def test_affine_dim_certificate_without_fallback(bareiss_calls):
 
 def test_affine_dim_lifted_certificate_past_the_float_bound(bareiss_calls):
     # columns 32749 u, 32719 w and 5 u + 7 w: rank 2, and the lifted echelon
-    # coefficients times max|M| reach 2^53, so the exact identity check
+    # coefficients times max G reach 2^53, so the exact identity check
     # cannot run in float64 and Bareiss answers
     u, w = np.array([300, -211, 157, 97]), np.array([-123, 250, 77, -199])
     cols = np.column_stack([32749 * u, 32719 * w, 5 * u + 7 * w])
@@ -808,9 +808,9 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
     proved = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
     # rank 2 of 3 mod p with the lifted relation 32765 col1 = 32767 col2, which
     # the first difference satisfies: with entries near 2^24 the rounded
-    # inverse fails, and only the identity check on later rows refutes the
-    # lift (its Gram diagonal passes 2^31, so no column is dropped before the
-    # elimination)
+    # inverse fails, and the lift is refused by its float bound, delta times
+    # Gram entries near 4.5e15 (its Gram diagonal passes 2^31, so no column
+    # is dropped before the elimination)
     refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]
     for entries in (1, 5, 64):
         monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
@@ -819,6 +819,51 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
         assert affine_dimension_exact(proved) == oracle_affine_dim(proved) == 2
         assert affine_dimension_exact(refuted) == oracle_affine_dim(refuted) == 2
     assert bareiss_calls == [4, 4, 4]  # the refuted certificate, once per block size
+
+
+def test_certified_rank_reads_the_matrix_once(monkeypatch, bareiss_calls):
+    # g0(3): 70 points of 64 coordinates and the constant column, of rank 21;
+    # with one row per block, summing the Gram matrix takes 70 blocks, and the
+    # lifted certificate is checked on the Gram matrix, not on more blocks
+    from tightbell import g0_dimension
+
+    blocks = []
+    float_blocks = facegeom._float_blocks
+
+    def counted(M):
+        for F in float_blocks(M):
+            blocks.append(len(F))
+            yield F
+
+    monkeypatch.setattr(facegeom, "_float_blocks", counted)
+    monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", 64)
+    assert g0_dimension(3).verified_value == 20
+    assert len(blocks) == 70
+    assert bareiss_calls == []
+
+
+_E5, _W = np.array([0, 0, 0, 0, 1]), np.array([46339, 425, 10, 1, 0])  # |w|^2 = 2^31 - 1
+_U, _V = np.array([46339, 425, 10, 1]), np.array([-425, 46339, -1, 10])  # |u|^2 = |v|^2 = p
+
+
+@pytest.mark.parametrize(
+    "M,rank,bareiss",
+    [
+        # columns u = e5, v = 2 u + w and u + v: G = [[1, 2, 3], [2, p + 4,
+        # p + 6], [3, p + 6, p + 9]] has rank 2, but rank 1 mod p with the
+        # lifted relations 2 and 3 (delta = 1, max|N| = 3).  Both float
+        # bounds hold, so only delta G == G[:, pivots] N refutes the lift
+        (np.column_stack([_E5, 2 * _E5 + _W, 3 * _E5 + _W]), 2, 1),
+        # columns u, v and u + v with u.v = 0: G vanishes mod p, so the
+        # modular rank 0 proves nothing
+        (np.column_stack([_U, _V, _U + _V]), 2, 1),
+        (np.zeros((3, 2), np.int8), 0, 0),
+    ],
+    ids=["refuted-by-identity", "gram-divisible-by-p", "zero"],
+)
+def test_rank_exits_without_a_certificate(M, rank, bareiss, bareiss_calls):
+    assert facegeom._rank(M) == rank
+    assert len(bareiss_calls) == bareiss
 
 
 def test_face_report_appendix_d4_exact():

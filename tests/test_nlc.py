@@ -185,11 +185,11 @@ def test_diagonalization_independent_check(spec):
 @pytest.mark.parametrize("d", [5, 2**61 - 1], ids=["float64", "object"])
 def test_wrong_spectrum_fails_verification(d):
     # the lcm 2d of the denominators scales the signed entries: at d = 2^61 - 1
-    # 4^n max|L q~| passes 2^53 and the product runs on Python integers
+    # 2^n max|L q~| passes 2^53 and the product runs on Python integers
     q_tilde = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, d), Fraction(1, d), Fraction(0))
     spec = NlcSpec(n=2, q_tilde=q_tilde, f_z=(0, 1, 1, 0))
     signed = signed_matrix([q_tilde], [spec.f_z]).ints[0]
-    assert (4**2 * max(map(abs, signed)) < 2**53) == (d == 5)
+    assert (2**2 * max(map(abs, signed)) < 2**53) == (d == 5)
     hadamard_spectrum(spec)  # verifies the true spectrum
     spectrum = nlc._walsh_transform(signed)
     for wrong in (
@@ -199,6 +199,13 @@ def test_wrong_spectrum_fails_verification(d):
     ):
         with pytest.raises(VerificationFailed):
             nlc._verify_diagonalization(signed, wrong, 2)
+
+
+def test_spectrum_past_the_float_range_fails_verification():
+    # an int spectrum entry beyond float64 sends the check to Python objects,
+    # where it fails as a mismatch, not as an overflow converting to float
+    with pytest.raises(VerificationFailed):
+        nlc._verify_diagonalization([1, 0, 0, 0], [10**400, 1, 1, 1], 2)
 
 
 def test_wrong_spectrum_fails_verification_under_optimize():

@@ -111,3 +111,30 @@ def test_no_warnings_or_prints():
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in ("warnings", "print()")]
     assert len(SOURCES) > 1
     assert found == []
+
+
+LAYERS = ("errors", "game", "classical", "qsdp", "facegeom", "nlc", "cli")
+
+
+def _package_imports(tree: ast.Module) -> set[str]:
+    """Modules of the package that a module imports, function bodies included."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            # "from .game import x" and "from . import game" both name game
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_modules_import_only_lower_layers():
+    # errors < game < classical < qsdp < facegeom < nlc < cli: no cycle, and
+    # no deferred import reaching up from inside a function
+    found = [
+        f"{path.stem} imports {name}"
+        for path in SOURCES
+        if path.name != "__init__.py"
+        for name in sorted(_package_imports(ast.parse(path.read_text("utf-8"))))
+        if LAYERS.index(name) >= LAYERS.index(path.stem)
+    ]
+    assert {path.stem for path in SOURCES} == {"__init__", *LAYERS}
+    assert found == []
