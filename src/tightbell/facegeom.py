@@ -12,8 +12,10 @@ own dtype; an affine dimension is one less than the rank of the points with
 a nonzero constant column appended.  Zero columns and columns parallel to an
 earlier one cannot raise the rank; they are dropped first, read off the
 integer Gram matrix exactly by the equality case of Cauchy-Schwarz.  Full
-rank of the Gram matrix of the remaining columns is proved by a rounded
-inverse: one bound-checked integer product shows ``||I - N G / 2^s|| < 1``.
+rank of the Gram matrix G of the remaining columns is proved by a
+congruence: with C its float Cholesky factor and X = rint(2^s C^-1), the
+integer matrix X G X^T is computed exactly, and if it is strictly
+diagonally dominant with a positive diagonal, G is positive definite.
 Otherwise its rank modulo the prime 2^31 - 1 is a lower bound, and an
 integer certificate (the lifted echelon form, checked exactly on the Gram
 matrix) proves the matching upper bound.  Floating point is used only where
@@ -51,15 +53,15 @@ from .errors import (
     VerificationFailed,
 )
 from .game import DeterministicStrategy, XorGame, reduce_exhaustive
+from .qsdp import _FLOAT_EXACT
 
 MEASURED = "measured"
 LOWER_BOUND = "lower bound (truncated vertex set)"
 
 _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
-_FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
 _SQUARE_LIMIT = 1 << 31  # int64 holds the square of an integer below this
-_BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the rank certificate
+_BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the Gram sum
 _PROBE_SAMPLES = 24  # certified re-solves per quantum face probe
 _PROBE_RANK_TOL = 1e-6  # singular values above this count as face directions
 
@@ -213,52 +215,77 @@ def _float_blocks(M: np.ndarray):
         yield M[lo : lo + step].astype(np.float64)
 
 
-def _nonsingular(G: np.ndarray) -> bool:
-    """Whether a rounded inverse proves the int64 Gram matrix ``G`` nonsingular.
+def _positive_definite(A: np.ndarray) -> bool:
+    """Whether a congruence proves the symmetric int64 matrix ``A`` positive definite.
 
-    ``X`` approximates ``G^-1`` in float64, and ``N = rint(2^s X)`` is taken
-    with ``s`` as large as keeps ``n max|N| max|G| < 2^53``, checked on ``N``
-    itself: every sum of ``N G`` is then an integer below 2^53, exact in
-    float64, and ``E = N G - 2^s I`` is exact in int64.  If every row of
-    ``|E|`` sums below ``2^s``, then ``||I - N G / 2^s||_inf < 1``, so
-    ``N G``, and with it ``G``, is invertible.  ``False`` proves nothing: a
-    singular ``G`` usually fails the float inversion itself or gets an
-    inverse too large for any ``s``, before the product, and an
-    ill-conditioned one fails the check.
+    ``C`` is the float Cholesky factor, ``A ~ C C^T``, and ``X = rint(2^s
+    C^-1)``.  With ``w`` the largest row sum of ``|X|`` and ``t`` the sum of
+    all its entries, ``s`` is as large as keeps ``w t max|A| < 2^53``,
+    checked on ``X`` itself: every partial sum of ``B = X A X^T``, in any
+    order, and every row sum of ``|B|`` is then an integer below 2^53,
+    exact in float64.  If every ``2 B_ii`` exceeds its row sum of ``|B|``,
+    then ``B`` is strictly diagonally dominant with a positive diagonal, so
+    ``B`` is positive definite; that forces ``X`` to be nonsingular, and
+    ``A = X^-1 B X^-T`` is positive definite too.  ``False`` proves nothing:
+    an indefinite or singular ``A`` usually fails the float factorisation
+    itself, and an ill-conditioned one fails the check.
     """
-    n = len(G)
-    F = G.astype(np.float64)
+    F = A.astype(np.float64)
     try:
-        X = np.linalg.inv(F)
+        X = np.linalg.inv(np.linalg.cholesky(F))
     except np.linalg.LinAlgError:
         return False
-    # G, and nearly X, are positive definite: their largest entries are diagonal
-    g_max, x_max = int(G.diagonal().max()), float(X.diagonal().max())
-    if not x_max > 0:  # also NaN
-        return False
-    # frexp(x)[1] - 1 = floor(log2 x): one bit of room below 2^53, and n 2^s
-    # below 2^62 so that the row sums below cannot overflow int64
-    s = min(frexp(_FLOAT_EXACT / (n * g_max * x_max))[1] - 2, 62 - n.bit_length())
-    if s < 1:
-        return False
-    N = np.rint(np.ldexp(X, s))
-    n_max = np.abs(N).max()
-    if not n_max < _FLOAT_EXACT or n * int(n_max) * g_max >= _FLOAT_EXACT:
-        return False
-    E = (N @ F).astype(np.int64)
-    E.flat[:: n + 1] -= 1 << s
-    # a row sum below 2^s has no entry above it, so clipping decides the same
-    np.minimum(np.abs(E, out=E), 1 << s, out=E)
-    return int(E.sum(axis=1).max()) < 1 << s
+    a_max = max(int(A.max()), -int(A.min()))
+    rows = np.abs(X).sum(axis=1)
+    # frexp(y)[1] - 1 = floor(log2 y); 2^2s <= y / 4 leaves room for the rounding
+    y = _FLOAT_EXACT / (a_max * rows.max() * rows.sum())
+    X = np.rint(np.ldexp(X, (frexp(y)[1] - 1) // 2 - 1))
+    rows = np.abs(X).sum(axis=1)
+    w, t = rows.max(), rows.sum()
+    if not (t < _FLOAT_EXACT and int(w) * int(t) * a_max < _FLOAT_EXACT):
+        return False  # also inf and NaN
+    B = X @ F @ X.T
+    return bool((2 * B.diagonal() > np.abs(B).sum(axis=1)).all())
 
 
-def _certified_rank(M: np.ndarray) -> int | None:
-    """Rank over Q of a nonzero matrix of any integer dtype, or None without a certificate.
+def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None:
+    """Pivots ``P``, ``delta`` and an int64 ``N`` with ``delta S == S[:, P] N``, or None.
+
+    ``S`` is a square int64 matrix.  Its rank ``r`` modulo p is at most its
+    rank over Q.  The reduced echelon form of ``S`` mod p is lifted
+    to rationals with common denominator ``delta`` as the ``r``-row integer
+    matrix ``N``, and the identity is checked exactly in float64 once
+    ``delta max|S|`` and ``r max|S| max|N|`` are below 2^53.  It puts every
+    column of ``S`` in the span of the ``r`` pivot columns, so the rank over
+    Q is ``r`` as well, and for each ``j`` the vector ``delta e_j`` minus
+    ``N_j`` placed on the pivots is in the kernel of ``S``.  None when the
+    rank modulo p is below the rank over Q, a residue does not lift, or a
+    bound fails.
+    """
+    R, pivots = _rref_mod_p(S % _PRIME)
+    residues, where = np.unique(R, return_inverse=True)
+    fractions = [_rational(int(u)) for u in residues]
+    if None in fractions:
+        return None
+    delta = lcm(*(b for _, b in fractions))
+    coeffs = [a * (delta // b) for a, b in fractions]
+    n_big = max(map(abs, coeffs), default=0)
+    s_max = max(int(S.max()), -int(S.min()))
+    if delta * s_max >= _FLOAT_EXACT or len(pivots) * s_max * n_big >= _FLOAT_EXACT:
+        return None
+    N = np.array(coeffs, dtype=np.int64)[where.reshape(R.shape)]
+    F = S.astype(np.float64)
+    return (pivots, delta, N) if np.array_equal(F * delta, F[:, pivots] @ N) else None
+
+
+def _rank(M: np.ndarray) -> int:
+    """Exact rank over Q of a 2-D integer array of any integer dtype.
 
     With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
     is summed in float64 over row blocks, exact because every partial sum is
     an integer of size at most ``max|M|^2 * rows < 2^53``.  That is the only
-    pass over ``M``: everything after it reads ``G``.
+    pass over ``M``: everything after it reads ``G``, whose rank is that of
+    ``M``.
 
     Columns that cannot raise the rank are dropped first, decided exactly on
     ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
@@ -268,85 +295,57 @@ def _certified_rank(M: np.ndarray) -> int | None:
     is never a witness.  The squares are exact in int64 while every
     ``G_jj < 2^31``, since ``|G_ij|`` is at most the larger diagonal entry;
     beyond that no column is dropped.  The kept columns ``K`` span the
-    column space of ``M``, so what follows runs on ``M[:, K]`` and
-    ``G[K][:, K]``.
+    column space of ``M``, so what follows reads ``G[K][:, K]``.
 
-    Full rank, the usual case for face matrices once deflated, is proved
-    first by :func:`_nonsingular`: a rounded inverse of ``G`` and one exact
-    product, with no elimination.  Otherwise the rank ``r`` of ``G`` mod p
-    is at most rank_Q(G) = rank_Q(M).  Below full column rank, the reduced
-    echelon form of ``G`` is lifted to rationals with common denominator
-    ``delta`` as an integer matrix ``N``, and ``delta * G == G[:, pivots] @
-    N`` is checked exactly in float64, once ``delta max G`` and ``r max G
-    max|N|`` are below 2^53 (``max G`` is on the diagonal).  With ``D =
-    delta * M - M[:, pivots] @ N`` the identity says ``M^T D = 0``, so ``D^T
-    D = 0`` and ``D = 0``: rank_Q(M) <= r as well.
+    A Gram matrix is positive definite exactly when it is nonsingular, so
+    full rank, the usual case for face matrices once deflated, is proved by
+    :func:`_positive_definite` with no elimination.  Otherwise
+    :func:`_span_certificate` proves the rank.  Without either proof,
+    fraction-free (Bareiss) elimination of ``M`` gives it.
     """
-    if M.shape[0] < M.shape[1]:
-        M = M.T
-    rows, cols = M.shape
-    big = max(int(M.max()), -int(M.min()))
-    if big * big * rows >= _FLOAT_EXACT:
-        return None
-    G = np.zeros((cols, cols))
-    for F in _float_blocks(M):
-        G += F.T @ F
-    G = G.astype(np.int64)
-    diag = G.diagonal()
-    keep = np.arange(cols)
-    if diag.max() < _SQUARE_LIMIT:
-        # witness[i, j]: column i is nonzero and parallel to column j.  A
-        # nonzero column witnesses itself and stays unless an earlier one
-        # witnesses it; a zero column's first witness is the first nonzero one.
-        witness = (G * G == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
-        keep = np.flatnonzero(witness.argmax(axis=0) == keep)
-    G = G[keep[:, None], keep]
-    if _nonsingular(G):
-        return len(keep)
-    R, pivots = _rref_mod_p(G % _PRIME)
-    r = len(pivots)
-    if r == len(keep):
-        return r
-    if r == 0:
-        return None  # M is nonzero, so the prime divides all of G
-    residues, where = np.unique(R, return_inverse=True)
-    fractions = [_rational(int(u)) for u in residues]
-    if None in fractions:
-        return None
-    delta = lcm(*(b for _, b in fractions))
-    coeffs = [a * (delta // b) for a, b in fractions]
-    n_big = max(abs(c) for c in coeffs)
-    g_max = int(G.diagonal().max())
-    if delta * g_max >= _FLOAT_EXACT or r * g_max * n_big >= _FLOAT_EXACT:
-        return None
-    N = np.array(coeffs, dtype=np.float64)[where.reshape(R.shape)]
-    F = G.astype(np.float64)
-    return r if np.array_equal(F * delta, F[:, pivots] @ N) else None
-
-
-def _rank(M: np.ndarray) -> int:
-    """Exact rank over Q of a 2-D integer array: certified, else by Bareiss."""
     if not M.any():
         return 0
-    rank = _certified_rank(M)
-    return _bareiss_rank(M.tolist()) if rank is None else rank
+    T = M.T if M.shape[0] < M.shape[1] else M
+    rows, cols = T.shape
+    big = max(int(T.max()), -int(T.min()))
+    if big * big * rows < _FLOAT_EXACT:
+        G = np.zeros((cols, cols))
+        for F in _float_blocks(T):
+            G += F.T @ F
+        G = G.astype(np.int64)
+        diag = G.diagonal()
+        keep = np.arange(cols)
+        if diag.max() < _SQUARE_LIMIT:
+            # witness[i, j]: column i is nonzero and parallel to column j.  A
+            # nonzero column witnesses itself and stays unless an earlier one
+            # witnesses it; a zero column's first witness is the first nonzero one.
+            witness = (G * G == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
+            keep = np.flatnonzero(witness.argmax(axis=0) == keep)
+        G = G[keep[:, None], keep]
+        if _positive_definite(G):
+            return len(keep)
+        certificate = _span_certificate(G)
+        if certificate is not None:
+            return len(certificate[0])
+    return _bareiss_rank(M.tolist())
 
 
 def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
     """Exact affine dimension of a set of integer vectors.
 
-    Rank of the differences to the first point; invariant under permuting the
-    input and under the choice of base point.  ``points`` may be a 2-D
-    integer array.  The certified modular rank answers whenever its bounds
-    and certificate hold; Bareiss elimination on Python integers answers
-    otherwise, so the result is exact either way.  An entry that is not an
-    integer (a float, even ``2.0``, or a Fraction) raises InvalidParameter.
+    One less than the rank of the points with a nonzero constant column
+    appended; invariant under permuting the input and under the choice of
+    base point.  ``points`` may be a 2-D integer array.  The certified rank
+    answers whenever its bounds and certificates hold; Bareiss elimination
+    on Python integers answers otherwise, so the result is exact either way.
+    An entry that is not an integer (a float, even ``2.0``, or a Fraction)
+    raises InvalidParameter.
 
     For any ``c != 0`` the rows ``[p | c]`` have rank one more than this
     dimension.  Integer arrays are ranked in their own dtype with ``c =
     max(1, max p, -1 - min p)``: it fits the dtype and matches the data's
     scale, where a column of ones next to large entries can defeat the
-    rounded inverse.
+    full-rank proof.
     """
     if len(points) == 0:
         raise EmptyInput("affine dimension of an empty point set is undefined")

@@ -40,8 +40,9 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
-from .facegeom import _FLOAT_EXACT, affine_dimension_exact
+from .facegeom import affine_dimension_exact
 from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, build_game, read_json, signed_matrix
+from .qsdp import _FLOAT_EXACT
 
 NLC_FORMAT = "tightbell-nlc-v1"
 

@@ -71,7 +71,7 @@ from .game import DeterministicStrategy, GameMatrix, XorGame, game_matrix
 
 MAX_SDP_SIDE = 4096
 _RRE_DEPTH = 5  # K: _sweeps extrapolates from the last K + 1 steps
-_EXACT_DENOMINATOR = 1 << 53  # below it _halves divides the whole array at once
+_FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
 
 ADVANTAGE = "advantage"
 NO_ADVANTAGE = "no_advantage"
@@ -184,7 +184,7 @@ def _halves(g: XorGame, gm: GameMatrix | None = None) -> tuple[np.ndarray, np.nd
     """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``.
 
     ``gm`` is ``game_matrix(g)``, when the caller has built it already.  Below
-    ``_EXACT_DENOMINATOR`` = 2^53 the integers ``L Phi`` (each at most ``L``
+    ``_FLOAT_EXACT`` = 2^53 the integers ``L Phi`` (each at most ``L``
     in size) and ``L`` are exact doubles, so one float division of the whole
     array rounds each entry as ``v / L`` does; past it, each entry is divided
     as Python integers.
@@ -192,7 +192,7 @@ def _halves(g: XorGame, gm: GameMatrix | None = None) -> tuple[np.ndarray, np.nd
     if gm is None:
         gm = game_matrix(g)
     L = gm.denominator
-    if L < _EXACT_DENOMINATOR:
+    if L < _FLOAT_EXACT:
         half = np.array(gm.ints, dtype=np.float64)
         half /= L
     else:

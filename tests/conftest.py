@@ -37,13 +37,13 @@ def bareiss_calls(monkeypatch):
 def gram_sides(monkeypatch):
     """Side of every deflated Gram matrix the exact rank proves or eliminates."""
     calls = []
-    nonsingular = facegeom._nonsingular
+    positive_definite = facegeom._positive_definite
 
     def counted(G):
         calls.append(len(G))
-        return nonsingular(G)
+        return positive_definite(G)
 
-    monkeypatch.setattr(facegeom, "_nonsingular", counted)
+    monkeypatch.setattr(facegeom, "_positive_definite", counted)
     return calls
 
 

@@ -14,7 +14,9 @@ affine-dimension oracle is division-based Gaussian elimination over Fractions
 (the library uses a certified rank modulo a prime, falling back to
 fraction-free integer elimination), the modular echelon reference is
 Gauss-Jordan on lists of Python integers with Fermat inverses (the library
-updates whole int64 arrays per pivot), the no-signalling oracle reconstructs the
+updates whole int64 arrays per pivot), the rational echelon oracle is
+Gauss-Jordan over Fractions (the library lifts the echelon form modulo a
+prime to rationals and checks the lift), the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
 reference sums the prior in Fractions (the library sums the integers that
 ``signed_matrix`` scales over the lcm of the denominators).
@@ -288,6 +290,30 @@ def reference_rref_mod_p(rows, p: int):
             if k != r and A[k][c]:
                 f = A[k][c]
                 A[k] = [(a - f * b) % p for a, b in zip(A[k], A[r])]
+        pivots.append(c)
+    return A[: len(pivots)], pivots
+
+
+def oracle_rref(rows):
+    """(nonzero rows of the reduced echelon form, pivot columns) over the rationals.
+
+    Gauss-Jordan elimination on lists of Fractions: at each column the first
+    row at or below the next pivot row with a nonzero entry is swapped up,
+    divided by that entry and subtracted from every other row.
+    """
+    A = [list(map(Fraction, row)) for row in rows]
+    pivots: list[int] = []
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if i is None:
+            continue
+        A[r], A[i] = A[i], A[r]
+        A[r] = [v / A[r][c] for v in A[r]]
+        for k in range(len(A)):
+            if k != r and A[k][c]:
+                f = A[k][c]
+                A[k] = [a - f * b for a, b in zip(A[k], A[r])]
         pivots.append(c)
     return A[: len(pivots)], pivots
 

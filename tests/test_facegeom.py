@@ -2,7 +2,7 @@
 
 import tracemalloc
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from tightbell.game import DeterministicStrategy, build_game
 from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
-from .oracles import oracle_affine_dim, oracle_bias, reference_rref_mod_p
+from .oracles import oracle_affine_dim, oracle_bias, oracle_rref, reference_rref_mod_p
 
 Q = Fraction(1, 4)
 
@@ -115,14 +115,14 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
         # the echelon coefficient 40009/40013 has a denominator above sqrt(p/2)
         ([(0, 0), (40013, 40009), (80026, 80018)], 1),
         # det = 46341^2 - 2 * 2317 = 2^31 - 1: full rank over Q, singular mod
-        # p; the rounded inverse of its Gram matrix proves the full rank first
+        # p; the congruence proves its Gram matrix positive definite first
         ([(0, 0), (46341, 2), (2317, 46341)], 0),
         # det = 2^31 - 1 again, and the echelon form 1/32767 lifts: only the
         # exact identity check would refute the rank-1 certificate, but the
-        # rounded inverse proves the full rank first
+        # congruence proves the full rank first
         ([(0, 0), (1, -65538), (32768, -65537)], 0),
         # det = 2^31 - 1 once more, with nearly parallel columns around 2^25:
-        # the Gram matrix, entries near 2^51, defeats the rounded inverse too
+        # the Gram matrix, entries near 2^51, defeats the congruence too
         ([(0, 0), (33554433, 33554432), (33554368, 33554431)], 1),
         # max|M|^2 * rows reaches 2^53: the Gram matrix is not exact in float64
         ([(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)], 1),
@@ -272,7 +272,7 @@ def test_rounded_inverse_never_proves_a_singular_gram(seed, deficiency, ill, sca
     points = [[0] * cols] + M.tolist()
     rank = oracle_affine_dim(points)
     if max(abs(v) for v in G.ravel()) < 1 << 53:
-        assert not facegeom._nonsingular(G.astype(np.int64)) or rank == cols
+        assert not facegeom._positive_definite(G.astype(np.int64)) or rank == cols
     assert affine_dimension_exact(points) == rank
 
 
@@ -281,18 +281,113 @@ def test_rounded_inverse_never_proves_a_singular_gram(seed, deficiency, ill, sca
 )
 @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
 def test_rounded_inverse_rejects_any_inverse_of_a_singular_gram(seed, shift, monkeypatch):
-    # singular Grams rarely get past the float factorisation; handed an
-    # inverse of G + shift I instead, the exact residual check must refuse
+    # singular Grams rarely get past the float factorisation; handed a factor
+    # of G + shift I instead, lower triangular or not, the exact congruence
+    # check must refuse
     rng = np.random.default_rng(seed)
     rows, cols = int(rng.integers(2, 11)), int(rng.integers(2, 9))
     inner = int(rng.integers(1, min(rows, cols)))  # rank below cols
     M = rng.integers(-3, 4, size=(rows, inner)) @ rng.integers(-3, 4, size=(inner, cols))
     assume(M.any())
-    inv = np.linalg.inv
-    with monkeypatch.context() as m:  # undone before the next example
-        m.setattr(np.linalg, "cholesky", lambda F: F)
-        m.setattr(np.linalg, "inv", lambda F: inv(F + shift * np.eye(len(F))))
-        assert not facegeom._nonsingular(M.T @ M)
+    G = M.T @ M
+    w, V = np.linalg.eigh(G + shift * np.eye(cols))
+    K = V * np.sqrt(w)  # K K^T = G + shift I
+    L = np.linalg.qr(K.T, mode="r").T  # lower triangular, L L^T = K K^T
+    for factor in (L, K):
+        with monkeypatch.context() as m:  # undone before the next example
+            m.setattr(np.linalg, "cholesky", lambda F: factor)
+            assert not facegeom._positive_definite(G)
+
+
+_K = 2**26 - 1
+_K2 = _K * _K  # entries near 2^52
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        # v v^T for v = (k, k - 1, 0): singular, largest entries on the diagonal
+        [[_K2, _K2 - _K, 0], [_K2 - _K, _K2 - 2 * _K + 1, 0], [0, 0, 0]],
+        # u_i^T diag(1, -1) u_j for u = (k, 1), (k, -1), (0, 2): singular and
+        # indefinite, largest entry off the diagonal
+        [[_K2 - 1, _K2 + 1, -2], [_K2 + 1, _K2 - 1, 2], [-2, 2, -4]],
+        # the first two of those rows: nonsingular and indefinite
+        [[_K2 - 1, _K2 + 1], [_K2 + 1, _K2 - 1]],
+        # a unit diagonal beside off-diagonal entries near 2^52
+        [[1, _K2, 0], [_K2, 1, _K2], [0, _K2, 1]],
+    ],
+    ids=["singular-psd", "singular-indefinite", "indefinite", "off-diagonal"],
+)
+def test_positive_definite_refuses_at_the_float_bound(A, monkeypatch):
+    A = np.array(A, dtype=np.int64)
+    assert not facegeom._positive_definite(A)
+    # handed factors of the positive definite V (|w| + 1) V^T, where A = V
+    # diag(w) V^T, the exact check must refuse as well
+    w, V = np.linalg.eigh(A.astype(np.float64))
+    K = V * np.sqrt(np.abs(w) + 1)
+    L = np.linalg.qr(K.T, mode="r").T
+    for factor in (L, K):
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "cholesky", lambda F: factor)
+            assert not facegeom._positive_definite(A)
+
+
+def test_positive_definite_proves_entries_near_the_float_bound():
+    # the refusals above are not for the size of the entries alone
+    assert facegeom._positive_definite(np.array([[2**48, 1], [1, 2**48]]))
+    assert facegeom._positive_definite(np.array([[2**48, 2**47], [2**47, 2**48]]))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("where", [(0, 0), (2, 1)])
+def test_positive_definite_refuses_a_factor_with_inf_or_nan(bad, where, monkeypatch):
+    A = np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]])
+    assert facegeom._positive_definite(A)
+    C = np.linalg.cholesky(A.astype(np.float64))
+    C[where] = bad
+    monkeypatch.setattr(np.linalg, "cholesky", lambda F: C)
+    assert not facegeom._positive_definite(A)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    gram=st.booleans(),
+    scale=st.sampled_from([1, 2**16, 2**32]),  # larger scales meet the float bounds
+)
+def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
+    # S = B^T diag(d) B has ker B in its kernel; with d = 1 it is a Gram
+    # matrix, otherwise d mixes signs and S is usually indefinite
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    k = int(rng.integers(1, n + 1))
+    B = rng.integers(-4, 5, size=(k, n))
+    d = np.ones(k, dtype=np.int64) if gram else rng.choice([-2, -1, 1, 3], size=k)
+    S = (B.T * d) @ B * scale
+    assume(S.any())
+    R, pivots = oracle_rref(S.tolist())
+    delta = lcm(*(v.denominator for row in R for v in row))
+    N = [[int(v * delta) for v in row] for row in R]
+    s_max = int(np.abs(S).max())
+    n_max = max(abs(v) for row in N for v in row)
+    bound = facegeom._RECON_BOUND
+    within = (
+        all(abs(v.numerator) <= bound and v.denominator <= bound for row in R for v in row)
+        and delta * s_max < 2**53
+        and len(pivots) * s_max * n_max < 2**53
+    )
+    certificate = facegeom._span_certificate(S)
+    assert (certificate is not None) == within
+    if certificate is None:
+        return
+    assert certificate[:2] == (pivots, delta)
+    assert certificate[2].dtype == np.int64 and certificate[2].tolist() == N
+    # the columns delta e_j - N_j, N_j placed on the pivots, span ker S: each
+    # is in it, and the non-pivot ones are n - rank S independent vectors
+    K = delta * np.eye(n, dtype=object)
+    K[pivots] -= np.array(N, dtype=object)
+    assert not (S.astype(object) @ K).any()
+    assert len(oracle_rref(K.tolist())[1]) == n - len(pivots)
 
 
 def test_full_rank_needs_no_modular_elimination(monkeypatch):
@@ -307,7 +402,8 @@ def test_full_rank_needs_no_modular_elimination(monkeypatch):
     # identity(3): the deflated 29 corr and 8 sign columns have full rank
     face_report(make_named("identity", 3))
     assert eliminated == []
-    # appendix_d(3): 30 corr columns of rank 22, a rank the inverse cannot prove
+    # appendix_d(3): 30 corr columns of rank 22, a Gram matrix that is not
+    # positive definite
     face_report(make_named("appendix_d", 3))
     assert eliminated[0] == 30
 
@@ -804,11 +900,11 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
     certified = np.array([(0, 0, 0), (3, 1, 2), (6, 2, 4), (1, 2, 1), (4, 3, 3)])
     # rank 2 of 3 mod p (the constant column adds one) with the lifted
     # relation col1 = 32767 col2, which the first difference satisfies; the
-    # rounded inverse proves its full rank first
+    # congruence proves its full rank first
     proved = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
     # rank 2 of 3 mod p with the lifted relation 32765 col1 = 32767 col2, which
-    # the first difference satisfies: with entries near 2^24 the rounded
-    # inverse fails, and the lift is refused by its float bound, delta times
+    # the first difference satisfies: with entries near 2^24 the congruence
+    # fails, and the lift is refused by its float bound, delta times
     # Gram entries near 4.5e15 (its Gram diagonal passes 2^31, so no column
     # is dropped before the elimination)
     refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]

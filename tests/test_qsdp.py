@@ -78,7 +78,7 @@ def test_halves_divide_the_whole_array_below_2_53(monkeypatch, bits):
         assert game_matrix(g).denominator < 2**53
         fast = qsdp._halves(g)
         with monkeypatch.context() as mp:
-            mp.setattr(qsdp, "_EXACT_DENOMINATOR", 0)
+            mp.setattr(qsdp, "_FLOAT_EXACT", 0)
             exact = qsdp._halves(g)
         assert fast[1].flags.c_contiguous and exact[1].flags.c_contiguous
         assert [a.tobytes() for a in fast] == [b.tobytes() for b in exact]

@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import operator
 from pathlib import Path
 
 import tightbell
@@ -138,3 +139,20 @@ def test_modules_import_only_lower_layers():
     ]
     assert {path.stem for path in SOURCES} == {"__init__", *LAYERS}
     assert found == []
+
+
+_CONSTANT_OPS = {ast.LShift: operator.lshift, ast.Pow: operator.pow}
+
+
+def test_float_exact_bound_is_defined_once():
+    # one name for "float64 sums of integers below 2^53 are exact", read
+    # wherever a float path is bounded
+    found = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.BinOp) and type(node.op) in _CONSTANT_OPS
+        and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+        and _CONSTANT_OPS[type(node.op)](node.left.value, node.right.value) == 1 << 53
+    ]
+    assert found == ["qsdp.py"]
