@@ -20,7 +20,6 @@ from .facegeom import (
     ProbeReport,
     TrivialFacetReport,
     affine_dimension_exact,
-    embed_vertex,
     face_report,
     face_report_to_dict,
     quantum_face_probe,

@@ -8,21 +8,21 @@ and the sign rows ``[alpha | beta]`` of the vertices are ranked: flipping
 every answer keeps the bias, so the dimension in the full space of
 ``(alpha, beta, vec(alpha beta^T))`` follows from those two.  Every rank is
 one exact routine, the rank over the rationals of an integer matrix in its
-own dtype; an affine dimension is one less than the rank of the points with
-a nonzero constant column appended.  Zero columns and columns parallel to an
-earlier one cannot raise the rank; they are dropped first, read off the
-integer Gram matrix exactly by the equality case of Cauchy-Schwarz.  Full
-rank of the Gram matrix G of the remaining columns is proved by a
+own dtype or of Python integers; an affine dimension is one less than the
+rank of the points with a nonzero constant column appended.  The matrix is
+read once, to form its exact integer Gram matrix G; the rest reads only G.
+Zero columns and columns parallel to an earlier one cannot raise the rank;
+at every scale they are dropped first, read off G exactly by the equality
+case of Cauchy-Schwarz.  Full rank of the deflated G is proved by a
 congruence: with C its float Cholesky factor and X = rint(2^s C^-1), the
 integer matrix X G X^T is computed exactly, and if it is strictly
 diagonally dominant with a positive diagonal, G is positive definite.
 Otherwise its rank modulo the prime 2^31 - 1 is a lower bound, and an
-integer certificate (the lifted echelon form, checked exactly on the Gram
-matrix) proves the matching upper bound.  Floating point is used only where
-every sum is an integer below 2^53, which is checked first.  When a bound
-fails, the prime is unlucky or the certificate cannot be lifted,
-fraction-free (Bareiss) elimination on Python integers gives the rank
-instead.  No tolerance either way.
+integer certificate (the lifted echelon form, checked exactly on G) proves
+the matching upper bound.  Floating point is used only where every sum is
+an integer below 2^53, which is checked first.  When a bound fails, the
+prime is unlucky or the certificate cannot be lifted, fraction-free
+(Bareiss) elimination of the deflated G gives the rank.  No tolerance.
 
 Questions that are never asked are dropped before enumeration.  The face of
 the original game is the reduced face times a cube of free signs, and its
@@ -36,6 +36,7 @@ threshold.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import frexp, gcd, isqrt, lcm
@@ -52,7 +53,7 @@ from .errors import (
     ShapeMismatch,
     VerificationFailed,
 )
-from .game import DeterministicStrategy, XorGame, reduce_exhaustive
+from .game import XorGame, reduce_exhaustive
 from .qsdp import _FLOAT_EXACT
 
 MEASURED = "measured"
@@ -124,25 +125,16 @@ class FaceReport:
         return self.m_a * self.m_b + self.m_a + self.m_b
 
 
-def embed_vertex(v: DeterministicStrategy) -> tuple[int, ...]:
-    """Integer coordinates (alpha, beta, row-major alpha beta^T) of a vertex.
-
-    The length is D = m_a m_b + m_a + m_b; the correlation coordinates are
-    the tail ``coords[m_a + m_b:]``.
-    """
-    return (*v.alpha, *v.beta, *(a * b for a in v.alpha for b in v.beta))
-
-
 def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, division-free pivoting.
+    """Rank over the rationals of a square matrix of Python integers.
 
     Classic fraction-free elimination: every interior division is exact, and
     intermediate entries are minors of the input, so growth stays polynomial.
     """
     M = [list(r) for r in rows]
-    n, ncols = len(M), len(M[0])
+    n = len(M)
     rank, prev = 0, 1
-    for col in range(ncols):
+    for col in range(n):
         piv = None
         for r in range(rank, n):
             if M[r][col] != 0:
@@ -156,12 +148,10 @@ def _bareiss_rank(rows: list[list[int]]) -> int:
         for r in range(rank + 1, n):
             row = M[r]
             mrc = row[col]
-            for c in range(col, ncols):
+            for c in range(col, n):
                 row[c] = (row[c] * p - mrc * pivot_row[c]) // prev
         prev = p
         rank += 1
-        if rank == n:
-            break
     return rank
 
 
@@ -216,7 +206,7 @@ def _float_blocks(M: np.ndarray):
 
 
 def _positive_definite(A: np.ndarray) -> bool:
-    """Whether a congruence proves the symmetric int64 matrix ``A`` positive definite.
+    """Whether a congruence proves the symmetric integer matrix ``A`` positive definite.
 
     ``C`` is the float Cholesky factor, ``A ~ C C^T``, and ``X = rint(2^s
     C^-1)``.  With ``w`` the largest row sum of ``|X|`` and ``t`` the sum of
@@ -228,14 +218,18 @@ def _positive_definite(A: np.ndarray) -> bool:
     ``B`` is positive definite; that forces ``X`` to be nonsingular, and
     ``A = X^-1 B X^-T`` is positive definite too.  ``False`` proves nothing:
     an indefinite or singular ``A`` usually fails the float factorisation
-    itself, and an ill-conditioned one fails the check.
+    itself, and an ill-conditioned one fails the check.  ``A`` is int64 or
+    of Python integers (object dtype); ``max|A| >= 2^53`` is refused before
+    the float64 copy, which would round it or overflow.
     """
+    a_max = max(int(A.max()), -int(A.min()))
+    if a_max >= _FLOAT_EXACT:
+        return False
     F = A.astype(np.float64)
     try:
         X = np.linalg.inv(np.linalg.cholesky(F))
     except np.linalg.LinAlgError:
         return False
-    a_max = max(int(A.max()), -int(A.min()))
     rows = np.abs(X).sum(axis=1)
     # frexp(y)[1] - 1 = floor(log2 y); 2^2s <= y / 4 leaves room for the rounding
     y = _FLOAT_EXACT / (a_max * rows.max() * rows.sum())
@@ -251,18 +245,20 @@ def _positive_definite(A: np.ndarray) -> bool:
 def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None:
     """Pivots ``P``, ``delta`` and an int64 ``N`` with ``delta S == S[:, P] N``, or None.
 
-    ``S`` is a square int64 matrix.  Its rank ``r`` modulo p is at most its
-    rank over Q.  The reduced echelon form of ``S`` mod p is lifted
+    ``S`` is a square matrix, int64 or of Python integers (object dtype),
+    reduced mod p into int64 for the echelon.  Its rank ``r`` modulo p is at
+    most its rank over Q.  The reduced echelon form of ``S`` mod p is lifted
     to rationals with common denominator ``delta`` as the ``r``-row integer
     matrix ``N``, and the identity is checked exactly in float64 once
-    ``delta max|S|`` and ``r max|S| max|N|`` are below 2^53.  It puts every
-    column of ``S`` in the span of the ``r`` pivot columns, so the rank over
-    Q is ``r`` as well, and for each ``j`` the vector ``delta e_j`` minus
-    ``N_j`` placed on the pivots is in the kernel of ``S``.  None when the
-    rank modulo p is below the rank over Q, a residue does not lift, or a
-    bound fails.
+    ``delta max|S|`` and ``r max|S| max|N|`` are below 2^53, so ``S`` is read
+    as float64 only when ``max|S| < 2^53``.  The identity puts every column
+    of ``S`` in the span of the ``r`` pivot columns, so the rank over Q is
+    ``r`` as well, and for each ``j`` the vector ``delta e_j`` minus ``N_j``
+    placed on the pivots is in the kernel of ``S``.  None when the rank
+    modulo p is below the rank over Q, a residue does not lift, or a bound
+    fails.
     """
-    R, pivots = _rref_mod_p(S % _PRIME)
+    R, pivots = _rref_mod_p((S % _PRIME).astype(np.int64, copy=False))
     residues, where = np.unique(R, return_inverse=True)
     fractions = [_rational(int(u)) for u in residues]
     if None in fractions:
@@ -279,29 +275,29 @@ def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None
 
 
 def _rank(M: np.ndarray) -> int:
-    """Exact rank over Q of a 2-D integer array of any integer dtype.
+    """Exact rank over Q of a 2-D array of integers, of integer or object dtype.
 
-    With ``M`` oriented so it has no more columns than rows, ``G = M^T M``
-    is summed in float64 over row blocks, exact because every partial sum is
-    an integer of size at most ``max|M|^2 * rows < 2^53``.  That is the only
-    pass over ``M``: everything after it reads ``G``, whose rank is that of
-    ``M``.
+    With ``M`` oriented so it has no more columns than rows, the one pass
+    over ``M`` forms the exact Gram matrix ``G = M^T M``, of the same rank:
+    summed in float64 over row blocks while ``max|M|^2 * rows < 2^53`` (every
+    partial sum is then an exact integer), else one Python-integer product.
 
     Columns that cannot raise the rank are dropped first, decided exactly on
     ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
     ``i`` when ``G_ij^2 = G_ii G_jj``, the equality case of Cauchy-Schwarz.
     Zero columns go, and so does every column parallel to an earlier
     nonzero one.  A zero column meets the equality with every column, so it
-    is never a witness.  The squares are exact in int64 while every
-    ``G_jj < 2^31``, since ``|G_ij|`` is at most the larger diagonal entry;
-    beyond that no column is dropped.  The kept columns ``K`` span the
-    column space of ``M``, so what follows reads ``G[K][:, K]``.
+    is never a witness.  The squares are taken in int64 while every ``G_jj
+    < 2^31``, since ``|G_ij|`` is at most the larger diagonal entry, and in
+    Python integers beyond that.  The kept columns ``K`` span the column
+    space of ``M``, so what follows reads ``G[K][:, K]``.
 
     A Gram matrix is positive definite exactly when it is nonsingular, so
     full rank, the usual case for face matrices once deflated, is proved by
     :func:`_positive_definite` with no elimination.  Otherwise
-    :func:`_span_certificate` proves the rank.  Without either proof,
-    fraction-free (Bareiss) elimination of ``M`` gives it.
+    :func:`_span_certificate` proves the rank.  Without either proof (both
+    refuse entries of 2^53 or more), fraction-free (Bareiss) elimination of
+    the deflated ``G`` gives it, at a cost cubic in its side.
     """
     if not M.any():
         return 0
@@ -313,21 +309,23 @@ def _rank(M: np.ndarray) -> int:
         for F in _float_blocks(T):
             G += F.T @ F
         G = G.astype(np.int64)
-        diag = G.diagonal()
-        keep = np.arange(cols)
-        if diag.max() < _SQUARE_LIMIT:
-            # witness[i, j]: column i is nonzero and parallel to column j.  A
-            # nonzero column witnesses itself and stays unless an earlier one
-            # witnesses it; a zero column's first witness is the first nonzero one.
-            witness = (G * G == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
-            keep = np.flatnonzero(witness.argmax(axis=0) == keep)
-        G = G[keep[:, None], keep]
-        if _positive_definite(G):
-            return len(keep)
-        certificate = _span_certificate(G)
-        if certificate is not None:
-            return len(certificate[0])
-    return _bareiss_rank(M.tolist())
+    else:
+        T = T.astype(object)
+        G = T.T @ T
+    S = G if G.diagonal().max() < _SQUARE_LIMIT else G.astype(object, copy=False)
+    diag = S.diagonal()
+    # witness[i, j]: column i is nonzero and parallel to column j.  A nonzero
+    # column witnesses itself and stays unless an earlier one witnesses it; a
+    # zero column's first witness is the first nonzero one.
+    witness = (S * S == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
+    keep = np.flatnonzero(witness.argmax(axis=0) == np.arange(cols))
+    G = G[keep[:, None], keep]
+    if _positive_definite(G):
+        return len(keep)
+    certificate = _span_certificate(G)
+    if certificate is not None:
+        return len(certificate[0])
+    return _bareiss_rank(G.tolist())
 
 
 def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
@@ -335,31 +333,30 @@ def affine_dimension_exact(points: Sequence[Sequence[int]] | np.ndarray) -> int:
 
     One less than the rank of the points with a nonzero constant column
     appended; invariant under permuting the input and under the choice of
-    base point.  ``points`` may be a 2-D integer array.  The certified rank
-    answers whenever its bounds and certificates hold; Bareiss elimination
-    on Python integers answers otherwise, so the result is exact either way.
-    An entry that is not an integer (a float, even ``2.0``, or a Fraction)
-    raises InvalidParameter.
+    base point.  ``points`` may be a 2-D integer array.  Every input is
+    ranked by :func:`_rank`, so the result is exact at any size.  Integer
+    arrays are ranked in their own dtype; any other input, such as integers
+    past int64 or a list that numpy would read as float64, is ranked as
+    Python integers.  An entry that is not an integer (a float, even
+    ``2.0``, or a Fraction) raises InvalidParameter.
 
     For any ``c != 0`` the rows ``[p | c]`` have rank one more than this
-    dimension.  Integer arrays are ranked in their own dtype with ``c =
-    max(1, max p, -1 - min p)``: it fits the dtype and matches the data's
-    scale, where a column of ones next to large entries can defeat the
-    full-rank proof.
+    dimension.  Here ``c = max(1, max p, -1 - min p)``: it fits the dtype and
+    matches the data's scale, where a column of ones next to large entries
+    can defeat the full-rank proof.
     """
     if len(points) == 0:
         raise EmptyInput("affine dimension of an empty point set is undefined")
     # object dtype: a list's shape is checked without numpy rounding its integers
-    P = points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)
-    if P.ndim != 2:
+    A = points if isinstance(points, np.ndarray) else np.asarray(points, dtype=object)
+    if A.ndim != 2:
         raise ShapeMismatch("points must be vectors of one common length")
-    if P is not points:
-        P = np.asarray(points)  # integers within int64 or uint64 get an integer dtype
+    P = A if A is points else np.asarray(points)  # integers within int64 or uint64
     if P.dtype.kind not in "biu":
-        pts = points.tolist() if isinstance(points, np.ndarray) else points
-        if not all(hasattr(type(x), "__index__") for p in pts for x in p):
-            raise InvalidParameter("points must have integer entries")
-        return _bareiss_rank([[*p, 1] for p in pts]) - 1
+        try:
+            P = np.frompyfunc(operator.index, 1, 1)(A)
+        except TypeError:
+            raise InvalidParameter("points must have integer entries") from None
     lo, hi = P.min(axis=0), P.max(axis=0)
     if np.array_equal(lo, hi):
         return 0  # coincident points, zero-width rows included

@@ -21,7 +21,7 @@ def enumerations(monkeypatch):
 
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """Row counts of every call to the Bareiss fallback of the exact rank."""
+    """Side of every deflated Gram matrix that the Bareiss fallback of the exact rank reads."""
     calls = []
     bareiss = facegeom._bareiss_rank
 

@@ -17,7 +17,7 @@ from tightbell import (
     verify_F_relation,
 )
 from tightbell.classical import DEFAULT_VERTEX_CAP
-from tightbell.errors import InvalidParameter, TooLarge, Truncated
+from tightbell.errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, XorGame, build_game
 
 from .generators import random_game, random_strategy, tied_game
@@ -213,6 +213,15 @@ def test_f_relation_refuses_truncated_sets():
     assert vs.truncated
     with pytest.raises(Truncated):
         verify_F_relation(vs, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "F", [np.eye(3), np.ones((2, 3)), np.ones(2)], ids=["square-3", "wide", "vector"]
+)
+def test_f_relation_refuses_the_wrong_shape(F):
+    # F maps Alice's 2 signs to Bob's 2: anything but 2 x 2 is a ShapeMismatch
+    with pytest.raises(ShapeMismatch):
+        verify_F_relation(optimal_vertices(chsh()), F)
 
 
 def huge_denominator_game():

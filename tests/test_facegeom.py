@@ -1,6 +1,7 @@
 """Exact face dimensions, bounds, verdicts, and the quantum face probe."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -11,12 +12,12 @@ from hypothesis import strategies as st
 
 from tightbell import (
     affine_dimension_exact,
-    embed_vertex,
     face_report,
     face_report_to_dict,
     facegeom,
     make_named,
     optimal_vertices,
+    qsdp,
     quantum_face_probe,
     theorem1_dim_bound,
     theorem2_codim_bound,
@@ -30,37 +31,13 @@ from tightbell.errors import (
     ShapeMismatch,
 )
 from tightbell.facegeom import LOWER_BOUND, MEASURED
-from tightbell.game import DeterministicStrategy, build_game
+from tightbell.game import build_game
 from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
 from .oracles import oracle_affine_dim, oracle_bias, oracle_rref, reference_rref_mod_p
 
 Q = Fraction(1, 4)
-
-
-# ---------------------------------------------------------------------------
-# embedding
-# ---------------------------------------------------------------------------
-
-
-def test_embed_all_ones():
-    e = embed_vertex(DeterministicStrategy(alpha=(1, 1), beta=(1, 1)))
-    assert e == (1, 1, 1, 1, 1, 1, 1, 1)
-    assert len(e) == 8  # D = 2*2 + 2 + 2
-
-
-def test_embed_row_major_tail():
-    e = embed_vertex(DeterministicStrategy(alpha=(1, -1), beta=(1, 1)))
-    assert e[4:] == (1, 1, -1, -1)
-    assert e[:2] == (1, -1) and e[2:4] == (1, 1)
-
-
-def test_embed_roundtrip():
-    v = DeterministicStrategy(alpha=(1, -1, 1), beta=(-1, 1))
-    e = embed_vertex(v)
-    assert e[:3] == v.alpha
-    assert e[3:5] == v.beta
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +62,7 @@ def test_affine_dim_basics():
 
 
 def test_affine_dim_identity1_face():
-    pts = [embed_vertex(v) for v in optimal_vertices(make_named("identity", 1)).vertices]
+    pts, _ = _lifted_embeddings(make_named("identity", 1))
     assert affine_dimension_exact(pts) == 3  # m + m(m-1)/2 at m = 2
 
 
@@ -112,8 +89,9 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
 @pytest.mark.parametrize(
     "pts,bareiss",
     [
-        # the echelon coefficient 40009/40013 has a denominator above sqrt(p/2)
-        ([(0, 0), (40013, 40009), (80026, 80018)], 1),
+        # the echelon coefficient 40009/40013 has a denominator above sqrt(p/2),
+        # but the two point columns are parallel: deflation leaves a full rank
+        ([(0, 0), (40013, 40009), (80026, 80018)], 0),
         # det = 46341^2 - 2 * 2317 = 2^31 - 1: full rank over Q, singular mod
         # p; the congruence proves its Gram matrix positive definite first
         ([(0, 0), (46341, 2), (2317, 46341)], 0),
@@ -130,10 +108,21 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
         ([(0, 1), (2**70, 1), (2**71, 2)], 1),
         # numpy reads these as float64, where both rows round to (2^63, 2^63)
         ([(0, 0), (2**63 + 1, 2**63), (2**63, 2**63 - 1)], 1),
+        # columns 40013 u, 40013 v and 40009 u + 40011 v for u = (0, 1, 0, 2, 1)
+        # and v = (0, 0, 1, 1, 3): no two are parallel, the echelon coefficients
+        # 40009/40013 and 40011/40013 do not lift, and Bareiss reads the
+        # 4-sided Gram matrix
+        ([(0, 0, 0), (40013, 0, 40009), (0, 40013, 40011), (80026, 40013, 120029),
+          (40013, 120039, 160042)], 1),
+        # entries near 10^200: Gram entries near 10^400 overflow float64, so
+        # both certificates refuse before reading them as floats; the first
+        # and last columns are parallel, and Bareiss reads a 3-sided Gram
+        ([(0, 0, 0), (10**200, 2 * 10**200, 3), (2 * 10**200, 4 * 10**200 + 1, 6),
+          (3 * 10**200, 6 * 10**200 + 1, 9)], 1),
     ],
     ids=[
         "reconstruction", "unlucky-prime", "lifted-unlucky-prime", "certificate-and-prime",
-        "float-bound", "beyond-int64", "uint64-range",
+        "float-bound", "beyond-int64", "uint64-range", "reconstruction-unparallel", "near-1e200",
     ],
 )
 def test_affine_dim_fallback_matches_oracle(pts, bareiss, bareiss_calls):
@@ -253,7 +242,7 @@ def test_deflation_zero_column_is_no_witness(bareiss_calls):
     ill=st.booleans(),
     scale=st.sampled_from([1, 2**10, 2**20, None]),  # None: entries at the 2^53 bound
 )
-def test_rounded_inverse_never_proves_a_singular_gram(seed, deficiency, ill, scale):
+def test_positive_definite_never_proves_a_singular_gram(seed, deficiency, ill, scale):
     rng = np.random.default_rng(seed)
     rows, cols = int(rng.integers(2, 11)), int(rng.integers(1, 9))
     inner = max(1, min(rows, cols) - deficiency)  # rank at most ``inner``
@@ -280,7 +269,7 @@ def test_rounded_inverse_never_proves_a_singular_gram(seed, deficiency, ill, sca
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
-def test_rounded_inverse_rejects_any_inverse_of_a_singular_gram(seed, shift, monkeypatch):
+def test_positive_definite_rejects_any_factor_of_a_singular_gram(seed, shift, monkeypatch):
     # singular Grams rarely get past the float factorisation; handed a factor
     # of G + shift I instead, lower triangular or not, the exact congruence
     # check must refuse
@@ -466,6 +455,18 @@ def test_affine_dim_takes_integer_objects_beyond_int64():
     assert affine_dimension_exact(np.array(pts, dtype=object)) == oracle_affine_dim(pts) == 2
 
 
+def test_certificates_take_python_integers():
+    A = np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]], dtype=object)
+    assert facegeom._positive_definite(A)
+    S = np.array([[4, 2, 6], [2, 1, 3], [6, 3, 9]])
+    assert facegeom._span_certificate(S.astype(object))[:2] == facegeom._span_certificate(S)[:2]
+    # refused before float64 reads them: 2^53 would round, 10^400 overflow
+    for big in (2**53, 10**400):
+        A = np.array([[big, 1], [1, big]], dtype=object)
+        assert not facegeom._positive_definite(A)
+        assert facegeom._span_certificate(A) is None
+
+
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -474,6 +475,12 @@ def test_affine_dim_takes_integer_objects_beyond_int64():
 @pytest.mark.parametrize("dims,expected", [((2, 2), 3), ((1, 1), 1), ((4, 4), 10), ((7, 3), 6)])
 def test_theorem1_bound(dims, expected):
     assert theorem1_dim_bound(*dims) == expected
+
+
+@pytest.mark.parametrize("dims", [(0, 3), (3, 0), (-1, -1)])
+def test_theorem1_bound_refuses_dimensions_below_one(dims):
+    with pytest.raises(InvalidDims):
+        theorem1_dim_bound(*dims)
 
 
 def test_theorem2_bounds():
@@ -807,6 +814,22 @@ def test_probe_identity1_finds_the_free_direction():
     assert rep.samples_used > 0
 
 
+def test_probe_without_certified_samples_finds_nothing(monkeypatch):
+    # identity(1) has a free direction, but only samples certified at the
+    # base value count: with none, the lower bound is 0
+    solve = qsdp.solve_quantum_bias
+    calls = []
+
+    def uncertified_samples(g, cfg=None, **kwargs):
+        res = solve(g, cfg, **kwargs)
+        calls.append(res)
+        return res if len(calls) == 1 else replace(res, certified=False)
+
+    monkeypatch.setattr(qsdp, "solve_quantum_bias", uncertified_samples)
+    rep = quantum_face_probe(make_named("identity", 1))
+    assert (rep.dim_lower_bound, rep.samples_used, len(calls)) == (0, 0, 25)
+
+
 def test_probe_single_entry_is_rigid():
     rep = quantum_face_probe(make_named("single_entry"))
     assert rep.thm3_bound == 0
@@ -893,7 +916,7 @@ def test_deflation_shrinks_the_gram_matrix(gram_sides):
     assert gram_sides[0] == 30
 
 
-def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
+def test_rank_in_row_blocks(monkeypatch, bareiss_calls):
     # blocks of one or a few rows: Gram sums and identity checks span blocks
     games = [make_named("identity", 3), make_named("appendix_d", 3), make_named("chsh")]
     dims = [(r.dim_full, r.dim_corr) for r in map(face_report, games)]
@@ -905,8 +928,8 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
     # rank 2 of 3 mod p with the lifted relation 32765 col1 = 32767 col2, which
     # the first difference satisfies: with entries near 2^24 the congruence
     # fails, and the lift is refused by its float bound, delta times
-    # Gram entries near 4.5e15 (its Gram diagonal passes 2^31, so no column
-    # is dropped before the elimination)
+    # Gram entries near 4.5e15 (its Gram diagonal passes 2^31; deflation,
+    # squaring in Python integers, finds no parallel columns to drop)
     refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]
     for entries in (1, 5, 64):
         monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
@@ -914,10 +937,23 @@ def test_certified_rank_in_row_blocks(monkeypatch, bareiss_calls):
         assert affine_dimension_exact(certified) == 2
         assert affine_dimension_exact(proved) == oracle_affine_dim(proved) == 2
         assert affine_dimension_exact(refuted) == oracle_affine_dim(refuted) == 2
-    assert bareiss_calls == [4, 4, 4]  # the refuted certificate, once per block size
+    # the refuted certificate's 3-sided Gram, once per block size
+    assert bareiss_calls == [3, 3, 3]
 
 
-def test_certified_rank_reads_the_matrix_once(monkeypatch, bareiss_calls):
+def test_forced_fallback_reads_the_deflated_gram(monkeypatch, bareiss_calls):
+    # identity(3): 256 correlation points of 64 coordinates and the constant
+    # column.  With both certificates refusing, Bareiss ranks the deflated
+    # 29-sided Gram matrix, not the 256 rows
+    monkeypatch.setattr(facegeom, "_positive_definite", lambda A: False)
+    monkeypatch.setattr(facegeom, "_span_certificate", lambda S: None)
+    signs = optimal_vertices(make_named("identity", 3)).signs
+    corr = (signs[:, :8, None] * signs[:, None, 8:]).reshape(256, 64)
+    assert affine_dimension_exact(corr) == oracle_affine_dim(corr.tolist()) == 28
+    assert bareiss_calls == [29]
+
+
+def test_rank_reads_the_matrix_once(monkeypatch, bareiss_calls):
     # g0(3): 70 points of 64 coordinates and the constant column, of rank 21;
     # with one row per block, summing the Gram matrix takes 70 blocks, and the
     # lifted certificate is checked on the Gram matrix, not on more blocks

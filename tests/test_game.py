@@ -431,6 +431,34 @@ def test_game_dict_requires_format():
         game_from_dict(d)
 
 
+def _without(data: dict, field: str) -> dict:
+    return {k: v for k, v in data.items() if k != field}
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: build_game([], []), ShapeMismatch),
+        (lambda: build_game([[]], [[]]), ShapeMismatch),
+        (lambda: bias_of_behaviour(
+            chsh(), Behaviour(alpha=(0, 0), beta=(0, 0), c=((0, 0),))), ShapeMismatch),
+        (lambda: bias_of_behaviour(
+            chsh(), Behaviour(alpha=(0, 0), beta=(0, 0), c=((0, 0, 0), (0, 0, 0)))),
+         ShapeMismatch),
+        *[
+            (lambda field=field: game_from_dict(_without(game_to_dict(chsh()), field)),
+             GameFormatError)
+            for field in ("m_a", "m_b", "q", "f")
+        ],
+    ],
+    ids=["no-rows", "empty-row", "correlator-rows", "correlator-columns",
+         "no-m_a", "no-m_b", "no-q", "no-f"],
+)
+def test_validation_raises_the_documented_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     rows=st.integers(1, 3),

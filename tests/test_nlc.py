@@ -359,6 +359,28 @@ def test_corollary_bounds(n, expected):
     assert (b.dim_bound, b.codim_bound_full, b.codim_bound_corr) == expected
 
 
+_AND2 = NlcSpec(n=1, q_tilde=(H, H), f_z=(0, 1))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: spec_from_game(build_game([[H, H]], [[0, 1]])), InvalidSpec),
+        (lambda: spec_from_game(build_game([[Fraction(1, 9)] * 3] * 3, [[0] * 3] * 3)),
+         InvalidSpec),
+        (lambda: corollary_bound(0), InvalidParameter),
+        (lambda: corollary_bound(-2), InvalidParameter),
+        (lambda: nlc_spec_from_dict(
+            {k: v for k, v in nlc_spec_to_dict(_AND2).items() if k != "format"}),
+         GameFormatError),
+    ],
+    ids=["not-square", "side-3", "n-0", "n-negative", "no-format"],
+)
+def test_validation_raises_the_documented_error(call, error):
+    with pytest.raises(error):
+        call()
+
+
 def test_face_dims_respect_kl_and_corollary_bounds():
     rng = np.random.default_rng(79)
     from tightbell import face_report

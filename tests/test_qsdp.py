@@ -203,6 +203,28 @@ def test_quantum_slackness_identity2():
     assert rep.passed
 
 
+@pytest.mark.parametrize(
+    "alpha,beta,F",
+    [
+        ((1,), (1, 1), None),
+        ((1, 1), (1, 1, 1), None),
+        (None, None, np.eye(3)),
+        (None, None, np.ones((2, 4))),
+    ],
+    ids=["strategy-alpha", "strategy-beta", "F-square-3", "F-wide"],
+)
+def test_slackness_refuses_the_wrong_shape(alpha, beta, F):
+    # identity(1) is 2 x 2 with no advantage: a strategy needs 2 + 2 signs and
+    # F is 2 x 2
+    g = make_named("identity", 1)
+    res = solve_quantum_bias(g)
+    with pytest.raises(ShapeMismatch):
+        if F is None:
+            slackness_residual_classical(res.cert, g, DeterministicStrategy(alpha, beta))
+        else:
+            quantum_slackness_check(res, F)
+
+
 def test_quantum_slackness_nlc_and():
     g = make_named("nlc_and", 2)
     res = solve_quantum_bias(g)

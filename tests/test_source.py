@@ -156,3 +156,34 @@ def test_float_exact_bound_is_defined_once():
         and _CONSTANT_OPS[type(node.op)](node.left.value, node.right.value) == 1 << 53
     ]
     assert found == ["qsdp.py"]
+
+
+def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
+    """The innermost enclosing function of every call to ``name``, in order."""
+    found = []
+
+    def visit(node: ast.AST, where: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = child.func
+                if (callee.id if isinstance(callee, ast.Name)
+                        else getattr(callee, "attr", None)) == name:
+                    found.append(where)
+            visit(child, where)
+
+    visit(tree, None)
+    return found
+
+
+def test_bareiss_rank_is_called_only_by_rank():
+    # one exact-rank path: the fallback elimination reads the deflated Gram
+    # matrix that _rank forms, never a matrix of its own
+    found = [
+        f"{path.name}:{where}"
+        for path in SOURCES
+        for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "_bareiss_rank")
+    ]
+    assert found == ["facegeom.py:_rank"]
