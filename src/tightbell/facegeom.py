@@ -17,12 +17,14 @@ case of Cauchy-Schwarz.  Full rank of the deflated G is proved by a
 congruence: with C its float Cholesky factor and X = rint(2^s C^-1), the
 integer matrix X G X^T is computed exactly, and if it is strictly
 diagonally dominant with a positive diagonal, G is positive definite.
-Otherwise its rank modulo the prime 2^31 - 1 is a lower bound, and an
-integer certificate (the lifted echelon form, checked exactly on G) proves
-the matching upper bound.  Floating point is used only where every sum is
-an integer below 2^53, which is checked first.  When a bound fails, the
-prime is unlucky or the certificate cannot be lifted, fraction-free
-(Bareiss) elimination of the deflated G gives the rank.  No tolerance.
+Otherwise its rank modulo the prime 2^31 - 1 is a lower bound: a full one
+proves full rank, and below that an integer certificate (the lifted echelon
+form, checked exactly on G) proves the matching upper bound.  G and the
+certificate check follow one rule: float64 where every sum is an integer
+below 2^53, which is checked first, else Python integers.  The congruence
+is float64 only and proves nothing past 2^53.  When the prime is unlucky
+or the certificate cannot be lifted, fraction-free (Bareiss) elimination
+of the deflated G gives the rank.  No tolerance.
 
 Questions that are never asked are dropped before enumeration.  The face of
 the original game is the reduced face times a cube of free signs, and its
@@ -198,11 +200,11 @@ def _rational(u: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-def _float_blocks(M: np.ndarray):
-    """Row blocks of ``M`` as float64 copies of about ``_BLOCK_ENTRIES`` entries."""
+def _row_blocks(M: np.ndarray, dtype):
+    """Row blocks of ``M`` as ``dtype`` copies of about ``_BLOCK_ENTRIES`` entries."""
     step = max(1, _BLOCK_ENTRIES // M.shape[1])
     for lo in range(0, M.shape[0], step):
-        yield M[lo : lo + step].astype(np.float64)
+        yield M[lo : lo + step].astype(dtype)
 
 
 def _positive_definite(A: np.ndarray) -> bool:
@@ -243,22 +245,27 @@ def _positive_definite(A: np.ndarray) -> bool:
 
 
 def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None:
-    """Pivots ``P``, ``delta`` and an int64 ``N`` with ``delta S == S[:, P] N``, or None.
+    """Pivots ``P``, ``delta`` and ``N`` with ``delta S == S[:, P] N``, or None.
 
     ``S`` is a square matrix, int64 or of Python integers (object dtype),
     reduced mod p into int64 for the echelon.  Its rank ``r`` modulo p is at
-    most its rank over Q.  The reduced echelon form of ``S`` mod p is lifted
-    to rationals with common denominator ``delta`` as the ``r``-row integer
-    matrix ``N``, and the identity is checked exactly in float64 once
-    ``delta max|S|`` and ``r max|S| max|N|`` are below 2^53, so ``S`` is read
-    as float64 only when ``max|S| < 2^53``.  The identity puts every column
-    of ``S`` in the span of the ``r`` pivot columns, so the rank over Q is
-    ``r`` as well, and for each ``j`` the vector ``delta e_j`` minus ``N_j``
-    placed on the pivots is in the kernel of ``S``.  None when the rank
-    modulo p is below the rank over Q, a residue does not lift, or a bound
-    fails.
+    most its rank over Q, so a full ``r`` is returned at once, with ``delta
+    = 1`` and ``N`` the int64 identity.  Otherwise the reduced echelon form
+    of ``S`` mod p is lifted to rationals with common denominator ``delta``
+    as the ``r``-row integer matrix ``N``, and the identity is checked
+    exactly: in float64 while ``delta max|S|`` and ``r max|S| max|N|`` are
+    below 2^53 (so ``S`` is read as float64 only when ``max|S| < 2^53``),
+    else in Python integers.  ``N`` is int64, or of Python integers past
+    that bound.  The identity puts every column of ``S`` in the span of the
+    ``r`` pivot columns, so the rank over Q is ``r`` as well, and for each
+    ``j`` the vector ``delta e_j`` minus ``N_j`` placed on the pivots is in
+    the kernel of ``S``.  None only when a residue does not lift or the
+    identity fails, as it does when the rank modulo p is below the rank
+    over Q.
     """
     R, pivots = _rref_mod_p((S % _PRIME).astype(np.int64, copy=False))
+    if len(pivots) == len(S):
+        return pivots, 1, R  # R = I: full rank mod p is full rank over Q
     residues, where = np.unique(R, return_inverse=True)
     fractions = [_rational(int(u)) for u in residues]
     if None in fractions:
@@ -267,10 +274,9 @@ def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None
     coeffs = [a * (delta // b) for a, b in fractions]
     n_big = max(map(abs, coeffs), default=0)
     s_max = max(int(S.max()), -int(S.min()))
-    if delta * s_max >= _FLOAT_EXACT or len(pivots) * s_max * n_big >= _FLOAT_EXACT:
-        return None
-    N = np.array(coeffs, dtype=np.int64)[where.reshape(R.shape)]
-    F = S.astype(np.float64)
+    exact = delta * s_max < _FLOAT_EXACT and len(pivots) * s_max * n_big < _FLOAT_EXACT
+    N = np.array(coeffs, dtype=np.int64 if exact else object)[where.reshape(R.shape)]
+    F = S.astype(np.float64 if exact else object)
     return (pivots, delta, N) if np.array_equal(F * delta, F[:, pivots] @ N) else None
 
 
@@ -278,9 +284,9 @@ def _rank(M: np.ndarray) -> int:
     """Exact rank over Q of a 2-D array of integers, of integer or object dtype.
 
     With ``M`` oriented so it has no more columns than rows, the one pass
-    over ``M`` forms the exact Gram matrix ``G = M^T M``, of the same rank:
-    summed in float64 over row blocks while ``max|M|^2 * rows < 2^53`` (every
-    partial sum is then an exact integer), else one Python-integer product.
+    over ``M`` forms the exact Gram matrix ``G = M^T M``, of the same rank,
+    summed over row blocks: in float64 while ``max|M|^2 * rows < 2^53``
+    (every partial sum is then an exact integer), else in Python integers.
 
     Columns that cannot raise the rank are dropped first, decided exactly on
     ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
@@ -294,24 +300,22 @@ def _rank(M: np.ndarray) -> int:
 
     A Gram matrix is positive definite exactly when it is nonsingular, so
     full rank, the usual case for face matrices once deflated, is proved by
-    :func:`_positive_definite` with no elimination.  Otherwise
-    :func:`_span_certificate` proves the rank.  Without either proof (both
-    refuse entries of 2^53 or more), fraction-free (Bareiss) elimination of
-    the deflated ``G`` gives it, at a cost cubic in its side.
+    :func:`_positive_definite` with no elimination; it refuses entries of
+    2^53 or more.  Otherwise :func:`_span_certificate` proves the rank, at
+    any entry size.  Without either proof (an unlucky prime or an echelon
+    form that does not lift), fraction-free (Bareiss) elimination of the
+    deflated ``G`` gives it, at a cost cubic in its side.
     """
     if not M.any():
         return 0
     T = M.T if M.shape[0] < M.shape[1] else M
     rows, cols = T.shape
     big = max(int(T.max()), -int(T.min()))
-    if big * big * rows < _FLOAT_EXACT:
-        G = np.zeros((cols, cols))
-        for F in _float_blocks(T):
-            G += F.T @ F
-        G = G.astype(np.int64)
-    else:
-        T = T.astype(object)
-        G = T.T @ T
+    dtype = np.float64 if big * big * rows < _FLOAT_EXACT else object
+    G = np.zeros((cols, cols), dtype)
+    for B in _row_blocks(T, dtype):
+        G += B.T @ B
+    G = G.astype(np.int64) if dtype is np.float64 else G
     S = G if G.diagonal().max() < _SQUARE_LIMIT else G.astype(object, copy=False)
     diag = S.diagonal()
     # witness[i, j]: column i is nonzero and parallel to column j.  A nonzero

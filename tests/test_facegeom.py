@@ -71,7 +71,7 @@ def test_affine_dim_identity1_face():
     n_pts=st.integers(2, 7),
     dim=st.integers(1, 6),
     seed=st.integers(0, 2**31),
-    scale=st.sampled_from([1, 2**30]),  # 2^30 breaks the float bound: Bareiss path
+    scale=st.sampled_from([1, 2**30]),  # 2^30 breaks the float bound: Python-integer Gram
 )
 def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
     rng = np.random.default_rng(seed)
@@ -102,12 +102,14 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
         # det = 2^31 - 1 once more, with nearly parallel columns around 2^25:
         # the Gram matrix, entries near 2^51, defeats the congruence too
         ([(0, 0), (33554433, 33554432), (33554368, 33554431)], 1),
-        # max|M|^2 * rows reaches 2^53: the Gram matrix is not exact in float64
-        ([(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)], 1),
-        # beyond int64
-        ([(0, 1), (2**70, 1), (2**71, 2)], 1),
-        # numpy reads these as float64, where both rows round to (2^63, 2^63)
-        ([(0, 0), (2**63 + 1, 2**63), (2**63, 2**63 - 1)], 1),
+        # max|M|^2 * rows reaches 2^53: the Gram matrix is summed in Python
+        # integers, and its rank 3 mod p, full, proves full rank
+        ([(0, 0, 0), (2**27, 0, 2**27), (0, 2**27, 2**27), (2**27, 2**27, 2 * 2**27)], 0),
+        # beyond int64: the rank 2 mod p of the Python-integer Gram is full
+        ([(0, 1), (2**70, 1), (2**71, 2)], 0),
+        # numpy reads these as float64, where both rows round to (2^63, 2^63);
+        # as Python integers the Gram has full rank 3 mod p
+        ([(0, 0), (2**63 + 1, 2**63), (2**63, 2**63 - 1)], 0),
         # columns 40013 u, 40013 v and 40009 u + 40011 v for u = (0, 1, 0, 2, 1)
         # and v = (0, 0, 1, 1, 3): no two are parallel, the echelon coefficients
         # 40009/40013 and 40011/40013 do not lift, and Bareiss reads the
@@ -115,10 +117,11 @@ def test_affine_dim_invariances_and_oracle(n_pts, dim, seed, scale):
         ([(0, 0, 0), (40013, 0, 40009), (0, 40013, 40011), (80026, 40013, 120029),
           (40013, 120039, 160042)], 1),
         # entries near 10^200: Gram entries near 10^400 overflow float64, so
-        # both certificates refuse before reading them as floats; the first
-        # and last columns are parallel, and Bareiss reads a 3-sided Gram
+        # the congruence refuses before reading them as floats; the first and
+        # last columns are parallel, and the deflated 3-sided Gram has full
+        # rank mod p
         ([(0, 0, 0), (10**200, 2 * 10**200, 3), (2 * 10**200, 4 * 10**200 + 1, 6),
-          (3 * 10**200, 6 * 10**200 + 1, 9)], 1),
+          (3 * 10**200, 6 * 10**200 + 1, 9)], 0),
     ],
     ids=[
         "reconstruction", "unlucky-prime", "lifted-unlucky-prime", "certificate-and-prime",
@@ -138,15 +141,15 @@ def test_affine_dim_certificate_without_fallback(bareiss_calls):
     assert bareiss_calls == []
 
 
-def test_affine_dim_lifted_certificate_past_the_float_bound(bareiss_calls):
+def test_affine_dim_lifted_certificate_checked_in_python_integers(bareiss_calls):
     # columns 32749 u, 32719 w and 5 u + 7 w: rank 2, and the lifted echelon
-    # coefficients times max G reach 2^53, so the exact identity check
-    # cannot run in float64 and Bareiss answers
+    # coefficients times max G reach 2^53, so the exact identity check runs
+    # in Python integers instead of float64, and Bareiss never runs
     u, w = np.array([300, -211, 157, 97]), np.array([-123, 250, 77, -199])
     cols = np.column_stack([32749 * u, 32719 * w, 5 * u + 7 * w])
     pts = np.vstack([np.zeros((1, 3), dtype=np.int64), cols])
     assert affine_dimension_exact(pts) == oracle_affine_dim(pts.tolist()) == 2
-    assert len(bareiss_calls) == 1
+    assert bareiss_calls == []
 
 
 @pytest.mark.parametrize(
@@ -342,7 +345,7 @@ def test_positive_definite_refuses_a_factor_with_inf_or_nan(bad, where, monkeypa
 @given(
     seed=st.integers(0, 2**32 - 1),
     gram=st.booleans(),
-    scale=st.sampled_from([1, 2**16, 2**32]),  # larger scales meet the float bounds
+    scale=st.sampled_from([1, 2**16, 2**32]),  # larger scales may check in Python integers
 )
 def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
     # S = B^T diag(d) B has ker B in its kernel; with d = 1 it is a Gram
@@ -357,20 +360,17 @@ def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
     R, pivots = oracle_rref(S.tolist())
     delta = lcm(*(v.denominator for row in R for v in row))
     N = [[int(v * delta) for v in row] for row in R]
-    s_max = int(np.abs(S).max())
-    n_max = max(abs(v) for row in N for v in row)
     bound = facegeom._RECON_BOUND
-    within = (
-        all(abs(v.numerator) <= bound and v.denominator <= bound for row in R for v in row)
-        and delta * s_max < 2**53
-        and len(pivots) * s_max * n_max < 2**53
+    within = all(
+        abs(v.numerator) <= bound and v.denominator <= bound for row in R for v in row
     )
     certificate = facegeom._span_certificate(S)
     assert (certificate is not None) == within
     if certificate is None:
         return
     assert certificate[:2] == (pivots, delta)
-    assert certificate[2].dtype == np.int64 and certificate[2].tolist() == N
+    # int64 while the identity is checked in float64, else Python integers
+    assert certificate[2].dtype in (np.int64, object) and certificate[2].tolist() == N
     # the columns delta e_j - N_j, N_j placed on the pivots, span ker S: each
     # is in it, and the non-pivot ones are n - rank S independent vectors
     K = delta * np.eye(n, dtype=object)
@@ -460,11 +460,13 @@ def test_certificates_take_python_integers():
     assert facegeom._positive_definite(A)
     S = np.array([[4, 2, 6], [2, 1, 3], [6, 3, 9]])
     assert facegeom._span_certificate(S.astype(object))[:2] == facegeom._span_certificate(S)[:2]
-    # refused before float64 reads them: 2^53 would round, 10^400 overflow
+    # the congruence refuses before float64 reads them: 2^53 would round,
+    # 10^400 overflow.  Both have full rank mod p, which proves full rank
     for big in (2**53, 10**400):
         A = np.array([[big, 1], [1, big]], dtype=object)
         assert not facegeom._positive_definite(A)
-        assert facegeom._span_certificate(A) is None
+        pivots, delta, N = facegeom._span_certificate(A)
+        assert (pivots, delta, N.tolist()) == ([0, 1], 1, [[1, 0], [0, 1]])
 
 
 # ---------------------------------------------------------------------------
@@ -927,9 +929,10 @@ def test_rank_in_row_blocks(monkeypatch, bareiss_calls):
     proved = [(0, 0), (32767, 1), (1, -65538), (32768, -65537)]
     # rank 2 of 3 mod p with the lifted relation 32765 col1 = 32767 col2, which
     # the first difference satisfies: with entries near 2^24 the congruence
-    # fails, and the lift is refused by its float bound, delta times
-    # Gram entries near 4.5e15 (its Gram diagonal passes 2^31; deflation,
-    # squaring in Python integers, finds no parallel columns to drop)
+    # fails, and delta times Gram entries near 4.5e15 passes the float bound,
+    # so the identity, checked in Python integers, refutes the lift (its
+    # Gram diagonal passes 2^31; deflation, squaring in Python integers,
+    # finds no parallel columns to drop)
     refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]
     for entries in (1, 5, 64):
         monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
@@ -960,18 +963,64 @@ def test_rank_reads_the_matrix_once(monkeypatch, bareiss_calls):
     from tightbell import g0_dimension
 
     blocks = []
-    float_blocks = facegeom._float_blocks
+    row_blocks = facegeom._row_blocks
 
-    def counted(M):
-        for F in float_blocks(M):
-            blocks.append(len(F))
-            yield F
+    def counted(M, dtype):
+        for B in row_blocks(M, dtype):
+            blocks.append(len(B))
+            yield B
 
-    monkeypatch.setattr(facegeom, "_float_blocks", counted)
+    monkeypatch.setattr(facegeom, "_row_blocks", counted)
     monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", 64)
     assert g0_dimension(3).verified_value == 20
     assert len(blocks) == 70
     assert bareiss_calls == []
+
+
+def _past_the_float_bound() -> dict:
+    """Matrices whose Gram entries pass 2^53, with their ranks."""
+    rng = np.random.default_rng(29)
+    M = rng.integers(-2**26, 2**26, size=(40, 12), endpoint=True)
+    A = rng.integers(-2**24, 2**24, size=(40, 8), endpoint=True)
+    C = rng.integers(-3, 3, size=(8, 4), endpoint=True)
+    return {
+        "full": (M, 12),
+        "spanned": (np.hstack([A, A @ C]), 8),
+        "beyond-int64": (M.astype(object) * 2**40, 12),
+    }
+
+
+_PAST_THE_FLOAT_BOUND = _past_the_float_bound()
+
+
+@pytest.mark.parametrize("name", list(_PAST_THE_FLOAT_BOUND))
+def test_rank_past_the_float_bound_needs_no_elimination(name, bareiss_calls):
+    # the Gram matrix is summed in Python integers and the congruence
+    # refuses it; a full rank mod p proves full rank at once, and the
+    # spanned columns' certificate, delta = 1 and N = [I | C], is checked
+    # in Python integers
+    M, rank = _PAST_THE_FLOAT_BOUND[name]
+    assert int(np.abs(M).max()) ** 2 * len(M) >= 2**53
+    assert facegeom._rank(M) == len(oracle_rref(M.tolist())[1]) == rank
+    assert bareiss_calls == []
+
+
+def test_python_integer_gram_in_row_blocks(monkeypatch):
+    # 40 rows of 12 columns past the float bound: with 48 entries per block
+    # the Gram matrix is summed over 10 blocks of 4 rows, not one product
+    M, rank = _PAST_THE_FLOAT_BOUND["full"]
+    blocks = []
+    row_blocks = facegeom._row_blocks
+
+    def counted(M, dtype):
+        for B in row_blocks(M, dtype):
+            blocks.append((len(B), B.dtype))
+            yield B
+
+    monkeypatch.setattr(facegeom, "_row_blocks", counted)
+    monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", 48)
+    assert facegeom._rank(M) == rank
+    assert blocks == [(4, np.dtype(object))] * 10
 
 
 _E5, _W = np.array([0, 0, 0, 0, 1]), np.array([46339, 425, 10, 1, 0])  # |w|^2 = 2^31 - 1

@@ -158,8 +158,8 @@ def test_float_exact_bound_is_defined_once():
     assert found == ["qsdp.py"]
 
 
-def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
-    """The innermost enclosing function of every call to ``name``, in order."""
+def _enclosing_functions(tree: ast.Module, match) -> list[str]:
+    """The innermost enclosing function of every node that ``match`` accepts, in order."""
     found = []
 
     def visit(node: ast.AST, where: str | None) -> None:
@@ -167,15 +167,33 @@ def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
-                callee = child.func
-                if (callee.id if isinstance(callee, ast.Name)
-                        else getattr(callee, "attr", None)) == name:
-                    found.append(where)
+            if match(child):
+                found.append(where)
             visit(child, where)
 
     visit(tree, None)
     return found
+
+
+def _names(node: ast.AST) -> set[str]:
+    """Every name and attribute read under ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
+    """The innermost enclosing function of every call to ``name``, in order."""
+
+    def calls(node: ast.AST) -> bool:
+        if not isinstance(node, ast.Call):
+            return False
+        callee = node.func
+        return (callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)) == name
+
+    return _enclosing_functions(tree, calls)
 
 
 def test_bareiss_rank_is_called_only_by_rank():
@@ -187,3 +205,24 @@ def test_bareiss_rank_is_called_only_by_rank():
         for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "_bareiss_rank")
     ]
     assert found == ["facegeom.py:_rank"]
+
+
+def _refuses_at_the_float_bound(node: ast.AST) -> bool:
+    """Whether ``node`` is an if statement on 2^53 that returns None or False."""
+    if not isinstance(node, ast.If) or "_FLOAT_EXACT" not in _names(node.test):
+        return False
+    return any(
+        isinstance(r, ast.Return)
+        and (r.value is None or isinstance(r.value, ast.Constant) and r.value.value in (None, False))
+        for branch in (node.body, node.orelse)
+        for stmt in branch
+        for r in ast.walk(stmt)
+    )
+
+
+def test_only_the_congruence_refuses_at_the_float_bound():
+    # past 2^53 the Gram sum and the span certificate switch to Python
+    # integers; only the float64 congruence may refuse there
+    path = next(path for path in SOURCES if path.name == "facegeom.py")
+    found = _enclosing_functions(ast.parse(path.read_text("utf-8")), _refuses_at_the_float_bound)
+    assert set(found) == {"_positive_definite"}
