@@ -501,15 +501,20 @@ def face_report(
 def quantum_face_probe(g: XorGame, *, solve_cfg: qsdp.SolveConfig | None = None) -> ProbeReport:
     """Lower-bound the dimension of the optimal quantum correlator face.
 
-    Solves the game once at ``solve_cfg`` for the base optimum, then 24 more
-    times: sample ``k`` is a fresh two-restart solve at seed ``seed + 1 + k``
-    (mod 2^64).  The correlator blocks of the samples certified at the base
-    value are differenced against the base, and the singular values of the
-    differences above 1e-6 are counted.  Only a LOWER bound: sampling cannot
-    certify that more directions do not exist.  The reported comparison bound
-    is ``m (m - 1) / 2`` with m the smaller input count.
+    Probes :func:`reduce_exhaustive` of ``g``, as :func:`face_report` does:
+    the vectors of a never-asked question are not pinned by the optimum, so
+    they would add random directions.  Solves the reduced game once at
+    ``solve_cfg`` for the base optimum, then 24 more times: sample ``k`` is a
+    fresh two-restart solve at seed ``seed + 1 + k`` (mod 2^64).  The
+    correlator blocks of the samples certified at the base value are
+    differenced against the base, and the singular values of the differences
+    above 1e-6 are counted.  Only a LOWER bound: sampling cannot certify that
+    more directions do not exist.  The reported comparison bound is
+    ``m (m - 1) / 2`` with m the smaller input count.  Both numbers refer to
+    the reduced game.
     """
     cfg = solve_cfg or qsdp.SolveConfig()
+    g = reduce_exhaustive(g)
     base = qsdp.solve_quantum_bias(g, cfg)
     if base.classification != qsdp.NO_ADVANTAGE:
         raise NotApplicable(

@@ -51,11 +51,12 @@ def as_rational(value) -> Fraction:
     """Coerce an exact value ("3/4", "0.25", int, Fraction) to Fraction.
 
     Binary floats are rejected: they would smuggle rounding into data that the
-    rest of the library treats as exact.
+    rest of the library treats as exact.  Bools are rejected too, as in
+    :func:`as_int`: ``true`` is not a number in a game file.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:
@@ -99,7 +100,12 @@ def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 @dataclass(frozen=True)
 class XorGame:
-    """Validated XOR game; construct through :func:`build_game`."""
+    """Validated XOR game.
+
+    :func:`build_game` builds it from outside data and checks it.
+    :func:`reduce_exhaustive` and ``nlc.build_nlc`` build it directly from
+    data that is already checked (a game, a shared-input spec).
+    """
 
     m_a: int
     m_b: int

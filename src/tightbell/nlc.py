@@ -41,7 +41,7 @@ from .errors import (
     VerificationFailed,
 )
 from .facegeom import affine_dimension_exact
-from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, build_game, read_json, signed_matrix
+from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, read_json, signed_matrix
 from .qsdp import _FLOAT_EXACT
 
 NLC_FORMAT = "tightbell-nlc-v1"
@@ -51,11 +51,36 @@ G0_ENUM_CAP = 12870  # balanced sign vectors: C(16, 8), so n = 4 is verified
 
 @dataclass(frozen=True)
 class NlcSpec:
-    """Distribution over the hidden string plus the target Boolean function."""
+    """Distribution over the hidden string plus the target Boolean function.
+
+    Checked on construction, so every spec in existence is valid: InvalidSpec
+    when ``n < 1``, when ``q_tilde`` or ``f_z`` does not have length 2^n, when
+    an entry of ``q_tilde`` is negative or they do not sum to exactly 1, or
+    when a bit of ``f_z`` is not 0 or 1; GameFormatError when an entry of
+    ``q_tilde`` is not an int or Fraction (bools and floats included) or a bit
+    is not an integer.
+    """
 
     n: int
     q_tilde: tuple[Fraction, ...]
     f_z: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise InvalidSpec("n must be >= 1")
+        size = len(self.q_tilde)  # 2^n has bit length n + 1, so a huge n is never shifted
+        if size.bit_length() != self.n + 1 or size != 1 << self.n or len(self.f_z) != size:
+            raise InvalidSpec(f"q_tilde and f_z must have length 2^{self.n}")
+        # exact entries only, as as_rational takes them: a float or a bool
+        # would reach the rational arithmetic downstream
+        if not all(isinstance(v, (int, Fraction)) and type(v) is not bool for v in self.q_tilde):
+            raise GameFormatError("q_tilde entries must be int or Fraction")
+        if any(v < 0 for v in self.q_tilde):
+            raise InvalidSpec("q_tilde entries must be >= 0")
+        if sum(self.q_tilde) != 1:
+            raise InvalidSpec("q_tilde must sum to exactly 1")
+        if any(as_int(b) not in (0, 1) for b in self.f_z):
+            raise InvalidSpec("f_z entries must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -96,40 +121,23 @@ class CorollaryBound:
     codim_bound_corr: int
 
 
-def validate_spec(spec: NlcSpec) -> None:
-    if spec.n < 1:
-        raise InvalidSpec("n must be >= 1")
-    size = len(spec.q_tilde)  # 2^n has bit length n + 1, so a huge n is never shifted
-    if size.bit_length() != spec.n + 1 or size != 1 << spec.n or len(spec.f_z) != size:
-        raise InvalidSpec(f"q_tilde and f_z must have length 2^{spec.n}")
-    # exact entries only, as build_game takes them: a float would reach the
-    # rational arithmetic downstream
-    if not all(isinstance(v, (int, Fraction)) for v in spec.q_tilde):
-        raise GameFormatError("q_tilde entries must be int or Fraction")
-    if any(v < 0 for v in spec.q_tilde):
-        raise InvalidSpec("q_tilde entries must be >= 0")
-    if sum(spec.q_tilde) != 1:
-        raise InvalidSpec("q_tilde must sum to exactly 1")
-    if any(as_int(b) not in (0, 1) for b in spec.f_z):
-        raise InvalidSpec("f_z entries must be 0 or 1")
-
-
 def build_nlc(spec: NlcSpec) -> XorGame:
     """The 2^n x 2^n game with prior ``2^-n q~(x XOR y)`` and predicate ``f(x XOR y)``.
 
     Every row and column of the prior is a permutation of ``2^-n q~``, so the
-    game is exhaustive whenever q~ is not identically zero.  Past
-    ``game.MAX_FAMILY_N`` TooLarge is raised before anything is built.
+    game is exhaustive, and as the spec checked itself, the prior is
+    nonnegative and sums to 1: the game is built directly, not checked again.
+    Past ``game.MAX_FAMILY_N`` TooLarge is raised before anything is built.
     """
-    validate_spec(spec)
     if spec.n > MAX_FAMILY_N:
         raise TooLarge(f"n = {spec.n}: shared-input games stop at n = {MAX_FAMILY_N}")
     size = 1 << spec.n
     scale = Fraction(1, size)
     values = [scale * v for v in spec.q_tilde]  # formed once, shared by the 2^n cells of each
-    q = [[values[x ^ y] for y in range(size)] for x in range(size)]
-    f = [[spec.f_z[x ^ y] for y in range(size)] for x in range(size)]
-    return build_game(q, f)
+    bits = [int(b) for b in spec.f_z]
+    q = tuple(tuple(values[x ^ y] for y in range(size)) for x in range(size))
+    f = tuple(tuple(bits[x ^ y] for y in range(size)) for x in range(size))
+    return XorGame(m_a=size, m_b=size, q=q, f=f)
 
 
 def spec_from_game(g: XorGame) -> NlcSpec:
@@ -149,9 +157,7 @@ def spec_from_game(g: XorGame) -> NlcSpec:
             z = x ^ y
             if g.q[x][y] != g.q[0][z] or g.f[x][y] != f_z[z]:
                 raise InvalidSpec("game data does not factor through x XOR y")
-    spec = NlcSpec(n=n, q_tilde=q_tilde, f_z=f_z)
-    validate_spec(spec)
-    return spec
+    return NlcSpec(n=n, q_tilde=q_tilde, f_z=f_z)
 
 
 def _walsh_transform(values: Sequence) -> list:
@@ -175,7 +181,6 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
     and checks that each column comes out as that column of H times its
     eigenvalue EXACTLY — a theorem check, not a tolerance check.
     """
-    validate_spec(spec)
     gm = signed_matrix((spec.q_tilde,), (spec.f_z,))
     signed, L = gm.ints[0], gm.denominator
     walsh = _walsh_transform(signed)
@@ -307,13 +312,11 @@ def nlc_spec_from_dict(data: dict) -> NlcSpec:
         raise GameFormatError(f"expected format {NLC_FORMAT!r}")
     if "n" not in data or not all(isinstance(data.get(k), list) for k in ("q_tilde", "f_z")):
         raise GameFormatError("a spec needs n and the lists q_tilde and f_z")
-    spec = NlcSpec(
+    return NlcSpec(
         n=as_int(data["n"]),
         q_tilde=tuple(as_rational(v) for v in data["q_tilde"]),
         f_z=tuple(as_int(b) for b in data["f_z"]),
     )
-    validate_spec(spec)
-    return spec
 
 
 def save_nlc_spec(spec: NlcSpec, path) -> None:

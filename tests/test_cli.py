@@ -163,12 +163,15 @@ _SPEC = {"format": nlc.NLC_FORMAT, "n": 1, "q_tilde": ["1/2", "1/2"]}
         ("bias classical", {**_ONE, "f": [[True]]}),
         ("bias classical", {**_HALVES, "f": [[0.7, True]]}),
         ("bias classical", {**_ONE, "q": "1"}),
+        ("bias classical", {**_ONE, "q": [[True]]}),
         ("nlc spectrum", {**_SPEC, "f_z": [0.9, 1]}),
         ("nlc spectrum", {**_SPEC, "f_z": "01"}),
+        ("nlc spectrum", {**_SPEC, "q_tilde": [True, 0], "f_z": [0, 1]}),
     ],
     ids=[
         "game-not-utf8", "spec-not-utf8", "m_a-string", "m_a-float", "f-string",
-        "f-bool", "f-float", "q-string", "f_z-float", "f_z-string",
+        "f-bool", "f-float", "q-string", "q-bool", "f_z-float", "f_z-string",
+        "q_tilde-bool",
     ],
 )
 def test_malformed_input_files(tmp_path, capsys, command, content):

@@ -852,6 +852,13 @@ def test_probe_pinned_values(name, n, dim):
     assert rep.dim_lower_bound <= rep.thm3_bound
 
 
+def test_probe_reads_the_reduced_game():
+    # the never-asked row and column would keep random vectors that differ
+    # between samples; the probe reads the reduced game, identity(2)
+    rep = quantum_face_probe(_padded_identity2())
+    assert (rep.dim_lower_bound, rep.thm3_bound, rep.samples_used) == (6, 6, 24)
+
+
 def test_probe_not_applicable_for_advantage_games():
     with pytest.raises(NotApplicable):
         quantum_face_probe(make_named("chsh"))

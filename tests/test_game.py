@@ -27,6 +27,7 @@ from tightbell.errors import (
     NegativePrior,
     NotNormalized,
     ShapeMismatch,
+    TooLarge,
     UnknownName,
 )
 from tightbell.game import (
@@ -440,6 +441,9 @@ def _without(data: dict, field: str) -> dict:
     [
         (lambda: build_game([], []), ShapeMismatch),
         (lambda: build_game([[]], [[]]), ShapeMismatch),
+        (lambda: build_game([[H, H], [0]], [[0, 0], [0]]), ShapeMismatch),
+        (lambda: build_game([[True]], [[0]]), GameFormatError),
+        (lambda: make_named("identity", MAX_FAMILY_N + 1), TooLarge),
         (lambda: bias_of_behaviour(
             chsh(), Behaviour(alpha=(0, 0), beta=(0, 0), c=((0, 0),))), ShapeMismatch),
         (lambda: bias_of_behaviour(
@@ -451,7 +455,8 @@ def _without(data: dict, field: str) -> dict:
             for field in ("m_a", "m_b", "q", "f")
         ],
     ],
-    ids=["no-rows", "empty-row", "correlator-rows", "correlator-columns",
+    ids=["no-rows", "empty-row", "unequal-rows", "bool-prior", "family-past-limit",
+         "correlator-rows", "correlator-columns",
          "no-m_a", "no-m_b", "no-q", "no-f"],
 )
 def test_validation_raises_the_documented_error(call, error):

@@ -35,14 +35,13 @@ from tightbell.errors import (
     TooLarge,
     VerificationFailed,
 )
-from tightbell.game import signed_matrix
+from tightbell.game import MAX_FAMILY_N, signed_matrix
 from tightbell.nlc import (
     NlcSpec,
     load_nlc_spec,
     nlc_spec_from_dict,
     nlc_spec_to_dict,
     save_nlc_spec,
-    validate_spec,
 )
 
 from .generators import random_nlc_spec
@@ -86,6 +85,7 @@ def test_build_all_zero_predicate_positive_circulant():
 
 
 def test_invalid_specs():
+    # construction refuses them, so build_nlc is never reached
     with pytest.raises(InvalidSpec):
         build_nlc(NlcSpec(n=1, q_tilde=(H,), f_z=(0, 1)))
     with pytest.raises(InvalidSpec):
@@ -99,17 +99,32 @@ def test_invalid_specs():
 
 
 @pytest.mark.parametrize("spec", [
-    NlcSpec(n=1, q_tilde=(0.5, 0.5), f_z=(0, 1)),
-    NlcSpec(n=1, q_tilde=(H, "1/2"), f_z=(0, 1)),
-    NlcSpec(n=1, q_tilde=(H, H), f_z=(0, 1.0)),
-    NlcSpec(n=1, q_tilde=(H, H), f_z=(False, True)),
+    dict(n=1, q_tilde=(0.5, 0.5), f_z=(0, 1)),
+    dict(n=1, q_tilde=(H, "1/2"), f_z=(0, 1)),
+    dict(n=1, q_tilde=(H, H), f_z=(0, 1.0)),
+    dict(n=1, q_tilde=(H, H), f_z=(False, True)),
+    dict(n=1, q_tilde=(True, 0), f_z=(0, 1)),
 ])
 def test_inexact_spec_entries_are_format_errors(spec):
-    # the spectrum refuses them as the game builder does, not with a TypeError
-    # or an AttributeError from the rational arithmetic
-    for analyse in (validate_spec, hadamard_spectrum, build_nlc):
-        with pytest.raises(GameFormatError):
-            analyse(spec)
+    # each case holds the fields of a spec; construction refuses them as the
+    # game builder does, not with a TypeError or an AttributeError from the
+    # rational arithmetic, and a bool is no more a number here than in a game
+    with pytest.raises(GameFormatError):
+        NlcSpec(**spec)
+
+
+def test_build_matches_the_checked_game_builder():
+    # the direct construction equals the game that build_game checks and
+    # freezes from the same prior and predicate
+    rng = np.random.default_rng(3001)
+    for n in range(1, 6):
+        for _ in range(4):
+            spec = random_nlc_spec(rng, n)
+            size = 1 << n
+            values = [Fraction(1, size) * v for v in spec.q_tilde]
+            q = [[values[x ^ y] for y in range(size)] for x in range(size)]
+            f = [[spec.f_z[x ^ y] for y in range(size)] for x in range(size)]
+            assert build_nlc(spec) == build_game(q, f)
 
 
 def test_games_are_exhaustive_even_with_zero_support():
@@ -373,8 +388,9 @@ _AND2 = NlcSpec(n=1, q_tilde=(H, H), f_z=(0, 1))
         (lambda: nlc_spec_from_dict(
             {k: v for k, v in nlc_spec_to_dict(_AND2).items() if k != "format"}),
          GameFormatError),
+        (lambda: build_nlc(and_spec(MAX_FAMILY_N + 1)), TooLarge),
     ],
-    ids=["not-square", "side-3", "n-0", "n-negative", "no-format"],
+    ids=["not-square", "side-3", "n-0", "n-negative", "no-format", "past-family-limit"],
 )
 def test_validation_raises_the_documented_error(call, error):
     with pytest.raises(error):

@@ -207,6 +207,27 @@ def test_bareiss_rank_is_called_only_by_rank():
     assert found == ["facegeom.py:_rank"]
 
 
+def test_only_outside_data_goes_through_build_game():
+    # file data and the hand-derived family formulas are checked by
+    # build_game; code holding checked data (a game, a shared-input spec,
+    # which checks itself) builds the XorGame directly
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES}
+    found = [
+        f"{name}:{where}"
+        for name, tree in trees.items()
+        for where in _calls_by_function(tree, "build_game")
+    ]
+    assert set(found) == {"game.py:game_from_dict", "game.py:make_named"}
+    # NlcSpec checks itself on construction: no separate check to call again
+    spec_checks = [
+        f"{name}:{node.lineno}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if "validate_spec" in (getattr(node, k, None) for k in ("id", "attr", "name"))
+    ]
+    assert spec_checks == []
+
+
 def _refuses_at_the_float_bound(node: ast.AST) -> bool:
     """Whether ``node`` is an if statement on 2^53 that returns None or False."""
     if not isinstance(node, ast.If) or "_FLOAT_EXACT" not in _names(node.test):
