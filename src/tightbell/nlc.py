@@ -40,9 +40,9 @@ from .errors import (
     TooLarge,
     VerificationFailed,
 )
+from .exact import _FLOAT_EXACT
 from .facegeom import affine_dimension_exact
 from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, read_json, signed_matrix
-from .qsdp import _FLOAT_EXACT
 
 NLC_FORMAT = "tightbell-nlc-v1"
 
@@ -56,9 +56,11 @@ class NlcSpec:
     Checked on construction, so every spec in existence is valid: InvalidSpec
     when ``n < 1``, when ``q_tilde`` or ``f_z`` does not have length 2^n, when
     an entry of ``q_tilde`` is negative or they do not sum to exactly 1, or
-    when a bit of ``f_z`` is not 0 or 1; GameFormatError when an entry of
-    ``q_tilde`` is not an int or Fraction (bools and floats included) or a bit
-    is not an integer.
+    when a bit of ``f_z`` is not 0 or 1; GameFormatError when ``n`` or a bit
+    is not an integer (bools, floats and strings included, as in
+    :func:`game.as_int`) or an entry of ``q_tilde`` is not an int or Fraction.
+    ``n`` and the bits are stored as Python ints, so numpy integers never
+    reach the exact arithmetic or the file format.
     """
 
     n: int
@@ -66,6 +68,7 @@ class NlcSpec:
     f_z: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n))
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
         size = len(self.q_tilde)  # 2^n has bit length n + 1, so a huge n is never shifted
@@ -79,8 +82,12 @@ class NlcSpec:
             raise InvalidSpec("q_tilde entries must be >= 0")
         if sum(self.q_tilde) != 1:
             raise InvalidSpec("q_tilde must sum to exactly 1")
-        if any(as_int(b) not in (0, 1) for b in self.f_z):
-            raise InvalidSpec("f_z entries must be 0 or 1")
+        bits = []
+        for b in map(as_int, self.f_z):  # in order: the first bad bit decides the error
+            if b not in (0, 1):
+                raise InvalidSpec("f_z entries must be 0 or 1")
+            bits.append(b)
+        object.__setattr__(self, "f_z", tuple(bits))
 
 
 @dataclass(frozen=True)
@@ -134,9 +141,8 @@ def build_nlc(spec: NlcSpec) -> XorGame:
     size = 1 << spec.n
     scale = Fraction(1, size)
     values = [scale * v for v in spec.q_tilde]  # formed once, shared by the 2^n cells of each
-    bits = [int(b) for b in spec.f_z]
     q = tuple(tuple(values[x ^ y] for y in range(size)) for x in range(size))
-    f = tuple(tuple(bits[x ^ y] for y in range(size)) for x in range(size))
+    f = tuple(tuple(spec.f_z[x ^ y] for y in range(size)) for x in range(size))
     return XorGame(m_a=size, m_b=size, q=q, f=f)
 
 
@@ -243,7 +249,7 @@ def g0_dimension(n: int) -> G0Dimension:
 
     ``formula_value`` is :func:`g0_formula`; ``verified_value`` is the exact
     affine dimension of the Gram points of balanced sign vectors, measured by
-    the exact rank of ``facegeom``.  The two must agree.  Beyond
+    ``facegeom.affine_dimension_exact``.  The two must agree.  Beyond
     ``G0_ENUM_CAP`` balanced vectors (n >= 5) TooLarge is raised.
     """
     if n < 2:

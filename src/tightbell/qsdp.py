@@ -67,11 +67,11 @@ from .errors import (
     SingularLambda,
     TooLarge,
 )
+from .exact import _FLOAT_EXACT
 from .game import DeterministicStrategy, GameMatrix, XorGame, game_matrix
 
 MAX_SDP_SIDE = 4096
 _RRE_DEPTH = 5  # K: _sweeps extrapolates from the last K + 1 steps
-_FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
 
 ADVANTAGE = "advantage"
 NO_ADVANTAGE = "no_advantage"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from tightbell import classical, facegeom, qsdp
+from tightbell import classical, exact, qsdp
 
 
 @pytest.fixture
@@ -23,13 +23,13 @@ def enumerations(monkeypatch):
 def bareiss_calls(monkeypatch):
     """Side of every deflated Gram matrix that the Bareiss fallback of the exact rank reads."""
     calls = []
-    bareiss = facegeom._bareiss_rank
+    bareiss = exact._bareiss_rank
 
     def counted(rows):
         calls.append(len(rows))
         return bareiss(rows)
 
-    monkeypatch.setattr(facegeom, "_bareiss_rank", counted)
+    monkeypatch.setattr(exact, "_bareiss_rank", counted)
     return calls
 
 
@@ -37,13 +37,13 @@ def bareiss_calls(monkeypatch):
 def gram_sides(monkeypatch):
     """Side of every deflated Gram matrix the exact rank proves or eliminates."""
     calls = []
-    positive_definite = facegeom._positive_definite
+    positive_definite = exact._positive_definite
 
     def counted(G):
         calls.append(len(G))
         return positive_definite(G)
 
-    monkeypatch.setattr(facegeom, "_positive_definite", counted)
+    monkeypatch.setattr(exact, "_positive_definite", counted)
     return calls
 
 

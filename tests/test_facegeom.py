@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from tightbell import (
     affine_dimension_exact,
+    exact,
     face_report,
     face_report_to_dict,
-    facegeom,
     make_named,
     optimal_vertices,
     qsdp,
@@ -264,7 +264,7 @@ def test_positive_definite_never_proves_a_singular_gram(seed, deficiency, ill, s
     points = [[0] * cols] + M.tolist()
     rank = oracle_affine_dim(points)
     if max(abs(v) for v in G.ravel()) < 1 << 53:
-        assert not facegeom._positive_definite(G.astype(np.int64)) or rank == cols
+        assert not exact._positive_definite(G.astype(np.int64)) or rank == cols
     assert affine_dimension_exact(points) == rank
 
 
@@ -288,7 +288,7 @@ def test_positive_definite_rejects_any_factor_of_a_singular_gram(seed, shift, mo
     for factor in (L, K):
         with monkeypatch.context() as m:  # undone before the next example
             m.setattr(np.linalg, "cholesky", lambda F: factor)
-            assert not facegeom._positive_definite(G)
+            assert not exact._positive_definite(G)
 
 
 _K = 2**26 - 1
@@ -312,7 +312,7 @@ _K2 = _K * _K  # entries near 2^52
 )
 def test_positive_definite_refuses_at_the_float_bound(A, monkeypatch):
     A = np.array(A, dtype=np.int64)
-    assert not facegeom._positive_definite(A)
+    assert not exact._positive_definite(A)
     # handed factors of the positive definite V (|w| + 1) V^T, where A = V
     # diag(w) V^T, the exact check must refuse as well
     w, V = np.linalg.eigh(A.astype(np.float64))
@@ -321,24 +321,24 @@ def test_positive_definite_refuses_at_the_float_bound(A, monkeypatch):
     for factor in (L, K):
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "cholesky", lambda F: factor)
-            assert not facegeom._positive_definite(A)
+            assert not exact._positive_definite(A)
 
 
 def test_positive_definite_proves_entries_near_the_float_bound():
     # the refusals above are not for the size of the entries alone
-    assert facegeom._positive_definite(np.array([[2**48, 1], [1, 2**48]]))
-    assert facegeom._positive_definite(np.array([[2**48, 2**47], [2**47, 2**48]]))
+    assert exact._positive_definite(np.array([[2**48, 1], [1, 2**48]]))
+    assert exact._positive_definite(np.array([[2**48, 2**47], [2**47, 2**48]]))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
 def test_positive_definite_refuses_a_factor_with_inf_or_nan(bad, where, monkeypatch):
     A = np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]])
-    assert facegeom._positive_definite(A)
+    assert exact._positive_definite(A)
     C = np.linalg.cholesky(A.astype(np.float64))
     C[where] = bad
     monkeypatch.setattr(np.linalg, "cholesky", lambda F: C)
-    assert not facegeom._positive_definite(A)
+    assert not exact._positive_definite(A)
 
 
 @settings(max_examples=200, deadline=None)
@@ -360,11 +360,11 @@ def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
     R, pivots = oracle_rref(S.tolist())
     delta = lcm(*(v.denominator for row in R for v in row))
     N = [[int(v * delta) for v in row] for row in R]
-    bound = facegeom._RECON_BOUND
+    bound = exact._RECON_BOUND
     within = all(
         abs(v.numerator) <= bound and v.denominator <= bound for row in R for v in row
     )
-    certificate = facegeom._span_certificate(S)
+    certificate = exact._span_certificate(S)
     assert (certificate is not None) == within
     if certificate is None:
         return
@@ -381,13 +381,13 @@ def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
 
 def test_full_rank_needs_no_modular_elimination(monkeypatch):
     eliminated = []
-    rref = facegeom._rref_mod_p
+    rref = exact._rref_mod_p
 
     def counted(A):
         eliminated.append(len(A))
         return rref(A)
 
-    monkeypatch.setattr(facegeom, "_rref_mod_p", counted)
+    monkeypatch.setattr(exact, "_rref_mod_p", counted)
     # identity(3): the deflated 29 corr and 8 sign columns have full rank
     face_report(make_named("identity", 3))
     assert eliminated == []
@@ -406,7 +406,7 @@ def test_full_rank_needs_no_modular_elimination(monkeypatch):
     ],
 )
 def test_rref_mod_p_matches_reference(n, rank, swap):
-    p = facegeom._PRIME
+    p = exact._PRIME
     rng = np.random.default_rng(1000 * n + 10 * rank + swap)
     A = rng.integers(0, p, size=(n, n))
     if swap:  # the first rows lead with 0, so the first pivot row is swapped up
@@ -416,7 +416,7 @@ def test_rref_mod_p_matches_reference(n, rank, swap):
     for i in range(rank, n):
         cs = rng.integers(0, p, size=rank).tolist()
         A[i] = [sum(c * row[j] for c, row in zip(cs, top)) % p for j in range(n)]
-    R, pivots = facegeom._rref_mod_p(A)
+    R, pivots = exact._rref_mod_p(A)
     R_ref, pivots_ref = reference_rref_mod_p(A.tolist(), p)
     assert len(pivots) == rank
     assert (A[0, 0] == 0) == swap and pivots[0] == 0
@@ -425,12 +425,12 @@ def test_rref_mod_p_matches_reference(n, rank, swap):
 
 
 def test_rref_mod_p_rectangular_and_zero_columns():
-    p = facegeom._PRIME
+    p = exact._PRIME
     rng = np.random.default_rng(7)
     for shape in [(3, 8), (8, 3), (5, 5)]:
         A = rng.integers(0, p, size=shape)
         A[:, 1] = 0
-        R, pivots = facegeom._rref_mod_p(A)
+        R, pivots = exact._rref_mod_p(A)
         assert (R.tolist(), pivots) == reference_rref_mod_p(A.tolist(), p)
         assert 1 not in pivots
 
@@ -457,15 +457,15 @@ def test_affine_dim_takes_integer_objects_beyond_int64():
 
 def test_certificates_take_python_integers():
     A = np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]], dtype=object)
-    assert facegeom._positive_definite(A)
+    assert exact._positive_definite(A)
     S = np.array([[4, 2, 6], [2, 1, 3], [6, 3, 9]])
-    assert facegeom._span_certificate(S.astype(object))[:2] == facegeom._span_certificate(S)[:2]
+    assert exact._span_certificate(S.astype(object))[:2] == exact._span_certificate(S)[:2]
     # the congruence refuses before float64 reads them: 2^53 would round,
     # 10^400 overflow.  Both have full rank mod p, which proves full rank
     for big in (2**53, 10**400):
         A = np.array([[big, 1], [1, big]], dtype=object)
-        assert not facegeom._positive_definite(A)
-        pivots, delta, N = facegeom._span_certificate(A)
+        assert not exact._positive_definite(A)
+        pivots, delta, N = exact._span_certificate(A)
         assert (pivots, delta, N.tolist()) == ([0, 1], 1, [[1, 0], [0, 1]])
 
 
@@ -942,7 +942,7 @@ def test_rank_in_row_blocks(monkeypatch, bareiss_calls):
     # finds no parallel columns to drop)
     refuted = [(0, 0), (16776704, 16775680), (16793087, 16726524), (33569791, 33502204)]
     for entries in (1, 5, 64):
-        monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(exact, "_BLOCK_ENTRIES", entries)
         assert [(r.dim_full, r.dim_corr) for r in map(face_report, games)] == dims
         assert affine_dimension_exact(certified) == 2
         assert affine_dimension_exact(proved) == oracle_affine_dim(proved) == 2
@@ -955,8 +955,8 @@ def test_forced_fallback_reads_the_deflated_gram(monkeypatch, bareiss_calls):
     # identity(3): 256 correlation points of 64 coordinates and the constant
     # column.  With both certificates refusing, Bareiss ranks the deflated
     # 29-sided Gram matrix, not the 256 rows
-    monkeypatch.setattr(facegeom, "_positive_definite", lambda A: False)
-    monkeypatch.setattr(facegeom, "_span_certificate", lambda S: None)
+    monkeypatch.setattr(exact, "_positive_definite", lambda A: False)
+    monkeypatch.setattr(exact, "_span_certificate", lambda S: None)
     signs = optimal_vertices(make_named("identity", 3)).signs
     corr = (signs[:, :8, None] * signs[:, None, 8:]).reshape(256, 64)
     assert affine_dimension_exact(corr) == oracle_affine_dim(corr.tolist()) == 28
@@ -970,15 +970,15 @@ def test_rank_reads_the_matrix_once(monkeypatch, bareiss_calls):
     from tightbell import g0_dimension
 
     blocks = []
-    row_blocks = facegeom._row_blocks
+    row_blocks = exact._row_blocks
 
     def counted(M, dtype):
         for B in row_blocks(M, dtype):
             blocks.append(len(B))
             yield B
 
-    monkeypatch.setattr(facegeom, "_row_blocks", counted)
-    monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", 64)
+    monkeypatch.setattr(exact, "_row_blocks", counted)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 64)
     assert g0_dimension(3).verified_value == 20
     assert len(blocks) == 70
     assert bareiss_calls == []
@@ -1008,7 +1008,7 @@ def test_rank_past_the_float_bound_needs_no_elimination(name, bareiss_calls):
     # in Python integers
     M, rank = _PAST_THE_FLOAT_BOUND[name]
     assert int(np.abs(M).max()) ** 2 * len(M) >= 2**53
-    assert facegeom._rank(M) == len(oracle_rref(M.tolist())[1]) == rank
+    assert exact._rank(M) == len(oracle_rref(M.tolist())[1]) == rank
     assert bareiss_calls == []
 
 
@@ -1017,16 +1017,16 @@ def test_python_integer_gram_in_row_blocks(monkeypatch):
     # the Gram matrix is summed over 10 blocks of 4 rows, not one product
     M, rank = _PAST_THE_FLOAT_BOUND["full"]
     blocks = []
-    row_blocks = facegeom._row_blocks
+    row_blocks = exact._row_blocks
 
     def counted(M, dtype):
         for B in row_blocks(M, dtype):
             blocks.append((len(B), B.dtype))
             yield B
 
-    monkeypatch.setattr(facegeom, "_row_blocks", counted)
-    monkeypatch.setattr(facegeom, "_BLOCK_ENTRIES", 48)
-    assert facegeom._rank(M) == rank
+    monkeypatch.setattr(exact, "_row_blocks", counted)
+    monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 48)
+    assert exact._rank(M) == rank
     assert blocks == [(4, np.dtype(object))] * 10
 
 
@@ -1050,7 +1050,7 @@ _U, _V = np.array([46339, 425, 10, 1]), np.array([-425, 46339, -1, 10])  # |u|^2
     ids=["refuted-by-identity", "gram-divisible-by-p", "zero"],
 )
 def test_rank_exits_without_a_certificate(M, rank, bareiss, bareiss_calls):
-    assert facegeom._rank(M) == rank
+    assert exact._rank(M) == rank
     assert len(bareiss_calls) == bareiss
 
 

@@ -104,6 +104,10 @@ def test_invalid_specs():
     dict(n=1, q_tilde=(H, H), f_z=(0, 1.0)),
     dict(n=1, q_tilde=(H, H), f_z=(False, True)),
     dict(n=1, q_tilde=(True, 0), f_z=(0, 1)),
+    dict(n=True, q_tilde=(H, H), f_z=(0, 1)),
+    dict(n=1.0, q_tilde=(H, H), f_z=(0, 1)),
+    dict(n="1", q_tilde=(H, H), f_z=(0, 1)),
+    dict(n=None, q_tilde=(H, H), f_z=(0, 1)),
 ])
 def test_inexact_spec_entries_are_format_errors(spec):
     # each case holds the fields of a spec; construction refuses them as the
@@ -156,6 +160,15 @@ def test_spectrum_delta_prior():
     a = hadamard_spectrum(spec)
     assert a.spectrum == (Fraction(1),) * 4
     assert (a.k, a.l) == (4, 0)
+
+
+def test_numpy_bits_give_the_python_spectrum():
+    # the spec stores its bits as Python ints: an int64 bit times the
+    # numerator 3^50 - 1 of signed_matrix would overflow
+    q_tilde = (Fraction(1, 3**50), 1 - Fraction(1, 3**50))
+    spec = NlcSpec(n=1, q_tilde=q_tilde, f_z=(np.int64(0), np.int64(1)))
+    python = NlcSpec(n=1, q_tilde=q_tilde, f_z=(0, 1))
+    assert hadamard_spectrum(spec) == hadamard_spectrum(python)
 
 
 def test_diagonalization_is_exact_for_random_specs():
@@ -476,3 +489,8 @@ def test_spec_file_roundtrip(tmp_path):
     d = nlc_spec_to_dict(spec)
     assert d["format"] == "tightbell-nlc-v1"
     assert nlc_spec_from_dict(d) == spec
+    # numpy integers are stored as Python ints, so the file holds plain numbers
+    spec = NlcSpec(n=np.int64(1), q_tilde=(H, H), f_z=(np.int64(0), np.uint8(1)))
+    save_nlc_spec(spec, path)
+    assert load_nlc_spec(path) == spec
+    assert '"n": 1,' in path.read_text("utf-8")

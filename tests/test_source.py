@@ -114,7 +114,7 @@ def test_no_warnings_or_prints():
     assert found == []
 
 
-LAYERS = ("errors", "game", "classical", "qsdp", "facegeom", "nlc", "cli")
+LAYERS = ("errors", "game", "exact", "classical", "qsdp", "facegeom", "nlc", "cli")
 
 
 def _package_imports(tree: ast.Module) -> set[str]:
@@ -128,7 +128,7 @@ def _package_imports(tree: ast.Module) -> set[str]:
 
 
 def test_modules_import_only_lower_layers():
-    # errors < game < classical < qsdp < facegeom < nlc < cli: no cycle, and
+    # errors < game < exact < classical < qsdp < facegeom < nlc < cli: no cycle, and
     # no deferred import reaching up from inside a function
     found = [
         f"{path.stem} imports {name}"
@@ -138,6 +138,20 @@ def test_modules_import_only_lower_layers():
         if LAYERS.index(name) >= LAYERS.index(path.stem)
     ]
     assert {path.stem for path in SOURCES} == {"__init__", *LAYERS}
+    assert found == []
+
+
+def test_private_names_are_imported_only_from_exact():
+    # exact is the one module whose private helpers others share; any other
+    # private name stays in the module that defines it
+    found = [
+        f"{path.name}:{node.lineno} {node.module}.{alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_") and node.module != "exact"
+    ]
     assert found == []
 
 
@@ -155,7 +169,7 @@ def test_float_exact_bound_is_defined_once():
         and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
         and _CONSTANT_OPS[type(node.op)](node.left.value, node.right.value) == 1 << 53
     ]
-    assert found == ["qsdp.py"]
+    assert found == ["exact.py"]
 
 
 def _enclosing_functions(tree: ast.Module, match) -> list[str]:
@@ -204,7 +218,7 @@ def test_bareiss_rank_is_called_only_by_rank():
         for path in SOURCES
         for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "_bareiss_rank")
     ]
-    assert found == ["facegeom.py:_rank"]
+    assert found == ["exact.py:_rank"]
 
 
 def test_only_outside_data_goes_through_build_game():
@@ -244,6 +258,6 @@ def _refuses_at_the_float_bound(node: ast.AST) -> bool:
 def test_only_the_congruence_refuses_at_the_float_bound():
     # past 2^53 the Gram sum and the span certificate switch to Python
     # integers; only the float64 congruence may refuse there
-    path = next(path for path in SOURCES if path.name == "facegeom.py")
+    path = next(path for path in SOURCES if path.name == "exact.py")
     found = _enclosing_functions(ast.parse(path.read_text("utf-8")), _refuses_at_the_float_bound)
     assert set(found) == {"_positive_definite"}
