@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from pathlib import Path
 from typing import Sequence
 
@@ -41,12 +40,10 @@ from .errors import (
     VerificationFailed,
 )
 from .exact import _FLOAT_EXACT
-from .facegeom import affine_dimension_exact
+from .facegeom import affine_dimension_exact, theorem1_dim_bound, theorem2_codim_bound
 from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, read_json, signed_matrix
 
 NLC_FORMAT = "tightbell-nlc-v1"
-
-G0_ENUM_CAP = 12870  # balanced sign vectors: C(16, 8), so n = 4 is verified
 
 
 @dataclass(frozen=True)
@@ -248,36 +245,28 @@ def g0_dimension(n: int) -> G0Dimension:
     """Dimension of unit-diagonal symmetric matrices with zero row sums.
 
     ``formula_value`` is :func:`g0_formula`; ``verified_value`` is the exact
-    affine dimension of the Gram points of balanced sign vectors, measured by
-    ``facegeom.affine_dimension_exact``.  The two must agree.  Beyond
-    ``G0_ENUM_CAP`` balanced vectors (n >= 5) TooLarge is raised.
+    affine dimension of the Gram points ``alpha alpha^T`` of balanced sign
+    vectors, measured as the optimal correlation face of one shared-input
+    game.  With ``N = 2^n``, ``q~(0) = 1/2``, ``q~(z) = 1 / (2 (N - 1))`` and
+    ``f(z) = [z != 0]``, the game matrix is ``(N I - J) / (2 N (N - 1))``.  A
+    sign vector alpha with ``s = sum(alpha)`` has column sums proportional to
+    ``N alpha_y - s``, so with its best response it scores
+    ``(N^2 - s^2) / (2 N (N - 1))``: the optima are exactly the balanced
+    alpha, each paired with ``beta = alpha`` and none with a tied response.
+    The vertices come from ``classical.optimal_vertices`` and their rows
+    ``alpha beta^T`` are ranked by ``facegeom.affine_dimension_exact``; the
+    two values must agree.  Past ``classical.DEFAULT_ENUM_CAP`` patterns
+    (n >= 5) TooLarge is raised before the game is built.
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")
     size = 1 << n
-    half = size // 2
-    # C(2k, k) >= 2^k, so a k beyond the cap's bit length is over the cap;
-    # deciding that first skips a binomial of millions of digits at n = 22
-    count = G0_ENUM_CAP + 1 if half > G0_ENUM_CAP.bit_length() else comb(size, half)
-    if count > G0_ENUM_CAP:
-        raise TooLarge(f"C({size}, {half}) balanced vectors exceed the cap {G0_ENUM_CAP}")
-    alphas = _balanced_signs(size)
-    points = (alphas[:, :, None] * alphas[:, None, :]).reshape(count, size * size)
-    verified = affine_dimension_exact(points)
-    return G0Dimension(formula_value=g0_formula(n), verified_value=verified)
-
-
-def _balanced_signs(size: int) -> np.ndarray:
-    """Every +-1 row of length ``size`` with ``size / 2`` entries +1, as int8.
-
-    The rows come in the order of ``itertools.combinations(range(size),
-    size // 2)`` over the +1 positions: the masks with that popcount in
-    descending order, with position 0 read as the most significant bit.
-    """
-    masks = np.arange((1 << size) - 1, -1, -1)
-    masks = masks[np.bitwise_count(masks) == size // 2]
-    bits = (masks[:, None] >> np.arange(size - 1, -1, -1)) & 1
-    return (2 * bits - 1).astype(np.int8)
+    classical.require_enumerable(size, classical.DEFAULT_ENUM_CAP)
+    q_tilde = (Fraction(1, 2),) + (Fraction(1, 2 * (size - 1)),) * (size - 1)
+    g = build_nlc(NlcSpec(n=n, q_tilde=q_tilde, f_z=(0,) + (1,) * (size - 1)))
+    signs = classical.optimal_vertices(g).signs
+    points = (signs[:, :size, None] * signs[:, None, size:]).reshape(len(signs), size * size)
+    return G0Dimension(formula_value=g0_formula(n), verified_value=affine_dimension_exact(points))
 
 
 def g0_formula(n: int) -> int:
@@ -287,15 +276,19 @@ def g0_formula(n: int) -> int:
 
 
 def corollary_bound(n: int) -> CorollaryBound:
-    """Face dimension / codimension caps for any shared-input game on n bits."""
+    """Face dimension / codimension caps for any shared-input game on n bits.
+
+    Theorems 1 and 2 at ``m_a = m_b = M_a = M_b = 2^n``: every shared-input
+    game is exhaustive and has no quantum advantage, so both bound its face.
+    """
     if n < 1:
         raise InvalidParameter("n must be >= 1")
     size = 1 << n
-    half = size // 2
+    codim = theorem2_codim_bound(size, size, size, size)
     return CorollaryBound(
-        dim_bound=size + half * (size - 1),
-        codim_bound_full=size + half * (size + 1),
-        codim_bound_corr=half * (size + 1),
+        dim_bound=theorem1_dim_bound(size, size),
+        codim_bound_full=codim.delta_full,
+        codim_bound_corr=codim.delta_corr,
     )
 
 

@@ -1,4 +1,4 @@
-"""Seeded random-instance generators shared by the unit and acceptance tests."""
+"""Seeded random-instance generators, and fixed instances, shared by the tests."""
 
 from __future__ import annotations
 
@@ -49,6 +49,13 @@ def random_nlc_spec(rng: np.random.Generator, n: int, max_weight: int = 8) -> Nl
     q_tilde = tuple(Fraction(int(v), total) for v in w)
     f_z = tuple(int(b) for b in rng.integers(0, 2, size=size))
     return NlcSpec(n=n, q_tilde=q_tilde, f_z=f_z)
+
+
+def g0_spec(n: int) -> NlcSpec:
+    """Spec of the game ``nlc.g0_dimension`` builds, whose optimal correlation face is g0(n)."""
+    size = 1 << n
+    q_tilde = (Fraction(1, 2),) + (Fraction(1, 2 * (size - 1)),) * (size - 1)
+    return NlcSpec(n=n, q_tilde=q_tilde, f_z=(0,) + (1,) * (size - 1))
 
 
 def random_strategy(rng: np.random.Generator, m_a: int, m_b: int) -> DeterministicStrategy:

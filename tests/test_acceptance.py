@@ -10,6 +10,7 @@ criterion is enforced here.
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from tightbell import (
     bias_of_behaviour,
+    build_game,
     build_nlc,
     classical_bias,
     extract_F,
@@ -32,7 +34,7 @@ from tightbell import (
     trivial_facet_check,
     verify_F_relation,
 )
-from tightbell.qsdp import NO_ADVANTAGE, SolveConfig, certificate_to_dict
+from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
 
 from .generators import random_game, random_nlc_spec
 from .oracles import oracle_bias, oracle_is_no_signalling
@@ -341,3 +343,52 @@ def test_criterion_10_classical_oracle_equivalence():
         [("200 games: exact agreement with the double-loop oracle", mismatches == 0)],
         "classical bias equals the full 2^(m_a+m_b) enumeration",
     )
+
+
+# (classification, is_facet_full, is_facet_corr, reduced game 1x1) -> games
+_CENSUS = {
+    (2, 2): {
+        (ADVANTAGE, True, True, False): 8,
+        (NO_ADVANTAGE, False, True, True): 8,
+        (NO_ADVANTAGE, False, False, False): 64,
+    },
+    (2, 3): {
+        (ADVANTAGE, True, True, False): 24,
+        (NO_ADVANTAGE, False, True, True): 12,
+        (NO_ADVANTAGE, False, False, False): 548,
+        (ADVANTAGE, False, False, False): 144,
+    },
+}
+
+
+def _support_games(m_a: int, m_b: int):
+    """Prior ``1/|S|`` on each nonempty set S of cells, every predicate on S, f = 0 off S."""
+    cells = list(itertools.product(range(m_a), range(m_b)))
+    for size in range(1, len(cells) + 1):
+        for support in itertools.combinations(cells, size):
+            for bits in itertools.product((0, 1), repeat=size):
+                q = [[Fraction(0)] * m_b for _ in range(m_a)]
+                f = [[0] * m_b for _ in range(m_a)]
+                for (x, y), b in zip(support, bits):
+                    q[x][y], f[x][y] = Fraction(1, size), b
+                yield build_game(q, f)
+
+
+def test_criterion_11_exhaustive_theorem_census():
+    # the paper's theorem on all 80 + 728 support games at 2x2 and 2x3: every
+    # full-space facet, and every correlation facet whose reduced game is not
+    # the trivial 1x1 face |E_xy| <= 1, has a quantum advantage
+    start = time.perf_counter()
+    checks = []
+    for (m_a, m_b), want in _CENSUS.items():
+        tally = Counter()
+        for g in _support_games(m_a, m_b):
+            rep = face_report(g)
+            trivial = (rep.reduced_m_a, rep.reduced_m_b) == (1, 1)
+            tight = rep.is_facet_full or (rep.is_facet_corr and not trivial)
+            if tight and rep.classification != ADVANTAGE:
+                checks.append((f"{m_a}x{m_b} facet without advantage: {g}", False))
+            tally[(rep.classification, rep.is_facet_full, rep.is_facet_corr, trivial)] += 1
+        checks.append((f"{m_a}x{m_b} tallies {dict(tally)}", tally == want))
+    elapsed = time.perf_counter() - start
+    _finish(11, checks, f"808 small games, every tight inequality violated ({elapsed:.2f}s)")

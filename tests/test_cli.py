@@ -21,7 +21,7 @@ from tightbell.game import game_to_dict
 from tightbell.nlc import NlcSpec, save_nlc_spec
 from tightbell.qsdp import SolveConfig
 
-from .generators import random_nlc_spec, tied_game
+from .generators import g0_spec, random_nlc_spec, tied_game
 
 
 def run(capsys, *argv):
@@ -451,9 +451,27 @@ def test_nlc_g0_sweep_points(capsys):
     assert pts[3]["verified"] is None  # beyond the exact-enumeration cap
 
 
+def test_nlc_g0_refuses_past_the_cap_before_building(capsys, monkeypatch, enumerations):
+    # past the enumeration cap no game is built: a sweep to n = 11 builds and
+    # enumerates the games of n = 2, 3 and 4 only, never a 2048 x 2048 one
+    built = []
+    build = nlc.build_nlc
+
+    def recorded(spec):
+        built.append(spec)
+        return build(spec)
+
+    monkeypatch.setattr(nlc, "build_nlc", recorded)
+    code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2", "--n-max", "11")
+    assert code == 0
+    assert built == [g0_spec(n) for n in (2, 3, 4)]
+    assert [args[0].m_a for args in enumerations] == [4, 8, 16]
+    assert [p["verified"] for p in payload["points"]] == [2, 20, 104] + [None] * 7
+
+
 @pytest.mark.parametrize("n", [14, 40])
 def test_nlc_g0_beyond_the_cap(capsys, n):
-    # the cap is decided before the binomial C(2^n, 2^(n-1)) is formed
+    # the cap is decided before the game of 2^n inputs a side is built
     code, payload, _ = run_json(capsys, "nlc", "g0", "--n", str(n))
     assert code == 0
     assert payload["formula"] == 2 ** (n - 1) * (2**n - 3)

@@ -44,7 +44,7 @@ from tightbell.nlc import (
     save_nlc_spec,
 )
 
-from .generators import random_nlc_spec
+from .generators import g0_spec, random_nlc_spec
 
 H = Fraction(1, 2)
 
@@ -350,9 +350,10 @@ def test_g0_dimension_small():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_balanced_signs_come_in_combinations_order(n):
-    # the masks with popcount 2^(n-1), in descending order, against the
-    # itertools loop they replace
+def test_g0_game_optima_are_the_balanced_signs(n):
+    # the optimal vertices of g0's game are the rows [alpha | alpha] with
+    # alpha balanced, each balanced alpha once, against the itertools loop of
+    # the combinations of its +1 positions
     import itertools
     from math import comb
 
@@ -360,9 +361,12 @@ def test_balanced_signs_come_in_combinations_order(n):
     want = np.full((comb(size, size // 2), size), -1, dtype=np.int8)
     for k, pos in enumerate(itertools.combinations(range(size), size // 2)):
         want[k, list(pos)] = 1
-    got = nlc._balanced_signs(size)
-    assert got.dtype == np.int8
-    assert np.array_equal(got, want)
+    vs = optimal_vertices(build_nlc(g0_spec(n)))
+    assert not vs.truncated and vs.xi_c == Fraction(size, 2 * (size - 1))
+    alpha, beta = vs.signs[:, :size], vs.signs[:, size:]
+    assert np.array_equal(alpha, beta)
+    # want holds no repeats, so equal sorted rows rule them out in alpha too
+    assert sorted(map(tuple, alpha.tolist())) == sorted(map(tuple, want.tolist()))
 
 
 def test_appendix_d_face_is_one_more_than_g0():
