@@ -32,7 +32,6 @@ from .game import (
     DeterministicStrategy,
     GameMatrix,
     XorGame,
-    behaviour_of_strategy,
     bias_of_behaviour,
     bias_of_strategy,
     build_game,
@@ -40,7 +39,6 @@ from .game import (
     load_game,
     make_named,
     ns_perfect_behaviour,
-    probability_table,
     reduce_exhaustive,
     save_game,
 )
@@ -61,11 +59,9 @@ from .nlc import (
 from .qsdp import (
     DualCertificate,
     GramSolution,
-    PhiTilde,
     QuantumBiasResult,
     SlacknessReport,
     SolveConfig,
-    build_phi_tilde,
     certificate_to_dict,
     extract_F,
     quantum_slackness_check,

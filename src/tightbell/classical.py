@@ -119,7 +119,9 @@ def _signs(pats: np.ndarray, m: int) -> np.ndarray:
 def require_enumerable(m: int, enum_cap: int) -> None:
     """Raise TooLarge past ``enum_cap`` patterns; 2^m is never formed, so m may be huge."""
     if m >= enum_cap.bit_length():  # 2^m > enum_cap
-        raise TooLarge(f"enumeration side has {m} inputs (2^{m} patterns > cap {enum_cap})")
+        # a huge m is named by its bit length: in decimal it may pass the int-to-str limit
+        side = str(m) if m.bit_length() <= 64 else f"(2^{m.bit_length() - 1} or more)"
+        raise TooLarge(f"enumeration side has {side} inputs (2^{side} patterns > cap {enum_cap})")
 
 
 def _enumerate(g: XorGame, enum_cap: int, keep: int, gm: GameMatrix | None = None) -> _Optima:

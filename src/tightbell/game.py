@@ -237,12 +237,6 @@ def bias_of_strategy(g: XorGame, s: DeterministicStrategy) -> Fraction:
     return Fraction(total, gm.denominator)
 
 
-def behaviour_of_strategy(s: DeterministicStrategy) -> Behaviour:
-    """Deterministic behaviour: correlators are the outer product of the signs."""
-    c = tuple(tuple(a * b for b in s.beta) for a in s.alpha)
-    return Behaviour(alpha=tuple(s.alpha), beta=tuple(s.beta), c=c)
-
-
 def ns_perfect_behaviour(g: XorGame) -> Behaviour:
     """The always-winning no-signalling behaviour.
 
@@ -253,35 +247,6 @@ def ns_perfect_behaviour(g: XorGame) -> Behaviour:
     zero_b = tuple(0 for _ in range(g.m_b))
     c = tuple(tuple(-1 if fv else 1 for fv in row) for row in g.f)
     return Behaviour(alpha=zero_a, beta=zero_b, c=c)
-
-
-def probability_table(b: Behaviour):
-    """Reconstruct ``p(a, b_out | x, y)`` as a nested tuple ``[x][y][a][b_out]``.
-
-    Exact for exact behaviours.  Useful for checking physicality (all entries
-    nonnegative) and the no-signalling marginal equalities.
-    """
-    quarter = Fraction(1, 4)
-    table = []
-    for x in range(len(b.alpha)):
-        row = []
-        for y in range(len(b.beta)):
-            cell = tuple(
-                tuple(
-                    quarter
-                    * (
-                        1
-                        + (-1) ** a * b.alpha[x]
-                        + (-1) ** o * b.beta[y]
-                        + (-1) ** (a + o) * b.c[x][y]
-                    )
-                    for o in (0, 1)
-                )
-                for a in (0, 1)
-            )
-            row.append(cell)
-        table.append(tuple(row))
-    return tuple(table)
 
 
 def make_named(name: str, n: int | None = None) -> XorGame:

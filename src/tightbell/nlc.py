@@ -255,11 +255,15 @@ def g0_dimension(n: int) -> G0Dimension:
     alpha, each paired with ``beta = alpha`` and none with a tied response.
     The vertices come from ``classical.optimal_vertices`` and their rows
     ``alpha beta^T`` are ranked by ``facegeom.affine_dimension_exact``; the
-    two values must agree.  Past ``classical.DEFAULT_ENUM_CAP`` patterns
-    (n >= 5) TooLarge is raised before the game is built.
+    two values must agree.  TooLarge is raised before the game is built, in
+    the order of ``tightbell nlc bound``: past ``game.MAX_FAMILY_N`` (n >= 12)
+    by n alone, before 2^n is formed, then past ``classical.DEFAULT_ENUM_CAP``
+    patterns (n >= 5).
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")
+    if n > MAX_FAMILY_N:
+        raise TooLarge(f"n = {n}: shared-input games stop at n = {MAX_FAMILY_N}")
     size = 1 << n
     classical.require_enumerable(size, classical.DEFAULT_ENUM_CAP)
     q_tilde = (Fraction(1, 2),) + (Fraction(1, 2 * (size - 1)),) * (size - 1)

@@ -93,6 +93,13 @@ def test_too_large():
         classical_bias(g, enum_cap=4)
 
 
+def test_too_large_side_past_the_int_to_str_limit():
+    # 2^20000 has 6,021 decimal digits, past Python's default limit of 4,300:
+    # the refusal names it by its bit length
+    with pytest.raises(TooLarge, match=r"\(2\^20000 or more\) inputs"):
+        classical.require_enumerable(1 << 20000, classical.DEFAULT_ENUM_CAP)
+
+
 @pytest.mark.parametrize("cap", [0, -5])
 def test_enum_cap_below_one_is_invalid(cap):
     # a cap below 1 is a bad argument, not a cap the game exceeds

@@ -452,8 +452,8 @@ def test_nlc_g0_sweep_points(capsys):
 
 
 def test_nlc_g0_refuses_past_the_cap_before_building(capsys, monkeypatch, enumerations):
-    # past the enumeration cap no game is built: a sweep to n = 11 builds and
-    # enumerates the games of n = 2, 3 and 4 only, never a 2048 x 2048 one
+    # past the enumeration cap no game is built: a sweep to n = 14, past the
+    # family limit, builds and enumerates the games of n = 2, 3 and 4 only
     built = []
     build = nlc.build_nlc
 
@@ -462,11 +462,12 @@ def test_nlc_g0_refuses_past_the_cap_before_building(capsys, monkeypatch, enumer
         return build(spec)
 
     monkeypatch.setattr(nlc, "build_nlc", recorded)
-    code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2", "--n-max", "11")
+    code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2", "--n-max", "14")
     assert code == 0
     assert built == [g0_spec(n) for n in (2, 3, 4)]
     assert [args[0].m_a for args in enumerations] == [4, 8, 16]
-    assert [p["verified"] for p in payload["points"]] == [2, 20, 104] + [None] * 7
+    assert [p["n"] for p in payload["points"]] == list(range(2, 15))
+    assert [p["verified"] for p in payload["points"]] == [2, 20, 104] + [None] * 10
 
 
 @pytest.mark.parametrize("n", [14, 40])

@@ -10,14 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightbell import (
-    behaviour_of_strategy,
     bias_of_behaviour,
     bias_of_strategy,
     build_game,
     game_matrix,
     make_named,
     ns_perfect_behaviour,
-    probability_table,
     reduce_exhaustive,
 )
 from tightbell.errors import (
@@ -290,7 +288,8 @@ def test_bias_of_strategy_matches_bias_of_behaviour():
             s = random_strategy(rng, g.m_a, g.m_b)
             bias = bias_of_strategy(g, s)
             assert type(bias) is Fraction
-            assert bias == bias_of_behaviour(g, behaviour_of_strategy(s))
+            c = tuple(tuple(a * b for b in s.beta) for a in s.alpha)
+            assert bias == bias_of_behaviour(g, Behaviour(s.alpha, s.beta, c))
 
 
 def test_bias_of_strategy_shape_mismatch():
@@ -304,36 +303,6 @@ def test_strategy_keeps_integer_signs_exact():
     s = DeterministicStrategy(alpha=(1, np.int64(-1)), beta=(-1, 1))
     bias = bias_of_strategy(chsh(), s)
     assert type(bias) is Fraction and bias == Fraction(1, 2)
-
-
-def test_behaviour_of_strategy_outer_product():
-    b = behaviour_of_strategy(DeterministicStrategy(alpha=(1, 1), beta=(1, -1)))
-    assert b.c == ((1, -1), (1, -1))
-    single = behaviour_of_strategy(DeterministicStrategy(alpha=(1,), beta=(1,)))
-    assert single.c == ((1,),)
-
-
-def test_behaviour_negation_keeps_correlators():
-    s = DeterministicStrategy(alpha=(1, -1), beta=(-1, 1))
-    neg = DeterministicStrategy(
-        alpha=tuple(-a for a in s.alpha), beta=tuple(-b for b in s.beta)
-    )
-    b, bn = behaviour_of_strategy(s), behaviour_of_strategy(neg)
-    assert b.c == bn.c
-    assert bn.alpha == tuple(-a for a in b.alpha)
-
-
-def test_deterministic_probabilities_valid():
-    rng = np.random.default_rng(3)
-    for _ in range(10):
-        s = random_strategy(rng, 3, 2)
-        table = probability_table(behaviour_of_strategy(s))
-        for x in range(3):
-            for y in range(2):
-                cell = table[x][y]
-                flat = [cell[a][b] for a in (0, 1) for b in (0, 1)]
-                assert all(v >= 0 for v in flat)
-                assert sum(flat) == 1
 
 
 def test_ns_perfect_examples():

@@ -1,6 +1,7 @@
 """Shared-input games: construction, exact spectra, bounds, dimension formulas."""
 
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -347,6 +348,35 @@ def test_g0_dimension_small():
         g0_dimension(5)
     with pytest.raises(InvalidParameter):
         g0_dimension(1)
+
+
+@pytest.mark.parametrize("n", [5, 11, 12, 20000])
+def test_g0_dimension_refuses_past_the_cap(n):
+    with pytest.raises(TooLarge):
+        g0_dimension(n)
+
+
+def test_g0_dimension_refuses_a_huge_n_by_n_alone():
+    # past the family limit 2^n is never formed: at n = 10^10 it would not
+    # fit in the child's 1 GiB of address space
+    code = (
+        "from tightbell.errors import TooLarge\n"
+        "from tightbell.nlc import g0_dimension\n"
+        "try:\n"
+        "    g0_dimension(10**10)\n"
+        "except TooLarge as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"n = {10**10}: shared-input games stop at n = {MAX_FAMILY_N}\n"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

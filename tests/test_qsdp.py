@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from tightbell import (
-    build_phi_tilde,
     classical_bias,
     extract_F,
     make_named,
@@ -26,7 +25,7 @@ from tightbell.errors import (
 )
 from tightbell import classical, qsdp
 from tightbell.game import DeterministicStrategy, build_game, game_matrix
-from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, certificate_to_dict
+from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde, certificate_to_dict
 
 from .generators import random_game
 from .oracles import reference_coordinate_ascent, reference_plain_ascent, reference_rre

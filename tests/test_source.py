@@ -2,6 +2,7 @@
 
 import ast
 import operator
+import re
 from pathlib import Path
 
 import tightbell
@@ -47,8 +48,8 @@ def test_no_unused_imports():
     assert found == []
 
 
-def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
-    """Module-level private functions, classes and constants, with their lines."""
+def _definitions(tree: ast.Module) -> list[tuple[str, int]]:
+    """Module-level functions, classes and constants, with their lines."""
     found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -61,28 +62,31 @@ def _private_definitions(tree: ast.Module) -> list[tuple[str, int]]:
                 for n in ast.walk(t)
                 if isinstance(n, ast.Name)
             ]
-    return [
-        (name, line)
-        for name, line in found
-        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
-    ]
+    return [(name, line) for name, line in found if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _read_names(trees) -> set[str]:
+    """Every name loaded, and every attribute taken, in ``trees``."""
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
 
 
 def test_no_unread_private_definitions():
     # helpers that a deletion leaves behind; private names (and CLI handlers)
     # are read only in the package
     trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES}
-    read = set()
-    for tree in trees.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _read_names(trees.values())
     defined = [
         (module, name, line)
         for module, tree in trees.items()
-        for name, line in _private_definitions(tree)
+        for name, line in _definitions(tree)
+        if name.startswith("_")
     ]
     # a CLI handler is public only for argparse to call: build_parser must read it
     defined += [
@@ -93,6 +97,30 @@ def test_no_unread_private_definitions():
     ]
     found = [f"{module}: {name} (line {line})" for module, name, line in defined if name not in read]
     assert len(defined) > 10
+    assert found == []
+
+
+# the documented API, the acceptance contract and the benchmark call public
+# names from outside the package; the unit tests of a name do not
+_ROOT = Path(__file__).resolve().parent.parent
+CALLER_FILES = [_ROOT / "README.md", _ROOT / "tests" / "test_acceptance.py", *sorted(_ROOT.glob("bench/*.py"))]
+
+
+def test_every_public_definition_is_read():
+    # a public name lands with its first caller, as a private one must;
+    # __init__ only re-exports, so it calls nothing
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES if path.name != "__init__.py"}
+    read = _read_names(trees.values())
+    for path in CALLER_FILES:
+        read |= set(re.findall(r"\w+", path.read_text("utf-8")))
+    defined = [
+        (module, name, line)
+        for module, tree in trees.items()
+        for name, line in _definitions(tree)
+        if not name.startswith("_")
+    ]
+    found = [f"{module}: {name} (line {line})" for module, name, line in defined if name not in read]
+    assert len(CALLER_FILES) > 2 and len(defined) > 50
     assert found == []
 
 
