@@ -13,11 +13,12 @@ Each subcommand handler returns ``(report, exit code)``.  ``main`` alone puts
 per process, on first use; calls share no state, since each parse fills a fresh
 namespace and help and usage go to the ``sys.stdout``/``sys.stderr`` of the call.
 
-The solver flags are the fields of ``qsdp.SolveConfig``, which supplies their
-defaults and rejects out-of-range values (exit 1); the command line adds only
-the enumeration caps, which the library refuses below 1 (exit 1).  A command
-takes only the flags it reads: ``bias classical`` the pattern cap, ``bias
-quantum`` the solver flags, ``face`` both and the vertex cap.
+The solver flags are the init fields of ``qsdp.SolveConfig``, in their order
+and typed by their defaults; the config supplies the defaults and rejects
+out-of-range values (exit 1).  The command line adds only the enumeration
+caps, which the library refuses below 1 (exit 1).  A command takes only the
+flags it reads: ``bias classical`` the pattern cap, ``bias quantum`` the
+solver flags, ``face`` both and the vertex cap.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 
 from . import classical, facegeom, game, nlc, qsdp
@@ -44,8 +45,6 @@ EXIT_INVALID = 1
 EXIT_CAPPED = 2
 EXIT_UNCERTIFIED = 3
 
-_TOLERANCES = ("gap_tol", "feas_tol", "adv_tol", "change_tol")
-
 
 def _emit(report: dict, output: str | None) -> None:
     text = json.dumps(report, indent=2) + "\n"
@@ -58,8 +57,7 @@ def _emit(report: dict, output: str | None) -> None:
 
 def _solve_config(args) -> qsdp.SolveConfig:
     """The run's validated solver settings."""
-    tols = {name: getattr(args, name) for name in _TOLERANCES}
-    return qsdp.SolveConfig(seed=args.seed, restarts=args.restarts, **tols)
+    return qsdp.SolveConfig(**{f.name: getattr(args, f.name) for f in fields(qsdp.SolveConfig)})
 
 
 def _add_output(p: argparse.ArgumentParser, func, report_command: str | None) -> None:
@@ -69,11 +67,8 @@ def _add_output(p: argparse.ArgumentParser, func, report_command: str | None) ->
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=qsdp.SolveConfig.seed, help="64-bit solver seed")
-    p.add_argument("--restarts", type=int, default=qsdp.SolveConfig.restarts)
-    for name in _TOLERANCES:
-        p.add_argument("--" + name.replace("_", "-"), type=float, dest=name,
-                       default=getattr(qsdp.SolveConfig, name))
+    for f in fields(qsdp.SolveConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
 
 
 def _add_enum_cap(p: argparse.ArgumentParser) -> None:

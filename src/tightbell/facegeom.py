@@ -23,7 +23,7 @@ threshold.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -65,7 +65,6 @@ class ProbeReport:
     dim_lower_bound: int
     thm3_bound: int
     samples_used: int
-    base_xi_q: float
 
 
 @dataclass(frozen=True)
@@ -272,24 +271,23 @@ def face_report(
     )
 
 
-def quantum_face_probe(g: XorGame, *, solve_cfg: qsdp.SolveConfig | None = None) -> ProbeReport:
+def quantum_face_probe(g: XorGame) -> ProbeReport:
     """Lower-bound the dimension of the optimal quantum correlator face.
 
     Probes :func:`reduce_exhaustive` of ``g``, as :func:`face_report` does:
     the vectors of a never-asked question are not pinned by the optimum, so
-    they would add random directions.  Solves the reduced game once at
-    ``solve_cfg`` for the base optimum, then 24 more times: sample ``k`` is a
-    fresh two-restart solve at seed ``seed + 1 + k`` (mod 2^64).  The
-    correlator blocks of the samples certified at the base value are
-    differenced against the base, and the singular values of the differences
-    above 1e-6 are counted.  Only a LOWER bound: sampling cannot certify that
-    more directions do not exist.  The reported comparison bound is
-    ``m (m - 1) / 2`` with m the smaller input count.  Both numbers refer to
-    the reduced game.
+    they would add random directions.  Every solve runs at the default
+    ``qsdp.SolveConfig``: once at seed 0 for the base optimum, then 24 more
+    times, sample ``k`` a fresh two-restart solve at seed ``1 + k``.  The
+    correlator blocks of the samples certified within ``gap_tol`` of the base
+    value are differenced against the base, and the singular values of the
+    differences above 1e-6 are counted.  Only a LOWER bound: sampling cannot
+    certify that more directions do not exist.  The reported comparison
+    bound is ``m (m - 1) / 2`` with m the smaller input count.  Both numbers
+    refer to the reduced game.
     """
-    cfg = solve_cfg or qsdp.SolveConfig()
     g = reduce_exhaustive(g)
-    base = qsdp.solve_quantum_bias(g, cfg)
+    base = qsdp.solve_quantum_bias(g)
     if base.classification != qsdp.NO_ADVANTAGE:
         raise NotApplicable(
             f"face probe requires a no-advantage game, got {base.classification!r}"
@@ -299,9 +297,8 @@ def quantum_face_probe(g: XorGame, *, solve_cfg: qsdp.SolveConfig | None = None)
     C_base = base.gram.C
     diffs = []
     for k in range(_PROBE_SAMPLES):
-        sample_cfg = replace(cfg, seed=(cfg.seed + 1 + k) % 2**64, restarts=2)
-        res = qsdp.solve_quantum_bias(g, sample_cfg, xi_c=base.xi_c)
-        if res.certified and abs(res.xi_q - base.xi_q) <= cfg.gap_tol:
+        res = qsdp.solve_quantum_bias(g, qsdp.SolveConfig(seed=1 + k, restarts=2), xi_c=base.xi_c)
+        if res.certified and abs(res.xi_q - base.xi_q) <= qsdp.SolveConfig.gap_tol:
             diffs.append((res.gram.C - C_base).ravel())
     if diffs:
         sv = np.linalg.svd(np.vstack(diffs), compute_uv=False)
@@ -312,12 +309,7 @@ def quantum_face_probe(g: XorGame, *, solve_cfg: qsdp.SolveConfig | None = None)
         raise VerificationFailed(
             f"probe found {dim_lb} directions, above the theoretical bound {thm3}"
         )
-    return ProbeReport(
-        dim_lower_bound=dim_lb,
-        thm3_bound=thm3,
-        samples_used=len(diffs),
-        base_xi_q=base.xi_q,
-    )
+    return ProbeReport(dim_lower_bound=dim_lb, thm3_bound=thm3, samples_used=len(diffs))
 
 
 def face_report_to_dict(report: FaceReport) -> dict:

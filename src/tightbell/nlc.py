@@ -254,11 +254,11 @@ def g0_dimension(n: int) -> G0Dimension:
     ``(N^2 - s^2) / (2 N (N - 1))``: the optima are exactly the balanced
     alpha, each paired with ``beta = alpha`` and none with a tied response.
     The vertices come from ``classical.optimal_vertices`` and their rows
-    ``alpha beta^T`` are ranked by ``facegeom.affine_dimension_exact``; the
-    two values must agree.  TooLarge is raised before the game is built, in
-    the order of ``tightbell nlc bound``: past ``game.MAX_FAMILY_N`` (n >= 12)
-    by n alone, before 2^n is formed, then past ``classical.DEFAULT_ENUM_CAP``
-    patterns (n >= 5).
+    ``alpha beta^T`` are ranked by ``facegeom.affine_dimension_exact``; if
+    the two values differ, VerificationFailed is raised.  TooLarge is raised
+    before the game is built, in the order of ``tightbell nlc bound``: past
+    ``game.MAX_FAMILY_N`` (n >= 12) by n alone, before 2^n is formed, then
+    past ``classical.DEFAULT_ENUM_CAP`` patterns (n >= 5).
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")
@@ -270,7 +270,10 @@ def g0_dimension(n: int) -> G0Dimension:
     g = build_nlc(NlcSpec(n=n, q_tilde=q_tilde, f_z=(0,) + (1,) * (size - 1)))
     signs = classical.optimal_vertices(g).signs
     points = (signs[:, :size, None] * signs[:, None, size:]).reshape(len(signs), size * size)
-    return G0Dimension(formula_value=g0_formula(n), verified_value=affine_dimension_exact(points))
+    formula, verified = g0_formula(n), affine_dimension_exact(points)
+    if verified != formula:
+        raise VerificationFailed(f"n = {n}: measured g0 dimension {verified}, formula {formula}")
+    return G0Dimension(formula_value=formula, verified_value=verified)
 
 
 def g0_formula(n: int) -> int:

@@ -47,15 +47,17 @@ Across builds the certificate floats can move by about 1e-14, because the
 fixed-point stop meets rounding.  The sweep count can move too, by more than
 one sweep when a cycle's steps are numerically dependent: on small games
 ``S S^T`` reaches a condition number of 1e20, and the extrapolation's
-weights are then set by rounding.  Every solver setting is a field of
-:class:`SolveConfig`, which defines its default and rejects values out of
-range; the command line takes both from there.
+weights are then set by rounding.  Every solver setting is an init field
+of :class:`SolveConfig`, which defines its default and rejects values out of
+range; the command line's solver flags are those fields.  The sweep budget,
+``SolveConfig.max_iters`` = 50,000 a restart, is fixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,14 +84,16 @@ UNDECIDED = "undecided"
 class SolveConfig:
     """Solver settings; defaults certify every desk-scale game in milliseconds.
 
-    Raises InvalidParameter for a tolerance that is not positive (NaN
-    included), fewer than one restart or sweep, or a seed outside
-    ``[0, 2^64)``.
+    The init fields are the solver settings, and the command line's solver
+    flags are these fields, in this order.  ``max_iters``, the sweep budget
+    of a restart, is fixed and not a setting.  Raises InvalidParameter for a
+    tolerance that is not positive (NaN included), fewer than one restart,
+    or a seed outside ``[0, 2^64)``.
     """
 
-    restarts: int = 8
+    max_iters: ClassVar[int] = 50_000  # coordinate sweeps per restart
     seed: int = 0
-    max_iters: int = 50_000  # coordinate sweeps per restart
+    restarts: int = 8
     gap_tol: float = 1e-7
     feas_tol: float = 1e-8
     adv_tol: float = 1e-6
@@ -101,8 +105,8 @@ class SolveConfig:
         tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.change_tol)
         if not all(t > 0 for t in tols):  # also refuses NaN
             raise InvalidParameter("tolerances must be positive")
-        if self.restarts < 1 or self.max_iters < 1:
-            raise InvalidParameter("restarts and max_iters must be positive")
+        if self.restarts < 1:
+            raise InvalidParameter("restarts must be positive")
         if not 0 <= self.seed < 2**64:
             raise InvalidParameter("seed must fit in 64 unsigned bits")
 

@@ -9,6 +9,7 @@ import re
 import resource
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -435,6 +436,14 @@ def test_verification_failure_exit(capsys, and2_file, monkeypatch):
     assert out == "" and "not exact" in err
 
 
+def test_nlc_g0_mismatch_exits_3(capsys, monkeypatch):
+    measure = nlc.affine_dimension_exact
+    monkeypatch.setattr(nlc, "affine_dimension_exact", lambda points: measure(points) + 1)
+    code, out, err = run(capsys, "nlc", "g0", "--n", "3")
+    assert (code, out) == (3, "")
+    assert "measured g0 dimension 21, formula 20" in err
+
+
 def test_nlc_g0(capsys):
     code, payload, _ = run_json(capsys, "nlc", "g0", "--n", "2")
     assert code == 0
@@ -648,6 +657,26 @@ def test_every_command_writes_one_report(tmp_path, capsys, and2_file, command, a
         assert json.loads(out)["command"] == command
 
 
+def _option_strings(capsys, *command):
+    """The long options listed by ``command``'s ``--help``, in order."""
+    code, out, _ = run(capsys, *command, "--help")
+    assert code == 0
+    return re.findall(r"^  (?:-\w(?: \w+)?, )?(--[a-z-]+)", out, re.MULTILINE)
+
+
+def test_solver_flags_are_the_config_fields(capsys, chsh_file):
+    names = [f.name for f in fields(SolveConfig)]
+    assert names == ["seed", "restarts", "gap_tol", "feas_tol", "adv_tol", "change_tol"]
+    assert SolveConfig.max_iters == 50_000
+    solver = ["--" + name.replace("_", "-") for name in names]
+    assert _option_strings(capsys, "bias", "quantum") == ["--help", *solver, "--output"]
+    assert _option_strings(capsys, "face") == [
+        "--help", "--space", *solver, "--enum-cap", "--vertex-cap", "--output"
+    ]
+    for command in (["bias", "quantum"], ["face"]):
+        assert _solve_config(build_parser().parse_args([*command, chsh_file])) == SolveConfig()
+
+
 def test_run_config_validation(capsys, chsh_file):
     args = build_parser().parse_args(
         ["bias", "quantum", chsh_file, "--seed", "9", "--gap-tol", "1e-9"]
@@ -658,7 +687,6 @@ def test_run_config_validation(capsys, chsh_file):
         dict(gap_tol=0.0),
         dict(feas_tol=-1e-6),
         dict(restarts=0),
-        dict(max_iters=0),
         dict(seed=-1),
         dict(seed=2**64),
         dict(gap_tol=math.nan),
@@ -666,6 +694,8 @@ def test_run_config_validation(capsys, chsh_file):
     ):
         with pytest.raises(InvalidParameter):
             SolveConfig(**bad)
+    with pytest.raises(TypeError):  # the sweep budget is not a setting
+        SolveConfig(max_iters=3)
     code, out, _ = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "0")
     assert (code, out) == (1, "")
     code, out, _ = run(capsys, "bias", "quantum", chsh_file, "--gap-tol", "nan")

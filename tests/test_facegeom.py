@@ -15,6 +15,7 @@ from tightbell import (
     exact,
     face_report,
     face_report_to_dict,
+    facegeom,
     make_named,
     optimal_vertices,
     qsdp,
@@ -29,10 +30,10 @@ from tightbell.errors import (
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
+    VerificationFailed,
 )
 from tightbell.facegeom import LOWER_BOUND, MEASURED
 from tightbell.game import build_game
-from tightbell.qsdp import SolveConfig
 
 from .generators import random_game
 from .oracles import oracle_affine_dim, oracle_bias, oracle_rref, reference_rref_mod_p
@@ -835,9 +836,6 @@ def test_probe_without_certified_samples_finds_nothing(monkeypatch):
 def test_probe_single_entry_is_rigid():
     rep = quantum_face_probe(make_named("single_entry"))
     assert rep.thm3_bound == 0
-    assert rep.dim_lower_bound == 0
-    # the sample seeds past the base seed wrap around 2^64
-    rep = quantum_face_probe(make_named("single_entry"), solve_cfg=SolveConfig(seed=2**64 - 1))
     assert rep.dim_lower_bound == 0 and rep.samples_used > 0
 
 
@@ -857,6 +855,14 @@ def test_probe_reads_the_reduced_game():
     # between samples; the probe reads the reduced game, identity(2)
     rep = quantum_face_probe(_padded_identity2())
     assert (rep.dim_lower_bound, rep.thm3_bound, rep.samples_used) == (6, 6, 24)
+
+
+def test_probe_refuses_more_directions_than_the_bound(monkeypatch):
+    # a negative threshold counts every singular value of the 24 differences
+    # of identity(2)'s 4 x 4 correlator blocks: 16 directions, above m(m-1)/2 = 6
+    monkeypatch.setattr(facegeom, "_PROBE_RANK_TOL", -1.0)
+    with pytest.raises(VerificationFailed, match="probe found 16 directions, above the theoretical bound 6"):
+        quantum_face_probe(make_named("identity", 2))
 
 
 def test_probe_not_applicable_for_advantage_games():

@@ -350,6 +350,14 @@ def test_g0_dimension_small():
         g0_dimension(1)
 
 
+def test_g0_dimension_checks_the_measured_value(monkeypatch):
+    # the measured dimension is compared with the formula, not only reported
+    measure = nlc.affine_dimension_exact
+    monkeypatch.setattr(nlc, "affine_dimension_exact", lambda points: measure(points) + 1)
+    with pytest.raises(VerificationFailed, match="measured g0 dimension 3, formula 2"):
+        g0_dimension(2)
+
+
 @pytest.mark.parametrize("n", [5, 11, 12, 20000])
 def test_g0_dimension_refuses_past_the_cap(n):
     with pytest.raises(TooLarge):

@@ -316,14 +316,15 @@ def test_each_sweep_ascends_on_the_sphere_below_the_dual(case):
     assert converged and moves >= 2
 
 
-def test_solve_holds_fewer_than_four_square_arrays():
+def test_solve_holds_fewer_than_four_square_arrays(monkeypatch):
     # U, Phi~ U and one more m x m array (the previous iterate while sweeping,
     # diag(t) - Phi~ at the end); tracemalloc sees numpy's arrays but not the
     # LAPACK workspace of eigvalsh, so that workspace is not counted here
     g = random_game(np.random.default_rng(0), min_a=8, max_a=8, min_b=504, max_b=504)
+    monkeypatch.setattr(SolveConfig, "max_iters", 2)
     tracemalloc.start()
     try:
-        solve_quantum_bias(g, SolveConfig(restarts=1, max_iters=2))
+        solve_quantum_bias(g, SolveConfig(restarts=1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -497,16 +498,17 @@ def test_two_decaying_modes_converge_in_few_sweeps(draw, xi_c):
     assert (res.converged, res.stalled_rows, res.xi_c) == (True, (), xi_c)
 
 
-def test_gram_vectors_narrow_after_sweep_two():
+def test_gram_vectors_narrow_after_sweep_two(monkeypatch):
     # a solve past sweep 2 keeps min(m_a, m_b) columns of unit rows; one that
     # stops by sweep 2 keeps m
     rng = np.random.default_rng(2203)
-    narrowed = 0
+    narrowed, budget = 0, SolveConfig.max_iters
     for _ in range(12):
         g = random_game(rng, 9, 9)
         m = g.m_a + g.m_b
-        for cfg in (SolveConfig(), SolveConfig(max_iters=3)):
-            res = solve_quantum_bias(g, cfg)
+        for max_iters in (budget, 3):
+            monkeypatch.setattr(SolveConfig, "max_iters", max_iters)
+            res = solve_quantum_bias(g)
             width = min(g.m_a, g.m_b) if res.sweeps > 2 else m
             narrowed += res.sweeps > 2
             assert res.gram.vectors.shape == (m, width)
@@ -517,22 +519,25 @@ def test_gram_vectors_narrow_after_sweep_two():
     # the solve ends before the first extrapolation rescales the rows
     g = build_game([["1/10", "2/10", "3/10", 0], ["2/10", "1/10", "1/10", 0], [0, 0, 0, 0]],
                    [[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]])
-    for cfg in (SolveConfig(), SolveConfig(max_iters=4)):
-        res = solve_quantum_bias(g, cfg)
+    for max_iters in (budget, 4):
+        monkeypatch.setattr(SolveConfig, "max_iters", max_iters)
+        res = solve_quantum_bias(g)
         assert res.sweeps > 2 and res.stalled_rows == (2, 6)
         assert res.gram.vectors.shape == (7, 3)
         assert np.abs(np.linalg.norm(res.gram.vectors, axis=1) - 1.0).max() <= 1e-14
+    monkeypatch.undo()
     res = solve_quantum_bias(make_named("chsh"))
     assert res.sweeps <= 2 and res.gram.vectors.shape == (4, 4)
 
 
-def test_unconverged_restart_is_not_certified():
+def test_unconverged_restart_is_not_certified(monkeypatch):
     # stopped by max_iters with a small gap but an infeasible dual: not
     # certified and not a solver bug; the primal value alone shows advantage
     rng = np.random.default_rng(3)
     for _ in range(4):
         g = random_game(rng, max_a=12, max_b=12, max_weight=10**6)
-    res = solve_quantum_bias(g, SolveConfig(restarts=1, max_iters=50))
+    monkeypatch.setattr(SolveConfig, "max_iters", 50)
+    res = solve_quantum_bias(g, SolveConfig(restarts=1))
     assert (g.m_a, g.m_b) == (7, 12)
     assert not res.converged and not res.certified
     assert res.gap <= 1e-7 and res.cert.min_eig < -1e-8

@@ -124,6 +124,59 @@ def test_every_public_definition_is_read():
     assert found == []
 
 
+def _defaulted_parameters(fn: ast.FunctionDef) -> list[tuple[str, int | None]]:
+    """Each parameter of ``fn`` with a default, and its position in a call.
+
+    The position counts a call's positional arguments, so ``self`` and
+    ``cls`` are skipped; it is None for a keyword-only parameter.
+    """
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args]
+    skip = 1 if positional and positional[0].arg in ("self", "cls") else 0
+    first = len(positional) - len(args.defaults)
+    found = [(p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+    return found + [(p.arg, None) for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def _binds(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether ``call`` may set the parameter ``name`` at ``index``; ``*`` and ``**`` set any."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    )
+
+
+def test_every_default_parameter_is_set():
+    # a setting no caller sets is dead configuration: every parameter with a
+    # default is bound by a call in the package, the acceptance suite or the
+    # benchmark, or shown as name= in the README; unit tests do not count
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES}
+    callers = [*trees.values()] + [
+        ast.parse(path.read_text("utf-8")) for path in CALLER_FILES if path.suffix == ".py"
+    ]
+    calls = {}
+    for tree in callers:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    shown = set(re.findall(r"(\w+)=", (_ROOT / "README.md").read_text("utf-8")))
+    defaulted = [
+        (module, fn.name, name, index)
+        for module, tree in trees.items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name, index in _defaulted_parameters(fn)
+    ]
+    found = [
+        f"{module}: {fn}({name})"
+        for module, fn, name, index in defaulted
+        if name not in shown and not any(_binds(c, name, index) for c in calls.get(fn, ()))
+    ]
+    assert len(defaulted) > 10
+    assert found == []
+
+
 def test_no_warnings_or_prints():
     # the CLI writes stdout and stderr itself: a library warning or print
     # would add lines there in another format
@@ -226,16 +279,15 @@ def _names(node: ast.AST) -> set[str]:
     }
 
 
+def _callee(call: ast.Call) -> str | None:
+    """The called name: ``f`` in ``f(...)`` and in ``x.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
     """The innermost enclosing function of every call to ``name``, in order."""
-
-    def calls(node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        callee = node.func
-        return (callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)) == name
-
-    return _enclosing_functions(tree, calls)
+    return _enclosing_functions(tree, lambda node: isinstance(node, ast.Call) and _callee(node) == name)
 
 
 def test_bareiss_rank_is_called_only_by_rank():
