@@ -5,10 +5,13 @@ is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 ``max_alpha sum_y |(Phi^T alpha)_y|``.  We always enumerate the smaller side
 (transposing the integer matrix if Bob has fewer inputs) and keep everything
 exact by working on the integers ``L * Phi`` of `tightbell.game.game_matrix`.
-No pattern's value exceeds ``m * m_b * max|L Phi|``, so the scan runs in the
-narrowest type that holds this bound: int32 below 2^31, int64 below 2^62, and
-Python integers (object dtype) for larger bounds, such as enormous
-denominators give.  One loop serves all three.
+Each scan buffer holds its values in the narrowest exact type for its own
+bound, from one ladder: int16 below 2^15, int32 below 2^31, int64 below
+2^62, and Python integers (object dtype) otherwise, as enormous denominators
+give.  No column sum, and no entry of the split tables below, exceeds
+``m * max|L Phi|`` in size; no pattern's value exceeds ``m * m_b *
+max|L Phi|``, and the values are reduced from the sums directly in their own
+type.  One loop serves every pair of types.
 
 Sign pattern ``p`` sets ``alpha_j = +1`` where bit j of p is 0.  Its
 complement ``p ^ (2^m - 1)`` is ``-alpha``: same value, negated column sums.
@@ -52,6 +55,8 @@ DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
 DEFAULT_VERTEX_CAP = 10**6  # stored optimal vertices
 _CHUNK = 1 << 16  # column-sum entries per scan step
 _INT64_SAFE = 1 << 62
+# the type ladder: the first type whose limit passes the bound holds it exactly
+_LADDER = ((1 << 15, np.int16), (1 << 31, np.int32), (_INT64_SAFE, np.int64))
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,11 @@ def _signs(pats: np.ndarray, m: int) -> np.ndarray:
     return 1 - 2 * ((pats[:, None] >> np.arange(m, dtype=np.int64)) & 1)
 
 
+def _exact_type(bound: int):
+    """The narrowest type of the ladder that holds every integer of size at most ``bound``."""
+    return next((t for limit, t in _LADDER if bound < limit), object)
+
+
 def require_enumerable(m: int, enum_cap: int) -> None:
     """Raise TooLarge past ``enum_cap`` patterns; 2^m is never formed, so m may be huge."""
     if m >= enum_cap.bit_length():  # 2^m > enum_cap
@@ -140,30 +150,31 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int, gm: GameMatrix | None = Non
         P = np.array(gm.ints, dtype=np.int64)
     except OverflowError:  # an entry past int64
         P = np.array(gm.ints, dtype=object)
-    # every column sum and every pattern's value is at most m * m_b * max|P|,
-    # so the scan runs in the narrowest type that holds it; int() first, since
+    # column sums are at most m * max|P| in size and values m_b times that,
+    # each buffer in the narrowest type for its bound; int() first, since
     # np.abs(-2^63) wraps to itself
-    bound = m * mb * max(int(P.max()), -int(P.min()))
-    P = P.astype(np.int32 if bound < 1 << 31 else np.int64 if bound < _INT64_SAFE else object)
+    bound = m * max(int(P.max()), -int(P.min()))
+    sum_type, value_type = _exact_type(bound), _exact_type(mb * bound)
+    P = P.astype(sum_type)
     if swapped:
         P = P.T
     k = m // 2
-    # .dot: exact in all three types; high patterns keep the top bit clear
+    # .dot: exact in every type; high patterns keep the top bit clear
     low = P[:k].T.dot(_signs(np.arange(1 << k), k).T.astype(P.dtype))
     high = P[k:].T.dot(_signs(np.arange(1 << (m - k - 1)), m - k).T.astype(P.dtype))
     # a chunk's sums and values go to buffers allocated once, sized to the chunk
     n_high = high.shape[1]
     step = min(max(1, _CHUNK // low.size), n_high)
     sums = np.empty((mb, step, low.shape[1]), dtype=P.dtype)
-    vals = np.empty((step, low.shape[1]), dtype=P.dtype)
+    vals = np.empty((step, low.shape[1]), dtype=value_type)
     best, count, kept, pats = -1, 0, 0, []
     for h in range(0, n_high, step):
         if h + step > n_high:  # only the last chunk is short
             sums, vals = sums[:, : n_high - h], vals[: n_high - h]
         # sums[:, i, l] are the column sums of pattern ((h + i) << k) + l; their
-        # absolute values are taken in place, so the type is never widened
+        # absolute values are taken in place and summed in the value type
         np.add(low[:, None, :], high[:, h : h + step, None], out=sums)
-        np.add.reduce(np.abs(sums, out=sums), axis=0, out=vals)
+        np.add.reduce(np.abs(sums, out=sums), axis=0, dtype=value_type, out=vals)
         top = int(np.maximum.reduce(vals, axis=None))
         if top < best:
             continue

@@ -183,10 +183,16 @@ def signed_matrix(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> GameMatr
     """``(-1)^f q`` over the lcm of the denominators of the exact rationals ``q``.
 
     Reads numerators and denominators only; no Fraction arithmetic is done.
+    ``L // d`` is formed once for each distinct denominator d.
     """
-    L = lcm(*(v.denominator for row in q for v in row))
+    dens = {v.denominator for row in q for v in row}
+    L = lcm(*dens)
+    scale = {d: L // d for d in dens}
     ints = tuple(
-        tuple((1 - 2 * b) * v.numerator * (L // v.denominator) for v, b in zip(qr, fr))
+        tuple(
+            -v.numerator * scale[v.denominator] if b else v.numerator * scale[v.denominator]
+            for v, b in zip(qr, fr)
+        )
         for qr, fr in zip(q, f)
     )
     return GameMatrix(ints=ints, denominator=L)

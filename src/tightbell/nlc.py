@@ -14,10 +14,12 @@ Normalization note: two conventions for "the" game matrix of these games
 circulate, differing by the 2^-n prior factor.  All bias statements in this
 module are pinned to the ACTUAL game matrix Phi (entries summing to 1 in
 absolute value): the classical bias bound is ``xi* = 2^n ||Phi|| =
-max_u |g^(u)|``, and brute-force enumeration over all deterministic strategies
-for n in {1, 2, 3} with uniform q~ confirms ``xi_c = xi*`` exactly in every
-case (e.g. the n = 2 AND game has xi_c = 1/2 = max |g^|).  The convention
-carrying an extra 2^(n-1) factor does not match that oracle for n >= 2.
+max_u |g^(u)|``, and at every n one strategy meets it, so ``xi_c = xi*``
+exactly (e.g. the n = 2 AND game has xi_c = 1/2 = max |g^|).  For a top Walsh
+index u, with ``chi_u(x) = (-1)^(u.x)``, the strategy ``alpha = chi_u``,
+``beta = sign(g^(u)) chi_u`` scores ``|g^(u)|``: `nlc_bias_bound` scores it
+exactly on the game's integers, with no enumeration.  The convention carrying
+an extra 2^(n-1) factor does not match that witness for n >= 2.
 """
 
 from __future__ import annotations
@@ -41,7 +43,16 @@ from .errors import (
 )
 from .exact import _FLOAT_EXACT
 from .facegeom import affine_dimension_exact, theorem1_dim_bound, theorem2_codim_bound
-from .game import MAX_FAMILY_N, XorGame, as_int, as_rational, read_json, signed_matrix
+from .game import (
+    MAX_FAMILY_N,
+    DeterministicStrategy,
+    XorGame,
+    as_int,
+    as_rational,
+    bias_of_strategy,
+    read_json,
+    signed_matrix,
+)
 
 NLC_FORMAT = "tightbell-nlc-v1"
 
@@ -225,13 +236,23 @@ def _verify_diagonalization(signed, spectrum, n: int) -> None:
 
 
 def nlc_bias_bound(a: NlcAnalysis, g: XorGame) -> NlcBiasBound:
-    """Spectral bias bound against the exact enumerated optimum.
+    """The spectral bias bound, met by a character strategy: ``xi_c = xi_star``.
 
-    ``xi_star = 2^n ||Phi||`` with Phi the actual game matrix; equality with
-    the classical bias is an exact rational comparison.
+    ``g`` is the game of the spec that ``a`` analyses.  No strategy on it
+    scores more than ``xi_star = 2^n ||Phi||``, Phi its actual game matrix.
+    The lowest top Walsh index u gives the witness ``alpha = chi_u``, ``beta
+    = sign(g^(u)) chi_u`` (module docstring), scored exactly on the integers
+    ``L Phi`` of ``g`` by ``game.bias_of_strategy``; its score
+    ``|g^(u)| = xi_star`` proves the equality at any n, with no enumeration.
+    A score other than ``xi_star`` raises VerificationFailed.
     """
-    xi_c = classical.classical_bias(g).xi_c
-    return NlcBiasBound(xi_star=a.xi_star, xi_c=xi_c, matches_classical=xi_c == a.xi_star)
+    u = next(u for u, v in enumerate(a.spectrum) if abs(v) == a.lambda_norm)
+    alpha = tuple(-1 if (u & x).bit_count() & 1 else 1 for x in range(len(a.spectrum)))
+    beta = alpha if a.spectrum[u] > 0 else tuple(-s for s in alpha)
+    score = bias_of_strategy(g, DeterministicStrategy(alpha, beta))
+    if score != a.xi_star:
+        raise VerificationFailed(f"the witness of Walsh index {u} scores {score}, not {a.xi_star}")
+    return NlcBiasBound(xi_star=a.xi_star, xi_c=score, matches_classical=True)
 
 
 def kl_dimension_bound(k: int, l: int) -> int:
@@ -256,9 +277,9 @@ def g0_dimension(n: int) -> G0Dimension:
     The vertices come from ``classical.optimal_vertices`` and their rows
     ``alpha beta^T`` are ranked by ``facegeom.affine_dimension_exact``; if
     the two values differ, VerificationFailed is raised.  TooLarge is raised
-    before the game is built, in the order of ``tightbell nlc bound``: past
-    ``game.MAX_FAMILY_N`` (n >= 12) by n alone, before 2^n is formed, then
-    past ``classical.DEFAULT_ENUM_CAP`` patterns (n >= 5).
+    before the game is built: past ``game.MAX_FAMILY_N`` (n >= 12) by n
+    alone, before 2^n is formed, then past ``classical.DEFAULT_ENUM_CAP``
+    patterns (n >= 5).
     """
     if n < 2:
         raise InvalidParameter("n >= 2 required (formula is negative below)")

@@ -393,34 +393,55 @@ def test_each_function_enumerates_once(enumerations):
 
 
 def tier_games():
-    """Games whose bound ``m * m_b * max|L Phi|`` sits at an edge of the scan's types.
+    """Games whose scan bounds sit at an edge of the type ladder, in both orientations.
 
     Every entry is +-M, Bob's column y negative when y is odd, so the entries
-    take both signs and the best pattern's value is the bound itself.  The
+    take both signs, the column sums of the best pattern reach their bound
+    ``m * M`` and its value is the value bound ``m * m_b * M`` itself.  The
     weights are integers that do not sum to 1, in an XorGame built directly
     (the scan never reads the prior's sum): 2^31 - 1 is prime, so only a 1 x 1
-    game has that bound, and a normalized 1 x 1 game has bound 1.
+    game has that bound, and a normalized 1 x 1 game has bound 1.  Each case
+    is (value bound, m_a, m_b, column-sum type, value type).
     """
     cases = (
-        (2**31 - 1, 1, 1, np.int32),  # int32's maximum
-        (2**31 - 4, 2, 2, np.int32),
-        (2**31, 2, 2, np.int64),  # one past: the value would wrap in int32
-        (2**31, 4, 8, np.int64),
-        (2**62 - 1, 1, 3, np.int64),
-        (2**62, 2, 2, object),
+        (2**31 - 1, 1, 1, np.int32, np.int32),  # int32's maximum
+        (2**31 - 4, 2, 2, np.int32, np.int32),
+        (2**31, 2, 2, np.int32, np.int64),  # one past: the value would wrap in int32
+        (2**31, 4, 8, np.int32, np.int64),
+        (2**62 - 1, 1, 3, np.int64, np.int64),
+        (2**62, 2, 2, np.int64, object),  # sums 2^61, the value past int64's ladder step
+        (2**15 - 1, 1, 1, np.int16, np.int16),  # sums at int16's maximum
+        (2**15 - 4, 2, 2, np.int16, np.int16),
+        (2**15, 1, 1, np.int32, np.int32),  # sums one past int16
+        (2**15, 2, 2, np.int16, np.int32),  # sums 2^14, the value would wrap in int16
+        (2**31, 1, 1, np.int64, np.int64),  # sums one past int32
+        (2**62, 1, 1, object, object),  # sums past int64's ladder step
     )
-    for bound, m_a, m_b, dtype in cases:
+    for bound, m_a, m_b, sum_type, value_type in cases:
         weight = Fraction(bound // (m_a * m_b))
         q = tuple((weight,) * m_b for _ in range(m_a))
         f = tuple(tuple(y % 2 for y in range(m_b)) for _ in range(m_a))
         for g in (XorGame(m_a, m_b, q, f), XorGame(m_b, m_a, tuple(zip(*q)), tuple(zip(*f)))):
-            yield pytest.param(g, bound, dtype, id=f"bound{bound}-{g.m_a}x{g.m_b}")
+            yield pytest.param(g, bound, sum_type, value_type, id=f"bound{bound}-{g.m_a}x{g.m_b}")
 
 
-@pytest.mark.parametrize("g,bound,dtype", list(tier_games()))
-def test_scan_type_follows_the_bound(g, bound, dtype):
-    # the narrowest exact type: int32 below 2^31, int64 below 2^62, else object
-    assert classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=1).rows.dtype == dtype
+@pytest.mark.parametrize("g,bound,sum_type,value_type", list(tier_games()))
+def test_scan_type_follows_the_bound(monkeypatch, g, bound, sum_type, value_type):
+    # each buffer in the narrowest exact type for its bound: int16 below 2^15,
+    # int32 below 2^31, int64 below 2^62, else object; the column sums are
+    # the rows, and the value type is the ladder's second answer in the scan
+    types = []
+    exact_type = classical._exact_type
+
+    def recorded(b):
+        types.append((b, exact_type(b)))
+        return types[-1][1]
+
+    monkeypatch.setattr(classical, "_exact_type", recorded)
+    opt = classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=1)
+    assert types == [(bound // max(g.m_a, g.m_b), sum_type), (bound, value_type)]
+    assert opt.rows.dtype == sum_type
+    # a value type one step too narrow would wrap the optimum, which is the bound
     assert classical_bias(g).xi_c == oracle_bias(g)[0] == bound
     assert_matches_block_reference(g)
 
@@ -455,7 +476,7 @@ def test_int32_rows_rebuilt_across_chunks(monkeypatch, g):
     assert cuts
     for keep in (cuts[0], cuts[-1], len(chunks), len(ref)):
         opt = classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=keep)
-        assert opt.rows.dtype == np.int32
+        assert opt.rows.dtype == np.int16  # the column-sum type: m * max|L Phi| = m < 2^15
         assert (opt.xi_c, opt.count, opt.swapped) == (Fraction(best, den), len(ref), swapped)
         assert opt.rows.tolist() == [col for _, col in ref[:keep]]
         assert opt.alphas.tolist() == [

@@ -379,18 +379,29 @@ def test_nlc_bound(capsys, and2_file):
 
 
 def test_nlc_bound_refuses_from_n(tmp_path, capsys, monkeypatch):
-    # 2^9 inputs a side pass the enumeration cap: no game is built
-    def build(_spec):
-        raise AssertionError("build_nlc called")
+    # past the family limit, at n = 12, the spec is refused before a game is built
+    def built(*_args, **_kwargs):
+        raise AssertionError("a game was built")
 
-    monkeypatch.setattr(nlc, "build_nlc", build)
-    size = 1 << 9
-    spec = NlcSpec(n=9, q_tilde=(Fraction(1, size),) * size, f_z=(0,) * (size - 1) + (1,))
-    path = tmp_path / "and9.json"
+    monkeypatch.setattr(nlc, "XorGame", built)
+    size = 1 << 12
+    spec = NlcSpec(n=12, q_tilde=(Fraction(1, size),) * size, f_z=(0,) * (size - 1) + (1,))
+    path = tmp_path / "and12.json"
     save_nlc_spec(spec, path)
     code, out, err = run(capsys, "nlc", "bound", str(path))
     assert (code, out) == (2, "")
-    assert err.startswith("error: enumeration side has 512 inputs")
+    assert err.startswith("error: n = 12: shared-input games stop at n = 11")
+
+
+def test_nlc_bound_answers_past_the_enumeration_cap(tmp_path, capsys, enumerations):
+    # 2^5 inputs a side pass the enumeration cap; the Walsh witness needs no scan
+    path = tmp_path / "and5.json"
+    save_nlc_spec(nlc.spec_from_game(make_named("nlc_and", 5)), path)
+    code, payload, err = run_json(capsys, "nlc", "bound", str(path))
+    assert (code, err) == (0, "")
+    assert (payload["xi_star"], payload["xi_c"]) == ("15/16", "15/16")
+    assert payload["matches_classical"] is True
+    assert enumerations == []
 
 
 def test_nlc_bound_on_a_game_file_builds_no_second_game(capsys, and2_file, monkeypatch):
@@ -404,10 +415,11 @@ def test_nlc_bound_on_a_game_file_builds_no_second_game(capsys, and2_file, monke
 
 
 def test_nlc_bound_enumerates_once(capsys, and2_file, enumerations):
+    # none at all: the Walsh witness proves xi_c without the scan
     code, payload, _ = run_json(capsys, "nlc", "bound", and2_file)
     assert code == 0
     assert payload["xi_c"] == "1/2"
-    assert len(enumerations) == 1
+    assert len(enumerations) == 0
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -434,6 +446,14 @@ def test_verification_failure_exit(capsys, and2_file, monkeypatch):
     code, out, err = run(capsys, "nlc", "spectrum", and2_file)
     assert code == 3
     assert out == "" and "not exact" in err
+
+
+def test_nlc_bound_witness_mismatch_exits_3(capsys, and2_file, monkeypatch):
+    score = nlc.bias_of_strategy
+    monkeypatch.setattr(nlc, "bias_of_strategy", lambda g, s: score(g, s) - Fraction(1, 8))
+    code, out, err = run(capsys, "nlc", "bound", and2_file)
+    assert (code, out) == (3, "")
+    assert "witness of Walsh index 0 scores 3/8, not 1/2" in err
 
 
 def test_nlc_g0_mismatch_exits_3(capsys, monkeypatch):

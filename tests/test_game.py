@@ -3,6 +3,7 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from tightbell.game import (
     game_to_dict,
     load_game,
     save_game,
+    signed_matrix,
 )
 
 from tightbell.qsdp import MAX_SDP_SIDE
@@ -158,6 +160,32 @@ def _outcome(build, q, f):
 def test_build_game_matches_fraction_sum_reference(data):
     q, f = data
     assert _outcome(build_game, q, f) == _outcome(reference_build_game, q, f)
+
+
+@st.composite
+def signed_data(draw):
+    """Exact ``(q, f)`` with zero entries, repeated denominators and denominators past 2^64."""
+    m_a, m_b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    some = st.sampled_from([1, 2, 3, 6, 7, 2**64 + 13, 3 * 2**70]) | st.integers(1, 10**30)
+    dens = draw(st.lists(some, min_size=1, max_size=3))  # shared by the entries: repeats
+    entries = st.builds(Fraction, st.integers(0, 2**80), st.sampled_from(dens))
+    entries |= st.just(Fraction(0))
+    q = [[draw(entries) for _ in range(m_b)] for _ in range(m_a)]
+    f = [[draw(st.integers(0, 1)) for _ in range(m_b)] for _ in range(m_a)]
+    return q, f
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=signed_data())
+def test_signed_matrix_matches_fraction_arithmetic(data):
+    q, f = data
+    L = lcm(*(v.denominator for row in q for v in row))
+    gm = signed_matrix(q, f)
+    assert gm.denominator == L
+    assert gm.ints == tuple(
+        tuple((-1) ** b * v * L for v, b in zip(qr, fr)) for qr, fr in zip(q, f)
+    )
+    assert all(type(v) is int for row in gm.ints for v in row)
 
 
 def test_game_matrix_chsh():

@@ -286,6 +286,39 @@ def test_bias_bound_matches_classical_on_random_specs():
             assert nlc_bias_bound(a, g).matches_classical
 
 
+def test_witness_equals_the_enumerated_bias():
+    # the Walsh witness against the scan, on specs with a single and a tied
+    # top coefficient (weights up to 1 tie it often), at n = 1-4
+    rng = np.random.default_rng(73)
+    for n in (1, 2, 3, 4):
+        tied = 0
+        for max_weight in (8, 1):
+            for _ in range(8):
+                spec = random_nlc_spec(rng, n, max_weight=max_weight)
+                a = hadamard_spectrum(spec)
+                tied += a.k + a.l >= 2
+                g = build_nlc(spec)
+                bound = nlc_bias_bound(a, g)
+                assert bound.xi_c == a.xi_star == classical_bias(g).xi_c
+                assert bound.matches_classical
+        assert tied >= 4
+
+
+def test_witness_on_a_tampered_game_fails_verification():
+    # flip the predicate on one asked question after the spectrum is taken:
+    # the witness's score moves by 2 |Phi_xy| and no longer meets xi_star
+    spec = random_nlc_spec(np.random.default_rng(79), 3, max_weight=4)
+    a = hadamard_spectrum(spec)
+    g = build_nlc(spec)
+    x, y = next((x, y) for x in range(g.m_a) for y in range(g.m_b) if g.q[x][y])
+    f = [list(row) for row in g.f]
+    f[x][y] ^= 1
+    tampered = build_game(g.q, f)
+    assert nlc_bias_bound(a, g).xi_c == a.xi_star
+    with pytest.raises(VerificationFailed, match="witness of Walsh index"):
+        nlc_bias_bound(a, tampered)
+
+
 def test_no_quantum_advantage_random_specs():
     rng = np.random.default_rng(71)
     for n in (1, 2, 3):
