@@ -9,9 +9,9 @@ probability is ``(1 + bias) / 2``.
 
 All classical-side data is exact: priors are `fractions.Fraction`,
 `signed_matrix` alone scales signed data to integers, and normalization of
-the prior is *checked* (on integers over the lcm of the denominators), not
-silently applied, because rescaling would change the bias scale.  Floats only
-enter at the solver boundary (`tightbell.qsdp`).
+a prior read from outside is *checked* (on integers over the lcm of the
+denominators), not silently applied, because rescaling would change the bias
+scale.  Floats only enter at the solver boundary (`tightbell.qsdp`).
 """
 
 from __future__ import annotations
@@ -102,9 +102,10 @@ def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
 class XorGame:
     """Validated XOR game.
 
-    :func:`build_game` builds it from outside data and checks it.
-    :func:`reduce_exhaustive` and ``nlc.build_nlc`` build it directly from
-    data that is already checked (a game, a shared-input spec).
+    :func:`build_game` builds it from outside data, such as a game file, and
+    checks it.  :func:`reduce_exhaustive`, :func:`circulant_game` and
+    :func:`make_named` build it directly from data that is already checked:
+    a game, a shared-input spec, or a family formula pinned by the tests.
     """
 
     m_a: int
@@ -255,6 +256,23 @@ def ns_perfect_behaviour(g: XorGame) -> Behaviour:
     return Behaviour(alpha=zero_a, beta=zero_b, c=c)
 
 
+def circulant_game(q_tilde: Sequence[Fraction], f_z: Sequence[int]) -> XorGame:
+    """The N x N game with prior ``q~(x XOR y) / N`` and predicate ``f(x XOR y)``.
+
+    N is ``len(q_tilde)``, a power of two.  Every row and column of the prior
+    is a permutation of ``q~ / N``, so the game is exhaustive, and it is
+    normalized when q~ is nonnegative and sums to 1.  Built directly, not
+    checked: its callers pass a checked shared-input spec or a family formula
+    that the tests pin.
+    """
+    size = len(q_tilde)
+    scale = Fraction(1, size)
+    values = [scale * v for v in q_tilde]  # formed once, shared by the N cells of each
+    q = tuple(tuple(values[x ^ y] for y in range(size)) for x in range(size))
+    f = tuple(tuple(f_z[x ^ y] for y in range(size)) for x in range(size))
+    return XorGame(m_a=size, m_b=size, q=q, f=f)
+
+
 def make_named(name: str, n: int | None = None) -> XorGame:
     """Construct a named game family member.
 
@@ -265,7 +283,11 @@ def make_named(name: str, n: int | None = None) -> XorGame:
                     prior weights chosen so the bias bound is nontrivial.
     single_entry    the 1x1 game with q = 1, f = 0.
 
-    The three 2^n x 2^n families raise TooLarge past ``MAX_FAMILY_N``.
+    Every member but chsh depends on (x, y) only through x XOR y and is built
+    by :func:`circulant_game`; single_entry is identity's 1x1 member.  The
+    formulas are normalized for every n, which the tests pin, so no member is
+    checked again.  The three 2^n x 2^n families raise TooLarge past
+    ``MAX_FAMILY_N``.
     """
     key = name.replace("-", "_").lower()
     if key in ("chsh", "single_entry"):
@@ -283,29 +305,18 @@ def make_named(name: str, n: int | None = None) -> XorGame:
 
     if key == "chsh":
         quarter = Fraction(1, 4)
-        return build_game(
-            [[quarter, quarter], [quarter, quarter]], [[0, 0], [0, 1]]
-        )
-    if key == "single_entry":
-        return build_game([[Fraction(1)]], [[0]])
-    m = 2**n
-    if key == "identity":
-        w = Fraction(1, m)
-        q = [[w if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-        f = [[0] * m for _ in range(m)]
-        return build_game(q, f)
-    if key == "nlc_and":  # shared-input: uniform q, win iff a XOR b = AND(x XOR y)
-        q = [[Fraction(1, m * m)] * m for _ in range(m)]
-        f = [[int(x ^ y == m - 1) for y in range(m)] for x in range(m)]
-        return build_game(q, f)
+        return XorGame(m_a=2, m_b=2, q=((quarter,) * 2,) * 2, f=((0, 0), (0, 1)))
+    m = 1 if key == "single_entry" else 2**n
+    if key in ("identity", "single_entry"):  # all weight on z = 0, win iff a = b
+        return circulant_game((Fraction(1),) + (Fraction(0),) * (m - 1), (0,) * m)
+    if key == "nlc_and":  # uniform z, win iff a XOR b = AND(z)
+        return circulant_game((Fraction(1, m),) * m, (0,) * (m - 1) + (1,))
     # appendix_d: Phi = lam * (I - 2^{1-n} J); +lam on the complement of the
-    # all-ones vector, -lam on it.  |entries| sum to 1 fixes lam.  As m >= 4,
-    # Phi is positive on the diagonal and negative off it.
+    # all-ones vector, -lam on it.  |entries| sum to 1 fixes lam, and
+    # q~ = (lam (m - 2), 2 lam, ..., 2 lam) sums to lam (3m - 4) = 1.  As
+    # m >= 4, Phi is positive on the diagonal and negative off it.
     lam = Fraction(1, 3 * m - 4)
-    diag, off = lam * (1 - Fraction(2, m)), lam * Fraction(2, m)
-    q = [[diag if i == j else off for j in range(m)] for i in range(m)]
-    f = [[int(i != j) for j in range(m)] for i in range(m)]
-    return build_game(q, f)
+    return circulant_game((lam * (m - 2),) + (2 * lam,) * (m - 1), (0,) + (1,) * (m - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,11 @@
 These games split a uniformly hidden n-bit string z between the players as
 x XOR y = z and ask them to compute a Boolean f(z): the prior is
 ``q(x, y) = 2^-n q~(x XOR y)`` and the predicate ``f(x, y) = f(x XOR y)``.
-The game matrix is then an XOR-circulant, hence diagonal in the +-1 Hadamard
-basis with eigenvalues given by the Walsh spectrum
+`build_nlc` makes that game with ``game.circulant_game``, the builder the
+XOR-circulant named families share, and `spec_from_game` recovers q~ and f
+from a game that has this form.  The game matrix is an XOR-circulant, hence
+diagonal in the +-1 Hadamard basis with eigenvalues given by the Walsh
+spectrum
 
     g^(u) = sum_z (-1)^(u.z) (-1)^f(z) q~(z),
 
@@ -50,6 +53,7 @@ from .game import (
     as_int,
     as_rational,
     bias_of_strategy,
+    circulant_game,
     read_json,
     signed_matrix,
 )
@@ -139,26 +143,23 @@ class CorollaryBound:
 def build_nlc(spec: NlcSpec) -> XorGame:
     """The 2^n x 2^n game with prior ``2^-n q~(x XOR y)`` and predicate ``f(x XOR y)``.
 
-    Every row and column of the prior is a permutation of ``2^-n q~``, so the
-    game is exhaustive, and as the spec checked itself, the prior is
-    nonnegative and sums to 1: the game is built directly, not checked again.
-    Past ``game.MAX_FAMILY_N`` TooLarge is raised before anything is built.
+    As the spec checked itself, ``game.circulant_game`` builds the game
+    directly, not checked again.  Past ``game.MAX_FAMILY_N`` TooLarge is
+    raised before anything is built.
     """
     if spec.n > MAX_FAMILY_N:
         raise TooLarge(f"n = {spec.n}: shared-input games stop at n = {MAX_FAMILY_N}")
-    size = 1 << spec.n
-    scale = Fraction(1, size)
-    values = [scale * v for v in spec.q_tilde]  # formed once, shared by the 2^n cells of each
-    q = tuple(tuple(values[x ^ y] for y in range(size)) for x in range(size))
-    f = tuple(tuple(spec.f_z[x ^ y] for y in range(size)) for x in range(size))
-    return XorGame(m_a=size, m_b=size, q=q, f=f)
+    return circulant_game(spec.q_tilde, spec.f_z)
 
 
 def spec_from_game(g: XorGame) -> NlcSpec:
     """Recover the shared-input structure from a game, if it has one.
 
-    Requires q and f to depend on (x, y) only through x XOR y and square
-    power-of-two dimensions; raises InvalidSpec otherwise.
+    Requires square power-of-two dimensions and that ``g`` equal the
+    ``game.circulant_game`` of its first row, ``q~ = 2^n q(0, .)`` and
+    ``f_z = f(0, .)``; raises InvalidSpec otherwise.  The equality is tested
+    entry by entry against that row, which at n = 3 is quicker than building
+    the circulant to compare with.
     """
     size = g.m_a
     if g.m_b != size or size & (size - 1) != 0:

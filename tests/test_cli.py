@@ -383,7 +383,7 @@ def test_nlc_bound_refuses_from_n(tmp_path, capsys, monkeypatch):
     def built(*_args, **_kwargs):
         raise AssertionError("a game was built")
 
-    monkeypatch.setattr(nlc, "XorGame", built)
+    monkeypatch.setattr(nlc, "circulant_game", built)
     size = 1 << 12
     spec = NlcSpec(n=12, q_tilde=(Fraction(1, size),) * size, f_z=(0,) * (size - 1) + (1,))
     path = tmp_path / "and12.json"

@@ -392,6 +392,51 @@ def test_appendix_d_eigenstructure():
     ] == [lam * v for v in balanced]
 
 
+def _written_out_family(key, n):
+    """A family member's prior and predicate, written out entry by entry."""
+    if key == "chsh":
+        return [[Q, Q], [Q, Q]], [[0, 0], [0, 1]]
+    if key == "single_entry":
+        return [[Fraction(1)]], [[0]]
+    m = 2**n
+    if key == "identity":
+        w = Fraction(1, m)
+        q = [[w if i == j else Fraction(0) for j in range(m)] for i in range(m)]
+        return q, [[0] * m for _ in range(m)]
+    if key == "nlc_and":
+        q = [[Fraction(1, m * m)] * m for _ in range(m)]
+        return q, [[int(x ^ y == m - 1) for y in range(m)] for x in range(m)]
+    lam = Fraction(1, 3 * m - 4)  # appendix_d
+    diag, off = lam * (1 - Fraction(2, m)), lam * Fraction(2, m)
+    q = [[diag if i == j else off for j in range(m)] for i in range(m)]
+    return q, [[int(i != j) for j in range(m)] for i in range(m)]
+
+
+FAMILY_MEMBERS = [("chsh", None), ("single_entry", None)]
+FAMILY_MEMBERS += [(key, n) for key in ("identity", "nlc_and") for n in range(1, 7)]
+FAMILY_MEMBERS += [("appendix_d", n) for n in range(2, 7)]
+
+
+@pytest.mark.parametrize("key,n", FAMILY_MEMBERS)
+def test_family_members_equal_their_checked_formulas(key, n):
+    # make_named builds its members unchecked; each equals the game that
+    # build_game checks and freezes from the written-out formulas
+    g = make_named(key, n)
+    assert g == build_game(*_written_out_family(key, n))
+    assert {type(v) for row in g.q for v in row} == {Fraction}
+    assert {type(b) for row in g.f for b in row} == {int}
+
+
+def test_family_priors_are_normalized_to_n_9():
+    # every prior row of a member is a permutation of row 0 (chsh: equal
+    # rows), so the prior sums to 1 when row 0 sums to 1/m
+    larger = [(key, n) for key in ("identity", "nlc_and", "appendix_d") for n in range(7, 10)]
+    for key, n in FAMILY_MEMBERS + larger:
+        g = make_named(key, n)
+        assert sum(g.q[0]) == Fraction(1, g.m_a)
+        assert min(map(min, g.q)) >= 0
+
+
 def test_named_errors():
     with pytest.raises(UnknownName):
         make_named("nosuch")

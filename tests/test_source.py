@@ -302,16 +302,17 @@ def test_bareiss_rank_is_called_only_by_rank():
 
 
 def test_only_outside_data_goes_through_build_game():
-    # file data and the hand-derived family formulas are checked by
-    # build_game; code holding checked data (a game, a shared-input spec,
-    # which checks itself) builds the XorGame directly
+    # only file data is checked by build_game; code holding checked data (a
+    # game, a shared-input spec, which checks itself, or a family formula,
+    # pinned by test_game.py::test_family_members_equal_their_checked_formulas
+    # and test_family_priors_are_normalized_to_n_9) builds the XorGame directly
     trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES}
     found = [
         f"{name}:{where}"
         for name, tree in trees.items()
         for where in _calls_by_function(tree, "build_game")
     ]
-    assert set(found) == {"game.py:game_from_dict", "game.py:make_named"}
+    assert set(found) == {"game.py:game_from_dict"}
     # NlcSpec checks itself on construction: no separate check to call again
     spec_checks = [
         f"{name}:{node.lineno}"
