@@ -4,7 +4,7 @@ For a fixed sign vector ``alpha`` of the enumerated player, the best response
 is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 ``max_alpha sum_y |(Phi^T alpha)_y|``.  We always enumerate the smaller side
 (transposing the integer matrix if Bob has fewer inputs) and keep everything
-exact by working on the integers ``L * Phi`` of `tightbell.game.game_matrix`.
+exact by working on the integers ``L * Phi`` that the game was built with.
 Each scan buffer holds its values in the narrowest exact type for its own
 bound, from one ladder: int16 below 2^15, int32 below 2^31, int64 below
 2^62, and Python integers (object dtype) otherwise, as enormous denominators
@@ -49,7 +49,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
-from .game import DeterministicStrategy, GameMatrix, XorGame, game_matrix
+from .game import DeterministicStrategy, XorGame, game_matrix
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
 DEFAULT_VERTEX_CAP = 10**6  # stored optimal vertices
@@ -134,18 +134,14 @@ def require_enumerable(m: int, enum_cap: int) -> None:
         raise TooLarge(f"enumeration side has {side} inputs (2^{side} patterns > cap {enum_cap})")
 
 
-def _enumerate(g: XorGame, enum_cap: int, keep: int, gm: GameMatrix | None = None) -> _Optima:
-    """The one pass over all sign patterns, keeping the first ``keep`` optima.
-
-    ``gm`` is ``game_matrix(g)``, when the caller has built it already.
-    """
+def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
+    """The one pass over all sign patterns, keeping the first ``keep`` optima."""
     if enum_cap < 1:
         raise InvalidParameter(f"enum_cap must be positive, got {enum_cap}")
     swapped = g.m_a > g.m_b
     m, mb = sorted((g.m_a, g.m_b))
     require_enumerable(m, enum_cap)
-    if gm is None:
-        gm = game_matrix(g)
+    gm = game_matrix(g)
     try:
         P = np.array(gm.ints, dtype=np.int64)
     except OverflowError:  # an entry past int64
@@ -222,17 +218,14 @@ def _strategies(signs: np.ndarray, m_a: int) -> tuple[DeterministicStrategy, ...
     return tuple(DeterministicStrategy(tuple(r[:m_a]), tuple(r[m_a:])) for r in signs.tolist())
 
 
-def classical_bias(
-    g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP, *, _gm: GameMatrix | None = None
-) -> ClassicalBiasResult:
+def classical_bias(g: XorGame, enum_cap: int = DEFAULT_ENUM_CAP) -> ClassicalBiasResult:
     """Exact maximum bias over deterministic strategy pairs.
 
     The witness takes ``beta_y = sign((Phi^T alpha)_y)`` with ties broken
     to +1 and the lexicographically first optimal alpha (all-ones first).
-    An ``enum_cap`` below 1 raises InvalidParameter.  ``_gm`` is
-    ``game_matrix(g)``, passed by a caller that has built it already.
+    An ``enum_cap`` below 1 raises InvalidParameter.
     """
-    opt = _enumerate(g, enum_cap, keep=1, gm=_gm)
+    opt = _enumerate(g, enum_cap, keep=1)
     # row 0 of the vertex order, built directly: ties respond +1
     alpha = tuple(opt.alphas[0].tolist())
     beta = tuple(-1 if v < 0 else 1 for v in opt.rows[0].tolist())

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -99,22 +99,6 @@ def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
 
 
 @dataclass(frozen=True)
-class XorGame:
-    """Validated XOR game.
-
-    :func:`build_game` builds it from outside data, such as a game file, and
-    checks it.  :func:`reduce_exhaustive`, :func:`circulant_game` and
-    :func:`make_named` build it directly from data that is already checked:
-    a game, a shared-input spec, or a family formula pinned by the tests.
-    """
-
-    m_a: int
-    m_b: int
-    q: Matrix
-    f: BitMatrix
-
-
-@dataclass(frozen=True)
 class GameMatrix:
     """Phi = (-1)^f q as the integers ``ints = L Phi``; L is the ``denominator``."""
 
@@ -125,6 +109,35 @@ class GameMatrix:
     def phi(self) -> Matrix:
         """Phi in Fractions (|entries| sum to 1), built on each access."""
         return tuple(tuple(Fraction(v, self.denominator) for v in row) for row in self.ints)
+
+
+@dataclass(frozen=True)
+class XorGame:
+    """Validated XOR game.
+
+    :func:`build_game` builds it from outside data, such as a game file, and
+    checks it.  :func:`reduce_exhaustive`, :func:`circulant_game` and
+    :func:`make_named` build it directly from data that is already checked:
+    a game, a shared-input spec, or a family formula pinned by the tests.
+
+    ``matrix`` is ``signed_matrix(q, f)``, built once with the game and
+    never per analysis.  ``build_game`` passes the one its normalization
+    check built, ``reduce_exhaustive`` the kept entries of its parent's and
+    ``circulant_game`` one signed row laid out as q is; ``__post_init__``
+    builds it for any other construction.  It is left out of equality,
+    hashing and ``repr``, being a function of q and f; a copy made by
+    ``dataclasses.replace`` with another q or f must pass ``matrix=None``.
+    """
+
+    m_a: int
+    m_b: int
+    q: Matrix
+    f: BitMatrix
+    matrix: GameMatrix = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.matrix is None:
+            object.__setattr__(self, "matrix", signed_matrix(self.q, self.f))
 
 
 @dataclass(frozen=True)
@@ -177,7 +190,7 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
     total = sum(abs(v) for row in gm.ints for v in row)
     if total != gm.denominator:
         raise NotNormalized(f"prior sums to {Fraction(total, gm.denominator)}, expected exactly 1")
-    return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm)
+    return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm, matrix=gm)
 
 
 def signed_matrix(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> GameMatrix:
@@ -200,8 +213,8 @@ def signed_matrix(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> GameMatr
 
 
 def game_matrix(g: XorGame) -> GameMatrix:
-    """Signed game matrix of ``g``, exact: :func:`signed_matrix` of its data."""
-    return signed_matrix(g.q, g.f)
+    """Signed game matrix of ``g``, exact: the ``matrix`` built with the game."""
+    return g.matrix
 
 
 def reduce_exhaustive(g: XorGame) -> XorGame:
@@ -210,7 +223,8 @@ def reduce_exhaustive(g: XorGame) -> XorGame:
     Returns the game itself when every question is asked.  The reduced game
     has no all-zero prior row or column and keeps the order of the remaining
     questions; any strategy for it extends to ``g`` by choosing the dropped
-    signs freely, with identical bias.
+    signs freely, with identical bias.  A dropped entry is 0 over 1, so the
+    kept entries of ``g.matrix`` are the reduced game's, over the same L.
     """
     row_pos = [x for x in range(g.m_a) if any(g.q[x])]
     col_pos = [y for y in range(g.m_b) if any(row[y] for row in g.q)]
@@ -218,9 +232,12 @@ def reduce_exhaustive(g: XorGame) -> XorGame:
         raise EmptyGame("all prior entries are zero")
     if len(row_pos) == g.m_a and len(col_pos) == g.m_b:
         return g
-    q = tuple(tuple(g.q[x][y] for y in col_pos) for x in row_pos)
-    f = tuple(tuple(g.f[x][y] for y in col_pos) for x in row_pos)
-    return XorGame(m_a=len(row_pos), m_b=len(col_pos), q=q, f=f)
+    q, f, ints = (
+        tuple(tuple(rows[x][y] for y in col_pos) for x in row_pos)
+        for rows in (g.q, g.f, g.matrix.ints)
+    )
+    matrix = GameMatrix(ints, g.matrix.denominator)
+    return XorGame(m_a=len(row_pos), m_b=len(col_pos), q=q, f=f, matrix=matrix)
 
 
 def bias_of_behaviour(g: XorGame, b: Behaviour):
@@ -263,14 +280,22 @@ def circulant_game(q_tilde: Sequence[Fraction], f_z: Sequence[int]) -> XorGame:
     is a permutation of ``q~ / N``, so the game is exhaustive, and it is
     normalized when q~ is nonnegative and sums to 1.  Built directly, not
     checked: its callers pass a checked shared-input spec or a family formula
-    that the tests pin.
+    that the tests pin.  Its matrix is laid out from the signed row of q~ / N,
+    whose values are q's, over the same L.
     """
     size = len(q_tilde)
     scale = Fraction(1, size)
     values = [scale * v for v in q_tilde]  # formed once, shared by the N cells of each
-    q = tuple(tuple(values[x ^ y] for y in range(size)) for x in range(size))
-    f = tuple(tuple(f_z[x ^ y] for y in range(size)) for x in range(size))
-    return XorGame(m_a=size, m_b=size, q=q, f=f)
+    signed = signed_matrix((values,), (f_z,))
+    q, f, ints = cells = ([], [], [])
+    for x in range(size):
+        # row x of each is its row 0 permuted by y -> x ^ y, taken in C by one
+        # getter; a getter of one index returns the item, not a 1-tuple
+        take = operator.itemgetter(*(x ^ y for y in range(size))) if size > 1 else tuple
+        for out, row in zip(cells, (values, f_z, signed.ints[0])):
+            out.append(take(row))
+    matrix = GameMatrix(tuple(ints), signed.denominator)
+    return XorGame(m_a=size, m_b=size, q=tuple(q), f=tuple(f), matrix=matrix)
 
 
 def make_named(name: str, n: int | None = None) -> XorGame:

@@ -70,7 +70,7 @@ from .errors import (
     TooLarge,
 )
 from .exact import _FLOAT_EXACT
-from .game import DeterministicStrategy, GameMatrix, XorGame, game_matrix
+from .game import DeterministicStrategy, XorGame, game_matrix
 
 MAX_SDP_SIDE = 4096
 _RRE_DEPTH = 5  # K: _sweeps extrapolates from the last K + 1 steps
@@ -184,17 +184,16 @@ class SlacknessReport:
     passed: bool
 
 
-def _halves(g: XorGame, gm: GameMatrix | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _halves(g: XorGame) -> tuple[np.ndarray, np.ndarray]:
     """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``.
 
-    ``gm`` is ``game_matrix(g)``, when the caller has built it already.  Below
-    ``_FLOAT_EXACT`` = 2^53 the integers ``L Phi`` (each at most ``L``
-    in size) and ``L`` are exact doubles, so one float division of the whole
-    array rounds each entry as ``v / L`` does; past it, each entry is divided
-    as Python integers.
+    They are read from the integers ``L Phi`` that ``g`` holds.  Below
+    ``_FLOAT_EXACT`` = 2^53 those integers (each at most ``L`` in size) and
+    ``L`` are exact doubles, so one float division of the whole array rounds
+    each entry as ``v / L`` does; past it, each entry is divided as Python
+    integers.
     """
-    if gm is None:
-        gm = game_matrix(g)
+    gm = game_matrix(g)
     L = gm.denominator
     if L < _FLOAT_EXACT:
         half = np.array(gm.ints, dtype=np.float64)
@@ -413,13 +412,12 @@ def solve_quantum_bias(
     m = g.m_a + g.m_b
     if m > MAX_SDP_SIDE:
         raise TooLarge(f"SDP side {m} exceeds dense budget {MAX_SDP_SIDE}")
-    gm = game_matrix(g)  # read by both the enumeration and the solver
     if xi_c is None:
         try:
-            xi_c = classical.classical_bias(g, _gm=gm).xi_c
+            xi_c = classical.classical_bias(g).xi_c
         except TooLarge:
             xi_c = None
-    blocks = _halves(g, gm)
+    blocks = _halves(g)
 
     best = None  # smallest-gap uncertified restart so far
     for restart in range(cfg.restarts):

@@ -33,6 +33,8 @@ from tightbell.game import (
     MAX_FAMILY_N,
     Behaviour,
     DeterministicStrategy,
+    XorGame,
+    circulant_game,
     game_from_dict,
     game_to_dict,
     load_game,
@@ -42,7 +44,7 @@ from tightbell.game import (
 
 from tightbell.qsdp import MAX_SDP_SIDE
 
-from .generators import random_game, random_strategy
+from .generators import random_game, random_nlc_spec, random_strategy
 from .oracles import oracle_is_no_signalling, reference_build_game
 
 H = Fraction(1, 2)
@@ -186,6 +188,58 @@ def test_signed_matrix_matches_fraction_arithmetic(data):
         tuple((-1) ** b * v * L for v, b in zip(qr, fr)) for qr, fr in zip(q, f)
     )
     assert all(type(v) is int for row in gm.ints for v in row)
+
+
+@st.composite
+def padded_game_data(draw):
+    """:func:`signed_data` normalized, with 0-2 never-asked questions inserted a side."""
+    q, f = draw(signed_data())
+    total = sum(map(sum, q))
+    if not total:
+        q[0][0] = total = Fraction(1)
+    q = [[v / total for v in row] for row in q]
+    for _ in range(draw(st.integers(0, 2))):
+        x = draw(st.integers(0, len(q)))
+        q.insert(x, [Fraction(0)] * len(q[0]))
+        f.insert(x, [draw(st.integers(0, 1)) for _ in q[0]])
+    for _ in range(draw(st.integers(0, 2))):
+        y = draw(st.integers(0, len(q[0])))
+        for qr, fr in zip(q, f):
+            qr.insert(y, Fraction(0))
+            fr.insert(y, draw(st.integers(0, 1)))
+    return q, f
+
+
+SMALL_MEMBERS = [("chsh", None), ("single_entry", None)]
+SMALL_MEMBERS += [(key, n) for key in ("identity", "nlc_and") for n in range(1, 5)]
+SMALL_MEMBERS += [("appendix_d", n) for n in range(2, 5)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    raw=signed_data(),
+    padded=padded_game_data(),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    member=st.sampled_from(SMALL_MEMBERS),
+)
+def test_every_builder_holds_the_signed_matrix_of_its_data(raw, padded, n, seed, member):
+    # the matrix a game is built with is signed_matrix of its data, whichever
+    # builder made it; it takes no part in equality, hashing or repr
+    built = build_game(*padded)
+    q, f = (tuple(map(tuple, rows)) for rows in raw)
+    spec = random_nlc_spec(np.random.default_rng(seed), n)
+    games = [
+        built,
+        reduce_exhaustive(built),
+        XorGame(len(q), len(q[0]), q, f),
+        circulant_game(spec.q_tilde, spec.f_z),
+        make_named(*member),
+    ]
+    for g in games:
+        assert g.matrix == signed_matrix(g.q, g.f)
+        twin = XorGame(g.m_a, g.m_b, g.q, g.f)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
 
 
 def test_game_matrix_chsh():

@@ -23,8 +23,10 @@ from tightbell.errors import (
     SingularLambda,
     TooLarge,
 )
-from tightbell import classical, qsdp
-from tightbell.game import DeterministicStrategy, build_game, game_matrix
+from tightbell import game, qsdp
+from tightbell.facegeom import face_report
+from tightbell.game import DeterministicStrategy, build_game, game_matrix, load_game, save_game
+from tightbell.nlc import NlcSpec, build_nlc, hadamard_spectrum, nlc_bias_bound
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde, certificate_to_dict
 
 from .generators import random_game
@@ -450,16 +452,29 @@ def test_dependent_steps_skip_the_extrapolation():
     assert np.array_equal(U, xs[-1])
 
 
-def test_solve_builds_one_game_matrix(monkeypatch):
-    # the enumeration for xi_c and the solver's halves read the same one
+def test_answers_never_rebuild_the_game_matrix(monkeypatch, tmp_path):
+    # a game holds the L Phi its builder made: no answer builds it again, on a
+    # loaded, a named or a shared-input game, nor on the reduction of a padded one
+    half = Fraction(1, 2)
+    save_game(build_game([[half, 0, half], [0, 0, 0]], [[0, 0, 1], [1, 0, 0]]), tmp_path / "padded.json")
+    save_game(make_named("appendix_d", 2), tmp_path / "exhaustive.json")
+    spec = NlcSpec(n=2, q_tilde=(Fraction(1, 4),) * 4, f_z=(0, 0, 0, 1))
+    analysis = hadamard_spectrum(spec)
     calls = []
-    for module in (classical, qsdp):
-        build = module.game_matrix
-        monkeypatch.setattr(module, "game_matrix", lambda g, build=build: calls.append(g) or build(g))
-    g = make_named("appendix_d", 2)
-    res = solve_quantum_bias(g)
-    assert calls == [g]
-    assert res.xi_c == classical_bias(g).xi_c and res.certified
+    build = game.signed_matrix
+    monkeypatch.setattr(game, "signed_matrix", lambda q, f: calls.append(len(q)) or build(q, f))
+    padded, loaded = (load_game(tmp_path / f"{name}.json") for name in ("padded", "exhaustive"))
+    named, shared = make_named("appendix_d", 3), build_nlc(spec)
+    # each builder signs its data once: a loaded game whole, a circulant one row
+    assert calls == [2, 4, 1, 1]
+    calls.clear()
+    for g in (loaded, named, shared):
+        res = solve_quantum_bias(g)
+        assert res.xi_c == classical_bias(g).xi_c and res.certified
+    for g in (padded, loaded, shared):
+        assert optimal_vertices(g).xi_c == face_report(g).xi_c
+    assert nlc_bias_bound(analysis, shared).matches_classical
+    assert calls == []
 
 
 def test_jumps_save_half_the_sweeps_of_plain_sweeping(monkeypatch):
