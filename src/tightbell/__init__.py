@@ -35,7 +35,6 @@ from .game import (
     bias_of_behaviour,
     bias_of_strategy,
     build_game,
-    game_matrix,
     load_game,
     make_named,
     ns_perfect_behaviour,

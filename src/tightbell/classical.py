@@ -4,7 +4,8 @@ For a fixed sign vector ``alpha`` of the enumerated player, the best response
 is forced: ``beta_y = sign((Phi^T alpha)_y)``, so the classical bias is
 ``max_alpha sum_y |(Phi^T alpha)_y|``.  We always enumerate the smaller side
 (transposing the integer matrix if Bob has fewer inputs) and keep everything
-exact by working on the integers ``L * Phi`` that the game was built with.
+exact by working on the integers ``L * Phi`` that the game was built with,
+read from the game's array in the type `game` chose for it.
 Each scan buffer holds its values in the narrowest exact type for its own
 bound, from one ladder: int16 below 2^15, int32 below 2^31, int64 below
 2^62, and Python integers (object dtype) otherwise, as enormous denominators
@@ -49,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
-from .game import DeterministicStrategy, XorGame, game_matrix
+from .game import DeterministicStrategy, XorGame
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
 DEFAULT_VERTEX_CAP = 10**6  # stored optimal vertices
@@ -141,11 +142,7 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     swapped = g.m_a > g.m_b
     m, mb = sorted((g.m_a, g.m_b))
     require_enumerable(m, enum_cap)
-    gm = game_matrix(g)
-    try:
-        P = np.array(gm.ints, dtype=np.int64)
-    except OverflowError:  # an entry past int64
-        P = np.array(gm.ints, dtype=object)
+    P = g.matrix.ints
     # column sums are at most m * max|P| in size and values m_b times that,
     # each buffer in the narrowest type for its bound; int() first, since
     # np.abs(-2^63) wraps to itself
@@ -189,7 +186,7 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     extra = max(0, keep - count)  # slices stop at the count
     pats = np.concatenate([pats, pats[::-1][:extra] ^ ((1 << m) - 1)])
     rows = np.concatenate([rows, -rows[::-1][:extra]])
-    return _Optima(Fraction(best, gm.denominator), 2 * count, _signs(pats, m), rows, swapped)
+    return _Optima(Fraction(best, g.matrix.denominator), 2 * count, _signs(pats, m), rows, swapped)
 
 
 def _vertex_signs(opt: _Optima, cap: int) -> tuple[np.ndarray, bool]:

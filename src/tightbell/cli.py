@@ -193,8 +193,9 @@ def cmd_nlc_spectrum(args) -> tuple[dict, int]:
 def cmd_nlc_bound(args) -> tuple[dict, int]:
     spec, g = _load_spec(args.file)
     # the Walsh witness proves xi_c with no enumeration, so any n up to the
-    # family limit answers; past it build_nlc refuses the spec before a game
-    # entry is built, whichever kind of file held it
+    # family limit answers; past it build_nlc refuses the spec with one
+    # message, whichever kind of file held it (a game file's game was built
+    # by _load_spec already, a spec file's is never built)
     if g is None or spec.n > game.MAX_FAMILY_N:
         g = nlc.build_nlc(spec)
     bound = nlc.nlc_bias_bound(nlc.hadamard_spectrum(spec), g)

@@ -12,6 +12,11 @@ All classical-side data is exact: priors are `fractions.Fraction`,
 a prior read from outside is *checked* (on integers over the lcm of the
 denominators), not silently applied, because rescaling would change the bias
 scale.  Floats only enter at the solver boundary (`tightbell.qsdp`).
+
+Every game holds ``L Phi`` as one read-only numpy array, built with the game.
+Its type is decided here and nowhere else, by `_integer_matrix`: int64 when
+every +-1-weighted sum of its entries fits, Python integers (object dtype)
+otherwise.  Every analysis reads that array as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     EmptyGame,
@@ -45,6 +52,7 @@ NAMED_GAMES = ("chsh", "identity", "nlc_and", "appendix_d", "single_entry")
 # analysis takes a larger one, and building it would take 4^n Fractions
 MAX_FAMILY_N = 11
 _SIGNS = frozenset((-1, 1))
+_INT64_LIMIT = 1 << 63
 
 
 def as_rational(value) -> Fraction:
@@ -98,17 +106,37 @@ def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GameMatrix:
-    """Phi = (-1)^f q as the integers ``ints = L Phi``; L is the ``denominator``."""
+    """Phi = (-1)^f q as the integers ``ints = L Phi``; L is the ``denominator``.
 
-    ints: tuple[tuple[int, ...], ...]
+    ``ints`` is a read-only m_a x m_b array, int64 when ``m_a m_b max|L Phi|
+    < 2^63``, so that no +-1-weighted sum of its entries overflows, and of
+    Python integers (object dtype) otherwise.  Only `_integer_matrix` makes one.
+    Equality is identity, as arrays have no boolean ``==``.
+    """
+
+    ints: np.ndarray
     denominator: int
 
     @property
     def phi(self) -> Matrix:
         """Phi in Fractions (|entries| sum to 1), built on each access."""
-        return tuple(tuple(Fraction(v, self.denominator) for v in row) for row in self.ints)
+        L = self.denominator
+        return tuple(tuple(Fraction(v, L) for v in row) for row in self.ints.tolist())
+
+
+def _integer_matrix(ints, denominator: int) -> GameMatrix:
+    """GameMatrix of the integers ``ints``, rows or a 2-D array, in the type their bound needs."""
+    try:
+        ints = np.asarray(ints, dtype=np.int64)
+    except OverflowError:  # an entry past int64
+        ints = np.asarray(ints, dtype=object)
+    # int() first, since np.abs(-2^63) wraps to itself
+    bound = ints.size * max(int(ints.max()), -int(ints.min()))
+    ints = ints.astype(np.int64 if bound < _INT64_LIMIT else object, copy=False)
+    ints.flags.writeable = False
+    return GameMatrix(ints, denominator)
 
 
 @dataclass(frozen=True)
@@ -121,8 +149,9 @@ class XorGame:
     a game, a shared-input spec, or a family formula pinned by the tests.
 
     ``matrix`` is ``signed_matrix(q, f)``, built once with the game and
-    never per analysis.  ``build_game`` passes the one its normalization
-    check built, ``reduce_exhaustive`` the kept entries of its parent's and
+    never per analysis; every analysis reads its array ``matrix.ints`` as
+    it is.  ``build_game`` passes the one its normalization check built,
+    ``reduce_exhaustive`` the kept block of its parent's and
     ``circulant_game`` one signed row laid out as q is; ``__post_init__``
     builds it for any other construction.  It is left out of equality,
     hashing and ``repr``, being a function of q and f; a copy made by
@@ -187,7 +216,7 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
     if any(v.numerator < 0 for row in qm for v in row):
         raise NegativePrior("prior entries must be >= 0")
     gm = signed_matrix(qm, fm)  # its |entries| are L q, the prior now being >= 0
-    total = sum(abs(v) for row in gm.ints for v in row)
+    total = int(np.abs(gm.ints).sum())  # fits the array's type, as a +-1-weighted sum
     if total != gm.denominator:
         raise NotNormalized(f"prior sums to {Fraction(total, gm.denominator)}, expected exactly 1")
     return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm, matrix=gm)
@@ -202,19 +231,12 @@ def signed_matrix(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> GameMatr
     dens = {v.denominator for row in q for v in row}
     L = lcm(*dens)
     scale = {d: L // d for d in dens}
-    ints = tuple(
-        tuple(
-            -v.numerator * scale[v.denominator] if b else v.numerator * scale[v.denominator]
-            for v, b in zip(qr, fr)
-        )
+    ints = [
+        [-v.numerator * scale[v.denominator] if b else v.numerator * scale[v.denominator]
+         for v, b in zip(qr, fr)]
         for qr, fr in zip(q, f)
-    )
-    return GameMatrix(ints=ints, denominator=L)
-
-
-def game_matrix(g: XorGame) -> GameMatrix:
-    """Signed game matrix of ``g``, exact: the ``matrix`` built with the game."""
-    return g.matrix
+    ]
+    return _integer_matrix(ints, L)
 
 
 def reduce_exhaustive(g: XorGame) -> XorGame:
@@ -232,11 +254,8 @@ def reduce_exhaustive(g: XorGame) -> XorGame:
         raise EmptyGame("all prior entries are zero")
     if len(row_pos) == g.m_a and len(col_pos) == g.m_b:
         return g
-    q, f, ints = (
-        tuple(tuple(rows[x][y] for y in col_pos) for x in row_pos)
-        for rows in (g.q, g.f, g.matrix.ints)
-    )
-    matrix = GameMatrix(ints, g.matrix.denominator)
+    q, f = (tuple(tuple(rows[x][y] for y in col_pos) for x in row_pos) for rows in (g.q, g.f))
+    matrix = _integer_matrix(g.matrix.ints[np.ix_(row_pos, col_pos)], g.matrix.denominator)
     return XorGame(m_a=len(row_pos), m_b=len(col_pos), q=q, f=f, matrix=matrix)
 
 
@@ -246,7 +265,7 @@ def bias_of_behaviour(g: XorGame, b: Behaviour):
         raise ShapeMismatch("behaviour marginals do not match game dimensions")
     if len(b.c) != g.m_a or any(len(row) != g.m_b for row in b.c):
         raise ShapeMismatch("correlator block does not match game dimensions")
-    phi = game_matrix(g).phi
+    phi = g.matrix.phi
     return sum(
         phi[x][y] * b.c[x][y] for x in range(g.m_a) for y in range(g.m_b)
     )
@@ -256,9 +275,8 @@ def bias_of_strategy(g: XorGame, s: DeterministicStrategy) -> Fraction:
     """Exact bias ``sum_xy Phi_xy alpha_x beta_y``, summed on the integers ``L Phi``."""
     if len(s.alpha) != g.m_a or len(s.beta) != g.m_b:
         raise ShapeMismatch("strategy does not match game dimensions")
-    gm = game_matrix(g)
-    total = sum(a * sum(map(operator.mul, row, s.beta)) for a, row in zip(s.alpha, gm.ints))
-    return Fraction(total, gm.denominator)
+    gm = g.matrix  # no sum of alpha_x beta_y LPhi_xy overflows its type
+    return Fraction(int(np.array(s.alpha) @ gm.ints @ np.array(s.beta)), gm.denominator)
 
 
 def ns_perfect_behaviour(g: XorGame) -> Behaviour:
@@ -287,14 +305,17 @@ def circulant_game(q_tilde: Sequence[Fraction], f_z: Sequence[int]) -> XorGame:
     scale = Fraction(1, size)
     values = [scale * v for v in q_tilde]  # formed once, shared by the N cells of each
     signed = signed_matrix((values,), (f_z,))
-    q, f, ints = cells = ([], [], [])
+    row, z = signed.ints[0], np.arange(size)
+    q, f, ints = [], [], np.empty((size, size), dtype=row.dtype)
     for x in range(size):
-        # row x of each is its row 0 permuted by y -> x ^ y, taken in C by one
-        # getter; a getter of one index returns the item, not a 1-tuple
+        # row x of each is its row 0 permuted by y -> x ^ y: q's and f's taken
+        # in C by one getter (a getter of one index returns the item, not a
+        # 1-tuple), the integers' by the index array z ^ x
         take = operator.itemgetter(*(x ^ y for y in range(size))) if size > 1 else tuple
-        for out, row in zip(cells, (values, f_z, signed.ints[0])):
-            out.append(take(row))
-    matrix = GameMatrix(tuple(ints), signed.denominator)
+        q.append(take(values))
+        f.append(take(f_z))
+        ints[x] = row[z ^ x]
+    matrix = _integer_matrix(ints, signed.denominator)
     return XorGame(m_a=size, m_b=size, q=tuple(q), f=tuple(f), matrix=matrix)
 
 

@@ -197,7 +197,7 @@ def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
     eigenvalue EXACTLY — a theorem check, not a tolerance check.
     """
     gm = signed_matrix((spec.q_tilde,), (spec.f_z,))
-    signed, L = gm.ints[0], gm.denominator
+    signed, L = gm.ints[0].tolist(), gm.denominator
     walsh = _walsh_transform(signed)
     if spec.n <= 5:
         _verify_diagonalization(signed, walsh, spec.n)

@@ -70,7 +70,7 @@ from .errors import (
     TooLarge,
 )
 from .exact import _FLOAT_EXACT
-from .game import DeterministicStrategy, XorGame, game_matrix
+from .game import DeterministicStrategy, XorGame
 
 MAX_SDP_SIDE = 4096
 _RRE_DEPTH = 5  # K: _sweeps extrapolates from the last K + 1 steps
@@ -187,19 +187,15 @@ class SlacknessReport:
 def _halves(g: XorGame) -> tuple[np.ndarray, np.ndarray]:
     """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``.
 
-    They are read from the integers ``L Phi`` that ``g`` holds.  Below
-    ``_FLOAT_EXACT`` = 2^53 those integers (each at most ``L`` in size) and
+    They are the game's array ``L Phi`` divided by ``L``.  Below
+    ``_FLOAT_EXACT`` = 2^53 its integers (each at most ``L`` in size) and
     ``L`` are exact doubles, so one float division of the whole array rounds
-    each entry as ``v / L`` does; past it, each entry is divided as Python
-    integers.
+    each entry as ``v / L`` does; past it, the array is divided as Python
+    integers, which is ``v / L`` itself.
     """
-    gm = game_matrix(g)
-    L = gm.denominator
-    if L < _FLOAT_EXACT:
-        half = np.array(gm.ints, dtype=np.float64)
-        half /= L
-    else:
-        half = np.array([[v / L for v in row] for row in gm.ints])
+    gm = g.matrix
+    ints = gm.ints if gm.denominator < _FLOAT_EXACT else gm.ints.astype(object)
+    half = (ints / gm.denominator).astype(np.float64, copy=False)
     half /= 2.0
     return half, np.ascontiguousarray(half.T)
 

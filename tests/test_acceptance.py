@@ -177,9 +177,7 @@ def test_criterion_04_identity_equality_case():
 def test_criterion_05_appendix_d_family():
     start = time.perf_counter()
     g2 = make_named("appendix_d", 2)
-    from tightbell import game_matrix
-
-    lam_entry = game_matrix(g2).phi[0][0]
+    lam_entry = g2.matrix.phi[0][0]
     xi2 = classical_bias(g2).xi_c
     rep2 = face_report(g2)
     rep3 = face_report(make_named("appendix_d", 3))

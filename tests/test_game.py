@@ -14,7 +14,6 @@ from tightbell import (
     bias_of_behaviour,
     bias_of_strategy,
     build_game,
-    game_matrix,
     make_named,
     ns_perfect_behaviour,
     reduce_exhaustive,
@@ -56,14 +55,14 @@ def chsh():
 
 
 # ---------------------------------------------------------------------------
-# build_game / game_matrix
+# build_game / the game matrix
 # ---------------------------------------------------------------------------
 
 
 def test_build_single_entry():
     g = build_game([[1]], [[0]])
     assert (g.m_a, g.m_b) == (1, 1)
-    assert game_matrix(g).phi == ((Fraction(1),),)
+    assert g.matrix.phi == ((Fraction(1),),)
 
 
 def test_build_chsh_matches_named():
@@ -184,10 +183,9 @@ def test_signed_matrix_matches_fraction_arithmetic(data):
     L = lcm(*(v.denominator for row in q for v in row))
     gm = signed_matrix(q, f)
     assert gm.denominator == L
-    assert gm.ints == tuple(
-        tuple((-1) ** b * v * L for v, b in zip(qr, fr)) for qr, fr in zip(q, f)
-    )
-    assert all(type(v) is int for row in gm.ints for v in row)
+    ints = gm.ints.tolist()
+    assert ints == [[(-1) ** b * v * L for v, b in zip(qr, fr)] for qr, fr in zip(q, f)]
+    assert all(type(v) is int for row in ints for v in row)
 
 
 @st.composite
@@ -225,7 +223,8 @@ SMALL_MEMBERS += [("appendix_d", n) for n in range(2, 5)]
 )
 def test_every_builder_holds_the_signed_matrix_of_its_data(raw, padded, n, seed, member):
     # the matrix a game is built with is signed_matrix of its data, whichever
-    # builder made it; it takes no part in equality, hashing or repr
+    # builder made it, in the same type and read-only; it takes no part in
+    # equality, hashing or repr
     built = build_game(*padded)
     q, f = (tuple(map(tuple, rows)) for rows in raw)
     spec = random_nlc_spec(np.random.default_rng(seed), n)
@@ -237,31 +236,35 @@ def test_every_builder_holds_the_signed_matrix_of_its_data(raw, padded, n, seed,
         make_named(*member),
     ]
     for g in games:
-        assert g.matrix == signed_matrix(g.q, g.f)
+        want = signed_matrix(g.q, g.f)
+        assert g.matrix.denominator == want.denominator
+        assert g.matrix.ints.dtype == want.ints.dtype
+        assert np.array_equal(g.matrix.ints, want.ints)
+        assert not g.matrix.ints.flags.writeable
         twin = XorGame(g.m_a, g.m_b, g.q, g.f)
         assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
 
 
 def test_game_matrix_chsh():
-    phi = game_matrix(chsh()).phi
+    phi = chsh().matrix.phi
     assert phi == ((Q, Q), (Q, -Q))
 
 
 def test_game_matrix_no_flips_equals_q():
     g = build_game([[H, Q], [Q, 0]], [[0, 0], [0, 0]])
-    assert game_matrix(g).phi == g.q
+    assert g.matrix.phi == g.q
 
 
 def test_game_matrix_single_negative():
     g = build_game([[1]], [[1]])
-    assert game_matrix(g).phi == ((Fraction(-1),),)
+    assert g.matrix.phi == ((Fraction(-1),),)
 
 
 def test_abs_phi_sums_to_one_on_random_games():
     rng = np.random.default_rng(11)
     for _ in range(25):
         g = random_game(rng)
-        assert sum(abs(v) for row in game_matrix(g).phi for v in row) == 1
+        assert sum(abs(v) for row in g.matrix.phi for v in row) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +367,7 @@ def test_bias_of_strategy_matches_bias_of_behaviour():
     games += [random_game(rng, min_a=5, max_a=8, max_b=4) for _ in range(5)]  # m_a > m_b
     wide = random.Random(3)
     games += [_wide_denominator_game(wide, *shape) for shape in ((3, 2), (5, 4), (2, 6))]
-    assert game_matrix(games[-1]).denominator > 2**64
+    assert games[-1].matrix.denominator > 2**64
     for g in games:
         for _ in range(4):
             s = random_strategy(rng, g.m_a, g.m_b)
@@ -417,15 +420,15 @@ def test_ns_perfect_random_games_exact():
 
 def test_identity_family():
     g = make_named("identity", 1)
-    assert game_matrix(g).phi == ((H, Fraction(0)), (Fraction(0), H))
+    assert g.matrix.phi == ((H, Fraction(0)), (Fraction(0), H))
     g2 = make_named("identity", 2)
     assert g2.m_a == 4
-    assert sum(abs(v) for row in game_matrix(g2).phi for v in row) == 1
+    assert sum(abs(v) for row in g2.matrix.phi for v in row) == 1
 
 
 def test_appendix_d_family():
     g = make_named("appendix_d", 2)
-    phi = game_matrix(g).phi
+    phi = g.matrix.phi
     lam = Fraction(1, 8)
     for i in range(4):
         for j in range(4):
@@ -436,7 +439,7 @@ def test_appendix_d_family():
 def test_appendix_d_eigenstructure():
     # +lam on the complement of the all-ones vector, -lam on it
     g = make_named("appendix_d", 3)
-    phi = game_matrix(g).phi
+    phi = g.matrix.phi
     lam = Fraction(1, 20)
     ones = [1] * 8
     assert [sum(phi[i][j] * ones[j] for j in range(8)) for i in range(8)] == [-lam] * 8

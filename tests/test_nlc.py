@@ -18,7 +18,6 @@ from tightbell import (
     classical_bias,
     corollary_bound,
     g0_dimension,
-    game_matrix,
     hadamard_spectrum,
     kl_dimension_bound,
     make_named,
@@ -69,7 +68,7 @@ def and_spec(n=2):
 
 
 def test_build_xor_game_matrix():
-    phi = game_matrix(build_nlc(xor_spec())).phi
+    phi = build_nlc(xor_spec()).matrix.phi
     q = Fraction(1, 4)
     assert phi == ((q, -q), (-q, q))
 
@@ -80,7 +79,7 @@ def test_build_and_matches_named():
 
 def test_build_all_zero_predicate_positive_circulant():
     spec = NlcSpec(n=1, q_tilde=(Fraction(3, 4), Fraction(1, 4)), f_z=(0, 0))
-    phi = game_matrix(build_nlc(spec)).phi
+    phi = build_nlc(spec).matrix.phi
     assert all(v > 0 for row in phi for v in row)
     assert phi[0][1] == phi[1][0] == Fraction(1, 8)
 
@@ -217,7 +216,7 @@ def test_wrong_spectrum_fails_verification(d):
     # 2^n max|L q~| passes 2^53 and the product runs on Python integers
     q_tilde = (Fraction(1, 2), Fraction(1, 2) - Fraction(1, d), Fraction(1, d), Fraction(0))
     spec = NlcSpec(n=2, q_tilde=q_tilde, f_z=(0, 1, 1, 0))
-    signed = signed_matrix([q_tilde], [spec.f_z]).ints[0]
+    signed = signed_matrix([q_tilde], [spec.f_z]).ints[0].tolist()
     assert (2**2 * max(map(abs, signed)) < 2**53) == (d == 5)
     hadamard_spectrum(spec)  # verifies the true spectrum
     spectrum = nlc._walsh_transform(signed)

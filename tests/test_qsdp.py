@@ -25,7 +25,7 @@ from tightbell.errors import (
 )
 from tightbell import game, qsdp
 from tightbell.facegeom import face_report
-from tightbell.game import DeterministicStrategy, build_game, game_matrix, load_game, save_game
+from tightbell.game import DeterministicStrategy, build_game, load_game, save_game
 from tightbell.nlc import NlcSpec, build_nlc, hadamard_spectrum, nlc_bias_bound
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde, certificate_to_dict
 
@@ -76,13 +76,36 @@ def test_halves_divide_the_whole_array_below_2_53(monkeypatch, bits):
     games += [random_game(rng, 12, 12, max_weight=10**6) for _ in range(10)]
     games += [make_named("appendix_d", 3), make_named("nlc_and", 3)]
     for g in games:
-        assert game_matrix(g).denominator < 2**53
+        assert g.matrix.denominator < 2**53
         fast = qsdp._halves(g)
         with monkeypatch.context() as mp:
             mp.setattr(qsdp, "_FLOAT_EXACT", 0)
             exact = qsdp._halves(g)
         assert fast[1].flags.c_contiguous and exact[1].flags.c_contiguous
         assert [a.tobytes() for a in fast] == [b.tobytes() for b in exact]
+
+
+def test_halves_divide_as_python_integers_past_2_53():
+    # an int64 array past 2^53: float(L) rounds L = 2^61 - 1 up to 2^61, so a
+    # float division of the array would give 1/4 where v / L / 2 is above it
+    L, a = 2**61 - 1, 2**60 + 128
+    g = build_game([[Fraction(a, L), Fraction(L - a, L)]], [[0, 1]])
+    assert g.matrix.ints.dtype == np.int64
+    half, _ = qsdp._halves(g)
+    assert half.tolist() == [[a / L / 2, -(L - a) / L / 2]] and half[0, 0] > 0.25
+
+
+def test_game_matrix_type_holds_every_signed_sum():
+    # each entry fits int64 but their sum L = 2^63 + 1 does not: an int64
+    # array would wrap, and build_game would refuse this normalized game
+    L = 2**63 + 1
+    v = (2**62, 2**62 + 1)
+    g = build_game([[Fraction(x, L) for x in v]], [[0, 0]])
+    assert g.matrix.ints.dtype == object
+    assert game.bias_of_strategy(g, DeterministicStrategy((1,), (1, 1))) == 1
+    assert classical_bias(g).xi_c == 1
+    half, _ = qsdp._halves(g)
+    assert half.tolist() == [[x / L / 2 for x in v]]
 
 
 def test_phi_tilde_identity1_eigenvalues():

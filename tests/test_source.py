@@ -342,3 +342,14 @@ def test_only_the_congruence_refuses_at_the_float_bound():
     path = next(path for path in SOURCES if path.name == "exact.py")
     found = _enclosing_functions(ast.parse(path.read_text("utf-8")), _refuses_at_the_float_bound)
     assert set(found) == {"_positive_definite"}
+
+
+def test_game_matrix_is_made_only_in_game():
+    # the type of the integer array L Phi is decided in one place: every
+    # builder of a GameMatrix goes through game._integer_matrix
+    found = [
+        f"{path.name}:{where}"
+        for path in SOURCES
+        for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "GameMatrix")
+    ]
+    assert found == ["game.py:_integer_matrix"]
