@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
@@ -47,12 +46,11 @@ EXIT_UNCERTIFIED = 3
 
 
 def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(report, indent=2) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            game.write_json(report, fh)
     else:
-        sys.stdout.write(text)
+        game.write_json(report, sys.stdout)
 
 
 def _solve_config(args) -> qsdp.SolveConfig:
@@ -166,17 +164,16 @@ def cmd_trivial_facet(args) -> tuple[dict, int]:
     }, EXIT_OK
 
 
-def _load_spec(path) -> tuple[nlc.NlcSpec, game.XorGame | None]:
-    """The file's spec, and its game if the file held one rather than a spec."""
+def _load_spec(path) -> nlc.NlcSpec:
+    """The spec a spec file holds, or the one a game file's game factors through."""
     data = game.read_json(path)
     if isinstance(data, dict) and data.get("format") == nlc.NLC_FORMAT:
-        return nlc.nlc_spec_from_dict(data), None
-    g = game.game_from_dict(data)
-    return nlc.spec_from_game(g), g
+        return nlc.nlc_spec_from_dict(data)
+    return nlc.spec_from_game(game.game_from_dict(data))
 
 
 def cmd_nlc_spectrum(args) -> tuple[dict, int]:
-    spec, _ = _load_spec(args.file)
+    spec = _load_spec(args.file)
     a = nlc.hadamard_spectrum(spec)
     return {
         "n": spec.n,
@@ -191,14 +188,8 @@ def cmd_nlc_spectrum(args) -> tuple[dict, int]:
 
 
 def cmd_nlc_bound(args) -> tuple[dict, int]:
-    spec, g = _load_spec(args.file)
-    # the Walsh witness proves xi_c with no enumeration, so any n up to the
-    # family limit answers; past it build_nlc refuses the spec with one
-    # message, whichever kind of file held it (a game file's game was built
-    # by _load_spec already, a spec file's is never built)
-    if g is None or spec.n > game.MAX_FAMILY_N:
-        g = nlc.build_nlc(spec)
-    bound = nlc.nlc_bias_bound(nlc.hadamard_spectrum(spec), g)
+    spec = _load_spec(args.file)
+    bound = nlc.nlc_bias_bound(spec)
     return {
         "n": spec.n,
         "xi_star": str(bound.xi_star),

@@ -404,8 +404,15 @@ def read_json(path):
         raise GameFormatError(f"not valid UTF-8 JSON: {path}") from exc
 
 
+def write_json(obj, fh) -> None:
+    """Write ``obj`` to the text stream ``fh`` as indented JSON and a newline, chunk by chunk."""
+    json.dump(obj, fh, indent=2)
+    fh.write("\n")
+
+
 def save_game(g: XorGame, path) -> None:
-    Path(path).write_text(json.dumps(game_to_dict(g), indent=2) + "\n", "utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(game_to_dict(g), fh)
 
 
 def load_game(path) -> XorGame:

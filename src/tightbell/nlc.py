@@ -20,17 +20,21 @@ absolute value): the classical bias bound is ``xi* = 2^n ||Phi|| =
 max_u |g^(u)|``, and at every n one strategy meets it, so ``xi_c = xi*``
 exactly (e.g. the n = 2 AND game has xi_c = 1/2 = max |g^|).  For a top Walsh
 index u, with ``chi_u(x) = (-1)^(u.x)``, the strategy ``alpha = chi_u``,
-``beta = sign(g^(u)) chi_u`` scores ``|g^(u)|``: `nlc_bias_bound` scores it
-exactly on the game's integers, with no enumeration.  The convention carrying
-an extra 2^(n-1) factor does not match that witness for n >= 2.
+``beta = s chi_u`` with ``s = sign(g^(u))`` scores ``|g^(u)|``: since
+``chi_u(x) chi_u(y) = chi_u(x XOR y)`` and each z is met by 2^n pairs (x, y),
+
+    sum_x sum_y chi_u(x) chi_u(y) s Phi(x XOR y) = s sum_z chi_u(z) (-1)^f(z) q~(z),
+
+a sum over the 2^n values of z.  `nlc_bias_bound` scores the witness by that
+sum, exactly on the spec, with no enumeration and no game built.  The
+convention carrying an extra 2^(n-1) factor does not match that witness for
+n >= 2.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -48,14 +52,13 @@ from .exact import _FLOAT_EXACT
 from .facegeom import affine_dimension_exact, theorem1_dim_bound, theorem2_codim_bound
 from .game import (
     MAX_FAMILY_N,
-    DeterministicStrategy,
     XorGame,
     as_int,
     as_rational,
-    bias_of_strategy,
     circulant_game,
     read_json,
     signed_matrix,
+    write_json,
 )
 
 NLC_FORMAT = "tightbell-nlc-v1"
@@ -236,21 +239,26 @@ def _verify_diagonalization(signed, spectrum, n: int) -> None:
         raise VerificationFailed("Hadamard diagonalization is not exact")
 
 
-def nlc_bias_bound(a: NlcAnalysis, g: XorGame) -> NlcBiasBound:
+def nlc_bias_bound(spec: NlcSpec) -> NlcBiasBound:
     """The spectral bias bound, met by a character strategy: ``xi_c = xi_star``.
 
-    ``g`` is the game of the spec that ``a`` analyses.  No strategy on it
-    scores more than ``xi_star = 2^n ||Phi||``, Phi its actual game matrix.
-    The lowest top Walsh index u gives the witness ``alpha = chi_u``, ``beta
-    = sign(g^(u)) chi_u`` (module docstring), scored exactly on the integers
-    ``L Phi`` of ``g`` by ``game.bias_of_strategy``; its score
-    ``|g^(u)| = xi_star`` proves the equality at any n, with no enumeration.
-    A score other than ``xi_star`` raises VerificationFailed.
+    No strategy on the spec's game scores more than ``xi_star = 2^n ||Phi||``
+    of `hadamard_spectrum`, Phi its actual game matrix.  The lowest top Walsh
+    index u gives the witness ``alpha = chi_u``, ``beta = s chi_u`` with
+    ``s = sign(g^(u))``, whose score on that game is (module docstring)
+
+        sum_x sum_y chi_u(x) chi_u(y) s Phi(x XOR y) = s sum_z chi_u(z) (-1)^f(z) q~(z).
+
+    The right side is summed exactly over the spec's own Fractions, sharing
+    neither the butterfly's integer arithmetic nor its scaling; a score of
+    ``xi_star`` proves the equality at any n, with no enumeration and no
+    game built.  Any other score raises VerificationFailed.
     """
+    a = hadamard_spectrum(spec)
     u = next(u for u, v in enumerate(a.spectrum) if abs(v) == a.lambda_norm)
-    alpha = tuple(-1 if (u & x).bit_count() & 1 else 1 for x in range(len(a.spectrum)))
-    beta = alpha if a.spectrum[u] > 0 else tuple(-s for s in alpha)
-    score = bias_of_strategy(g, DeterministicStrategy(alpha, beta))
+    terms = (-q if ((u & z).bit_count() + b) & 1 else q
+             for z, (q, b) in enumerate(zip(spec.q_tilde, spec.f_z)))
+    score = (1 if a.spectrum[u] > 0 else -1) * sum(terms, Fraction(0))
     if score != a.xi_star:
         raise VerificationFailed(f"the witness of Walsh index {u} scores {score}, not {a.xi_star}")
     return NlcBiasBound(xi_star=a.xi_star, xi_c=score, matches_classical=True)
@@ -348,7 +356,8 @@ def nlc_spec_from_dict(data: dict) -> NlcSpec:
 
 
 def save_nlc_spec(spec: NlcSpec, path) -> None:
-    Path(path).write_text(json.dumps(nlc_spec_to_dict(spec), indent=2) + "\n", "utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        write_json(nlc_spec_to_dict(spec), fh)
 
 
 def load_nlc_spec(path) -> NlcSpec:

@@ -378,19 +378,22 @@ def test_nlc_bound(capsys, and2_file):
     assert payload["matches_classical"] is True
 
 
-def test_nlc_bound_refuses_from_n(tmp_path, capsys, monkeypatch):
-    # past the family limit, at n = 12, the spec is refused before a game is built
+def test_nlc_bound_answers_past_the_family_limit(tmp_path, capsys, monkeypatch):
+    # at n = 12, past make's family limit, the spec still answers: the Walsh
+    # witness is scored on the spec, so no game is built at any n
     def built(*_args, **_kwargs):
         raise AssertionError("a game was built")
 
     monkeypatch.setattr(nlc, "circulant_game", built)
+    monkeypatch.setattr(nlc, "build_nlc", built)
     size = 1 << 12
     spec = NlcSpec(n=12, q_tilde=(Fraction(1, size),) * size, f_z=(0,) * (size - 1) + (1,))
     path = tmp_path / "and12.json"
     save_nlc_spec(spec, path)
-    code, out, err = run(capsys, "nlc", "bound", str(path))
-    assert (code, out) == (2, "")
-    assert err.startswith("error: n = 12: shared-input games stop at n = 11")
+    code, payload, err = run_json(capsys, "nlc", "bound", str(path))
+    assert (code, err) == (0, "")
+    assert (payload["n"], payload["xi_star"], payload["xi_c"]) == (12, "2047/2048", "2047/2048")
+    assert payload["matches_classical"] is True
 
 
 def test_nlc_bound_answers_past_the_enumeration_cap(tmp_path, capsys, enumerations):
@@ -424,7 +427,7 @@ def test_nlc_bound_enumerates_once(capsys, and2_file, enumerations):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_nlc_bound_spec_file_matches_its_game_file(tmp_path, capsys, n):
-    # a spec file takes the build_nlc branch, a game file its own game
+    # both kinds of file give the same spec, and the same report
     g = make_named("nlc_and", n)
     spec_path, game_path = tmp_path / "spec.json", tmp_path / "game.json"
     save_nlc_spec(nlc.spec_from_game(g), spec_path)
@@ -448,12 +451,22 @@ def test_verification_failure_exit(capsys, and2_file, monkeypatch):
     assert out == "" and "not exact" in err
 
 
-def test_nlc_bound_witness_mismatch_exits_3(capsys, and2_file, monkeypatch):
-    score = nlc.bias_of_strategy
-    monkeypatch.setattr(nlc, "bias_of_strategy", lambda g, s: score(g, s) - Fraction(1, 8))
-    code, out, err = run(capsys, "nlc", "bound", and2_file)
+def test_nlc_bound_witness_mismatch_exits_3(tmp_path, capsys, monkeypatch):
+    # at n = 6 no diagonalization check runs, so a top Walsh coefficient
+    # raised by one reaches the witness, which scores the spec's true bias
+    transform = nlc._walsh_transform
+
+    def tampered(values):
+        out = transform(values)
+        out[0] += 1
+        return out
+
+    monkeypatch.setattr(nlc, "_walsh_transform", tampered)
+    path = tmp_path / "and6.json"
+    save_nlc_spec(nlc.spec_from_game(make_named("nlc_and", 6)), path)
+    code, out, err = run(capsys, "nlc", "bound", str(path))
     assert (code, out) == (3, "")
-    assert "witness of Walsh index 0 scores 3/8, not 1/2" in err
+    assert "witness of Walsh index 0 scores 31/32, not 63/64" in err
 
 
 def test_nlc_g0_mismatch_exits_3(capsys, monkeypatch):
@@ -548,20 +561,9 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [["make", "identity", "--n", "40"], ["make", "appendixd", "--n", "12"],
-     ["make", "nlc-and", "--n", "12"], ["nlc", "bound", "SPEC16"]],
-    ids=lambda v: " ".join(v),
-)
-def test_families_past_n_11_exit_capped(tmp_path, argv):
-    # refused before any of the 4^n entries is built; in a child process with
-    # 1 GiB of address space, so a build that starts fails instead of growing
-    if "SPEC16" in argv:
-        spec = tmp_path / "spec16.json"
-        save_nlc_spec(NlcSpec(n=16, q_tilde=(Fraction(1, 2**16),) * 2**16, f_z=(0,) * 2**16), spec)
-        argv = [str(spec) if a == "SPEC16" else a for a in argv]
-    proc = subprocess.run(
+def _run_in_1_gib(argv):
+    """``tightbell argv`` in a child process with 1 GiB of address space."""
+    return subprocess.run(
         [sys.executable, "-m", "tightbell.cli", *argv],
         capture_output=True,
         text=True,
@@ -569,8 +571,31 @@ def test_families_past_n_11_exit_capped(tmp_path, argv):
         preexec_fn=_limit_memory,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["make", "identity", "--n", "40"], ["make", "appendixd", "--n", "12"],
+     ["make", "nlc-and", "--n", "12"]],
+    ids=lambda v: " ".join(v),
+)
+def test_families_past_n_11_exit_capped(argv):
+    # refused before any of the 4^n entries is built; in a child process with
+    # 1 GiB of address space, so a build that starts fails instead of growing
+    proc = _run_in_1_gib(argv)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: ") and "n = 11" in proc.stderr
+
+
+def test_nlc_bound_answers_a_spec_past_n_11(tmp_path):
+    # the 4^16 entries of the spec's game would not fit in the child's 1 GiB:
+    # the witness is scored on the 2^16 entries of the spec
+    spec = tmp_path / "spec16.json"
+    save_nlc_spec(NlcSpec(n=16, q_tilde=(Fraction(1, 2**16),) * 2**16, f_z=(0,) * 2**16), spec)
+    proc = _run_in_1_gib(["nlc", "bound", str(spec)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    payload = json.loads(proc.stdout)
+    assert (payload["n"], payload["xi_star"], payload["xi_c"]) == (16, "1", "1")
 
 
 @pytest.mark.parametrize("n", [20000, 10**10])
@@ -580,14 +605,7 @@ def test_spec_with_a_huge_n_is_invalid(tmp_path, n):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"format": "tightbell-nlc-v1", "n": n, "q_tilde": ["1"], "f_z": [0]}))
     for command in ("spectrum", "bound"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tightbell.cli", "nlc", command, str(path)],
-            capture_output=True,
-            text=True,
-            timeout=30,
-            preexec_fn=_limit_memory,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
-        )
+        proc = _run_in_1_gib(["nlc", command, str(path)])
         assert (proc.returncode, proc.stdout) == (1, "")
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")

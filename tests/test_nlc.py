@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tightbell import (
+    DeterministicStrategy,
     affine_dimension_exact,
+    bias_of_strategy,
     build_game,
     build_nlc,
     classical_bias,
@@ -267,9 +269,7 @@ def test_bias_bound_examples():
         (and_spec(), H),
         (NlcSpec(n=2, q_tilde=(Fraction(1), 0, 0, 0), f_z=(0, 0, 0, 0)), Fraction(1)),
     ]:
-        a = hadamard_spectrum(spec)
-        g = build_nlc(spec)
-        bound = nlc_bias_bound(a, g)
+        bound = nlc_bias_bound(spec)
         assert bound.xi_star == expected
         assert bound.matches_classical
 
@@ -280,16 +280,24 @@ def test_bias_bound_matches_classical_on_random_specs():
         for _ in range(6):
             spec = random_nlc_spec(rng, n)
             a = hadamard_spectrum(spec)
-            g = build_nlc(spec)
-            assert classical_bias(g).xi_c == a.xi_star
-            assert nlc_bias_bound(a, g).matches_classical
+            assert classical_bias(build_nlc(spec)).xi_c == a.xi_star
+            assert nlc_bias_bound(spec).matches_classical
+
+
+def _walsh_witness(a):
+    """The strategy nlc_bias_bound scores: chi_u and sign(g^(u)) chi_u, u the lowest top index."""
+    u = next(u for u, v in enumerate(a.spectrum) if abs(v) == a.lambda_norm)
+    alpha = tuple(-1 if (u & x).bit_count() & 1 else 1 for x in range(len(a.spectrum)))
+    beta = alpha if a.spectrum[u] > 0 else tuple(-s for s in alpha)
+    return DeterministicStrategy(alpha, beta)
 
 
 def test_witness_equals_the_enumerated_bias():
-    # the Walsh witness against the scan, on specs with a single and a tied
-    # top coefficient (weights up to 1 tie it often), at n = 1-4
+    # the Walsh witness, scored by the x XOR y identity, against its 4^n-entry
+    # score on the built game at n = 1-6 and against the scan at n = 1-4, on
+    # specs with a single and a tied top coefficient (weights up to 1 tie it often)
     rng = np.random.default_rng(73)
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         tied = 0
         for max_weight in (8, 1):
             for _ in range(8):
@@ -297,25 +305,33 @@ def test_witness_equals_the_enumerated_bias():
                 a = hadamard_spectrum(spec)
                 tied += a.k + a.l >= 2
                 g = build_nlc(spec)
-                bound = nlc_bias_bound(a, g)
-                assert bound.xi_c == a.xi_star == classical_bias(g).xi_c
+                bound = nlc_bias_bound(spec)
+                assert bound.xi_c == a.xi_star == bias_of_strategy(g, _walsh_witness(a))
+                if n <= 4:
+                    assert bound.xi_c == classical_bias(g).xi_c
                 assert bound.matches_classical
         assert tied >= 4
 
 
-def test_witness_on_a_tampered_game_fails_verification():
-    # flip the predicate on one asked question after the spectrum is taken:
-    # the witness's score moves by 2 |Phi_xy| and no longer meets xi_star
-    spec = random_nlc_spec(np.random.default_rng(79), 3, max_weight=4)
+def test_witness_on_a_tampered_spectrum_fails_verification(monkeypatch):
+    # raise the lowest top Walsh coefficient by one at n = 6, where the
+    # diagonalization check does not run: xi_star moves and the witness,
+    # scored on the spec, no longer meets it
+    spec = random_nlc_spec(np.random.default_rng(79), 6, max_weight=4)
     a = hadamard_spectrum(spec)
-    g = build_nlc(spec)
-    x, y = next((x, y) for x in range(g.m_a) for y in range(g.m_b) if g.q[x][y])
-    f = [list(row) for row in g.f]
-    f[x][y] ^= 1
-    tampered = build_game(g.q, f)
-    assert nlc_bias_bound(a, g).xi_c == a.xi_star
+    assert nlc_bias_bound(spec).xi_c == a.xi_star
+    transform = nlc._walsh_transform
+
+    def tampered(values):
+        out = transform(values)
+        top = max(map(abs, out))
+        i = next(i for i, v in enumerate(out) if abs(v) == top)
+        out[i] += 1 if out[i] > 0 else -1
+        return out
+
+    monkeypatch.setattr(nlc, "_walsh_transform", tampered)
     with pytest.raises(VerificationFailed, match="witness of Walsh index"):
-        nlc_bias_bound(a, tampered)
+        nlc_bias_bound(spec)
 
 
 def test_no_quantum_advantage_random_specs():

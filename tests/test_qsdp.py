@@ -26,7 +26,7 @@ from tightbell.errors import (
 from tightbell import game, qsdp
 from tightbell.facegeom import face_report
 from tightbell.game import DeterministicStrategy, build_game, load_game, save_game
-from tightbell.nlc import NlcSpec, build_nlc, hadamard_spectrum, nlc_bias_bound
+from tightbell.nlc import NlcSpec, build_nlc, nlc_bias_bound
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde, certificate_to_dict
 
 from .generators import random_game
@@ -482,7 +482,6 @@ def test_answers_never_rebuild_the_game_matrix(monkeypatch, tmp_path):
     save_game(build_game([[half, 0, half], [0, 0, 0]], [[0, 0, 1], [1, 0, 0]]), tmp_path / "padded.json")
     save_game(make_named("appendix_d", 2), tmp_path / "exhaustive.json")
     spec = NlcSpec(n=2, q_tilde=(Fraction(1, 4),) * 4, f_z=(0, 0, 0, 1))
-    analysis = hadamard_spectrum(spec)
     calls = []
     build = game.signed_matrix
     monkeypatch.setattr(game, "signed_matrix", lambda q, f: calls.append(len(q)) or build(q, f))
@@ -496,7 +495,7 @@ def test_answers_never_rebuild_the_game_matrix(monkeypatch, tmp_path):
         assert res.xi_c == classical_bias(g).xi_c and res.certified
     for g in (padded, loaded, shared):
         assert optimal_vertices(g).xi_c == face_report(g).xi_c
-    assert nlc_bias_bound(analysis, shared).matches_classical
+    assert nlc_bias_bound(spec).matches_classical
     assert calls == []
 
 

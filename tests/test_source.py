@@ -353,3 +353,10 @@ def test_game_matrix_is_made_only_in_game():
         for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "GameMatrix")
     ]
     assert found == ["game.py:_integer_matrix"]
+
+
+def test_cli_builds_no_game_from_a_spec():
+    # the Walsh witness is scored on the spec, so the command line never
+    # builds a shared-input game: a game file's game is the only one it holds
+    tree = ast.parse((Path(tightbell.__file__).parent / "cli.py").read_text("utf-8"))
+    assert [where for name in ("build_nlc", "circulant_game") for where in _calls_by_function(tree, name)] == []
