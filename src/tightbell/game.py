@@ -87,6 +87,25 @@ def as_int(value) -> int:
     raise GameFormatError(f"integer required, got {value!r}")
 
 
+def _parse_literal(s: str) -> Fraction:
+    """``as_rational(s)``, with an ASCII ``"a/b"`` or ``"a"`` (b > 0) read by ``int``.
+
+    Those literals are what files hold, and ``Fraction(int, int)`` reads
+    them in less than half the time of ``Fraction``'s regex.  Every other
+    string, signs, spaces, ``_``, decimals, exponents, non-ASCII digits and
+    zero denominators included, goes through :func:`as_rational`.
+    """
+    num, slash, den = s.partition("/")
+    if s.isascii() and num.isdigit() and (den.isdigit() or not slash):
+        try:
+            d = int(den) if slash else 1
+            if d:
+                return Fraction(int(num), d)
+        except ValueError:  # past int's digit limit, which Fraction meets too
+            pass
+    return as_rational(s)
+
+
 def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
     parsed: dict[str, Fraction] = {}  # family files repeat a few literals
 
@@ -94,7 +113,7 @@ def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
         if type(v) is not str:
             return as_rational(v)
         if v not in parsed:
-            parsed[v] = as_rational(v)
+            parsed[v] = _parse_literal(v)
         return parsed[v]
 
     out = tuple(tuple(map(rational, row)) for row in rows)
@@ -208,7 +227,7 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
     over the lcm of the denominators.
     """
     qm = _rational_matrix(q)
-    fm = tuple(tuple(as_int(v) for v in row) for row in f)
+    fm = tuple(tuple(map(as_int, row)) for row in f)
     if len(fm) != len(qm) or any(len(fr) != len(qr) for fr, qr in zip(fm, qm)):
         raise ShapeMismatch("q and f must have identical shapes")
     if any(bit not in (0, 1) for row in fm for bit in row):

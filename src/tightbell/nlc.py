@@ -161,21 +161,20 @@ def spec_from_game(g: XorGame) -> NlcSpec:
     Requires square power-of-two dimensions and that ``g`` equal the
     ``game.circulant_game`` of its first row, ``q~ = 2^n q(0, .)`` and
     ``f_z = f(0, .)``; raises InvalidSpec otherwise.  The equality is tested
-    entry by entry against that row, which at n = 3 is quicker than building
-    the circulant to compare with.
+    as two array comparisons against that row spread over ``x XOR y``: one on
+    the game's ``L Phi``, which fixes ``q`` and, where ``q > 0``, ``f``, and
+    one on ``f``, which fixes it at the zero-prior entries too.
     """
     size = g.m_a
     if g.m_b != size or size & (size - 1) != 0:
         raise InvalidSpec("shared-input games are square with power-of-two size")
-    n = size.bit_length() - 1
-    q_tilde = tuple(g.q[0][z] * size for z in range(size))
-    f_z = tuple(g.f[0][z] for z in range(size))
-    for x in range(size):
-        for y in range(size):
-            z = x ^ y
-            if g.q[x][y] != g.q[0][z] or g.f[x][y] != f_z[z]:
-                raise InvalidSpec("game data does not factor through x XOR y")
-    return NlcSpec(n=n, q_tilde=q_tilde, f_z=f_z)
+    z = np.arange(size)
+    xor = z[:, None] ^ z
+    ints, f = g.matrix.ints, np.asarray(g.f)
+    if not (np.array_equal(ints, ints[0][xor]) and np.array_equal(f, f[0][xor])):
+        raise InvalidSpec("game data does not factor through x XOR y")
+    q_tilde = tuple(v * size for v in g.q[0])
+    return NlcSpec(n=size.bit_length() - 1, q_tilde=q_tilde, f_z=g.f[0])
 
 
 def _walsh_transform(values: Sequence) -> list:

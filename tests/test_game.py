@@ -33,6 +33,7 @@ from tightbell.game import (
     Behaviour,
     DeterministicStrategy,
     XorGame,
+    _rational_matrix,
     circulant_game,
     game_from_dict,
     game_to_dict,
@@ -105,6 +106,31 @@ def test_build_error_texts_and_their_order():
         build_game([[0.5, "x"]], [[0, 0]])
     with pytest.raises(GameFormatError, match=r"^not a rational literal: 'x'$"):
         build_game([["x", 0.5]], [[0, 0]])
+
+
+@pytest.mark.parametrize(
+    "literal",
+    [
+        # read by int: ASCII digits, with or without one "/"
+        "03/004", "0/7", "2/6", "7", "000", "1/3", "12345678901234567890/3",
+        # read by Fraction's regex, or refused by it
+        "1/0", "0/0", "1/00", "-1/4", " 1/4", "1/4 ", "+1/4", "1_0/3", "1/-4",
+        "\u0663/4", "1/\u0663", "\u00b2/4", "0.25", "1e3", "", "/4", "1/", "1/2/3",
+        "9" * 5000, "1/" + "9" * 5000,  # past int's digit limit
+    ],
+)
+def test_file_literals_read_as_fraction_reads_them(literal):
+    # the int path and the regex path give Fraction(literal), and where
+    # Fraction refuses a literal, the game file is refused as before
+    try:
+        expected = Fraction(literal)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(GameFormatError, match=r"^not a rational literal: "):
+            _rational_matrix([[literal]])
+    else:
+        ((got,),) = _rational_matrix([[literal]])
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
 
 
 # exact spellings of a prior value, and entries that are not one

@@ -444,6 +444,24 @@ def test_stop_read_from_the_step_norm_matches_row_reference(monkeypatch, change_
         assert converged and (sweeps, converged) == (ref_sweeps, ref_converged)
 
 
+def test_row_norms_match_linalg_norm():
+    # the solver's one norm agrees with np.linalg.norm to 4 ulps, into a
+    # buffer or not, and gives an all-zero row exactly 0.0, which the stall
+    # path reads (n_x > 0.0 in the sweeps, t == 0.0 in the certificate)
+    rng = np.random.default_rng(4202)
+    for rows in (1, 2, 7, 16, 30, 64):
+        for cols in (1, 3, 8, 30, 64):
+            X = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-3, 4, size=(rows, 1))
+            zero = rng.integers(rows)
+            X[zero] = 0.0
+            expected = np.linalg.norm(X, axis=1)
+            out = np.empty(rows)
+            assert qsdp._row_norms(X, out=out) is out
+            for got in (out, qsdp._row_norms(X)):
+                assert np.all(np.abs(got - expected) <= 4 * np.spacing(expected))
+                assert got[zero] == 0.0
+
+
 def _unit_rows(rng, shape):
     U = rng.normal(size=shape)
     return U / np.linalg.norm(U, axis=1, keepdims=True)

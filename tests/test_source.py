@@ -360,3 +360,11 @@ def test_cli_builds_no_game_from_a_spec():
     # builds a shared-input game: a game file's game is the only one it holds
     tree = ast.parse((Path(tightbell.__file__).parent / "cli.py").read_text("utf-8"))
     assert [where for name in ("build_nlc", "circulant_game") for where in _calls_by_function(tree, name)] == []
+
+
+def test_solver_takes_row_norms_one_way():
+    # the solver's one row norm is qsdp._row_norms; no site takes its own
+    # by np.einsum or np.linalg.norm
+    tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
+    assert [where for name in ("einsum", "norm") for where in _calls_by_function(tree, name)] == []
+    assert _calls_by_function(tree, "vecdot") == ["_row_norms"]
