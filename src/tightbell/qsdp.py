@@ -32,10 +32,11 @@ eigenvalue of ``diag(t) - Phi~`` is at least ``-feas_tol``.  Sweeps continue
 until no coordinate of the step, in the solver's basis, moves by more than
 ``change_tol``: the gap is second-order in the distance to the optimal face
 while the dual error is first-order, so stopping on the gap alone would
-leave ``t`` orders of magnitude less accurate than the primal value.  With the fixed-point rule the dual typically lands within a few
-ulps of exact, which the slackness checks downstream rely on.  The
-extrapolation does not weaken this: the stop is tested on plain sweeps only,
-so a returned iterate is a Gauss-Seidel fixed point whether or not it was
+leave ``t`` orders of magnitude less accurate than the primal value.
+With the fixed-point rule the dual typically lands within a few ulps of
+exact, which the slackness checks downstream rely on.  The extrapolation
+does not weaken this: the stop is tested on plain sweeps only, so a
+returned iterate is a Gauss-Seidel fixed point whether or not it was
 reached by extrapolating.
 
 Every row norm the solver takes, in the sweeps, the extrapolation, the
@@ -55,10 +56,11 @@ Across builds the certificate floats can move by about 1e-14, because the
 fixed-point stop meets rounding.  The sweep count can move too, by more than
 one sweep when a cycle's steps are numerically dependent: on small games
 ``S S^T`` reaches a condition number of 1e20, and the extrapolation's
-weights are then set by rounding.  Every solver setting is an init field
-of :class:`SolveConfig`, which defines its default and rejects values out of
-range; the command line's solver flags are those fields.  The sweep budget,
-``SolveConfig.max_iters`` = 50,000 a restart, is fixed.
+weights are then set by rounding.  The two solver settings, the seed and
+the restart count, are the init fields of :class:`SolveConfig`, which
+defines their defaults and rejects values out of range; the command line's
+solver flags are those fields.  The four tolerances and the sweep budget,
+``SolveConfig.max_iters`` = 50,000 a restart, are fixed class constants.
 """
 
 from __future__ import annotations
@@ -92,27 +94,25 @@ UNDECIDED = "undecided"
 class SolveConfig:
     """Solver settings; defaults certify every desk-scale game in milliseconds.
 
-    The init fields are the solver settings, and the command line's solver
-    flags are these fields, in this order.  ``max_iters``, the sweep budget
-    of a restart, is fixed and not a setting.  Raises InvalidParameter for a
-    tolerance that is not positive (NaN included), fewer than one restart,
-    or a seed outside ``[0, 2^64)``.
+    The init fields, ``seed`` and ``restarts``, are the solver settings, and
+    the command line's solver flags are these fields, in this order.  The
+    sweep budget of a restart and the four tolerances are fixed class
+    constants, not settings; an instance reads them as attributes.  Raises
+    InvalidParameter for fewer than one restart or a seed outside
+    ``[0, 2^64)``.
     """
 
     max_iters: ClassVar[int] = 50_000  # coordinate sweeps per restart
-    seed: int = 0
-    restarts: int = 8
-    gap_tol: float = 1e-7
-    feas_tol: float = 1e-8
-    adv_tol: float = 1e-6
+    gap_tol: ClassVar[float] = 1e-7
+    feas_tol: ClassVar[float] = 1e-8
+    adv_tol: ClassVar[float] = 1e-6
     # fixed-point stop: the largest coordinate of a sweep's step, in the
     # solver's basis (see _coordinate_ascent)
-    change_tol: float = 1e-13
+    change_tol: ClassVar[float] = 1e-13
+    seed: int = 0
+    restarts: int = 8
 
     def __post_init__(self) -> None:
-        tols = (self.gap_tol, self.feas_tol, self.adv_tol, self.change_tol)
-        if not all(t > 0 for t in tols):  # also refuses NaN
-            raise InvalidParameter("tolerances must be positive")
         if self.restarts < 1:
             raise InvalidParameter("restarts must be positive")
         if not 0 <= self.seed < 2**64:

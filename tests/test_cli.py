@@ -1,9 +1,9 @@
 """Command-line surface: reports, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
-import math
 import os
 import re
 import resource
@@ -11,6 +11,7 @@ import subprocess
 import sys
 from dataclasses import fields
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,14 +216,13 @@ def test_bias_refuses_flags_its_kind_does_not_read(capsys, chsh_file, kind, flag
     assert "unrecognized arguments" in err
 
 
-def test_bias_quantum_uncertified_exit(capsys, tmp_path):
+def test_bias_quantum_uncertified_exit(monkeypatch, capsys, tmp_path):
     path = tmp_path / "ad2.json"
     save_game(make_named("appendix_d", 2), path)
     # a huge change tolerance stops every restart after one sweep, far from
     # the optimum, so no restart can certify
-    code, payload, _ = run_json(
-        capsys, "bias", "quantum", str(path), "--change-tol", "1.0", "--restarts", "2"
-    )
+    monkeypatch.setattr(SolveConfig, "change_tol", 1.0)
+    code, payload, _ = run_json(capsys, "bias", "quantum", str(path), "--restarts", "2")
     assert code == 3
     assert payload["classification"] == "undecided"
 
@@ -614,7 +614,9 @@ def test_spec_with_a_huge_n_is_invalid(tmp_path, n):
 @pytest.mark.parametrize(
     "argv",
     [["face"], ["bias", "quantum", "GAME", "--seed", "abc"],
-     ["nlc", "g0", "--n", "2", "--n-max", "x"], ["frobnicate"]],
+     ["nlc", "g0", "--n", "2", "--n-max", "x"], ["frobnicate"],
+     # the tolerances are fixed: a tolerance flag is an unknown flag
+     ["face", "GAME", "--adv-tol", "1"], ["bias", "quantum", "GAME", "--change-tol", "1"]],
     ids=lambda v: " ".join(v),
 )
 def test_usage_errors_exit_invalid(capsys, chsh_file, argv):
@@ -625,7 +627,7 @@ def test_usage_errors_exit_invalid(capsys, chsh_file, argv):
 
 def test_help_exits_ok(capsys):
     code, out, _ = run(capsys, "bias", "quantum", "--help")
-    assert code == 0 and "--gap-tol" in out and "--enum-cap" not in out
+    assert code == 0 and "--restarts" in out and "--enum-cap" not in out
 
 
 def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys, chsh_file):
@@ -704,8 +706,11 @@ def _option_strings(capsys, *command):
 
 def test_solver_flags_are_the_config_fields(capsys, chsh_file):
     names = [f.name for f in fields(SolveConfig)]
-    assert names == ["seed", "restarts", "gap_tol", "feas_tol", "adv_tol", "change_tol"]
-    assert SolveConfig.max_iters == 50_000
+    assert names == ["seed", "restarts"]
+    # the fixed constants stay readable from an instance, as bench/ reads them
+    cfg = SolveConfig()
+    assert (cfg.gap_tol, cfg.feas_tol, cfg.adv_tol, cfg.change_tol) == (1e-7, 1e-8, 1e-6, 1e-13)
+    assert cfg.max_iters == 50_000
     solver = ["--" + name.replace("_", "-") for name in names]
     assert _option_strings(capsys, "bias", "quantum") == ["--help", *solver, "--output"]
     assert _option_strings(capsys, "face") == [
@@ -715,28 +720,41 @@ def test_solver_flags_are_the_config_fields(capsys, chsh_file):
         assert _solve_config(build_parser().parse_args([*command, chsh_file])) == SolveConfig()
 
 
+def _commands(parser, path=()):
+    """Every subcommand path of ``parser`` that takes no further subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [c for name, p in subs[0].choices.items() for c in _commands(p, (*path, name))]
+
+
+def test_readme_flag_list_matches_the_parser(capsys):
+    # every flag the README's per-command list names is an option of some
+    # command, and every option of every command is named there
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    section = readme.split("Flags, per command")[1].split("A flag the command does not read")[0]
+    listed = set(re.findall(r"--[a-z][a-z-]*", section))
+    commands = _commands(build_parser())
+    assert len(commands) == 9
+    options = {o for c in commands for o in _option_strings(capsys, *c)} - {"--help"}
+    assert listed == options
+
+
 def test_run_config_validation(capsys, chsh_file):
     args = build_parser().parse_args(
-        ["bias", "quantum", chsh_file, "--seed", "9", "--gap-tol", "1e-9"]
+        ["bias", "quantum", chsh_file, "--seed", "9", "--restarts", "3"]
     )
     cfg = _solve_config(args)
-    assert cfg.seed == 9 and cfg.gap_tol == 1e-9
-    for bad in (
-        dict(gap_tol=0.0),
-        dict(feas_tol=-1e-6),
-        dict(restarts=0),
-        dict(seed=-1),
-        dict(seed=2**64),
-        dict(gap_tol=math.nan),
-        dict(change_tol=math.nan),
-    ):
+    assert (cfg.seed, cfg.restarts) == (9, 3)
+    for bad in (dict(restarts=0), dict(seed=-1), dict(seed=2**64)):
         with pytest.raises(InvalidParameter):
             SolveConfig(**bad)
-    with pytest.raises(TypeError):  # the sweep budget is not a setting
-        SolveConfig(max_iters=3)
+    for fixed in (dict(max_iters=3), dict(gap_tol=1e-9)):  # constants, not settings
+        with pytest.raises(TypeError):
+            SolveConfig(**fixed)
     code, out, _ = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "0")
     assert (code, out) == (1, "")
-    code, out, _ = run(capsys, "bias", "quantum", chsh_file, "--gap-tol", "nan")
+    code, out, _ = run(capsys, "bias", "quantum", chsh_file, "--restarts", "0")
     assert (code, out) == (1, "")
 
 

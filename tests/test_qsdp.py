@@ -431,6 +431,7 @@ def test_stop_read_from_the_step_norm_matches_row_reference(monkeypatch, change_
     # off in both, since its weights are set by rounding on these small games
     # (see test_block_sweep_matches_row_reference)
     monkeypatch.setattr(qsdp, "_extrapolate", _skip_extrapolation)
+    monkeypatch.setattr(SolveConfig, "change_tol", change_tol)
     rng = np.random.default_rng(17)
     for i in range(30):
         g = random_game(rng)
@@ -438,7 +439,7 @@ def test_stop_read_from_the_step_norm_matches_row_reference(monkeypatch, change_
         m = g.m_a + g.m_b
         U0 = np.random.default_rng(i).normal(size=(m, m))
         U0 /= np.linalg.norm(U0, axis=1, keepdims=True)
-        cfg = SolveConfig(change_tol=change_tol)
+        cfg = SolveConfig()
         _, sweeps, converged = qsdp._coordinate_ascent(blocks, U0.copy(), cfg)
         _, ref_sweeps, ref_converged = reference_plain_ascent(blocks, U0.copy(), cfg)
         assert converged and (sweeps, converged) == (ref_sweeps, ref_converged)
@@ -609,11 +610,12 @@ def test_converged_infeasible_dual_is_not_certified(infeasible_dual):
     assert res.classification == ADVANTAGE
 
 
-def test_loose_change_tol_certifies_a_later_restart():
+def test_loose_change_tol_certifies_a_later_restart(monkeypatch):
     # restart 1 stops with gap <= gap_tol but an indefinite diag(t) - Phi~;
     # restart 2 certifies
-    g, cfg = make_named("appendix_d", 3), SolveConfig(change_tol=1e-6, seed=3)
-    first = solve_quantum_bias(g, SolveConfig(change_tol=1e-6, seed=3, restarts=1))
+    monkeypatch.setattr(SolveConfig, "change_tol", 1e-6)
+    g, cfg = make_named("appendix_d", 3), SolveConfig(seed=3)
+    first = solve_quantum_bias(g, SolveConfig(seed=3, restarts=1))
     assert first.converged and not first.certified
     assert first.gap <= cfg.gap_tol and first.cert.min_eig < -cfg.feas_tol
     res = solve_quantum_bias(g, cfg)
@@ -632,7 +634,8 @@ def test_uncertified_returns_smallest_gap(monkeypatch, name, n):
         return out
 
     monkeypatch.setattr(qsdp, "_evaluate", recorded)
-    res = solve_quantum_bias(make_named(name, n), SolveConfig(restarts=5, change_tol=1.0))
+    monkeypatch.setattr(SolveConfig, "change_tol", 1.0)
+    res = solve_quantum_bias(make_named(name, n), SolveConfig(restarts=5))
     assert len(gaps) == 5 and not res.certified
     assert res.gap == min(gaps)
     assert res.restarts_used == gaps.index(min(gaps)) + 1
