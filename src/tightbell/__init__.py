@@ -59,7 +59,6 @@ from .qsdp import (
     DualCertificate,
     GramSolution,
     QuantumBiasResult,
-    SlacknessReport,
     SolveConfig,
     certificate_to_dict,
     extract_F,

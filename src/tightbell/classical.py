@@ -58,6 +58,8 @@ _CHUNK = 1 << 16  # column-sum entries per scan step
 _INT64_SAFE = 1 << 62
 # the type ladder: the first type whose limit passes the bound holds it exactly
 _LADDER = ((1 << 15, np.int16), (1 << 31, np.int32), (_INT64_SAFE, np.int64))
+# largest residual of the coupling relation that passes, in both of its checks
+F_RELATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,13 @@ class OptimalVertexSet:
 
 @dataclass(frozen=True)
 class FRelationReport:
+    """A check of the coupling relation: Bob's optima are ``F`` applied to Alice's.
+
+    Both checks return it: `verify_F_relation` on the vertices and
+    `qsdp.quantum_slackness_check` on the Gram vectors.  ``all_pass`` is
+    ``max_residual <= F_RELATION_TOL``, a fixed constant no caller sets.
+    """
+
     max_residual: float
     all_pass: bool
 
@@ -256,13 +265,14 @@ def optimal_vertices(
     return OptimalVertexSet(signs, g.m_a, truncated, cap, opt.xi_c)
 
 
-def verify_F_relation(
-    vs: OptimalVertexSet, F, tol: float = 1e-6
-) -> FRelationReport:
+def verify_F_relation(vs: OptimalVertexSet, F) -> FRelationReport:
     """Check ``beta = F alpha`` across a complete optimal vertex set.
 
-    Raises Truncated on incomplete sets: a universally quantified claim
-    cannot be certified from a partial enumeration.
+    The residual is the largest entry of ``|beta - F alpha|`` over the
+    vertices; it passes at most the fixed ``F_RELATION_TOL``, which
+    `qsdp.quantum_slackness_check` reads too.  Raises Truncated on
+    incomplete sets: a universally quantified claim cannot be certified from
+    a partial enumeration.
     """
     if vs.truncated:
         raise Truncated("vertex set is truncated; relation cannot be certified")
@@ -271,4 +281,4 @@ def verify_F_relation(
     if Fm.shape != (beta.shape[1], vs.m_a):
         raise ShapeMismatch(f"F must be {beta.shape[1]}x{vs.m_a}, got {Fm.shape}")
     worst = float(np.abs(beta - alpha @ Fm.T).max(initial=0.0))
-    return FRelationReport(max_residual=worst, all_pass=worst <= tol)
+    return FRelationReport(max_residual=worst, all_pass=worst <= F_RELATION_TOL)

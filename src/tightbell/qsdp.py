@@ -59,8 +59,9 @@ one sweep when a cycle's steps are numerically dependent: on small games
 weights are then set by rounding.  The two solver settings, the seed and
 the restart count, are the init fields of :class:`SolveConfig`, which
 defines their defaults and rejects values out of range; the command line's
-solver flags are those fields.  The four tolerances and the sweep budget,
-``SolveConfig.max_iters`` = 50,000 a restart, are fixed class constants.
+solver flags are those fields.  The four solver tolerances and the sweep
+budget, ``SolveConfig.max_iters`` = 50,000 a restart, are fixed class
+constants; the coupling check reads ``classical.F_RELATION_TOL``.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class SolveConfig:
 
     The init fields, ``seed`` and ``restarts``, are the solver settings, and
     the command line's solver flags are these fields, in this order.  The
-    sweep budget of a restart and the four tolerances are fixed class
+    sweep budget of a restart and the four solver tolerances are fixed class
     constants, not settings; an instance reads them as attributes.  Raises
     InvalidParameter for fewer than one restart or a seed outside
     ``[0, 2^64)``.
@@ -184,12 +185,6 @@ class QuantumBiasResult:
     sweeps: int
     converged: bool
     stalled_rows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SlacknessReport:
-    max_residual: float
-    passed: bool
 
 
 def _halves(g: XorGame) -> tuple[np.ndarray, np.ndarray]:
@@ -497,13 +492,15 @@ def slackness_residual_classical(
     return float(np.abs(cert.t * s - np.concatenate((half @ v.beta, half_t @ v.alpha))).max())
 
 
-def quantum_slackness_check(
-    res: QuantumBiasResult, F, tol: float = 1e-6
-) -> SlacknessReport:
+def quantum_slackness_check(res: QuantumBiasResult, F) -> classical.FRelationReport:
     """Check that Bob's optimal Gram vectors are F applied to Alice's.
 
-    Only meaningful when quantum equals classical; raises NotApplicable for
-    any other classification.
+    The residual is the largest row norm of ``B - F A``, which on
+    1-dimensional vectors is the entrywise measure of
+    `classical.verify_F_relation`.  The report is that check's
+    `classical.FRelationReport`, passing at most the same fixed
+    ``classical.F_RELATION_TOL``.  Only meaningful when quantum equals
+    classical; raises NotApplicable for any other classification.
     """
     if res.classification != NO_ADVANTAGE:
         raise NotApplicable(
@@ -516,7 +513,9 @@ def quantum_slackness_check(
     if Fm.shape != (B.shape[0], A.shape[0]):
         raise ShapeMismatch(f"F must be {(B.shape[0], A.shape[0])}, got {Fm.shape}")
     residual = float(_row_norms(B - Fm @ A).max())
-    return SlacknessReport(max_residual=residual, passed=residual <= tol)
+    return classical.FRelationReport(
+        max_residual=residual, all_pass=residual <= classical.F_RELATION_TOL
+    )
 
 
 def certificate_to_dict(res: QuantumBiasResult) -> dict:

@@ -196,7 +196,7 @@ def test_truncation_flag_and_cap():
 def test_f_relation_identity():
     g = make_named("identity", 2)
     vs = optimal_vertices(g)
-    rep = verify_F_relation(vs, np.eye(4), tol=0.0)
+    rep = verify_F_relation(vs, np.eye(4))
     assert rep.all_pass and rep.max_residual == 0.0
 
 
@@ -213,6 +213,10 @@ def test_f_relation_fails_for_chsh():
     vs = optimal_vertices(chsh())
     for F in (np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)):
         assert not verify_F_relation(vs, F).all_pass
+    # the threshold is fixed: no caller can loosen it until F = I passes
+    assert verify_F_relation(vs, np.eye(2)).max_residual == 2.0
+    with pytest.raises(TypeError):
+        verify_F_relation(vs, np.eye(2), tol=2)
 
 
 def test_f_relation_refuses_truncated_sets():

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from tightbell import (
+    FRelationReport,
     classical_bias,
     extract_F,
     make_named,
@@ -223,8 +224,8 @@ def test_certificate_of_another_game_is_a_shape_mismatch():
 def test_quantum_slackness_identity2():
     g = make_named("identity", 2)
     res = solve_quantum_bias(g)
-    rep = quantum_slackness_check(res, extract_F(res.cert, g), tol=1e-6)
-    assert rep.passed
+    rep = quantum_slackness_check(res, extract_F(res.cert, g))
+    assert rep.all_pass
 
 
 @pytest.mark.parametrize(
@@ -252,8 +253,15 @@ def test_slackness_refuses_the_wrong_shape(alpha, beta, F):
 def test_quantum_slackness_nlc_and():
     g = make_named("nlc_and", 2)
     res = solve_quantum_bias(g)
-    rep = quantum_slackness_check(res, extract_F(res.cert, g), tol=1e-5)
-    assert rep.passed
+    rep = quantum_slackness_check(res, extract_F(res.cert, g))
+    assert isinstance(rep, FRelationReport) and rep.all_pass
+    # a zero F leaves every unit Gram vector of Bob's as its residual, and the
+    # threshold is fixed: no caller can loosen it until that passes
+    zero = np.zeros((g.m_b, g.m_a))
+    rep = quantum_slackness_check(res, zero)
+    assert not rep.all_pass and rep.max_residual == pytest.approx(1.0)
+    with pytest.raises(TypeError):
+        quantum_slackness_check(res, zero, tol=1)
 
 
 def test_quantum_slackness_not_applicable_for_advantage():

@@ -177,6 +177,34 @@ def test_every_default_parameter_is_set():
     assert found == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _public_functions(body: list[ast.stmt]):
+    """Functions and methods reachable by a caller: in a public class, with a public name."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_private(node.name):
+            yield node
+        elif isinstance(node, ast.ClassDef) and not _is_private(node.name):
+            yield from _public_functions(node.body)
+
+
+def test_no_public_function_takes_a_tolerance():
+    # a Boolean claim has one fixed threshold: a caller who could set it
+    # could loosen it until the claim passes; private helpers that tests
+    # drive, such as qsdp._sweeps(change_tol), are exempt
+    found = [
+        f"{path.name}: {fn.name}({p.arg})"
+        for path in SOURCES
+        for fn in _public_functions(ast.parse(path.read_text("utf-8")).body)
+        for p in (*fn.args.posonlyargs, *fn.args.args, *fn.args.kwonlyargs)
+        if p.arg == "tol" or p.arg.endswith("_tol")
+    ]
+    assert len(SOURCES) > 1
+    assert found == []
+
+
 def test_no_warnings_or_prints():
     # the CLI writes stdout and stderr itself: a library warning or print
     # would add lines there in another format
