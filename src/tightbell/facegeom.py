@@ -236,7 +236,7 @@ def face_report(
         raise InvalidParameter(f"vertex_cap must be positive, got {vertex_cap}")
     reduced = reduce_exhaustive(g)
     vs = classical.optimal_vertices(reduced, cap=vertex_cap, enum_cap=enum_cap)
-    qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=vs.xi_c)
+    qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=vs.xi_c, witness=vs.signs[0])
 
     M_a, M_b = g.m_a, g.m_b
     D = M_a * M_b + M_a + M_b
@@ -278,16 +278,19 @@ def quantum_face_probe(g: XorGame) -> ProbeReport:
     the vectors of a never-asked question are not pinned by the optimum, so
     they would add random directions.  Every solve runs at the default
     ``qsdp.SolveConfig``: once at seed 0 for the base optimum, then 24 more
-    times, sample ``k`` a fresh two-restart solve at seed ``1 + k``.  The
-    correlator blocks of the samples certified within ``gap_tol`` of the base
-    value are differenced against the base, and the singular values of the
-    differences above 1e-6 are counted.  Only a LOWER bound: sampling cannot
-    certify that more directions do not exist.  The reported comparison
-    bound is ``m (m - 1) / 2`` with m the smaller input count.  Both numbers
-    refer to the reduced game.
+    times, sample ``k`` a fresh two-restart solve at seed ``1 + k``.  Each
+    solve, the base one too, is passed the exact ``xi_c`` and no witness, so
+    each starts at random and the samples reach distinct optima; a game past
+    the enumeration cap raises TooLarge.  The correlator blocks of the
+    samples certified within ``gap_tol`` of the base value are differenced
+    against the base, and the singular values of the differences above 1e-6
+    are counted.  Only a LOWER bound: sampling cannot certify that more
+    directions do not exist.  The reported comparison bound is ``m (m - 1) /
+    2`` with m the smaller input count.  Both numbers refer to the reduced
+    game.
     """
     g = reduce_exhaustive(g)
-    base = qsdp.solve_quantum_bias(g)
+    base = qsdp.solve_quantum_bias(g, xi_c=classical.classical_bias(g).xi_c)
     if base.classification != qsdp.NO_ADVANTAGE:
         raise NotApplicable(
             f"face probe requires a no-advantage game, got {base.classification!r}"

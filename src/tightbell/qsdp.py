@@ -47,21 +47,35 @@ those the certificate floats move by up to about 1e-13 in ``t`` and
 ``sweeps`` by up to about 20 either way; the exact fields, ``certified``,
 the classification and ``restarts_used`` are unchanged.
 
+A solve that holds an optimal classical vertex ``s`` (the ``witness``) tries
+it before any restart.  When ``xi_q = xi_c``, strong duality and
+complementary slackness make the rank-one ``Q = s s^T`` primal optimal with
+the dual ``t_i = |(Phi~ s)_i|``, which is the stationarity candidate of the
+one-column Gram vectors ``U = s``.  So the witness is evaluated, and
+certified or not, by the same rule as a restart, with no sweep.  An
+advantage game refuses it first, from a Schur complement of side min(m_a,
+m_b) (:func:`_witness_may_certify`: 17-21 us inside a solve of the
+benchmark's solver games on a 2-vCPU Xeon, about 2% of the solve), and then
+runs the same seeded restarts as without a witness, bit for bit.  On a game with no
+advantage the certificate floats are the witness's: the gap is 0 up to
+rounding, and ``t`` differs from a swept solve's by about 1e-15.
+
 Restarts are attempted in seed order and the first certified one is returned.
 A restart is kept as its Gram vectors ``U`` and its dual ``t`` alone; the
 m x m Gram matrix ``U U^T`` is formed only when read.  ``U`` has m columns
-when the solve stopped by sweep 2 and min(m_a, m_b) otherwise.  On one
-numpy/BLAS build, identical (game, seed) reproduces bit-identical results.
-Across builds the certificate floats can move by about 1e-14, because the
-fixed-point stop meets rounding.  The sweep count can move too, by more than
-one sweep when a cycle's steps are numerically dependent: on small games
-``S S^T`` reaches a condition number of 1e20, and the extrapolation's
-weights are then set by rounding.  The two solver settings, the seed and
-the restart count, are the init fields of :class:`SolveConfig`, which
-defines their defaults and rejects values out of range; the command line's
-solver flags are those fields.  The four solver tolerances and the sweep
-budget, ``SolveConfig.max_iters`` = 50,000 a restart, are fixed class
-constants; the coupling check reads ``classical.F_RELATION_TOL``.
+when the solve stopped by sweep 2 and min(m_a, m_b) otherwise; a certified
+witness is one column.  On one numpy/BLAS build, identical (game, seed)
+reproduces bit-identical results.  Across builds the certificate floats
+can move by about 1e-14, because the fixed-point stop meets rounding.  The
+sweep count can move too, by more than one sweep when a cycle's steps are
+numerically dependent: on small games ``S S^T`` reaches a condition number
+of 1e20, and the extrapolation's weights are then set by rounding.  The
+two solver settings, the seed and the restart count, are the init fields of
+:class:`SolveConfig`, which defines their defaults and rejects values out of
+range; the command line's solver flags are those fields.  The four solver
+tolerances and the sweep budget, ``SolveConfig.max_iters`` = 50,000 a
+restart, are fixed class constants; the coupling check reads
+``classical.F_RELATION_TOL``.
 """
 
 from __future__ import annotations
@@ -133,9 +147,10 @@ class GramSolution:
 
     Row ``i`` of ``vectors`` is the unit vector of party input ``i`` (Alice's
     inputs first), in m_a + m_b coordinates when the solve stopped by sweep 2
-    and in min(m_a, m_b) otherwise.  Only the vectors are stored: ``gram``,
-    the induced PSD unit-diagonal matrix ``vectors @ vectors.T``, is formed on
-    each read and returned read-only, and ``C`` is its Alice-Bob block.
+    and in min(m_a, m_b) otherwise; a certified witness is one column, its
+    signs.  Only the vectors are stored: ``gram``, the induced PSD
+    unit-diagonal matrix ``vectors @ vectors.T``, is formed on each read and
+    returned read-only, and ``C`` is its Alice-Bob block.
     """
 
     vectors: np.ndarray
@@ -170,7 +185,9 @@ class QuantumBiasResult:
     """One solver restart, frozen; its arrays are read-only.
 
     ``certified`` is gap <= gap_tol and min_eig >= -feas_tol; ``restarts_used``
-    is this restart's position in seed order, counting from 1.
+    is this restart's position in seed order, counting from 1.  A certified
+    classical witness is the result of no restart: ``restarts_used`` 0,
+    ``sweeps`` 0 and ``converged`` True.
     """
 
     xi_q: float
@@ -396,62 +413,134 @@ def _start(m: int, seed: int, restart: int) -> np.ndarray:
     return U
 
 
+def _witness_may_certify(blocks: tuple[np.ndarray, np.ndarray], s: np.ndarray) -> bool:
+    """Whether ``diag(|Phi~ s|) - Phi~ + feas_tol I`` is positive definite.
+
+    The cheap refusal of a witness start, taken before its eigen-check.  With
+    ``t = |Phi~ s|`` and ``D = diag(t) + feas_tol I``, the matrix is
+    ``[[D_A, -Phi/2], [-Phi^T/2, D_B]]``, and ``D`` is positive definite, so
+    it is positive definite exactly when the Schur complement of the larger
+    side's block is: ``D_s - R R^T`` on the smaller side s, with ``R = H
+    D_l^(-1/2)`` and ``H`` its block of ``Phi/2`` or ``Phi^T/2``.  Its
+    diagonal, ``D_s - |R_i|^2``, is read first, and a negative entry refuses
+    the witness; this alone refused all 30 solver games of the benchmark's
+    ``enum-cert`` workload and 433 of the 444 advantage games of the tests'
+    corpus.  Otherwise one Cholesky factorisation of side min(m_a, m_b)
+    decides.  It is a filter only; the certificate is :func:`_evaluate`'s.
+    """
+    half, half_t = blocks
+    m_a, m_b = half.shape
+    t_a, t_b = np.abs(half @ s[m_a:]), np.abs(half_t @ s[:m_a])
+    H, t_s, t_l = (half, t_a, t_b) if m_a <= m_b else (half_t, t_b, t_a)
+    R = H / np.sqrt(t_l + SolveConfig.feas_tol)
+    d_s = t_s + SolveConfig.feas_tol
+    if np.any(np.square(_row_norms(R)) > d_s):
+        return False
+    try:
+        np.linalg.cholesky(np.diag(d_s) - R @ R.T)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _result(
+    g: XorGame,
+    blocks: tuple[np.ndarray, np.ndarray],
+    U: np.ndarray,
+    xi_c: Fraction | None,
+    cfg: SolveConfig,
+    restarts_used: int,
+    sweeps: int,
+    converged: bool,
+) -> QuantumBiasResult:
+    """The result of the Gram vectors ``U``, certified by :func:`_evaluate`."""
+    t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(blocks, U)
+    certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
+    for arr in (U, t):
+        arr.setflags(write=False)
+    return QuantumBiasResult(
+        xi_q=xi_q,
+        dual_value=dual_value,
+        gap=gap,
+        gram=GramSolution(vectors=U, m_a=g.m_a),
+        cert=DualCertificate(t=t, min_eig=min_eig),
+        certified=certified,
+        classification=_classify(xi_q, certified, xi_c, cfg),
+        xi_c=xi_c,
+        restarts_used=restarts_used,
+        sweeps=sweeps,
+        converged=converged,
+        stalled_rows=stalled,
+    )
+
+
 def solve_quantum_bias(
     g: XorGame,
     cfg: SolveConfig | None = None,
     xi_c: Fraction | None = None,
+    *,
+    witness=None,
 ) -> QuantumBiasResult:
     """Solve the unit-diagonal SDP and certify the value with its dual.
 
     ``xi_c`` is used only for the advantage classification; when omitted it is
-    computed by exact enumeration if feasible.  Restart ``k`` starts from
-    random unit rows drawn from ``SeedSequence((cfg.seed, k))``, so a
-    (game, seed) pair fixes every starting point.
+    computed by exact enumeration if feasible, and the enumeration's witness
+    strategy is the ``witness``.  A caller that passes ``xi_c`` may pass an
+    optimal vertex for it as ``witness``: m_a + m_b signs ``[alpha | beta]``,
+    a row of ``classical.OptimalVertexSet.signs``.  A witness without
+    ``xi_c``, or of another length or with an entry other than +-1, raises
+    InvalidParameter.
 
-    Each restart yields one result; the first certified one is returned.  If
-    none certifies, the one with the smallest gap (the earliest on a tie) is
-    returned uncertified: "advantage" if its primal value alone clears
-    ``xi_c`` by more than adv_tol, otherwise "undecided" — never a fabricated
-    verdict.  A restart whose dual is infeasible is not certified, converged
-    or not: a loose ``change_tol`` can stop the ascent with the second-order
-    gap below ``gap_tol`` while the first-order error in ``t`` still leaves
-    ``diag(t) - Phi~`` indefinite.
+    A witness is tried before any restart.  When the game has no advantage,
+    ``Q = s s^T`` is primal optimal and its dual is ``t = |Phi~ s|``, so the
+    one-column Gram vectors ``s`` are evaluated as a restart's are.  If they
+    certify, that is the result, with ``sweeps`` 0, ``converged`` True and
+    ``restarts_used`` 0, since no restart ran.  A witness that
+    :func:`_witness_may_certify` refuses, or that does not certify, is
+    dropped, and the restarts run as without it.
+
+    Restart ``k`` starts from random unit rows drawn from
+    ``SeedSequence((cfg.seed, k))``, so a (game, seed) pair fixes every
+    starting point.  Each restart yields one result; the first certified one
+    is returned.  If none certifies, the one with the smallest gap (the
+    earliest on a tie) is returned uncertified: "advantage" if its primal
+    value alone clears ``xi_c`` by more than adv_tol, otherwise "undecided" —
+    never a fabricated verdict.  A restart whose dual is infeasible is not
+    certified, converged or not: a loose ``change_tol`` can stop the ascent
+    with the second-order gap below ``gap_tol`` while the first-order error
+    in ``t`` still leaves ``diag(t) - Phi~`` indefinite.
     """
     cfg = cfg or SolveConfig()
     m = g.m_a + g.m_b
     if m > MAX_SDP_SIDE:
         raise TooLarge(f"SDP side {m} exceeds dense budget {MAX_SDP_SIDE}")
+    s = None  # the witness as floats
     if xi_c is None:
+        if witness is not None:
+            raise InvalidParameter("a witness needs the xi_c it attains")
         try:
-            xi_c = classical.classical_bias(g).xi_c
+            cb = classical.classical_bias(g)
         except TooLarge:
-            xi_c = None
+            pass
+        else:
+            xi_c, s = cb.xi_c, np.array(cb.witness.alpha + cb.witness.beta, dtype=np.float64)
+    elif witness is not None:
+        s = np.asarray(witness, dtype=np.float64)
+        if s.shape != (m,) or np.any(np.abs(s) != 1.0):
+            raise InvalidParameter(f"a witness is {m} signs +-1")
     blocks = _halves(g)
 
+    if s is not None and _witness_may_certify(blocks, s):
+        res = _result(g, blocks, s[:, None], xi_c, cfg, 0, 0, True)
+        if res.certified:
+            return res
     best = None  # smallest-gap uncertified restart so far
     for restart in range(cfg.restarts):
         U, sweeps, converged = _coordinate_ascent(blocks, _start(m, cfg.seed, restart), cfg)
-        t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(blocks, U)
-        certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
-        for arr in (U, t):
-            arr.setflags(write=False)
-        res = QuantumBiasResult(
-            xi_q=xi_q,
-            dual_value=dual_value,
-            gap=gap,
-            gram=GramSolution(vectors=U, m_a=g.m_a),
-            cert=DualCertificate(t=t, min_eig=min_eig),
-            certified=certified,
-            classification=_classify(xi_q, certified, xi_c, cfg),
-            xi_c=xi_c,
-            restarts_used=restart + 1,
-            sweeps=sweeps,
-            converged=converged,
-            stalled_rows=stalled,
-        )
-        if certified:
+        res = _result(g, blocks, U, xi_c, cfg, restart + 1, sweeps, converged)
+        if res.certified:
             return res
-        if best is None or gap < best.gap:
+        if best is None or res.gap < best.gap:
             best = res
     return best
 

@@ -217,14 +217,30 @@ def test_bias_refuses_flags_its_kind_does_not_read(capsys, chsh_file, kind, flag
 
 
 def test_bias_quantum_uncertified_exit(monkeypatch, capsys, tmp_path):
-    path = tmp_path / "ad2.json"
-    save_game(make_named("appendix_d", 2), path)
+    # a 3 x 2 game with a small advantage (xi_c = 5/6, xi_q about 0.8362):
+    # the solve starts at random, since its classical witness does not certify
+    path = tmp_path / "adv.json"
+    q = [["11/36", "1/6"], ["1/18", "1/9"], ["1/36", "1/3"]]
+    save_game(build_game(q, [[1, 1], [0, 1], [0, 1]]), path)
     # a huge change tolerance stops every restart after one sweep, far from
-    # the optimum, so no restart can certify
+    # the optimum, so no restart can certify, and the primal value alone
+    # stays below xi_c
     monkeypatch.setattr(SolveConfig, "change_tol", 1.0)
     code, payload, _ = run_json(capsys, "bias", "quantum", str(path), "--restarts", "2")
     assert code == 3
     assert payload["classification"] == "undecided"
+
+
+def test_bias_quantum_certifies_no_advantage_at_the_witness(tmp_path, capsys):
+    # identity(2): the enumeration's witness is certified before any restart,
+    # so restarts_used is 0, and its certificate is exact
+    path = tmp_path / "id2.json"
+    save_game(make_named("identity", 2), path)
+    code, payload, _ = run_json(capsys, "bias", "quantum", str(path))
+    assert code == 0 and payload["classification"] == "no_advantage"
+    assert (payload["restarts_used"], payload["xi_c"]) == (0, "1")
+    assert (payload["xi_q"], payload["dual_value"], payload["gap"]) == (1.0, 1.0, 0.0)
+    assert payload["t"] == [0.125] * 8
 
 
 def test_bias_quantum_certified_past_the_enumeration_cap(tmp_path, capsys):

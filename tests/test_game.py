@@ -548,6 +548,16 @@ def test_game_file_roundtrip(tmp_path):
     assert load_game(path) == g
 
 
+@pytest.mark.parametrize("name,n", [("identity", 4), ("nlc_and", 3), ("appendix_d", 4)])
+def test_game_dict_writes_one_string_per_prior_object(name, n):
+    # a family member's rows permute one row of 2^n Fractions: the 4^n prior
+    # entries are written from at most 2^n strings, each the entry's str
+    g = make_named(name, n)
+    q = game_to_dict(g)["q"]
+    assert q == [[str(v) for v in row] for row in g.q]
+    assert len({id(text) for row in q for text in row}) <= 2**n
+
+
 def test_game_dict_requires_format():
     with pytest.raises(GameFormatError):
         game_from_dict({"m_a": 1, "m_b": 1, "q": [["1"]], "f": [[0]]})

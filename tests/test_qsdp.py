@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from tightbell import (
     solve_quantum_bias,
 )
 from tightbell.errors import (
+    InvalidParameter,
     NotApplicable,
     ShapeMismatch,
     SingularLambda,
@@ -30,8 +32,9 @@ from tightbell.game import DeterministicStrategy, build_game, load_game, save_ga
 from tightbell.nlc import NlcSpec, build_nlc, nlc_bias_bound
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde, certificate_to_dict
 
-from .generators import random_game
+from .generators import random_game, tied_game
 from .oracles import reference_coordinate_ascent, reference_plain_ascent, reference_rre
+from .test_acceptance import _support_games
 
 
 def test_phi_tilde_single_entry():
@@ -383,11 +386,13 @@ def test_sweeps_keep_no_state_between_calls():
     assert np.array_equal(stepped, once)
 
 
-def _solve_both(monkeypatch, g, reference=reference_coordinate_ascent, **kwargs):
-    lib = qsdp.solve_quantum_bias(g, **kwargs)
+def _solve_both(monkeypatch, g, reference=reference_coordinate_ascent):
+    # xi_c alone, no witness: the no-advantage games sweep from random starts too
+    xi_c = classical_bias(g).xi_c
+    lib = qsdp.solve_quantum_bias(g, xi_c=xi_c)
     with monkeypatch.context() as mp:
         mp.setattr(qsdp, "_coordinate_ascent", reference)
-        ref = qsdp.solve_quantum_bias(g, **kwargs)
+        ref = qsdp.solve_quantum_bias(g, xi_c=xi_c)
     return lib, ref
 
 
@@ -564,7 +569,8 @@ def test_two_decaying_modes_converge_in_few_sweeps(draw, xi_c):
 
 def test_gram_vectors_narrow_after_sweep_two(monkeypatch):
     # a solve past sweep 2 keeps min(m_a, m_b) columns of unit rows; one that
-    # stops by sweep 2 keeps m
+    # stops by sweep 2 keeps m.  Every solve is passed xi_c alone, so the
+    # no-advantage games sweep from random starts too
     rng = np.random.default_rng(2203)
     narrowed, budget = 0, SolveConfig.max_iters
     for _ in range(12):
@@ -572,7 +578,7 @@ def test_gram_vectors_narrow_after_sweep_two(monkeypatch):
         m = g.m_a + g.m_b
         for max_iters in (budget, 3):
             monkeypatch.setattr(SolveConfig, "max_iters", max_iters)
-            res = solve_quantum_bias(g)
+            res = solve_quantum_bias(g, xi_c=classical_bias(g).xi_c)
             width = min(g.m_a, g.m_b) if res.sweeps > 2 else m
             narrowed += res.sweeps > 2
             assert res.gram.vectors.shape == (m, width)
@@ -585,12 +591,12 @@ def test_gram_vectors_narrow_after_sweep_two(monkeypatch):
                    [[0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]])
     for max_iters in (budget, 4):
         monkeypatch.setattr(SolveConfig, "max_iters", max_iters)
-        res = solve_quantum_bias(g)
+        res = solve_quantum_bias(g, xi_c=classical_bias(g).xi_c)
         assert res.sweeps > 2 and res.stalled_rows == (2, 6)
         assert res.gram.vectors.shape == (7, 3)
         assert np.abs(np.linalg.norm(res.gram.vectors, axis=1) - 1.0).max() <= 1e-14
     monkeypatch.undo()
-    res = solve_quantum_bias(make_named("chsh"))
+    res = solve_quantum_bias(make_named("chsh"), xi_c=Fraction(1, 2))
     assert res.sweeps <= 2 and res.gram.vectors.shape == (4, 4)
 
 
@@ -620,13 +626,14 @@ def test_converged_infeasible_dual_is_not_certified(infeasible_dual):
 
 def test_loose_change_tol_certifies_a_later_restart(monkeypatch):
     # restart 1 stops with gap <= gap_tol but an indefinite diag(t) - Phi~;
-    # restart 2 certifies
+    # restart 2 certifies; xi_c alone, so the solve starts at random
     monkeypatch.setattr(SolveConfig, "change_tol", 1e-6)
     g, cfg = make_named("appendix_d", 3), SolveConfig(seed=3)
-    first = solve_quantum_bias(g, SolveConfig(seed=3, restarts=1))
+    xi_c = classical_bias(g).xi_c
+    first = solve_quantum_bias(g, SolveConfig(seed=3, restarts=1), xi_c=xi_c)
     assert first.converged and not first.certified
     assert first.gap <= cfg.gap_tol and first.cert.min_eig < -cfg.feas_tol
-    res = solve_quantum_bias(g, cfg)
+    res = solve_quantum_bias(g, cfg, xi_c=xi_c)
     assert res.certified and res.restarts_used == 2
     assert res.classification == NO_ADVANTAGE
 
@@ -643,7 +650,9 @@ def test_uncertified_returns_smallest_gap(monkeypatch, name, n):
 
     monkeypatch.setattr(qsdp, "_evaluate", recorded)
     monkeypatch.setattr(SolveConfig, "change_tol", 1.0)
-    res = solve_quantum_bias(make_named(name, n), SolveConfig(restarts=5))
+    g = make_named(name, n)
+    # xi_c alone: a witness would certify these no-advantage games unswept
+    res = solve_quantum_bias(g, SolveConfig(restarts=5), xi_c=classical_bias(g).xi_c)
     assert len(gaps) == 5 and not res.certified
     assert res.gap == min(gaps)
     assert res.restarts_used == gaps.index(min(gaps)) + 1
@@ -677,3 +686,115 @@ def test_results_are_readonly():
         res.gram.gram[0, 0] = 0.0
     with pytest.raises(ValueError):
         res.cert.t[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the classical witness start
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_result(a, b):
+    floats = (a.xi_q, a.dual_value, a.gap, a.cert.min_eig)
+    assert floats == (b.xi_q, b.dual_value, b.gap, b.cert.min_eig)
+    assert (a.certified, a.classification, a.xi_c) == (b.certified, b.classification, b.xi_c)
+    assert (a.restarts_used, a.sweeps, a.converged, a.stalled_rows) == (
+        b.restarts_used, b.sweeps, b.converged, b.stalled_rows)
+    assert np.array_equal(a.cert.t, b.cert.t) and np.array_equal(a.gram.vectors, b.gram.vectors)
+
+
+def _witness_corpus():
+    """Criterion 11's 808 support games, 400 seeded draws and the families at n <= 4."""
+    games = [g for size in ((2, 2), (2, 3)) for g in _support_games(*size)]
+    rng = np.random.default_rng(11)
+    games += [random_game(rng) for _ in range(300)]
+    rng = np.random.default_rng(12)
+    games += [tied_game(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7))) for _ in range(100)]
+    games.append(make_named("chsh"))
+    games += [make_named(name, n) for name in ("identity", "nlc_and") for n in range(1, 5)]
+    games += [make_named("appendix_d", n) for n in range(2, 5)]
+    return games
+
+
+def test_witness_certifies_every_no_advantage_game_unswept():
+    # the solve passed xi_c alone starts at random, as every solve did before
+    # the witness start; every game it certifies no_advantage is certified at
+    # the enumeration's witness with no sweep and the same verdict, and every
+    # other game is that solve, bit for bit
+    verdicts = Counter()
+    for g in _witness_corpus():
+        res = solve_quantum_bias(g)
+        swept = solve_quantum_bias(g, xi_c=res.xi_c)
+        verdicts[swept.classification] += 1
+        if swept.classification != NO_ADVANTAGE:
+            _assert_same_result(res, swept)
+            continue
+        assert (res.certified, res.classification) == (True, NO_ADVANTAGE)
+        assert (res.sweeps, res.restarts_used, res.converged) == (0, 0, True)
+        assert res.gram.vectors.shape == (g.m_a + g.m_b, 1)
+        assert res.stalled_rows == swept.stalled_rows
+        assert abs(res.xi_q - float(res.xi_c)) <= 1e-12
+    assert verdicts == {NO_ADVANTAGE: 776, ADVANTAGE: 444}
+
+
+def test_witness_keeps_a_never_asked_row_stalled():
+    # identity(1) with a never-asked question on Alice's side: the witness
+    # certifies, and the row it never asks has t = 0 and is reported stalled,
+    # as by a swept solve
+    g = build_game([["1/2", 0], [0, "1/2"], [0, 0]], [[0, 0], [0, 0], [0, 0]])
+    res = solve_quantum_bias(g)
+    assert (res.certified, res.classification, res.sweeps) == (True, NO_ADVANTAGE, 0)
+    assert res.stalled_rows == (2,) and res.cert.t[2] == 0.0
+    assert solve_quantum_bias(g, xi_c=res.xi_c).stalled_rows == (2,)
+
+
+def test_witness_tied_on_an_asked_row_is_refused(monkeypatch):
+    # a witness whose response ties on an asked question has t = 0 on a row
+    # of Phi~ that is not zero, so diag(t) - Phi~ is indefinite: the Schur
+    # complement test refuses it, no one-column Gram vectors reach the
+    # eigen-check, and the solve is the xi_c-only one.  CHSH's witness alpha = (1, 1) ties Bob's
+    # second question
+    evaluate, widths = qsdp._evaluate, []
+
+    def recorded(blocks, U):
+        widths.append(U.shape[1])
+        return evaluate(blocks, U)
+
+    monkeypatch.setattr(qsdp, "_evaluate", recorded)
+    rng = np.random.default_rng(12)
+    games = [make_named("chsh")] + [tied_game(rng, 3, 4) for _ in range(60)]
+    tied = 0
+    for g in games:
+        cb = classical_bias(g)
+        s = np.array(cb.witness.alpha + cb.witness.beta, dtype=float)
+        blocks = qsdp._halves(g)
+        t = np.abs(np.concatenate((blocks[0] @ s[g.m_a :], blocks[1] @ s[: g.m_a])))
+        nonzero = g.matrix.ints != 0
+        asked = np.concatenate((nonzero.any(axis=1), nonzero.any(axis=0)))
+        if not np.any(asked & (t == 0.0)):
+            continue
+        tied += 1
+        assert not qsdp._witness_may_certify(blocks, s)
+        widths.clear()
+        res = solve_quantum_bias(g)
+        assert 1 not in widths and res.sweeps > 0 and res.classification == ADVANTAGE
+        _assert_same_result(res, solve_quantum_bias(g, xi_c=cb.xi_c))
+    assert tied >= 10
+
+
+def test_face_report_starts_at_its_first_vertex():
+    # face_report passes row 0 of its vertex set, the witness classical_bias
+    # reports, so the face and bias quantum give one certificate
+    g = make_named("appendix_d", 3)
+    rep = face_report(g)
+    res = solve_quantum_bias(g)
+    assert (rep.quantum.sweeps, rep.quantum.restarts_used) == (0, 0)
+    _assert_same_result(rep.quantum, res)
+
+
+def test_witness_argument_is_checked():
+    g = make_named("single_entry")
+    for xi_c, witness in ((None, [1, 1]), (Fraction(1), [1, 1, 1]), (Fraction(1), [1, 0])):
+        with pytest.raises(InvalidParameter):
+            solve_quantum_bias(g, xi_c=xi_c, witness=witness)
+    res = solve_quantum_bias(g, xi_c=Fraction(1), witness=np.array([-1, -1], dtype=np.int8))
+    assert (res.certified, res.sweeps, res.gram.vectors.tolist()) == (True, 0, [[-1.0], [-1.0]])

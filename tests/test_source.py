@@ -396,3 +396,15 @@ def test_solver_takes_row_norms_one_way():
     tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
     assert [where for name in ("einsum", "norm") for where in _calls_by_function(tree, name)] == []
     assert _calls_by_function(tree, "vecdot") == ["_row_norms"]
+
+
+def test_solver_certifies_one_way():
+    # the witness start and the restarts are certified by one routine:
+    # _result builds every QuantumBiasResult from _evaluate, the only
+    # eigen-check; the witness's Cholesky is a refusal, not a certificate
+    tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
+    assert _calls_by_function(tree, "_result") == ["solve_quantum_bias"] * 2
+    assert _calls_by_function(tree, "QuantumBiasResult") == ["_result"]
+    assert _calls_by_function(tree, "_evaluate") == ["_result"]
+    assert _calls_by_function(tree, "eigvalsh") == ["_evaluate"]
+    assert _calls_by_function(tree, "cholesky") == ["_witness_may_certify"]
