@@ -8,7 +8,6 @@ certificate.
 
 from .classical import (
     ClassicalBiasResult,
-    FRelationReport,
     OptimalVertexSet,
     classical_bias,
     optimal_vertices,
@@ -57,13 +56,13 @@ from .nlc import (
 )
 from .qsdp import (
     DualCertificate,
+    FRelationReport,
     GramSolution,
     QuantumBiasResult,
     SolveConfig,
     certificate_to_dict,
     extract_F,
     quantum_slackness_check,
-    slackness_residual_classical,
     solve_quantum_bias,
 )
 

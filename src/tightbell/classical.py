@@ -49,7 +49,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
+from .errors import InvalidParameter, TooLarge, Truncated
 from .game import DeterministicStrategy, XorGame
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
@@ -58,8 +58,6 @@ _CHUNK = 1 << 16  # column-sum entries per scan step
 _INT64_SAFE = 1 << 62
 # the type ladder: the first type whose limit passes the bound holds it exactly
 _LADDER = ((1 << 15, np.int16), (1 << 31, np.int32), (_INT64_SAFE, np.int64))
-# largest residual of the coupling relation that passes, in both of its checks
-F_RELATION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -96,19 +94,6 @@ class OptimalVertexSet:
     def vertices(self) -> tuple[DeterministicStrategy, ...]:
         """The rows of ``signs`` as strategies, built and checked on first read."""
         return _strategies(self.signs, self.m_a)
-
-
-@dataclass(frozen=True)
-class FRelationReport:
-    """A check of the coupling relation: Bob's optima are ``F`` applied to Alice's.
-
-    Both checks return it: `verify_F_relation` on the vertices and
-    `qsdp.quantum_slackness_check` on the Gram vectors.  ``all_pass`` is
-    ``max_residual <= F_RELATION_TOL``, a fixed constant no caller sets.
-    """
-
-    max_residual: float
-    all_pass: bool
 
 
 @dataclass(frozen=True)
@@ -265,20 +250,32 @@ def optimal_vertices(
     return OptimalVertexSet(signs, g.m_a, truncated, cap, opt.xi_c)
 
 
-def verify_F_relation(vs: OptimalVertexSet, F) -> FRelationReport:
-    """Check ``beta = F alpha`` across a complete optimal vertex set.
+def verify_F_relation(g: XorGame, vs: OptimalVertexSet) -> bool:
+    """Whether every vertex of ``vs`` is complementary to the witness's integer dual.
 
-    The residual is the largest entry of ``|beta - F alpha|`` over the
-    vertices; it passes at most the fixed ``F_RELATION_TOL``, which
-    `qsdp.quantum_slackness_check` reads too.  Raises Truncated on
-    incomplete sets: a universally quantified claim cannot be certified from
-    a partial enumeration.
+    The witness ``s = vs.signs[0]`` fixes the one candidate dual
+    ``t = |Phi~ s|``; scaled by ``L = g.matrix.denominator`` it is the
+    integer vector ``d = 2L t = [|L Phi beta_0|; |L Phi^T alpha_0|]``, formed
+    in the type of ``g.matrix.ints``, where no sum overflows.  A vertex
+    ``[alpha | beta]`` passes when ``(diag(d) - S) v = 0``, with ``S`` the
+    block embedding of ``L Phi``: ``alpha L Phi = beta * d_B``, which is
+    ``beta = F alpha`` for ``F = diag(d_B)^-1 L Phi^T``, and ``beta L Phi^T =
+    alpha * d_A``.  These are integer identities, decided with no threshold.
+
+    Why it is sound: with ``S' = diag(d) - S``, every optimal ``v`` has
+    ``v^T S' v = sum(d) - 2L bias(v) = 0``.  With no quantum advantage
+    ``S'`` is positive semidefinite (``d/2L`` is then the optimal dual, by
+    complementary slackness at ``Q = s s^T``), so ``S' v = 0`` and every
+    vertex passes.  A failing vertex thus proves ``S'`` is not positive
+    semidefinite, which is a quantum advantage; CHSH fails, through its tied
+    responses.  Raises Truncated on incomplete sets: a universally
+    quantified claim cannot be certified from a partial enumeration.
     """
     if vs.truncated:
         raise Truncated("vertex set is truncated; relation cannot be certified")
-    Fm = np.asarray(F, dtype=float)
+    P = g.matrix.ints
     alpha, beta = vs.signs[:, : vs.m_a], vs.signs[:, vs.m_a :]
-    if Fm.shape != (beta.shape[1], vs.m_a):
-        raise ShapeMismatch(f"F must be {beta.shape[1]}x{vs.m_a}, got {Fm.shape}")
-    worst = float(np.abs(beta - alpha @ Fm.T).max(initial=0.0))
-    return FRelationReport(max_residual=worst, all_pass=worst <= F_RELATION_TOL)
+    d_a, d_b = np.abs(P.dot(beta[0])), np.abs(alpha[0].dot(P))
+    return bool(
+        np.array_equal(alpha.dot(P), beta * d_b) and np.array_equal(beta.dot(P.T), alpha * d_a)
+    )

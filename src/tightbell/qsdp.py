@@ -74,8 +74,9 @@ two solver settings, the seed and the restart count, are the init fields of
 :class:`SolveConfig`, which defines their defaults and rejects values out of
 range; the command line's solver flags are those fields.  The four solver
 tolerances and the sweep budget, ``SolveConfig.max_iters`` = 50,000 a
-restart, are fixed class constants; the coupling check reads
-``classical.F_RELATION_TOL``.
+restart, are fixed class constants, and so is :data:`F_RELATION_TOL`, the
+one threshold of the coupling relation on the Gram vectors; on the optimal
+vertices, `classical.verify_F_relation` decides it exactly.
 """
 
 from __future__ import annotations
@@ -95,10 +96,12 @@ from .errors import (
     TooLarge,
 )
 from .exact import _FLOAT_EXACT
-from .game import DeterministicStrategy, XorGame
+from .game import XorGame
 
 MAX_SDP_SIDE = 4096
 _RRE_DEPTH = 5  # K: _sweeps extrapolates from the last K + 1 steps
+# largest residual of the coupling relation on the Gram vectors that passes
+F_RELATION_TOL = 1e-6
 
 ADVANTAGE = "advantage"
 NO_ADVANTAGE = "no_advantage"
@@ -132,6 +135,20 @@ class SolveConfig:
             raise InvalidParameter("restarts must be positive")
         if not 0 <= self.seed < 2**64:
             raise InvalidParameter("seed must fit in 64 unsigned bits")
+
+
+@dataclass(frozen=True)
+class FRelationReport:
+    """A check of the coupling relation on the Gram vectors: ``B = F A``.
+
+    `quantum_slackness_check` returns it.  ``all_pass`` is ``max_residual
+    <= F_RELATION_TOL``, a fixed constant no caller sets.  The vertex half of
+    the relation needs no threshold: `classical.verify_F_relation` decides
+    it in integers.
+    """
+
+    max_residual: float
+    all_pass: bool
 
 
 @dataclass(frozen=True)
@@ -563,32 +580,11 @@ def extract_F(cert: DualCertificate, g: XorGame) -> np.ndarray:
     return _halves(g)[1] / t_bob[:, None]
 
 
-def slackness_residual_classical(
-    cert: DualCertificate, g: XorGame, v: DeterministicStrategy
-) -> float:
-    """Residual ``|(diag(t) - Phi~) s|_inf`` for the concatenated strategy s.
-
-    Zero (to tolerance) exactly when the strategy is optimal for a game whose
-    quantum and classical biases coincide; bounded away from zero on games
-    with a genuine quantum advantage.
-    """
-    if len(cert.t) != g.m_a + g.m_b:
-        raise ShapeMismatch("certificate does not match game dimensions")
-    if len(v.alpha) != g.m_a or len(v.beta) != g.m_b:
-        raise ShapeMismatch("strategy does not match game dimensions")
-    half, half_t = _halves(g)
-    s = np.array(list(v.alpha) + list(v.beta), dtype=float)
-    return float(np.abs(cert.t * s - np.concatenate((half @ v.beta, half_t @ v.alpha))).max())
-
-
-def quantum_slackness_check(res: QuantumBiasResult, F) -> classical.FRelationReport:
+def quantum_slackness_check(res: QuantumBiasResult, F) -> FRelationReport:
     """Check that Bob's optimal Gram vectors are F applied to Alice's.
 
-    The residual is the largest row norm of ``B - F A``, which on
-    1-dimensional vectors is the entrywise measure of
-    `classical.verify_F_relation`.  The report is that check's
-    `classical.FRelationReport`, passing at most the same fixed
-    ``classical.F_RELATION_TOL``.  Only meaningful when quantum equals
+    The residual is the largest row norm of ``B - F A``; it passes at most
+    the fixed ``F_RELATION_TOL``.  Only meaningful when quantum equals
     classical; raises NotApplicable for any other classification.
     """
     if res.classification != NO_ADVANTAGE:
@@ -602,9 +598,7 @@ def quantum_slackness_check(res: QuantumBiasResult, F) -> classical.FRelationRep
     if Fm.shape != (B.shape[0], A.shape[0]):
         raise ShapeMismatch(f"F must be {(B.shape[0], A.shape[0])}, got {Fm.shape}")
     residual = float(_row_norms(B - Fm @ A).max())
-    return classical.FRelationReport(
-        max_residual=residual, all_pass=residual <= classical.F_RELATION_TOL
-    )
+    return FRelationReport(max_residual=residual, all_pass=residual <= F_RELATION_TOL)
 
 
 def certificate_to_dict(res: QuantumBiasResult) -> dict:

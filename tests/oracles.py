@@ -16,7 +16,9 @@ fraction-free integer elimination), the modular echelon reference is
 Gauss-Jordan on lists of Python integers with Fermat inverses (the library
 updates whole int64 arrays per pivot), the rational echelon oracle is
 Gauss-Jordan over Fractions (the library lifts the echelon form modulo a
-prime to rationals and checks the lift), the no-signalling oracle reconstructs the
+prime to rationals and checks the lift), the slackness oracle sums ``Phi~ s``
+in Fractions from the prior and predicate (the library's exact check reads
+the integer matrix ``L Phi``), the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
 reference sums the prior in Fractions (the library sums the integers that
 ``signed_matrix`` scales over the lcm of the denominators).
@@ -246,6 +248,21 @@ def reference_rre(iterates):
 def reference_plain_ascent(blocks, U, cfg):
     """``reference_coordinate_ascent`` without extrapolation: Gauss-Seidel sweeps only."""
     return reference_coordinate_ascent(blocks, U, cfg, depth=0)
+
+
+def oracle_slackness_residual(g, t, s) -> float:
+    """``max_i |t_i s_i - (Phi~ s)_i|`` for the dual ``t`` and the signs ``s``.
+
+    ``Phi~ s`` is summed entry by entry in Fractions, over ``Phi`` built from
+    the game's prior and predicate, not from its integer matrix.
+    """
+    P, den = _scaled_phi(g)
+    alpha, beta = s[: g.m_a], s[g.m_a :]
+    phi_s = [Fraction(sum(P[x][y] * beta[y] for y in range(g.m_b)), 2 * den) for x in range(g.m_a)]
+    phi_s += [
+        Fraction(sum(P[x][y] * alpha[x] for x in range(g.m_a)), 2 * den) for y in range(g.m_b)
+    ]
+    return max(abs(float(t_i) * s_i - float(w)) for t_i, s_i, w in zip(t, s, phi_s))
 
 
 def oracle_affine_dim(points) -> int:

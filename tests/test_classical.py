@@ -17,7 +17,7 @@ from tightbell import (
     verify_F_relation,
 )
 from tightbell.classical import DEFAULT_VERTEX_CAP
-from tightbell.errors import InvalidParameter, ShapeMismatch, TooLarge, Truncated
+from tightbell.errors import InvalidParameter, TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, XorGame, build_game
 
 from .generators import random_game, random_strategy, tied_game
@@ -194,45 +194,40 @@ def test_truncation_flag_and_cap():
 
 
 def test_f_relation_identity():
-    g = make_named("identity", 2)
-    vs = optimal_vertices(g)
-    rep = verify_F_relation(vs, np.eye(4))
-    assert rep.all_pass and rep.max_residual == 0.0
+    for n in (1, 2, 3):
+        g = make_named("identity", n)
+        assert verify_F_relation(g, optimal_vertices(g)) is True
 
 
 def test_f_relation_appendix_d():
-    g = make_named("appendix_d", 2)
-    vs = optimal_vertices(g)
-    F = np.eye(4) - 0.5 * np.ones((4, 4))
-    rep = verify_F_relation(vs, F)
-    assert rep.all_pass and rep.max_residual == 0.0
+    for n in (2, 3):
+        g = make_named("appendix_d", n)
+        assert verify_F_relation(g, optimal_vertices(g)) is True
+
+
+def test_f_relation_nlc():
+    for n in (2, 3):
+        g = make_named("nlc_and", n)
+        assert verify_F_relation(g, optimal_vertices(g)) is True
 
 
 def test_f_relation_fails_for_chsh():
-    # one optimal alpha has two optimal betas, so no linear map can work
-    vs = optimal_vertices(chsh())
-    for F in (np.eye(2), np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)):
-        assert not verify_F_relation(vs, F).all_pass
-    # the threshold is fixed: no caller can loosen it until F = I passes
-    assert verify_F_relation(vs, np.eye(2)).max_residual == 2.0
+    # the witness alpha = (1, 1) ties Bob's second question, so d_B = (2, 0),
+    # and the optimal alpha = (1, -1), whose sums are (0, 2), breaks it; no
+    # F or threshold is taken
+    g = chsh()
+    vs = optimal_vertices(g)
+    assert verify_F_relation(g, vs) is False
     with pytest.raises(TypeError):
-        verify_F_relation(vs, np.eye(2), tol=2)
+        verify_F_relation(g, vs, np.eye(2))
 
 
 def test_f_relation_refuses_truncated_sets():
-    vs = optimal_vertices(chsh(), cap=1)
+    g = chsh()
+    vs = optimal_vertices(g, cap=1)
     assert vs.truncated
     with pytest.raises(Truncated):
-        verify_F_relation(vs, np.eye(2))
-
-
-@pytest.mark.parametrize(
-    "F", [np.eye(3), np.ones((2, 3)), np.ones(2)], ids=["square-3", "wide", "vector"]
-)
-def test_f_relation_refuses_the_wrong_shape(F):
-    # F maps Alice's 2 signs to Bob's 2: anything but 2 x 2 is a ShapeMismatch
-    with pytest.raises(ShapeMismatch):
-        verify_F_relation(optimal_vertices(chsh()), F)
+        verify_F_relation(g, vs)
 
 
 def huge_denominator_game():
@@ -256,6 +251,18 @@ def test_object_dtype_fallback_for_huge_denominators():
     for g in [huge_denominator_game(), *int64_edge_games()]:
         assert classical_bias(g).xi_c == oracle_bias(g)[0]
         assert_matches_block_reference(g)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [huge_denominator_game(), *int64_edge_games()],
+    ids=["denominator2^70", "edge1x2f0", "edge2x1f0", "edge1x2f1", "edge2x1f1"],
+)
+def test_f_relation_on_huge_denominators(g):
+    # the dual is formed in Python integers, the game's object dtype: on the
+    # 2^70 game d_B = (1, 2^70 - 1), past int64, and d_A = (2^70, 0)
+    assert g.matrix.ints.dtype == object
+    assert verify_F_relation(g, optimal_vertices(g)) is True
 
 
 def reference_games():

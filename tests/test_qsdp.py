@@ -16,8 +16,8 @@ from tightbell import (
     make_named,
     optimal_vertices,
     quantum_slackness_check,
-    slackness_residual_classical,
     solve_quantum_bias,
+    verify_F_relation,
 )
 from tightbell.errors import (
     InvalidParameter,
@@ -193,69 +193,60 @@ def test_extract_F_singular_lambda():
 
 
 def test_slackness_identity_perfect_vertex():
+    # the exact check's dual d = 2L t is the certified solve's t, scaled
     g = make_named("identity", 1)
-    res = solve_quantum_bias(g)
-    v = DeterministicStrategy(alpha=(1, 1), beta=(1, 1))
-    assert slackness_residual_classical(res.cert, g, v) <= 1e-8
+    vs = optimal_vertices(g)
+    res = solve_quantum_bias(g, xi_c=vs.xi_c, witness=vs.signs[0])
+    assert verify_F_relation(g, vs) and res.classification == NO_ADVANTAGE
+    s, P, L = vs.signs[0], g.matrix.ints, g.matrix.denominator
+    d = np.abs(np.concatenate((P @ s[g.m_a :], s[: g.m_a] @ P)))
+    assert np.abs(d / (2 * L) - res.cert.t).max() <= 1e-15
 
 
 def test_slackness_appendix_d_all_vertices():
     g = make_named("appendix_d", 2)
-    res = solve_quantum_bias(g)
-    for v in optimal_vertices(g).vertices:
-        assert slackness_residual_classical(res.cert, g, v) <= 1e-8
+    assert verify_F_relation(g, optimal_vertices(g))
+    assert solve_quantum_bias(g).classification == NO_ADVANTAGE
 
 
 def test_slackness_fails_on_chsh():
     g = make_named("chsh")
-    res = solve_quantum_bias(g)
-    for v in optimal_vertices(g).vertices:
-        assert slackness_residual_classical(res.cert, g, v) >= 0.05
+    assert not verify_F_relation(g, optimal_vertices(g))
+    assert solve_quantum_bias(g).classification == ADVANTAGE
 
 
 def test_certificate_of_another_game_is_a_shape_mismatch():
     # the 8-entry dual of appendix_d(2) read against the 2x2 CHSH game
     cert = solve_quantum_bias(make_named("appendix_d", 2)).cert
-    chsh = make_named("chsh")
-    v = optimal_vertices(chsh).vertices[0]
     with pytest.raises(ShapeMismatch):
-        slackness_residual_classical(cert, chsh, v)
-    with pytest.raises(ShapeMismatch):
-        extract_F(cert, chsh)
+        extract_F(cert, make_named("chsh"))
+
+
+def _swept(g):
+    """A solve passed ``xi_c`` alone: restarts, not the one-column witness."""
+    res = solve_quantum_bias(g, xi_c=classical_bias(g).xi_c)
+    assert res.sweeps > 0 and res.gram.vectors.shape[1] > 1
+    return res
 
 
 def test_quantum_slackness_identity2():
     g = make_named("identity", 2)
-    res = solve_quantum_bias(g)
+    res = _swept(g)
     rep = quantum_slackness_check(res, extract_F(res.cert, g))
     assert rep.all_pass
 
 
-@pytest.mark.parametrize(
-    "alpha,beta,F",
-    [
-        ((1,), (1, 1), None),
-        ((1, 1), (1, 1, 1), None),
-        (None, None, np.eye(3)),
-        (None, None, np.ones((2, 4))),
-    ],
-    ids=["strategy-alpha", "strategy-beta", "F-square-3", "F-wide"],
-)
-def test_slackness_refuses_the_wrong_shape(alpha, beta, F):
-    # identity(1) is 2 x 2 with no advantage: a strategy needs 2 + 2 signs and
-    # F is 2 x 2
-    g = make_named("identity", 1)
-    res = solve_quantum_bias(g)
+@pytest.mark.parametrize("F", [np.eye(3), np.ones((2, 4))], ids=["F-square-3", "F-wide"])
+def test_slackness_refuses_the_wrong_shape(F):
+    # identity(1) is 2 x 2 with no advantage: F is 2 x 2
+    res = solve_quantum_bias(make_named("identity", 1))
     with pytest.raises(ShapeMismatch):
-        if F is None:
-            slackness_residual_classical(res.cert, g, DeterministicStrategy(alpha, beta))
-        else:
-            quantum_slackness_check(res, F)
+        quantum_slackness_check(res, F)
 
 
 def test_quantum_slackness_nlc_and():
     g = make_named("nlc_and", 2)
-    res = solve_quantum_bias(g)
+    res = _swept(g)
     rep = quantum_slackness_check(res, extract_F(res.cert, g))
     assert isinstance(rep, FRelationReport) and rep.all_pass
     # a zero F leaves every unit Gram vector of Bob's as its residual, and the
@@ -734,6 +725,23 @@ def test_witness_certifies_every_no_advantage_game_unswept():
         assert res.stalled_rows == swept.stalled_rows
         assert abs(res.xi_q - float(res.xi_c)) <= 1e-12
     assert verdicts == {NO_ADVANTAGE: 776, ADVANTAGE: 444}
+
+
+def test_exact_slackness_agrees_with_the_float_verdict():
+    # every optimal vertex of a no-advantage game is complementary to the
+    # witness's integer dual, so a failing vertex proves an advantage; the
+    # tally shows both implications are exercised
+    rng = np.random.default_rng(11)
+    games = [random_game(rng) for _ in range(300)]
+    rng = np.random.default_rng(12)
+    games += [tied_game(rng, int(rng.integers(1, 7)), int(rng.integers(1, 7))) for _ in range(100)]
+    tally = Counter()
+    for g in games:
+        exact = verify_F_relation(g, optimal_vertices(g))
+        verdict = solve_quantum_bias(g).classification
+        assert exact or verdict == ADVANTAGE
+        tally[(verdict, exact)] += 1
+    assert tally == {(NO_ADVANTAGE, True): 133, (ADVANTAGE, True): 214, (ADVANTAGE, False): 53}
 
 
 def test_witness_keeps_a_never_asked_row_stalled():

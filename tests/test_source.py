@@ -408,3 +408,28 @@ def test_solver_certifies_one_way():
     assert _calls_by_function(tree, "_evaluate") == ["_result"]
     assert _calls_by_function(tree, "eigvalsh") == ["_evaluate"]
     assert _calls_by_function(tree, "cholesky") == ["_witness_may_certify"]
+
+
+
+def _read_name(node: ast.AST) -> str | None:
+    """The name a Name node loads or an Attribute node takes, else None."""
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        return node.id if isinstance(node, ast.Name) else node.attr
+    return None
+
+
+def test_classical_holds_no_float():
+    # the classical layer is exact: its one claim with a threshold, the
+    # coupling relation, is an integer identity on the vertices, and the
+    # threshold of the Gram check is read by that check alone
+    nodes = list(ast.walk(ast.parse((Path(tightbell.__file__).parent / "classical.py").read_text("utf-8"))))
+    assert [n.lineno for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, float)] == []
+    assert [n.lineno for n in nodes if _read_name(n) in ("float", "float64")] == []
+    found = [
+        f"{path.name}:{where}"
+        for path in SOURCES
+        for where in _enclosing_functions(
+            ast.parse(path.read_text("utf-8")), lambda node: _read_name(node) == "F_RELATION_TOL"
+        )
+    ]
+    assert found == ["qsdp.py:quantum_slackness_check"]
