@@ -50,6 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidParameter, TooLarge, Truncated
+from .exact import _complementary, _witness_dual
 from .game import DeterministicStrategy, XorGame
 
 DEFAULT_ENUM_CAP = 1 << 24  # alpha patterns
@@ -255,8 +256,8 @@ def verify_F_relation(g: XorGame, vs: OptimalVertexSet) -> bool:
 
     The witness ``s = vs.signs[0]`` fixes the one candidate dual
     ``t = |Phi~ s|``; scaled by ``L = g.matrix.denominator`` it is the
-    integer vector ``d = 2L t = [|L Phi beta_0|; |L Phi^T alpha_0|]``, formed
-    in the type of ``g.matrix.ints``, where no sum overflows.  A vertex
+    integer vector ``d = 2L t`` of ``exact._witness_dual``, formed in the
+    type of ``g.matrix.ints``, where no sum overflows.  A vertex
     ``[alpha | beta]`` passes when ``(diag(d) - S) v = 0``, with ``S`` the
     block embedding of ``L Phi``: ``alpha L Phi = beta * d_B``, which is
     ``beta = F alpha`` for ``F = diag(d_B)^-1 L Phi^T``, and ``beta L Phi^T =
@@ -273,9 +274,5 @@ def verify_F_relation(g: XorGame, vs: OptimalVertexSet) -> bool:
     """
     if vs.truncated:
         raise Truncated("vertex set is truncated; relation cannot be certified")
-    P = g.matrix.ints
-    alpha, beta = vs.signs[:, : vs.m_a], vs.signs[:, vs.m_a :]
-    d_a, d_b = np.abs(P.dot(beta[0])), np.abs(alpha[0].dot(P))
-    return bool(
-        np.array_equal(alpha.dot(P), beta * d_b) and np.array_equal(beta.dot(P.T), alpha * d_a)
-    )
+    d = _witness_dual(g.matrix.ints, vs.signs[0])
+    return _complementary(g.matrix.ints, d, vs.signs)

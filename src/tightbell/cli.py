@@ -1,11 +1,13 @@
 """Command-line surface: reproducible analyses, machine-readable JSON reports.
 
 Exit codes: 0 success, 1 invalid input or usage, 2 resource cap exceeded,
-3 certification or verification failure.  Reports are deterministic for fixed
-inputs and seed except for the ``timestamp`` field.  Exact rational values are
-serialized as strings ("1/2"), certified numeric values as JSON numbers; the
-``provenance`` block says which is which so consumers never compare across
-kinds without the declared tolerance.
+3 certification or verification failure.  ``bias quantum`` and ``face`` read
+exit 3 from the float certificate, not from the classification, which is an
+exact verdict whether or not the solve certifies.  Reports are deterministic
+for fixed inputs and seed except for the ``timestamp`` field.  Exact rational
+values are serialized as strings ("1/2"), certified numeric values as JSON
+numbers; the ``provenance`` block says which is which so consumers never
+compare across kinds without the declared tolerance.
 
 Each subcommand handler returns ``(report, exit code)``.  ``main`` alone puts
 ``command`` and ``timestamp`` first (in every report but the game file of
@@ -119,10 +121,9 @@ def cmd_bias_quantum(args) -> tuple[dict, int]:
         **qsdp.certificate_to_dict(res),
         "provenance": {"xi_c": "exact-rational", "xi_q": "certified-numeric"},
     }
-    if res.classification != qsdp.UNDECIDED:
-        return report, EXIT_OK
     # certified with no xi_c: the enumeration cap, not the solve, left it undecided
-    return report, EXIT_CAPPED if res.certified and res.xi_c is None else EXIT_UNCERTIFIED
+    code = EXIT_CAPPED if res.xi_c is None else EXIT_OK
+    return report, code if res.certified else EXIT_UNCERTIFIED
 
 
 def cmd_face(args) -> tuple[dict, int]:
@@ -142,9 +143,8 @@ def cmd_face(args) -> tuple[dict, int]:
     }
     out["provenance"] = {"xi_c": "exact-rational", "xi_q": "certified-numeric",
                          **payload["provenance"]}
-    if report.truncated:
-        return out, EXIT_CAPPED
-    return out, EXIT_UNCERTIFIED if report.classification == qsdp.UNDECIDED else EXIT_OK
+    code = EXIT_OK if report.quantum.certified else EXIT_UNCERTIFIED
+    return out, EXIT_CAPPED if report.truncated else code
 
 
 def cmd_trivial_facet(args) -> tuple[dict, int]:

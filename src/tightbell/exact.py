@@ -1,4 +1,4 @@
-"""Exact rank over the rationals of integer matrices.
+"""Exact rank over the rationals of integer matrices, and the integer steps of the verdict.
 
 Every rank in the package is one exact routine, :func:`_rank`: the rank over
 the rationals of an integer matrix in its own dtype or of Python integers.
@@ -15,11 +15,24 @@ form, checked exactly on G) proves the matching upper bound.  G and the
 certificate check follow one rule: float64 where every sum is an integer
 below 2^53, which is checked first, else Python integers.  The congruence
 is float64 only and proves nothing past 2^53.  When the prime is unlucky
-or the certificate cannot be lifted, fraction-free (Bareiss) elimination
+or the certificate cannot be lifted, fraction-free symmetric elimination
 of the deflated G gives the rank.  No tolerance.
 
 ``_FLOAT_EXACT`` = 2^53 is that rule's bound wherever the package takes a
 float64 path over integers, in the solver and the Walsh check too.
+
+The same module holds the integer steps of the exact advantage verdict.  An
+optimal classical vertex ``s = [alpha | beta]`` of a game with ``P = L Phi``
+fixes one candidate dual, the integer vector ``d = [|P beta|; |P^T alpha|]``
+(:func:`_witness_dual`), and the game has no quantum advantage exactly when
+``S' = diag(d) - [[0, P], [P^T, 0]]`` (:func:`_slack_matrix`) is positive
+semidefinite.  Each step is conclusive when it succeeds: optimal vertices
+outside the kernel of ``S'`` (:func:`_complementary`) or a rounded direction
+of negative curvature (:func:`_shows_negative`) prove an advantage; optimal
+vertices in the kernel and a congruence on ``S' + K^T K``
+(:func:`_kernel_proves_psd`) prove none; and a fraction-free symmetric
+elimination (:func:`_psd_rank`) decides either way.  The elimination is also
+the rank's last resort, since a Gram matrix is positive semidefinite.
 """
 
 from __future__ import annotations
@@ -33,36 +46,6 @@ _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
 _SQUARE_LIMIT = 1 << 31  # int64 holds the square of an integer below this
 _BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the Gram sum
-
-
-def _bareiss_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of a square matrix of Python integers.
-
-    Classic fraction-free elimination: every interior division is exact, and
-    intermediate entries are minors of the input, so growth stays polynomial.
-    """
-    M = [list(r) for r in rows]
-    n = len(M)
-    rank, prev = 0, 1
-    for col in range(n):
-        piv = None
-        for r in range(rank, n):
-            if M[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        p = M[rank][col]
-        pivot_row = M[rank]
-        for r in range(rank + 1, n):
-            row = M[r]
-            mrc = row[col]
-            for c in range(col, n):
-                row[c] = (row[c] * p - mrc * pivot_row[c]) // prev
-        prev = p
-        rank += 1
-    return rank
 
 
 def _rref_mod_p(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -211,8 +194,8 @@ def _rank(M: np.ndarray) -> int:
     :func:`_positive_definite` with no elimination; it refuses entries of
     2^53 or more.  Otherwise :func:`_span_certificate` proves the rank, at
     any entry size.  Without either proof (an unlucky prime or an echelon
-    form that does not lift), fraction-free (Bareiss) elimination of the
-    deflated ``G`` gives it, at a cost cubic in its side.
+    form that does not lift), :func:`_psd_rank`, a fraction-free symmetric
+    elimination of the deflated ``G``, gives it, at a cost cubic in its side.
     """
     if not M.any():
         return 0
@@ -237,4 +220,113 @@ def _rank(M: np.ndarray) -> int:
     certificate = _span_certificate(G)
     if certificate is not None:
         return len(certificate[0])
-    return _bareiss_rank(G.tolist())
+    return _psd_rank(G)
+
+
+def _psd_rank(S: np.ndarray) -> int | None:
+    """Rank of the symmetric integer matrix ``S`` if it is positive semidefinite, else None.
+
+    Fraction-free (Bareiss) elimination in Python integers on the diagonal
+    pivots, in order, with no swaps.  Every interior division is exact, and
+    after the pivots ``J`` each entry of the trailing block is ``det S[J,
+    J]`` times the entry of the Schur complement, so entries stay minors of
+    ``S`` and the pivots keep the signs of the Schur complement's diagonal.
+    A negative pivot, or a zero pivot whose row is not zero (a 2 x 2
+    principal minor ``-b^2``), proves ``S`` is not positive semidefinite;
+    a zero pivot on a zero row is skipped, and it stays zero in every later
+    complement.  Otherwise ``S`` is congruent to the diagonal of its
+    pivots, so it is positive semidefinite of rank the number of positive
+    ones.  Only the upper triangle is read and written, since the
+    complements stay symmetric.
+    """
+    M, rank, prev = S.tolist(), 0, 1
+    for k, row_k in enumerate(M):
+        p = row_k[k]
+        if p < 0 or p == 0 and any(row_k[k + 1 :]):
+            return None
+        if p > 0:
+            for i in range(k + 1, len(M)):
+                for j in range(i, len(M)):
+                    M[i][j] = (M[i][j] * p - row_k[i] * row_k[j]) // prev
+            rank, prev = rank + 1, p
+    return rank
+
+
+def _witness_dual(P: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The integer dual ``d = [|P beta|; |P^T alpha|]`` of an optimal vertex ``[alpha | beta]``.
+
+    ``P`` is a game's ``L Phi`` in the type the game holds it, and ``d`` is
+    in that type: no entry exceeds ``L``, the sum of ``|P|``, so none
+    overflows.  ``d / 2L`` is the dual ``t = |Phi~ s|`` that complementary
+    slackness at ``Q = s s^T`` forces, and ``sum(d) = 2L xi_c``.
+    """
+    m_a = len(P)
+    return np.concatenate((np.abs(P.dot(s[m_a:])), np.abs(s[:m_a].dot(P))))
+
+
+def _slack_matrix(P: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """``S' = diag(d) - [[0, P], [P^T, 0]]``, in the type of ``P``; no entry exceeds ``L``."""
+    m_a = len(P)
+    S = np.diag(d)
+    S[:m_a, m_a:], S[m_a:, :m_a] = -P, -P.T
+    return S
+
+
+def _complementary(P: np.ndarray, d: np.ndarray, K: np.ndarray) -> bool:
+    """Whether ``S' k = 0`` for every row ``k = [alpha | beta]`` of ``K``.
+
+    ``S'`` is :func:`_slack_matrix`'s, and the test is its two halves as
+    integer products, ``alpha P = beta * d_B`` and ``beta P^T = alpha *
+    d_A``, whose sums stay within the sum of ``|P|``.  Every optimal vertex
+    ``v`` has ``v^T S' v = sum(d) - 2L bias(v) = 0``, so when ``S'`` is
+    positive semidefinite every optimal vertex passes: a failing one proves
+    a quantum advantage.
+    """
+    m_a = len(P)
+    a, b = K[:, :m_a], K[:, m_a:]
+    return np.array_equal(a.dot(P), b * d[m_a:]) and np.array_equal(b.dot(P.T), a * d[:m_a])
+
+
+def _kernel_proves_psd(S: np.ndarray, K: np.ndarray) -> bool:
+    """Whether ``S`` is proved positive semidefinite, given ``S K^T = 0``.
+
+    Split any ``v`` as ``w + K^T c`` with ``K w = 0``; then ``v^T S v = w^T
+    (S + K^T K) w``, so a congruence proof (:func:`_positive_definite`) that
+    ``S + K^T K`` is positive definite proves ``S`` positive semidefinite.
+    False proves nothing.  ``S`` has no entry above 2^53 when the sum is
+    formed, so it cannot overflow.
+    """
+    return int(S.max()) < _FLOAT_EXACT and _positive_definite(S + K.T.dot(K.astype(np.int64)))
+
+
+def _shows_negative(P: np.ndarray, d: np.ndarray, U: np.ndarray | None, L: int) -> bool:
+    """Whether a rounded column ``v = rint(2^k u)`` of ``U`` has ``v^T S' v < 0``.
+
+    ``S'`` is :func:`_slack_matrix`'s, never formed: ``v^T S' v = sum(d v^2)
+    - 2 v_A^T P v_B``.  ``P`` is a game's ``L Phi``, so ``sum(d)`` and the
+    sum of ``|P|`` are at most ``2L`` and ``L``; each column of ``U`` is
+    divided by its largest entry when that passes 1, so ``|v| <= 2^k``.
+    With ``2^(2k) 4L < 2^62`` every partial sum fits int64, so the test is
+    exact, and True proves ``S'`` is not positive semidefinite, which is a
+    quantum advantage.  False proves nothing; so does a game past int64.
+
+    Two kinds of ``U`` are tried.  The solver's unit rows: when they beat
+    ``xi_c``, ``tr(S' U U^T) = 2L (xi_c - xi_q) < 0``, so some column has
+    ``u^T S' u < 0`` and, at a fine enough grain, so does its rounding.
+    Before any restart, ``U`` is None, for the smaller side's best
+    responses: for each input ``x`` of that side, ``e_x`` and the other
+    side's ``P_(x, y) / d_y`` (``d_y`` read as 1 where it is 0).  Then ``u^T
+    S' u`` is the diagonal entry of the Schur complement of the other side's
+    block, negative for most games with an advantage, and the memory is
+    that of ``U``, m x min(m_a, m_b).
+    """
+    k = (60 - L.bit_length()) // 2
+    if k < 1 or P.dtype == object:
+        return False
+    m_a, m_b = P.shape
+    if U is None and m_a <= m_b:
+        U = np.vstack((np.eye(m_a), (P / np.maximum(d[m_a:], 1)).T))
+    elif U is None:
+        U = np.vstack((P / np.maximum(d[:m_a], 1)[:, None], np.eye(m_b)))
+    V = np.rint(np.ldexp(U / np.abs(U).max(axis=0, initial=1.0), k)).astype(np.int64)
+    return bool(((d[:, None] * V * V).sum(0) < 2 * (V[:m_a] * P.dot(V[m_a:])).sum(0)).any())

@@ -231,12 +231,17 @@ def face_report(
     ``vertex_cap`` bounds only the reduced enumeration.  A truncated reduced
     vertex set downgrades dimensions to lower bounds and suppresses facet
     verdicts.  A ``vertex_cap`` below 1 raises InvalidParameter.
+
+    The solve is passed every vertex as its ``witness``: row 0 is its start,
+    and all of them serve the exact advantage verdict.  Theorem 2 is then
+    checked at run time: on a complete vertex set of a game with no
+    advantage, a codimension below its bound raises VerificationFailed.  It
+    costs two integer comparisons.
     """
     if vertex_cap < 1:
         raise InvalidParameter(f"vertex_cap must be positive, got {vertex_cap}")
     reduced = reduce_exhaustive(g)
     vs = classical.optimal_vertices(reduced, cap=vertex_cap, enum_cap=enum_cap)
-    qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=vs.xi_c, witness=vs.signs[0])
 
     M_a, M_b = g.m_a, g.m_b
     D = M_a * M_b + M_a + M_b
@@ -246,6 +251,11 @@ def face_report(
     dim_full, dim_corr = _face_dimensions(vs.signs, reduced.m_a, d_a, d_b)
     truncated = vs.truncated
     label = LOWER_BOUND if truncated else MEASURED
+    codim_full, codim_corr = D - dim_full, M_a * M_b - dim_corr
+    qres = qsdp.solve_quantum_bias(reduced, solve_cfg, xi_c=vs.xi_c, witness=vs.signs)
+    below = codim_full < thm2.delta_full or codim_corr < thm2.delta_corr
+    if below and not truncated and qres.classification == qsdp.NO_ADVANTAGE:
+        raise VerificationFailed(f"codimensions {codim_full}, {codim_corr} break Theorem 2")
 
     return FaceReport(
         m_a=M_a,
@@ -258,8 +268,8 @@ def face_report(
         num_vertices=len(vs.signs) << (d_a + d_b),
         dim_full=dim_full,
         dim_corr=dim_corr,
-        codim_full=D - dim_full,
-        codim_corr=M_a * M_b - dim_corr,
+        codim_full=codim_full,
+        codim_corr=codim_corr,
         bound_thm1_dim=theorem1_dim_bound(reduced.m_a, reduced.m_b),
         bound_thm2_codim=thm2.delta_full,
         bound_thm2_codim_corr=thm2.delta_corr,

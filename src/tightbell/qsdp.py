@@ -47,17 +47,33 @@ those the certificate floats move by up to about 1e-13 in ``t`` and
 ``sweeps`` by up to about 20 either way; the exact fields, ``certified``,
 the classification and ``restarts_used`` are unchanged.
 
-A solve that holds an optimal classical vertex ``s`` (the ``witness``) tries
-it before any restart.  When ``xi_q = xi_c``, strong duality and
-complementary slackness make the rank-one ``Q = s s^T`` primal optimal with
-the dual ``t_i = |(Phi~ s)_i|``, which is the stationarity candidate of the
-one-column Gram vectors ``U = s``.  So the witness is evaluated, and
-certified or not, by the same rule as a restart, with no sweep.  An
-advantage game refuses it first, from a Schur complement of side min(m_a,
-m_b) (:func:`_witness_may_certify`: 17-21 us inside a solve of the
-benchmark's solver games on a 2-vCPU Xeon, about 2% of the solve), and then
-runs the same seeded restarts as without a witness, bit for bit.  On a game with no
-advantage the certificate floats are the witness's: the gap is 0 up to
+The classification is exact, and it needs no certificate.  Within the
+enumeration cap, an optimal classical vertex ``s = [alpha | beta]`` (the
+``witness``) fixes the one candidate dual: with ``L`` the game's
+denominator, ``t = |Phi~ s|`` is ``d / 2L`` for the integer vector ``d =
+[|L Phi beta|; |L Phi^T alpha|]``, and the game has no quantum advantage
+exactly when ``S' = diag(d) - [[0, L Phi], [L Phi^T, 0]]`` is positive
+semidefinite.  :func:`_verdict` decides that in integers
+(:mod:`tightbell.exact`), in at most three steps, each conclusive when it
+succeeds.  Before any restart: ``xi_c = 1`` is no advantage, since ``xi_q
+<= 1``; an optimal vertex outside the kernel of ``S'``, or a rounded best
+response of the smaller side with ``v^T S' v < 0``, is an advantage; and a
+congruence that proves ``S' + K^T K`` positive definite, for the optimal
+vertices ``K`` at hand, is no advantage.  After the restarts, a rounded
+column of the returned Gram vectors with ``v^T S' v < 0`` is an advantage,
+since ``tr(S' U U^T) = 2L (xi_c - xi_q)``.  Otherwise a fraction-free
+elimination of ``S'`` decides.  On the benchmark's games the first step
+decides every answer.  Past the enumeration cap there is no witness, and the
+classification is "undecided".
+
+A solve whose verdict is no advantage before any restart tries its witness
+first: ``Q = s s^T`` is then primal optimal with the dual ``t``, which is the
+stationarity candidate of the one-column Gram vectors ``U = s``.  So the
+witness is evaluated, and certified or not, by the same rule as a restart,
+with no sweep.  Any other solve runs the seeded restarts as without a
+witness, bit for bit; if only the elimination proves no advantage, the
+witness is evaluated after them and returned if it certifies.  On a game with
+no advantage the certificate floats are the witness's: the gap is 0 up to
 rounding, and ``t`` differs from a swept solve's by about 1e-15.
 
 Restarts are attempted in seed order and the first certified one is returned.
@@ -72,7 +88,7 @@ numerically dependent: on small games ``S S^T`` reaches a condition number
 of 1e20, and the extrapolation's weights are then set by rounding.  The
 two solver settings, the seed and the restart count, are the init fields of
 :class:`SolveConfig`, which defines their defaults and rejects values out of
-range; the command line's solver flags are those fields.  The four solver
+range; the command line's solver flags are those fields.  The three solver
 tolerances and the sweep budget, ``SolveConfig.max_iters`` = 50,000 a
 restart, are fixed class constants, and so is :data:`F_RELATION_TOL`, the
 one threshold of the coupling relation on the Gram vectors; on the optimal
@@ -81,13 +97,13 @@ vertices, `classical.verify_F_relation` decides it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import ClassVar
 
 import numpy as np
 
-from . import classical
+from . import classical, exact
 from .errors import (
     InvalidParameter,
     NotApplicable,
@@ -114,7 +130,7 @@ class SolveConfig:
 
     The init fields, ``seed`` and ``restarts``, are the solver settings, and
     the command line's solver flags are these fields, in this order.  The
-    sweep budget of a restart and the four solver tolerances are fixed class
+    sweep budget of a restart and the three solver tolerances are fixed class
     constants, not settings; an instance reads them as attributes.  Raises
     InvalidParameter for fewer than one restart or a seed outside
     ``[0, 2^64)``.
@@ -123,7 +139,6 @@ class SolveConfig:
     max_iters: ClassVar[int] = 50_000  # coordinate sweeps per restart
     gap_tol: ClassVar[float] = 1e-7
     feas_tol: ClassVar[float] = 1e-8
-    adv_tol: ClassVar[float] = 1e-6
     # fixed-point stop: the largest coordinate of a sweep's step, in the
     # solver's basis (see _coordinate_ascent)
     change_tol: ClassVar[float] = 1e-13
@@ -201,8 +216,10 @@ class DualCertificate:
 class QuantumBiasResult:
     """One solver restart, frozen; its arrays are read-only.
 
-    ``certified`` is gap <= gap_tol and min_eig >= -feas_tol; ``restarts_used``
-    is this restart's position in seed order, counting from 1.  A certified
+    ``certified`` is gap <= gap_tol and min_eig >= -feas_tol, and
+    ``classification`` is the exact verdict, whatever ``certified`` says;
+    ``restarts_used`` is this restart's position in seed order, counting
+    from 1.  A certified
     classical witness is the result of no restart: ``restarts_used`` 0,
     ``sweeps`` 0 and ``converged`` True.
     """
@@ -406,23 +423,6 @@ def _evaluate(blocks: tuple[np.ndarray, np.ndarray], U: np.ndarray):
     return t, xi_q, dual_value, gap, min_eig, stalled
 
 
-def _classify(xi_q: float, certified: bool, xi_c, cfg: SolveConfig) -> str:
-    """Compare ``xi_q`` with ``xi_c``.
-
-    The primal value is a lower bound on the optimum even without a
-    certificate, so it alone can show an advantage; no advantage needs the
-    certified upper bound as well.
-    """
-    if xi_c is None:
-        return UNDECIDED
-    diff = xi_q - float(xi_c)
-    if diff > cfg.adv_tol:
-        return ADVANTAGE
-    if certified and abs(diff) <= cfg.adv_tol:
-        return NO_ADVANTAGE
-    return UNDECIDED
-
-
 def _start(m: int, seed: int, restart: int) -> np.ndarray:
     """Random unit rows, m x m, drawn from ``SeedSequence((seed, restart))``."""
     U = np.random.default_rng(np.random.SeedSequence((seed, restart))).normal(size=(m, m))
@@ -430,49 +430,13 @@ def _start(m: int, seed: int, restart: int) -> np.ndarray:
     return U
 
 
-def _witness_may_certify(blocks: tuple[np.ndarray, np.ndarray], s: np.ndarray) -> bool:
-    """Whether ``diag(|Phi~ s|) - Phi~ + feas_tol I`` is positive definite.
-
-    The cheap refusal of a witness start, taken before its eigen-check.  With
-    ``t = |Phi~ s|`` and ``D = diag(t) + feas_tol I``, the matrix is
-    ``[[D_A, -Phi/2], [-Phi^T/2, D_B]]``, and ``D`` is positive definite, so
-    it is positive definite exactly when the Schur complement of the larger
-    side's block is: ``D_s - R R^T`` on the smaller side s, with ``R = H
-    D_l^(-1/2)`` and ``H`` its block of ``Phi/2`` or ``Phi^T/2``.  Its
-    diagonal, ``D_s - |R_i|^2``, is read first, and a negative entry refuses
-    the witness; this alone refused all 30 solver games of the benchmark's
-    ``enum-cert`` workload and 433 of the 444 advantage games of the tests'
-    corpus.  Otherwise one Cholesky factorisation of side min(m_a, m_b)
-    decides.  It is a filter only; the certificate is :func:`_evaluate`'s.
-    """
-    half, half_t = blocks
-    m_a, m_b = half.shape
-    t_a, t_b = np.abs(half @ s[m_a:]), np.abs(half_t @ s[:m_a])
-    H, t_s, t_l = (half, t_a, t_b) if m_a <= m_b else (half_t, t_b, t_a)
-    R = H / np.sqrt(t_l + SolveConfig.feas_tol)
-    d_s = t_s + SolveConfig.feas_tol
-    if np.any(np.square(_row_norms(R)) > d_s):
-        return False
-    try:
-        np.linalg.cholesky(np.diag(d_s) - R @ R.T)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def _result(
-    g: XorGame,
-    blocks: tuple[np.ndarray, np.ndarray],
-    U: np.ndarray,
-    xi_c: Fraction | None,
-    cfg: SolveConfig,
-    restarts_used: int,
-    sweeps: int,
-    converged: bool,
+    g: XorGame, blocks: tuple[np.ndarray, np.ndarray], U: np.ndarray, xi_c: Fraction | None,
+    verdict: str, restarts_used: int, sweeps: int, converged: bool
 ) -> QuantumBiasResult:
     """The result of the Gram vectors ``U``, certified by :func:`_evaluate`."""
     t, xi_q, dual_value, gap, min_eig, stalled = _evaluate(blocks, U)
-    certified = gap <= cfg.gap_tol and min_eig >= -cfg.feas_tol
+    certified = gap <= SolveConfig.gap_tol and min_eig >= -SolveConfig.feas_tol
     for arr in (U, t):
         arr.setflags(write=False)
     return QuantumBiasResult(
@@ -482,13 +446,37 @@ def _result(
         gram=GramSolution(vectors=U, m_a=g.m_a),
         cert=DualCertificate(t=t, min_eig=min_eig),
         certified=certified,
-        classification=_classify(xi_q, certified, xi_c, cfg),
+        classification=verdict,
         xi_c=xi_c,
         restarts_used=restarts_used,
         sweeps=sweeps,
         converged=converged,
         stalled_rows=stalled,
     )
+
+
+def _verdict(g: XorGame, xi_c: Fraction | None, K: np.ndarray | None, U=None) -> str:
+    """The exact advantage verdict from the optimal vertices ``K``, the witness first.
+
+    ``xi_c = 1`` needs no proof, since ``xi_q <= 1``.  Otherwise ``K[0]``
+    gives the integer dual ``d`` and ``S'`` (:mod:`tightbell.exact`).  A
+    vertex outside the kernel of ``S'`` proves an advantage, and so does a
+    rounded direction of negative curvature: before any restart (``U`` None)
+    a best response of the smaller side, after them a column of the
+    returned Gram vectors ``U``.  Before the restarts a congruence on ``S' +
+    K^T K`` proves no advantage, and without it the verdict stays
+    undecided; after them the elimination of ``S'`` decides.  Without
+    ``xi_c``, or without a vertex, the verdict is undecided.
+    """
+    if xi_c == 1 or K is None:
+        return NO_ADVANTAGE if xi_c == 1 else UNDECIDED
+    P = g.matrix.ints
+    d = exact._witness_dual(P, K[0])
+    if not exact._complementary(P, d, K) or exact._shows_negative(P, d, U, g.matrix.denominator):
+        return ADVANTAGE
+    if U is None:
+        return NO_ADVANTAGE if exact._kernel_proves_psd(exact._slack_matrix(P, d), K) else UNDECIDED
+    return ADVANTAGE if exact._psd_rank(exact._slack_matrix(P, d)) is None else NO_ADVANTAGE
 
 
 def solve_quantum_bias(
@@ -502,64 +490,72 @@ def solve_quantum_bias(
 
     ``xi_c`` is used only for the advantage classification; when omitted it is
     computed by exact enumeration if feasible, and the enumeration's witness
-    strategy is the ``witness``.  A caller that passes ``xi_c`` may pass an
-    optimal vertex for it as ``witness``: m_a + m_b signs ``[alpha | beta]``,
-    a row of ``classical.OptimalVertexSet.signs``.  A witness without
-    ``xi_c``, or of another length or with an entry other than +-1, raises
-    InvalidParameter.
+    strategy is the ``witness``.  A caller that passes ``xi_c`` may pass
+    optimal vertices for it as ``witness``: rows of m_a + m_b signs ``[alpha
+    | beta]``, such as ``classical.OptimalVertexSet.signs`` or one of its
+    rows; row 0 is the start, and every row serves the verdict.  A witness
+    without ``xi_c``, or of another width or with an entry other than +-1,
+    raises InvalidParameter.  A caller that passes ``xi_c`` alone gets random
+    starts only, but the verdict enumerates a witness of its own, unless
+    ``xi_c`` is 1; past the enumeration cap it is "undecided".
 
-    A witness is tried before any restart.  When the game has no advantage,
-    ``Q = s s^T`` is primal optimal and its dual is ``t = |Phi~ s|``, so the
-    one-column Gram vectors ``s`` are evaluated as a restart's are.  If they
-    certify, that is the result, with ``sweeps`` 0, ``converged`` True and
-    ``restarts_used`` 0, since no restart ran.  A witness that
-    :func:`_witness_may_certify` refuses, or that does not certify, is
-    dropped, and the restarts run as without it.
+    The classification is the exact verdict of the module docstring, whether
+    or not the solve certifies: "undecided" only without ``xi_c`` or past the
+    enumeration cap.  ``certified`` is the float certificate alone.  When the
+    verdict is no advantage before any restart, the witness is tried first:
+    if it certifies, that is the result, with ``sweeps`` 0, ``converged``
+    True and ``restarts_used`` 0, since no restart ran.  A witness that does
+    not certify is dropped, and the restarts run as without it.
 
     Restart ``k`` starts from random unit rows drawn from
     ``SeedSequence((cfg.seed, k))``, so a (game, seed) pair fixes every
     starting point.  Each restart yields one result; the first certified one
     is returned.  If none certifies, the one with the smallest gap (the
-    earliest on a tie) is returned uncertified: "advantage" if its primal
-    value alone clears ``xi_c`` by more than adv_tol, otherwise "undecided" —
-    never a fabricated verdict.  A restart whose dual is infeasible is not
-    certified, converged or not: a loose ``change_tol`` can stop the ascent
-    with the second-order gap below ``gap_tol`` while the first-order error
-    in ``t`` still leaves ``diag(t) - Phi~`` indefinite.
+    earliest on a tie) is returned uncertified.  A restart whose dual is
+    infeasible is not certified, converged or not: a loose ``change_tol`` can
+    stop the ascent with the second-order gap below ``gap_tol`` while the
+    first-order error in ``t`` still leaves ``diag(t) - Phi~`` indefinite.
     """
     cfg = cfg or SolveConfig()
     m = g.m_a + g.m_b
     if m > MAX_SDP_SIDE:
         raise TooLarge(f"SDP side {m} exceeds dense budget {MAX_SDP_SIDE}")
-    s = None  # the witness as floats
-    if xi_c is None:
-        if witness is not None:
-            raise InvalidParameter("a witness needs the xi_c it attains")
+    K, start = None, witness is not None or xi_c is None  # K: optimal vertices, as rows
+    if witness is not None:
+        K = np.atleast_2d(np.asarray(witness))
+        if xi_c is None or K.ndim != 2 or K.shape[1] != m or not K.size or np.any(abs(K) != 1):
+            raise InvalidParameter(f"a witness is rows of {m} signs +-1, with the xi_c they attain")
+        K = K.astype(np.int8)
+    elif xi_c != 1:  # the enumeration's witness, for the verdict
         try:
             cb = classical.classical_bias(g)
         except TooLarge:
             pass
         else:
-            xi_c, s = cb.xi_c, np.array(cb.witness.alpha + cb.witness.beta, dtype=np.float64)
-    elif witness is not None:
-        s = np.asarray(witness, dtype=np.float64)
-        if s.shape != (m,) or np.any(np.abs(s) != 1.0):
-            raise InvalidParameter(f"a witness is {m} signs +-1")
+            xi_c, K = cb.xi_c, np.array([cb.witness.alpha + cb.witness.beta], dtype=np.int8)
     blocks = _halves(g)
+    verdict = _verdict(g, xi_c, K)
 
-    if s is not None and _witness_may_certify(blocks, s):
-        res = _result(g, blocks, s[:, None], xi_c, cfg, 0, 0, True)
+    s = None if K is None or not start else K[0, :, None].astype(np.float64)
+    if s is not None and verdict == NO_ADVANTAGE:
+        res = _result(g, blocks, s, xi_c, verdict, 0, 0, True)
         if res.certified:
             return res
-    best = None  # smallest-gap uncertified restart so far
+    best = None  # the first certified restart, else the smallest-gap one so far
     for restart in range(cfg.restarts):
         U, sweeps, converged = _coordinate_ascent(blocks, _start(m, cfg.seed, restart), cfg)
-        res = _result(g, blocks, U, xi_c, cfg, restart + 1, sweeps, converged)
-        if res.certified:
-            return res
-        if best is None or res.gap < best.gap:
+        res = _result(g, blocks, U, xi_c, verdict, restart + 1, sweeps, converged)
+        if best is None or res.certified or res.gap < best.gap:
             best = res
-    return best
+        if res.certified:
+            break
+    if verdict != UNDECIDED or K is None:
+        return best
+    verdict = _verdict(g, xi_c, K, best.gram.vectors)
+    if verdict == NO_ADVANTAGE and s is not None:
+        at_witness = _result(g, blocks, s, xi_c, verdict, 0, 0, True)
+        best = at_witness if at_witness.certified else best
+    return replace(best, classification=verdict)
 
 
 def extract_F(cert: DualCertificate, g: XorGame) -> np.ndarray:

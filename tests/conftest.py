@@ -21,15 +21,19 @@ def enumerations(monkeypatch):
 
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """Side of every deflated Gram matrix that the Bareiss fallback of the exact rank reads."""
+    """Side of every matrix that the fraction-free elimination reads.
+
+    Its callers are the exact rank's fallback, on a deflated Gram matrix,
+    and the last step of the solver's advantage verdict, on ``S'``.
+    """
     calls = []
-    bareiss = exact._bareiss_rank
+    eliminate = exact._psd_rank
 
-    def counted(rows):
-        calls.append(len(rows))
-        return bareiss(rows)
+    def counted(S):
+        calls.append(len(S))
+        return eliminate(S)
 
-    monkeypatch.setattr(exact, "_bareiss_rank", counted)
+    monkeypatch.setattr(exact, "_psd_rank", counted)
     return calls
 
 

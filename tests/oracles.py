@@ -18,7 +18,11 @@ updates whole int64 arrays per pivot), the rational echelon oracle is
 Gauss-Jordan over Fractions (the library lifts the echelon form modulo a
 prime to rationals and checks the lift), the slackness oracle sums ``Phi~ s``
 in Fractions from the prior and predicate (the library's exact check reads
-the integer matrix ``L Phi``), the no-signalling oracle reconstructs the
+the integer matrix ``L Phi``), the slack-matrix oracle builds ``diag(t) -
+Phi~`` in Fractions from the prior and predicate and reduces its quadratic
+form by division (the library eliminates ``S'``, built from ``L Phi``,
+fraction-free), the float verdict oracle is the classification of earlier
+builds, the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
 reference sums the prior in Fractions (the library sums the integers that
 ``signed_matrix`` scales over the lcm of the denominators).
@@ -263,6 +267,50 @@ def oracle_slackness_residual(g, t, s) -> float:
         Fraction(sum(P[x][y] * alpha[x] for x in range(g.m_a)), 2 * den) for y in range(g.m_b)
     ]
     return max(abs(float(t_i) * s_i - float(w)) for t_i, s_i, w in zip(t, s, phi_s))
+
+
+def oracle_float_verdict(xi_q: float, certified: bool, xi_c) -> str:
+    """The float classification of earlier builds, from the solve's primal value.
+
+    ``xi_q - xi_c > 1e-6`` is an advantage, whether or not the solve
+    certified; a certified ``|xi_q - xi_c| <= 1e-6`` is no advantage; and
+    anything else, or no ``xi_c``, is undecided.
+    """
+    if xi_c is None:
+        return qsdp.UNDECIDED
+    diff = xi_q - float(xi_c)
+    if diff > 1e-6:
+        return qsdp.ADVANTAGE
+    return qsdp.NO_ADVANTAGE if certified and abs(diff) <= 1e-6 else qsdp.UNDECIDED
+
+
+def oracle_slack_is_psd(g, s) -> bool:
+    """Whether ``diag(t) - Phi~``, with ``t = |Phi~ s|``, is positive semidefinite.
+
+    The matrix is built in Fractions from the game's prior and predicate, and
+    decided by Lagrange's reduction of its quadratic form: a positive diagonal
+    pivot is eliminated by division; a negative one, or a zero one whose row
+    is not zero, shows a negative value of the form.
+    """
+    P, den = _scaled_phi(g)
+    m = g.m_a + g.m_b
+    S = [[Fraction(0)] * m for _ in range(m)]
+    for x in range(g.m_a):
+        for y in range(g.m_b):
+            S[x][g.m_a + y] = S[g.m_a + y][x] = Fraction(-P[x][y], 2 * den)
+    for i in range(m):
+        S[i][i] = abs(sum(S[i][j] * s[j] for j in range(m)))
+    for k in range(m):
+        p = S[k][k]
+        if p < 0 or p == 0 and any(S[k][j] for j in range(k + 1, m)):
+            return False
+        if p == 0:
+            continue
+        for i in range(k + 1, m):
+            f = S[i][k] / p
+            for j in range(k + 1, m):
+                S[i][j] -= f * S[k][j]
+    return True
 
 
 def oracle_affine_dim(points) -> int:

@@ -9,14 +9,14 @@ import re
 import resource
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tightbell import build_game, load_game, make_named, nlc, save_game
+from tightbell import build_game, facegeom, load_game, make_named, nlc, save_game
 from tightbell.cli import _solve_config, build_parser, main
 from tightbell.errors import InvalidParameter, VerificationFailed
 from tightbell.game import game_to_dict
@@ -218,17 +218,19 @@ def test_bias_refuses_flags_its_kind_does_not_read(capsys, chsh_file, kind, flag
 
 def test_bias_quantum_uncertified_exit(monkeypatch, capsys, tmp_path):
     # a 3 x 2 game with a small advantage (xi_c = 5/6, xi_q about 0.8362):
-    # the solve starts at random, since its classical witness does not certify
+    # the game has an advantage, so the solve starts at random
     path = tmp_path / "adv.json"
     q = [["11/36", "1/6"], ["1/18", "1/9"], ["1/36", "1/3"]]
     save_game(build_game(q, [[1, 1], [0, 1], [0, 1]]), path)
     # a huge change tolerance stops every restart after one sweep, far from
     # the optimum, so no restart can certify, and the primal value alone
-    # stays below xi_c
+    # stays below xi_c; the exact verdict is the advantage all the same, and
+    # the exit code reads the certificate
     monkeypatch.setattr(SolveConfig, "change_tol", 1.0)
     code, payload, _ = run_json(capsys, "bias", "quantum", str(path), "--restarts", "2")
     assert code == 3
-    assert payload["classification"] == "undecided"
+    assert payload["classification"] == "advantage"
+    assert payload["xi_q"] < 5 / 6
 
 
 def test_bias_quantum_certifies_no_advantage_at_the_witness(tmp_path, capsys):
@@ -313,6 +315,19 @@ def test_face_truncated_exit(capsys, tmp_path):
     assert code == 2
     assert payload["truncated"] is True
     assert payload["is_facet_full"] is None
+
+
+def test_face_theorem_2_failure_exits_3(monkeypatch, capsys, tmp_path):
+    # a codimension below Theorem 2's bound on a no-advantage game is a
+    # failed verification: nothing on stdout, exit 3
+    path = tmp_path / "id2.json"
+    save_game(make_named("identity", 2), path)
+    bound = facegeom.theorem2_codim_bound
+    monkeypatch.setattr(facegeom, "theorem2_codim_bound",
+                        lambda *dims: replace(bound(*dims), delta_full=bound(*dims).delta_full + 1))
+    code, out, err = run(capsys, "face", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "Theorem 2" in err
 
 
 @pytest.mark.parametrize(
@@ -725,7 +740,7 @@ def test_solver_flags_are_the_config_fields(capsys, chsh_file):
     assert names == ["seed", "restarts"]
     # the fixed constants stay readable from an instance, as bench/ reads them
     cfg = SolveConfig()
-    assert (cfg.gap_tol, cfg.feas_tol, cfg.adv_tol, cfg.change_tol) == (1e-7, 1e-8, 1e-6, 1e-13)
+    assert (cfg.gap_tol, cfg.feas_tol, cfg.change_tol) == (1e-7, 1e-8, 1e-13)
     assert cfg.max_iters == 50_000
     solver = ["--" + name.replace("_", "-") for name in names]
     assert _option_strings(capsys, "bias", "quantum") == ["--help", *solver, "--output"]
@@ -775,11 +790,23 @@ def test_run_config_validation(capsys, chsh_file):
 
 
 def test_dual_infeasible_exit(infeasible_dual, capsys, and2_file):
-    # no restart certifies a no-advantage game: the report still prints
+    # no restart certifies a no-advantage game: the report still prints, with
+    # the exact verdict, and the exit code reads the certificate
     code, payload, _ = run_json(capsys, "bias", "quantum", and2_file)
     assert code == 3
-    assert payload["classification"] == "undecided"
+    assert payload["classification"] == "no_advantage"
     assert payload["min_eig"] == -1.0
+
+
+def test_uncertified_advantage_exits_3(infeasible_dual, capsys, chsh_file):
+    # CHSH's primal value clears xi_c by far, which exited 0 while the
+    # classification was read off the primal value; the exit code now reads
+    # the certificate, and the classification is the exact verdict
+    code, payload, _ = run_json(capsys, "bias", "quantum", chsh_file)
+    assert (code, payload["classification"]) == (3, "advantage")
+    assert payload["xi_q"] - 0.5 > 0.2
+    code, payload, _ = run_json(capsys, "face", chsh_file)
+    assert (code, payload["classification"]) == (3, "advantage")
 
 
 def test_console_script_entry_point(tmp_path):

@@ -1075,3 +1075,30 @@ def test_face_report_enumerates_once(enumerations):
     rep = face_report(make_named("appendix_d", 2))
     assert len(enumerations) == 1
     assert rep.xi_c == Fraction(1, 2)
+
+
+def _raised_theorem2(monkeypatch, full: int, corr: int) -> None:
+    """Make Theorem 2's bounds ``full`` and ``corr`` more than the real ones."""
+    bound = facegeom.theorem2_codim_bound
+
+    def raised(*dims):
+        real = bound(*dims)
+        return replace(real, delta_full=real.delta_full + full, delta_corr=real.delta_corr + corr)
+
+    monkeypatch.setattr(facegeom, "theorem2_codim_bound", raised)
+
+
+@pytest.mark.parametrize("full,corr", [(1, 0), (0, 1)], ids=["full", "correlation"])
+def test_face_report_checks_theorem_2(monkeypatch, full, corr):
+    # Theorem 2 at run time: a no-advantage game whose measured codimension
+    # falls below the bound raises; identity(2) meets both bounds exactly,
+    # so one more in either fails it.  An advantage game (CHSH) and a
+    # truncated set, whose dimensions are lower bounds, are not checked
+    g = make_named("identity", 2)
+    rep = face_report(g)
+    assert (rep.codim_full, rep.codim_corr) == (rep.bound_thm2_codim, rep.bound_thm2_codim_corr)
+    _raised_theorem2(monkeypatch, full, corr)
+    with pytest.raises(VerificationFailed, match="Theorem 2"):
+        face_report(g)
+    assert face_report(make_named("chsh")).classification == qsdp.ADVANTAGE
+    assert face_report(g, vertex_cap=3).truncated

@@ -26,15 +26,22 @@ from tightbell.errors import (
     SingularLambda,
     TooLarge,
 )
-from tightbell import game, qsdp
+from tightbell import exact, game, qsdp
 from tightbell.facegeom import face_report
 from tightbell.game import DeterministicStrategy, build_game, load_game, save_game
 from tightbell.nlc import NlcSpec, build_nlc, nlc_bias_bound
 from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde, certificate_to_dict
 
 from .generators import random_game, tied_game
-from .oracles import reference_coordinate_ascent, reference_plain_ascent, reference_rre
+from .oracles import (
+    oracle_float_verdict,
+    oracle_slack_is_psd,
+    reference_coordinate_ascent,
+    reference_plain_ascent,
+    reference_rre,
+)
 from .test_acceptance import _support_games
+from .test_classical import huge_denominator_game, int64_edge_games
 
 
 def test_phi_tilde_single_entry():
@@ -757,8 +764,8 @@ def test_witness_keeps_a_never_asked_row_stalled():
 
 def test_witness_tied_on_an_asked_row_is_refused(monkeypatch):
     # a witness whose response ties on an asked question has t = 0 on a row
-    # of Phi~ that is not zero, so diag(t) - Phi~ is indefinite: the Schur
-    # complement test refuses it, no one-column Gram vectors reach the
+    # of Phi~ that is not zero, so diag(t) - Phi~ is indefinite: the exact
+    # verdict finds the advantage, no one-column Gram vectors reach the
     # eigen-check, and the solve is the xi_c-only one.  CHSH's witness alpha = (1, 1) ties Bob's
     # second question
     evaluate, widths = qsdp._evaluate, []
@@ -781,7 +788,8 @@ def test_witness_tied_on_an_asked_row_is_refused(monkeypatch):
         if not np.any(asked & (t == 0.0)):
             continue
         tied += 1
-        assert not qsdp._witness_may_certify(blocks, s)
+        d = exact._witness_dual(g.matrix.ints, s.astype(np.int8))
+        assert exact._psd_rank(exact._slack_matrix(g.matrix.ints, d)) is None
         widths.clear()
         res = solve_quantum_bias(g)
         assert 1 not in widths and res.sweeps > 0 and res.classification == ADVANTAGE
@@ -806,3 +814,97 @@ def test_witness_argument_is_checked():
             solve_quantum_bias(g, xi_c=xi_c, witness=witness)
     res = solve_quantum_bias(g, xi_c=Fraction(1), witness=np.array([-1, -1], dtype=np.int8))
     assert (res.certified, res.sweeps, res.gram.vectors.tolist()) == (True, 0, [[-1.0], [-1.0]])
+
+
+# ---------------------------------------------------------------------------
+# the exact advantage verdict
+# ---------------------------------------------------------------------------
+
+
+def test_exact_verdict_agrees_with_the_float_rule():
+    # wherever the float rule of earlier builds decides, the exact verdict
+    # is its answer, and on this corpus it decides every game
+    tally = Counter()
+    for g in _witness_corpus():
+        res = solve_quantum_bias(g)
+        rule = oracle_float_verdict(res.xi_q, res.certified, res.xi_c)
+        assert rule == res.classification
+        tally[res.classification] += 1
+    assert tally == {NO_ADVANTAGE: 776, ADVANTAGE: 444}
+
+
+def _steps(g, K, U):
+    """What each exact step says of ``S'`` for the vertices ``K``: True PSD, False not, None open.
+
+    The congruence proves something only for vertices in the kernel of ``S'``.
+    """
+    P, L = g.matrix.ints, g.matrix.denominator
+    d = exact._witness_dual(P, K[0])
+    S = exact._slack_matrix(P, d)
+    kernel = exact._complementary(P, d, K)
+    return {
+        "kernel": None if kernel else False,
+        "responses": False if exact._shows_negative(P, d, None, L) else None,
+        "congruence": True if kernel and exact._kernel_proves_psd(S, K) else None,
+        "gram": False if exact._shows_negative(P, d, U, L) else None,
+        "elimination": exact._psd_rank(S) is not None,
+    }
+
+
+def test_each_step_agrees_with_the_elimination():
+    # every conclusive step agrees with the complete one, which agrees with
+    # a Fraction oracle and with the solve's verdict; the tally counts the
+    # games each step decides, with the witness alone (always in the kernel
+    # of its own S') and with every optimal vertex, as face_report passes
+    tally = Counter()
+    for g in _witness_corpus():
+        vs = optimal_vertices(g)
+        res = solve_quantum_bias(g, xi_c=vs.xi_c)
+        psd = oracle_slack_is_psd(g, vs.signs[0].tolist())
+        assert psd == (res.classification == NO_ADVANTAGE)
+        for K, rows in ((vs.signs[:1], "witness"), (vs.signs, "all")):
+            steps = _steps(g, K, res.gram.vectors)
+            assert steps.pop("elimination") == psd
+            for step, said in steps.items():
+                assert said in (None, psd), (step, rows)
+                if said is not None:
+                    tally[rows, step] += 1
+    assert tally == {
+        ("witness", "responses"): 433, ("witness", "congruence"): 461, ("witness", "gram"): 444,
+        ("all", "kernel"): 230, ("all", "responses"): 433, ("all", "congruence"): 776,
+        ("all", "gram"): 444,
+    }
+
+
+@pytest.mark.parametrize(
+    "g", [huge_denominator_game(), *int64_edge_games()],
+    ids=["denominator2^70", "edge1x2f0", "edge2x1f0", "edge1x2f1", "edge2x1f1"],
+)
+def test_huge_denominators_are_decided_by_the_elimination(g):
+    # xi_c = 1 settles these games before S' is formed; without that, the
+    # congruence refuses entries past 2^53 and no rounding fits int64, and
+    # the elimination, in Python integers, proves S' positive semidefinite
+    vs = optimal_vertices(g)
+    assert vs.xi_c == 1 and g.matrix.ints.dtype == object
+    steps = _steps(g, vs.signs, np.ones((g.m_a + g.m_b, 1)))
+    assert steps == {
+        "kernel": None, "responses": None, "congruence": None, "gram": None, "elimination": True
+    }
+    assert solve_quantum_bias(g).classification == NO_ADVANTAGE
+
+
+def test_advantage_draws_need_no_elimination(monkeypatch):
+    # games of the benchmark's solver sizes: every advantage is proved by a
+    # step before the elimination, which is made to fail here
+    def refuse(S):
+        raise AssertionError("the elimination ran")
+
+    monkeypatch.setattr(exact, "_psd_rank", refuse)
+    rng = np.random.default_rng(48)
+    verdicts = Counter()
+    for _ in range(30):
+        g = random_game(rng, 10, 28, 6, 16, max_weight=1000)
+        res = solve_quantum_bias(g)
+        verdicts[res.classification] += 1
+        assert oracle_float_verdict(res.xi_q, res.certified, res.xi_c) == res.classification
+    assert verdicts == {ADVANTAGE: 30}

@@ -281,8 +281,8 @@ def test_float_exact_bound_is_defined_once():
     assert found == ["exact.py"]
 
 
-def _enclosing_functions(tree: ast.Module, match) -> list[str]:
-    """The innermost enclosing function of every node that ``match`` accepts, in order."""
+def _matches(tree: ast.Module, match) -> list[tuple[ast.AST, str | None]]:
+    """Every node that ``match`` accepts, in order, with its innermost enclosing function."""
     found = []
 
     def visit(node: ast.AST, where: str | None) -> None:
@@ -291,11 +291,16 @@ def _enclosing_functions(tree: ast.Module, match) -> list[str]:
                 visit(child, child.name)
                 continue
             if match(child):
-                found.append(where)
+                found.append((child, where))
             visit(child, where)
 
     visit(tree, None)
     return found
+
+
+def _enclosing_functions(tree: ast.Module, match) -> list[str]:
+    """The innermost enclosing function of every node that ``match`` accepts, in order."""
+    return [where for _, where in _matches(tree, match)]
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -319,14 +324,17 @@ def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
 
 
 def test_bareiss_rank_is_called_only_by_rank():
-    # one exact-rank path: the fallback elimination reads the deflated Gram
-    # matrix that _rank forms, never a matrix of its own
+    # one fraction-free elimination, _psd_rank, with two readers: the exact
+    # rank's fallback on the deflated Gram matrix that _rank forms, and the
+    # last step of the advantage verdict on S'; the old rank-only
+    # elimination is gone
     found = [
         f"{path.name}:{where}"
         for path in SOURCES
-        for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "_bareiss_rank")
+        for name in ("_psd_rank", "_bareiss_rank")
+        for where in _calls_by_function(ast.parse(path.read_text("utf-8")), name)
     ]
-    assert found == ["exact.py:_rank"]
+    assert found == ["exact.py:_rank", "qsdp.py:_verdict"]
 
 
 def test_only_outside_data_goes_through_build_game():
@@ -401,13 +409,75 @@ def test_solver_takes_row_norms_one_way():
 def test_solver_certifies_one_way():
     # the witness start and the restarts are certified by one routine:
     # _result builds every QuantumBiasResult from _evaluate, the only
-    # eigen-check; the witness's Cholesky is a refusal, not a certificate
+    # eigen-check; the witness is tried before the restarts and, when only
+    # the elimination proves no advantage, after them
     tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
-    assert _calls_by_function(tree, "_result") == ["solve_quantum_bias"] * 2
+    assert _calls_by_function(tree, "_result") == ["solve_quantum_bias"] * 3
     assert _calls_by_function(tree, "QuantumBiasResult") == ["_result"]
     assert _calls_by_function(tree, "_evaluate") == ["_result"]
     assert _calls_by_function(tree, "eigvalsh") == ["_evaluate"]
-    assert _calls_by_function(tree, "cholesky") == ["_witness_may_certify"]
+    # the classification has one source, the exact verdict: every
+    # classification= passes the solve's verdict, which only _verdict
+    # sets, or copies a solve's classification (face_report)
+    found = [
+        f"{path.name}:{where}:{ast.unparse(node.value)}"
+        for path in SOURCES
+        for node, where in _matches(
+            ast.parse(path.read_text("utf-8")),
+            lambda n: isinstance(n, ast.keyword) and n.arg == "classification",
+        )
+    ]
+    assert found == [
+        "facegeom.py:face_report:qres.classification",
+        "qsdp.py:_result:verdict",
+        "qsdp.py:solve_quantum_bias:verdict",
+    ]
+    assigned = [
+        ast.unparse(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "verdict" for t in node.targets)
+    ]
+    assert assigned == ["_verdict(g, xi_c, K)", "_verdict(g, xi_c, K, best.gram.vectors)"]
+
+
+def test_verdict_has_no_float_rule():
+    # no advantage margin is left: SolveConfig has no adv_tol, qsdp reads
+    # no float(xi_c), and the one Cholesky factorisation of the package is
+    # the congruence proof of exact._positive_definite
+    tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
+    assert not hasattr(tightbell.qsdp.SolveConfig, "adv_tol")
+    assert "adv_tol" not in _names(tree)
+    floats = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _callee(node) == "float" and "xi_c" in _names(node)
+    ]
+    assert floats == []
+    found = [
+        f"{path.name}:{where}"
+        for path in SOURCES
+        for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "cholesky")
+    ]
+    assert found == ["exact.py:_positive_definite"]
+
+
+def test_witness_dual_is_formed_once():
+    # d = [|L Phi beta_0|; |L Phi^T alpha_0|] is one formula, in
+    # exact._witness_dual; the exact vertex check and the verdict read it
+    def abs_of_a_product(node):
+        return (
+            isinstance(node, ast.Call) and _callee(node) == "abs" and len(node.args) == 1
+            and isinstance(node.args[0], ast.Call) and _callee(node.args[0]) == "dot"
+        )
+
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SOURCES}
+    found = [f"{name}:{where}" for name, tree in trees.items()
+             for where in _enclosing_functions(tree, abs_of_a_product)]
+    assert found == ["exact.py:_witness_dual"] * 2
+    readers = [f"{name}:{where}" for name, tree in trees.items()
+               for where in _calls_by_function(tree, "_witness_dual")]
+    assert readers == ["classical.py:verify_F_relation", "qsdp.py:_verdict"]
 
 
 
