@@ -6,20 +6,24 @@ The matrix is read once, to form its exact integer Gram matrix G; the rest
 reads only G.  Zero columns and columns parallel to an earlier one cannot
 raise the rank; at every scale they are dropped first, read off G exactly by
 the equality case of Cauchy-Schwarz.  Full rank of the deflated G is proved
-by a congruence: with C its float Cholesky factor and X = rint(2^s C^-1),
-the integer matrix X G X^T is computed exactly, and if it is strictly
-diagonally dominant with a positive diagonal, G is positive definite.
-Otherwise its rank modulo the prime 2^31 - 1 is a lower bound: a full one
-proves full rank, and below that an integer certificate (the lifted echelon
-form, checked exactly on G) proves the matching upper bound.  G and the
-certificate check follow one rule: float64 where every sum is an integer
-below 2^53, which is checked first, else Python integers.  The congruence
-is float64 only and proves nothing past 2^53.  When the prime is unlucky
-or the certificate cannot be lifted, fraction-free symmetric elimination
-of the deflated G gives the rank.  No tolerance.
+by a congruence: if the integer matrix X G X^T, computed exactly, is
+strictly diagonally dominant with a positive diagonal, G is positive
+definite.  X = I is tried first, in integers at any size, and needs no
+factorisation: the Gram of nearly orthogonal columns, such as a complete
+sign cube's 2^m I, passes as it stands.  Then X = rint(2^s C^-1), with C
+the float Cholesky factor of G.  Otherwise the rank of G modulo the prime
+2^31 - 1 is a lower bound: a full one proves full rank, and below that an
+integer certificate (the lifted echelon form, checked exactly on G) proves
+the matching upper bound.  G and the certificate check follow one rule:
+float64 where every sum is an integer below 2^53, which is checked first,
+else Python integers; G is summed in float32 where every sum is below 2^24.
+The Cholesky congruence is float64 only and proves nothing past 2^53.  When
+the prime is unlucky or the certificate cannot be lifted, fraction-free
+symmetric elimination of the deflated G gives the rank.  No tolerance.
 
 ``_FLOAT_EXACT`` = 2^53 is that rule's bound wherever the package takes a
-float64 path over integers, in the solver and the Walsh check too.
+float64 path over integers, in the solver and the Walsh check too, and
+``_FLOAT32_EXACT`` = 2^24 is the float32 one.
 
 The same module holds the integer steps of the exact advantage verdict.  An
 optimal classical vertex ``s = [alpha | beta]`` of a game with ``P = L Phi``
@@ -42,10 +46,12 @@ from math import frexp, gcd, isqrt, lcm
 import numpy as np
 
 _FLOAT_EXACT = 1 << 53  # float64 sums of integers below this are exact
+_FLOAT32_EXACT = 1 << 24  # float32 sums of integers below this are exact
 _PRIME = (1 << 31) - 1
 _RECON_BOUND = isqrt(_PRIME // 2)  # numerator and denominator cap of a lifted residue
 _SQUARE_LIMIT = 1 << 31  # int64 holds the square of an integer below this
-_BLOCK_ENTRIES = 1 << 20  # float64 entries per row block of the Gram sum
+_ROW_SUM_LIMIT = 1 << 62  # int64 holds twice a sum below this
+_BLOCK_ENTRIES = 1 << 20  # entries per row block of the Gram sum
 
 
 def _rref_mod_p(A: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -98,24 +104,43 @@ def _row_blocks(M: np.ndarray, dtype):
         yield M[lo : lo + step].astype(dtype)
 
 
+def _dominant(B: np.ndarray) -> bool:
+    """Whether every ``2 B_ii`` exceeds its row sum of ``|B|``, in the dtype of ``B``.
+
+    Then the symmetric ``B`` is strictly diagonally dominant with a positive
+    diagonal, so positive definite by Gershgorin's theorem.
+    """
+    return bool((2 * B.diagonal() > np.abs(B).sum(axis=1)).all())
+
+
 def _positive_definite(A: np.ndarray) -> bool:
     """Whether a congruence proves the symmetric integer matrix ``A`` positive definite.
 
-    ``C`` is the float Cholesky factor, ``A ~ C C^T``, and ``X = rint(2^s
-    C^-1)``.  With ``w`` the largest row sum of ``|X|`` and ``t`` the sum of
-    all its entries, ``s`` is as large as keeps ``w t max|A| < 2^53``,
-    checked on ``X`` itself: every partial sum of ``B = X A X^T``, in any
-    order, and every row sum of ``|B|`` is then an integer below 2^53,
-    exact in float64.  If every ``2 B_ii`` exceeds its row sum of ``|B|``,
-    then ``B`` is strictly diagonally dominant with a positive diagonal, so
-    ``B`` is positive definite; that forces ``X`` to be nonsingular, and
-    ``A = X^-1 B X^-T`` is positive definite too.  ``False`` proves nothing:
-    an indefinite or singular ``A`` usually fails the float factorisation
-    itself, and an ill-conditioned one fails the check.  ``A`` is int64 or
-    of Python integers (object dtype); ``max|A| >= 2^53`` is refused before
-    the float64 copy, which would round it or overflow.
+    A congruence ``B = X A X^T`` with ``B`` strictly diagonally dominant and
+    a positive diagonal (:func:`_dominant`) proves it: ``B`` is positive
+    definite, which forces ``X`` to be nonsingular, and ``A = X^-1 B X^-T``
+    is positive definite too.  ``A`` is int64 or of Python integers (object
+    dtype).
+
+    ``X = I`` is tried first, on ``A`` itself: in int64 while ``max|A|``
+    times the side is below 2^62, so that every row sum of ``|A|`` and every
+    ``2 A_ii`` fits, else in Python integers.  It is exact at any entry size
+    and costs no factorisation; a Gram matrix of nearly orthogonal columns,
+    such as a complete sign cube's ``2^m I``, passes it.
+
+    Otherwise ``C`` is the float Cholesky factor, ``A ~ C C^T``, and ``X =
+    rint(2^s C^-1)``.  With ``w`` the largest row sum of ``|X|`` and ``t``
+    the sum of all its entries, ``s`` is as large as keeps ``w t max|A| <
+    2^53``, checked on ``X`` itself: every partial sum of ``B``, in any
+    order, and every row sum of ``|B|`` is then an integer below 2^53, exact
+    in float64.  This step refuses ``max|A| >= 2^53`` before the float64
+    copy, which would round it or overflow.  ``False`` proves nothing: an
+    indefinite or singular ``A`` usually fails the float factorisation
+    itself, and an ill-conditioned one fails the check.
     """
     a_max = max(int(A.max()), -int(A.min()))
+    if _dominant(A.astype(np.int64 if a_max * len(A) < _ROW_SUM_LIMIT else object, copy=False)):
+        return True
     if a_max >= _FLOAT_EXACT:
         return False
     F = A.astype(np.float64)
@@ -131,8 +156,7 @@ def _positive_definite(A: np.ndarray) -> bool:
     w, t = rows.max(), rows.sum()
     if not (t < _FLOAT_EXACT and int(w) * int(t) * a_max < _FLOAT_EXACT):
         return False  # also inf and NaN
-    B = X @ F @ X.T
-    return bool((2 * B.diagonal() > np.abs(B).sum(axis=1)).all())
+    return _dominant(X @ F @ X.T)
 
 
 def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None:
@@ -176,8 +200,9 @@ def _rank(M: np.ndarray) -> int:
 
     With ``M`` oriented so it has no more columns than rows, the one pass
     over ``M`` forms the exact Gram matrix ``G = M^T M``, of the same rank,
-    summed over row blocks: in float64 while ``max|M|^2 * rows < 2^53``
-    (every partial sum is then an exact integer), else in Python integers.
+    summed over row blocks: in float32 while ``max|M|^2 * rows < 2^24``, in
+    float64 while it is below 2^53 (every partial sum is then an exact
+    integer), else in Python integers.
 
     Columns that cannot raise the rank are dropped first, decided exactly on
     ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
@@ -191,22 +216,24 @@ def _rank(M: np.ndarray) -> int:
 
     A Gram matrix is positive definite exactly when it is nonsingular, so
     full rank, the usual case for face matrices once deflated, is proved by
-    :func:`_positive_definite` with no elimination; it refuses entries of
-    2^53 or more.  Otherwise :func:`_span_certificate` proves the rank, at
-    any entry size.  Without either proof (an unlucky prime or an echelon
-    form that does not lift), :func:`_psd_rank`, a fraction-free symmetric
-    elimination of the deflated ``G``, gives it, at a cost cubic in its side.
+    :func:`_positive_definite` with no elimination.  Its first congruence,
+    ``X = I``, proves a diagonally dominant ``G`` at any entry size with no
+    factorisation; its Cholesky one refuses entries of 2^53 or more.
+    Otherwise :func:`_span_certificate` proves the rank, at any entry size.
+    Without either proof (an unlucky prime or an echelon form that does not
+    lift), :func:`_psd_rank`, a fraction-free symmetric elimination of the
+    deflated ``G``, gives it, at a cost cubic in its side.
     """
     if not M.any():
         return 0
     T = M.T if M.shape[0] < M.shape[1] else M
     rows, cols = T.shape
-    big = max(int(T.max()), -int(T.min()))
-    dtype = np.float64 if big * big * rows < _FLOAT_EXACT else object
+    bound = max(int(T.max()), -int(T.min())) ** 2 * rows
+    dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64 if bound < _FLOAT_EXACT else object
     G = np.zeros((cols, cols), dtype)
     for B in _row_blocks(T, dtype):
         G += B.T @ B
-    G = G.astype(np.int64) if dtype is np.float64 else G
+    G = G if dtype is object else G.astype(np.int64)
     S = G if G.diagonal().max() < _SQUARE_LIMIT else G.astype(object, copy=False)
     diag = S.diagonal()
     # witness[i, j]: column i is nonzero and parallel to column j.  A nonzero
@@ -214,7 +241,7 @@ def _rank(M: np.ndarray) -> int:
     # zero column's first witness is the first nonzero one.
     witness = (S * S == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
     keep = np.flatnonzero(witness.argmax(axis=0) == np.arange(cols))
-    G = G[keep[:, None], keep]
+    G = G.take(keep, 0).take(keep, 1)
     if _positive_definite(G):
         return len(keep)
     certificate = _span_certificate(G)

@@ -1,5 +1,6 @@
 """Exact face dimensions, bounds, verdicts, and the quantum face probe."""
 
+import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -331,15 +332,89 @@ def test_positive_definite_proves_entries_near_the_float_bound():
     assert exact._positive_definite(np.array([[2**48, 2**47], [2**47, 2**48]]))
 
 
+def _raise(*args):
+    raise AssertionError("the factor was read")
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        [[5204154509990353]],  # about 2^52.2: rint(2^s / sqrt(a)) rounds to 0
+        [[_K2, 1], [1, _K2]],
+        [[_K2, _K2 // 2], [_K2 // 2, _K2]],
+    ],
+    ids=["1x1", "2x2", "2x2-half"],
+)
+def test_positive_definite_proves_dominant_grams_near_2_52(A, monkeypatch):
+    # the float congruence has too little room for these and refuses all
+    # three; X = I proves them
+    monkeypatch.setattr(np.linalg, "cholesky", _raise)
+    assert exact._positive_definite(np.array(A, dtype=np.int64))
+
+
+def _symmetric(rng: random.Random, n: int, cap: int, dominant: bool) -> list[list[int]]:
+    """A symmetric n x n matrix of Python integers with ``A[0][0] = cap = max|A|``.
+
+    Dominant: off-diagonal entries up to ``cap // n``, each diagonal entry
+    above its row sum of them.  Otherwise every entry is up to ``cap``.
+    """
+    off = cap // n if dominant else cap
+    A = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            A[i][j] = A[j][i] = rng.randint(-off, off)
+    for i in range(n):
+        low = sum(map(abs, A[i])) + 1 if dominant else -cap
+        A[i][i] = rng.randint(low, cap)
+    A[0][0] = cap
+    return A
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 6),
+    # max|A| * n just below 2^62 (int64), at or past it (Python integers),
+    # entries up to 2^62 at every side, and past int64
+    scale=st.sampled_from(["below", "at", "2^62", "2^70"]),
+    dominant=st.booleans(),
+    bad_diagonal=st.sampled_from([None, 0, -1]),
+)
+def test_positive_definite_is_sound(seed, n, scale, dominant, bad_diagonal):
+    # whatever proves it, True means full rank by the exact elimination, and
+    # a diagonal entry of 0 or less is never proved
+    rng = random.Random(seed)
+    guard = -(-(1 << 62) // n)  # the least cap with cap * n >= 2^62
+    cap = {"below": guard - 1, "at": guard, "2^62": 1 << 62, "2^70": 1 << 70}[scale]
+    A = _symmetric(rng, n, cap, dominant)
+    if bad_diagonal is not None:
+        k = rng.randrange(n)
+        A[k][k] = bad_diagonal * rng.randint(0, cap)
+    for dtype in (np.int64, object) if cap < 1 << 63 else (object,):
+        proved = exact._positive_definite(np.array(A, dtype=dtype))
+        if proved:
+            assert exact._psd_rank(np.array(A, dtype=object)) == n
+        if bad_diagonal is not None:
+            assert not proved
+        elif dominant:
+            assert proved
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("where", [(0, 0), (2, 1)])
 def test_positive_definite_refuses_a_factor_with_inf_or_nan(bad, where, monkeypatch):
-    A = np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]])
+    # positive definite (leading minors 2, 6, 16) but not diagonally
+    # dominant, so the proof needs the factor
+    A = np.array([[2, 2, 0], [2, 5, 1], [0, 1, 3]])
     assert exact._positive_definite(A)
     C = np.linalg.cholesky(A.astype(np.float64))
     C[where] = bad
     monkeypatch.setattr(np.linalg, "cholesky", lambda F: C)
     assert not exact._positive_definite(A)
+    # a dominant matrix is proved by X = I, and never reads the factor
+    monkeypatch.setattr(np.linalg, "cholesky", _raise)
+    assert exact._positive_definite(np.array([[4, 2, 0], [2, 5, 1], [0, 1, 3]]))
+
 
 
 @settings(max_examples=200, deadline=None)
@@ -461,13 +536,16 @@ def test_certificates_take_python_integers():
     assert exact._positive_definite(A)
     S = np.array([[4, 2, 6], [2, 1, 3], [6, 3, 9]])
     assert exact._span_certificate(S.astype(object))[:2] == exact._span_certificate(S)[:2]
-    # the congruence refuses before float64 reads them: 2^53 would round,
-    # 10^400 overflow.  Both have full rank mod p, which proves full rank
+    # the float congruence refuses before float64 reads them: 2^53 would
+    # round, 10^400 overflow.  Both have full rank mod p (det = big), which
+    # proves full rank.  Made diagonally dominant, the same entries are
+    # proved in Python integers by X = I
     for big in (2**53, 10**400):
-        A = np.array([[big, 1], [1, big]], dtype=object)
+        A = np.array([[big, big], [big, big + 1]], dtype=object)
         assert not exact._positive_definite(A)
         pivots, delta, N = exact._span_certificate(A)
         assert (pivots, delta, N.tolist()) == ([0, 1], 1, [[1, 0], [0, 1]])
+        assert exact._positive_definite(np.array([[big, 1], [1, big]], dtype=object))
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +997,19 @@ def test_face_report_takes_the_modular_path(name, n, bareiss_calls):
     assert bareiss_calls == []
 
 
+@pytest.mark.parametrize(
+    "g",
+    [make_named("identity", 3), _identity_like(8), _identity_like(6, 1, 1)],
+    ids=["identity-3", "identity-like-8", "padded-like-6"],
+)
+def test_identity_like_faces_need_no_factorisation(g, monkeypatch):
+    # a complete sign cube has vertex Gram 2^m I, so every deflated Gram of
+    # these faces is diagonally dominant and X = I proves its full rank
+    report = face_report_to_dict(face_report(g))
+    monkeypatch.setattr(np.linalg, "cholesky", _raise)
+    assert face_report_to_dict(face_report(g)) == report
+
+
 def test_deflation_shrinks_the_gram_matrix(gram_sides):
     # identity(3): of the 64 corr columns and the constant one, the 8
     # constant diagonal columns collapse into the constant and (x, y) repeats
@@ -1034,6 +1125,46 @@ def test_python_integer_gram_in_row_blocks(monkeypatch):
     monkeypatch.setattr(exact, "_BLOCK_ENTRIES", 48)
     assert exact._rank(M) == rank
     assert blocks == [(4, np.dtype(object))] * 10
+
+
+def _float32_rung(case: str) -> np.ndarray:
+    """A matrix with ``max|M|^2 * rows`` at 2^24 - 1, at 2^24 or just past it."""
+    if case == "past-2^24":  # 2897^2 * 2 = 2^24 + 8002.  In float32 both
+        # diagonal entries, 2896^2 + 2897^2, round to the off-diagonal 2 *
+        # 2896 * 2897, so the columns would read as parallel and the rank as 1
+        return np.array([[2896, 2897], [2897, 2896]])
+    rng = np.random.default_rng(24)
+    if case == "2^24-1":  # 3^2 (2^24 - 1) / 9; rows past the fifth are zero
+        M = np.zeros(((2**24 - 1) // 9, 4), dtype=np.int8)
+        M[:5] = rng.integers(-3, 3, size=(5, 4), endpoint=True)
+        M[0, 0] = 3
+        return M
+    M = rng.integers(-512, 512, size=(16, 4), endpoint=True)  # 1024^2 * 16
+    M[:, 3] = M[:, 0] + M[:, 1]  # rank 3
+    M[0, :] = [512, 512, 0, 1024]
+    return M
+
+
+@pytest.mark.parametrize(
+    "case,dtype", [("2^24-1", np.float32), ("2^24", np.float64), ("past-2^24", np.float64)]
+)
+def test_rank_float32_rung(case, dtype, monkeypatch):
+    M = _float32_rung(case)
+    dtypes = set()
+    row_blocks = exact._row_blocks
+
+    def recorded(M, dtype):
+        dtypes.add(dtype)
+        return row_blocks(M, dtype)
+
+    monkeypatch.setattr(exact, "_row_blocks", recorded)
+    # zero rows change no rank, so the oracle reads only the others
+    assert exact._rank(M) == len(oracle_rref(M[M.any(axis=1)].tolist())[1])
+    assert dtypes == {dtype}
+    if case == "past-2^24":
+        F = M.astype(np.float32)
+        G = (F.T @ F).astype(np.int64)
+        assert G[0, 1] ** 2 == G[0, 0] * G[1, 1] and exact._rank(M) == 2
 
 
 _E5, _W = np.array([0, 0, 0, 0, 1]), np.array([46339, 425, 10, 1, 0])  # |w|^2 = 2^31 - 1

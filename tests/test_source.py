@@ -281,6 +281,27 @@ def test_float_exact_bound_is_defined_once():
     assert found == ["exact.py"]
 
 
+def test_float32_exact_bound_is_defined_once():
+    # one name for "float32 sums of integers below 2^24 are exact", in
+    # exact.py; the enumeration cap is the same number, for another reason
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text("utf-8"))
+        names = {
+            id(node.value): target.id
+            for node in ast.walk(tree) if isinstance(node, ast.Assign)
+            for target in node.targets if isinstance(target, ast.Name)
+        }
+        found += [
+            (path.name, names.get(id(node)))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.BinOp) and type(node.op) in _CONSTANT_OPS
+            and isinstance(node.left, ast.Constant) and isinstance(node.right, ast.Constant)
+            and _CONSTANT_OPS[type(node.op)](node.left.value, node.right.value) == 1 << 24
+        ]
+    assert sorted(found) == [("classical.py", "DEFAULT_ENUM_CAP"), ("exact.py", "_FLOAT32_EXACT")]
+
+
 def _matches(tree: ast.Module, match) -> list[tuple[ast.AST, str | None]]:
     """Every node that ``match`` accepts, in order, with its innermost enclosing function."""
     found = []
