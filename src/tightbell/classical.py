@@ -20,10 +20,14 @@ So one pass covers all 2^m patterns (``enum_cap`` counts them all) but scans
 only the 2^(m-1) with the top bit clear, with a split table: for ``k = m //
 2``, the column-major tables ``low = P[:k]^T signs(k)^T`` (m_b x 2^k) and
 ``high = P[k:]^T signs(m - k)^T``, over the 2^(m-k-1) high patterns with the
-top bit clear, are built once, and pattern ``h 2^k + l`` has column sums
-``low[:, l] + high[:, h]``.  Chunks of high patterns are scanned in ascending
-order; with the sums of a chunk's patterns as columns, their values are m_b
-long vector adds rather than one short reduction per pattern.  Each chunk is
+top bit clear, are built once per pass, and pattern ``h 2^k + l`` has column
+sums ``low[:, l] + high[:, h]``.  Their sign matrices are slices of one
+read-only int8 table of the signs of every 12-bit pattern, built at import:
+bit j of p does not depend on the table's width, and the default cap bounds
+both halves to 12 bits (a cap raised past 2^24 builds a wider half per
+pass).  Chunks of high patterns are scanned in ascending order; with the
+sums of a chunk's patterns as columns, their values are m_b long vector adds
+rather than one short reduction per pattern.  Each chunk is
 written into one buffer allocated per call, and its absolute values are taken
 in place, so the signed sums of the optima are rebuilt from the two tables
 afterwards.  The scanned optima are then followed by their complements in
@@ -37,8 +41,10 @@ responses would under-measure the dimension of the optimal face.  Vertices
 are rows ``[alpha | beta]`` of one int8 matrix in the game's orientation:
 optimal patterns in ascending order, each followed by its completions k = 0,
 1, ..., where bit j of k sets its j-th tied response as bits set patterns (0
-means +1).  The witness of `classical_bias` is row 0: the lowest optimal
-pattern with tied responses set to +1.
+means +1).  When no kept pattern has a tied response each has exactly one
+completion, and the rows are ``[alpha | sign(Phi^T alpha)]`` in pattern order,
+built with no completion bookkeeping.  The witness of `classical_bias` is row
+0: the lowest optimal pattern with tied responses set to +1.
 """
 
 from __future__ import annotations
@@ -59,6 +65,7 @@ _CHUNK = 1 << 16  # column-sum entries per scan step
 _INT64_SAFE = 1 << 62
 # the type ladder: the first type whose limit passes the bound holds it exactly
 _LADDER = ((1 << 15, np.int16), (1 << 31, np.int32), (_INT64_SAFE, np.int64))
+_TABLE_BITS = 12  # the default cap's halves: 2^24 patterns split as 12 + 12 bits
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,27 @@ def _signs(pats: np.ndarray, m: int) -> np.ndarray:
     return 1 - 2 * ((pats[:, None] >> np.arange(m, dtype=np.int64)) & 1)
 
 
+def _sign_table(bits: int) -> np.ndarray:
+    """Read-only int8 signs of every ``bits``-bit pattern: row j is bit j, column p the pattern."""
+    table = np.empty((bits, 1 << bits), dtype=np.int8)
+    for j, row in enumerate(table):
+        # bit j of p runs 2^j zeros (sign +1), then 2^j ones (sign -1), in turn
+        runs = row.reshape(-1, 2, 1 << j)
+        runs[:, 0], runs[:, 1] = 1, -1
+    table.flags.writeable = False
+    return table
+
+
+_SIGN_TABLE = _sign_table(_TABLE_BITS)
+
+
+def _sign_rows(bits: int, count: int) -> np.ndarray:
+    """``_signs(np.arange(count), bits).T``, a slice of the import-time table up to 12 bits."""
+    if bits > _TABLE_BITS:
+        return _signs(np.arange(count), bits).T
+    return _SIGN_TABLE[:bits, :count]
+
+
 def _exact_type(bound: int):
     """The narrowest type of the ladder that holds every integer of size at most ``bound``."""
     return next((t for limit, t in _LADDER if bound < limit), object)
@@ -131,7 +159,12 @@ def require_enumerable(m: int, enum_cap: int) -> None:
 
 
 def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
-    """The one pass over all sign patterns, keeping the first ``keep`` optima."""
+    """The one pass over all sign patterns, keeping the first ``keep`` optima.
+
+    Its sign matrices are slices of the import-time table (module docstring),
+    and it concatenates only what it has: several chunks' optima, or
+    complements when ``keep`` passes the scanned half's count.
+    """
     if enum_cap < 1:
         raise InvalidParameter(f"enum_cap must be positive, got {enum_cap}")
     swapped = g.m_a > g.m_b
@@ -148,8 +181,8 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
         P = P.T
     k = m // 2
     # .dot: exact in every type; high patterns keep the top bit clear
-    low = P[:k].T.dot(_signs(np.arange(1 << k), k).T.astype(P.dtype))
-    high = P[k:].T.dot(_signs(np.arange(1 << (m - k - 1)), m - k).T.astype(P.dtype))
+    low = P[:k].T.dot(_sign_rows(k, 1 << k).astype(P.dtype))
+    high = P[k:].T.dot(_sign_rows(m - k, 1 << (m - k - 1)).astype(P.dtype))
     # a chunk's sums and values go to buffers allocated once, sized to the chunk
     n_high = high.shape[1]
     step = min(max(1, _CHUNK // low.size), n_high)
@@ -163,42 +196,51 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
         # absolute values are taken in place and summed in the value type
         np.add(low[:, None, :], high[:, h : h + step, None], out=sums)
         np.add.reduce(np.abs(sums, out=sums), axis=0, dtype=value_type, out=vals)
-        top = int(np.maximum.reduce(vals, axis=None))
+        top = int(vals.max())
         if top < best:
             continue
         if top > best:
             best, count, kept, pats = top, 0, 0, []
-        hits = np.flatnonzero(vals == top)
+        hits = (vals == top).ravel().nonzero()[0]
         count += len(hits)
         hits = hits[: max(0, keep - kept)]
         kept += len(hits)
         pats.append((h << k) + hits)
-    pats = np.concatenate(pats)
+    pats = pats[0] if len(pats) == 1 else np.concatenate(pats)
     # the signed column sums of the kept optima, rebuilt from the two tables
     rows = (low.take(pats & ((1 << k) - 1), 1) + high.take(pats >> k, 1)).T
     # complement p ^ (2^m - 1) has p's value and negated sums; the complements
     # follow the scanned half in descending order of p
     extra = max(0, keep - count)  # slices stop at the count
-    pats = np.concatenate([pats, pats[::-1][:extra] ^ ((1 << m) - 1)])
-    rows = np.concatenate([rows, -rows[::-1][:extra]])
+    if extra:
+        pats = np.concatenate([pats, pats[::-1][:extra] ^ ((1 << m) - 1)])
+        rows = np.concatenate([rows, -rows[::-1][:extra]])
     return _Optima(Fraction(best, g.matrix.denominator), 2 * count, _signs(pats, m), rows, swapped)
 
 
 def _vertex_signs(opt: _Optima, cap: int) -> tuple[np.ndarray, bool]:
-    """The first ``cap`` vertex rows (read-only, module docstring order) and whether more exist."""
+    """The first ``cap`` vertex rows (read-only, module docstring order) and whether more exist.
+
+    Only a tied response needs the completion bookkeeping: without one, row
+    i is kept pattern i.
+    """
     tied = opt.rows == 0
-    # 2^(ties) completions per pattern, clipped: one past the cap fills the set
-    # alone, and the clip keeps their sum in int64 (no larger set fits in memory)
-    limit = min(cap + 1, _INT64_SAFE // max(len(tied), 1))
-    per = np.minimum(np.left_shift(1, np.minimum(tied.sum(axis=1), 62)), limit)
-    ends, total = np.cumsum(per), int(per.sum())
-    vertex = np.arange(min(total, cap))
-    row = np.searchsorted(ends, vertex, side="right")
-    fill = vertex - (ends - per)[row]
-    # tie j takes bit j of the fill, other responses bit 63; fill < 2^62, so
-    # every bit from 62 on is 0 and shifts stop at 63
-    shift = np.where(tied, np.cumsum(tied, axis=1) - 1, 63).clip(max=63)
-    negative = (opt.rows < 0)[row] | (fill[:, None] >> shift[row]) & 1
+    if tied.any():
+        # 2^(ties) completions per pattern, clipped: one past the cap fills the set
+        # alone, and the clip keeps their sum in int64 (no larger set fits in memory)
+        limit = min(cap + 1, _INT64_SAFE // len(tied))
+        per = np.minimum(np.left_shift(1, np.minimum(tied.sum(axis=1), 62)), limit)
+        ends, total = np.cumsum(per), int(per.sum())
+        vertex = np.arange(min(total, cap))
+        row = np.searchsorted(ends, vertex, side="right")
+        fill = vertex - (ends - per)[row]
+        # tie j takes bit j of the fill, other responses bit 63; fill < 2^62, so
+        # every bit from 62 on is 0 and shifts stop at 63
+        shift = np.where(tied, np.cumsum(tied, axis=1) - 1, 63).clip(max=63)
+        negative = (opt.rows < 0)[row] | (fill[:, None] >> shift[row]) & 1
+    else:
+        row, total = slice(cap), len(tied)
+        negative = opt.rows[row] < 0
     beta, alpha = (1 - 2 * negative).astype(np.int8), opt.alphas[row].astype(np.int8)
     signs = np.hstack([beta, alpha] if opt.swapped else [alpha, beta])
     signs.flags.writeable = False

@@ -22,7 +22,9 @@ the integer matrix ``L Phi``), the slack-matrix oracle builds ``diag(t) -
 Phi~`` in Fractions from the prior and predicate and reduces its quadratic
 form by division (the library eliminates ``S'``, built from ``L Phi``,
 fraction-free), the float verdict oracle is the classification of earlier
-builds, the no-signalling oracle reconstructs the
+builds, the vertex-row reference ``reference_vertex_signs`` is the
+completion bookkeeping of earlier builds, run on every set (the library
+skips it when no kept response is tied), the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
 reference sums the prior in Fractions (the library sums the integers that
 ``signed_matrix`` scales over the lcm of the denominators).
@@ -144,6 +146,28 @@ def reference_vertices(g, cap: int):
                 beta[y] = 1 - 2 * ((fill >> j) & 1)
             out.append((tuple(beta), alpha) if swapped else (alpha, tuple(beta)))
     return Fraction(best, den), out, False
+
+
+def reference_vertex_signs(opt, cap: int) -> tuple[np.ndarray, bool]:
+    """The first ``cap`` vertex rows of an enumeration pass, and whether more exist.
+
+    Every pattern is placed by counting its completions: a cumulative sum of
+    2^(ties) per pattern, a search for each vertex's pattern and a shift
+    table that reads bit j of the fill into the j-th tied response.
+    """
+    tied = opt.rows == 0
+    limit = min(cap + 1, (1 << 62) // max(len(tied), 1))
+    per = np.minimum(np.left_shift(1, np.minimum(tied.sum(axis=1), 62)), limit)
+    ends, total = np.cumsum(per), int(per.sum())
+    vertex = np.arange(min(total, cap))
+    row = np.searchsorted(ends, vertex, side="right")
+    fill = vertex - (ends - per)[row]
+    shift = np.where(tied, np.cumsum(tied, axis=1) - 1, 63).clip(max=63)
+    negative = (opt.rows < 0)[row] | (fill[:, None] >> shift[row]) & 1
+    beta, alpha = (1 - 2 * negative).astype(np.int8), opt.alphas[row].astype(np.int8)
+    signs = np.hstack([beta, alpha] if opt.swapped else [alpha, beta])
+    signs.flags.writeable = False
+    return signs, total > cap or opt.count > len(tied)
 
 
 def _reference_basis(rows: np.ndarray, width: int) -> np.ndarray:

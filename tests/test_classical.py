@@ -21,7 +21,13 @@ from tightbell.errors import InvalidParameter, TooLarge, Truncated
 from tightbell.game import DeterministicStrategy, XorGame, build_game
 
 from .generators import random_game, random_strategy, tied_game
-from .oracles import _reference_rows, oracle_bias, reference_bias, reference_vertices
+from .oracles import (
+    _reference_rows,
+    oracle_bias,
+    reference_bias,
+    reference_vertex_signs,
+    reference_vertices,
+)
 
 Q = Fraction(1, 4)
 
@@ -366,21 +372,80 @@ def test_witness_is_row_0_of_the_vertex_order(m_a, m_b):
 
 @pytest.mark.parametrize("m_a,m_b", [(1, 2), (2, 3), (3, 3), (5, 4), (6, 7), (8, 9)])
 def test_scan_covers_half_the_patterns(monkeypatch, m_a, m_b):
-    # the low and high sign tables are the first two built; their row counts
-    # multiply to the number of patterns scanned, half of the 2^m covered
+    # the low and high sign tables are the two the pass takes; their column
+    # counts multiply to the number of patterns scanned, half of the 2^m covered
     tables = []
-    signs = classical._signs
+    sign_rows = classical._sign_rows
 
-    def recorded(pats, m):
-        tables.append(len(pats))
-        return signs(pats, m)
+    def recorded(bits, count):
+        tables.append(sign_rows(bits, count).shape[1])
+        return sign_rows(bits, count)
 
-    monkeypatch.setattr(classical, "_signs", recorded)
+    monkeypatch.setattr(classical, "_sign_rows", recorded)
     g = tied_game(np.random.default_rng(m_a * 10 + m_b), m_a, m_b)
     res = classical_bias(g)
     m = min(m_a, m_b)
+    assert len(tables) == 2
     assert tables[0] * tables[1] == 1 << (m - 1)
     assert res.num_alpha_optimal == reference_bias(g)[2]
+
+
+@pytest.mark.parametrize("bits", range(1, classical._TABLE_BITS + 1))
+def test_sign_table_slices_equal_the_built_signs(bits):
+    # every slice the pass can take, at both column counts: the low half's
+    # 2^bits and the high half's 2^(bits - 1), top bit clear
+    for count in (1 << bits, 1 << (bits - 1)):
+        rows = classical._sign_rows(bits, count)
+        assert np.shares_memory(rows, classical._SIGN_TABLE)
+        assert rows.tolist() == classical._signs(np.arange(count), bits).T.tolist()
+    assert not classical._SIGN_TABLE.flags.writeable
+    assert classical._SIGN_TABLE.dtype == np.int8
+
+
+def test_a_half_past_the_table_builds_its_signs():
+    # a cap raised past 2^24 splits m >= 25 with a 13-bit half, which the
+    # table does not hold; no such scan runs here, only the half's build
+    bits = classical._TABLE_BITS + 1
+    for count in (1 << bits, 1 << (bits - 1)):
+        rows = classical._sign_rows(bits, count)
+        assert not np.shares_memory(rows, classical._SIGN_TABLE)
+        assert rows.tolist() == classical._signs(np.arange(count), bits).T.tolist()
+
+
+def transposed(g):
+    return build_game([list(col) for col in zip(*g.q)], [list(col) for col in zip(*g.f)])
+
+
+def vertex_branch_games():
+    named = [make_named("chsh")]
+    named += [make_named("appendix_d", n) for n in (2, 3)]
+    named += [make_named("identity", n) for n in (1, 2, 3)]
+    named += [make_named("nlc_and", n) for n in (2, 3)]
+    tied_rng, random_rng = np.random.default_rng(50), np.random.default_rng(51)
+    drawn = [tied_game(tied_rng, *tied_rng.integers(1, 8, size=2)) for _ in range(40)]
+    drawn += [random_game(random_rng) for _ in range(40)]
+    return [h for g in named + drawn for h in (g, transposed(g))]
+
+
+def test_vertex_rows_equal_the_completion_reference():
+    # the tie-free rows skip the completion bookkeeping; on tie-free and tied
+    # sets alike, at caps that cut both, the rows, their type, the read-only
+    # flag and the truncation flag are those of the bookkeeping alone
+    games = vertex_branch_games()
+    tie_free = 0
+    for g in games:
+        for cap in (0, 1, 3, 7, DEFAULT_VERTEX_CAP):
+            opt = classical._enumerate(g, classical.DEFAULT_ENUM_CAP, keep=cap)
+            tie_free += cap > 0 and not (opt.rows == 0).any()
+            signs, truncated = classical._vertex_signs(opt, cap)
+            ref, ref_truncated = reference_vertex_signs(opt, cap)
+            assert signs.dtype == ref.dtype == np.int8
+            assert signs.shape == ref.shape
+            assert signs.tolist() == ref.tolist()
+            assert signs.flags.writeable is ref.flags.writeable is False
+            assert truncated == ref_truncated
+    # both branches ran
+    assert 0 < tie_free < 4 * len(games)
 
 
 @pytest.mark.parametrize("m_a,m_b", [(1, 3), (3, 1), (4, 6), (7, 5)])

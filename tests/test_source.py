@@ -524,3 +524,59 @@ def test_classical_holds_no_float():
         )
     ]
     assert found == ["qsdp.py:quantum_slackness_check"]
+
+
+def _numpy_paths(tree: ast.Module) -> list[str]:
+    """Dotted numpy paths a module imports or reads through a name bound to numpy."""
+    bound, paths = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    paths.append(alias.name)
+                    bound.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            paths += [f"{node.module}.{alias.name}" for alias in node.names]
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.insert(0, node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in bound:
+            paths.append(".".join(["numpy"] + parts))
+    return paths
+
+
+def _private_numpy_paths(tree: ast.Module) -> list[str]:
+    return sorted(
+        path
+        for path in _numpy_paths(tree)
+        if any(part.startswith("_") and not part.endswith("__") for part in path.split(".")[1:])
+    )
+
+
+def test_no_private_numpy_module():
+    # private numpy modules move between releases (numpy.core became
+    # numpy._core in 2.0), so the package reads numpy's public names only
+    sample = ast.parse(
+        "import numpy as np\n"
+        "import numpy.core._multiarray_umath\n"
+        "from numpy._core import umath\n"
+        "from numpy.linalg import _umath_linalg as ul\n"
+        "np.linalg._umath_linalg.eigh(a)\n"
+        "np.__version__, np.linalg.eigh\n"
+    )
+    assert _private_numpy_paths(sample) == [
+        "numpy._core.umath",
+        "numpy.core._multiarray_umath",
+        "numpy.linalg._umath_linalg",
+        "numpy.linalg._umath_linalg",
+        "numpy.linalg._umath_linalg.eigh",
+    ]
+    found = [
+        f"{path.name}: {private}"
+        for path in SOURCES
+        for private in _private_numpy_paths(ast.parse(path.read_text("utf-8")))
+    ]
+    assert len(SOURCES) > 1
+    assert found == []
