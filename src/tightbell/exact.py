@@ -30,13 +30,15 @@ optimal classical vertex ``s = [alpha | beta]`` of a game with ``P = L Phi``
 fixes one candidate dual, the integer vector ``d = [|P beta|; |P^T alpha|]``
 (:func:`_witness_dual`), and the game has no quantum advantage exactly when
 ``S' = diag(d) - [[0, P], [P^T, 0]]`` (:func:`_slack_matrix`) is positive
-semidefinite.  Each step is conclusive when it succeeds: optimal vertices
-outside the kernel of ``S'`` (:func:`_complementary`) or a rounded direction
-of negative curvature (:func:`_shows_negative`) prove an advantage; optimal
-vertices in the kernel and a congruence on ``S' + K^T K``
-(:func:`_kernel_proves_psd`) prove none; and a fraction-free symmetric
-elimination (:func:`_psd_rank`) decides either way.  The elimination is also
-the rank's last resort, since a Gram matrix is positive semidefinite.
+semidefinite.  The steps read the game and its optimal vertices alone, in
+this order, and each is conclusive when it succeeds: optimal vertices
+outside the kernel of ``S'`` (:func:`_complementary`) or a rounded best
+response of negative curvature (:func:`_shows_negative`) prove an
+advantage; optimal vertices in the kernel and a congruence on ``S' + K^T
+K`` (:func:`_kernel_proves_psd`) prove none; and a fraction-free symmetric
+elimination (:func:`_psd_rank`) decides what is left, either way.  The
+elimination is also the rank's last resort, since a Gram matrix is
+positive semidefinite.
 """
 
 from __future__ import annotations
@@ -326,34 +328,30 @@ def _kernel_proves_psd(S: np.ndarray, K: np.ndarray) -> bool:
     return int(S.max()) < _FLOAT_EXACT and _positive_definite(S + K.T.dot(K.astype(np.int64)))
 
 
-def _shows_negative(P: np.ndarray, d: np.ndarray, U: np.ndarray | None, L: int) -> bool:
-    """Whether a rounded column ``v = rint(2^k u)`` of ``U`` has ``v^T S' v < 0``.
+def _shows_negative(P: np.ndarray, d: np.ndarray, L: int) -> bool:
+    """Whether a rounded best response ``v`` of the smaller side has ``v^T S' v < 0``.
 
     ``S'`` is :func:`_slack_matrix`'s, never formed: ``v^T S' v = sum(d v^2)
-    - 2 v_A^T P v_B``.  ``P`` is a game's ``L Phi``, so ``sum(d)`` and the
-    sum of ``|P|`` are at most ``2L`` and ``L``; each column of ``U`` is
-    divided by its largest entry when that passes 1, so ``|v| <= 2^k``.
-    With ``2^(2k) 4L < 2^62`` every partial sum fits int64, so the test is
-    exact, and True proves ``S'`` is not positive semidefinite, which is a
-    quantum advantage.  False proves nothing; so does a game past int64.
+    - 2 v_A^T P v_B``.  For each input ``x`` of the smaller side, ``u`` is
+    ``e_x`` and the other side's ``P_(x, y) / d_y`` (``d_y`` read as 1 where
+    it is 0); then ``u^T S' u`` is the diagonal entry of the Schur
+    complement of the other side's block, negative for most games with an
+    advantage, and the memory is m x min(m_a, m_b).
 
-    Two kinds of ``U`` are tried.  The solver's unit rows: when they beat
-    ``xi_c``, ``tr(S' U U^T) = 2L (xi_c - xi_q) < 0``, so some column has
-    ``u^T S' u < 0`` and, at a fine enough grain, so does its rounding.
-    Before any restart, ``U`` is None, for the smaller side's best
-    responses: for each input ``x`` of that side, ``e_x`` and the other
-    side's ``P_(x, y) / d_y`` (``d_y`` read as 1 where it is 0).  Then ``u^T
-    S' u`` is the diagonal entry of the Schur complement of the other side's
-    block, negative for most games with an advantage, and the memory is
-    that of ``U``, m x min(m_a, m_b).
+    ``P`` is a game's ``L Phi``, so ``sum(d)`` and the sum of ``|P|`` are at
+    most ``2L`` and ``L``; each ``u`` is divided by its largest entry when
+    that passes 1, and ``v = rint(2^k u)``, so ``|v| <= 2^k``.  With
+    ``2^(2k) 4L < 2^62`` every partial sum fits int64, so the test is exact,
+    and True proves ``S'`` is not positive semidefinite, which is a quantum
+    advantage.  False proves nothing; so does a game past int64.
     """
     k = (60 - L.bit_length()) // 2
     if k < 1 or P.dtype == object:
         return False
     m_a, m_b = P.shape
-    if U is None and m_a <= m_b:
+    if m_a <= m_b:
         U = np.vstack((np.eye(m_a), (P / np.maximum(d[m_a:], 1)).T))
-    elif U is None:
+    else:
         U = np.vstack((P / np.maximum(d[:m_a], 1)[:, None], np.eye(m_b)))
     V = np.rint(np.ldexp(U / np.abs(U).max(axis=0, initial=1.0), k)).astype(np.int64)
     return bool(((d[:, None] * V * V).sum(0) < 2 * (V[:m_a] * P.dot(V[m_a:])).sum(0)).any())

@@ -54,27 +54,24 @@ denominator, ``t = |Phi~ s|`` is ``d / 2L`` for the integer vector ``d =
 [|L Phi beta|; |L Phi^T alpha|]``, and the game has no quantum advantage
 exactly when ``S' = diag(d) - [[0, L Phi], [L Phi^T, 0]]`` is positive
 semidefinite.  :func:`_verdict` decides that in integers
-(:mod:`tightbell.exact`), in at most three steps, each conclusive when it
-succeeds.  Before any restart: ``xi_c = 1`` is no advantage, since ``xi_q
-<= 1``; an optimal vertex outside the kernel of ``S'``, or a rounded best
-response of the smaller side with ``v^T S' v < 0``, is an advantage; and a
-congruence that proves ``S' + K^T K`` positive definite, for the optimal
-vertices ``K`` at hand, is no advantage.  After the restarts, a rounded
-column of the returned Gram vectors with ``v^T S' v < 0`` is an advantage,
-since ``tr(S' U U^T) = 2L (xi_c - xi_q)``.  Otherwise a fraction-free
-elimination of ``S'`` decides.  On the benchmark's games the first step
-decides every answer.  Past the enumeration cap there is no witness, and the
-classification is "undecided".
+(:mod:`tightbell.exact`), from the game and its optimal vertices alone, so
+before any restart, in steps each conclusive when it succeeds: ``xi_c = 1``
+is no advantage, since ``xi_q <= 1``; an optimal vertex outside the kernel
+of ``S'``, or a rounded best response of the smaller side with ``v^T S' v <
+0``, is an advantage; a congruence that proves ``S' + K^T K`` positive
+definite, for the optimal vertices ``K`` at hand, is no advantage; and
+otherwise a fraction-free elimination of ``S'`` decides.  No benchmark
+answer reaches the elimination.  Past the enumeration cap there is no
+witness, and the classification is "undecided".
 
-A solve whose verdict is no advantage before any restart tries its witness
-first: ``Q = s s^T`` is then primal optimal with the dual ``t``, which is the
-stationarity candidate of the one-column Gram vectors ``U = s``.  So the
-witness is evaluated, and certified or not, by the same rule as a restart,
-with no sweep.  Any other solve runs the seeded restarts as without a
-witness, bit for bit; if only the elimination proves no advantage, the
-witness is evaluated after them and returned if it certifies.  On a game with
-no advantage the certificate floats are the witness's: the gap is 0 up to
-rounding, and ``t`` differs from a swept solve's by about 1e-15.
+A solve whose verdict is no advantage tries its witness first: ``Q = s
+s^T`` is then primal optimal with the dual ``t``, which is the stationarity
+candidate of the one-column Gram vectors ``U = s``.  So the witness is
+evaluated, and certified or not, by the same rule as a restart, with no
+sweep.  Any other solve runs the seeded restarts as without a witness, bit
+for bit.  On a game with no advantage the certificate floats are the
+witness's: the gap is 0 up to rounding, and ``t`` differs from a swept
+solve's by about 1e-15.
 
 Restarts are attempted in seed order and the first certified one is returned.
 A restart is kept as its Gram vectors ``U`` and its dual ``t`` alone; the
@@ -97,7 +94,7 @@ vertices, `classical.verify_F_relation` decides it exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar
 
@@ -455,28 +452,28 @@ def _result(
     )
 
 
-def _verdict(g: XorGame, xi_c: Fraction | None, K: np.ndarray | None, U=None) -> str:
+def _verdict(g: XorGame, xi_c: Fraction | None, K: np.ndarray | None) -> str:
     """The exact advantage verdict from the optimal vertices ``K``, the witness first.
 
     ``xi_c = 1`` needs no proof, since ``xi_q <= 1``.  Otherwise ``K[0]``
     gives the integer dual ``d`` and ``S'`` (:mod:`tightbell.exact`).  A
     vertex outside the kernel of ``S'`` proves an advantage, and so does a
-    rounded direction of negative curvature: before any restart (``U`` None)
-    a best response of the smaller side, after them a column of the
-    returned Gram vectors ``U``.  Before the restarts a congruence on ``S' +
-    K^T K`` proves no advantage, and without it the verdict stays
-    undecided; after them the elimination of ``S'`` decides.  Without
-    ``xi_c``, or without a vertex, the verdict is undecided.
+    rounded best response of the smaller side with negative curvature.  A
+    congruence on ``S' + K^T K`` proves no advantage; when it fails, the
+    elimination of ``S'`` decides.  So the verdict reads the game and its
+    vertices alone, never a restart.  Without ``xi_c``, or without a
+    vertex, it is undecided.
     """
     if xi_c == 1 or K is None:
         return NO_ADVANTAGE if xi_c == 1 else UNDECIDED
     P = g.matrix.ints
     d = exact._witness_dual(P, K[0])
-    if not exact._complementary(P, d, K) or exact._shows_negative(P, d, U, g.matrix.denominator):
+    if not exact._complementary(P, d, K) or exact._shows_negative(P, d, g.matrix.denominator):
         return ADVANTAGE
-    if U is None:
-        return NO_ADVANTAGE if exact._kernel_proves_psd(exact._slack_matrix(P, d), K) else UNDECIDED
-    return ADVANTAGE if exact._psd_rank(exact._slack_matrix(P, d)) is None else NO_ADVANTAGE
+    S = exact._slack_matrix(P, d)
+    if exact._kernel_proves_psd(S, K) or exact._psd_rank(S) is not None:
+        return NO_ADVANTAGE
+    return ADVANTAGE
 
 
 def solve_quantum_bias(
@@ -499,13 +496,14 @@ def solve_quantum_bias(
     starts only, but the verdict enumerates a witness of its own, unless
     ``xi_c`` is 1; past the enumeration cap it is "undecided".
 
-    The classification is the exact verdict of the module docstring, whether
-    or not the solve certifies: "undecided" only without ``xi_c`` or past the
-    enumeration cap.  ``certified`` is the float certificate alone.  When the
-    verdict is no advantage before any restart, the witness is tried first:
-    if it certifies, that is the result, with ``sweeps`` 0, ``converged``
-    True and ``restarts_used`` 0, since no restart ran.  A witness that does
-    not certify is dropped, and the restarts run as without it.
+    The classification is the exact verdict of the module docstring, decided
+    before any restart and whether or not the solve certifies: "undecided"
+    only without ``xi_c`` or past the enumeration cap.  ``certified`` is the
+    float certificate alone.  When the verdict is no advantage, the witness
+    is tried first: if it certifies, that is the result, with ``sweeps`` 0,
+    ``converged`` True and ``restarts_used`` 0, since no restart ran.  A
+    witness that does not certify is dropped, and the restarts run as
+    without it.
 
     Restart ``k`` starts from random unit rows drawn from
     ``SeedSequence((cfg.seed, k))``, so a (game, seed) pair fixes every
@@ -535,10 +533,8 @@ def solve_quantum_bias(
             xi_c, K = cb.xi_c, np.array([cb.witness.alpha + cb.witness.beta], dtype=np.int8)
     blocks = _halves(g)
     verdict = _verdict(g, xi_c, K)
-
-    s = None if K is None or not start else K[0, :, None].astype(np.float64)
-    if s is not None and verdict == NO_ADVANTAGE:
-        res = _result(g, blocks, s, xi_c, verdict, 0, 0, True)
+    if start and verdict == NO_ADVANTAGE:  # then K holds the witness
+        res = _result(g, blocks, K[0, :, None].astype(np.float64), xi_c, verdict, 0, 0, True)
         if res.certified:
             return res
     best = None  # the first certified restart, else the smallest-gap one so far
@@ -549,13 +545,7 @@ def solve_quantum_bias(
             best = res
         if res.certified:
             break
-    if verdict != UNDECIDED or K is None:
-        return best
-    verdict = _verdict(g, xi_c, K, best.gram.vectors)
-    if verdict == NO_ADVANTAGE and s is not None:
-        at_witness = _result(g, blocks, s, xi_c, verdict, 0, 0, True)
-        best = at_witness if at_witness.certified else best
-    return replace(best, classification=verdict)
+    return best
 
 
 def extract_F(cert: DualCertificate, g: XorGame) -> np.ndarray:

@@ -24,7 +24,8 @@ def bareiss_calls(monkeypatch):
     """Side of every matrix that the fraction-free elimination reads.
 
     Its callers are the exact rank's fallback, on a deflated Gram matrix,
-    and the last step of the solver's advantage verdict, on ``S'``.
+    and the last step of the solver's advantage verdict, on ``S'``, which
+    runs before any restart.
     """
     calls = []
     eliminate = exact._psd_rank

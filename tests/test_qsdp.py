@@ -734,6 +734,27 @@ def test_witness_certifies_every_no_advantage_game_unswept():
     assert verdicts == {NO_ADVANTAGE: 776, ADVANTAGE: 444}
 
 
+def test_no_advantage_solves_run_no_restart(monkeypatch, bareiss_calls):
+    # the verdict is decided before any restart, so every no-advantage solve
+    # returns its certified witness without sweeping, appendix_d(2-4) and
+    # nlc_and(2) too; the elimination runs once on each game that the
+    # earlier steps leave open, and the sides of those S' are pinned
+    ascent, starts = qsdp._coordinate_ascent, []
+
+    def counted(blocks, U, cfg):
+        starts.append(len(U))
+        return ascent(blocks, U, cfg)
+
+    monkeypatch.setattr(qsdp, "_coordinate_ascent", counted)
+    swept = []
+    for i, g in enumerate(_witness_corpus()):
+        ran = len(starts)
+        if solve_quantum_bias(g).classification == NO_ADVANTAGE and len(starts) > ran:
+            swept.append(i)
+    assert swept == []
+    assert Counter(bareiss_calls) == {8: 2, 9: 3, 10: 1, 11: 1, 13: 4, 14: 1, 16: 2, 32: 1}
+
+
 def test_exact_slackness_agrees_with_the_float_verdict():
     # every optimal vertex of a no-advantage game is complementary to the
     # witness's integer dual, so a failing vertex proves an advantage; the
@@ -833,7 +854,7 @@ def test_exact_verdict_agrees_with_the_float_rule():
     assert tally == {NO_ADVANTAGE: 776, ADVANTAGE: 444}
 
 
-def _steps(g, K, U):
+def _steps(g, K):
     """What each exact step says of ``S'`` for the vertices ``K``: True PSD, False not, None open.
 
     The congruence proves something only for vertices in the kernel of ``S'``.
@@ -844,9 +865,8 @@ def _steps(g, K, U):
     kernel = exact._complementary(P, d, K)
     return {
         "kernel": None if kernel else False,
-        "responses": False if exact._shows_negative(P, d, None, L) else None,
+        "responses": False if exact._shows_negative(P, d, L) else None,
         "congruence": True if kernel and exact._kernel_proves_psd(S, K) else None,
-        "gram": False if exact._shows_negative(P, d, U, L) else None,
         "elimination": exact._psd_rank(S) is not None,
     }
 
@@ -863,16 +883,15 @@ def test_each_step_agrees_with_the_elimination():
         psd = oracle_slack_is_psd(g, vs.signs[0].tolist())
         assert psd == (res.classification == NO_ADVANTAGE)
         for K, rows in ((vs.signs[:1], "witness"), (vs.signs, "all")):
-            steps = _steps(g, K, res.gram.vectors)
+            steps = _steps(g, K)
             assert steps.pop("elimination") == psd
             for step, said in steps.items():
                 assert said in (None, psd), (step, rows)
                 if said is not None:
                     tally[rows, step] += 1
     assert tally == {
-        ("witness", "responses"): 433, ("witness", "congruence"): 461, ("witness", "gram"): 444,
+        ("witness", "responses"): 433, ("witness", "congruence"): 461,
         ("all", "kernel"): 230, ("all", "responses"): 433, ("all", "congruence"): 776,
-        ("all", "gram"): 444,
     }
 
 
@@ -886,10 +905,8 @@ def test_huge_denominators_are_decided_by_the_elimination(g):
     # the elimination, in Python integers, proves S' positive semidefinite
     vs = optimal_vertices(g)
     assert vs.xi_c == 1 and g.matrix.ints.dtype == object
-    steps = _steps(g, vs.signs, np.ones((g.m_a + g.m_b, 1)))
-    assert steps == {
-        "kernel": None, "responses": None, "congruence": None, "gram": None, "elimination": True
-    }
+    steps = _steps(g, vs.signs)
+    assert steps == {"kernel": None, "responses": None, "congruence": None, "elimination": True}
     assert solve_quantum_bias(g).classification == NO_ADVANTAGE
 
 

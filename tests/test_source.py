@@ -1,6 +1,7 @@
 """Properties of the library source itself."""
 
 import ast
+import inspect
 import operator
 import re
 from pathlib import Path
@@ -430,15 +431,14 @@ def test_solver_takes_row_norms_one_way():
 def test_solver_certifies_one_way():
     # the witness start and the restarts are certified by one routine:
     # _result builds every QuantumBiasResult from _evaluate, the only
-    # eigen-check; the witness is tried before the restarts and, when only
-    # the elimination proves no advantage, after them
+    # eigen-check; the witness is tried once, before the restarts
     tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
-    assert _calls_by_function(tree, "_result") == ["solve_quantum_bias"] * 3
+    assert _calls_by_function(tree, "_result") == ["solve_quantum_bias"] * 2
     assert _calls_by_function(tree, "QuantumBiasResult") == ["_result"]
     assert _calls_by_function(tree, "_evaluate") == ["_result"]
     assert _calls_by_function(tree, "eigvalsh") == ["_evaluate"]
     # the classification has one source, the exact verdict: every
-    # classification= passes the solve's verdict, which only _verdict
+    # classification= passes the solve's verdict, which one _verdict call
     # sets, or copies a solve's classification (face_report)
     found = [
         f"{path.name}:{where}:{ast.unparse(node.value)}"
@@ -451,7 +451,6 @@ def test_solver_certifies_one_way():
     assert found == [
         "facegeom.py:face_report:qres.classification",
         "qsdp.py:_result:verdict",
-        "qsdp.py:solve_quantum_bias:verdict",
     ]
     assigned = [
         ast.unparse(node.value)
@@ -459,13 +458,16 @@ def test_solver_certifies_one_way():
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "verdict" for t in node.targets)
     ]
-    assert assigned == ["_verdict(g, xi_c, K)", "_verdict(g, xi_c, K, best.gram.vectors)"]
+    assert assigned == ["_verdict(g, xi_c, K)"]
 
 
 def test_verdict_has_no_float_rule():
     # no advantage margin is left: SolveConfig has no adv_tol, qsdp reads
     # no float(xi_c), and the one Cholesky factorisation of the package is
-    # the congruence proof of exact._positive_definite
+    # the congruence proof of exact._positive_definite.  Nor is there a
+    # verdict fed by the solver's floats: the verdict and its negative
+    # curvature step take the game's integers and the vertices alone, no
+    # Gram vectors
     tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
     assert not hasattr(tightbell.qsdp.SolveConfig, "adv_tol")
     assert "adv_tol" not in _names(tree)
@@ -481,6 +483,8 @@ def test_verdict_has_no_float_rule():
         for where in _calls_by_function(ast.parse(path.read_text("utf-8")), "cholesky")
     ]
     assert found == ["exact.py:_positive_definite"]
+    assert list(inspect.signature(tightbell.qsdp._verdict).parameters) == ["g", "xi_c", "K"]
+    assert list(inspect.signature(tightbell.exact._shows_negative).parameters) == ["P", "d", "L"]
 
 
 def test_witness_dual_is_formed_once():
