@@ -170,13 +170,11 @@ def _enumerate(g: XorGame, enum_cap: int, keep: int) -> _Optima:
     swapped = g.m_a > g.m_b
     m, mb = sorted((g.m_a, g.m_b))
     require_enumerable(m, enum_cap)
-    P = g.matrix.ints
     # column sums are at most m * max|P| in size and values m_b times that,
-    # each buffer in the narrowest type for its bound; int() first, since
-    # np.abs(-2^63) wraps to itself
-    bound = m * max(int(P.max()), -int(P.min()))
+    # each buffer in the narrowest type for its bound
+    bound = m * g.matrix.max_abs
     sum_type, value_type = _exact_type(bound), _exact_type(mb * bound)
-    P = P.astype(sum_type)
+    P = g.matrix.ints.astype(sum_type)
     if swapped:
         P = P.T
     k = m // 2

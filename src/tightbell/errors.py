@@ -68,7 +68,7 @@ class VerificationFailed(TightBellError):
 
 
 class SingularLambda(TightBellError):
-    """A dual diagonal entry is (numerically) zero; the coupling matrix is undefined."""
+    """A dual diagonal entry is zero; the coupling matrix is undefined."""
 
 
 class NotApplicable(TightBellError):

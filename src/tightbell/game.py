@@ -131,12 +131,15 @@ class GameMatrix:
 
     ``ints`` is a read-only m_a x m_b array, int64 when ``m_a m_b max|L Phi|
     < 2^63``, so that no +-1-weighted sum of its entries overflows, and of
-    Python integers (object dtype) otherwise.  Only `_integer_matrix` makes one.
-    Equality is identity, as arrays have no boolean ``==``.
+    Python integers (object dtype) otherwise.  ``max_abs`` is ``max|L Phi|``
+    as a Python integer, computed once with the array: the bound that every
+    analysis sizing its integer types reads.  Only `_integer_matrix` makes
+    one.  Equality is identity, as arrays have no boolean ``==``.
     """
 
     ints: np.ndarray
     denominator: int
+    max_abs: int
 
     @property
     def phi(self) -> Matrix:
@@ -152,10 +155,10 @@ def _integer_matrix(ints, denominator: int) -> GameMatrix:
     except OverflowError:  # an entry past int64
         ints = np.asarray(ints, dtype=object)
     # int() first, since np.abs(-2^63) wraps to itself
-    bound = ints.size * max(int(ints.max()), -int(ints.min()))
-    ints = ints.astype(np.int64 if bound < _INT64_LIMIT else object, copy=False)
+    max_abs = max(int(ints.max()), -int(ints.min()))
+    ints = ints.astype(np.int64 if ints.size * max_abs < _INT64_LIMIT else object, copy=False)
     ints.flags.writeable = False
-    return GameMatrix(ints, denominator)
+    return GameMatrix(ints, denominator, max_abs)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,9 @@ of ``S'``, or a rounded best response of the smaller side with ``v^T S' v <
 definite, for the optimal vertices ``K`` at hand, is no advantage; and
 otherwise a fraction-free elimination of ``S'`` decides.  No benchmark
 answer reaches the elimination.  Past the enumeration cap there is no
-witness, and the classification is "undecided".
+witness, and the classification is "undecided".  A caller's ``xi_c`` is
+checked against its witness's exact bias, or else against the enumeration,
+before the verdict reads it.
 
 A solve whose verdict is no advantage tries its witness first: ``Q = s
 s^T`` is then primal optimal with the dual ``t``, which is the stationarity
@@ -89,7 +91,10 @@ range; the command line's solver flags are those fields.  The three solver
 tolerances and the sweep budget, ``SolveConfig.max_iters`` = 50,000 a
 restart, are fixed class constants, and so is :data:`F_RELATION_TOL`, the
 one threshold of the coupling relation on the Gram vectors; on the optimal
-vertices, `classical.verify_F_relation` decides it exactly.
+vertices, `classical.verify_F_relation` decides it exactly.  The coupling
+matrix of :func:`extract_F` is read off the same integer dual ``d`` as the
+verdict, never off the float certificate: ``feas_tol`` certifies the float
+dual, in :func:`_result`, and no exact claim reads it.
 """
 
 from __future__ import annotations
@@ -102,6 +107,7 @@ import numpy as np
 
 from . import classical, exact
 from .errors import (
+    EmptyInput,
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
@@ -235,18 +241,24 @@ class QuantumBiasResult:
     stalled_rows: tuple[int, ...]
 
 
+def _dividends(g: XorGame) -> np.ndarray:
+    """The game's ``L Phi`` in a type whose true division by integers up to ``L`` rounds correctly.
+
+    Below ``_FLOAT_EXACT`` = 2^53 its integers (each at most ``L`` in size)
+    and every divisor up to ``L`` are exact doubles, so one float division
+    of the whole array rounds each entry as ``v / w`` does; past it, the
+    array is Python integers, whose true division is ``v / w`` itself.
+    """
+    gm = g.matrix
+    return gm.ints if gm.denominator < _FLOAT_EXACT else gm.ints.astype(object)
+
+
 def _halves(g: XorGame) -> tuple[np.ndarray, np.ndarray]:
     """``Phi/2`` and a contiguous ``Phi^T/2``; entries round as ``float(Fraction) / 2``.
 
-    They are the game's array ``L Phi`` divided by ``L``.  Below
-    ``_FLOAT_EXACT`` = 2^53 its integers (each at most ``L`` in size) and
-    ``L`` are exact doubles, so one float division of the whole array rounds
-    each entry as ``v / L`` does; past it, the array is divided as Python
-    integers, which is ``v / L`` itself.
+    They are :func:`_dividends` divided by ``L``.
     """
-    gm = g.matrix
-    ints = gm.ints if gm.denominator < _FLOAT_EXACT else gm.ints.astype(object)
-    half = (ints / gm.denominator).astype(np.float64, copy=False)
+    half = (_dividends(g) / g.matrix.denominator).astype(np.float64, copy=False)
     half /= 2.0
     return half, np.ascontiguousarray(half.T)
 
@@ -485,16 +497,21 @@ def solve_quantum_bias(
 ) -> QuantumBiasResult:
     """Solve the unit-diagonal SDP and certify the value with its dual.
 
-    ``xi_c`` is used only for the advantage classification; when omitted it is
-    computed by exact enumeration if feasible, and the enumeration's witness
-    strategy is the ``witness``.  A caller that passes ``xi_c`` may pass
-    optimal vertices for it as ``witness``: rows of m_a + m_b signs ``[alpha
-    | beta]``, such as ``classical.OptimalVertexSet.signs`` or one of its
-    rows; row 0 is the start, and every row serves the verdict.  A witness
-    without ``xi_c``, or of another width or with an entry other than +-1,
-    raises InvalidParameter.  A caller that passes ``xi_c`` alone gets random
-    starts only, but the verdict enumerates a witness of its own, unless
-    ``xi_c`` is 1; past the enumeration cap it is "undecided".
+    ``xi_c`` is used only for the advantage classification, and it is
+    checked, never trusted.  When omitted it is computed by exact
+    enumeration if feasible, and the enumeration's witness strategy is the
+    ``witness``.  A caller that passes ``xi_c`` may pass optimal vertices
+    for it as ``witness``: rows of m_a + m_b signs ``[alpha | beta]``, such
+    as ``classical.OptimalVertexSet.signs`` or one of its rows; row 0 is the
+    start, and every row serves the verdict.  A witness without ``xi_c``, of
+    another width, with an entry other than +-1, or whose row 0 does not
+    attain ``xi_c`` exactly raises InvalidParameter; that its rows are
+    optimal is the caller's claim, as an ``OptimalVertexSet``'s are.  A
+    caller that passes ``xi_c`` alone gets random starts only, but the
+    enumeration runs as without ``xi_c``: an ``xi_c`` it contradicts raises
+    InvalidParameter, and the verdict reads its witness.  Past the
+    enumeration cap nothing checks ``xi_c``, and the verdict is "undecided"
+    unless ``xi_c`` is 1.
 
     The classification is the exact verdict of the module docstring, decided
     before any restart and whether or not the solve certifies: "undecided"
@@ -524,12 +541,17 @@ def solve_quantum_bias(
         if xi_c is None or K.ndim != 2 or K.shape[1] != m or not K.size or np.any(abs(K) != 1):
             raise InvalidParameter(f"a witness is rows of {m} signs +-1, with the xi_c they attain")
         K = K.astype(np.int8)
-    elif xi_c != 1:  # the enumeration's witness, for the verdict
+        gm = g.matrix  # no sum of the bias overflows the type of gm.ints
+        if Fraction(int(K[0, : g.m_a].dot(gm.ints).dot(K[0, g.m_a :])), gm.denominator) != xi_c:
+            raise InvalidParameter(f"the witness's bias is not the xi_c passed, {xi_c}")
+    else:  # the enumeration's witness, for the verdict, and its xi_c
         try:
             cb = classical.classical_bias(g)
         except TooLarge:
             pass
         else:
+            if xi_c is not None and xi_c != cb.xi_c:
+                raise InvalidParameter(f"xi_c passed as {xi_c}, but the enumeration gives {cb.xi_c}")
             xi_c, K = cb.xi_c, np.array([cb.witness.alpha + cb.witness.beta], dtype=np.int8)
     blocks = _halves(g)
     verdict = _verdict(g, xi_c, K)
@@ -548,22 +570,28 @@ def solve_quantum_bias(
     return best
 
 
-def extract_F(cert: DualCertificate, g: XorGame) -> np.ndarray:
-    """Coupling matrix ``F = Lambda^{-1} Phi^T`` from the dual diagonal.
+def extract_F(g: XorGame, vs: classical.OptimalVertexSet) -> np.ndarray:
+    """Coupling matrix ``F = diag(d_B)^-1 L Phi^T`` from the witness's integer dual.
 
-    At a no-advantage optimum this maps Alice's optimal signs to Bob's forced
-    response.  Requires every Bob-side t entry to be positive (exhaustive
-    games guarantee this); otherwise raises SingularLambda.
+    ``vs`` is the game's optimal vertex set, and its row 0, the witness,
+    fixes the integer dual ``d = [d_A; d_B]`` of `exact._witness_dual`, the
+    one the verdict and `classical.verify_F_relation` read.  At a
+    no-advantage optimum, ``beta = F alpha`` maps Alice's optimal signs and
+    Gram vectors to Bob's.  Each entry is the correctly rounded float of the
+    exact ratio (:func:`_dividends`), and no float certificate is read.  A
+    zero entry of ``d_B``, a tied response of the witness (as on a
+    never-asked question of Bob's), raises SingularLambda; an empty set
+    raises EmptyInput, and one of another width ShapeMismatch.
     """
-    t_bob = cert.t[g.m_a :]
-    if len(t_bob) != g.m_b:
-        raise ShapeMismatch("certificate does not match game dimensions")
-    if np.any(t_bob <= SolveConfig.feas_tol):
-        raise SingularLambda(
-            "some Bob-side dual entries are numerically zero; "
-            "game is not exhaustive or the certificate is invalid"
-        )
-    return _halves(g)[1] / t_bob[:, None]
+    if not len(vs.signs):
+        raise EmptyInput("the coupling matrix reads the witness, row 0 of a nonempty vertex set")
+    if vs.signs.shape[1] != g.m_a + g.m_b:
+        raise ShapeMismatch(f"vertex width {vs.signs.shape[1]}, game of {g.m_a + g.m_b} inputs")
+    P = _dividends(g)
+    d_bob = exact._witness_dual(P, vs.signs[0])[g.m_a :]
+    if not d_bob.all():
+        raise SingularLambda("a response of the witness is tied: d_B has a zero entry")
+    return (P.T / d_bob[:, None]).astype(np.float64, copy=False)
 
 
 def quantum_slackness_check(res: QuantumBiasResult, F) -> FRelationReport:

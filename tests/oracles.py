@@ -21,7 +21,9 @@ in Fractions from the prior and predicate (the library's exact check reads
 the integer matrix ``L Phi``), the slack-matrix oracle builds ``diag(t) -
 Phi~`` in Fractions from the prior and predicate and reduces its quadratic
 form by division (the library eliminates ``S'``, built from ``L Phi``,
-fraction-free), the float verdict oracle is the classification of earlier
+fraction-free), the coupling oracle divides ``L Phi^T`` by the witness's dual
+in Fractions from the prior and predicate (the library divides the game's
+integer matrix, in floats where that is exact), the float verdict oracle is the classification of earlier
 builds, the vertex-row reference ``reference_vertex_signs`` is the
 completion bookkeeping of earlier builds, run on every set (the library
 skips it when no kept response is tied), the no-signalling oracle reconstructs the
@@ -291,6 +293,20 @@ def oracle_slackness_residual(g, t, s) -> float:
         Fraction(sum(P[x][y] * alpha[x] for x in range(g.m_a)), 2 * den) for y in range(g.m_b)
     ]
     return max(abs(float(t_i) * s_i - float(w)) for t_i, s_i, w in zip(t, s, phi_s))
+
+
+def oracle_coupling(g, s):
+    """``F = diag(d_B)^-1 L Phi^T`` in Fractions for the witness signs ``s``, or None.
+
+    ``d_B = |L Phi^T alpha|`` is summed entry by entry over ``L Phi`` built
+    from the game's prior and predicate, not from its integer matrix; None
+    when an entry of ``d_B`` is zero.  Row ``y`` of F is Bob's input.
+    """
+    P, _ = _scaled_phi(g)
+    d = [abs(sum(P[x][y] * s[x] for x in range(g.m_a))) for y in range(g.m_b)]
+    if not all(d):
+        return None
+    return [[Fraction(P[x][y], d[y]) for x in range(g.m_a)] for y in range(g.m_b)]
 
 
 def oracle_float_verdict(xi_q: float, certified: bool, xi_c) -> str:

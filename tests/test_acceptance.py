@@ -252,7 +252,7 @@ def test_criterion_07_quantum_level_checks():
         g = make_named(name, n)
         # xi_c alone: a swept optimum, not the one-column witness
         res = solve_quantum_bias(g, xi_c=classical_bias(g).xi_c)
-        rep = quantum_slackness_check(res, extract_F(res.cert, g))
+        rep = quantum_slackness_check(res, extract_F(g, optimal_vertices(g)))
         cols = res.gram.vectors.shape[1]
         label = f"{name}({n}) swept ({cols} columns), quantum slackness <= 1e-6"
         checks.append((label, rep.all_pass and cols > 1))

@@ -46,6 +46,8 @@ from tightbell.qsdp import MAX_SDP_SIDE
 
 from .generators import random_game, random_nlc_spec, random_strategy
 from .oracles import oracle_is_no_signalling, reference_build_game
+from .test_classical import huge_denominator_game, int64_edge_games
+from .test_qsdp import _witness_corpus
 
 H = Fraction(1, 2)
 Q = Fraction(1, 4)
@@ -284,6 +286,16 @@ def test_game_matrix_no_flips_equals_q():
 def test_game_matrix_single_negative():
     g = build_game([[1]], [[1]])
     assert g.matrix.phi == ((Fraction(-1),),)
+
+
+def test_game_matrix_holds_its_bound():
+    # max|L Phi| is computed once, with the array, as a Python integer; the
+    # edge games hold -2^63, int64's minimum, which np.abs leaves negative
+    edge = list(int64_edge_games())
+    assert any(-(2**63) in row for g in edge for row in g.matrix.ints.tolist())
+    for g in [*_witness_corpus(), huge_denominator_game(), *edge]:
+        want = max(abs(v) for row in g.matrix.ints.tolist() for v in row)
+        assert type(g.matrix.max_abs) is int and g.matrix.max_abs == want
 
 
 def test_abs_phi_sums_to_one_on_random_games():

@@ -20,6 +20,7 @@ from tightbell import (
     verify_F_relation,
 )
 from tightbell.errors import (
+    EmptyInput,
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
@@ -34,6 +35,7 @@ from tightbell.qsdp import ADVANTAGE, NO_ADVANTAGE, SolveConfig, build_phi_tilde
 
 from .generators import random_game, tied_game
 from .oracles import (
+    oracle_coupling,
     oracle_float_verdict,
     oracle_slack_is_psd,
     reference_coordinate_ascent,
@@ -169,34 +171,33 @@ def test_too_large_budget():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_extract_F_identity(n):
-    res = solve_quantum_bias(make_named("identity", n))
-    F = extract_F(res.cert, make_named("identity", n))
+    g = make_named("identity", n)
+    F = extract_F(g, optimal_vertices(g))
     assert np.abs(F - np.eye(2**n)).max() <= 1e-9
 
 
 def test_extract_F_appendix_d():
     g = make_named("appendix_d", 2)
-    res = solve_quantum_bias(g)
-    F = extract_F(res.cert, g)
+    F = extract_F(g, optimal_vertices(g))
     assert np.abs(F - (np.eye(4) - np.ones((4, 4)) / 2)).max() <= 1e-9
 
 
 @pytest.mark.parametrize("bit,sign", [(0, 1.0), (1, -1.0)])
 def test_extract_F_single_entry(bit, sign):
     g = build_game([[1]], [[bit]])
-    res = solve_quantum_bias(g)
-    F = extract_F(res.cert, g)
+    F = extract_F(g, optimal_vertices(g))
     assert F.shape == (1, 1)
     assert abs(F[0, 0] - sign) <= 1e-9
 
 
 def test_extract_F_singular_lambda():
-    # Bob's second question is never asked: his dual entry stalls at zero
+    # Bob's second question is never asked: his dual entry stalls at zero,
+    # and the witness's integer dual has d_B = 0 there
     g = build_game([["1/2", 0], ["1/2", 0]], [[0, 0], [1, 0]])
     res = solve_quantum_bias(g)
     assert g.m_a + 1 in res.stalled_rows
     with pytest.raises(SingularLambda):
-        extract_F(res.cert, g)
+        extract_F(g, optimal_vertices(g))
 
 
 def test_slackness_identity_perfect_vertex():
@@ -223,10 +224,13 @@ def test_slackness_fails_on_chsh():
 
 
 def test_certificate_of_another_game_is_a_shape_mismatch():
-    # the 8-entry dual of appendix_d(2) read against the 2x2 CHSH game
-    cert = solve_quantum_bias(make_named("appendix_d", 2)).cert
+    # the 8-sign vertices of appendix_d(2) read against the 2x2 CHSH game
+    vs = optimal_vertices(make_named("appendix_d", 2))
     with pytest.raises(ShapeMismatch):
-        extract_F(cert, make_named("chsh"))
+        extract_F(make_named("chsh"), vs)
+    # and an empty set has no witness to read
+    with pytest.raises(EmptyInput):
+        extract_F(make_named("chsh"), optimal_vertices(make_named("chsh"), cap=0))
 
 
 def _swept(g):
@@ -239,7 +243,7 @@ def _swept(g):
 def test_quantum_slackness_identity2():
     g = make_named("identity", 2)
     res = _swept(g)
-    rep = quantum_slackness_check(res, extract_F(res.cert, g))
+    rep = quantum_slackness_check(res, extract_F(g, optimal_vertices(g)))
     assert rep.all_pass
 
 
@@ -254,7 +258,7 @@ def test_slackness_refuses_the_wrong_shape(F):
 def test_quantum_slackness_nlc_and():
     g = make_named("nlc_and", 2)
     res = _swept(g)
-    rep = quantum_slackness_check(res, extract_F(res.cert, g))
+    rep = quantum_slackness_check(res, extract_F(g, optimal_vertices(g)))
     assert isinstance(rep, FRelationReport) and rep.all_pass
     # a zero F leaves every unit Gram vector of Bob's as its residual, and the
     # threshold is fixed: no caller can loosen it until that passes
@@ -717,8 +721,11 @@ def test_witness_certifies_every_no_advantage_game_unswept():
     # the solve passed xi_c alone starts at random, as every solve did before
     # the witness start; every game it certifies no_advantage is certified at
     # the enumeration's witness with no sweep and the same verdict, and every
-    # other game is that solve, bit for bit
-    verdicts = Counter()
+    # other game is that solve, bit for bit.  On every no-advantage game the
+    # coupling matrix of the witness's integer dual is the Fraction oracle's,
+    # correctly rounded, and maps the swept solve's Gram vectors, or d_B has
+    # a zero
+    verdicts, couplings = Counter(), Counter()
     for g in _witness_corpus():
         res = solve_quantum_bias(g)
         swept = solve_quantum_bias(g, xi_c=res.xi_c)
@@ -731,7 +738,19 @@ def test_witness_certifies_every_no_advantage_game_unswept():
         assert res.gram.vectors.shape == (g.m_a + g.m_b, 1)
         assert res.stalled_rows == swept.stalled_rows
         assert abs(res.xi_q - float(res.xi_c)) <= 1e-12
+        vs = optimal_vertices(g)
+        want = oracle_coupling(g, vs.signs[0].tolist())
+        if want is None:
+            with pytest.raises(SingularLambda):
+                extract_F(g, vs)
+            couplings["singular"] += 1
+            continue
+        F = extract_F(g, vs)
+        assert F.tolist() == [[float(v) for v in row] for row in want]
+        assert quantum_slackness_check(swept, F).all_pass
+        couplings["exact"] += 1
     assert verdicts == {NO_ADVANTAGE: 776, ADVANTAGE: 444}
+    assert couplings == {"singular": 218, "exact": 558}
 
 
 def test_no_advantage_solves_run_no_restart(monkeypatch, bareiss_calls):
@@ -833,6 +852,19 @@ def test_witness_argument_is_checked():
     for xi_c, witness in ((None, [1, 1]), (Fraction(1), [1, 1, 1]), (Fraction(1), [1, 0])):
         with pytest.raises(InvalidParameter):
             solve_quantum_bias(g, xi_c=xi_c, witness=witness)
+    # xi_c is checked, never trusted: against the witness's exact bias, or
+    # else against the enumeration.  Each of these once returned a verdict
+    # (CHSH no advantage at xi_q 0.7071, identity(1) at xi_c 1/2 next to xi_q
+    # 1, appendix_d(2) an advantage it does not have, CHSH's 1/3 replaced)
+    identity = make_named("identity", 1)
+    for h, xi_c, witness in (
+        (make_named("chsh"), Fraction(1), None),
+        (identity, Fraction(1, 2), optimal_vertices(identity).signs[0]),
+        (make_named("appendix_d", 2), Fraction(1, 2), np.ones(8, dtype=np.int8)),
+        (make_named("chsh"), Fraction(1, 3), None),
+    ):
+        with pytest.raises(InvalidParameter):
+            solve_quantum_bias(h, xi_c=xi_c, witness=witness)
     res = solve_quantum_bias(g, xi_c=Fraction(1), witness=np.array([-1, -1], dtype=np.int8))
     assert (res.certified, res.sweeps, res.gram.vectors.tolist()) == (True, 0, [[-1.0], [-1.0]])
 
@@ -908,6 +940,10 @@ def test_huge_denominators_are_decided_by_the_elimination(g):
     steps = _steps(g, vs.signs)
     assert steps == {"kernel": None, "responses": None, "congruence": None, "elimination": True}
     assert solve_quantum_bias(g).classification == NO_ADVANTAGE
+    # past 2^53 the coupling matrix is divided in Python integers, and each
+    # entry is still the exact ratio, rounded once
+    want = oracle_coupling(g, vs.signs[0].tolist())
+    assert extract_F(g, vs).tolist() == [[float(v) for v in row] for row in want]
 
 
 def test_advantage_draws_need_no_elimination(monkeypatch):

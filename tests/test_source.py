@@ -502,7 +502,20 @@ def test_witness_dual_is_formed_once():
     assert found == ["exact.py:_witness_dual"] * 2
     readers = [f"{name}:{where}" for name, tree in trees.items()
                for where in _calls_by_function(tree, "_witness_dual")]
-    assert readers == ["classical.py:verify_F_relation", "qsdp.py:_verdict"]
+    assert readers == ["classical.py:verify_F_relation", "qsdp.py:_verdict", "qsdp.py:extract_F"]
+
+
+def test_feasibility_tolerance_is_read_by_certification_alone():
+    # SolveConfig.feas_tol certifies the float dual, and no exact claim reads
+    # it: the coupling matrix tests d_B for zero exactly, not t_B against it
+    found = [
+        f"{path.name}:{where}"
+        for path in SOURCES
+        for where in _enclosing_functions(
+            ast.parse(path.read_text("utf-8")), lambda node: _read_name(node) == "feas_tol"
+        )
+    ]
+    assert found == ["qsdp.py:_result"]
 
 
 
