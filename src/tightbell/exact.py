@@ -38,7 +38,9 @@ advantage; optimal vertices in the kernel and a congruence on ``S' + K^T
 K`` (:func:`_kernel_proves_psd`) prove none; and a fraction-free symmetric
 elimination (:func:`_psd_rank`) decides what is left, either way.  The
 elimination is also the rank's last resort, since a Gram matrix is
-positive semidefinite.
+positive semidefinite.  The span certificate of ``S'`` gives an integer basis
+of its kernel (:func:`_kernel_basis`), which holds every optimal Gram matrix
+of a game with no advantage.
 """
 
 from __future__ import annotations
@@ -195,6 +197,26 @@ def _span_certificate(S: np.ndarray) -> tuple[list[int], int, np.ndarray] | None
     N = np.array(coeffs, dtype=np.int64 if exact else object)[where.reshape(R.shape)]
     F = S.astype(np.float64 if exact else object)
     return (pivots, delta, N) if np.array_equal(F * delta, F[:, pivots] @ N) else None
+
+
+def _kernel_basis(S: np.ndarray) -> np.ndarray | None:
+    """An integer basis of the kernel of the square ``S``, as columns, or None.
+
+    Read from :func:`_span_certificate`: for each ``j`` off the pivots, the
+    column ``delta e_j`` with ``-N_j`` on the pivots, which ``delta S = S[:,
+    P] N`` puts in the kernel.  Each column alone is nonzero at its ``j``, so
+    they are independent, and there are as many as the side less the rank.
+    ``N[:, P]`` is ``delta I``, so these are the columns of ``delta I`` less
+    ``N`` on the pivot rows, the pivot columns left out.  Int64 or of Python
+    integers, as ``N`` is; None when the certificate is.
+    """
+    certificate = _span_certificate(S)
+    if certificate is None:
+        return None
+    pivots, delta, N = certificate
+    V = np.eye(len(S), dtype=N.dtype) * delta
+    V[pivots] -= N
+    return np.delete(V, pivots, axis=1)
 
 
 def _rank(M: np.ndarray) -> int:

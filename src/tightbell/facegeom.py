@@ -15,9 +15,11 @@ the original game is the reduced face times a cube of free signs, and its
 dimensions follow from a few ranks of the reduced vertices by a closed
 formula, so no lifted vertex is ever built.
 
-The quantum-side face dimension is inherently numerical and is reported only
-as a lower bound from sampled optima, with an explicit singular-value
-threshold.
+On the quantum side, every optimal Gram matrix of a game with no advantage
+lies in the kernel of the witness's integer dual, so the dimension of the
+optimal correlator face is two exact ranks of an integer kernel basis when
+the optimal vertices span that kernel, and the classical face's dimension, a
+lower bound, otherwise.  No float is read.
 """
 
 from __future__ import annotations
@@ -38,14 +40,11 @@ from .errors import (
     ShapeMismatch,
     VerificationFailed,
 )
-from .exact import _rank
+from .exact import _SQUARE_LIMIT, _kernel_basis, _rank, _slack_matrix, _witness_dual
 from .game import XorGame, reduce_exhaustive
 
 MEASURED = "measured"
 LOWER_BOUND = "lower bound (truncated vertex set)"
-
-_PROBE_SAMPLES = 24  # certified re-solves per quantum face probe
-_PROBE_RANK_TOL = 1e-6  # singular values above this count as face directions
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,11 @@ class TrivialFacetReport:
 
 @dataclass(frozen=True)
 class ProbeReport:
+    """The quantum correlator face's dimension: exact when ``measured``, else a lower bound."""
+
     dim_lower_bound: int
     thm3_bound: int
-    samples_used: int
+    measured: bool
 
 
 @dataclass(frozen=True)
@@ -281,48 +282,68 @@ def face_report(
     )
 
 
-def quantum_face_probe(g: XorGame) -> ProbeReport:
-    """Lower-bound the dimension of the optimal quantum correlator face.
+def _kernel_face_dimension(V: np.ndarray, m_a: int) -> int:
+    """Dimension of the correlator face of ``{V W V^T : W >= 0, diag(V W V^T) = 1}``.
 
-    Probes :func:`reduce_exhaustive` of ``g``, as :func:`face_report` does:
-    the vectors of a never-asked question are not pinned by the optimum, so
-    they would add random directions.  Every solve runs at the default
-    ``qsdp.SolveConfig``: once at seed 0 for the base optimum, then 24 more
-    times, sample ``k`` a fresh two-restart solve at seed ``1 + k``.  Each
-    solve, the base one too, is passed the exact ``xi_c`` and no witness, so
-    each starts at random and the samples reach distinct optima; a game past
-    the enumeration cap raises TooLarge.  The correlator blocks of the
-    samples certified within ``gap_tol`` of the base value are differenced
-    against the base, and the singular values of the differences above 1e-6
-    are counted.  Only a LOWER bound: sampling cannot certify that more
-    directions do not exist.  The reported comparison bound is ``m (m - 1) /
-    2`` with m the smaller input count.  Both numbers refer to the reduced
-    game.
+    ``V`` is an integer matrix with Alice's rows first, and some feasible
+    ``W`` is positive definite.  With ``v_i`` row ``i`` of ``V``, the
+    constraints are ``<W, v_i v_i^T> = 1`` and the correlators ``<W, v_x
+    v_y^T>``, ``y`` on Bob's rows.  Over the upper triangle ``a <= b`` of a
+    symmetric ``W``, ``<W, M>`` pairs ``W_ab`` with ``M_ab + M_ba``, the
+    diagonal halved; each row holds ``M_ab + M_ba``, the constraint rows
+    ``cons`` halved to ``v_ia v_ib`` and the correlator rows ``corr`` as
+    they are.  Scaling a row or a column keeps every rank, so the affine
+    hull of the face has dimension ``rank[cons; corr] - rank[cons]``, and
+    a positive definite point makes it the face's own (Laurent and Poljak,
+    SIAM J. Matrix Anal. Appl. 1996).  The rows are formed in int64 while
+    ``max|V| < 2^31``, where two products fit, and in Python integers
+    beyond.
+    """
+    V = V.astype(np.int64 if max(int(V.max()), -int(V.min())) < _SQUARE_LIMIT else object)
+    i, j = np.triu_indices(V.shape[1])
+    cons = V[:, i] * V[:, j]
+    Va, Vb = V[:m_a, None], V[None, m_a:]
+    corr = (Va[..., i] * Vb[..., j] + Va[..., j] * Vb[..., i]).reshape(-1, len(i))
+    return _rank(np.vstack((cons, corr))) - _rank(cons)
+
+
+def quantum_face_probe(g: XorGame) -> ProbeReport:
+    """Dimension of the optimal quantum correlator face, exact or a proven lower bound.
+
+    Probes :func:`reduce_exhaustive` of ``g``, as :func:`face_report` does: a
+    never-asked question's vectors are not pinned by the optimum.  One
+    enumeration gives the optimal vertices, a game past its cap raising
+    TooLarge, and one solve started at the witness, row 0, decides the
+    verdict; a game with an advantage raises NotApplicable.  With no
+    advantage, the witness's integer dual ``S'`` is positive semidefinite
+    and every optimal Gram matrix is ``V W V^T``, ``V`` the integer kernel
+    basis of ``S'`` (:func:`exact._kernel_basis`).  When the optimal
+    vertices span that kernel, the average of their ``s s^T`` is an optimum
+    with ``W`` positive definite, so the dimension is measured exactly by
+    :func:`_kernel_face_dimension` and ``measured`` is True.  Otherwise, or
+    without a kernel basis, ``dim_lower_bound`` is the classical face's
+    ``dim_corr``, a lower bound, since every optimal vertex is a quantum
+    optimum.  The comparison bound is ``m (m - 1) / 2``, m the smaller input
+    count; a dimension above it raises VerificationFailed.  Both numbers
+    refer to the reduced game.
     """
     g = reduce_exhaustive(g)
-    base = qsdp.solve_quantum_bias(g, xi_c=classical.classical_bias(g).xi_c)
-    if base.classification != qsdp.NO_ADVANTAGE:
-        raise NotApplicable(
-            f"face probe requires a no-advantage game, got {base.classification!r}"
-        )
+    vs = classical.optimal_vertices(g)
+    verdict = qsdp.solve_quantum_bias(g, xi_c=vs.xi_c, witness=vs.signs[0]).classification
+    if verdict != qsdp.NO_ADVANTAGE:
+        raise NotApplicable(f"face probe requires a no-advantage game, got {verdict!r}")
     m = min(g.m_a, g.m_b)
     thm3 = m * (m - 1) // 2
-    C_base = base.gram.C
-    diffs = []
-    for k in range(_PROBE_SAMPLES):
-        res = qsdp.solve_quantum_bias(g, qsdp.SolveConfig(seed=1 + k, restarts=2), xi_c=base.xi_c)
-        if res.certified and abs(res.xi_q - base.xi_q) <= qsdp.SolveConfig.gap_tol:
-            diffs.append((res.gram.C - C_base).ravel())
-    if diffs:
-        sv = np.linalg.svd(np.vstack(diffs), compute_uv=False)
-        dim_lb = int(np.count_nonzero(sv > _PROBE_RANK_TOL))
+    P = g.matrix.ints
+    V = _kernel_basis(_slack_matrix(P, _witness_dual(P, vs.signs[0])))
+    measured = V is not None and _rank(vs.signs) == V.shape[1]
+    if measured:
+        dim = _kernel_face_dimension(V, g.m_a)
     else:
-        dim_lb = 0
-    if dim_lb > thm3:
-        raise VerificationFailed(
-            f"probe found {dim_lb} directions, above the theoretical bound {thm3}"
-        )
-    return ProbeReport(dim_lower_bound=dim_lb, thm3_bound=thm3, samples_used=len(diffs))
+        dim = _face_dimensions(vs.signs, g.m_a, 0, 0)[1]
+    if dim > thm3:
+        raise VerificationFailed(f"probe found {dim} directions, above the theoretical bound {thm3}")
+    return ProbeReport(dim_lower_bound=dim, thm3_bound=thm3, measured=measured)
 
 
 def face_report_to_dict(report: FaceReport) -> dict:

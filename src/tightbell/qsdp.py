@@ -185,7 +185,7 @@ class GramSolution:
     and in min(m_a, m_b) otherwise; a certified witness is one column, its
     signs.  Only the vectors are stored: ``gram``, the induced PSD
     unit-diagonal matrix ``vectors @ vectors.T``, is formed on each read and
-    returned read-only, and ``C`` is its Alice-Bob block.
+    returned read-only.
     """
 
     vectors: np.ndarray
@@ -196,10 +196,6 @@ class GramSolution:
         gram = self.vectors @ self.vectors.T
         gram.setflags(write=False)
         return gram
-
-    @property
-    def C(self) -> np.ndarray:
-        return self.gram[: self.m_a, self.m_a :]
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,20 @@ def enumerations(monkeypatch):
 
 
 @pytest.fixture
+def ascent_starts(monkeypatch):
+    """Row count of the start of every solver restart's coordinate ascent, in order."""
+    calls = []
+    ascent = qsdp._coordinate_ascent
+
+    def counted(blocks, U, cfg):
+        calls.append(len(U))
+        return ascent(blocks, U, cfg)
+
+    monkeypatch.setattr(qsdp, "_coordinate_ascent", counted)
+    return calls
+
+
+@pytest.fixture
 def bareiss_calls(monkeypatch):
     """Side of every matrix that the fraction-free elimination reads.
 

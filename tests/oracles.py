@@ -24,7 +24,8 @@ form by division (the library eliminates ``S'``, built from ``L Phi``,
 fraction-free), the coupling oracle divides ``L Phi^T`` by the witness's dual
 in Fractions from the prior and predicate (the library divides the game's
 integer matrix, in floats where that is exact), the float verdict oracle is the classification of earlier
-builds, the vertex-row reference ``reference_vertex_signs`` is the
+builds, the sampled face oracle is the quantum face probe of earlier builds
+(the library ranks an integer basis of the dual's kernel exactly), the vertex-row reference ``reference_vertex_signs`` is the
 completion bookkeeping of earlier builds, run on every set (the library
 skips it when no kept response is tied), the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
@@ -42,8 +43,9 @@ from math import lcm
 import numpy as np
 
 from tightbell import qsdp
+from tightbell.classical import classical_bias
 from tightbell.errors import NegativePrior, NotNormalized, ShapeMismatch
-from tightbell.game import XorGame, as_int, as_rational
+from tightbell.game import XorGame, as_int, as_rational, reduce_exhaustive
 
 _REFERENCE_BLOCK = 1 << 14
 
@@ -351,6 +353,32 @@ def oracle_slack_is_psd(g, s) -> bool:
             for j in range(k + 1, m):
                 S[i][j] -= f * S[k][j]
     return True
+
+
+def oracle_sampled_face_dim(g) -> int:
+    """A lower bound on the optimal quantum correlator face's dimension, by sampling.
+
+    The face probe of earlier builds, on the reduced game: one solve at the
+    default settings for a base optimum, then 24 more, sample ``k`` a
+    two-restart solve at seed ``1 + k``.  Each is passed the exact ``xi_c``
+    and no witness, so each starts at random and the samples reach distinct
+    optima.  The correlator blocks of the samples certified within
+    ``gap_tol`` of the base value are differenced against the base, and the
+    singular values of the differences above 1e-6 are counted (the library
+    reads two exact ranks of an integer kernel basis).  Sampling never
+    finds more than 24 directions.
+    """
+    g = reduce_exhaustive(g)
+    base = qsdp.solve_quantum_bias(g, xi_c=classical_bias(g).xi_c)
+    corr = base.gram.gram[: g.m_a, g.m_a :]
+    diffs = []
+    for k in range(24):
+        res = qsdp.solve_quantum_bias(g, qsdp.SolveConfig(seed=1 + k, restarts=2), xi_c=base.xi_c)
+        if res.certified and abs(res.xi_q - base.xi_q) <= qsdp.SolveConfig.gap_tol:
+            diffs.append((res.gram.gram[: g.m_a, g.m_a :] - corr).ravel())
+    if not diffs:
+        return 0
+    return int(np.count_nonzero(np.linalg.svd(np.vstack(diffs), compute_uv=False) > 1e-6))
 
 
 def oracle_affine_dim(points) -> int:

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from math import isqrt, lcm
@@ -34,10 +35,17 @@ from tightbell.errors import (
     VerificationFailed,
 )
 from tightbell.facegeom import LOWER_BOUND, MEASURED
-from tightbell.game import build_game
+from tightbell.game import build_game, reduce_exhaustive
 
 from .generators import random_game
-from .oracles import oracle_affine_dim, oracle_bias, oracle_rref, reference_rref_mod_p
+from .oracles import (
+    oracle_affine_dim,
+    oracle_bias,
+    oracle_rref,
+    oracle_sampled_face_dim,
+    reference_rref_mod_p,
+)
+from .test_qsdp import _witness_corpus
 
 Q = Fraction(1, 4)
 
@@ -440,9 +448,10 @@ def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
     within = all(
         abs(v.numerator) <= bound and v.denominator <= bound for row in R for v in row
     )
-    certificate = exact._span_certificate(S)
+    certificate, V = exact._span_certificate(S), exact._kernel_basis(S)
     assert (certificate is not None) == within
     if certificate is None:
+        assert V is None
         return
     assert certificate[:2] == (pivots, delta)
     # int64 while the identity is checked in float64, else Python integers
@@ -453,6 +462,11 @@ def test_span_certificate_spans_a_planted_kernel(seed, gram, scale):
     K[pivots] -= np.array(N, dtype=object)
     assert not (S.astype(object) @ K).any()
     assert len(oracle_rref(K.tolist())[1]) == n - len(pivots)
+    # the kernel basis is those non-pivot columns: in the kernel, as wide as
+    # the nullity, and of full column rank
+    assert V.tolist() == np.delete(K, pivots, axis=1).tolist()
+    assert not (S.astype(object) @ V.astype(object)).any()
+    assert V.shape[1] == n - exact._rank(S) == exact._rank(V)
 
 
 def test_full_rank_needs_no_modular_elimination(monkeypatch):
@@ -890,55 +904,75 @@ def test_face_report_dict_roundtrips_to_json():
 
 def test_probe_identity1_finds_the_free_direction():
     rep = quantum_face_probe(make_named("identity", 1))
-    assert rep.thm3_bound == 1
-    assert rep.dim_lower_bound == 1
-    assert rep.samples_used > 0
+    assert (rep.dim_lower_bound, rep.thm3_bound, rep.measured) == (1, 1, True)
 
 
-def test_probe_without_certified_samples_finds_nothing(monkeypatch):
-    # identity(1) has a free direction, but only samples certified at the
-    # base value count: with none, the lower bound is 0
-    solve = qsdp.solve_quantum_bias
-    calls = []
-
-    def uncertified_samples(g, cfg=None, **kwargs):
-        res = solve(g, cfg, **kwargs)
-        calls.append(res)
-        return res if len(calls) == 1 else replace(res, certified=False)
-
-    monkeypatch.setattr(qsdp, "solve_quantum_bias", uncertified_samples)
-    rep = quantum_face_probe(make_named("identity", 1))
-    assert (rep.dim_lower_bound, rep.samples_used, len(calls)) == (0, 0, 25)
+def test_probe_without_a_kernel_basis_reports_the_classical_face(monkeypatch):
+    # a None certificate gives no kernel basis, and the probe falls back to
+    # the classical face's dim_corr, a lower bound; identity(2) has no
+    # never-asked question, so face_report's dim_corr is the reduced one
+    monkeypatch.setattr(exact, "_span_certificate", lambda S: None)
+    assert exact._kernel_basis(np.eye(2, dtype=np.int64)) is None
+    for name, n in (("identity", 2), ("appendix_d", 3), ("nlc_and", 2)):
+        g = make_named(name, n)
+        rep = quantum_face_probe(g)
+        assert not rep.measured
+        assert rep.dim_lower_bound == face_report(g).dim_corr
 
 
 def test_probe_single_entry_is_rigid():
     rep = quantum_face_probe(make_named("single_entry"))
-    assert rep.thm3_bound == 0
-    assert rep.dim_lower_bound == 0 and rep.samples_used > 0
+    assert (rep.dim_lower_bound, rep.thm3_bound, rep.measured) == (0, 0, True)
 
 
 @pytest.mark.parametrize(
     "name,n,dim",
-    [("identity", 2, 6), ("identity", 3, 24), ("appendix_d", 3, 21), ("nlc_and", 3, 0)],
+    [
+        ("identity", 2, 6), ("identity", 3, 28), ("identity", 4, 120),
+        ("appendix_d", 3, 21), ("appendix_d", 4, 105), ("nlc_and", 3, 0),
+    ],
 )
 def test_probe_pinned_values(name, n, dim):
-    # identity(3) is capped by its 24 samples, below the bound 28
+    # identity(3) and (4) meet the bound m(m-1)/2; the sampled probe of
+    # earlier builds was capped by its 24 samples on them and on appendix_d(4)
     rep = quantum_face_probe(make_named(name, n))
-    assert (rep.dim_lower_bound, rep.samples_used) == (dim, 24)
+    assert (rep.dim_lower_bound, rep.measured) == (dim, True)
     assert rep.dim_lower_bound <= rep.thm3_bound
 
 
+@pytest.mark.parametrize(
+    "name,n,capped",
+    [
+        ("identity", 1, False), ("identity", 2, False), ("identity", 3, True),
+        ("identity", 4, True), ("padded", None, False), ("single_entry", None, False),
+        ("appendix_d", 2, False), ("appendix_d", 3, False), ("appendix_d", 4, True),
+        ("nlc_and", 2, False), ("nlc_and", 3, False),
+    ],
+)
+def test_probe_meets_the_sampled_bound(name, n, capped):
+    # sampled optima give an independent lower bound; the exact dimension
+    # equals it wherever the 24 samples do not cap it
+    g = _padded_identity2() if name == "padded" else make_named(name, n)
+    exact_dim, sampled = quantum_face_probe(g).dim_lower_bound, oracle_sampled_face_dim(g)
+    if capped:
+        assert sampled == 24 < exact_dim
+    else:
+        assert exact_dim == sampled
+
+
 def test_probe_reads_the_reduced_game():
-    # the never-asked row and column would keep random vectors that differ
-    # between samples; the probe reads the reduced game, identity(2)
+    # the never-asked row and column would add free directions; the probe
+    # reads the reduced game, identity(2)
     rep = quantum_face_probe(_padded_identity2())
-    assert (rep.dim_lower_bound, rep.thm3_bound, rep.samples_used) == (6, 6, 24)
+    assert (rep.dim_lower_bound, rep.thm3_bound, rep.measured) == (6, 6, True)
 
 
 def test_probe_refuses_more_directions_than_the_bound(monkeypatch):
-    # a negative threshold counts every singular value of the 24 differences
-    # of identity(2)'s 4 x 4 correlator blocks: 16 directions, above m(m-1)/2 = 6
-    monkeypatch.setattr(facegeom, "_PROBE_RANK_TOL", -1.0)
+    # a rank that counts every row of the kernel rows as independent counts
+    # each of identity(2)'s 4 x 4 correlators as a direction: 16, above
+    # m(m-1)/2 = 6.  The vertex signs, int8, keep their true rank
+    rank = facegeom._rank
+    monkeypatch.setattr(facegeom, "_rank", lambda M: len(M) if M.dtype == np.int64 else rank(M))
     with pytest.raises(VerificationFailed, match="probe found 16 directions, above the theoretical bound 6"):
         quantum_face_probe(make_named("identity", 2))
 
@@ -946,6 +980,41 @@ def test_probe_refuses_more_directions_than_the_bound(monkeypatch):
 def test_probe_not_applicable_for_advantage_games():
     with pytest.raises(NotApplicable):
         quantum_face_probe(make_named("chsh"))
+
+
+def test_the_quantum_face_is_never_a_facet(enumerations, ascent_starts):
+    # the paper's by-product: the body of quantum correlation matrices has
+    # no nontrivial facet.  Every no-advantage game of the corpus is
+    # measured within m(m-1)/2 and below m_a m_b - 1 once m_a m_b > 1, each
+    # probe from one enumeration and no restart
+    tally = Counter()
+    for g in _witness_corpus():
+        r = reduce_exhaustive(g)
+        ran = len(enumerations), len(ascent_starts)
+        try:
+            rep = quantum_face_probe(g)
+        except NotApplicable:
+            tally["advantage"] += 1
+            continue
+        assert (len(enumerations) - ran[0], len(ascent_starts) - ran[1]) == (1, 0)
+        assert rep.measured and rep.dim_lower_bound <= rep.thm3_bound
+        assert r.m_a * r.m_b == 1 or rep.dim_lower_bound < r.m_a * r.m_b - 1
+        tally["measured"] += 1
+    assert tally == {"measured": 776, "advantage": 444}
+
+
+def test_kernel_basis_spans_every_corpus_dual_kernel():
+    # S' of each corpus game's witness: the basis is in the kernel, as wide
+    # as the nullity, and of full column rank
+    widths = Counter()
+    for g in _witness_corpus():
+        P = g.matrix.ints
+        S = exact._slack_matrix(P, exact._witness_dual(P, optimal_vertices(g).signs[0]))
+        V = exact._kernel_basis(S)
+        assert not (S.astype(object) @ V.astype(object)).any()
+        assert V.shape[1] == len(S) - exact._rank(S) == exact._rank(V)
+        widths[V.dtype == np.int64] += 1
+    assert widths == {True: 1220}
 
 
 def _identity_like(m, rows=0, cols=0):

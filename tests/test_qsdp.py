@@ -753,22 +753,15 @@ def test_witness_certifies_every_no_advantage_game_unswept():
     assert couplings == {"singular": 218, "exact": 558}
 
 
-def test_no_advantage_solves_run_no_restart(monkeypatch, bareiss_calls):
+def test_no_advantage_solves_run_no_restart(ascent_starts, bareiss_calls):
     # the verdict is decided before any restart, so every no-advantage solve
     # returns its certified witness without sweeping, appendix_d(2-4) and
     # nlc_and(2) too; the elimination runs once on each game that the
     # earlier steps leave open, and the sides of those S' are pinned
-    ascent, starts = qsdp._coordinate_ascent, []
-
-    def counted(blocks, U, cfg):
-        starts.append(len(U))
-        return ascent(blocks, U, cfg)
-
-    monkeypatch.setattr(qsdp, "_coordinate_ascent", counted)
     swept = []
     for i, g in enumerate(_witness_corpus()):
-        ran = len(starts)
-        if solve_quantum_bias(g).classification == NO_ADVANTAGE and len(starts) > ran:
+        ran = len(ascent_starts)
+        if solve_quantum_bias(g).classification == NO_ADVANTAGE and len(ascent_starts) > ran:
             swept.append(i)
     assert swept == []
     assert Counter(bareiss_calls) == {8: 2, 9: 3, 10: 1, 11: 1, 13: 4, 14: 1, 16: 2, 32: 1}

@@ -489,7 +489,8 @@ def test_verdict_has_no_float_rule():
 
 def test_witness_dual_is_formed_once():
     # d = [|L Phi beta_0|; |L Phi^T alpha_0|] is one formula, in
-    # exact._witness_dual; the exact vertex check and the verdict read it
+    # exact._witness_dual; the exact vertex check, the verdict, the coupling
+    # matrix and the quantum face probe read it
     def abs_of_a_product(node):
         return (
             isinstance(node, ast.Call) and _callee(node) == "abs" and len(node.args) == 1
@@ -502,7 +503,12 @@ def test_witness_dual_is_formed_once():
     assert found == ["exact.py:_witness_dual"] * 2
     readers = [f"{name}:{where}" for name, tree in trees.items()
                for where in _calls_by_function(tree, "_witness_dual")]
-    assert readers == ["classical.py:verify_F_relation", "qsdp.py:_verdict", "qsdp.py:extract_F"]
+    assert readers == [
+        "classical.py:verify_F_relation",
+        "facegeom.py:quantum_face_probe",
+        "qsdp.py:_verdict",
+        "qsdp.py:extract_F",
+    ]
 
 
 def test_feasibility_tolerance_is_read_by_certification_alone():
@@ -541,6 +547,15 @@ def test_classical_holds_no_float():
         )
     ]
     assert found == ["qsdp.py:quantum_slackness_check"]
+
+
+def test_facegeom_holds_no_float():
+    # every face dimension is exact, the quantum one too: it is two ranks of
+    # an integer kernel basis, not singular values counted above a threshold
+    tree = ast.parse((Path(tightbell.__file__).parent / "facegeom.py").read_text("utf-8"))
+    nodes = list(ast.walk(tree))
+    assert [n.lineno for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, float)] == []
+    assert [path for path in _numpy_paths(tree) if path.startswith("numpy.linalg")] == []
 
 
 def _numpy_paths(tree: ast.Module) -> list[str]:
