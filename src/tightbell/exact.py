@@ -1,25 +1,28 @@
 """Exact rank over the rationals of integer matrices, and the integer steps of the verdict.
 
-Every rank in the package is one exact routine, :func:`_rank`: the rank over
-the rationals of an integer matrix in its own dtype or of Python integers.
-The matrix is read once, to form its exact integer Gram matrix G; the rest
-reads only G.  Zero columns and columns parallel to an earlier one cannot
-raise the rank; at every scale they are dropped first, read off G exactly by
-the equality case of Cauchy-Schwarz.  Full rank of the deflated G is proved
-by a congruence: if the integer matrix X G X^T, computed exactly, is
-strictly diagonally dominant with a positive diagonal, G is positive
-definite.  X = I is tried first, in integers at any size, and needs no
-factorisation: the Gram of nearly orthogonal columns, such as a complete
-sign cube's 2^m I, passes as it stands.  Then X = rint(2^s C^-1), with C
-the float Cholesky factor of G.  Otherwise the rank of G modulo the prime
-2^31 - 1 is a lower bound: a full one proves full rank, and below that an
-integer certificate (the lifted echelon form, checked exactly on G) proves
-the matching upper bound.  G and the certificate check follow one rule:
-float64 where every sum is an integer below 2^53, which is checked first,
-else Python integers; G is summed in float32 where every sum is below 2^24.
-The Cholesky congruence is float64 only and proves nothing past 2^53.  When
-the prime is unlucky or the certificate cannot be lifted, fraction-free
-symmetric elimination of the deflated G gives the rank.  No tolerance.
+Every rank in the package is one exact routine, :func:`_gram_rank`: the rank
+over the rationals of an exact integer Gram matrix G, which is that of the
+vectors G is formed from.  :func:`_gram` reads an integer matrix, in its own
+dtype or of Python integers, once to form G; :func:`_rank` ranks a matrix by
+its Gram on the smaller side, and a caller that needs several ranks of one
+set of vectors forms one Gram and ranks its diagonal blocks.  Zero columns
+and columns parallel to an earlier one cannot raise the rank; at every
+scale they are dropped first, read off G exactly by the equality case of
+Cauchy-Schwarz.  Full rank of the deflated G is proved by a congruence: if
+the integer matrix X G X^T, computed exactly, is strictly diagonally
+dominant with a positive diagonal, G is positive definite.  X = I is tried
+first, in integers at any size, and needs no factorisation: the Gram of
+nearly orthogonal columns, such as a complete sign cube's 2^m I, passes as
+it stands.  Then X = rint(2^s C^-1), with C the float Cholesky factor of G.
+Otherwise the rank of G modulo the prime 2^31 - 1 is a lower bound: a full
+one proves full rank, and below that an integer certificate (the lifted
+echelon form, checked exactly on G) proves the matching upper bound.  G and
+the certificate check follow one rule: float64 where every sum is an
+integer below 2^53, which is checked first, else Python integers; G is
+summed in float32 where every sum is below 2^24.  The Cholesky congruence
+is float64 only and proves nothing past 2^53.  When the prime is unlucky or
+the certificate cannot be lifted, fraction-free symmetric elimination of
+the deflated G gives the rank.  No tolerance.
 
 ``_FLOAT_EXACT`` = 2^53 is that rule's bound wherever the package takes a
 float64 path over integers, in the solver and the Walsh check too, and
@@ -35,12 +38,13 @@ this order, and each is conclusive when it succeeds: optimal vertices
 outside the kernel of ``S'`` (:func:`_complementary`) or a rounded best
 response of negative curvature (:func:`_shows_negative`) prove an
 advantage; optimal vertices in the kernel and a congruence on ``S' + K^T
-K`` (:func:`_kernel_proves_psd`) prove none; and a fraction-free symmetric
-elimination (:func:`_psd_rank`) decides what is left, either way.  The
-elimination is also the rank's last resort, since a Gram matrix is
-positive semidefinite.  The span certificate of ``S'`` gives an integer basis
-of its kernel (:func:`_kernel_basis`), which holds every optimal Gram matrix
-of a game with no advantage.
+K`` (:func:`_kernel_proves_psd`, ``K^T K`` a float64 product while that is
+exact) prove none; and a fraction-free symmetric elimination
+(:func:`_psd_rank`) decides what is left, either way.  The elimination is
+also the rank's last resort, since a Gram matrix is positive semidefinite.
+The span certificate of ``S'`` gives an integer basis of its kernel
+(:func:`_kernel_basis`), which holds every optimal Gram matrix of a game
+with no advantage.
 """
 
 from __future__ import annotations
@@ -219,16 +223,42 @@ def _kernel_basis(S: np.ndarray) -> np.ndarray | None:
     return np.delete(V, pivots, axis=1)
 
 
+def _gram(T: np.ndarray) -> np.ndarray:
+    """The exact Gram matrix ``T^T T`` of a 2-D array of integers, int64 or of Python integers.
+
+    ``T`` is of integer or object dtype and read once, summed over row
+    blocks: in float32 while ``max|T|^2 * rows < 2^24``, in float64 while it
+    is below 2^53 (every partial sum is then an exact integer), else in
+    Python integers.  The sum is int64 below 2^53 and of Python integers
+    (object dtype) beyond.
+    """
+    bound = max(int(T.max()), -int(T.min())) ** 2 * len(T)
+    dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64 if bound < _FLOAT_EXACT else object
+    G = np.zeros((T.shape[1], T.shape[1]), dtype)
+    for B in _row_blocks(T, dtype):
+        G += B.T @ B
+    return G if dtype is object else G.astype(np.int64)
+
+
 def _rank(M: np.ndarray) -> int:
     """Exact rank over Q of a 2-D array of integers, of integer or object dtype.
 
     With ``M`` oriented so it has no more columns than rows, the one pass
-    over ``M`` forms the exact Gram matrix ``G = M^T M``, of the same rank,
-    summed over row blocks: in float32 while ``max|M|^2 * rows < 2^24``, in
-    float64 while it is below 2^53 (every partial sum is then an exact
-    integer), else in Python integers.
+    over ``M`` forms the exact Gram matrix ``G = M^T M`` (:func:`_gram`),
+    of the same rank, and :func:`_gram_rank` reads it.
+    """
+    if not M.any():
+        return 0
+    return _gram_rank(_gram(M.T if M.shape[0] < M.shape[1] else M))
 
-    Columns that cannot raise the rank are dropped first, decided exactly on
+
+def _gram_rank(G: np.ndarray) -> int:
+    """Exact rank over Q of a nonzero integer Gram matrix ``G``: the rank of its vectors.
+
+    ``G`` is int64 or of Python integers, as :func:`_gram` forms it.  A
+    1 x 1 ``G``, the Gram of one vector or of one column, has rank 1.
+
+    Otherwise columns that cannot raise the rank are dropped first, decided exactly on
     ``G``: column ``j`` is zero when ``G_jj = 0``, and parallel to column
     ``i`` when ``G_ij^2 = G_ii G_jj``, the equality case of Cauchy-Schwarz.
     Zero columns go, and so does every column parallel to an earlier
@@ -236,7 +266,7 @@ def _rank(M: np.ndarray) -> int:
     is never a witness.  The squares are taken in int64 while every ``G_jj
     < 2^31``, since ``|G_ij|`` is at most the larger diagonal entry, and in
     Python integers beyond that.  The kept columns ``K`` span the column
-    space of ``M``, so what follows reads ``G[K][:, K]``.
+    space, so what follows reads ``G[K][:, K]``.
 
     A Gram matrix is positive definite exactly when it is nonsingular, so
     full rank, the usual case for face matrices once deflated, is proved by
@@ -248,23 +278,15 @@ def _rank(M: np.ndarray) -> int:
     lift), :func:`_psd_rank`, a fraction-free symmetric elimination of the
     deflated ``G``, gives it, at a cost cubic in its side.
     """
-    if not M.any():
-        return 0
-    T = M.T if M.shape[0] < M.shape[1] else M
-    rows, cols = T.shape
-    bound = max(int(T.max()), -int(T.min())) ** 2 * rows
-    dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64 if bound < _FLOAT_EXACT else object
-    G = np.zeros((cols, cols), dtype)
-    for B in _row_blocks(T, dtype):
-        G += B.T @ B
-    G = G if dtype is object else G.astype(np.int64)
+    if len(G) == 1:
+        return 1
     S = G if G.diagonal().max() < _SQUARE_LIMIT else G.astype(object, copy=False)
     diag = S.diagonal()
     # witness[i, j]: column i is nonzero and parallel to column j.  A nonzero
     # column witnesses itself and stays unless an earlier one witnesses it; a
     # zero column's first witness is the first nonzero one.
     witness = (S * S == np.multiply.outer(diag, diag)) & (diag > 0)[:, None]
-    keep = np.flatnonzero(witness.argmax(axis=0) == np.arange(cols))
+    keep = np.flatnonzero(witness.argmax(axis=0) == np.arange(len(G)))
     G = G.take(keep, 0).take(keep, 1)
     if _positive_definite(G):
         return len(keep)
@@ -344,10 +366,14 @@ def _kernel_proves_psd(S: np.ndarray, K: np.ndarray) -> bool:
     Split any ``v`` as ``w + K^T c`` with ``K w = 0``; then ``v^T S v = w^T
     (S + K^T K) w``, so a congruence proof (:func:`_positive_definite`) that
     ``S + K^T K`` is positive definite proves ``S`` positive semidefinite.
-    False proves nothing.  ``S`` has no entry above 2^53 when the sum is
-    formed, so it cannot overflow.
+    False proves nothing.  ``K`` holds vertices, entries +-1, so every sum of
+    ``K^T K`` is below its row count: the product is one BLAS product in
+    float64 while that is below 2^53, which is checked, and in int64 past
+    it.  ``S`` has no entry above 2^53 when the sum is formed, so it cannot
+    overflow.
     """
-    return int(S.max()) < _FLOAT_EXACT and _positive_definite(S + K.T.dot(K.astype(np.int64)))
+    F = K.astype(np.float64 if len(K) < _FLOAT_EXACT else np.int64)
+    return int(S.max()) < _FLOAT_EXACT and _positive_definite(S + (F.T @ F).astype(np.int64))
 
 
 def _shows_negative(P: np.ndarray, d: np.ndarray, L: int) -> bool:

@@ -13,7 +13,10 @@ than the rank of the points with a nonzero constant column appended.
 Questions that are never asked are dropped before enumeration.  The face of
 the original game is the reduced face times a cube of free signs, and its
 dimensions follow from a few ranks of the reduced vertices by a closed
-formula, so no lifted vertex is ever built.
+formula, so no lifted vertex is ever built.  Those ranks read two exact Gram
+matrices, one of the correlation rows and one of the sign rows, each formed
+once; a complete vertex set is closed under negation, which leaves both
+rows' outer products alike, so each Gram is summed over half of it.
 
 On the quantum side, every optimal Gram matrix of a game with no advantage
 lies in the kernel of the witness's integer dual, so the dimension of the
@@ -40,7 +43,15 @@ from .errors import (
     ShapeMismatch,
     VerificationFailed,
 )
-from .exact import _SQUARE_LIMIT, _kernel_basis, _rank, _slack_matrix, _witness_dual
+from .exact import (
+    _SQUARE_LIMIT,
+    _gram,
+    _gram_rank,
+    _kernel_basis,
+    _rank,
+    _slack_matrix,
+    _witness_dual,
+)
 from .game import XorGame, reduce_exhaustive
 
 MEASURED = "measured"
@@ -178,11 +189,13 @@ def trivial_facet_check(m_a: int, m_b: int, x0: int, y0: int, sign: int) -> Triv
     if sign not in (-1, 1):
         raise InvalidDims("sign must be +1 or -1")
     signs = np.array([[1, sign], [-1, -sign]], dtype=np.int8)
-    _, dim = _face_dimensions(signs, 1, m_a - 1, m_b - 1)
+    _, dim = _face_dimensions(signs, 1, m_a - 1, m_b - 1, complete=True)
     return TrivialFacetReport(dim=dim, is_facet=dim == m_a * m_b - 1)
 
 
-def _face_dimensions(signs: np.ndarray, m_a: int, d_a: int, d_b: int) -> tuple[int, int]:
+def _face_dimensions(
+    signs: np.ndarray, m_a: int, d_a: int, d_b: int, complete: bool
+) -> tuple[int, int]:
     """Exact (dim_full, dim_corr) of the face lifted over never-asked questions.
 
     The optimal vertices of a game with ``d_a`` never-asked rows and ``d_b``
@@ -207,14 +220,37 @@ def _face_dimensions(signs: np.ndarray, m_a: int, d_a: int, d_b: int) -> tuple[i
 
     Every term can only grow with V, so on a truncated set both are lower
     bounds on the true dimensions.
+
+    Each Gram matrix is formed once (:func:`exact._gram`).  ``v`` and ``-v``
+    give the same correlation row and the same ``v v^T``, so on a
+    ``complete`` set the Grams are summed over the half with first sign +1:
+    exactly half the full set's, of the same rank.  A truncated set keeps
+    all its rows.  aff{a b^T} is the rank of the rows ``[a b^T | 1]`` less
+    one.  Each Gram is on the side that :func:`exact._rank` chooses for the
+    full set, columns when it has no fewer rows than columns; the sign Gram
+    by columns gives rank[a | b], rank{a} and rank{b} as its diagonal
+    blocks, and by rows each is ranked on its own.
     """
-    corr = (signs[:, :m_a, None] * signs[:, None, m_a:]).reshape(len(signs), -1)
-    dim_corr = affine_dimension_exact(corr) + d_a * d_b
+    rows = signs[signs[:, 0] > 0] if complete else signs
+    width = m_a * (signs.shape[1] - m_a)
+    corr = np.ones((len(rows), width + 1), dtype=np.int8)
+    corr[:, :width] = (rows[:, :m_a, None] * rows[:, None, m_a:]).reshape(len(rows), width)
+    dim_corr = _gram_rank(_gram(corr if len(signs) > width else corr.T)) - 1 + d_a * d_b
+    if len(signs) >= signs.shape[1]:
+        G = _gram(rows)
+
+        def rank(cols: slice) -> int:
+            return _gram_rank(G[cols, cols])
+    else:
+
+        def rank(cols: slice) -> int:
+            return _rank(rows[:, cols])
+
     if d_a:
-        dim_corr += d_a * _rank(signs[:, m_a:])
+        dim_corr += d_a * rank(slice(m_a, None))
     if d_b:
-        dim_corr += d_b * _rank(signs[:, :m_a])
-    return dim_corr + _rank(signs) + d_a + d_b, dim_corr
+        dim_corr += d_b * rank(slice(m_a))
+    return dim_corr + rank(slice(None)) + d_a + d_b, dim_corr
 
 
 def face_report(
@@ -249,7 +285,7 @@ def face_report(
     d_a, d_b = M_a - reduced.m_a, M_b - reduced.m_b
     thm2 = theorem2_codim_bound(M_a, M_b, reduced.m_a, reduced.m_b)
 
-    dim_full, dim_corr = _face_dimensions(vs.signs, reduced.m_a, d_a, d_b)
+    dim_full, dim_corr = _face_dimensions(vs.signs, reduced.m_a, d_a, d_b, not vs.truncated)
     truncated = vs.truncated
     label = LOWER_BOUND if truncated else MEASURED
     codim_full, codim_corr = D - dim_full, M_a * M_b - dim_corr
@@ -340,7 +376,7 @@ def quantum_face_probe(g: XorGame) -> ProbeReport:
     if measured:
         dim = _kernel_face_dimension(V, g.m_a)
     else:
-        dim = _face_dimensions(vs.signs, g.m_a, 0, 0)[1]
+        dim = _face_dimensions(vs.signs, g.m_a, 0, 0, not vs.truncated)[1]
     if dim > thm3:
         raise VerificationFailed(f"probe found {dim} directions, above the theoretical bound {thm3}")
     return ProbeReport(dim_lower_bound=dim, thm3_bound=thm3, measured=measured)

@@ -8,10 +8,18 @@ a behaviour with correlators ``c`` is ``sum_xy Phi_xy * c_xy`` and the winning
 probability is ``(1 + bias) / 2``.
 
 All classical-side data is exact: priors are `fractions.Fraction`,
-`signed_matrix` alone scales signed data to integers, and normalization of
-a prior read from outside is *checked* (on integers over the lcm of the
-denominators), not silently applied, because rescaling would change the bias
-scale.  Floats only enter at the solver boundary (`tightbell.qsdp`).
+`signed_matrix` alone scales a game's signed data to integers, and
+normalization of a prior read from outside is *checked* (on integers over the
+lcm of the denominators), not silently applied, because rescaling would
+change the bias scale.  Floats only enter at the solver boundary
+(`tightbell.qsdp`).
+
+A game file is read by `build_game` with one literal table: each distinct
+prior string is read once, and its entries share the Fraction.  The checks
+keep their order and run on sets and integers: the types and values of the
+bits as sets over the flattened rows, then the sign and the sum of the prior
+on the integer array ``L q``.  `signed_matrix` reads each distinct entry
+once and lays ``L Phi`` out by indexing the table of their integers.
 
 Every game holds ``L Phi`` as one read-only numpy array, built with the game.
 Its type is decided here and nowhere else, by `_integer_matrix`: int64 when
@@ -25,6 +33,7 @@ import json
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from pathlib import Path
 from typing import Sequence
@@ -52,6 +61,7 @@ NAMED_GAMES = ("chsh", "identity", "nlc_and", "appendix_d", "single_entry")
 # analysis takes a larger one, and building it would take 4^n Fractions
 MAX_FAMILY_N = 11
 _SIGNS = frozenset((-1, 1))
+_BITS = frozenset((0, 1))
 _INT64_LIMIT = 1 << 63
 
 
@@ -60,17 +70,15 @@ def as_rational(value) -> Fraction:
 
     Binary floats are rejected: they would smuggle rounding into data that the
     rest of the library treats as exact.  Bools are rejected too, as in
-    :func:`as_int`: ``true`` is not a number in a game file.
+    :func:`as_int`: ``true`` is not a number in a game file.  Strings are
+    read by :func:`_parse_literal`.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise GameFormatError(f"not a rational literal: {value!r}") from exc
+        return _parse_literal(value)
     raise GameFormatError(
         f"exact rational required, got {type(value).__name__}; "
         "use strings like '1/4' or '0.25'"
@@ -88,12 +96,13 @@ def as_int(value) -> int:
 
 
 def _parse_literal(s: str) -> Fraction:
-    """``as_rational(s)``, with an ASCII ``"a/b"`` or ``"a"`` (b > 0) read by ``int``.
+    """``Fraction(s)``, with an ASCII ``"a/b"`` or ``"a"`` (b > 0) read by ``int``.
 
     Those literals are what files hold, and ``Fraction(int, int)`` reads
     them in less than half the time of ``Fraction``'s regex.  Every other
     string, signs, spaces, ``_``, decimals, exponents, non-ASCII digits and
-    zero denominators included, goes through :func:`as_rational`.
+    zero denominators included, goes through the regex, and one it refuses
+    raises GameFormatError.
     """
     num, slash, den = s.partition("/")
     if s.isascii() and num.isdigit() and (den.isdigit() or not slash):
@@ -103,26 +112,40 @@ def _parse_literal(s: str) -> Fraction:
                 return Fraction(int(num), d)
         except ValueError:  # past int's digit limit, which Fraction meets too
             pass
-    return as_rational(s)
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GameFormatError(f"not a rational literal: {s!r}") from exc
 
 
 def _rational_matrix(rows: Sequence[Sequence]) -> Matrix:
-    parsed: dict[str, Fraction] = {}  # family files repeat a few literals
+    """:func:`as_rational` of every entry, then the shape checked.
 
-    def rational(v) -> Fraction:
-        if type(v) is not str:
-            return as_rational(v)
-        if v not in parsed:
-            parsed[v] = _parse_literal(v)
-        return parsed[v]
-
-    out = tuple(tuple(map(rational, row)) for row in rows)
-    if not out or not out[0]:
+    When every entry is a string, as in a file, each distinct string is
+    read once, in order of first appearance, and its entries share the
+    Fraction; otherwise every entry is read.  Either way the first bad
+    entry in row-major order raises.
+    """
+    rows = tuple(map(tuple, rows))
+    flat = list(chain.from_iterable(rows))
+    read = as_rational
+    if set(map(type, flat)) == {str}:
+        read = {v: _parse_literal(v) for v in dict.fromkeys(flat)}.__getitem__
+    flat = list(map(read, flat))
+    if not rows or not rows[0]:
         raise ShapeMismatch("matrix must be nonempty")
-    width = len(out[0])
-    if any(len(row) != width for row in out):
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
         raise ShapeMismatch("matrix rows have unequal lengths")
-    return out
+    return tuple(tuple(flat[lo : lo + width]) for lo in range(0, len(flat), width))
+
+
+def _bit_matrix(rows: Sequence[Sequence]) -> BitMatrix:
+    """:func:`as_int` of every entry; rows of Python ints pass as they are."""
+    rows = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(rows))) <= {int}:
+        return rows
+    return tuple(tuple(map(as_int, row)) for row in rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,19 +249,20 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
 
     Raises ShapeMismatch, NegativePrior, NotNormalized, or GameFormatError.
     Normalization is never applied silently: the caller must supply a prior
-    summing to 1.  The sum is checked on the integers of :func:`signed_matrix`,
-    over the lcm of the denominators.
+    summing to 1.  The sign and the sum are checked on ``L q``, the integers
+    of :func:`signed_matrix` over the lcm of the denominators, unsigned by f.
     """
     qm = _rational_matrix(q)
-    fm = tuple(tuple(map(as_int, row)) for row in f)
+    fm = _bit_matrix(f)
     if len(fm) != len(qm) or any(len(fr) != len(qr) for fr, qr in zip(fm, qm)):
         raise ShapeMismatch("q and f must have identical shapes")
-    if any(bit not in (0, 1) for row in fm for bit in row):
+    if not _BITS.issuperset(chain.from_iterable(fm)):
         raise ShapeMismatch("predicate entries must be 0 or 1")
-    if any(v.numerator < 0 for row in qm for v in row):
+    gm = signed_matrix(qm, fm)
+    Lq = np.where(np.array(fm, dtype=bool), -gm.ints, gm.ints)  # in the type of gm.ints
+    if (Lq < 0).any():
         raise NegativePrior("prior entries must be >= 0")
-    gm = signed_matrix(qm, fm)  # its |entries| are L q, the prior now being >= 0
-    total = int(np.abs(gm.ints).sum())  # fits the array's type, as a +-1-weighted sum
+    total = int(Lq.sum())  # fits the array's type, as a +-1-weighted sum
     if total != gm.denominator:
         raise NotNormalized(f"prior sums to {Fraction(total, gm.denominator)}, expected exactly 1")
     return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm, matrix=gm)
@@ -247,18 +271,26 @@ def build_game(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> XorGame:
 def signed_matrix(q: Sequence[Sequence], f: Sequence[Sequence[int]]) -> GameMatrix:
     """``(-1)^f q`` over the lcm of the denominators of the exact rationals ``q``.
 
-    Reads numerators and denominators only; no Fraction arithmetic is done.
-    ``L // d`` is formed once for each distinct denominator d.
+    Reads numerators and denominators only, once per distinct entry object,
+    and no Fraction arithmetic is done: a loaded game holds one Fraction per
+    distinct literal, and a family member one per distinct value.  When
+    entries share an object, ``L q`` is laid out by indexing the table of
+    their integers; ``f`` signs it.
     """
-    dens = {v.denominator for row in q for v in row}
+    entries = list(chain.from_iterable(q))
+    keys = list(map(id, entries))
+    distinct = dict(zip(keys, entries))
+    dens = {v.denominator for v in distinct.values()}
     L = lcm(*dens)
     scale = {d: L // d for d in dens}
-    ints = [
-        [-v.numerator * scale[v.denominator] if b else v.numerator * scale[v.denominator]
-         for v, b in zip(qr, fr)]
-        for qr, fr in zip(q, f)
-    ]
-    return _integer_matrix(ints, L)
+    table = [v.numerator * scale[v.denominator] for v in distinct.values()]
+    # int64 while every entry and its negation fit
+    table = np.array(table, dtype=np.int64 if max(map(abs, table)) < _INT64_LIMIT else object)
+    if len(table) < len(keys):
+        where = dict(zip(distinct, range(len(table))))
+        table = table[np.fromiter(map(where.__getitem__, keys), np.intp, len(keys))]
+    signs = np.fromiter(chain.from_iterable(f), bool, len(keys))
+    return _integer_matrix(np.where(signs, -table, table).reshape(len(q), -1), L)
 
 
 def reduce_exhaustive(g: XorGame) -> XorGame:
@@ -267,17 +299,20 @@ def reduce_exhaustive(g: XorGame) -> XorGame:
     Returns the game itself when every question is asked.  The reduced game
     has no all-zero prior row or column and keeps the order of the remaining
     questions; any strategy for it extends to ``g`` by choosing the dropped
-    signs freely, with identical bias.  A dropped entry is 0 over 1, so the
-    kept entries of ``g.matrix`` are the reduced game's, over the same L.
+    signs freely, with identical bias.  A question is asked when its row or
+    column of ``g.matrix.ints`` is not all zero, as ``L q`` is not.  A
+    dropped entry is 0 over 1, so the kept entries of ``g.matrix`` are the
+    reduced game's, over the same L.
     """
-    row_pos = [x for x in range(g.m_a) if any(g.q[x])]
-    col_pos = [y for y in range(g.m_b) if any(row[y] for row in g.q)]
+    asked = g.matrix.ints != 0
+    row_pos = np.flatnonzero(asked.any(axis=1)).tolist()
+    col_pos = np.flatnonzero(asked.any(axis=0)).tolist()
     if not row_pos or not col_pos:
         raise EmptyGame("all prior entries are zero")
     if len(row_pos) == g.m_a and len(col_pos) == g.m_b:
         return g
-    q, f = (tuple(tuple(rows[x][y] for y in col_pos) for x in row_pos) for rows in (g.q, g.f))
-    matrix = _integer_matrix(g.matrix.ints[np.ix_(row_pos, col_pos)], g.matrix.denominator)
+    q, f = (tuple(tuple(map(rows[x].__getitem__, col_pos)) for x in row_pos) for rows in (g.q, g.f))
+    matrix = _integer_matrix(g.matrix.ints.take(row_pos, 0).take(col_pos, 1), g.matrix.denominator)
     return XorGame(m_a=len(row_pos), m_b=len(col_pos), q=q, f=f, matrix=matrix)
 
 

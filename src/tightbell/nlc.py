@@ -29,12 +29,19 @@ a sum over the 2^n values of z.  `nlc_bias_bound` scores the witness by that
 sum, exactly on the spec, with no enumeration and no game built.  The
 convention carrying an extra 2^(n-1) factor does not match that witness for
 n >= 2.
+
+A spec checks itself on integers: the types and bits as sets, the sign of
+q~ once per distinct entry and its sum as one integer sum over the lcm of
+its denominators.  A spec file reads each distinct literal once, as a game
+file does; `spec_from_game` reads q~ from the game's integer row ``L Phi(0,
+.)``, and the spectrum's signed row is formed as Python integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 import numpy as np
@@ -57,7 +64,6 @@ from .game import (
     as_rational,
     circulant_game,
     read_json,
-    signed_matrix,
     write_json,
 )
 
@@ -75,7 +81,12 @@ class NlcSpec:
     is not an integer (bools, floats and strings included, as in
     :func:`game.as_int`) or an entry of ``q_tilde`` is not an int or Fraction.
     ``n`` and the bits are stored as Python ints, so numpy integers never
-    reach the exact arithmetic or the file format.
+    reach the exact arithmetic or the file format.  The checks run in that
+    order, on sets and integers: the types of the entries and of the bits
+    as sets, the sign once per distinct entry object and the sum as one
+    integer sum over the lcm of the denominators; bits of any other type
+    than ``int`` are read one by one, so the first bad bit decides the
+    error.
     """
 
     n: int
@@ -86,22 +97,31 @@ class NlcSpec:
         object.__setattr__(self, "n", as_int(self.n))
         if self.n < 1:
             raise InvalidSpec("n must be >= 1")
-        size = len(self.q_tilde)  # 2^n has bit length n + 1, so a huge n is never shifted
+        q = self.q_tilde
+        size = len(q)  # 2^n has bit length n + 1, so a huge n is never shifted
         if size.bit_length() != self.n + 1 or size != 1 << self.n or len(self.f_z) != size:
             raise InvalidSpec(f"q_tilde and f_z must have length 2^{self.n}")
         # exact entries only, as as_rational takes them: a float or a bool
         # would reach the rational arithmetic downstream
-        if not all(isinstance(v, (int, Fraction)) and type(v) is not bool for v in self.q_tilde):
+        if any(t is bool or not issubclass(t, (int, Fraction)) for t in set(map(type, q))):
             raise GameFormatError("q_tilde entries must be int or Fraction")
-        if any(v < 0 for v in self.q_tilde):
+        distinct = dict(zip(map(id, q), q))
+        if any(v < 0 for v in distinct.values()):
             raise InvalidSpec("q_tilde entries must be >= 0")
-        if sum(self.q_tilde) != 1:
+        L = lcm(*{v.denominator for v in distinct.values()})
+        scaled = {k: v.numerator * (L // v.denominator) for k, v in distinct.items()}
+        if sum(map(scaled.__getitem__, map(id, q))) != L:
             raise InvalidSpec("q_tilde must sum to exactly 1")
-        bits = []
-        for b in map(as_int, self.f_z):  # in order: the first bad bit decides the error
-            if b not in (0, 1):
+        bits = self.f_z
+        if set(map(type, bits)) <= {int}:
+            if not {0, 1}.issuperset(bits):
                 raise InvalidSpec("f_z entries must be 0 or 1")
-            bits.append(b)
+        else:
+            bits = []
+            for b in map(as_int, self.f_z):  # in order: the first bad bit decides the error
+                if b not in (0, 1):
+                    raise InvalidSpec("f_z entries must be 0 or 1")
+                bits.append(b)
         object.__setattr__(self, "f_z", tuple(bits))
 
 
@@ -163,7 +183,9 @@ def spec_from_game(g: XorGame) -> NlcSpec:
     ``f_z = f(0, .)``; raises InvalidSpec otherwise.  The equality is tested
     as two array comparisons against that row spread over ``x XOR y``: one on
     the game's ``L Phi``, which fixes ``q`` and, where ``q > 0``, ``f``, and
-    one on ``f``, which fixes it at the zero-prior entries too.
+    one on ``f``, which fixes it at the zero-prior entries too.  q~ is read
+    from the integer row as ``2^n |L Phi(0, y)| / L``, one Fraction per
+    distinct value.
     """
     size = g.m_a
     if g.m_b != size or size & (size - 1) != 0:
@@ -173,7 +195,9 @@ def spec_from_game(g: XorGame) -> NlcSpec:
     ints, f = g.matrix.ints, np.asarray(g.f)
     if not (np.array_equal(ints, ints[0][xor]) and np.array_equal(f, f[0][xor])):
         raise InvalidSpec("game data does not factor through x XOR y")
-    q_tilde = tuple(v * size for v in g.q[0])
+    L, row = g.matrix.denominator, [abs(v) for v in ints[0].tolist()]
+    value = {v: Fraction(v * size, L) for v in set(row)}
+    q_tilde = tuple(map(value.__getitem__, row))
     return NlcSpec(n=size.bit_length() - 1, q_tilde=q_tilde, f_z=g.f[0])
 
 
@@ -193,13 +217,16 @@ def _walsh_transform(values: Sequence) -> list:
 def hadamard_spectrum(spec: NlcSpec) -> NlcAnalysis:
     """Exact eigenvalues of the q~-normalized game matrix.
 
-    The transform runs on the integers ``L (-1)^f q~`` of `signed_matrix`.
+    The transform runs on the Python integers ``L (-1)^f q~``, L the lcm of
+    the denominators of q~.
     For n <= 5, also multiplies their circulant by the +-1 Hadamard matrix
     and checks that each column comes out as that column of H times its
     eigenvalue EXACTLY — a theorem check, not a tolerance check.
     """
-    gm = signed_matrix((spec.q_tilde,), (spec.f_z,))
-    signed, L = gm.ints[0].tolist(), gm.denominator
+    q = spec.q_tilde
+    L = lcm(*{v.denominator for v in q})
+    signed = [(-v.numerator if b else v.numerator) * (L // v.denominator)
+              for v, b in zip(q, spec.f_z)]
     walsh = _walsh_transform(signed)
     if spec.n <= 5:
         _verify_diagonalization(signed, walsh, spec.n)
@@ -347,11 +374,13 @@ def nlc_spec_from_dict(data: dict) -> NlcSpec:
         raise GameFormatError(f"expected format {NLC_FORMAT!r}")
     if "n" not in data or not all(isinstance(data.get(k), list) for k in ("q_tilde", "f_z")):
         raise GameFormatError("a spec needs n and the lists q_tilde and f_z")
-    return NlcSpec(
-        n=as_int(data["n"]),
-        q_tilde=tuple(as_rational(v) for v in data["q_tilde"]),
-        f_z=tuple(as_int(b) for b in data["f_z"]),
-    )
+    n, q, f = as_int(data["n"]), data["q_tilde"], data["f_z"]
+    read = as_rational
+    if set(map(type, q)) == {str}:  # each distinct literal read once, in order
+        read = {v: as_rational(v) for v in dict.fromkeys(q)}.__getitem__
+    q = tuple(map(read, q))
+    f = tuple(f) if set(map(type, f)) <= {int} else tuple(map(as_int, f))
+    return NlcSpec(n=n, q_tilde=q, f_z=f)
 
 
 def save_nlc_spec(spec: NlcSpec, path) -> None:

@@ -30,7 +30,11 @@ completion bookkeeping of earlier builds, run on every set (the library
 skips it when no kept response is tied), the no-signalling oracle reconstructs the
 full conditional table from first principles, and the game validation
 reference sums the prior in Fractions (the library sums the integers that
-``signed_matrix`` scales over the lcm of the denominators).
+``signed_matrix`` scales over the lcm of the denominators), the face-dimension
+reference ranks every block of the full vertex set on its own (the library
+forms each Gram once, over half a complete set), and the loader references
+read and check every file entry on its own, as earlier builds did (the library
+reads each distinct literal once and checks sets of values).
 """
 
 from __future__ import annotations
@@ -44,8 +48,24 @@ import numpy as np
 
 from tightbell import qsdp
 from tightbell.classical import classical_bias
-from tightbell.errors import NegativePrior, NotNormalized, ShapeMismatch
-from tightbell.game import XorGame, as_int, as_rational, reduce_exhaustive
+from tightbell.errors import (
+    GameFormatError,
+    InvalidSpec,
+    NegativePrior,
+    NotNormalized,
+    ShapeMismatch,
+)
+from tightbell.exact import _rank
+from tightbell.facegeom import affine_dimension_exact
+from tightbell.game import (
+    GAME_FORMAT,
+    XorGame,
+    _integer_matrix,
+    as_int,
+    as_rational,
+    reduce_exhaustive,
+)
+from tightbell.nlc import NLC_FORMAT
 
 _REFERENCE_BLOCK = 1 << 14
 
@@ -517,3 +537,114 @@ def reference_build_game(q, f) -> XorGame:
     if total != 1:
         raise NotNormalized(f"prior sums to {total}, expected exactly 1")
     return XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm)
+
+
+def reference_face_dimensions(signs, m_a: int, d_a: int, d_b: int) -> tuple[int, int]:
+    """``facegeom._face_dimensions`` of earlier builds: every rank on all the rows.
+
+    The correlation rows are ranked by ``affine_dimension_exact`` and the sign
+    blocks by their own ``_rank`` calls, each forming its own Gram matrix of
+    the full set (the library forms each Gram once, over the half of a
+    complete set with first sign +1, and reads the sign blocks off one Gram).
+    """
+    corr = (signs[:, :m_a, None] * signs[:, None, m_a:]).reshape(len(signs), -1)
+    dim_corr = affine_dimension_exact(corr) + d_a * d_b
+    if d_a:
+        dim_corr += d_a * _rank(signs[:, m_a:])
+    if d_b:
+        dim_corr += d_b * _rank(signs[:, :m_a])
+    return dim_corr + _rank(signs) + d_a + d_b, dim_corr
+
+
+def _reference_as_rational(value) -> Fraction:
+    """``game.as_rational`` of earlier builds: every string through Fraction's regex."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise GameFormatError(f"not a rational literal: {value!r}") from exc
+    raise GameFormatError(
+        f"exact rational required, got {type(value).__name__}; "
+        "use strings like '1/4' or '0.25'"
+    )
+
+
+def _reference_signed_matrix(q, f):
+    """``game.signed_matrix`` of earlier builds: one Python integer per entry, then the array."""
+    dens = {v.denominator for row in q for v in row}
+    L = lcm(*dens)
+    ints = [
+        [-v.numerator * (L // v.denominator) if b else v.numerator * (L // v.denominator)
+         for v, b in zip(qr, fr)]
+        for qr, fr in zip(q, f)
+    ]
+    return _integer_matrix(ints, L)
+
+
+def reference_game_from_dict(data) -> XorGame:
+    """``game.game_from_dict`` and ``build_game`` of earlier builds, entry by entry.
+
+    Every entry is read and checked on its own, in row-major order: priors by
+    the regex reader, bits by ``as_int``, the signs of the prior per entry,
+    and the sum on the array of one Python integer per entry.
+    """
+    if not isinstance(data, dict) or data.get("format") != GAME_FORMAT:
+        raise GameFormatError(f"expected format {GAME_FORMAT!r}")
+    for name in ("m_a", "m_b", "q", "f"):
+        if name not in data:
+            raise GameFormatError(f"missing field {name!r}")
+    for name in ("q", "f"):
+        rows = data[name]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise GameFormatError(f"{name!r} must be a list of rows")
+    qm = tuple(tuple(_reference_as_rational(v) for v in row) for row in data["q"])
+    if not qm or not qm[0]:
+        raise ShapeMismatch("matrix must be nonempty")
+    if any(len(row) != len(qm[0]) for row in qm):
+        raise ShapeMismatch("matrix rows have unequal lengths")
+    fm = tuple(tuple(as_int(v) for v in row) for row in data["f"])
+    if len(fm) != len(qm) or any(len(fr) != len(qr) for fr, qr in zip(fm, qm)):
+        raise ShapeMismatch("q and f must have identical shapes")
+    if any(bit not in (0, 1) for row in fm for bit in row):
+        raise ShapeMismatch("predicate entries must be 0 or 1")
+    if any(v.numerator < 0 for row in qm for v in row):
+        raise NegativePrior("prior entries must be >= 0")
+    gm = _reference_signed_matrix(qm, fm)
+    total = int(np.abs(gm.ints).sum())
+    if total != gm.denominator:
+        raise NotNormalized(f"prior sums to {Fraction(total, gm.denominator)}, expected exactly 1")
+    g = XorGame(m_a=len(qm), m_b=len(qm[0]), q=qm, f=fm, matrix=gm)
+    if (g.m_a, g.m_b) != (as_int(data["m_a"]), as_int(data["m_b"])):
+        raise GameFormatError("declared dimensions do not match matrix shape")
+    return g
+
+
+def reference_nlc_spec_from_dict(data) -> tuple[int, tuple, tuple]:
+    """``nlc.nlc_spec_from_dict`` and ``NlcSpec``'s checks of earlier builds, as ``(n, q~, f)``.
+
+    Every entry is read by the regex reader or ``as_int`` in order, the prior
+    summed in Fractions and the bits checked one by one.
+    """
+    if not isinstance(data, dict) or data.get("format") != NLC_FORMAT:
+        raise GameFormatError(f"expected format {NLC_FORMAT!r}")
+    if "n" not in data or not all(isinstance(data.get(k), list) for k in ("q_tilde", "f_z")):
+        raise GameFormatError("a spec needs n and the lists q_tilde and f_z")
+    n = as_int(data["n"])
+    q_tilde = tuple(_reference_as_rational(v) for v in data["q_tilde"])
+    f_z = tuple(as_int(b) for b in data["f_z"])
+    if n < 1:
+        raise InvalidSpec("n must be >= 1")
+    size = len(q_tilde)
+    if size.bit_length() != n + 1 or size != 1 << n or len(f_z) != size:
+        raise InvalidSpec(f"q_tilde and f_z must have length 2^{n}")
+    if any(v < 0 for v in q_tilde):
+        raise InvalidSpec("q_tilde entries must be >= 0")
+    if sum(q_tilde) != 1:
+        raise InvalidSpec("q_tilde must sum to exactly 1")
+    if any(b not in (0, 1) for b in f_z):
+        raise InvalidSpec("f_z entries must be 0 or 1")
+    return n, q_tilde, f_z

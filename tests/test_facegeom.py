@@ -34,15 +34,17 @@ from tightbell.errors import (
     ShapeMismatch,
     VerificationFailed,
 )
+from tightbell.classical import DEFAULT_VERTEX_CAP
 from tightbell.facegeom import LOWER_BOUND, MEASURED
 from tightbell.game import build_game, reduce_exhaustive
 
-from .generators import random_game
+from .generators import random_game, tied_game
 from .oracles import (
     oracle_affine_dim,
     oracle_bias,
     oracle_rref,
     oracle_sampled_face_dim,
+    reference_face_dimensions,
     reference_rref_mod_p,
 )
 from .test_qsdp import _witness_corpus
@@ -1302,3 +1304,61 @@ def test_face_report_checks_theorem_2(monkeypatch, full, corr):
         face_report(g)
     assert face_report(make_named("chsh")).classification == qsdp.ADVANTAGE
     assert face_report(g, vertex_cap=3).truncated
+
+
+def _face_dimension_games():
+    """The witness corpus, then fresh random and tie-heavy draws up to 8 x 8."""
+    rng = np.random.default_rng(55)
+    games = _witness_corpus()
+    games += [random_game(rng) for _ in range(60)]
+    games += [tied_game(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9))) for _ in range(60)]
+    return games
+
+
+def test_face_dimensions_equal_the_full_set_reference():
+    # one Gram per vertex set, over half a complete set, gives every rank of
+    # the earlier build's full-set path, at every cap and every count of
+    # never-asked questions on each side; both Gram sides and both kinds of
+    # set are met
+    seen = Counter()
+    for i, g in enumerate(_face_dimension_games()):
+        r = reduce_exhaustive(g)
+        for k, cap in enumerate((1, 3, 7, DEFAULT_VERTEX_CAP)):
+            vs = optimal_vertices(r, cap=cap)
+            d_a, d_b = divmod((i + k) % 9, 3)
+            got = facegeom._face_dimensions(vs.signs, r.m_a, d_a, d_b, not vs.truncated)
+            assert got == reference_face_dimensions(vs.signs, r.m_a, d_a, d_b)
+            if not vs.truncated:
+                assert 2 * np.count_nonzero(vs.signs[:, 0] > 0) == len(vs.signs)
+            seen["truncated" if vs.truncated else "complete"] += 1
+            seen["by columns" if len(vs.signs) >= vs.signs.shape[1] else "by rows"] += 1
+    assert min(seen.values()) > 400
+
+
+@pytest.mark.parametrize("m_a,m_b", [(1, 1), (1, 4), (3, 2), (4, 5), (6, 6)])
+def test_trivial_facets_equal_the_full_set_reference(m_a, m_b):
+    for x0 in range(m_a):
+        for y0 in range(m_b):
+            for sign in (1, -1):
+                signs = np.array([[1, sign], [-1, -sign]], dtype=np.int8)
+                _, dim = reference_face_dimensions(signs, 1, m_a - 1, m_b - 1)
+                rep = trivial_facet_check(m_a, m_b, x0, y0, sign)
+                assert (rep.dim, rep.is_facet) == (dim, dim == m_a * m_b - 1)
+
+
+def test_probe_without_a_kernel_basis_equals_the_full_set_reference(monkeypatch):
+    # the probe's classical fallback reads the face dimensions of the reduced
+    # game's complete vertex set, as the earlier build's full-set path does
+    monkeypatch.setattr(facegeom, "_kernel_basis", lambda S: None)
+    tally = Counter()
+    for g in _face_dimension_games()[::7]:
+        try:
+            rep = quantum_face_probe(g)
+        except NotApplicable:
+            tally["advantage"] += 1
+            continue
+        r = reduce_exhaustive(g)
+        want = reference_face_dimensions(optimal_vertices(r).signs, r.m_a, 0, 0)[1]
+        assert (rep.dim_lower_bound, rep.measured) == (want, False)
+        tally["fallback"] += 1
+    assert tally["fallback"] > 50 and tally["advantage"] > 20

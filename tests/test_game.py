@@ -1,6 +1,8 @@
 """Game construction, named families, reductions, behaviours, file format."""
 
+import json
 import random
+import re
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
@@ -25,10 +27,12 @@ from tightbell.errors import (
     NegativePrior,
     NotNormalized,
     ShapeMismatch,
+    TightBellError,
     TooLarge,
     UnknownName,
 )
 from tightbell.game import (
+    GAME_FORMAT,
     MAX_FAMILY_N,
     Behaviour,
     DeterministicStrategy,
@@ -42,10 +46,11 @@ from tightbell.game import (
     signed_matrix,
 )
 
+from tightbell.nlc import build_nlc
 from tightbell.qsdp import MAX_SDP_SIDE
 
 from .generators import random_game, random_nlc_spec, random_strategy
-from .oracles import oracle_is_no_signalling, reference_build_game
+from .oracles import oracle_is_no_signalling, reference_build_game, reference_game_from_dict
 from .test_classical import huge_denominator_game, int64_edge_games
 from .test_qsdp import _witness_corpus
 
@@ -621,3 +626,122 @@ def test_serialization_roundtrip_random(rows, cols, seed):
     rng = np.random.default_rng(seed)
     g = random_game(rng, max_a=rows, max_b=cols, min_a=rows, min_b=cols)
     assert game_from_dict(game_to_dict(g)) == g
+
+
+def _loaded_fields(g):
+    """A loaded game field by field: its data, the types of its entries and its L Phi."""
+    m = g.matrix
+    return (
+        g.m_a, g.m_b, g.q, g.f,
+        {type(v) for row in g.q for v in row}, {type(b) for row in g.f for b in row},
+        m.ints.dtype, m.ints.shape, m.ints.tolist(), m.denominator, m.max_abs,
+    )
+
+
+def _file_data(g) -> dict:
+    """What a saved game file holds, as ``load_game`` reads it back."""
+    return json.loads(json.dumps(game_to_dict(g)))
+
+
+def _saved_games():
+    rng = np.random.default_rng(55)
+    games = _witness_corpus() + [huge_denominator_game(), *int64_edge_games()]
+    games += [random_game(rng, max_a=12, max_b=12) for _ in range(20)]
+    games += [make_named(name, n) for name in ("identity", "nlc_and") for n in (5, 6)]
+    games += [build_nlc(random_nlc_spec(rng, n)) for n in (1, 2, 3, 4, 5)]
+    half = Fraction(1, 2)
+    games.append(build_game([[half, 0, half], [0, 0, 0]], [[0, 0, 1], [1, 0, 0]]))
+    return games
+
+
+def test_saved_games_load_as_the_parent_loader_reads_them(tmp_path):
+    # every file saved from the corpus and the generators loads field by
+    # field as the entry-by-entry loader of earlier builds reads it: q, f,
+    # and L Phi with its dtype, denominator and bound; one file per kind
+    # goes through the disk
+    games = _saved_games()
+    for g in games:
+        data = _file_data(g)
+        want = _loaded_fields(reference_game_from_dict(data))
+        assert _loaded_fields(game_from_dict(data)) == want
+    for i, g in enumerate(games[::100]):
+        save_game(g, tmp_path / f"{i}.json")
+        assert _loaded_fields(load_game(tmp_path / f"{i}.json")) == _loaded_fields(g)
+    assert {g.matrix.ints.dtype for g in games} == {np.dtype(np.int64), np.dtype(object)}
+
+
+def _chsh_file(**changes) -> dict:
+    data = {"format": GAME_FORMAT, "m_a": 2, "m_b": 2,
+            "q": [["1/4", "1/4"], ["1/4", "1/4"]], "f": [[0, 0], [0, 1]]}
+    for name, change in changes.items():
+        data[name] = change(data[name])
+    return data
+
+
+def _set(x: int, y: int, value):
+    def change(rows):
+        rows = [list(row) for row in rows]
+        rows[x][y] = value
+        return rows
+
+    return change
+
+
+_BAD_GAME_FILES = {
+    "bool-bit": _chsh_file(f=_set(0, 1, True)),
+    "float-bit": _chsh_file(f=_set(0, 1, 0.0)),
+    "str-bit": _chsh_file(f=_set(1, 0, "1")),
+    "bit-2": _chsh_file(f=_set(1, 1, 2)),
+    "negative-bit": _chsh_file(f=_set(0, 0, -1)),
+    "float-prior": _chsh_file(q=_set(0, 1, 0.25)),
+    "bool-prior": _chsh_file(q=_set(1, 0, True)),
+    "none-prior": _chsh_file(q=_set(1, 1, None)),
+    "bad-literal": _chsh_file(q=_set(0, 0, "x")),
+    "zero-denominator": _chsh_file(q=_set(1, 1, "1/0")),
+    "negative-entry": _chsh_file(q=_set(0, 1, "-1/4")),
+    "not-normalised": _chsh_file(q=_set(0, 0, "1/2")),
+    "ragged-q": _chsh_file(q=lambda rows: [rows[0], rows[1][:1]]),
+    "ragged-f": _chsh_file(f=lambda rows: [rows[0], rows[1][:1]]),
+    "f-has-another-shape": _chsh_file(f=lambda rows: rows + [[0, 0]]),
+    "empty-matrix": _chsh_file(q=lambda rows: [], f=lambda rows: []),
+    "empty-row": _chsh_file(q=lambda rows: [[]], f=lambda rows: [[]]),
+    "declared-shape": _chsh_file(m_a=lambda m: 3),
+    # the first bad entry in row-major order decides, whatever comes after it
+    "literal-then-float": _chsh_file(q=lambda rows: [["x", 0.25], ["1/0", True]]),
+    "float-then-literal": _chsh_file(q=lambda rows: [[0.25, "x"], ["1/0", True]]),
+    "zero-denominator-then-literal": _chsh_file(q=lambda rows: [["1/4", "1/0"], ["x", "x"]]),
+    "repeated-bad-literal": _chsh_file(q=lambda rows: [["1/4", "y"], ["x", "y"]]),
+    "bool-then-str-bit": _chsh_file(f=lambda rows: [[0, True], ["1", 0]]),
+    "bit-2-then-bool": _chsh_file(f=lambda rows: [[2, 0], [0, True]]),
+    "bad-prior-and-bad-bit": _chsh_file(q=_set(1, 1, "x"), f=_set(0, 0, True)),
+    "ragged-q-and-bad-bit": _chsh_file(q=lambda rows: [rows[0], rows[1][:1]], f=_set(0, 0, 2)),
+    "bad-bit-and-f-shape": _chsh_file(f=lambda rows: [[True, 0]]),
+    "negative-and-bad-bit": _chsh_file(q=_set(0, 1, "-1/4"), f=_set(0, 0, 2)),
+    "negative-and-not-normalised": _chsh_file(q=lambda rows: [["-1/4", "1/2"], ["1/2", "1/2"]]),
+}
+
+
+@pytest.mark.parametrize("data", _BAD_GAME_FILES.values(), ids=_BAD_GAME_FILES.keys())
+def test_bad_game_files_fail_as_the_parent_loader_fails(data):
+    # the same exception type and message as the entry-by-entry loader
+    with pytest.raises(TightBellError) as info:
+        reference_game_from_dict(data)
+    with pytest.raises(type(info.value), match=rf"^{re.escape(str(info.value))}$"):
+        game_from_dict(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=game_data())
+def test_game_dicts_load_as_the_parent_loader_reads_them(data):
+    # mixed spellings, spoiled entries, bits and rows: the same game field by
+    # field or the same exception and message
+    q, f = data
+    d = {"format": GAME_FORMAT, "m_a": len(q), "m_b": len(q[0]), "q": q, "f": f}
+
+    def outcome(load):
+        try:
+            return _loaded_fields(load(d))
+        except TightBellError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(game_from_dict) == outcome(reference_game_from_dict)

@@ -1,6 +1,8 @@
 """Shared-input games: construction, exact spectra, bounds, dimension formulas."""
 
+import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -34,11 +36,13 @@ from tightbell.errors import (
     InvalidDims,
     InvalidParameter,
     InvalidSpec,
+    TightBellError,
     TooLarge,
     VerificationFailed,
 )
 from tightbell.game import MAX_FAMILY_N, signed_matrix
 from tightbell.nlc import (
+    NLC_FORMAT,
     NlcSpec,
     load_nlc_spec,
     nlc_spec_from_dict,
@@ -47,6 +51,7 @@ from tightbell.nlc import (
 )
 
 from .generators import g0_spec, random_nlc_spec
+from .oracles import reference_nlc_spec_from_dict
 
 H = Fraction(1, 2)
 
@@ -584,3 +589,113 @@ def test_spec_file_roundtrip(tmp_path):
     save_nlc_spec(spec, path)
     assert load_nlc_spec(path) == spec
     assert '"n": 1,' in path.read_text("utf-8")
+
+
+def _spec_fields(spec):
+    return (spec.n, spec.q_tilde, spec.f_z,
+            {type(v) for v in spec.q_tilde}, {type(b) for b in spec.f_z})
+
+
+def _saved_specs():
+    rng = np.random.default_rng(55)
+    specs = [random_nlc_spec(rng, n) for n in range(1, 7) for _ in range(20)]
+    specs += [g0_spec(n) for n in range(2, 7)]
+    specs += [spec_from_game(make_named(name, n))
+              for name in ("identity", "nlc_and", "appendix_d") for n in range(2, 6)]
+    return specs
+
+
+def test_saved_specs_load_as_the_parent_loader_reads_them():
+    # every spec file saved from the generators and the families loads field
+    # by field as the entry-by-entry loader of earlier builds reads it
+    for spec in _saved_specs():
+        data = json.loads(json.dumps(nlc_spec_to_dict(spec)))
+        got = nlc_spec_from_dict(data)
+        assert _spec_fields(got) == _spec_fields(NlcSpec(*reference_nlc_spec_from_dict(data)))
+        assert got == spec
+
+
+def test_spec_from_game_reads_the_parent_prior():
+    # q~ read from the integer row 0 of L Phi is the earlier builds' 2^n q(0, .)
+    rng = np.random.default_rng(56)
+    games = [build_nlc(random_nlc_spec(rng, n)) for n in range(1, 6) for _ in range(10)]
+    games += [make_named(name, n)
+              for name in ("identity", "nlc_and", "appendix_d") for n in range(2, 6)]
+    for g in games:
+        spec = spec_from_game(g)
+        assert _spec_fields(spec) == _spec_fields(
+            NlcSpec(n=spec.n, q_tilde=tuple(v * g.m_a for v in g.q[0]), f_z=g.f[0]))
+
+
+def _and_file(**changes) -> dict:
+    data = {"format": NLC_FORMAT, "n": 2, "q_tilde": ["1/4"] * 4, "f_z": [0, 0, 0, 1]}
+    for name, value in changes.items():
+        data[name] = value
+    return data
+
+
+_BAD_SPEC_FILES = {
+    "bool-bit": _and_file(f_z=[0, True, 0, 1]),
+    "float-bit": _and_file(f_z=[0, 0, 1.0, 1]),
+    "str-bit": _and_file(f_z=["0", 0, 0, 1]),
+    "bit-2": _and_file(f_z=[0, 0, 0, 2]),
+    "float-prior": _and_file(q_tilde=["1/4", 0.25, "1/4", "1/4"]),
+    "bool-prior": _and_file(q_tilde=["1/4", "1/4", True, "1/4"]),
+    "bad-literal": _and_file(q_tilde=["1/4", "x", "1/4", "1/4"]),
+    "zero-denominator": _and_file(q_tilde=["1/0", "1/4", "1/4", "1/4"]),
+    "negative-entry": _and_file(q_tilde=["-1/4", "1/4", "1/2", "1/2"]),
+    "not-normalised": _and_file(q_tilde=["1/4", "1/4", "1/4", "1/2"]),
+    "short-prior": _and_file(q_tilde=["1/2", "1/2"]),
+    "short-bits": _and_file(f_z=[0, 1]),
+    "bool-n": _and_file(n=True),
+    "zero-n": _and_file(n=0),
+    "str-n": _and_file(n="2"),
+    # the first bad entry decides, in the order the loader reads the fields
+    "literal-then-float": _and_file(q_tilde=["x", 0.25, "1/0", True]),
+    "float-then-literal": _and_file(q_tilde=[0.25, "x", "1/0", True]),
+    "repeated-bad-literal": _and_file(q_tilde=["1/4", "y", "x", "y"]),
+    "bad-prior-and-bad-bit": _and_file(q_tilde=["1/4", "1/4", "1/4", "x"], f_z=[True, 0, 0, 1]),
+    "bit-2-then-bool": _and_file(f_z=[2, True, 0, 1]),
+    "bool-then-bit-2": _and_file(f_z=[True, 2, 0, 1]),
+    "bad-bit-and-short-prior": _and_file(q_tilde=["1/2", "1/2"], f_z=[0, 0, "1", 1]),
+    "negative-and-bit-2": _and_file(q_tilde=["-1/4", "1/4", "1/2", "1/2"], f_z=[2, 0, 0, 1]),
+    "not-normalised-and-bit-2": _and_file(q_tilde=["1/2"] * 4, f_z=[0, 0, 0, 2]),
+}
+
+
+@pytest.mark.parametrize("data", _BAD_SPEC_FILES.values(), ids=_BAD_SPEC_FILES.keys())
+def test_bad_spec_files_fail_as_the_parent_loader_fails(data):
+    with pytest.raises(TightBellError) as info:
+        reference_nlc_spec_from_dict(data)
+    with pytest.raises(type(info.value), match=rf"^{re.escape(str(info.value))}$"):
+        nlc_spec_from_dict(data)
+
+
+_SPEC_ENTRIES = st.sampled_from(["1/4", "2/8", "0", "1/2", "-1/4", "1/0", "x", "0.25", 0.25,
+                                 True, None, 0, 1, Fraction(1, 4)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    q_spoil=st.lists(st.tuples(st.integers(0, 7), _SPEC_ENTRIES), max_size=2),
+    f_spoil=st.lists(st.tuples(st.integers(0, 7), st.sampled_from([2, -1, 0.0, True, "1"])),
+                     max_size=2),
+)
+def test_spec_dicts_load_as_the_parent_loader_reads_them(n, q_spoil, f_spoil):
+    size = 1 << n
+    q, f = [f"1/{size}"] * size, [0] * size
+    for i, v in q_spoil:
+        q[i % size] = v
+    for i, b in f_spoil:
+        f[i % size] = b
+    data = _and_file(n=n, q_tilde=q, f_z=f)
+
+    def outcome(load):
+        try:
+            return _spec_fields(NlcSpec(*load(data)) if load is reference_nlc_spec_from_dict
+                                else load(data))
+        except TightBellError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(nlc_spec_from_dict) == outcome(reference_nlc_spec_from_dict)

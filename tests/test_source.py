@@ -347,16 +347,16 @@ def _calls_by_function(tree: ast.Module, name: str) -> list[str]:
 
 def test_bareiss_rank_is_called_only_by_rank():
     # one fraction-free elimination, _psd_rank, with two readers: the exact
-    # rank's fallback on the deflated Gram matrix that _rank forms, and the
-    # last step of the advantage verdict on S'; the old rank-only
-    # elimination is gone
+    # rank's fallback on the deflated Gram matrix, in _gram_rank, which every
+    # rank reads, and the last step of the advantage verdict on S'; the old
+    # rank-only elimination is gone
     found = [
         f"{path.name}:{where}"
         for path in SOURCES
         for name in ("_psd_rank", "_bareiss_rank")
         for where in _calls_by_function(ast.parse(path.read_text("utf-8")), name)
     ]
-    assert found == ["exact.py:_rank", "qsdp.py:_verdict"]
+    assert found == ["exact.py:_gram_rank", "qsdp.py:_verdict"]
 
 
 def test_only_outside_data_goes_through_build_game():
