@@ -230,13 +230,16 @@ def _gram(T: np.ndarray) -> np.ndarray:
     blocks: in float32 while ``max|T|^2 * rows < 2^24``, in float64 while it
     is below 2^53 (every partial sum is then an exact integer), else in
     Python integers.  The sum is int64 below 2^53 and of Python integers
-    (object dtype) beyond.
+    (object dtype) beyond.  Each block's product reads a contiguous copy of
+    its transpose: numpy hands ``B.T @ B`` to BLAS syrk, which with BLAS
+    threads unset spends milliseconds on a block that a general product
+    sums in microseconds.  The sums are exact either way.
     """
     bound = max(int(T.max()), -int(T.min())) ** 2 * len(T)
     dtype = np.float32 if bound < _FLOAT32_EXACT else np.float64 if bound < _FLOAT_EXACT else object
     G = np.zeros((T.shape[1], T.shape[1]), dtype)
     for B in _row_blocks(T, dtype):
-        G += B.T @ B
+        G += B.T.copy() @ B
     return G if dtype is object else G.astype(np.int64)
 
 
@@ -369,11 +372,12 @@ def _kernel_proves_psd(S: np.ndarray, K: np.ndarray) -> bool:
     False proves nothing.  ``K`` holds vertices, entries +-1, so every sum of
     ``K^T K`` is below its row count: the product is one BLAS product in
     float64 while that is below 2^53, which is checked, and in int64 past
-    it.  ``S`` has no entry above 2^53 when the sum is formed, so it cannot
-    overflow.
+    it.  It reads a copy of ``K^T``, as :func:`_gram` does, so BLAS runs a
+    general product, not syrk.  ``S`` has no entry above 2^53 when the sum
+    is formed, so it cannot overflow.
     """
     F = K.astype(np.float64 if len(K) < _FLOAT_EXACT else np.int64)
-    return int(S.max()) < _FLOAT_EXACT and _positive_definite(S + (F.T @ F).astype(np.int64))
+    return int(S.max()) < _FLOAT_EXACT and _positive_definite(S + (F.T.copy() @ F).astype(np.int64))
 
 
 def _shows_negative(P: np.ndarray, d: np.ndarray, L: int) -> bool:

@@ -41,6 +41,7 @@ from .errors import (
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
+    TooLarge,
     VerificationFailed,
 )
 from .exact import (
@@ -349,8 +350,10 @@ def quantum_face_probe(g: XorGame) -> ProbeReport:
     Probes :func:`reduce_exhaustive` of ``g``, as :func:`face_report` does: a
     never-asked question's vectors are not pinned by the optimum.  One
     enumeration gives the optimal vertices, a game past its cap raising
-    TooLarge, and one solve started at the witness, row 0, decides the
-    verdict; a game with an advantage raises NotApplicable.  With no
+    TooLarge, as does one whose SDP side passes ``qsdp.MAX_SDP_SIDE``.  The
+    exact verdict of the solver, :func:`qsdp._verdict` on every optimal
+    vertex, decides with no solve and no float; a game with an advantage
+    raises NotApplicable.  With no
     advantage, the witness's integer dual ``S'`` is positive semidefinite
     and every optimal Gram matrix is ``V W V^T``, ``V`` the integer kernel
     basis of ``S'`` (:func:`exact._kernel_basis`).  When the optimal
@@ -365,7 +368,9 @@ def quantum_face_probe(g: XorGame) -> ProbeReport:
     """
     g = reduce_exhaustive(g)
     vs = classical.optimal_vertices(g)
-    verdict = qsdp.solve_quantum_bias(g, xi_c=vs.xi_c, witness=vs.signs[0]).classification
+    if g.m_a + g.m_b > qsdp.MAX_SDP_SIDE:
+        raise TooLarge(f"SDP side {g.m_a + g.m_b} exceeds dense budget {qsdp.MAX_SDP_SIDE}")
+    verdict = qsdp._verdict(g, vs.xi_c, vs.signs)
     if verdict != qsdp.NO_ADVANTAGE:
         raise NotApplicable(f"face probe requires a no-advantage game, got {verdict!r}")
     m = min(g.m_a, g.m_b)

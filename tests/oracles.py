@@ -379,8 +379,8 @@ def oracle_sampled_face_dim(g) -> int:
     """A lower bound on the optimal quantum correlator face's dimension, by sampling.
 
     The face probe of earlier builds, on the reduced game: one solve at the
-    default settings for a base optimum, then 24 more, sample ``k`` a
-    two-restart solve at seed ``1 + k``.  Each is passed the exact ``xi_c``
+    default settings for a base optimum, then 24 more, sample ``k`` the
+    solve at seed ``1 + k``.  Each is passed the exact ``xi_c``
     and no witness, so each starts at random and the samples reach distinct
     optima.  The correlator blocks of the samples certified within
     ``gap_tol`` of the base value are differenced against the base, and the
@@ -393,7 +393,7 @@ def oracle_sampled_face_dim(g) -> int:
     corr = base.gram.gram[: g.m_a, g.m_a :]
     diffs = []
     for k in range(24):
-        res = qsdp.solve_quantum_bias(g, qsdp.SolveConfig(seed=1 + k, restarts=2), xi_c=base.xi_c)
+        res = qsdp.solve_quantum_bias(g, qsdp.SolveConfig(seed=1 + k), xi_c=base.xi_c)
         if res.certified and abs(res.xi_q - base.xi_q) <= qsdp.SolveConfig.gap_tol:
             diffs.append((res.gram.gram[: g.m_a, g.m_a :] - corr).ravel())
     if not diffs:

@@ -222,13 +222,13 @@ def test_bias_quantum_uncertified_exit(monkeypatch, capsys, tmp_path):
     path = tmp_path / "adv.json"
     q = [["11/36", "1/6"], ["1/18", "1/9"], ["1/36", "1/3"]]
     save_game(build_game(q, [[1, 1], [0, 1], [0, 1]]), path)
-    # a huge change tolerance stops every restart after one sweep, far from
-    # the optimum, so no restart can certify, and the primal value alone
-    # stays below xi_c; the exact verdict is the advantage all the same, and
-    # the exit code reads the certificate
+    # a huge change tolerance stops the restart after one sweep, far from
+    # the optimum, so it cannot certify, and the primal value alone stays
+    # below xi_c; the exact verdict is the advantage all the same, and the
+    # exit code reads the certificate
     monkeypatch.setattr(SolveConfig, "change_tol", 1.0)
-    code, payload, _ = run_json(capsys, "bias", "quantum", str(path), "--restarts", "2")
-    assert code == 3
+    code, payload, _ = run_json(capsys, "bias", "quantum", str(path))
+    assert code == 3 and payload["restarts_used"] == 1
     assert payload["classification"] == "advantage"
     assert payload["xi_q"] < 5 / 6
 
@@ -658,7 +658,7 @@ def test_usage_errors_exit_invalid(capsys, chsh_file, argv):
 
 def test_help_exits_ok(capsys):
     code, out, _ = run(capsys, "bias", "quantum", "--help")
-    assert code == 0 and "--restarts" in out and "--enum-cap" not in out
+    assert code == 0 and "--seed" in out and "--enum-cap" not in out
 
 
 def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys, chsh_file):
@@ -737,7 +737,7 @@ def _option_strings(capsys, *command):
 
 def test_solver_flags_are_the_config_fields(capsys, chsh_file):
     names = [f.name for f in fields(SolveConfig)]
-    assert names == ["seed", "restarts"]
+    assert names == ["seed"]
     # the fixed constants stay readable from an instance, as bench/ reads them
     cfg = SolveConfig()
     assert (cfg.gap_tol, cfg.feas_tol, cfg.change_tol) == (1e-7, 1e-8, 1e-13)
@@ -772,21 +772,23 @@ def test_readme_flag_list_matches_the_parser(capsys):
 
 
 def test_run_config_validation(capsys, chsh_file):
-    args = build_parser().parse_args(
-        ["bias", "quantum", chsh_file, "--seed", "9", "--restarts", "3"]
-    )
-    cfg = _solve_config(args)
-    assert (cfg.seed, cfg.restarts) == (9, 3)
-    for bad in (dict(restarts=0), dict(seed=-1), dict(seed=2**64)):
+    args = build_parser().parse_args(["bias", "quantum", chsh_file, "--seed", "9"])
+    assert _solve_config(args).seed == 9
+    for bad in (dict(seed=-1), dict(seed=2**64)):
         with pytest.raises(InvalidParameter):
             SolveConfig(**bad)
-    for fixed in (dict(max_iters=3), dict(gap_tol=1e-9)):  # constants, not settings
+    # constants, not settings; a restart count is no field
+    for fixed in (dict(max_iters=3), dict(gap_tol=1e-9), dict(restarts=2)):
         with pytest.raises(TypeError):
             SolveConfig(**fixed)
     code, out, _ = run(capsys, "bias", "classical", chsh_file, "--enum-cap", "0")
     assert (code, out) == (1, "")
-    code, out, _ = run(capsys, "bias", "quantum", chsh_file, "--restarts", "0")
-    assert (code, out) == (1, "")
+    # the solver runs one restart: a restart count is a usage error
+    for command in (["bias", "quantum"], ["face"]):
+        code, out, err = run(capsys, *command, chsh_file, "--restarts", "2")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: tightbell ")
+        assert err.endswith("\ntightbell: error: unrecognized arguments: --restarts 2\n")
 
 
 def test_dual_infeasible_exit(infeasible_dual, capsys, and2_file):

@@ -32,6 +32,7 @@ from tightbell.errors import (
     InvalidParameter,
     NotApplicable,
     ShapeMismatch,
+    TooLarge,
     VerificationFailed,
 )
 from tightbell.classical import DEFAULT_VERTEX_CAP
@@ -980,8 +981,29 @@ def test_probe_refuses_more_directions_than_the_bound(monkeypatch):
 
 
 def test_probe_not_applicable_for_advantage_games():
+    with pytest.raises(NotApplicable, match="face probe requires a no-advantage game, got 'advantage'"):
+        quantum_face_probe(make_named("chsh"))
+
+
+def test_probe_runs_no_solve(monkeypatch):
+    # the verdict is read off the optimal vertices, exactly, so no solve runs
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe ran a solve")
+
+    monkeypatch.setattr(qsdp, "solve_quantum_bias", refuse)
+    monkeypatch.setattr(qsdp, "_evaluate", refuse)
+    rep = quantum_face_probe(make_named("identity", 2))
+    assert (rep.dim_lower_bound, rep.measured) == (6, True)
     with pytest.raises(NotApplicable):
         quantum_face_probe(make_named("chsh"))
+
+
+def test_probe_keeps_the_dense_budget(monkeypatch):
+    # a game past the solver's dense side is refused as the solve refuses it
+    monkeypatch.setattr(qsdp, "MAX_SDP_SIDE", 7)
+    with pytest.raises(TooLarge, match="SDP side 8 exceeds dense budget 7"):
+        quantum_face_probe(make_named("identity", 2))
+    assert quantum_face_probe(make_named("identity", 1)).measured
 
 
 def test_the_quantum_face_is_never_a_facet(enumerations, ascent_starts):

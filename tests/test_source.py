@@ -429,9 +429,9 @@ def test_solver_takes_row_norms_one_way():
 
 
 def test_solver_certifies_one_way():
-    # the witness start and the restarts are certified by one routine:
+    # the witness start and the restart are certified by one routine:
     # _result builds every QuantumBiasResult from _evaluate, the only
-    # eigen-check; the witness is tried once, before the restarts
+    # eigen-check; the witness is tried once, before the restart
     tree = ast.parse((Path(tightbell.__file__).parent / "qsdp.py").read_text("utf-8"))
     assert _calls_by_function(tree, "_result") == ["solve_quantum_bias"] * 2
     assert _calls_by_function(tree, "QuantumBiasResult") == ["_result"]
@@ -509,6 +509,32 @@ def test_witness_dual_is_formed_once():
         "qsdp.py:_verdict",
         "qsdp.py:extract_F",
     ]
+
+
+def _self_product(node: ast.AST) -> bool:
+    """Whether ``node`` is ``X.T @ X`` or ``X @ X.T``: one operand on both sides of a product."""
+    def transposed(a: ast.AST, b: ast.AST) -> bool:
+        return isinstance(a, ast.Attribute) and a.attr == "T" and ast.dump(a.value) == ast.dump(b)
+
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult) and (
+        transposed(node.left, node.right) or transposed(node.right, node.left)
+    )
+
+
+def test_no_exact_gram_runs_syrk():
+    # numpy hands X.T @ X and X @ X.T to BLAS syrk, which with BLAS threads
+    # unset spends milliseconds on a block that a general product sums in
+    # microseconds; the exact Grams read a copy of the transpose, and their
+    # integer sums are exact either way
+    sample = ast.parse("def f():\n    B.T @ B, F @ F.T, B[0].T @ B[0], B.T.copy() @ B, A.T @ B\n")
+    assert _enclosing_functions(sample, _self_product) == ["f"] * 3
+    found = [
+        f"{path.name}:{where}"
+        for path in SOURCES
+        if path.stem in ("exact", "facegeom")
+        for where in _enclosing_functions(ast.parse(path.read_text("utf-8")), _self_product)
+    ]
+    assert found == []
 
 
 def test_feasibility_tolerance_is_read_by_certification_alone():
